@@ -234,12 +234,20 @@ def quartic() -> ScalarOperatorFunction:
 
 def from_spec(spec: dict) -> ScalarOperatorFunction:
     """Build a function from {"id": ..., "params": [...]} JSON."""
+    if not isinstance(spec, dict):
+        raise UnknownFunction(f"function spec must be a JSON object, got {spec!r}")
     func_id = spec.get("id")
     if not isinstance(func_id, str):
         raise UnknownFunction(f"function spec needs a string id, got {spec!r}")
+    params = spec.get("params", [])
+    if not isinstance(params, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
+        for p in params
+    ):
+        raise ParamOutOfRange(f"function params must be a list of finite numbers, got {params!r}")
     if func_id == "quartic":
         return quartic()
-    return builtin(func_id, spec.get("params", ()))
+    return builtin(func_id, params)
 
 
 def sampling_window(

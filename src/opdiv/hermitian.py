@@ -8,6 +8,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -41,6 +42,8 @@ class ToleranceConfig:
     rel: float = 1e-8
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs) and math.isfinite(self.rel)):
+            raise ValueError(f"tolerances must be finite, got abs={self.abs}, rel={self.rel}")
         if self.abs < 0 or self.rel < 0:
             raise ValueError("tolerances must be nonnegative")
 

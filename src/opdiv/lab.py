@@ -12,10 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -262,14 +260,15 @@ class _Margins:
         verdict = loewner_compare(lhs, rhs, self.tol)
         if verdict.margin_low < self.worst:
             self.worst = verdict.margin_low
-        if verdict.margin_low < -verdict.tolerance_used:
+        # Written as `not >=` so that a NaN margin counts as a violation.
+        if not verdict.margin_low >= -verdict.tolerance_used:
             self.violated = True
 
     def scalar_le(self, lhs: float, rhs: float) -> None:
         margin = rhs - lhs
         if margin < self.worst:
             self.worst = margin
-        if margin < -self.tol.at_scale(max(abs(lhs), abs(rhs))):
+        if not margin >= -self.tol.at_scale(max(abs(lhs), abs(rhs))):
             self.violated = True
 
     def entrywise_close(self, got: HermitianMatrix, want: HermitianMatrix, atol: float) -> None:
@@ -281,13 +280,6 @@ class _Margins:
         dev = float(np.linalg.norm(got.entries - want.entries))
         if dev > rtol * max(1.0, want.norm_fro()):
             self.violated = True
-
-
-@dataclass
-class _TrialOutcome:
-    margin: float
-    violated: bool
-    payload: dict
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,7 @@ def _chk_thm2_1(rng, trial, cfg, tol, f_over):
     rhs = theta_divergence(f, field)
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    return m, {"f": f.id, **_field_payload(field)}
+    return m, lambda: {"f": f.id, **_field_payload(field)}
 
 
 def _chk_cor2_2_subadd(rng, trial, cfg, tol, f_over):
@@ -408,7 +400,7 @@ def _chk_cor2_2_subadd(rng, trial, cfg, tol, f_over):
     rhs = theta_divergence(f, field)
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    return m, {"f": f.id, **_field_payload(field)}
+    return m, lambda: {"f": f.id, **_field_payload(field)}
 
 
 def _chk_cor2_2_ii(rng, trial, cfg, tol, f_over):
@@ -433,7 +425,7 @@ def _chk_cor2_2_ii(rng, trial, cfg, tol, f_over):
     )
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    payload = {"f": f.id, "L": [_rows(x) for x in lefts], "R": [_rows(x) for x in rights]}
+    payload = lambda: {"f": f.id, "L": [_rows(x) for x in lefts], "R": [_rows(x) for x in rights]}
     return m, payload
 
 
@@ -459,7 +451,7 @@ def _chk_cor2_3_split(rng, trial, cfg, tol, f_over):
     m = _Margins(tol)
     m.loewner_le(combined, split)
     m.loewner_le(split, rhs)
-    return m, {"f": f.id, "t1": sorted(part_one), **_field_payload(field)}
+    return m, lambda: {"f": f.id, "t1": sorted(part_one), **_field_payload(field)}
 
 
 def _chk_thm2_4_mixture(rng, trial, cfg, tol, f_over):
@@ -485,7 +477,7 @@ def _chk_thm2_4_mixture(rng, trial, cfg, tol, f_over):
         rhs = rhs + p[j] * col
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "p": p.tolist(),
         "L": [[_rows(x) for x in row] for row in ls],
@@ -522,7 +514,7 @@ def _chk_thm2_6_delta(rng, trial, cfg, tol, f_over):
     lhs = f_delta_h(f, h, sum_a, sum_b)
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "h": h.id,
         "maps": fam.to_json(),
@@ -549,7 +541,7 @@ def _chk_cor2_7_single(rng, trial, cfg, tol, f_over):
         perspective(f, phi_a, PositiveDefiniteMatrix(phi_b)),
         phi.apply(perspective(f, a, b)),
     )
-    payload = {"f": f.id, "h": h.id, "map": phi.to_json(), "A": _rows(a), "B": _rows(b)}
+    payload = lambda: {"f": f.id, "h": h.id, "map": phi.to_json(), "A": _rows(a), "B": _rows(b)}
     return m, payload
 
 
@@ -577,7 +569,7 @@ def _chk_ex2_8_power(rng, trial, cfg, tol, f_over):
     rhs = phi.apply(f_delta_h(f, h, a.base, b.base))
     m = _Margins(tol)
     m.loewner_le(lhs, rhs)
-    payload = {
+    payload = lambda: {
         "alpha": alpha,
         "beta": beta,
         "map": phi.to_json(),
@@ -606,7 +598,7 @@ def _chk_cor2_9_vector(rng, trial, cfg, tol, f_over):
         lhs = hbx * f.eval_scalar(ax / hbx)
         rhs = float((x.conj() @ mat.entries @ x).real)
         m.scalar_le(lhs, rhs)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "h": h.id,
         "A": _rows(a),
@@ -647,7 +639,7 @@ def _chk_thm2_10_dom(rng, trial, cfg, tol, f_over):
     m = _Margins(tol)
     m.loewner_le(perspective(f1, sum_a, PositiveDefiniteMatrix(sum_b)), rhs_g)
     m.loewner_le(apply_function(f1, sum_a), rhs_f)
-    payload = {
+    payload = lambda: {
         "f1": f1.id,
         "f2": f2.id,
         "maps": fam.to_json(),
@@ -673,7 +665,7 @@ def _chk_delta_nabla(rng, trial, cfg, tol, f_over):
     big_r = sum((q[i] * rs[i].base for i in range(1, n)), q[0] * rs[0].base)
     m = _Margins(tol)
     m.loewner_le(f_delta_h(f, h, big_l, big_r), f_nabla_h(f, h, field, p, q))
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "h": h.id,
         "p": p.tolist(),
@@ -691,7 +683,7 @@ def _chk_thm2_12_grad(rng, trial, cfg, tol, f_over):
     field = _random_field(rng, cfg, f, n)
     m = _Margins(tol)
     m.loewner_le(gradient_lower_bound(f, field), theta_divergence(f, field))
-    return m, {"f": f.id, **_field_payload(field)}
+    return m, lambda: {"f": f.id, **_field_payload(field)}
 
 
 def _jensen_chain(m, f, fam: MapField, ops_a, part_one, part_two):
@@ -742,7 +734,7 @@ def _chk_thm3_1_chain(rng, trial, cfg, tol, f_over):
     part_one, part_two = _partition(rng, k)
     m = _Margins(tol)
     _jensen_chain(m, f, fam, ops_a, part_one, part_two)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "maps": fam.to_json(),
         "A": [_rows(x) for x in ops_a],
@@ -767,7 +759,7 @@ def _chk_thm3_1_ii(rng, trial, cfg, tol, f_over):
     m = _Margins(tol)
     m.loewner_le(HermitianMatrix.zeros(fam.out_dim), deficit_one)
     m.loewner_le(deficit_one, m4 - m1)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "maps": fam.to_json(),
         "A": [_rows(x) for x in ops_a],
@@ -787,7 +779,7 @@ def _chk_cor3_4_isom(rng, trial, cfg, tol, f_over):
     part_one, part_two = _partition(rng, k)
     m = _Margins(tol)
     _jensen_chain(m, f, fam, ops_a, part_one, part_two)
-    payload = {
+    payload = lambda: {
         "f": f.id,
         "C": [_rows(phi.matrix) for phi in maps],
         "A": [_rows(x) for x in ops_a],
@@ -813,7 +805,7 @@ def _chk_thm3_8_norm(rng, trial, cfg, tol, f_over):
     for k in range(cfg.dim):
         x, y = float(sa[k]), float(sb[k])
         m.scalar_le(y * f.eval_scalar(x / y), float(sg[k]))
-    return m, {"f": f.id, "A": _rows(a), "B": _rows(b)}
+    return m, lambda: {"f": f.id, "A": _rows(a), "B": _rows(b)}
 
 
 def _chk_lemma_jadjit(rng, trial, cfg, tol, f_over):
@@ -833,7 +825,7 @@ def _chk_lemma_jadjit(rng, trial, cfg, tol, f_over):
         w = np.kron(u, v)
         rhs = float((w.conj() @ mat.entries @ w).real)
         m.scalar_le(au * au / bv, rhs)
-    payload = {
+    payload = lambda: {
         "A": _rows(a),
         "B": _rows(b),
         "uv": [[_rows(u.reshape(1, -1)), _rows(v.reshape(1, -1))] for u, v in pairs],
@@ -879,7 +871,7 @@ def _chk_kl_suite(rng, trial, cfg, tol, f_over):
         direct_tlt = direct_tlt + l.entries @ inv_half.entries @ log_inner.entries @ half.entries
     m.relative_close(theta_tlt, hermitian_part(direct_tlt), 1e-9)
     m.loewner_le(sum_l - sum_r, theta_tlt)
-    payload = {"L": [_rows(x) for x in ls], "R": [_rows(x) for x in rs]}
+    payload = lambda: {"L": [_rows(x) for x in ls], "R": [_rows(x) for x in rs]}
     return m, payload
 
 
@@ -899,7 +891,7 @@ def _chk_scalar_csiszar(rng, trial, cfg, tol, f_over):
     if abs(theta_val - scalar_sum) > 1e-12 * max(1.0, abs(scalar_sum)):
         m.violated = True
     m.scalar_le(float(q.sum()) * f.eval_scalar(float(p.sum()) / float(q.sum())), scalar_sum)
-    return m, {"f": f.id, "p": p.tolist(), "q": q.tolist()}
+    return m, lambda: {"f": f.id, "p": p.tolist(), "q": q.tolist()}
 
 
 _CHAIN_LABELS = (
@@ -950,7 +942,7 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
         m.entrywise_close(got, want, 1e-9)
     for lhs, rhs in zip(computed, computed[1:]):
         m.loewner_le(lhs, rhs)
-    return m, {"fixture": "compression_example", "labels": list(_CHAIN_LABELS)}
+    return m, lambda: {"fixture": "compression_example", "labels": list(_CHAIN_LABELS)}
 
 
 # ---------------------------------------------------------------------------
@@ -960,8 +952,16 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
 
 @dataclass(frozen=True)
 class _Check:
+    """A registered check.
+
+    `fn(rng, trial, cfg, tol, f_over)` returns the trial's `_Margins` and a
+    thunk that builds its instance payload. `fixed` marks a check that
+    reads none of its arguments, so every trial has the same outcome.
+    """
+
     fn: Callable
     description: str
+    fixed: bool = False
 
 
 _REGISTRY: dict[str, _Check] = {
@@ -1025,7 +1025,9 @@ _REGISTRY: dict[str, _Check] = {
         _chk_scalar_csiszar, "dimension-one reduction to the scalar divergence sum"
     ),
     "EX3_3_EXACT": _Check(
-        _chk_ex3_3_exact, "exact compression-example fixture with strict chain gaps"
+        _chk_ex3_3_exact,
+        "exact compression-example fixture with strict chain gaps",
+        fixed=True,
     ),
 }
 
@@ -1039,19 +1041,6 @@ def check_description(check_id: str) -> str:
     if check_id not in _REGISTRY:
         raise UnknownCheck(f"no check named {check_id!r}")
     return _REGISTRY[check_id].description
-
-
-def _worker_count(trials: int) -> int:
-    raw = os.environ.get("OPDIV_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n > 0:
-        return n
-    if trials < 64:
-        return 1
-    return min(4, os.cpu_count() or 1)
 
 
 def _digest(payload: dict) -> str:
@@ -1073,29 +1062,27 @@ def run_check(
     """
     if check_id not in _REGISTRY:
         raise UnknownCheck(f"no check named {check_id!r}")
-    fn = _REGISTRY[check_id].fn
-
-    def one(trial: int) -> _TrialOutcome:
+    check = _REGISTRY[check_id]
+    # A fixed check gives the same outcome on every trial: run it once.
+    runs = 1 if check.fixed else gen.trials
+    violations = 0
+    worst_margin, worst_payload = math.inf, None
+    for trial in range(runs):
         rng = _trial_rng(gen.seed, check_id, trial)
-        margins, payload = fn(rng, trial, gen, tol, function)
-        return _TrialOutcome(margins.worst, margins.violated, payload)
-
-    workers = _worker_count(gen.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(gen.trials)))
-    else:
-        outcomes = [one(t) for t in range(gen.trials)]
-
-    violations = sum(1 for o in outcomes if o.violated)
-    worst_idx = min(range(len(outcomes)), key=lambda i: outcomes[i].margin)
-    worst = outcomes[worst_idx]
+        margins, payload = check.fn(rng, trial, gen, tol, function)
+        violations += margins.violated
+        # Strict `<` keeps the first trial among equal margins; only the
+        # worst trial's payload is ever built.
+        if worst_payload is None or margins.worst < worst_margin:
+            worst_margin, worst_payload = margins.worst, payload
+    if check.fixed:
+        violations *= gen.trials
     return CheckResult(
         check_id=check_id,
         trials=gen.trials,
         violations=violations,
-        worst_margin=worst.margin,
-        instance_digest_of_worst=_digest(worst.payload),
+        worst_margin=worst_margin,
+        instance_digest_of_worst=_digest(worst_payload()),
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from opdiv.cli import main
 
 
@@ -50,6 +52,39 @@ def test_verify_unknown_check_exits_2(capsys):
 def test_verify_bad_function_json_exits_2(capsys):
     assert main(["verify", "--suite", "THM2_1", "--function", "{not json"]) == 2
     assert main(["verify", "--suite", "THM2_1", "--function", '{"id": "nope"}']) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"id":"power","params":2}', "[1]", '{"id":"power","params":["x"]}'],
+)
+def test_verify_malformed_function_spec_exits_2(spec, capsys):
+    assert main(["verify", "--suite", "THM2_1", "--trials", "2", "--function", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+def test_verify_nan_tolerance_exits_2(flag, capsys):
+    argv = [
+        "verify",
+        "--suite",
+        "THM2_1",
+        "--dim",
+        "2",
+        "--trials",
+        "200",
+        "--seed",
+        "1",
+        "--function",
+        '{"id":"quartic"}',
+        flag,
+        "nan",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_verify_bad_dim_exits_2():

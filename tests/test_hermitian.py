@@ -192,6 +192,14 @@ def test_loewner_tolerance_reported():
     assert verdict.tolerance_used == pytest.approx(1e-6 + 1e-3 * 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
+def test_tolerance_rejects_non_finite_and_negative(bad):
+    with pytest.raises(ValueError):
+        ToleranceConfig(abs=bad)
+    with pytest.raises(ValueError):
+        ToleranceConfig(rel=bad)
+
+
 def test_kronecker_fixtures():
     eye2 = HermitianMatrix.identity(2)
     assert np.allclose(kronecker(eye2, eye2).entries, np.eye(4))

@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from opdiv import lab
 from opdiv.errors import BadRange, UnknownCheck
 from opdiv.funcatalog import builtin, quartic
-from opdiv.hermitian import ToleranceConfig
+from opdiv.hermitian import HermitianMatrix, LoewnerRelation, LoewnerVerdict, ToleranceConfig
 from opdiv.lab import (
     GenConfig,
     check_description,
@@ -155,9 +157,43 @@ def test_reproduce_example_matches_and_perturbation_fails():
     ]
 
 
-def test_thread_env_override_keeps_results_identical(monkeypatch):
-    cfg = GenConfig(dim=2, seed=11, trials=40)
-    serial = run_check("COR2_3_SPLIT", cfg)
-    monkeypatch.setenv("OPDIV_THREADS", "4")
-    threaded = run_check("COR2_3_SPLIT", cfg)
-    assert serial == threaded
+def _reference_check(check_id, gen, function=None):
+    """Every trial run, every payload built, the first minimum taken."""
+    fn = lab._REGISTRY[check_id].fn
+    outcomes = []
+    for trial in range(gen.trials):
+        rng = lab._trial_rng(gen.seed, check_id, trial)
+        margins, payload = fn(rng, trial, gen, ToleranceConfig(), function)
+        outcomes.append((margins.worst, margins.violated, payload()))
+    worst = min(range(len(outcomes)), key=lambda i: outcomes[i][0])
+    violations = sum(1 for _, violated, _ in outcomes if violated)
+    return violations, outcomes[worst][0], lab._digest(outcomes[worst][2])
+
+
+@pytest.mark.parametrize(
+    "check_id, gen, function",
+    [
+        ("COR2_3_SPLIT", GenConfig(dim=2, seed=11, trials=40), quartic()),
+        ("EX3_3_EXACT", GenConfig(dim=3, seed=0, trials=5), None),
+    ],
+)
+def test_run_check_matches_eager_reference_loop(check_id, gen, function):
+    want = _reference_check(check_id, gen, function)
+    if function is not None:
+        assert want[0] >= 1  # the worst trial is chosen among violating ones
+    got = run_check(check_id, gen, function=function)
+    assert got.trials == gen.trials
+    assert (got.violations, got.worst_margin, got.instance_digest_of_worst) == want
+
+
+def test_nan_margin_counts_as_violation(monkeypatch):
+    scalar = lab._Margins(ToleranceConfig())
+    scalar.scalar_le(0.0, math.nan)
+    assert scalar.violated
+
+    nan_verdict = LoewnerVerdict(LoewnerRelation.INCOMPARABLE, math.nan, math.nan, 1e-8)
+    monkeypatch.setattr(lab, "loewner_compare", lambda lhs, rhs, tol: nan_verdict)
+    matrix = lab._Margins(ToleranceConfig())
+    eye = HermitianMatrix.identity(2)
+    matrix.loewner_le(eye, eye)
+    assert matrix.violated
