@@ -15,12 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation, ParamOutOfRange, UnknownFunction
-from .hermitian import (
-    ToleranceConfig,
-    apply_function,
-    hermitian_part,
-    unitary_from_rng,
-)
+from .hermitian import ToleranceConfig, apply_function, hermitian_from_rng
 
 
 @dataclass(frozen=True)
@@ -301,13 +296,9 @@ def convexity_falsifier(
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        mats = []
-        for _ in range(2):
-            lam = rng.uniform(lo, hi, dim)
-            u = unitary_from_rng(rng, dim)
-            mats.append(hermitian_part((u * lam) @ u.conj().T))
+        a = hermitian_from_rng(rng, dim, lo, hi)
+        b = hermitian_from_rng(rng, dim, lo, hi)
         lam_mix = float(rng.uniform(0.0, 1.0))
-        a, b = mats
         mixed = lam_mix * a + (1.0 - lam_mix) * b
         rhs = lam_mix * apply_function(f, a) + (1.0 - lam_mix) * apply_function(f, b)
         lhs = apply_function(f, mixed)

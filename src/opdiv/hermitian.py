@@ -344,6 +344,19 @@ def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vecs
 
 
+def hermitian_from_rng(rng: np.random.Generator, dim: int, lo: float, hi: float) -> HermitianMatrix:
+    """Random Hermitian matrix with a uniform spectrum in [lo, hi].
+
+    The eigenvalues are drawn before the unitary; lo == hi gives lo * I
+    without drawing anything.
+    """
+    if lo == hi:
+        return HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex))
+    lam = rng.uniform(lo, hi, dim)
+    u = unitary_from_rng(rng, dim)
+    return hermitian_part((u * lam) @ u.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # Matrix JSON format: {"dim": n, "rows": [[[re, im], ...], ...]}
 # Real matrices may use bare numbers in place of [re, im].

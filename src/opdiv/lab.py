@@ -15,6 +15,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .hermitian import (
     ToleranceConfig,
     apply_function,
     array_to_rows,
+    hermitian_from_rng,
     hermitian_part,
     loewner_compare,
     unitary_from_rng,
@@ -137,14 +139,6 @@ def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
 
 
-def _herm_from(rng, dim: int, lo: float, hi: float) -> HermitianMatrix:
-    if lo == hi:
-        return HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex))
-    lam = rng.uniform(lo, hi, dim)
-    u = unitary_from_rng(rng, dim)
-    return hermitian_part((u * lam) @ u.conj().T)
-
-
 def _pd_from(rng, dim: int, lo: float, hi: float, cond_cap: float) -> PositiveDefiniteMatrix:
     if lo <= 0:
         raise BadRange(f"positive-definite sampling needs lo > 0, got {lo}")
@@ -162,7 +156,7 @@ def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
     Fully determined by (cfg.seed, trial) and the draw order inside.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    return _herm_from(rng, cfg.dim, *cfg.spectrum_range)
+    return hermitian_from_rng(rng, cfg.dim, *cfg.spectrum_range)
 
 
 def random_pd(cfg: GenConfig, trial: int) -> PositiveDefiniteMatrix:
@@ -190,6 +184,12 @@ def _b_window(cfg: GenConfig) -> tuple:
     if not wlo < hi:
         raise BadRange(f"spectrum_range {cfg.spectrum_range} has no positive part above 0.1")
     return wlo, hi
+
+
+def _draw_b(rng, cfg: GenConfig) -> PositiveDefiniteMatrix:
+    """Positive-definite matrix with spectrum in the b window."""
+    blo, bhi = _b_window(cfg)
+    return _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
 
 
 def _prob_vector(rng, n: int) -> np.ndarray:
@@ -356,14 +356,13 @@ def _field_payload(field: WeightedOperatorField) -> dict:
 
 def _random_field(rng, cfg: GenConfig, f: ScalarOperatorFunction, n: int, weights=None):
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
     if weights is None:
         weights = rng.uniform(0.2, 2.0, n)
     entries = [
         (
             float(w),
-            _herm_from(rng, cfg.dim, alo, ahi),
-            _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap),
+            hermitian_from_rng(rng, cfg.dim, alo, ahi),
+            _draw_b(rng, cfg),
         )
         for w in np.asarray(weights, dtype=float)
     ]
@@ -374,28 +373,26 @@ def _pick(pool, trial: int, f_over):
     return f_over if f_over is not None else pool[trial % len(pool)]
 
 
+def _pick_fh(trial: int, f_over):
+    """f from the f(0) <= 0 pool and h from the h pool, cycling jointly."""
+    f = _pick(_F0_POOL, trial, f_over)
+    return f, _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+
+
 # ---------------------------------------------------------------------------
 # Check implementations
 # ---------------------------------------------------------------------------
 
 
-def _chk_thm2_1(rng, trial, cfg, tol, f_over):
-    """Perspective of the weighted sums vs the weighted sum of perspectives."""
+def _chk_thm2_1(rng, trial, cfg, tol, f_over, unit_weights=False):
+    """Perspective of the weighted sums vs the weighted sum of perspectives.
+
+    With unit weights this is the subadditivity of the perspective over
+    entrywise sums (Corollary 2.2).
+    """
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 5))
-    field = _random_field(rng, cfg, f, n)
-    lhs = perspective(f, field.weighted_sum_a(), PositiveDefiniteMatrix(field.weighted_sum_b()))
-    rhs = theta_divergence(f, field)
-    m = _Margins(tol)
-    m.loewner_le(lhs, rhs)
-    return m, lambda: {"f": f.id, **_field_payload(field)}
-
-
-def _chk_cor2_2_subadd(rng, trial, cfg, tol, f_over):
-    """Subadditivity of the perspective over entrywise sums."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 5))
-    field = _random_field(rng, cfg, f, n, weights=np.ones(n))
+    field = _random_field(rng, cfg, f, n, weights=np.ones(n) if unit_weights else None)
     lhs = perspective(f, field.weighted_sum_a(), PositiveDefiniteMatrix(field.weighted_sum_b()))
     rhs = theta_divergence(f, field)
     m = _Margins(tol)
@@ -408,9 +405,8 @@ def _chk_cor2_2_ii(rng, trial, cfg, tol, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
-    lefts = [_herm_from(rng, cfg.dim, alo, ahi) for _ in range(n)]
-    raw = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(n)]
+    lefts = [hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(n)]
+    raw = [_draw_b(rng, cfg) for _ in range(n)]
     total = raw[0].base
     for r in raw[1:]:
         total = total + r.base
@@ -460,9 +456,8 @@ def _chk_thm2_4_mixture(rng, trial, cfg, tol, f_over):
     n = int(rng.integers(2, 4))
     p = rng.uniform(0.2, 2.0, n)
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
-    ls = [[_herm_from(rng, cfg.dim, alo, ahi) for _ in range(n)] for _ in range(n)]
-    rs = [[_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(n)] for _ in range(n)]
+    ls = [[hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(n)] for _ in range(n)]
+    rs = [[_draw_b(rng, cfg) for _ in range(n)] for _ in range(n)]
     lhs = HermitianMatrix.zeros(cfg.dim)
     for i in range(n):
         row_l = sum((p[j] * ls[i][j] for j in range(1, n)), p[0] * ls[i][0])
@@ -496,14 +491,12 @@ def _subunital_family(rng, cfg, k: int, square_out: bool):
 
 def _chk_thm2_6_delta(rng, trial, cfg, tol, f_over):
     """Jensen-type bound for the generalized perspective, subunital family."""
-    f = _pick(_F0_POOL, trial, f_over)
-    h = _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+    f, h = _pick_fh(trial, f_over)
     k = int(rng.integers(2, 4))
     fam = _subunital_family(rng, cfg, k, square_out=bool(rng.integers(0, 2)))
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
-    ops_a = [_herm_from(rng, cfg.dim, alo, ahi) for _ in range(k)]
-    ops_b = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(k)]
+    ops_a = [hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(k)]
+    ops_b = [_draw_b(rng, cfg) for _ in range(k)]
     sum_a = HermitianMatrix.zeros(fam.out_dim)
     sum_b = HermitianMatrix.zeros(fam.out_dim)
     rhs = HermitianMatrix.zeros(fam.out_dim)
@@ -526,13 +519,11 @@ def _chk_thm2_6_delta(rng, trial, cfg, tol, f_over):
 
 def _chk_cor2_7_single(rng, trial, cfg, tol, f_over):
     """Single-map bound for the generalized perspective and the perspective."""
-    f = _pick(_F0_POOL, trial, f_over)
-    h = _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+    f, h = _pick_fh(trial, f_over)
     phi = _single_subunital_map(rng, cfg.dim, trial)
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
-    a = _herm_from(rng, cfg.dim, alo, ahi)
-    b = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+    a = hermitian_from_rng(rng, cfg.dim, alo, ahi)
+    b = _draw_b(rng, cfg)
     phi_a = phi.apply(a)
     phi_b = phi.apply(b.base)
     m = _Margins(tol)
@@ -562,9 +553,8 @@ def _chk_ex2_8_power(rng, trial, cfg, tol, f_over):
     f = builtin("power", [beta])
     h = builtin("power", [alpha])
     phi = _single_subunital_map(rng, cfg.dim, trial)
-    blo, bhi = _b_window(cfg)
-    a = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-    b = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+    a = _draw_b(rng, cfg)
+    b = _draw_b(rng, cfg)
     lhs = f_delta_h(f, h, phi.apply(a.base), phi.apply(b.base))
     rhs = phi.apply(f_delta_h(f, h, a.base, b.base))
     m = _Margins(tol)
@@ -581,11 +571,9 @@ def _chk_ex2_8_power(rng, trial, cfg, tol, f_over):
 
 def _chk_cor2_9_vector(rng, trial, cfg, tol, f_over):
     """Scalar generalized perspective of quadratic forms under unit vectors."""
-    f = _pick(_F0_POOL, trial, f_over)
-    h = _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
-    blo, bhi = _b_window(cfg)
-    a = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-    b = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+    f, h = _pick_fh(trial, f_over)
+    a = _draw_b(rng, cfg)
+    b = _draw_b(rng, cfg)
     mat = f_delta_h(f, h, a.base, b.base)
     m = _Margins(tol)
     vecs = []
@@ -608,8 +596,8 @@ def _chk_cor2_9_vector(rng, trial, cfg, tol, f_over):
     return m, payload
 
 
-def _unital_family(rng, cfg, k: int):
-    weights = rng.uniform(0.2, 2.0, k)
+def _unital_family(rng, cfg, k: int, unit_weights: bool = False):
+    weights = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
     maps = _congruence_family(rng, k, cfg.dim, cfg.dim, weights)
     return MapField(list(zip(weights, maps)), unital=True)
 
@@ -624,9 +612,9 @@ def _chk_thm2_10_dom(rng, trial, cfg, tol, f_over):
     fam = _unital_family(rng, cfg, k)
     lo = max(_a_window(f1, cfg)[0], _a_window(f2, cfg)[0])
     hi = min(_a_window(f1, cfg)[1], _a_window(f2, cfg)[1])
-    blo, bhi = _b_window(cfg)
+    blo = _b_window(cfg)[0]
     ops_a = [_pd_from(rng, cfg.dim, max(lo, blo), hi, cfg.condition_cap) for _ in range(k)]
-    ops_b = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(k)]
+    ops_b = [_draw_b(rng, cfg) for _ in range(k)]
     sum_a = HermitianMatrix.zeros(fam.out_dim)
     sum_b = HermitianMatrix.zeros(fam.out_dim)
     rhs_g = HermitianMatrix.zeros(fam.out_dim)
@@ -651,15 +639,14 @@ def _chk_thm2_10_dom(rng, trial, cfg, tol, f_over):
 
 def _chk_delta_nabla(rng, trial, cfg, tol, f_over):
     """Generalized perspective of the mixture vs the mixture functional."""
-    f = _pick(_F0_POOL, trial, f_over)
-    h = _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+    f, h = _pick_fh(trial, f_over)
     n = int(rng.integers(2, 4))
     p = _prob_vector(rng, n)
     q = _prob_vector(rng, n)
     alo, ahi = _a_window(f, cfg)
-    blo, bhi = _b_window(cfg)
-    ls = [_herm_from(rng, cfg.dim, max(alo, blo), ahi) for _ in range(n)]
-    rs = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(n)]
+    blo = _b_window(cfg)[0]
+    ls = [hermitian_from_rng(rng, cfg.dim, max(alo, blo), ahi) for _ in range(n)]
+    rs = [_draw_b(rng, cfg) for _ in range(n)]
     field = WeightedOperatorField([(1.0, a, b) for a, b in zip(ls, rs)])
     big_l = sum((p[i] * ls[i] for i in range(1, n)), p[0] * ls[0])
     big_r = sum((q[i] * rs[i].base for i in range(1, n)), q[0] * rs[0].base)
@@ -686,8 +673,12 @@ def _chk_thm2_12_grad(rng, trial, cfg, tol, f_over):
     return m, lambda: {"f": f.id, **_field_payload(field)}
 
 
-def _jensen_chain(m, f, fam: MapField, ops_a, part_one, part_two):
-    """The four-stage refinement chain for a unital map family."""
+def _jensen_chain(f, fam: MapField, ops_a, part_one, part_two):
+    """The four-stage refinement chain for a unital map family.
+
+    Returns the chain (m1, m2, m3, m4), the first block's perspective and
+    the first block's share of m4.
+    """
     dim_out = fam.out_dim
     eye = HermitianMatrix.identity(fam.in_dim)
     mapped_a = [w * phi.apply(a) for (w, phi), a in zip(fam, ops_a)]
@@ -702,20 +693,21 @@ def _jensen_chain(m, f, fam: MapField, ops_a, part_one, part_two):
         return out
 
     m1 = apply_function(f, total(mapped_a))
-    blocks = []
-    for ix in (part_one, part_two):
-        blocks.append(
-            perspective(f, total(mapped_a, ix), PositiveDefiniteMatrix(total(mapped_i, ix)))
-        )
-    m2 = blocks[0] + blocks[1]
+    blocks = [
+        perspective(f, total(mapped_a, ix), PositiveDefiniteMatrix(total(mapped_i, ix)))
+        for ix in (part_one, part_two)
+    ]
     m3 = HermitianMatrix.zeros(dim_out)
     for sa, si in zip(mapped_a, mapped_i):
         m3 = m3 + perspective(f, sa, PositiveDefiniteMatrix(si))
-    m4 = total(mapped_f)
-    m.loewner_le(m1, m2)
-    m.loewner_le(m2, m3)
-    m.loewner_le(m3, m4)
-    return m1, blocks[0], m4, total(mapped_f, part_one)
+    chain = (m1, blocks[0] + blocks[1], m3, total(mapped_f))
+    return chain, blocks[0], total(mapped_f, part_one)
+
+
+def _chain_le(m: _Margins, chain) -> None:
+    """Record every link of a Loewner chain, left to right."""
+    for lhs, rhs in zip(chain, chain[1:]):
+        m.loewner_le(lhs, rhs)
 
 
 def _partition(rng, k: int):
@@ -724,67 +716,45 @@ def _partition(rng, k: int):
     return set(perm[:cut].tolist()), set(perm[cut:].tolist())
 
 
-def _chk_thm3_1_chain(rng, trial, cfg, tol, f_over):
-    """Four-term refinement chain of the mapped Jensen inequality."""
+def _jensen_instance(rng, trial, cfg, f_over, unit_weights: bool = False):
+    """f, a unital family, its operators, a bipartition and a payload thunk.
+
+    With unit weights the family is congruences summing to the identity
+    (Corollary 3.4); its payload keeps the congruence matrices under "C".
+    """
     f = _pick(_CONVEX_POOL, trial, f_over)
     k = int(rng.integers(2, 4))
-    fam = _unital_family(rng, cfg, k)
+    fam = _unital_family(rng, cfg, k, unit_weights)
     alo, ahi = _a_window(f, cfg)
-    ops_a = [_herm_from(rng, cfg.dim, alo, ahi) for _ in range(k)]
-    part_one, part_two = _partition(rng, k)
+    ops_a = [hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(k)]
+    parts = _partition(rng, k)
+
+    def payload():
+        if unit_weights:
+            maps = {"C": [_rows(phi.matrix) for _, phi in fam]}
+        else:
+            maps = {"maps": fam.to_json()}
+        return {"f": f.id, **maps, "A": [_rows(x) for x in ops_a], "t1": sorted(parts[0])}
+
+    return f, fam, ops_a, parts, payload
+
+
+def _chk_thm3_1_chain(rng, trial, cfg, tol, f_over, unit_weights=False):
+    """Four-term refinement chain of the mapped Jensen inequality."""
+    f, fam, ops_a, parts, payload = _jensen_instance(rng, trial, cfg, f_over, unit_weights)
     m = _Margins(tol)
-    _jensen_chain(m, f, fam, ops_a, part_one, part_two)
-    payload = lambda: {
-        "f": f.id,
-        "maps": fam.to_json(),
-        "A": [_rows(x) for x in ops_a],
-        "t1": sorted(part_one),
-    }
+    _chain_le(m, _jensen_chain(f, fam, ops_a, *parts)[0])
     return m, payload
 
 
 def _chk_thm3_1_ii(rng, trial, cfg, tol, f_over):
     """Block deficit lower bound for the mapped Jensen gap."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    k = int(rng.integers(2, 4))
-    fam = _unital_family(rng, cfg, k)
-    alo, ahi = _a_window(f, cfg)
-    ops_a = [_herm_from(rng, cfg.dim, alo, ahi) for _ in range(k)]
-    part_one, part_two = _partition(rng, k)
-    chain_margins = _Margins(tol)
-    m1, block_one, m4, mapped_f_one = _jensen_chain(
-        chain_margins, f, fam, ops_a, part_one, part_two
-    )
+    f, fam, ops_a, parts, payload = _jensen_instance(rng, trial, cfg, f_over)
+    (m1, _, _, m4), block_one, mapped_f_one = _jensen_chain(f, fam, ops_a, *parts)
     deficit_one = mapped_f_one - block_one
     m = _Margins(tol)
     m.loewner_le(HermitianMatrix.zeros(fam.out_dim), deficit_one)
     m.loewner_le(deficit_one, m4 - m1)
-    payload = lambda: {
-        "f": f.id,
-        "maps": fam.to_json(),
-        "A": [_rows(x) for x in ops_a],
-        "t1": sorted(part_one),
-    }
-    return m, payload
-
-
-def _chk_cor3_4_isom(rng, trial, cfg, tol, f_over):
-    """Refinement chain for congruence families summing to the identity."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    k = int(rng.integers(2, 4))
-    maps = _congruence_family(rng, k, cfg.dim, cfg.dim, np.ones(k))
-    fam = MapField([(1.0, phi) for phi in maps], unital=True)
-    alo, ahi = _a_window(f, cfg)
-    ops_a = [_herm_from(rng, cfg.dim, alo, ahi) for _ in range(k)]
-    part_one, part_two = _partition(rng, k)
-    m = _Margins(tol)
-    _jensen_chain(m, f, fam, ops_a, part_one, part_two)
-    payload = lambda: {
-        "f": f.id,
-        "C": [_rows(phi.matrix) for phi in maps],
-        "A": [_rows(x) for x in ops_a],
-        "t1": sorted(part_one),
-    }
     return m, payload
 
 
@@ -794,9 +764,8 @@ _NORM_POOL = (_SQUARE, _INV, _NEG_LOG)
 def _chk_thm3_8_norm(rng, trial, cfg, tol, f_over):
     """Scalar perspective of Ky Fan norms vs Ky Fan norms of the perspective."""
     f = _pick(_NORM_POOL, trial, f_over)
-    blo, bhi = _b_window(cfg)
-    a = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-    b = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+    a = _draw_b(rng, cfg)
+    b = _draw_b(rng, cfg)
     g = perspective(f, a.base, b)
     sa = np.cumsum(singular_values(a.entries).values)
     sb = np.cumsum(singular_values(b.entries).values)
@@ -810,9 +779,8 @@ def _chk_thm3_8_norm(rng, trial, cfg, tol, f_over):
 
 def _chk_lemma_jadjit(rng, trial, cfg, tol, f_over):
     """Separately convex two-variable calculus vs tensor quadratic forms."""
-    blo, bhi = _b_window(cfg)
-    a = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-    b = _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+    a = _draw_b(rng, cfg)
+    b = _draw_b(rng, cfg)
     mat = bivariate_calculus(_X_SQ_OVER_Y, a.base, b.base)
     m = _Margins(tol)
     pairs = []
@@ -842,9 +810,8 @@ def _chk_kl_suite(rng, trial, cfg, tol, f_over):
         sandwich formula it equals analytically.
     """
     n = 2
-    blo, bhi = _b_window(cfg)
-    ls = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(n)]
-    rs = [_pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap) for _ in range(n)]
+    ls = [_draw_b(rng, cfg) for _ in range(n)]
+    rs = [_draw_b(rng, cfg) for _ in range(n)]
     field = WeightedOperatorField([(1.0, l.base, r) for l, r in zip(ls, rs)])
     sum_l = field.weighted_sum_a()
     sum_r = field.weighted_sum_b()
@@ -903,35 +870,10 @@ _CHAIN_LABELS = (
 
 
 def _example_chain():
-    """Compute the fixture's four chain matrices with the library operations."""
+    """The fixture's four chain matrices, computed, and their stored values."""
     ex = example_33()
-    f = _SQUARE
-    part_one, part_two = ex.partition
-    eye = HermitianMatrix.identity(ex.maps.in_dim)
-    mapped_a = [phi.apply(a) for (_, phi), a in zip(ex.maps, ex.operators)]
-    mapped_i = [phi.apply(eye) for _, phi in ex.maps]
-
-    def total(parts, ix=None):
-        out = HermitianMatrix.zeros(ex.maps.out_dim)
-        for i, x in enumerate(parts):
-            if ix is None or i in ix:
-                out = out + x
-        return out
-
-    m1 = apply_function(f, total(mapped_a))
-    m2 = HermitianMatrix.zeros(ex.maps.out_dim)
-    for ix in (set(part_one), set(part_two)):
-        m2 = m2 + perspective(
-            f, total(mapped_a, ix), PositiveDefiniteMatrix(total(mapped_i, ix))
-        )
-    field = WeightedOperatorField(
-        [(1.0, sa, PositiveDefiniteMatrix(si)) for sa, si in zip(mapped_a, mapped_i)]
-    )
-    m3 = theta_divergence(f, field)
-    m4 = HermitianMatrix.zeros(ex.maps.out_dim)
-    for (_, phi), a in zip(ex.maps, ex.operators):
-        m4 = m4 + phi.apply(apply_function(f, a))
-    return (m1, m2, m3, m4), ex.expected_chain
+    chain, _, _ = _jensen_chain(_SQUARE, ex.maps, ex.operators, *ex.partition)
+    return chain, ex.expected_chain
 
 
 def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
@@ -940,8 +882,7 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
     m = _Margins(tol)
     for got, want in zip(computed, expected):
         m.entrywise_close(got, want, 1e-9)
-    for lhs, rhs in zip(computed, computed[1:]):
-        m.loewner_le(lhs, rhs)
+    _chain_le(m, computed)
     return m, lambda: {"fixture": "compression_example", "labels": list(_CHAIN_LABELS)}
 
 
@@ -970,7 +911,8 @@ _REGISTRY: dict[str, _Check] = {
         "perspective of the field's weighted sums <= weighted sum of perspectives",
     ),
     "COR2_2_SUBADD": _Check(
-        _chk_cor2_2_subadd, "perspective is subadditive over entrywise sums"
+        partial(_chk_thm2_1, unit_weights=True),
+        "perspective is subadditive over entrywise sums",
     ),
     "COR2_2_II": _Check(
         _chk_cor2_2_ii, "f(sum of left slots) <= perspective sum when right slots add to I"
@@ -1010,7 +952,8 @@ _REGISTRY: dict[str, _Check] = {
         _chk_thm3_1_ii, "block deficit lower bound for the mapped Jensen gap"
     ),
     "COR3_4_ISOM": _Check(
-        _chk_cor3_4_isom, "refinement chain for congruences summing to the identity"
+        partial(_chk_thm3_1_chain, unit_weights=True),
+        "refinement chain for congruences summing to the identity",
     ),
     "THM3_8_NORM": _Check(
         _chk_thm3_8_norm, "scalar perspective of Ky Fan norms <= Ky Fan norms of perspective"
@@ -1037,10 +980,15 @@ def check_ids() -> list[str]:
     return list(_REGISTRY)
 
 
+def _check(check_id: str) -> _Check:
+    try:
+        return _REGISTRY[check_id]
+    except KeyError:
+        raise UnknownCheck(f"no check named {check_id!r}") from None
+
+
 def check_description(check_id: str) -> str:
-    if check_id not in _REGISTRY:
-        raise UnknownCheck(f"no check named {check_id!r}")
-    return _REGISTRY[check_id].description
+    return _check(check_id).description
 
 
 def _digest(payload: dict) -> str:
@@ -1060,9 +1008,7 @@ def run_check(
     quantify over operator convex f, which is how non-operator-convex
     candidates are falsified.
     """
-    if check_id not in _REGISTRY:
-        raise UnknownCheck(f"no check named {check_id!r}")
-    check = _REGISTRY[check_id]
+    check = _check(check_id)
     # A fixed check gives the same outcome on every trial: run it once.
     runs = 1 if check.fixed else gen.trials
     violations = 0
@@ -1109,8 +1055,7 @@ def run_suite(
     """Run several checks and aggregate a deterministic report."""
     ids = list(check_ids_arg)
     for cid in ids:
-        if cid not in _REGISTRY:
-            raise UnknownCheck(f"no check named {cid!r}")
+        _check(cid)
     start = time.perf_counter()
     results = tuple(run_check(cid, gen, tol, function) for cid in ids)
     wall_ms = (time.perf_counter() - start) * 1000.0
