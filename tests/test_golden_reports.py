@@ -6,8 +6,11 @@ smallest count at which trials were once spread over a thread pool; the
 quartic run has violations, so it pins which violating trial is reported
 as the worst; the dim-5 run pins the Theorem 2.1 and Theorem 3.1 checks
 with their unit-weight corollaries and the Example 3.3 fixture at a
-larger dimension. The `reproduce-example --json` output carries no
-`wall_ms` and is compared whole.
+larger dimension; the dim-8 quartic run pins, for the field, mixture
+and Jensen-chain checks, which violating trial is reported as the worst
+at the largest dimension the generator allows. The
+`reproduce-example --json` output carries no `wall_ms` and is compared
+whole.
 """
 
 import re
@@ -53,6 +56,23 @@ CASES = {
             "2024",
         ],
         0,
+    ),
+    "golden_quartic_dim8_t60_s7.json": (
+        [
+            "verify",
+            "--suite",
+            "THM2_1,COR2_2_SUBADD,COR2_2_II,COR2_3_SPLIT,THM2_4_MIXTURE,"
+            "THM2_12_GRAD,THM3_1_CHAIN,THM3_1_II,COR3_4_ISOM",
+            "--dim",
+            "8",
+            "--trials",
+            "60",
+            "--seed",
+            "7",
+            "--function",
+            '{"id":"quartic"}',
+        ],
+        1,
     ),
     "golden_reproduce_example.json": (["reproduce-example", "--json"], 0),
 }
