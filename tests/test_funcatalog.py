@@ -3,6 +3,7 @@ import pytest
 
 from opdiv.errors import ParamOutOfRange, UnknownFunction
 from opdiv.funcatalog import (
+    FalsifierReport,
     Interval,
     builtin,
     convexity_falsifier,
@@ -157,3 +158,26 @@ def test_falsifier_identity_equality_case():
 def test_falsifier_square_is_clean():
     report = convexity_falsifier(builtin("square"), dim=3, trials=200, seed=0)
     assert report.violations == 0
+
+
+# Reports of the serial per-trial falsifier loop: any rewrite of
+# convexity_falsifier must reproduce them exactly, margins included.
+_PINNED_FALSIFIER_REPORTS = [
+    ("quartic", (), 2, 39, -1.327511563884448, 138),
+    ("quartic", (), 4, 91, -2.3800053815357605, 186),
+    ("square", (), 2, 0, 2.8669952896187567e-06, 240),
+    ("square", (), 4, 0, 9.301390977163119e-08, 103),
+    ("neg_log", (), 2, 0, 4.3031576627359375e-06, 39),
+    ("neg_log", (), 4, 0, 4.120886379093232e-06, 138),
+    ("power", (-0.5,), 2, 0, 1.6038555005109048e-06, 39),
+    ("power", (-0.5,), 4, 0, 1.208659255935654e-06, 138),
+    ("t_log_t", (), 2, 0, 1.5791950470508964e-05, 39),
+    ("t_log_t", (), 4, 0, 1.2320311478487375e-05, 138),
+]
+
+
+@pytest.mark.parametrize("func_id, params, dim, violations, worst, worst_trial", _PINNED_FALSIFIER_REPORTS)
+def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, worst_trial):
+    f = quartic() if func_id == "quartic" else builtin(func_id, params)
+    report = convexity_falsifier(f, dim=dim, trials=300, seed=3)
+    assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
