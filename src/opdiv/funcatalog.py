@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation, ParamOutOfRange, UnknownFunction
-from .hermitian import ToleranceConfig, apply_function, hermitian_from_rng
+from . import kernels
+from .hermitian import ToleranceConfig, draw_spectrum
 
 
 @dataclass(frozen=True)
@@ -44,28 +45,27 @@ class Interval:
         below = x <= self.hi if self.hi_closed else x < self.hi
         return above and below
 
-    def clamp_spectrum(self, values: np.ndarray, tol: float) -> np.ndarray:
+    def clamp_spectrum(self, values: np.ndarray, tol) -> np.ndarray:
         """Clamp eigenvalues within `tol` of a closed endpoint onto it.
 
         Values farther outside, or on the wrong side of an open endpoint,
-        raise DomainViolation.
+        raise DomainViolation for the first such value in index order. NaN
+        passes through. `tol` is a scalar or an array that broadcasts
+        against `values`, such as one tolerance per row of a stack.
         """
         out = np.array(values, dtype=float)
-        for i, v in enumerate(out):
-            if v < self.lo:
-                if self.lo_closed and self.lo - v <= tol:
-                    out[i] = self.lo
-                else:
-                    raise DomainViolation(v, self)
-            elif v == self.lo and not self.lo_closed:
-                raise DomainViolation(v, self)
-            elif v > self.hi:
-                if self.hi_closed and v - self.hi <= tol:
-                    out[i] = self.hi
-                else:
-                    raise DomainViolation(v, self)
-            elif v == self.hi and not self.hi_closed:
-                raise DomainViolation(v, self)
+        # Past a closed endpoint, or at or past an open one.
+        low = out < self.lo if self.lo_closed else out <= self.lo
+        high = out > self.hi if self.hi_closed else out >= self.hi
+        if low.any() or high.any():
+            with np.errstate(invalid="ignore"):
+                bad = (low & ~(self.lo_closed & (self.lo - out <= tol))) | (
+                    high & ~(self.hi_closed & (out - self.hi <= tol))
+                )
+            if bad.any():
+                raise DomainViolation(out.flat[np.flatnonzero(bad)[0]], self)
+            out[low] = self.lo
+            out[high] = self.hi
         return out
 
     def __repr__(self) -> str:
@@ -291,22 +291,33 @@ def convexity_falsifier(
     if trials < 1:
         raise ValueError("falsifier needs trials >= 1")
     lo, hi = sampling_window(f.domain)
+    draws = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        a = draw_spectrum(rng, dim, lo, hi)
+        b = draw_spectrum(rng, dim, lo, hi)
+        draws.append((a, b, float(rng.uniform(0.0, 1.0))))
+    margins, tolerances = kernels.in_trial_order(_convexity_margins, draws, f, tol)
     worst = math.inf
     worst_trial = -1
     violations = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        a = hermitian_from_rng(rng, dim, lo, hi)
-        b = hermitian_from_rng(rng, dim, lo, hi)
-        lam_mix = float(rng.uniform(0.0, 1.0))
-        mixed = lam_mix * a + (1.0 - lam_mix) * b
-        rhs = lam_mix * apply_function(f, a) + (1.0 - lam_mix) * apply_function(f, b)
-        lhs = apply_function(f, mixed)
-        gap = np.linalg.eigvalsh(rhs.entries - lhs.entries)
-        margin = float(gap[0])
+    for trial, (margin, used) in enumerate(zip(margins.tolist(), tolerances.tolist())):
         if margin < worst:
             worst = margin
             worst_trial = trial
-        if margin < -tol.at_scale(max(lhs.norm_two(), rhs.norm_two())):
+        if margin < -used:
             violations += 1
     return FalsifierReport(f.id, dim, trials, violations, worst, worst_trial)
+
+
+def _convexity_margins(draws, f, tol):
+    """Margins of f(t A + (1 - t) B) <= t f(A) + (1 - t) f(B), stacked over
+    the drawn (A, B, t) triples, with the tolerance each is held to."""
+    lam = np.array([[a[0], b[0]] for a, b, _ in draws])
+    gaussian = np.array([[a[1], b[1]] for a, b, _ in draws])
+    pairs = kernels.from_spectrum(lam, gaussian)
+    a, b = pairs[:, 0], pairs[:, 1]
+    t = np.array([t for _, _, t in draws])[:, None, None]
+    f_a, f_b, lhs = kernels.apply_function(f, np.stack([a, b, a * t + b * (1.0 - t)]))
+    low, _, used = kernels.loewner(lhs, f_a * t + f_b * (1.0 - t), tol)
+    return low, used

@@ -3,7 +3,8 @@
 Spectral decomposition, functional calculus, congruence, Kronecker
 products and Loewner-order comparison. All values are immutable after
 construction and all operations are pure functions, so instances can be
-shared freely between threads.
+shared freely between threads. The constructions are validating facades
+over the stacked kernels in `kernels`, called with a single matrix.
 """
 
 from __future__ import annotations
@@ -15,22 +16,15 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotHermitian,
-    NotPositiveDefinite,
-    NumericalFailure,
-    ShapeMismatch,
-    SizeLimit,
-)
+from . import kernels
+from .errors import NotHermitian, ShapeMismatch, SizeLimit
+from .kernels import DECOMP_TOL, DOMAIN_CLAMP_TOL, PD_FLOOR  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .funcatalog import ScalarOperatorFunction
 
 SYMMETRY_TOL = 1e-12
-PD_FLOOR = 1e-10
-DECOMP_TOL = 1e-10
 UNITALITY_TOL = 1e-10
-DOMAIN_CLAMP_TOL = 1e-9
 KRON_CAP = 64
 
 
@@ -76,7 +70,7 @@ class HermitianMatrix:
                 f"matrix deviates from Hermitian symmetry by {skew:.3e} "
                 f"(allowed {SYMMETRY_TOL * scale:.3e})"
             )
-        self._entries = _frozen((arr + arr.conj().T) / 2)
+        self._entries = _frozen(kernels.hermitian_part(arr))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
@@ -142,8 +136,7 @@ class HermitianMatrix:
 
 def hermitian_part(arr: np.ndarray) -> HermitianMatrix:
     """Symmetrize an almost-Hermitian product (A + A*) / 2."""
-    arr = np.asarray(arr, dtype=complex)
-    return HermitianMatrix._wrap((arr + arr.conj().T) / 2)
+    return HermitianMatrix._wrap(kernels.hermitian_part(arr))
 
 
 @dataclass(frozen=True)
@@ -159,8 +152,7 @@ class SpectralDecomposition:
 
     def rebuild(self, values: np.ndarray) -> HermitianMatrix:
         """U diag(values) U*, symmetrized."""
-        u = self.unitary
-        return hermitian_part((u * np.asarray(values, dtype=float)) @ u.conj().T)
+        return HermitianMatrix._wrap(kernels.rebuild(values, self.unitary))
 
 
 class PositiveDefiniteMatrix:
@@ -171,16 +163,11 @@ class PositiveDefiniteMatrix:
     def __init__(self, base):
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        decomp = spectral_decompose(base)
-        lam_min = float(decomp.eigenvalues[-1])
-        lam_max = float(decomp.eigenvalues[0])
-        floor = PD_FLOOR * max(1.0, abs(lam_max), abs(lam_min))
-        if lam_min < floor:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lam_min:.3e} below strict-positivity floor {floor:.3e}"
-            )
+        vals, vecs = kernels.positive(base.entries)
+        lam_min = float(vals[-1])
+        lam_max = float(vals[0])
         self._base = base
-        self._decomp = decomp
+        self._decomp = SpectralDecomposition(_frozen(vals), _frozen(vecs))
         self._min_eigenvalue = lam_min
         self._condition_number = lam_max / lam_min
         self._sqrt_pair = None
@@ -212,10 +199,9 @@ class PositiveDefiniteMatrix:
     def sqrt_pair(self) -> tuple[HermitianMatrix, HermitianMatrix]:
         """(R^{1/2}, R^{-1/2}) from one shared spectral decomposition."""
         if self._sqrt_pair is None:
-            roots = np.sqrt(self._decomp.eigenvalues)
-            half = self._decomp.rebuild(roots)
-            inv_half = self._decomp.rebuild(1.0 / roots)
-            self._sqrt_pair = (half, inv_half)
+            d = self._decomp
+            half, inv_half = kernels.sqrt_pair(d.eigenvalues, d.unitary)
+            self._sqrt_pair = (HermitianMatrix._wrap(half), HermitianMatrix._wrap(inv_half))
         return self._sqrt_pair
 
     def __repr__(self) -> str:
@@ -261,20 +247,7 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     Raises NumericalFailure if the solver does not converge or the
     reconstruction/unitarity residuals exceed their bounds.
     """
-    try:
-        vals, vecs = np.linalg.eigh(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    dim = h.dim
-    eye_err = float(np.linalg.norm(vecs @ vecs.conj().T - np.eye(dim)))
-    if eye_err > DECOMP_TOL * dim:
-        raise NumericalFailure(f"eigenvector matrix not unitary (residual {eye_err:.3e})")
-    recon = (vecs * vals) @ vecs.conj().T
-    rec_err = float(np.linalg.norm(recon - h.entries))
-    if rec_err > DECOMP_TOL * max(1.0, h.norm_fro()):
-        raise NumericalFailure(f"spectral reconstruction residual {rec_err:.3e} too large")
+    vals, vecs = kernels.decompose(h.entries)
     return SpectralDecomposition(_frozen(vals), _frozen(vecs))
 
 
@@ -284,14 +257,7 @@ def apply_function(f: "ScalarOperatorFunction", h: HermitianMatrix) -> Hermitian
     Eigenvalues within 1e-9 * max(1, ||H||_2) of a closed domain endpoint
     are clamped onto it; anything farther outside raises DomainViolation.
     """
-    decomp = spectral_decompose(h)
-    scale = max(abs(float(decomp.eigenvalues[0])), abs(float(decomp.eigenvalues[-1])))
-    clamp_tol = DOMAIN_CLAMP_TOL * max(1.0, scale)
-    vals = f.domain.clamp_spectrum(decomp.eigenvalues, clamp_tol)
-    fvals = f.eval_array(vals)
-    if not np.all(np.isfinite(fvals)):
-        raise NumericalFailure(f"function {f.id!r} produced non-finite values")
-    return decomp.rebuild(fvals)
+    return HermitianMatrix._wrap(kernels.apply_function(f, h.entries))
 
 
 def congruence(c: np.ndarray, x: HermitianMatrix) -> HermitianMatrix:
@@ -310,10 +276,8 @@ def loewner_compare(
     """Compare A and B in the Loewner order under abs+rel tolerance."""
     if a.dim != b.dim:
         raise ShapeMismatch(f"cannot compare dimensions {a.dim} and {b.dim}")
-    diff = np.linalg.eigvalsh(b.entries - a.entries)
-    margin_low = float(diff[0])
-    margin_high = float(-diff[-1])
-    tolerance_used = tol.at_scale(max(a.norm_two(), b.norm_two()))
+    low, high, used = kernels.loewner(a.entries, b.entries, tol)
+    margin_low, margin_high, tolerance_used = float(low), float(high), float(used)
     le = margin_low >= -tolerance_used
     ge = margin_high >= -tolerance_used
     if le and ge:
@@ -337,11 +301,23 @@ def kronecker(
     return HermitianMatrix._wrap(np.kron(a.entries, b.entries))
 
 
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Standard complex Gaussian matrix: real parts drawn before imaginary."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Unitary factor of a random Gaussian Hermitian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    _, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+    _, vecs = np.linalg.eigh(kernels.hermitian_part(complex_gaussian(rng, dim, dim)))
     return vecs
+
+
+def draw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
+    """The draws of a random Hermitian matrix with spectrum in [lo, hi]:
+    uniform eigenvalues, then the Gaussian whose Hermitian part carries
+    the eigenvectors. `kernels.from_spectrum` builds the matrices, so a
+    stack of draws is diagonalized in one call."""
+    return rng.uniform(lo, hi, dim), complex_gaussian(rng, dim, dim)
 
 
 def hermitian_from_rng(rng: np.random.Generator, dim: int, lo: float, hi: float) -> HermitianMatrix:
@@ -352,9 +328,7 @@ def hermitian_from_rng(rng: np.random.Generator, dim: int, lo: float, hi: float)
     """
     if lo == hi:
         return HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex))
-    lam = rng.uniform(lo, hi, dim)
-    u = unitary_from_rng(rng, dim)
-    return hermitian_part((u * lam) @ u.conj().T)
+    return HermitianMatrix._wrap(kernels.from_spectrum(*draw_spectrum(rng, dim, lo, hi)))
 
 
 # ---------------------------------------------------------------------------

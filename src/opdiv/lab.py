@@ -5,6 +5,11 @@ keyed by (seed, check id, trial index), builds both sides of one operator
 inequality, and records the worst Loewner margin. A violation is a margin
 below the combined abs+rel tolerance; near-zero margins count as equality
 because several of the inequalities degenerate to equalities for affine f.
+
+A check is a `draw`, run serially per trial, that makes only the RNG
+calls, and an `evaluate` that builds and compares every trial at once on
+stacked arrays through `kernels`. Checks not yet split this way plug in
+with a draw that holds the whole trial for an evaluate that runs it.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import kernels as K
 from .errors import BadRange, UnknownCheck
 from .funcatalog import (
     FunctionFlags,
@@ -34,10 +40,11 @@ from .hermitian import (
     ToleranceConfig,
     apply_function,
     array_to_rows,
+    complex_gaussian,
+    draw_spectrum,
     hermitian_from_rng,
     hermitian_part,
     loewner_compare,
-    unitary_from_rng,
 )
 from .norms import singular_values
 from .perspective import (
@@ -46,11 +53,19 @@ from .perspective import (
     bivariate_calculus,
     f_delta_h,
     f_nabla_h,
-    gradient_lower_bound,
     perspective,
+    tangent_point,
     theta_divergence,
 )
-from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, example_33
+from .posmap import (
+    Compression,
+    Congruence,
+    MapField,
+    MapSum,
+    ScaledMap,
+    check_unital,
+    example_33,
+)
 
 __all__ = [
     "GenConfig",
@@ -139,15 +154,20 @@ def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
 
 
+def _capped_spectrum(rng, dim: int, lo: float, hi: float, cond_cap: float) -> tuple:
+    """`draw_spectrum` with the eigenvalues raised to lambda_max / cond_cap."""
+    lam = rng.uniform(lo, hi, dim)
+    lam = np.maximum(lam, lam.max() / cond_cap)
+    return lam, complex_gaussian(rng, dim, dim)
+
+
 def _pd_from(rng, dim: int, lo: float, hi: float, cond_cap: float) -> PositiveDefiniteMatrix:
     if lo <= 0:
         raise BadRange(f"positive-definite sampling needs lo > 0, got {lo}")
     if lo == hi:
         return PositiveDefiniteMatrix(HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex)))
-    lam = rng.uniform(lo, hi, dim)
-    lam = np.maximum(lam, lam.max() / cond_cap)
-    u = unitary_from_rng(rng, dim)
-    return PositiveDefiniteMatrix(hermitian_part((u * lam) @ u.conj().T))
+    spectrum = _capped_spectrum(rng, dim, lo, hi, cond_cap)
+    return PositiveDefiniteMatrix(HermitianMatrix._wrap(K.from_spectrum(*spectrum)))
 
 
 def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
@@ -192,6 +212,11 @@ def _draw_b(rng, cfg: GenConfig) -> PositiveDefiniteMatrix:
     return _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
 
 
+def _b_spectrum(rng, cfg: GenConfig) -> tuple:
+    """The draws of `_draw_b`, for `K.from_spectrum`."""
+    return _capped_spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
+
+
 def _prob_vector(rng, n: int) -> np.ndarray:
     v = rng.uniform(0.1, 1.0, n)
     return v / v.sum()
@@ -202,35 +227,36 @@ def _unit_vector(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _normalized(weights, cs, shrinks=None):
+    """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
 
-
-def _inv_sqrt(h: HermitianMatrix) -> np.ndarray:
-    pd = PositiveDefiniteMatrix(h)
-    _, inv_half = pd.sqrt_pair()
-    return inv_half.entries
+    `cs` stacks the k Gaussians of each family, shape (..., k, in, out),
+    and `weights` (and `shrinks`) are (..., k). With these matrices as
+    congruences, sum_i w_i Phi_i(I) = I before shrinking.
+    """
+    gram = 0
+    for j in range(cs.shape[-3]):
+        c = cs[..., j, :, :]
+        gram = gram + (weights[..., j, None, None] * K.adjoint(c)) @ c
+    _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
+    maps = cs @ inv_half[..., None, :, :]
+    if shrinks is not None:
+        maps = maps * np.sqrt(shrinks)[..., None, None]
+    return maps
 
 
 def _congruence_family(rng, k: int, in_dim: int, out_dim: int, weights, shrinks=None):
     """Congruence maps with sum_i w_i Phi_i(I) = I, optionally shrunk per map."""
-    cs = [_complex_gaussian(rng, in_dim, out_dim) for _ in range(k)]
-    gram = sum(w * c.conj().T @ c for w, c in zip(weights, cs))
-    nrm = _inv_sqrt(hermitian_part(gram))
-    maps = []
-    for i, c in enumerate(cs):
-        m = c @ nrm
-        if shrinks is not None:
-            m = m * math.sqrt(shrinks[i])
-        maps.append(Congruence(m))
-    return maps
+    cs = np.array([complex_gaussian(rng, in_dim, out_dim) for _ in range(k)])
+    weights = np.asarray(weights, dtype=float)
+    return [Congruence(m) for m in _normalized(weights, cs, shrinks)]
 
 
 def _single_subunital_map(rng, dim: int, variant: int):
     """One subunital positive map: contraction, compression, or scaled sum."""
     variant = variant % 3
     if variant == 0:
-        c = _complex_gaussian(rng, dim, dim)
+        c = complex_gaussian(rng, dim, dim)
         c = c / (np.linalg.norm(c, 2) * rng.uniform(1.0, 1.8))
         return Congruence(c)
     if variant == 1:
@@ -346,29 +372,6 @@ def _rows(m) -> list:
     return array_to_rows(np.asarray(m))
 
 
-def _field_payload(field: WeightedOperatorField) -> dict:
-    return {
-        "w": [w for w, _, _ in field],
-        "A": [_rows(a) for _, a, _ in field],
-        "B": [_rows(b) for _, _, b in field],
-    }
-
-
-def _random_field(rng, cfg: GenConfig, f: ScalarOperatorFunction, n: int, weights=None):
-    alo, ahi = _a_window(f, cfg)
-    if weights is None:
-        weights = rng.uniform(0.2, 2.0, n)
-    entries = [
-        (
-            float(w),
-            hermitian_from_rng(rng, cfg.dim, alo, ahi),
-            _draw_b(rng, cfg),
-        )
-        for w in np.asarray(weights, dtype=float)
-    ]
-    return WeightedOperatorField(entries)
-
-
 def _pick(pool, trial: int, f_over):
     return f_over if f_over is not None else pool[trial % len(pool)]
 
@@ -382,103 +385,6 @@ def _pick_fh(trial: int, f_over):
 # ---------------------------------------------------------------------------
 # Check implementations
 # ---------------------------------------------------------------------------
-
-
-def _chk_thm2_1(rng, trial, cfg, tol, f_over, unit_weights=False):
-    """Perspective of the weighted sums vs the weighted sum of perspectives.
-
-    With unit weights this is the subadditivity of the perspective over
-    entrywise sums (Corollary 2.2).
-    """
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 5))
-    field = _random_field(rng, cfg, f, n, weights=np.ones(n) if unit_weights else None)
-    lhs = perspective(f, field.weighted_sum_a(), PositiveDefiniteMatrix(field.weighted_sum_b()))
-    rhs = theta_divergence(f, field)
-    m = _Margins(tol)
-    m.loewner_le(lhs, rhs)
-    return m, lambda: {"f": f.id, **_field_payload(field)}
-
-
-def _chk_cor2_2_ii(rng, trial, cfg, tol, f_over):
-    """f of the left sum vs the perspective sum when the right slots add to I."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 4))
-    alo, ahi = _a_window(f, cfg)
-    lefts = [hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(n)]
-    raw = [_draw_b(rng, cfg) for _ in range(n)]
-    total = raw[0].base
-    for r in raw[1:]:
-        total = total + r.base
-    inv_half = _inv_sqrt(total)
-    rights = [
-        PositiveDefiniteMatrix(hermitian_part(inv_half @ r.entries @ inv_half)) for r in raw
-    ]
-    lhs = apply_function(f, sum(lefts[1:], lefts[0]))
-    rhs = sum(
-        (perspective(f, a, b) for a, b in zip(lefts[1:], rights[1:])),
-        perspective(f, lefts[0], rights[0]),
-    )
-    m = _Margins(tol)
-    m.loewner_le(lhs, rhs)
-    payload = lambda: {"f": f.id, "L": [_rows(x) for x in lefts], "R": [_rows(x) for x in rights]}
-    return m, payload
-
-
-def _chk_cor2_3_split(rng, trial, cfg, tol, f_over):
-    """Two-block split sits between the combined perspective and the divergence."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 5))
-    field = _random_field(rng, cfg, f, n)
-    k = int(rng.integers(1, n))
-    perm = rng.permutation(n)
-    part_one, part_two = set(perm[:k].tolist()), set(perm[k:].tolist())
-
-    def block(ix):
-        a = sum((w * a for i, (w, a, _) in enumerate(field) if i in ix), HermitianMatrix.zeros(field.dim))
-        b = sum((w * b.base for i, (w, _, b) in enumerate(field) if i in ix), HermitianMatrix.zeros(field.dim))
-        return a, PositiveDefiniteMatrix(b)
-
-    a1, b1 = block(part_one)
-    a2, b2 = block(part_two)
-    combined = perspective(f, field.weighted_sum_a(), PositiveDefiniteMatrix(field.weighted_sum_b()))
-    split = perspective(f, a1, b1) + perspective(f, a2, b2)
-    rhs = theta_divergence(f, field)
-    m = _Margins(tol)
-    m.loewner_le(combined, split)
-    m.loewner_le(split, rhs)
-    return m, lambda: {"f": f.id, "t1": sorted(part_one), **_field_payload(field)}
-
-
-def _chk_thm2_4_mixture(rng, trial, cfg, tol, f_over):
-    """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 4))
-    p = rng.uniform(0.2, 2.0, n)
-    alo, ahi = _a_window(f, cfg)
-    ls = [[hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(n)] for _ in range(n)]
-    rs = [[_draw_b(rng, cfg) for _ in range(n)] for _ in range(n)]
-    lhs = HermitianMatrix.zeros(cfg.dim)
-    for i in range(n):
-        row_l = sum((p[j] * ls[i][j] for j in range(1, n)), p[0] * ls[i][0])
-        row_r = sum((p[j] * rs[i][j].base for j in range(1, n)), p[0] * rs[i][0].base)
-        lhs = lhs + perspective(f, row_l, PositiveDefiniteMatrix(row_r))
-    rhs = HermitianMatrix.zeros(cfg.dim)
-    for j in range(n):
-        col = sum(
-            (perspective(f, ls[i][j], rs[i][j]) for i in range(1, n)),
-            perspective(f, ls[0][j], rs[0][j]),
-        )
-        rhs = rhs + p[j] * col
-    m = _Margins(tol)
-    m.loewner_le(lhs, rhs)
-    payload = lambda: {
-        "f": f.id,
-        "p": p.tolist(),
-        "L": [[_rows(x) for x in row] for row in ls],
-        "R": [[_rows(x) for x in row] for row in rs],
-    }
-    return m, payload
 
 
 def _subunital_family(rng, cfg, k: int, square_out: bool):
@@ -663,101 +569,6 @@ def _chk_delta_nabla(rng, trial, cfg, tol, f_over):
     return m, payload
 
 
-def _chk_thm2_12_grad(rng, trial, cfg, tol, f_over):
-    """Tangent-line lower bound for the divergence functional."""
-    f = _pick(_DIFF_POOL, trial, f_over)
-    n = int(rng.integers(2, 4))
-    field = _random_field(rng, cfg, f, n)
-    m = _Margins(tol)
-    m.loewner_le(gradient_lower_bound(f, field), theta_divergence(f, field))
-    return m, lambda: {"f": f.id, **_field_payload(field)}
-
-
-def _jensen_chain(f, fam: MapField, ops_a, part_one, part_two):
-    """The four-stage refinement chain for a unital map family.
-
-    Returns the chain (m1, m2, m3, m4), the first block's perspective and
-    the first block's share of m4.
-    """
-    dim_out = fam.out_dim
-    eye = HermitianMatrix.identity(fam.in_dim)
-    mapped_a = [w * phi.apply(a) for (w, phi), a in zip(fam, ops_a)]
-    mapped_i = [w * phi.apply(eye) for w, phi in fam]
-    mapped_f = [w * phi.apply(apply_function(f, a)) for (w, phi), a in zip(fam, ops_a)]
-
-    def total(parts, ix=None):
-        out = HermitianMatrix.zeros(dim_out)
-        for i, x in enumerate(parts):
-            if ix is None or i in ix:
-                out = out + x
-        return out
-
-    m1 = apply_function(f, total(mapped_a))
-    blocks = [
-        perspective(f, total(mapped_a, ix), PositiveDefiniteMatrix(total(mapped_i, ix)))
-        for ix in (part_one, part_two)
-    ]
-    m3 = HermitianMatrix.zeros(dim_out)
-    for sa, si in zip(mapped_a, mapped_i):
-        m3 = m3 + perspective(f, sa, PositiveDefiniteMatrix(si))
-    chain = (m1, blocks[0] + blocks[1], m3, total(mapped_f))
-    return chain, blocks[0], total(mapped_f, part_one)
-
-
-def _chain_le(m: _Margins, chain) -> None:
-    """Record every link of a Loewner chain, left to right."""
-    for lhs, rhs in zip(chain, chain[1:]):
-        m.loewner_le(lhs, rhs)
-
-
-def _partition(rng, k: int):
-    cut = int(rng.integers(1, k))
-    perm = rng.permutation(k)
-    return set(perm[:cut].tolist()), set(perm[cut:].tolist())
-
-
-def _jensen_instance(rng, trial, cfg, f_over, unit_weights: bool = False):
-    """f, a unital family, its operators, a bipartition and a payload thunk.
-
-    With unit weights the family is congruences summing to the identity
-    (Corollary 3.4); its payload keeps the congruence matrices under "C".
-    """
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    k = int(rng.integers(2, 4))
-    fam = _unital_family(rng, cfg, k, unit_weights)
-    alo, ahi = _a_window(f, cfg)
-    ops_a = [hermitian_from_rng(rng, cfg.dim, alo, ahi) for _ in range(k)]
-    parts = _partition(rng, k)
-
-    def payload():
-        if unit_weights:
-            maps = {"C": [_rows(phi.matrix) for _, phi in fam]}
-        else:
-            maps = {"maps": fam.to_json()}
-        return {"f": f.id, **maps, "A": [_rows(x) for x in ops_a], "t1": sorted(parts[0])}
-
-    return f, fam, ops_a, parts, payload
-
-
-def _chk_thm3_1_chain(rng, trial, cfg, tol, f_over, unit_weights=False):
-    """Four-term refinement chain of the mapped Jensen inequality."""
-    f, fam, ops_a, parts, payload = _jensen_instance(rng, trial, cfg, f_over, unit_weights)
-    m = _Margins(tol)
-    _chain_le(m, _jensen_chain(f, fam, ops_a, *parts)[0])
-    return m, payload
-
-
-def _chk_thm3_1_ii(rng, trial, cfg, tol, f_over):
-    """Block deficit lower bound for the mapped Jensen gap."""
-    f, fam, ops_a, parts, payload = _jensen_instance(rng, trial, cfg, f_over)
-    (m1, _, _, m4), block_one, mapped_f_one = _jensen_chain(f, fam, ops_a, *parts)
-    deficit_one = mapped_f_one - block_one
-    m = _Margins(tol)
-    m.loewner_le(HermitianMatrix.zeros(fam.out_dim), deficit_one)
-    m.loewner_le(deficit_one, m4 - m1)
-    return m, payload
-
-
 _NORM_POOL = (_SQUARE, _INV, _NEG_LOG)
 
 
@@ -861,6 +672,341 @@ def _chk_scalar_csiszar(rng, trial, cfg, tol, f_over):
     return m, lambda: {"f": f.id, "p": p.tolist(), "q": q.tolist()}
 
 
+# ---------------------------------------------------------------------------
+# Batched checks: serial draws, stacked evaluation
+# ---------------------------------------------------------------------------
+
+
+class _Draw(NamedTuple):
+    """One trial's random draws.
+
+    Every eigendecomposition, including the ones that turn Gaussians into
+    unitaries, is left to evaluate. Spectra are (eigenvalues, Gaussians)
+    pairs for `K.from_spectrum`, one row per slot.
+    """
+
+    f: ScalarOperatorFunction
+    w: Optional[np.ndarray]  # field or family weights; THM2_4's mixture p
+    a: tuple  # the Hermitian slots
+    b: Optional[tuple] = None  # the positive slots
+    c: Optional[np.ndarray] = None  # Gaussians of a unital congruence family
+    t1: Optional[list] = None  # the sorted first block of a bipartition
+
+
+def _pack(spectra) -> tuple:
+    return np.array([lam for lam, _ in spectra]), np.array([g for _, g in spectra])
+
+
+def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
+    """A weighted field: the weights, then each entry's A and B."""
+    alo, ahi = _a_window(f, cfg)
+    if weights is None:
+        weights = rng.uniform(0.2, 2.0, n)
+    entries = [(draw_spectrum(rng, cfg.dim, alo, ahi), _b_spectrum(rng, cfg)) for _ in range(n)]
+    a, b = _pack([a for a, _ in entries]), _pack([b for _, b in entries])
+    return _Draw(f, np.asarray(weights, dtype=float), a, b)
+
+
+def _draw_thm2_1(rng, trial, cfg, f_over, unit_weights=False):
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    n = int(rng.integers(2, 5))
+    return _draw_field(rng, cfg, f, n, np.ones(n) if unit_weights else None)
+
+
+def _draw_cor2_3_split(rng, trial, cfg, f_over):
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    n = int(rng.integers(2, 5))
+    draw = _draw_field(rng, cfg, f, n)
+    k = int(rng.integers(1, n))
+    perm = rng.permutation(n)
+    return draw._replace(t1=sorted(perm[:k].tolist()))
+
+
+def _draw_thm2_12_grad(rng, trial, cfg, f_over):
+    f = _pick(_DIFF_POOL, trial, f_over)
+    return _draw_field(rng, cfg, f, int(rng.integers(2, 4)))
+
+
+def _draw_cor2_2_ii(rng, trial, cfg, f_over):
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    n = int(rng.integers(2, 4))
+    alo, ahi = _a_window(f, cfg)
+    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n)])
+    return _Draw(f, None, a, _pack([_b_spectrum(rng, cfg) for _ in range(n)]))
+
+
+def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
+    """An n x n grid of (L, R) pairs in row-major order, with mixture p."""
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    n = int(rng.integers(2, 4))
+    p = rng.uniform(0.2, 2.0, n)
+    alo, ahi = _a_window(f, cfg)
+    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n * n)])
+    return _Draw(f, p, a, _pack([_b_spectrum(rng, cfg) for _ in range(n * n)]))
+
+
+def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
+    """f, a unital congruence family, one operator per map and a
+    bipartition of the maps. With unit weights the congruences sum to the
+    identity (Corollary 3.4)."""
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    k = int(rng.integers(2, 4))
+    w = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
+    c = np.array([complex_gaussian(rng, cfg.dim, cfg.dim) for _ in range(k)])
+    alo, ahi = _a_window(f, cfg)
+    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(k)])
+    cut = int(rng.integers(1, k))
+    perm = rng.permutation(k)
+    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
+
+
+def _by_shape(evaluate_group):
+    """An evaluate that splits the trials into groups of one draw shape
+    (field size, map count), never padded, and runs
+    `evaluate_group(group, tol)` on each."""
+
+    def evaluate(records, tol):
+        groups = {}
+        for i, record in enumerate(records):
+            groups.setdefault(record.a[0].shape, []).append(i)
+        worst = np.empty(len(records))
+        violated = np.empty(len(records), dtype=bool)
+        payloads = [None] * len(records)
+        for ix in groups.values():
+            worst[ix], violated[ix], thunks = evaluate_group([records[i] for i in ix], tol)
+            for i, thunk in zip(ix, thunks):
+                payloads[i] = thunk
+        return worst, violated, payloads
+
+    return evaluate
+
+
+def _build(group, *slots) -> tuple:
+    """The matrices of the named slots of every trial, one stack per slot,
+    from one stacked eigendecomposition."""
+    lam = np.stack([[getattr(r, s)[0] for s in slots] for r in group])
+    gaussian = np.stack([[getattr(r, s)[1] for s in slots] for r in group])
+    built = K.from_spectrum(lam, gaussian)
+    return tuple(built[:, i] for i in range(len(slots)))
+
+
+def _mask(group) -> np.ndarray:
+    """(T, k) membership of each slot in the trial's first block."""
+    k = group[0].a[0].shape[0]
+    return np.array([[i in r.t1 for i in range(k)] for r in group])
+
+
+def _sum(x, mask=None, w=None, first=False):
+    """Sum over axis 1, term by term from left to right: w_i x_i for the
+    terms where `mask` holds. It starts from zeros, or from the first term
+    when `first`, in each check's own order: the two differ in the signs
+    of zeros."""
+
+    def term(i):
+        t = x[:, i]
+        return t if w is None else t * w[:, i].reshape((-1,) + (1,) * (t.ndim - 1))
+
+    out = term(0) if first else np.zeros_like(x[:, 0])
+    for i in range(int(first), x.shape[1]):
+        if mask is None:
+            out = out + term(i)
+        else:
+            out = np.where(mask[:, i, None, None], out + term(i), out)
+    return out
+
+
+def _links(tol: ToleranceConfig, *links) -> tuple:
+    """Worst margin and violation flag of each trial over the Loewner
+    links lhs <= rhs. Links fold left to right from inf with a strict
+    `<`; a NaN margin is a violation and never the worst."""
+    lhs = np.stack([lhs for lhs, _ in links], axis=1)
+    rhs = np.stack([rhs for _, rhs in links], axis=1)
+    low, _, used = K.loewner(lhs, rhs, tol)
+    worst = np.full(len(low), math.inf)
+    for j in range(low.shape[1]):
+        worst = np.where(low[:, j] < worst, low[:, j], worst)
+    return worst, ~np.all(low >= -used, axis=1)
+
+
+def _field(group) -> tuple:
+    """Functions, weights and A and B stacks of field draws, with B's
+    decompositions (each B is positive definite)."""
+    a, b = _build(group, "a", "b")
+    return [r.f for r in group], np.stack([r.w for r in group]), a, b, K.positive(b)
+
+
+def _perspective_of_sums(fs, w, a, b):
+    return K.perspective(fs, _sum(a, w=w), K.positive(_sum(b, w=w)))
+
+
+def _theta(fs, w, a, b_pos):
+    """The divergence functional: the weighted sum of the perspectives."""
+    return _sum(K.perspective(fs, a, b_pos), w=w)
+
+
+def _field_payload(r: _Draw, a, b) -> dict:
+    out = {
+        "f": r.f.id,
+        "w": r.w.tolist(),
+        "A": [array_to_rows(x) for x in a],
+        "B": [array_to_rows(x) for x in b],
+    }
+    if r.t1 is not None:
+        out["t1"] = r.t1
+    return out
+
+
+def _field_payloads(group, a, b) -> list:
+    return [partial(_field_payload, r, a[i], b[i]) for i, r in enumerate(group)]
+
+
+def _eval_thm2_1(group, tol):
+    """Perspective of the weighted sums vs the weighted sum of perspectives.
+
+    With unit weights this is the subadditivity of the perspective over
+    entrywise sums (Corollary 2.2).
+    """
+    fs, w, a, b, b_pos = _field(group)
+    worst, violated = _links(tol, (_perspective_of_sums(fs, w, a, b), _theta(fs, w, a, b_pos)))
+    return worst, violated, _field_payloads(group, a, b)
+
+
+def _eval_cor2_3_split(group, tol):
+    """Two-block split sits between the combined perspective and the divergence."""
+    fs, w, a, b, b_pos = _field(group)
+    t1 = _mask(group)
+    halves = (t1, ~t1)
+    blocks = K.perspective(
+        fs,
+        np.stack([_sum(a, m, w) for m in halves], axis=1),
+        K.positive(np.stack([_sum(b, m, w) for m in halves], axis=1)),
+    )
+    split = blocks[:, 0] + blocks[:, 1]
+    worst, violated = _links(
+        tol, (_perspective_of_sums(fs, w, a, b), split), (split, _theta(fs, w, a, b_pos))
+    )
+    return worst, violated, _field_payloads(group, a, b)
+
+
+def _eval_thm2_12_grad(group, tol):
+    """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
+    divergence functional."""
+    fs, w, a, b, b_pos = _field(group)
+    points = {id(f): tangent_point(f) for f in fs}
+    f_one, fp_one = (np.array([points[id(f)][i] for f in fs])[:, None, None] for i in (0, 1))
+    sum_b, sum_a = _sum(b, w=w), _sum(a, w=w)
+    lower = sum_b * f_one - (sum_b - sum_a) * fp_one
+    worst, violated = _links(tol, (lower, _theta(fs, w, a, b_pos)))
+    return worst, violated, _field_payloads(group, a, b)
+
+
+def _slots_payload(r: _Draw, lefts, rights) -> dict:
+    return {
+        "f": r.f.id,
+        "L": [array_to_rows(x) for x in lefts],
+        "R": [array_to_rows(x) for x in rights],
+    }
+
+
+def _eval_cor2_2_ii(group, tol):
+    """f of the left sum vs the perspective sum when the right slots add to I."""
+    fs = [r.f for r in group]
+    lefts, raw = _build(group, "a", "b")
+    K.positive(raw)  # each drawn right slot is positive definite
+    _, inv_half = K.sqrt_pair(*K.positive(_sum(raw, first=True)))
+    inv_half = inv_half[:, None]
+    rights = K.hermitian_part(inv_half @ raw @ inv_half)
+    lhs = K.apply_function(fs, _sum(lefts, first=True))
+    rhs = _sum(K.perspective(fs, lefts, K.positive(rights)), first=True)
+    worst, violated = _links(tol, (lhs, rhs))
+    payloads = [partial(_slots_payload, r, lefts[i], rights[i]) for i, r in enumerate(group)]
+    return worst, violated, payloads
+
+
+def _grid_payload(r: _Draw, ls, rs) -> dict:
+    return {
+        "f": r.f.id,
+        "p": r.w.tolist(),
+        "L": [[array_to_rows(x) for x in row] for row in ls],
+        "R": [[array_to_rows(x) for x in row] for row in rs],
+    }
+
+
+def _eval_thm2_4_mixture(group, tol):
+    """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
+    fs = [r.f for r in group]
+    p = np.stack([r.w for r in group])
+    grid_shape = (len(group),) + p.shape[1:] * 2
+    ls, rs = (x.reshape(grid_shape + x.shape[-2:]) for x in _build(group, "a", "b"))
+    rows = [_sum(x.swapaxes(1, 2), w=p, first=True) for x in (ls, rs)]
+    lhs = _sum(K.perspective(fs, rows[0], K.positive(rows[1])))
+    columns = _sum(K.perspective(fs, ls, K.positive(rs)), first=True)
+    worst, violated = _links(tol, (lhs, _sum(columns, w=p)))
+    payloads = [partial(_grid_payload, r, ls[i], rs[i]) for i, r in enumerate(group)]
+    return worst, violated, payloads
+
+
+def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
+    """The four-stage refinement chain of a unital map family, stacked.
+
+    `mapped(x)` gives w_i Phi_i(x_i) for a stack `x` of one operator per
+    map, `ops` holds the operators and `t1` masks the first block.
+    Returns the chain (m1, m2, m3, m4), the first block's perspective and
+    the first block's share of m4. Without `full` the second block and
+    the per-map perspectives are not built, and m2 and m3 are None.
+    """
+    mapped_a = mapped(ops)
+    mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
+    check_unital(_sum(mapped_i))
+    mapped_f = mapped(K.apply_function(fs, ops))
+    m1 = K.apply_function(fs, _sum(mapped_a))
+    masks = (t1, ~t1) if full else (t1,)
+    blocks = K.perspective(
+        fs,
+        np.stack([_sum(mapped_a, m) for m in masks], axis=1),
+        K.positive(np.stack([_sum(mapped_i, m) for m in masks], axis=1)),
+    )
+    m2 = m3 = None
+    if full:
+        m2 = blocks[:, 0] + blocks[:, 1]
+        m3 = _sum(K.perspective(fs, mapped_a, K.positive(mapped_i)))
+    return (m1, m2, m3, _sum(mapped_f)), blocks[:, 0], _sum(mapped_f, t1)
+
+
+def _jensen_payload(r: _Draw, maps, ops, unit_weights: bool) -> dict:
+    """With unit weights the congruence matrices go under "C"."""
+    if unit_weights:
+        family = {"C": [array_to_rows(m) for m in maps]}
+    else:
+        fam = MapField([(w, Congruence(m)) for w, m in zip(r.w, maps)], unital=True)
+        family = {"maps": fam.to_json()}
+    return {"f": r.f.id, **family, "A": [array_to_rows(x) for x in ops], "t1": r.t1}
+
+
+def _eval_jensen(group, tol, unit_weights=False, full=True):
+    """The refinement chain of the mapped Jensen inequality (`full`), or
+    the block deficit lower bound for the mapped Jensen gap."""
+    fs = [r.f for r in group]
+    w = np.stack([r.w for r in group])
+    maps = _normalized(w, np.stack([r.c for r in group]))
+    (ops,) = _build(group, "a")
+
+    def mapped(x):
+        return K.hermitian_part(K.adjoint(maps) @ x @ maps) * w[..., None, None]
+
+    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, _mask(group), full)
+    if full:
+        links = ((m1, m2), (m2, m3), (m3, m4))
+    else:
+        deficit = f_one - block_one
+        links = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
+    worst, violated = _links(tol, *links)
+    payloads = [
+        partial(_jensen_payload, r, maps[i], ops[i], unit_weights) for i, r in enumerate(group)
+    ]
+    return worst, violated, payloads
+
+
 _CHAIN_LABELS = (
     "f_at_sum",
     "two_block_refinement",
@@ -872,8 +1018,22 @@ _CHAIN_LABELS = (
 def _example_chain():
     """The fixture's four chain matrices, computed, and their stored values."""
     ex = example_33()
-    chain, _, _ = _jensen_chain(_SQUARE, ex.maps, ex.operators, *ex.partition)
-    return chain, ex.expected_chain
+    ops = np.stack([a.entries for a in ex.operators])[None]
+    t1 = np.array([[i in ex.partition[0] for i in range(len(ex.operators))]])
+
+    def mapped(x):
+        return np.stack(
+            [(w * phi.apply(HermitianMatrix._wrap(xi))).entries for (w, phi), xi in zip(ex.maps, x[0])]
+        )[None]
+
+    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, t1)
+    return tuple(HermitianMatrix._wrap(m[0]) for m in chain), ex.expected_chain
+
+
+def _chain_le(m: _Margins, chain) -> None:
+    """Record every link of a Loewner chain, left to right."""
+    for lhs, rhs in zip(chain, chain[1:]):
+        m.loewner_le(lhs, rhs)
 
 
 def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
@@ -891,83 +1051,129 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
 # ---------------------------------------------------------------------------
 
 
+class _Outcome(NamedTuple):
+    worst: float
+    violated: bool
+
+
+def _hold(fn, rng, trial, cfg, f_over):
+    """The draw of a check that still builds and compares one trial at a
+    time: the whole trial, held until evaluate supplies the tolerance."""
+    return partial(fn, rng, trial, cfg, f_over=f_over)
+
+
+def _run_held(records, tol):
+    outcomes = [record(tol) for record in records]
+    return (
+        np.array([m.worst for m, _ in outcomes], dtype=float),
+        np.array([m.violated for m, _ in outcomes], dtype=bool),
+        [payload for _, payload in outcomes],
+    )
+
+
 @dataclass(frozen=True)
 class _Check:
     """A registered check.
 
-    `fn(rng, trial, cfg, tol, f_over)` returns the trial's `_Margins` and a
-    thunk that builds its instance payload. `fixed` marks a check that
-    reads none of its arguments, so every trial has the same outcome.
+    `draw(rng, trial, cfg, f_over)` makes one trial's RNG calls and
+    returns its record. `evaluate(records, tol)` returns the per-trial
+    worst margins, violation flags and payload thunks of a list of
+    records. `fixed` marks a check that reads none of its arguments, so
+    every trial has the same outcome.
     """
 
-    fn: Callable
+    draw: Callable
+    evaluate: Callable
     description: str
     fixed: bool = False
+
+    def fn(self, rng, trial, cfg, tol, f_over):
+        """One trial, as a batch of one: its margins and payload thunk."""
+        worst, violated, payloads = self.evaluate([self.draw(rng, trial, cfg, f_over)], tol)
+        return _Outcome(float(worst[0]), bool(violated[0])), payloads[0]
+
+
+def _held(fn, description: str, fixed: bool = False) -> _Check:
+    """A check whose `fn(rng, trial, cfg, tol, f_over)` runs one whole trial."""
+    return _Check(partial(_hold, fn), _run_held, description, fixed)
 
 
 _REGISTRY: dict[str, _Check] = {
     "THM2_1": _Check(
-        _chk_thm2_1,
+        _draw_thm2_1,
+        _by_shape(_eval_thm2_1),
         "perspective of the field's weighted sums <= weighted sum of perspectives",
     ),
     "COR2_2_SUBADD": _Check(
-        partial(_chk_thm2_1, unit_weights=True),
+        partial(_draw_thm2_1, unit_weights=True),
+        _by_shape(_eval_thm2_1),
         "perspective is subadditive over entrywise sums",
     ),
     "COR2_2_II": _Check(
-        _chk_cor2_2_ii, "f(sum of left slots) <= perspective sum when right slots add to I"
+        _draw_cor2_2_ii,
+        _by_shape(_eval_cor2_2_ii),
+        "f(sum of left slots) <= perspective sum when right slots add to I",
     ),
     "COR2_3_SPLIT": _Check(
-        _chk_cor2_3_split, "two-block split refines perspective <= divergence"
+        _draw_cor2_3_split,
+        _by_shape(_eval_cor2_3_split),
+        "two-block split refines perspective <= divergence",
     ),
     "THM2_4_MIXTURE": _Check(
-        _chk_thm2_4_mixture, "row perspectives of a mixed grid <= mixed grid perspectives"
+        _draw_thm2_4_mixture,
+        _by_shape(_eval_thm2_4_mixture),
+        "row perspectives of a mixed grid <= mixed grid perspectives",
     ),
-    "THM2_6_CDJ_DELTA": _Check(
+    "THM2_6_CDJ_DELTA": _held(
         _chk_thm2_6_delta,
         "generalized perspective Jensen bound under a subunital map family",
     ),
-    "COR2_7_SINGLE": _Check(
+    "COR2_7_SINGLE": _held(
         _chk_cor2_7_single, "single subunital map bound for both perspective forms"
     ),
-    "EX2_8_POWER": _Check(
+    "EX2_8_POWER": _held(
         _chk_ex2_8_power, "power-function single-map bounds in valid exponent regimes"
     ),
-    "COR2_9_VECTOR": _Check(
+    "COR2_9_VECTOR": _held(
         _chk_cor2_9_vector, "scalar generalized perspective of quadratic forms"
     ),
-    "THM2_10_DOM": _Check(
+    "THM2_10_DOM": _held(
         _chk_thm2_10_dom, "pointwise dominance f1 <= f2 transfers to mapped bounds"
     ),
-    "THM_DELTA_NABLA": _Check(
+    "THM_DELTA_NABLA": _held(
         _chk_delta_nabla, "generalized perspective of mixtures <= mixture functional"
     ),
     "THM2_12_GRAD": _Check(
-        _chk_thm2_12_grad, "tangent-line lower bound for the divergence functional"
+        _draw_thm2_12_grad,
+        _by_shape(_eval_thm2_12_grad),
+        "tangent-line lower bound for the divergence functional",
     ),
     "THM3_1_CHAIN": _Check(
-        _chk_thm3_1_chain, "four-term refinement chain of the mapped Jensen inequality"
+        _draw_jensen,
+        _by_shape(_eval_jensen),
+        "four-term refinement chain of the mapped Jensen inequality",
     ),
     "THM3_1_II": _Check(
-        _chk_thm3_1_ii, "block deficit lower bound for the mapped Jensen gap"
+        _draw_jensen,
+        _by_shape(partial(_eval_jensen, full=False)),
+        "block deficit lower bound for the mapped Jensen gap",
     ),
     "COR3_4_ISOM": _Check(
-        partial(_chk_thm3_1_chain, unit_weights=True),
+        partial(_draw_jensen, unit_weights=True),
+        _by_shape(partial(_eval_jensen, unit_weights=True)),
         "refinement chain for congruences summing to the identity",
     ),
-    "THM3_8_NORM": _Check(
+    "THM3_8_NORM": _held(
         _chk_thm3_8_norm, "scalar perspective of Ky Fan norms <= Ky Fan norms of perspective"
     ),
-    "LEMMA_JADJIT": _Check(
+    "LEMMA_JADJIT": _held(
         _chk_lemma_jadjit, "separately convex bivariate calculus vs tensor quadratic forms"
     ),
-    "KL_SUITE": _Check(
-        _chk_kl_suite, "operator relative-entropy sum bound and tangent bounds"
-    ),
-    "SCALAR_CSISZAR": _Check(
+    "KL_SUITE": _held(_chk_kl_suite, "operator relative-entropy sum bound and tangent bounds"),
+    "SCALAR_CSISZAR": _held(
         _chk_scalar_csiszar, "dimension-one reduction to the scalar divergence sum"
     ),
-    "EX3_3_EXACT": _Check(
+    "EX3_3_EXACT": _held(
         _chk_ex3_3_exact,
         "exact compression-example fixture with strict chain gaps",
         fixed=True,
@@ -1011,16 +1217,18 @@ def run_check(
     check = _check(check_id)
     # A fixed check gives the same outcome on every trial: run it once.
     runs = 1 if check.fixed else gen.trials
-    violations = 0
-    worst_margin, worst_payload = math.inf, None
-    for trial in range(runs):
-        rng = _trial_rng(gen.seed, check_id, trial)
-        margins, payload = check.fn(rng, trial, gen, tol, function)
-        violations += margins.violated
-        # Strict `<` keeps the first trial among equal margins; only the
-        # worst trial's payload is ever built.
-        if worst_payload is None or margins.worst < worst_margin:
-            worst_margin, worst_payload = margins.worst, payload
+    records = [
+        check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function)
+        for trial in range(runs)
+    ]
+    worst, violated, payloads = K.in_trial_order(check.evaluate, records, tol)
+    # Strict `<` from inf keeps the first trial among equal margins; only
+    # the worst trial's payload is ever built.
+    worst_margin, worst_trial = math.inf, 0
+    for trial, margin in enumerate(worst.tolist()):
+        if margin < worst_margin:
+            worst_margin, worst_trial = margin, trial
+    violations = int(np.count_nonzero(violated))
     if check.fixed:
         violations *= gen.trials
     return CheckResult(
@@ -1028,7 +1236,7 @@ def run_check(
         trials=gen.trials,
         violations=violations,
         worst_margin=worst_margin,
-        instance_digest_of_worst=_digest(worst_payload()),
+        instance_digest_of_worst=_digest(payloads[worst_trial]()),
     )
 
 

@@ -13,12 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BadRange,
     DerivativeRequired,
     DomainViolation,
     EmptyField,
-    IllConditioned,
     NonPositiveH,
     NotPositiveDefinite,
     NotProbability,
@@ -26,6 +26,7 @@ from .errors import (
     SizeLimit,
 )
 from .funcatalog import Interval, ScalarOperatorFunction
+from .kernels import CONDITION_CAP
 from .hermitian import (
     KRON_CAP,
     HermitianMatrix,
@@ -37,7 +38,6 @@ from .hermitian import (
     spectral_decompose,
 )
 
-CONDITION_CAP = 1e8
 PROBABILITY_TOL = 1e-12
 
 
@@ -138,14 +138,17 @@ def perspective(
     """
     if left.dim != right.dim:
         raise ShapeMismatch(f"dimension mismatch {left.dim} vs {right.dim}")
-    if right.condition_number > condition_cap:
-        raise IllConditioned(
-            f"condition number {right.condition_number:.3e} exceeds cap {condition_cap:.1e}"
-        )
+    d = right.decomposition
     half, inv_half = right.sqrt_pair()
-    inner = hermitian_part(inv_half.entries @ left.entries @ inv_half.entries)
-    middle = apply_function(f, inner)
-    return hermitian_part(half.entries @ middle.entries @ half.entries)
+    return HermitianMatrix._wrap(
+        kernels.perspective(
+            f,
+            left.entries,
+            (d.eigenvalues, d.unitary),
+            condition_cap,
+            roots=(half.entries, inv_half.entries),
+        )
+    )
 
 
 def theta_divergence(
@@ -154,13 +157,21 @@ def theta_divergence(
     """Weighted sum of perspectives over the field.
 
     In dimension one with unit weights this is the classical scalar
-    f-divergence sum q_t f(p_t / q_t).
+    f-divergence sum q_t f(p_t / q_t). The field's perspectives are
+    computed as one stack.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
+    lefts = np.stack([a.entries for _, a, _ in field])
+    rights = [b.decomposition for _, _, b in field]
+    terms = kernels.perspective(
+        f,
+        lefts,
+        (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
+    )
     total = np.zeros((field.dim, field.dim), dtype=complex)
-    for w, a, b in field:
-        total += w * perspective(f, a, b).entries
+    for (w, _, _), term in zip(field, terms):
+        total += w * term
     return HermitianMatrix._wrap(total)
 
 
@@ -252,6 +263,15 @@ def bivariate_calculus(
     return hermitian_part((w * grid) @ w.conj().T)
 
 
+def tangent_point(f: ScalarOperatorFunction) -> tuple[float, float]:
+    """(f(1), f'(1)), the coefficients of the tangent-line bound."""
+    if f.deriv is None:
+        raise DerivativeRequired(f"function {f.id!r} carries no derivative")
+    if not f.domain.contains(1.0):
+        raise DomainViolation(1.0, f.domain, "tangent point 1 outside dom(f)")
+    return f.eval_scalar(1.0), f.deriv_scalar(1.0)
+
+
 def gradient_lower_bound(
     f: ScalarOperatorFunction, field: WeightedOperatorField
 ) -> HermitianMatrix:
@@ -260,14 +280,9 @@ def gradient_lower_bound(
     For differentiable convex f this never exceeds the divergence
     functional of the field; the caller performs that comparison.
     """
-    if f.deriv is None:
-        raise DerivativeRequired(f"function {f.id!r} carries no derivative")
-    if not f.domain.contains(1.0):
-        raise DomainViolation(1.0, f.domain, "tangent point 1 outside dom(f)")
+    f_one, fp_one = tangent_point(f)
     if field.size == 0:
         raise EmptyField("needs at least one field entry")
-    f_one = f.eval_scalar(1.0)
-    fp_one = f.deriv_scalar(1.0)
     sum_b = field.weighted_sum_b()
     sum_a = field.weighted_sum_a()
     return f_one * sum_b - fp_one * (sum_b - sum_a)

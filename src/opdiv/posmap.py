@@ -158,6 +158,20 @@ def map_from_json(obj: dict) -> PositiveLinearMap:
     raise BadRange(f"unknown map variant {variant!r}")
 
 
+def _unitality_error(image: np.ndarray) -> np.ndarray:
+    """Spectral-norm distance of each identity image of a stack from I."""
+    return np.linalg.norm(image - np.eye(image.shape[-1]), ord=2, axis=(-2, -1))
+
+
+def check_unital(image: np.ndarray) -> None:
+    """Raise NotUnital unless every identity image sum_i w_i Phi_i(I) of
+    the stack is within UNITALITY_TOL of I."""
+    err = _unitality_error(image)
+    bad = np.flatnonzero(err > UNITALITY_TOL)
+    if bad.size:
+        raise NotUnital(f"identity image deviates from I by {np.ravel(err)[bad[0]]:.3e}")
+
+
 def apply_map(phi: PositiveLinearMap, x: HermitianMatrix) -> HermitianMatrix:
     """Apply a positive linear map; linearity and positivity come for free."""
     return phi.apply(x)
@@ -185,12 +199,7 @@ class MapField:
         self._entries = tuple(pairs)
         self.unital = bool(unital)
         if self.unital:
-            image = self.identity_image()
-            err = float(
-                np.linalg.norm(image.entries - np.eye(self.out_dim), ord=2)
-            )
-            if err > UNITALITY_TOL:
-                raise NotUnital(f"identity image deviates from I by {err:.3e}")
+            check_unital(self.identity_image().entries)
 
     @property
     def entries(self) -> tuple:
@@ -245,7 +254,7 @@ def unitality(field: MapField, tol: ToleranceConfig = ToleranceConfig()) -> Unit
     """Evaluate sum_i w_i Phi_i(I) and classify it against I."""
     image = field.identity_image()
     eye = HermitianMatrix.identity(field.out_dim)
-    err = float(np.linalg.norm(image.entries - eye.entries, ord=2))
+    err = float(_unitality_error(image.entries))
     is_unital = err <= UNITALITY_TOL
     is_subunital = loewner_compare(image, eye, tol).holds_le
     return UnitalityReport(image, is_unital, is_subunital)

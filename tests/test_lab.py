@@ -197,3 +197,44 @@ def test_nan_margin_counts_as_violation(monkeypatch):
     eye = HermitianMatrix.identity(2)
     matrix.loewner_le(eye, eye)
     assert matrix.violated
+
+
+_BATCHED = [cid for cid in check_ids() if lab._REGISTRY[cid].evaluate is not lab._run_held]
+
+
+def test_batched_checks_are_the_field_mixture_and_jensen_chain_checks():
+    assert sorted(_BATCHED) == sorted(
+        [
+            "THM2_1",
+            "COR2_2_SUBADD",
+            "COR2_2_II",
+            "COR2_3_SPLIT",
+            "THM2_4_MIXTURE",
+            "THM2_12_GRAD",
+            "THM3_1_CHAIN",
+            "THM3_1_II",
+            "COR3_4_ISOM",
+        ]
+    )
+
+
+@pytest.mark.parametrize("check_id", _BATCHED)
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
+def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
+    """Every trial's margin, violation flag and payload digest is the same
+    whether its check evaluates all trials at once or one at a time."""
+    gen = GenConfig(dim=dim, seed=3, trials=14)
+    tol = ToleranceConfig()
+    check = lab._REGISTRY[check_id]
+    records = [
+        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
+        for t in range(gen.trials)
+    ]
+    assert len({r.a[0].shape for r in records}) > 1  # more than one shape group
+    worst, violated, payloads = check.evaluate(records, tol)
+    for t in range(gen.trials):
+        one, payload = check.fn(lab._trial_rng(gen.seed, check_id, t), t, gen, tol, function)
+        assert math.copysign(1, worst[t]) == math.copysign(1, one.worst)
+        assert (worst[t], violated[t]) == (one.worst, one.violated)
+        assert lab._digest(payloads[t]()) == lab._digest(payload())
