@@ -119,9 +119,10 @@ def positive(h):
     lam_max, lam_min = vals[..., 0], vals[..., -1]
     floor = PD_FLOOR * _pymax(_pymax(1.0, np.abs(lam_max)), np.abs(lam_min))
     bad = lam_min < floor
-    if _first(bad, bad):
+    worst = _first(lam_min, bad)
+    if worst is not None:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {_first(lam_min, bad):.3e} below "
+            f"smallest eigenvalue {worst:.3e} below "
             f"strict-positivity floor {_first(floor, bad):.3e}"
         )
     return vals, vecs

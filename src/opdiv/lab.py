@@ -892,10 +892,9 @@ def _eval_thm2_12_grad(group, tol):
     """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
     divergence functional."""
     fs, w, a, b, b_pos = _field(group)
-    points = {id(f): tangent_point(f) for f in fs}
-    f_one, fp_one = (np.array([points[id(f)][i] for f in fs])[:, None, None] for i in (0, 1))
+    points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
     sum_b, sum_a = _sum(b, w=w), _sum(a, w=w)
-    lower = sum_b * f_one - (sum_b - sum_a) * fp_one
+    lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
     worst, violated = _links(tol, (lower, _theta(fs, w, a, b_pos)))
     return worst, violated, _field_payloads(group, a, b)
 
