@@ -1,4 +1,4 @@
-"""Deterministic instance generation and the inequality check registry.
+"""The inequality check registry and the trial loop that runs it.
 
 Every registered check draws random instances from a per-trial RNG stream
 keyed by (seed, check id, trial index), builds both sides of one operator
@@ -6,10 +6,11 @@ inequality, and records the worst Loewner margin. A violation is a margin
 below the combined abs+rel tolerance; near-zero margins count as equality
 because several of the inequalities degenerate to equalities for affine f.
 
-A check is a `draw`, run serially per trial, that makes only the RNG
-calls, and an `evaluate` that builds and compares every trial at once on
-stacked arrays through `kernels`. Checks not yet split this way plug in
-with a draw that holds the whole trial for an evaluate that runs it.
+A check is a `draw`, run serially per trial, and an `evaluate` over the
+list of draws. The checks in `batched` draw only and evaluate every trial
+at once on stacked arrays; the ones here still build and compare one
+trial at a time, and plug in with a draw that holds the whole trial for
+an evaluate that runs it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import hashlib
 import json
 import math
 import time
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -26,45 +26,64 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels as K
-from .errors import BadRange, UnknownCheck
-from .funcatalog import (
-    FunctionFlags,
-    Interval,
-    ScalarOperatorFunction,
-    builtin,
-    sampling_window,
+from .batched import (
+    _by_shape,
+    _draw_cor2_2_ii,
+    _draw_cor2_3_split,
+    _draw_jensen,
+    _draw_thm2_1,
+    _draw_thm2_4_mixture,
+    _draw_thm2_12_grad,
+    _eval_cor2_2_ii,
+    _eval_cor2_3_split,
+    _eval_jensen,
+    _eval_thm2_1,
+    _eval_thm2_4_mixture,
+    _eval_thm2_12_grad,
+    _jensen_chain,
 )
+from .errors import BadRange, UnknownCheck
+from .funcatalog import ScalarOperatorFunction, builtin
 from .hermitian import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     ToleranceConfig,
     apply_function,
     array_to_rows,
-    complex_gaussian,
-    draw_spectrum,
     hermitian_from_rng,
     hermitian_part,
     loewner_compare,
 )
 from .norms import singular_values
 from .perspective import (
-    BivariateSpec,
     WeightedOperatorField,
     bivariate_calculus,
     f_delta_h,
     f_nabla_h,
     perspective,
-    tangent_point,
     theta_divergence,
 )
-from .posmap import (
-    Compression,
-    Congruence,
-    MapField,
-    MapSum,
-    ScaledMap,
-    check_unital,
-    example_33,
+from .posmap import MapField, example_33
+from .sampling import (
+    _CONVEX_POOL,
+    _DOM_PAIRS,
+    _LOG,
+    _NEG_LOG,
+    _NORM_POOL,
+    _SQUARE,
+    _T_LOG_T,
+    _X_SQ_OVER_Y,
+    _a_window,
+    _b_window,
+    _congruence_family,
+    _draw_b,
+    _pd_from,
+    _pick,
+    _pick_fh,
+    _prob_vector,
+    _single_subunital_map,
+    _trial_rng,
+    _unit_vector,
 )
 
 __all__ = [
@@ -149,27 +168,6 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
-    key = zlib.crc32(check_id.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
-
-
-def _capped_spectrum(rng, dim: int, lo: float, hi: float, cond_cap: float) -> tuple:
-    """`draw_spectrum` with the eigenvalues raised to lambda_max / cond_cap."""
-    lam = rng.uniform(lo, hi, dim)
-    lam = np.maximum(lam, lam.max() / cond_cap)
-    return lam, complex_gaussian(rng, dim, dim)
-
-
-def _pd_from(rng, dim: int, lo: float, hi: float, cond_cap: float) -> PositiveDefiniteMatrix:
-    if lo <= 0:
-        raise BadRange(f"positive-definite sampling needs lo > 0, got {lo}")
-    if lo == hi:
-        return PositiveDefiniteMatrix(HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex)))
-    spectrum = _capped_spectrum(rng, dim, lo, hi, cond_cap)
-    return PositiveDefiniteMatrix(HermitianMatrix._wrap(K.from_spectrum(*spectrum)))
-
-
 def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
     """Random Hermitian matrix with spectrum inside cfg.spectrum_range.
 
@@ -186,85 +184,6 @@ def random_pd(cfg: GenConfig, trial: int) -> PositiveDefiniteMatrix:
         raise BadRange(f"random_pd needs spectrum_range.lo > 0, got {lo}")
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
     return _pd_from(rng, cfg.dim, lo, hi, cfg.condition_cap)
-
-
-def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
-    """Spectrum window for the self-adjoint slot, kept inside dom(f)."""
-    lo, hi = cfg.spectrum_range
-    dlo, dhi = sampling_window(f.domain, lo_default=lo, hi_default=hi)
-    wlo, whi = max(lo, dlo), min(hi, dhi)
-    if not wlo < whi:
-        raise BadRange(f"spectrum_range {cfg.spectrum_range} incompatible with dom {f.domain!r}")
-    return wlo, whi
-
-
-def _b_window(cfg: GenConfig) -> tuple:
-    lo, hi = cfg.spectrum_range
-    wlo = max(lo, 0.1)
-    if not wlo < hi:
-        raise BadRange(f"spectrum_range {cfg.spectrum_range} has no positive part above 0.1")
-    return wlo, hi
-
-
-def _draw_b(rng, cfg: GenConfig) -> PositiveDefiniteMatrix:
-    """Positive-definite matrix with spectrum in the b window."""
-    blo, bhi = _b_window(cfg)
-    return _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-
-
-def _b_spectrum(rng, cfg: GenConfig) -> tuple:
-    """The draws of `_draw_b`, for `K.from_spectrum`."""
-    return _capped_spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
-
-
-def _prob_vector(rng, n: int) -> np.ndarray:
-    v = rng.uniform(0.1, 1.0, n)
-    return v / v.sum()
-
-
-def _unit_vector(rng, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def _normalized(weights, cs, shrinks=None):
-    """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
-
-    `cs` stacks the k Gaussians of each family, shape (..., k, in, out),
-    and `weights` (and `shrinks`) are (..., k). With these matrices as
-    congruences, sum_i w_i Phi_i(I) = I before shrinking.
-    """
-    gram = 0
-    for j in range(cs.shape[-3]):
-        c = cs[..., j, :, :]
-        gram = gram + (weights[..., j, None, None] * K.adjoint(c)) @ c
-    _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
-    maps = cs @ inv_half[..., None, :, :]
-    if shrinks is not None:
-        maps = maps * np.sqrt(shrinks)[..., None, None]
-    return maps
-
-
-def _congruence_family(rng, k: int, in_dim: int, out_dim: int, weights, shrinks=None):
-    """Congruence maps with sum_i w_i Phi_i(I) = I, optionally shrunk per map."""
-    cs = np.array([complex_gaussian(rng, in_dim, out_dim) for _ in range(k)])
-    weights = np.asarray(weights, dtype=float)
-    return [Congruence(m) for m in _normalized(weights, cs, shrinks)]
-
-
-def _single_subunital_map(rng, dim: int, variant: int):
-    """One subunital positive map: contraction, compression, or scaled sum."""
-    variant = variant % 3
-    if variant == 0:
-        c = complex_gaussian(rng, dim, dim)
-        c = c / (np.linalg.norm(c, 2) * rng.uniform(1.0, 1.8))
-        return Congruence(c)
-    if variant == 1:
-        k = int(rng.integers(1, dim + 1))
-        ix = np.sort(rng.choice(dim, size=k, replace=False))
-        return Compression(dim, ix.tolist(), float(rng.uniform(0.3, 1.0)))
-    parts = _congruence_family(rng, 2, dim, dim, (1.0, 1.0))
-    return ScaledMap(MapSum(parts), float(rng.uniform(0.4, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,59 +228,8 @@ class _Margins:
 
 
 # ---------------------------------------------------------------------------
-# Shared function pools
+# Check implementations
 # ---------------------------------------------------------------------------
-
-_SQUARE = builtin("square")
-_NEG_LOG = builtin("neg_log")
-_T_LOG_T = builtin("t_log_t")
-_IDENTITY = builtin("identity")
-_INV = builtin("power", [-1])
-_INV_SQRT = builtin("power", [-0.5])
-_P15 = builtin("power", [1.5])
-_SQRT = builtin("power", [0.5])
-_P08 = builtin("power", [0.8])
-_AFF_H = builtin("affine", [0.7, 0.3])
-
-_SQUARE_M1 = ScalarOperatorFunction(
-    id="square_minus_one",
-    domain=Interval.real_line(),
-    eval=lambda t: np.asarray(t, dtype=float) ** 2 - 1.0,
-    deriv=lambda t: 2.0 * np.asarray(t, dtype=float),
-    flags=FunctionFlags(claims_operator_convex=True, value_at_zero_nonpositive=True),
-)
-_INV_M1 = ScalarOperatorFunction(
-    id="inv_minus_one",
-    domain=Interval.positive(),
-    eval=lambda t: 1.0 / np.asarray(t, dtype=float) - 1.0,
-    deriv=lambda t: -1.0 / np.asarray(t, dtype=float) ** 2,
-    flags=FunctionFlags(claims_operator_convex=True),
-)
-_LOG = ScalarOperatorFunction(
-    id="log",
-    domain=Interval.positive(),
-    eval=lambda t: np.log(t),
-    deriv=lambda t: 1.0 / np.asarray(t, dtype=float),
-    flags=FunctionFlags(claims_operator_concave=True),
-)
-
-# Operator convex catalog entries for the generic divergence checks.
-_CONVEX_POOL = (_SQUARE, _NEG_LOG, _T_LOG_T, _INV, _INV_SQRT, _P15, _IDENTITY)
-# Operator convex with f(0) <= 0, as the subunital (contraction-style)
-# Jensen arguments require.
-_F0_POOL = (_SQUARE, _T_LOG_T, _P15, _SQUARE_M1, builtin("affine", [1.0, -0.5]))
-# Strictly positive operator concave h candidates with h(0) >= 0.
-_H_POOL = (_IDENTITY, _SQRT, _P08, _AFF_H)
-# Differentiable operator convex functions for the tangent-line bound.
-_DIFF_POOL = (_SQUARE, _T_LOG_T, _NEG_LOG, _INV_SQRT, _P15)
-# Pointwise-dominated operator convex pairs f1 <= f2.
-_DOM_PAIRS = ((_SQUARE_M1, _SQUARE), (_NEG_LOG, _INV_M1))
-
-_X_SQ_OVER_Y = BivariateSpec(
-    fn=lambda x, y: x * x / y,
-    domain_x=Interval.nonnegative(),
-    domain_y=Interval.positive(),
-)
 
 
 def _rows(m) -> list:
@@ -370,21 +238,6 @@ def _rows(m) -> list:
     if isinstance(m, HermitianMatrix):
         return array_to_rows(m.entries)
     return array_to_rows(np.asarray(m))
-
-
-def _pick(pool, trial: int, f_over):
-    return f_over if f_over is not None else pool[trial % len(pool)]
-
-
-def _pick_fh(trial: int, f_over):
-    """f from the f(0) <= 0 pool and h from the h pool, cycling jointly."""
-    f = _pick(_F0_POOL, trial, f_over)
-    return f, _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
-
-
-# ---------------------------------------------------------------------------
-# Check implementations
-# ---------------------------------------------------------------------------
 
 
 def _subunital_family(rng, cfg, k: int, square_out: bool):
@@ -569,9 +422,6 @@ def _chk_delta_nabla(rng, trial, cfg, tol, f_over):
     return m, payload
 
 
-_NORM_POOL = (_SQUARE, _INV, _NEG_LOG)
-
-
 def _chk_thm3_8_norm(rng, trial, cfg, tol, f_over):
     """Scalar perspective of Ky Fan norms vs Ky Fan norms of the perspective."""
     f = _pick(_NORM_POOL, trial, f_over)
@@ -672,340 +522,6 @@ def _chk_scalar_csiszar(rng, trial, cfg, tol, f_over):
     return m, lambda: {"f": f.id, "p": p.tolist(), "q": q.tolist()}
 
 
-# ---------------------------------------------------------------------------
-# Batched checks: serial draws, stacked evaluation
-# ---------------------------------------------------------------------------
-
-
-class _Draw(NamedTuple):
-    """One trial's random draws.
-
-    Every eigendecomposition, including the ones that turn Gaussians into
-    unitaries, is left to evaluate. Spectra are (eigenvalues, Gaussians)
-    pairs for `K.from_spectrum`, one row per slot.
-    """
-
-    f: ScalarOperatorFunction
-    w: Optional[np.ndarray]  # field or family weights; THM2_4's mixture p
-    a: tuple  # the Hermitian slots
-    b: Optional[tuple] = None  # the positive slots
-    c: Optional[np.ndarray] = None  # Gaussians of a unital congruence family
-    t1: Optional[list] = None  # the sorted first block of a bipartition
-
-
-def _pack(spectra) -> tuple:
-    return np.array([lam for lam, _ in spectra]), np.array([g for _, g in spectra])
-
-
-def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
-    """A weighted field: the weights, then each entry's A and B."""
-    alo, ahi = _a_window(f, cfg)
-    if weights is None:
-        weights = rng.uniform(0.2, 2.0, n)
-    entries = [(draw_spectrum(rng, cfg.dim, alo, ahi), _b_spectrum(rng, cfg)) for _ in range(n)]
-    a, b = _pack([a for a, _ in entries]), _pack([b for _, b in entries])
-    return _Draw(f, np.asarray(weights, dtype=float), a, b)
-
-
-def _draw_thm2_1(rng, trial, cfg, f_over, unit_weights=False):
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 5))
-    return _draw_field(rng, cfg, f, n, np.ones(n) if unit_weights else None)
-
-
-def _draw_cor2_3_split(rng, trial, cfg, f_over):
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 5))
-    draw = _draw_field(rng, cfg, f, n)
-    k = int(rng.integers(1, n))
-    perm = rng.permutation(n)
-    return draw._replace(t1=sorted(perm[:k].tolist()))
-
-
-def _draw_thm2_12_grad(rng, trial, cfg, f_over):
-    f = _pick(_DIFF_POOL, trial, f_over)
-    return _draw_field(rng, cfg, f, int(rng.integers(2, 4)))
-
-
-def _draw_cor2_2_ii(rng, trial, cfg, f_over):
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 4))
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n)])
-    return _Draw(f, None, a, _pack([_b_spectrum(rng, cfg) for _ in range(n)]))
-
-
-def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
-    """An n x n grid of (L, R) pairs in row-major order, with mixture p."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    n = int(rng.integers(2, 4))
-    p = rng.uniform(0.2, 2.0, n)
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n * n)])
-    return _Draw(f, p, a, _pack([_b_spectrum(rng, cfg) for _ in range(n * n)]))
-
-
-def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
-    """f, a unital congruence family, one operator per map and a
-    bipartition of the maps. With unit weights the congruences sum to the
-    identity (Corollary 3.4)."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    k = int(rng.integers(2, 4))
-    w = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
-    c = np.array([complex_gaussian(rng, cfg.dim, cfg.dim) for _ in range(k)])
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(k)])
-    cut = int(rng.integers(1, k))
-    perm = rng.permutation(k)
-    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
-
-
-def _by_shape(evaluate_group):
-    """An evaluate that splits the trials into groups of one draw shape
-    (field size, map count), never padded, and runs
-    `evaluate_group(group, tol)` on each."""
-
-    def evaluate(records, tol):
-        groups = {}
-        for i, record in enumerate(records):
-            groups.setdefault(record.a[0].shape, []).append(i)
-        worst = np.empty(len(records))
-        violated = np.empty(len(records), dtype=bool)
-        payloads = [None] * len(records)
-        for ix in groups.values():
-            worst[ix], violated[ix], thunks = evaluate_group([records[i] for i in ix], tol)
-            for i, thunk in zip(ix, thunks):
-                payloads[i] = thunk
-        return worst, violated, payloads
-
-    return evaluate
-
-
-def _build(group, *slots) -> tuple:
-    """The matrices of the named slots of every trial, one stack per slot,
-    from one stacked eigendecomposition."""
-    lam = np.stack([[getattr(r, s)[0] for s in slots] for r in group])
-    gaussian = np.stack([[getattr(r, s)[1] for s in slots] for r in group])
-    built = K.from_spectrum(lam, gaussian)
-    return tuple(built[:, i] for i in range(len(slots)))
-
-
-def _mask(group) -> np.ndarray:
-    """(T, k) membership of each slot in the trial's first block."""
-    k = group[0].a[0].shape[0]
-    return np.array([[i in r.t1 for i in range(k)] for r in group])
-
-
-def _sum(x, mask=None, w=None, first=False):
-    """Sum over axis 1, term by term from left to right: w_i x_i for the
-    terms where `mask` holds. It starts from zeros, or from the first term
-    when `first`, in each check's own order: the two differ in the signs
-    of zeros."""
-
-    def term(i):
-        t = x[:, i]
-        return t if w is None else t * w[:, i].reshape((-1,) + (1,) * (t.ndim - 1))
-
-    out = term(0) if first else np.zeros_like(x[:, 0])
-    for i in range(int(first), x.shape[1]):
-        if mask is None:
-            out = out + term(i)
-        else:
-            out = np.where(mask[:, i, None, None], out + term(i), out)
-    return out
-
-
-def _links(tol: ToleranceConfig, *links) -> tuple:
-    """Worst margin and violation flag of each trial over the Loewner
-    links lhs <= rhs. Links fold left to right from inf with a strict
-    `<`; a NaN margin is a violation and never the worst."""
-    lhs = np.stack([lhs for lhs, _ in links], axis=1)
-    rhs = np.stack([rhs for _, rhs in links], axis=1)
-    low, _, used = K.loewner(lhs, rhs, tol)
-    worst = np.full(len(low), math.inf)
-    for j in range(low.shape[1]):
-        worst = np.where(low[:, j] < worst, low[:, j], worst)
-    return worst, ~np.all(low >= -used, axis=1)
-
-
-def _field(group) -> tuple:
-    """Functions, weights and A and B stacks of field draws, with B's
-    decompositions (each B is positive definite)."""
-    a, b = _build(group, "a", "b")
-    return [r.f for r in group], np.stack([r.w for r in group]), a, b, K.positive(b)
-
-
-def _perspective_of_sums(fs, w, a, b):
-    return K.perspective(fs, _sum(a, w=w), K.positive(_sum(b, w=w)))
-
-
-def _theta(fs, w, a, b_pos):
-    """The divergence functional: the weighted sum of the perspectives."""
-    return _sum(K.perspective(fs, a, b_pos), w=w)
-
-
-def _field_payload(r: _Draw, a, b) -> dict:
-    out = {
-        "f": r.f.id,
-        "w": r.w.tolist(),
-        "A": [array_to_rows(x) for x in a],
-        "B": [array_to_rows(x) for x in b],
-    }
-    if r.t1 is not None:
-        out["t1"] = r.t1
-    return out
-
-
-def _field_payloads(group, a, b) -> list:
-    return [partial(_field_payload, r, a[i], b[i]) for i, r in enumerate(group)]
-
-
-def _eval_thm2_1(group, tol):
-    """Perspective of the weighted sums vs the weighted sum of perspectives.
-
-    With unit weights this is the subadditivity of the perspective over
-    entrywise sums (Corollary 2.2).
-    """
-    fs, w, a, b, b_pos = _field(group)
-    worst, violated = _links(tol, (_perspective_of_sums(fs, w, a, b), _theta(fs, w, a, b_pos)))
-    return worst, violated, _field_payloads(group, a, b)
-
-
-def _eval_cor2_3_split(group, tol):
-    """Two-block split sits between the combined perspective and the divergence."""
-    fs, w, a, b, b_pos = _field(group)
-    t1 = _mask(group)
-    halves = (t1, ~t1)
-    blocks = K.perspective(
-        fs,
-        np.stack([_sum(a, m, w) for m in halves], axis=1),
-        K.positive(np.stack([_sum(b, m, w) for m in halves], axis=1)),
-    )
-    split = blocks[:, 0] + blocks[:, 1]
-    worst, violated = _links(
-        tol, (_perspective_of_sums(fs, w, a, b), split), (split, _theta(fs, w, a, b_pos))
-    )
-    return worst, violated, _field_payloads(group, a, b)
-
-
-def _eval_thm2_12_grad(group, tol):
-    """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
-    divergence functional."""
-    fs, w, a, b, b_pos = _field(group)
-    points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
-    sum_b, sum_a = _sum(b, w=w), _sum(a, w=w)
-    lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
-    worst, violated = _links(tol, (lower, _theta(fs, w, a, b_pos)))
-    return worst, violated, _field_payloads(group, a, b)
-
-
-def _slots_payload(r: _Draw, lefts, rights) -> dict:
-    return {
-        "f": r.f.id,
-        "L": [array_to_rows(x) for x in lefts],
-        "R": [array_to_rows(x) for x in rights],
-    }
-
-
-def _eval_cor2_2_ii(group, tol):
-    """f of the left sum vs the perspective sum when the right slots add to I."""
-    fs = [r.f for r in group]
-    lefts, raw = _build(group, "a", "b")
-    K.positive(raw)  # each drawn right slot is positive definite
-    _, inv_half = K.sqrt_pair(*K.positive(_sum(raw, first=True)))
-    inv_half = inv_half[:, None]
-    rights = K.hermitian_part(inv_half @ raw @ inv_half)
-    lhs = K.apply_function(fs, _sum(lefts, first=True))
-    rhs = _sum(K.perspective(fs, lefts, K.positive(rights)), first=True)
-    worst, violated = _links(tol, (lhs, rhs))
-    payloads = [partial(_slots_payload, r, lefts[i], rights[i]) for i, r in enumerate(group)]
-    return worst, violated, payloads
-
-
-def _grid_payload(r: _Draw, ls, rs) -> dict:
-    return {
-        "f": r.f.id,
-        "p": r.w.tolist(),
-        "L": [[array_to_rows(x) for x in row] for row in ls],
-        "R": [[array_to_rows(x) for x in row] for row in rs],
-    }
-
-
-def _eval_thm2_4_mixture(group, tol):
-    """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
-    fs = [r.f for r in group]
-    p = np.stack([r.w for r in group])
-    grid_shape = (len(group),) + p.shape[1:] * 2
-    ls, rs = (x.reshape(grid_shape + x.shape[-2:]) for x in _build(group, "a", "b"))
-    rows = [_sum(x.swapaxes(1, 2), w=p, first=True) for x in (ls, rs)]
-    lhs = _sum(K.perspective(fs, rows[0], K.positive(rows[1])))
-    columns = _sum(K.perspective(fs, ls, K.positive(rs)), first=True)
-    worst, violated = _links(tol, (lhs, _sum(columns, w=p)))
-    payloads = [partial(_grid_payload, r, ls[i], rs[i]) for i, r in enumerate(group)]
-    return worst, violated, payloads
-
-
-def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
-    """The four-stage refinement chain of a unital map family, stacked.
-
-    `mapped(x)` gives w_i Phi_i(x_i) for a stack `x` of one operator per
-    map, `ops` holds the operators and `t1` masks the first block.
-    Returns the chain (m1, m2, m3, m4), the first block's perspective and
-    the first block's share of m4. Without `full` the second block and
-    the per-map perspectives are not built, and m2 and m3 are None.
-    """
-    mapped_a = mapped(ops)
-    mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
-    check_unital(_sum(mapped_i))
-    mapped_f = mapped(K.apply_function(fs, ops))
-    m1 = K.apply_function(fs, _sum(mapped_a))
-    masks = (t1, ~t1) if full else (t1,)
-    blocks = K.perspective(
-        fs,
-        np.stack([_sum(mapped_a, m) for m in masks], axis=1),
-        K.positive(np.stack([_sum(mapped_i, m) for m in masks], axis=1)),
-    )
-    m2 = m3 = None
-    if full:
-        m2 = blocks[:, 0] + blocks[:, 1]
-        m3 = _sum(K.perspective(fs, mapped_a, K.positive(mapped_i)))
-    return (m1, m2, m3, _sum(mapped_f)), blocks[:, 0], _sum(mapped_f, t1)
-
-
-def _jensen_payload(r: _Draw, maps, ops, unit_weights: bool) -> dict:
-    """With unit weights the congruence matrices go under "C"."""
-    if unit_weights:
-        family = {"C": [array_to_rows(m) for m in maps]}
-    else:
-        fam = MapField([(w, Congruence(m)) for w, m in zip(r.w, maps)], unital=True)
-        family = {"maps": fam.to_json()}
-    return {"f": r.f.id, **family, "A": [array_to_rows(x) for x in ops], "t1": r.t1}
-
-
-def _eval_jensen(group, tol, unit_weights=False, full=True):
-    """The refinement chain of the mapped Jensen inequality (`full`), or
-    the block deficit lower bound for the mapped Jensen gap."""
-    fs = [r.f for r in group]
-    w = np.stack([r.w for r in group])
-    maps = _normalized(w, np.stack([r.c for r in group]))
-    (ops,) = _build(group, "a")
-
-    def mapped(x):
-        return K.hermitian_part(K.adjoint(maps) @ x @ maps) * w[..., None, None]
-
-    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, _mask(group), full)
-    if full:
-        links = ((m1, m2), (m2, m3), (m3, m4))
-    else:
-        deficit = f_one - block_one
-        links = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
-    worst, violated = _links(tol, *links)
-    payloads = [
-        partial(_jensen_payload, r, maps[i], ops[i], unit_weights) for i, r in enumerate(group)
-    ]
-    return worst, violated, payloads
-
-
 _CHAIN_LABELS = (
     "f_at_sum",
     "two_block_refinement",
@@ -1062,12 +578,19 @@ def _hold(fn, rng, trial, cfg, f_over):
 
 
 def _run_held(records, tol):
-    outcomes = [record(tol) for record in records]
-    return (
-        np.array([m.worst for m, _ in outcomes], dtype=float),
-        np.array([m.violated for m, _ in outcomes], dtype=bool),
-        [payload for _, payload in outcomes],
-    )
+    """Run held trials in order, keeping only the payload thunk of the
+    worst trial so far (by run_check's rule), so that one trial's objects
+    at most outlive it."""
+    worst = np.empty(len(records))
+    violated = np.empty(len(records), dtype=bool)
+    payloads = [None] * len(records)
+    keep = 0
+    for i, record in enumerate(records):
+        margins, payload = record(tol)
+        worst[i], violated[i] = margins.worst, margins.violated
+        if i == 0 or margins.worst < worst[keep]:
+            payloads[keep], payloads[i], keep = None, payload, i
+    return worst, violated, payloads
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,199 @@
+"""Deterministic instance generation for the check registry.
+
+Per-trial RNG streams, the spectrum windows of the Hermitian and
+positive slots, the draws of random matrices and congruence families,
+and the function pools that the checks cycle through. A draw makes its
+RNG calls in a fixed order, so every instance is fully determined by
+(seed, check id, trial index).
+"""
+
+from __future__ import annotations
+
+import zlib
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from . import kernels as K
+from .errors import BadRange
+from .funcatalog import (
+    FunctionFlags,
+    Interval,
+    ScalarOperatorFunction,
+    builtin,
+    sampling_window,
+)
+from .hermitian import HermitianMatrix, PositiveDefiniteMatrix, complex_gaussian
+from .perspective import BivariateSpec
+from .posmap import Compression, Congruence, MapSum, ScaledMap
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .lab import GenConfig
+
+
+def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
+    key = zlib.crc32(check_id.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
+
+
+def _capped_spectrum(rng, dim: int, lo: float, hi: float, cond_cap: float) -> tuple:
+    """`draw_spectrum` with the eigenvalues raised to lambda_max / cond_cap."""
+    lam = rng.uniform(lo, hi, dim)
+    lam = np.maximum(lam, lam.max() / cond_cap)
+    return lam, complex_gaussian(rng, dim, dim)
+
+
+def _pd_from(rng, dim: int, lo: float, hi: float, cond_cap: float) -> PositiveDefiniteMatrix:
+    if lo <= 0:
+        raise BadRange(f"positive-definite sampling needs lo > 0, got {lo}")
+    if lo == hi:
+        return PositiveDefiniteMatrix(HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex)))
+    spectrum = _capped_spectrum(rng, dim, lo, hi, cond_cap)
+    return PositiveDefiniteMatrix(HermitianMatrix._wrap(K.from_spectrum(*spectrum)))
+
+
+def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
+    """Spectrum window for the self-adjoint slot, kept inside dom(f)."""
+    lo, hi = cfg.spectrum_range
+    dlo, dhi = sampling_window(f.domain, lo_default=lo, hi_default=hi)
+    wlo, whi = max(lo, dlo), min(hi, dhi)
+    if not wlo < whi:
+        raise BadRange(f"spectrum_range {cfg.spectrum_range} incompatible with dom {f.domain!r}")
+    return wlo, whi
+
+
+def _b_window(cfg: GenConfig) -> tuple:
+    lo, hi = cfg.spectrum_range
+    wlo = max(lo, 0.1)
+    if not wlo < hi:
+        raise BadRange(f"spectrum_range {cfg.spectrum_range} has no positive part above 0.1")
+    return wlo, hi
+
+
+def _draw_b(rng, cfg: GenConfig) -> PositiveDefiniteMatrix:
+    """Positive-definite matrix with spectrum in the b window."""
+    blo, bhi = _b_window(cfg)
+    return _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
+
+
+def _b_spectrum(rng, cfg: GenConfig) -> tuple:
+    """The draws of `_draw_b`, for `K.from_spectrum`."""
+    return _capped_spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
+
+
+def _prob_vector(rng, n: int) -> np.ndarray:
+    v = rng.uniform(0.1, 1.0, n)
+    return v / v.sum()
+
+
+def _unit_vector(rng, dim: int) -> np.ndarray:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _normalized(weights, cs, shrinks=None):
+    """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
+
+    `cs` stacks the k Gaussians of each family, shape (..., k, in, out),
+    and `weights` (and `shrinks`) are (..., k). With these matrices as
+    congruences, sum_i w_i Phi_i(I) = I before shrinking.
+    """
+    gram = 0
+    for j in range(cs.shape[-3]):
+        c = cs[..., j, :, :]
+        gram = gram + (weights[..., j, None, None] * K.adjoint(c)) @ c
+    _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
+    maps = cs @ inv_half[..., None, :, :]
+    if shrinks is not None:
+        maps = maps * np.sqrt(shrinks)[..., None, None]
+    return maps
+
+
+def _congruence_family(rng, k: int, in_dim: int, out_dim: int, weights, shrinks=None):
+    """Congruence maps with sum_i w_i Phi_i(I) = I, optionally shrunk per map."""
+    cs = np.array([complex_gaussian(rng, in_dim, out_dim) for _ in range(k)])
+    weights = np.asarray(weights, dtype=float)
+    return [Congruence(m) for m in _normalized(weights, cs, shrinks)]
+
+
+def _single_subunital_map(rng, dim: int, variant: int):
+    """One subunital positive map: contraction, compression, or scaled sum."""
+    variant = variant % 3
+    if variant == 0:
+        c = complex_gaussian(rng, dim, dim)
+        c = c / (np.linalg.norm(c, 2) * rng.uniform(1.0, 1.8))
+        return Congruence(c)
+    if variant == 1:
+        k = int(rng.integers(1, dim + 1))
+        ix = np.sort(rng.choice(dim, size=k, replace=False))
+        return Compression(dim, ix.tolist(), float(rng.uniform(0.3, 1.0)))
+    parts = _congruence_family(rng, 2, dim, dim, (1.0, 1.0))
+    return ScaledMap(MapSum(parts), float(rng.uniform(0.4, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# Shared function pools
+# ---------------------------------------------------------------------------
+
+_SQUARE = builtin("square")
+_NEG_LOG = builtin("neg_log")
+_T_LOG_T = builtin("t_log_t")
+_IDENTITY = builtin("identity")
+_INV = builtin("power", [-1])
+_INV_SQRT = builtin("power", [-0.5])
+_P15 = builtin("power", [1.5])
+_SQRT = builtin("power", [0.5])
+_P08 = builtin("power", [0.8])
+_AFF_H = builtin("affine", [0.7, 0.3])
+
+_SQUARE_M1 = ScalarOperatorFunction(
+    id="square_minus_one",
+    domain=Interval.real_line(),
+    eval=lambda t: np.asarray(t, dtype=float) ** 2 - 1.0,
+    deriv=lambda t: 2.0 * np.asarray(t, dtype=float),
+    flags=FunctionFlags(claims_operator_convex=True, value_at_zero_nonpositive=True),
+)
+_INV_M1 = ScalarOperatorFunction(
+    id="inv_minus_one",
+    domain=Interval.positive(),
+    eval=lambda t: 1.0 / np.asarray(t, dtype=float) - 1.0,
+    deriv=lambda t: -1.0 / np.asarray(t, dtype=float) ** 2,
+    flags=FunctionFlags(claims_operator_convex=True),
+)
+_LOG = ScalarOperatorFunction(
+    id="log",
+    domain=Interval.positive(),
+    eval=lambda t: np.log(t),
+    deriv=lambda t: 1.0 / np.asarray(t, dtype=float),
+    flags=FunctionFlags(claims_operator_concave=True),
+)
+
+# Operator convex catalog entries for the generic divergence checks.
+_CONVEX_POOL = (_SQUARE, _NEG_LOG, _T_LOG_T, _INV, _INV_SQRT, _P15, _IDENTITY)
+# Operator convex with f(0) <= 0, as the subunital (contraction-style)
+# Jensen arguments require.
+_F0_POOL = (_SQUARE, _T_LOG_T, _P15, _SQUARE_M1, builtin("affine", [1.0, -0.5]))
+# Strictly positive operator concave h candidates with h(0) >= 0.
+_H_POOL = (_IDENTITY, _SQRT, _P08, _AFF_H)
+# Differentiable operator convex functions for the tangent-line bound.
+_DIFF_POOL = (_SQUARE, _T_LOG_T, _NEG_LOG, _INV_SQRT, _P15)
+# Pointwise-dominated operator convex pairs f1 <= f2.
+_DOM_PAIRS = ((_SQUARE_M1, _SQUARE), (_NEG_LOG, _INV_M1))
+# Functions for the Ky Fan norm check.
+_NORM_POOL = (_SQUARE, _INV, _NEG_LOG)
+
+_X_SQ_OVER_Y = BivariateSpec(
+    fn=lambda x, y: x * x / y,
+    domain_x=Interval.nonnegative(),
+    domain_y=Interval.positive(),
+)
+
+
+def _pick(pool, trial: int, f_over):
+    return f_over if f_over is not None else pool[trial % len(pool)]
+
+
+def _pick_fh(trial: int, f_over):
+    """f from the f(0) <= 0 pool and h from the h pool, cycling jointly."""
+    f = _pick(_F0_POOL, trial, f_over)
+    return f, _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]

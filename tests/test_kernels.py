@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_herm
-from opdiv import kernels, lab
+from opdiv import kernels, sampling
 from opdiv.errors import DomainViolation
 from opdiv.funcatalog import Interval, builtin, from_spec, quartic, sampling_window
 from opdiv.hermitian import (
@@ -189,14 +189,14 @@ def test_nan_passes_through_the_clamp():
 _POOL_FUNCTIONS = {
     f.id: f
     for f in (
-        *lab._CONVEX_POOL,
-        *lab._F0_POOL,
-        *lab._H_POOL,
-        *lab._DIFF_POOL,
-        *(f for pair in lab._DOM_PAIRS for f in pair),
-        *lab._NORM_POOL,
-        lab._LOG,
-        lab._INV_M1,
+        *sampling._CONVEX_POOL,
+        *sampling._F0_POOL,
+        *sampling._H_POOL,
+        *sampling._DIFF_POOL,
+        *(f for pair in sampling._DOM_PAIRS for f in pair),
+        *sampling._NORM_POOL,
+        sampling._LOG,
+        sampling._INV_M1,
     )
 }
 _OVERRIDES = {
@@ -236,7 +236,7 @@ def test_eval_array_on_stacks_matches_per_matrix(func_id, count, dim, seed):
 
 def test_apply_function_with_one_function_per_row_matches_facade():
     rng = np.random.default_rng(8)
-    pool = list(lab._CONVEX_POOL)
+    pool = list(sampling._CONVEX_POOL)
     for dim in (2, 5, 8):
         hs = [make_herm(rng, dim, 0.1, 4.0) for _ in range(3 * len(pool))]
         fs = [pool[i % len(pool)] for i in range(len(hs))]
