@@ -53,7 +53,8 @@ def _fro(x):
     """Frobenius norm of every matrix of the stack."""
     if x.ndim == 2:
         return math.sqrt(np.vdot(x, x).real)
-    return np.sqrt((x.real**2 + x.imag**2).sum(axis=(-2, -1)))
+    re, im = x.real, x.imag
+    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,7 +72,9 @@ def adjoint(x):
 def hermitian_part(x):
     """(X + X*) / 2 for every matrix of the stack."""
     x = np.asarray(x, dtype=complex)
-    return (x + adjoint(x)) / 2
+    out = x + adjoint(x)
+    out /= 2
+    return out
 
 
 def decompose(h):
@@ -87,11 +90,16 @@ def decompose(h):
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     dim = h.shape[-1]
-    eye_err = _fro(vecs @ adjoint(vecs) - _eye(dim))
+    vecs_h = adjoint(vecs)
+    residual = vecs @ vecs_h
+    residual -= _eye(dim)
+    eye_err = _fro(residual)
     worst = _first(eye_err, eye_err > DECOMP_TOL * dim)
     if worst is not None:
         raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
-    rec_err = _fro((vecs * vals[..., None, :]) @ adjoint(vecs) - h)
+    residual = (vecs * vals[..., None, :]) @ vecs_h
+    residual -= h
+    rec_err = _fro(residual)
     worst = _first(rec_err, rec_err > DECOMP_TOL * _pymax(1.0, _fro(h)))
     if worst is not None:
         raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")

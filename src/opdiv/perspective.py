@@ -39,6 +39,10 @@ from .hermitian import (
 )
 
 PROBABILITY_TOL = 1e-12
+# theta_divergence stacks field entries up to this many matrix elements per
+# kernel call: small matrices share one call, while the temporaries of a
+# field of 64 x 64 entries stay those of one entry at a time.
+STACK_ELEMENTS = 4096
 
 
 class WeightedOperatorField:
@@ -157,21 +161,23 @@ def theta_divergence(
     """Weighted sum of perspectives over the field.
 
     In dimension one with unit weights this is the classical scalar
-    f-divergence sum q_t f(p_t / q_t). The field's perspectives are
-    computed as one stack.
+    f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
+    stacks of entries (see STACK_ELEMENTS) and summed in field order.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
-    lefts = np.stack([a.entries for _, a, _ in field])
-    rights = [b.decomposition for _, _, b in field]
-    terms = kernels.perspective(
-        f,
-        lefts,
-        (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
-    )
+    step = max(1, STACK_ELEMENTS // field.dim**2)
     total = np.zeros((field.dim, field.dim), dtype=complex)
-    for (w, _, _), term in zip(field, terms):
-        total += w * term
+    for start in range(0, field.size, step):
+        chunk = field.entries[start : start + step]
+        rights = [b.decomposition for _, _, b in chunk]
+        terms = kernels.perspective(
+            f,
+            np.stack([a.entries for _, a, _ in chunk]),
+            (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
+        )
+        for (w, _, _), term in zip(chunk, terms):
+            total += w * term
     return HermitianMatrix._wrap(total)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_herm
+from conftest import make_herm, make_pd
 from opdiv import kernels, sampling
 from opdiv.errors import DomainViolation
 from opdiv.funcatalog import Interval, builtin, from_spec, quartic, sampling_window
@@ -27,6 +27,7 @@ from opdiv.hermitian import (
     loewner_compare,
 )
 from opdiv.lab import GenConfig, run_check
+from opdiv.perspective import WeightedOperatorField, perspective, theta_divergence
 
 
 def _bits(x) -> bytes:
@@ -243,6 +244,23 @@ def test_apply_function_with_one_function_per_row_matches_facade():
         got = kernels.apply_function(fs, np.stack([h.entries for h in hs]))
         for i, (f, h) in enumerate(zip(fs, hs)):
             assert _bits(got[i]) == _bits(apply_function(f, h).entries)
+
+
+@pytest.mark.parametrize("dim, size", [(2, 5), (8, 16), (48, 3)])
+def test_theta_divergence_matches_entry_by_entry_sum(dim, size):
+    """Stacked (and, at dim 48, one entry per stack) divergence equals the
+    field-order sum of single perspectives bit for bit."""
+    rng = np.random.default_rng(dim)
+    entries = [
+        (float(rng.uniform(0.2, 2.0)), make_herm(rng, dim, 0.1, 4.0), make_pd(rng, dim))
+        for _ in range(size)
+    ]
+    field = WeightedOperatorField(entries)
+    for f in (builtin("neg_log"), quartic()):
+        want = np.zeros((dim, dim), dtype=complex)
+        for w, a, b in entries:
+            want += w * perspective(f, a, b).entries
+        assert _bits(theta_divergence(f, field).entries) == _bits(want)
 
 
 # ---------------------------------------------------------------------------
