@@ -26,7 +26,6 @@ from .errors import (
     SizeLimit,
 )
 from .funcatalog import Interval, ScalarOperatorFunction
-from .kernels import CONDITION_CAP
 from .hermitian import (
     KRON_CAP,
     HermitianMatrix,
@@ -37,6 +36,7 @@ from .hermitian import (
     matrix_to_json,
     spectral_decompose,
 )
+from .kernels import CONDITION_CAP
 
 PROBABILITY_TOL = 1e-12
 # theta_divergence stacks field entries up to this many matrix elements per
