@@ -566,6 +566,12 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
 # ---------------------------------------------------------------------------
 
 
+# run_check draws and evaluates trials in chunks of CHUNK_ELEMENTS // dim**2
+# trials (1024 at dim 2, 64 at dim 8), so the memory of the stacked
+# evaluation stays bounded however many trials run.
+CHUNK_ELEMENTS = 4096
+
+
 class _Outcome(NamedTuple):
     worst: float
     violated: bool
@@ -739,18 +745,24 @@ def run_check(
     check = _check(check_id)
     # A fixed check gives the same outcome on every trial: run it once.
     runs = 1 if check.fixed else gen.trials
-    records = [
-        check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function)
-        for trial in range(runs)
-    ]
-    worst, violated, payloads = K.in_trial_order(check.evaluate, records, tol)
-    # Strict `<` from inf keeps the first trial among equal margins; only
-    # the worst trial's payload is ever built.
-    worst_margin, worst_trial = math.inf, 0
-    for trial, margin in enumerate(worst.tolist()):
-        if margin < worst_margin:
-            worst_margin, worst_trial = margin, trial
-    violations = int(np.count_nonzero(violated))
+    chunk = max(1, CHUNK_ELEMENTS // gen.dim**2)
+    violations = 0
+    worst_margin, worst_payload = math.inf, None
+    for start in range(0, runs, chunk):
+        records = [
+            check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function)
+            for trial in range(start, min(runs, start + chunk))
+        ]
+        worst, violated, payloads = K.in_trial_order(check.evaluate, records, tol)
+        violations += int(np.count_nonzero(violated))
+        if start == 0:
+            worst_payload = payloads[0]
+        # Strict `<` from inf keeps the first trial among equal margins, and
+        # trial 0 stands until one is smaller; only the worst trial's
+        # payload is ever built.
+        for margin, payload in zip(worst.tolist(), payloads):
+            if margin < worst_margin:
+                worst_margin, worst_payload = margin, payload
     if check.fixed:
         violations *= gen.trials
     return CheckResult(
@@ -758,7 +770,7 @@ def run_check(
         trials=gen.trials,
         violations=violations,
         worst_margin=worst_margin,
-        instance_digest_of_worst=_digest(payloads[worst_trial]()),
+        instance_digest_of_worst=_digest(worst_payload()),
     )
 
 

@@ -238,3 +238,13 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
         assert math.copysign(1, worst[t]) == math.copysign(1, one.worst)
         assert (worst[t], violated[t]) == (one.worst, one.violated)
         assert lab._digest(payloads[t]()) == lab._digest(payload())
+
+
+@pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_II", "KL_SUITE", "EX3_3_EXACT"])
+def test_trial_chunks_do_not_change_the_result(check_id, monkeypatch):
+    """Chunks of 7 trials give the report of one chunk holding all 40."""
+    gen = GenConfig(dim=2, seed=11, trials=40)
+    whole = run_check(check_id, gen, function=quartic() if check_id == "COR2_3_SPLIT" else None)
+    monkeypatch.setattr(lab, "CHUNK_ELEMENTS", 7 * gen.dim**2)
+    chunked = run_check(check_id, gen, function=quartic() if check_id == "COR2_3_SPLIT" else None)
+    assert chunked == whole
