@@ -162,7 +162,9 @@ def theta_divergence(
 
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
-    stacks of entries (see STACK_ELEMENTS) and summed in field order.
+    stacks of entries (see STACK_ELEMENTS) and summed in field order; a
+    stack of one entry is a `perspective` call, which reuses the entry's
+    cached square roots.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
@@ -170,12 +172,16 @@ def theta_divergence(
     total = np.zeros((field.dim, field.dim), dtype=complex)
     for start in range(0, field.size, step):
         chunk = field.entries[start : start + step]
-        rights = [b.decomposition for _, _, b in chunk]
-        terms = kernels.perspective(
-            f,
-            np.stack([a.entries for _, a, _ in chunk]),
-            (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
-        )
+        if len(chunk) == 1:
+            _, a, b = chunk[0]
+            terms = [perspective(f, a, b).entries]
+        else:
+            rights = [b.decomposition for _, _, b in chunk]
+            terms = kernels.perspective(
+                f,
+                np.stack([a.entries for _, a, _ in chunk]),
+                (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
+            )
         for (w, _, _), term in zip(chunk, terms):
             total += w * term
     return HermitianMatrix._wrap(total)
