@@ -163,8 +163,8 @@ def theta_divergence(
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
     stacks of entries (see STACK_ELEMENTS) and summed in field order; a
-    stack of one entry is a `perspective` call, which reuses the entry's
-    cached square roots.
+    stack of one entry is a `perspective` call. Each B's square roots are
+    computed once and cached, as `perspective` does.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
@@ -176,11 +176,15 @@ def theta_divergence(
             _, a, b = chunk[0]
             terms = [perspective(f, a, b).entries]
         else:
-            rights = [b.decomposition for _, _, b in chunk]
+            rights = [b for _, _, b in chunk]
             terms = kernels.perspective(
                 f,
                 np.stack([a.entries for _, a, _ in chunk]),
-                (np.stack([d.eigenvalues for d in rights]), np.stack([d.unitary for d in rights])),
+                (
+                    np.stack([b.decomposition.eigenvalues for b in rights]),
+                    np.stack([b.decomposition.unitary for b in rights]),
+                ),
+                roots=PositiveDefiniteMatrix.stacked_sqrt_pairs(rights),
             )
         for (w, _, _), term in zip(chunk, terms):
             total += w * term
