@@ -113,7 +113,8 @@ def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
 def _by_shape(evaluate_group):
     """An evaluate that splits the trials into groups of one draw shape
     (field size, map count), never padded, and runs
-    `evaluate_group(group, tol)` on each."""
+    `evaluate_group(group, tol)` on each. If that raises, the error is the
+    first failing trial's own (`kernels.in_trial_order`)."""
 
     def evaluate(records, tol):
         groups = {}
@@ -128,7 +129,7 @@ def _by_shape(evaluate_group):
                 payloads[i] = thunk
         return worst, violated, payloads
 
-    return evaluate
+    return partial(K.in_trial_order, evaluate)
 
 
 def _build(group, *slots) -> tuple:

@@ -291,23 +291,27 @@ def convexity_falsifier(
     if trials < 1:
         raise ValueError("falsifier needs trials >= 1")
     lo, hi = sampling_window(f.domain)
-    draws = []
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        a = draw_spectrum(rng, dim, lo, hi)
-        b = draw_spectrum(rng, dim, lo, hi)
-        draws.append((a, b, float(rng.uniform(0.0, 1.0))))
-    margins, tolerances = kernels.in_trial_order(_convexity_margins, draws, f, tol)
     worst = math.inf
     worst_trial = -1
     violations = 0
-    for trial, (margin, used) in enumerate(zip(margins.tolist(), tolerances.tolist())):
-        if margin < worst:
-            worst = margin
-            worst_trial = trial
-        if margin < -used:
-            violations += 1
+    for chunk in kernels.chunks(trials, dim):
+        draws = [_convexity_draw(seed, trial, dim, lo, hi) for trial in chunk]
+        margins, tolerances = kernels.in_trial_order(_convexity_margins, draws, f, tol)
+        for trial, margin, used in zip(chunk, margins.tolist(), tolerances.tolist()):
+            if margin < worst:
+                worst = margin
+                worst_trial = trial
+            if margin < -used:
+                violations += 1
     return FalsifierReport(f.id, dim, trials, violations, worst, worst_trial)
+
+
+def _convexity_draw(seed, trial, dim, lo, hi):
+    """Trial `trial`'s spectra of A and B and mixing ratio t."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    a = draw_spectrum(rng, dim, lo, hi)
+    b = draw_spectrum(rng, dim, lo, hi)
+    return a, b, float(rng.uniform(0.0, 1.0))
 
 
 def _convexity_margins(draws, f, tol):

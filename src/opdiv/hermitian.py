@@ -211,12 +211,12 @@ class PositiveDefiniteMatrix:
         missing = [m for m in matrices if m._sqrt_pair is None]
         if missing:
             half, inv_half = kernels.sqrt_pair(
-                np.stack([m._decomp.eigenvalues for m in missing]),
-                np.stack([m._decomp.unitary for m in missing]),
+                kernels.stack([m._decomp.eigenvalues for m in missing]),
+                kernels.stack([m._decomp.unitary for m in missing]),
             )
             for m, h, ih in zip(missing, half, inv_half):
                 m._sqrt_pair = (HermitianMatrix._wrap(h), HermitianMatrix._wrap(ih))
-        return tuple(np.stack([m._sqrt_pair[i].entries for m in matrices]) for i in (0, 1))
+        return tuple(kernels.stack([m._sqrt_pair[i].entries for m in matrices]) for i in (0, 1))
 
     def __repr__(self) -> str:
         return (

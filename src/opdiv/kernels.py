@@ -27,6 +27,10 @@ PD_FLOOR = 1e-10
 DECOMP_TOL = 1e-10
 DOMAIN_CLAMP_TOL = 1e-9
 CONDITION_CAP = 1e8
+# A stacked call holds at most this many matrix elements per operand
+# (1024 matrices at n = 2, 64 at n = 8, one from n = 46), so the memory of
+# stacked evaluation stays bounded however many matrices there are.
+STACK_ELEMENTS = 4096
 
 
 # A single matrix makes scalars of what a stack makes arrays; the
@@ -53,8 +57,10 @@ def _fro(x):
     """Frobenius norm of every matrix of the stack."""
     if x.ndim == 2:
         return math.sqrt(np.vdot(x, x).real)
-    re, im = x.real, x.imag
-    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
+    # Real and imaginary parts side by side, one row per matrix: a sum of
+    # squares over contiguous memory, not over the strided .real and .imag.
+    flat = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,6 +218,23 @@ def loewner(lhs, rhs, tol):
     eig = np.linalg.eigvalsh(np.stack([rhs - lhs, lhs, rhs]))
     scale = _pymax(np.max(np.abs(eig[1]), axis=-1), np.max(np.abs(eig[2]), axis=-1))
     return eig[0, ..., 0], -eig[0, ..., -1], tol.at_scale(scale)
+
+
+def stack(arrays):
+    """`np.stack(arrays)`, except that a single array becomes a stack of
+    one as a view, not a copy: the kernels never write to their inputs."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.stack(arrays)
+
+
+def chunks(count: int, dim: int):
+    """Consecutive ranges covering range(count), each of at most
+    STACK_ELEMENTS // dim**2 indices (at least one): the pieces of a stack
+    of `count` dim x dim matrices that one stacked call takes."""
+    step = max(1, STACK_ELEMENTS // dim**2)
+    for start in range(0, count, step):
+        yield range(start, min(count, start + step))
 
 
 def in_trial_order(evaluate, records, *args):

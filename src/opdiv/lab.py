@@ -566,12 +566,6 @@ def _chk_ex3_3_exact(rng, trial, cfg, tol, f_over):
 # ---------------------------------------------------------------------------
 
 
-# run_check draws and evaluates trials in chunks of CHUNK_ELEMENTS // dim**2
-# trials (1024 at dim 2, 64 at dim 8), so the memory of the stacked
-# evaluation stays bounded however many trials run.
-CHUNK_ELEMENTS = 4096
-
-
 class _Outcome(NamedTuple):
     worst: float
     violated: bool
@@ -745,17 +739,18 @@ def run_check(
     check = _check(check_id)
     # A fixed check gives the same outcome on every trial: run it once.
     runs = 1 if check.fixed else gen.trials
-    chunk = max(1, CHUNK_ELEMENTS // gen.dim**2)
     violations = 0
     worst_margin, worst_payload = math.inf, None
-    for start in range(0, runs, chunk):
+    # Trials are drawn and evaluated in chunks that one stacked call takes,
+    # so memory stays bounded however many trials run.
+    for chunk in K.chunks(runs, gen.dim):
         records = [
             check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function)
-            for trial in range(start, min(runs, start + chunk))
+            for trial in chunk
         ]
-        worst, violated, payloads = K.in_trial_order(check.evaluate, records, tol)
+        worst, violated, payloads = check.evaluate(records, tol)
         violations += int(np.count_nonzero(violated))
-        if start == 0:
+        if chunk.start == 0:
             worst_payload = payloads[0]
         # Strict `<` from inf keeps the first trial among equal margins, and
         # trial 0 stands until one is smaller; only the worst trial's

@@ -39,10 +39,6 @@ from .hermitian import (
 from .kernels import CONDITION_CAP
 
 PROBABILITY_TOL = 1e-12
-# theta_divergence stacks field entries up to this many matrix elements per
-# kernel call: small matrices share one call, while the temporaries of a
-# field of 64 x 64 entries stay those of one entry at a time.
-STACK_ELEMENTS = 4096
 
 
 class WeightedOperatorField:
@@ -162,30 +158,24 @@ def theta_divergence(
 
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
-    stacks of entries (see STACK_ELEMENTS) and summed in field order; a
-    stack of one entry is a `perspective` call. Each B's square roots are
-    computed once and cached, as `perspective` does.
+    stacks of entries (`kernels.chunks`) and summed in field order. Each
+    B's square roots are computed once and cached, as `perspective` does.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
-    step = max(1, STACK_ELEMENTS // field.dim**2)
     total = np.zeros((field.dim, field.dim), dtype=complex)
-    for start in range(0, field.size, step):
-        chunk = field.entries[start : start + step]
-        if len(chunk) == 1:
-            _, a, b = chunk[0]
-            terms = [perspective(f, a, b).entries]
-        else:
-            rights = [b for _, _, b in chunk]
-            terms = kernels.perspective(
-                f,
-                np.stack([a.entries for _, a, _ in chunk]),
-                (
-                    np.stack([b.decomposition.eigenvalues for b in rights]),
-                    np.stack([b.decomposition.unitary for b in rights]),
-                ),
-                roots=PositiveDefiniteMatrix.stacked_sqrt_pairs(rights),
-            )
+    for span in kernels.chunks(field.size, field.dim):
+        chunk = field.entries[span.start : span.stop]
+        rights = [b for _, _, b in chunk]
+        terms = kernels.perspective(
+            f,
+            kernels.stack([a.entries for _, a, _ in chunk]),
+            (
+                kernels.stack([b.decomposition.eigenvalues for b in rights]),
+                kernels.stack([b.decomposition.unitary for b in rights]),
+            ),
+            roots=PositiveDefiniteMatrix.stacked_sqrt_pairs(rights),
+        )
         for (w, _, _), term in zip(chunk, terms):
             total += w * term
     return HermitianMatrix._wrap(total)

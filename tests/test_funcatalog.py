@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opdiv import kernels
 from opdiv.errors import ParamOutOfRange, UnknownFunction
 from opdiv.funcatalog import (
     FalsifierReport,
@@ -181,3 +182,20 @@ def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, w
     f = quartic() if func_id == "quartic" else builtin(func_id, params)
     report = convexity_falsifier(f, dim=dim, trials=300, seed=3)
     assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
+
+
+def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):
+    """With room for 7 pairs per stacked call, no call holds more, and the
+    report is the one of a single stack."""
+    whole = convexity_falsifier(quartic(), dim=2, trials=300, seed=3)
+    stacks = []
+    real = kernels.from_spectrum
+
+    def counted(lam, gaussian):
+        stacks.append(len(lam))
+        return real(lam, gaussian)
+
+    monkeypatch.setattr(kernels, "STACK_ELEMENTS", 7 * 2**2)
+    monkeypatch.setattr(kernels, "from_spectrum", counted)
+    assert convexity_falsifier(quartic(), dim=2, trials=300, seed=3) == whole
+    assert max(stacks) == 7 and sum(stacks) == 300

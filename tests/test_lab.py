@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from opdiv import lab
-from opdiv.errors import BadRange, UnknownCheck
+from opdiv import batched, kernels, lab
+from opdiv.errors import BadRange, NumericalFailure, UnknownCheck
 from opdiv.funcatalog import builtin, quartic
 from opdiv.hermitian import HermitianMatrix, LoewnerRelation, LoewnerVerdict, ToleranceConfig
 from opdiv.lab import (
@@ -199,6 +199,47 @@ def test_nan_margin_counts_as_violation(monkeypatch):
     assert matrix.violated
 
 
+def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypatch):
+    """The batched checks fold their links with a strict `<` from inf: a
+    NaN margin flags its trial as violated but is never its worst margin."""
+    low = np.array(
+        [
+            [0.5, math.nan, 0.25],
+            [math.nan, math.nan, math.nan],
+            [math.nan, -1.0, 2.0],
+            [0.5, 0.25, 1.0],
+            [0.0, -0.0, 1.0],
+        ]
+    )
+    used = np.full_like(low, 1e-8)
+    monkeypatch.setattr(kernels, "loewner", lambda lhs, rhs, tol: (low, -low, used))
+    link = (np.zeros((5, 2, 2)), np.zeros((5, 2, 2)))
+    worst, violated = batched._links(ToleranceConfig(), link, link, link)
+    assert worst.tolist() == [0.25, math.inf, -1.0, 0.25, 0.0]
+    assert math.copysign(1, worst[4]) == 1  # the first of equal margins
+    assert violated.tolist() == [True, True, True, False, False]
+
+
+def test_held_check_raises_the_first_failing_trials_error(monkeypatch):
+    """A held check that raises mid-chunk raises what the loop over single
+    trials raises: the first failing trial's error, not one from a rerun."""
+    real = lab.perspective
+
+    def refusing(f, left, right, *args):
+        x = float(left.entries[0, 0].real)
+        if x > 3.0:
+            raise NumericalFailure(f"perspective refused L[0, 0] = {x!r}")
+        return real(f, left, right, *args)
+
+    monkeypatch.setattr(lab, "perspective", refusing)
+    gen = GenConfig(dim=2, seed=5, trials=40)
+    with pytest.raises(NumericalFailure) as want:
+        _reference_check("COR2_7_SINGLE", gen)
+    with pytest.raises(NumericalFailure) as got:
+        run_check("COR2_7_SINGLE", gen)
+    assert str(got.value) == str(want.value)
+
+
 _BATCHED = [cid for cid in check_ids() if lab._REGISTRY[cid].evaluate is not lab._run_held]
 
 
@@ -245,6 +286,6 @@ def test_trial_chunks_do_not_change_the_result(check_id, monkeypatch):
     """Chunks of 7 trials give the report of one chunk holding all 40."""
     gen = GenConfig(dim=2, seed=11, trials=40)
     whole = run_check(check_id, gen, function=quartic() if check_id == "COR2_3_SPLIT" else None)
-    monkeypatch.setattr(lab, "CHUNK_ELEMENTS", 7 * gen.dim**2)
+    monkeypatch.setattr(kernels, "STACK_ELEMENTS", 7 * gen.dim**2)
     chunked = run_check(check_id, gen, function=quartic() if check_id == "COR2_3_SPLIT" else None)
     assert chunked == whole
