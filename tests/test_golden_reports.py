@@ -8,7 +8,11 @@ as the worst; the dim-5 run pins the Theorem 2.1 and Theorem 3.1 checks
 with their unit-weight corollaries and the Example 3.3 fixture at a
 larger dimension; the dim-8 quartic run pins, for the field, mixture
 and Jensen-chain checks, which violating trial is reported as the worst
-at the largest dimension the generator allows. The
+at the largest dimension the generator allows; the dim-8 quartic run of
+the application checks (the Choi-Davis-Jensen refinements, the norm,
+tensor, Kullback-Leibler and scalar checks and the fixture) does the
+same for them, at the largest tensor size LEMMA_JADJIT builds, and was
+generated while they still built and compared one trial at a time. The
 `reproduce-example --json` output carries no `wall_ms` and is compared
 whole.
 """
@@ -63,6 +67,23 @@ CASES = {
             "--suite",
             "THM2_1,COR2_2_SUBADD,COR2_2_II,COR2_3_SPLIT,THM2_4_MIXTURE,"
             "THM2_12_GRAD,THM3_1_CHAIN,THM3_1_II,COR3_4_ISOM",
+            "--dim",
+            "8",
+            "--trials",
+            "60",
+            "--seed",
+            "7",
+            "--function",
+            '{"id":"quartic"}',
+        ],
+        1,
+    ),
+    "golden_applications_quartic_dim8_t60_s7.json": (
+        [
+            "verify",
+            "--suite",
+            "THM2_6_CDJ_DELTA,COR2_7_SINGLE,EX2_8_POWER,COR2_9_VECTOR,THM2_10_DOM,"
+            "THM_DELTA_NABLA,THM3_8_NORM,LEMMA_JADJIT,KL_SUITE,SCALAR_CSISZAR,EX3_3_EXACT",
             "--dim",
             "8",
             "--trials",
