@@ -1,11 +1,14 @@
-"""Checks that evaluate all their trials at once.
+"""The draws and stacked evaluations of the registered checks.
 
-Each check here is a `draw`, run serially per trial, that makes only the
-RNG calls of that trial, and an `evaluate` that builds and compares every
+Each check is a `draw`, run serially per trial, that makes only the RNG
+calls of that trial, and an `evaluate` that builds and compares every
 trial on stacked arrays through `kernels`. Trials are grouped by the
-shape of their draws and never padded, pool functions are applied
-through index masks, and sums keep each check's own term order, so every
-margin has the bits of the one-trial-at-a-time computation.
+shapes of their draws (field size, map count, map variant, output
+dimension) and never padded, pool functions are applied through index
+masks, and sums keep each check's own term order, so every margin has
+the bits of the one-trial-at-a-time computation. Loewner links and
+scalar links fold into a trial's worst margin and violation flag by one
+rule (`_fold`).
 """
 
 from __future__ import annotations
@@ -17,11 +20,38 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .funcatalog import ScalarOperatorFunction
-from .hermitian import ToleranceConfig, array_to_rows, complex_gaussian, draw_spectrum
+from .funcatalog import ScalarOperatorFunction, builtin
+from .hermitian import (
+    HermitianMatrix,
+    ToleranceConfig,
+    array_to_rows,
+    complex_gaussian,
+    draw_spectrum,
+)
 from .perspective import tangent_point
-from .posmap import Congruence, MapField, check_unital
-from .sampling import _CONVEX_POOL, _DIFF_POOL, _a_window, _b_spectrum, _normalized, _pick
+from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
+from .sampling import (
+    _CONVEX_POOL,
+    _DIFF_POOL,
+    _DOM_PAIRS,
+    _LOG,
+    _NEG_LOG,
+    _NORM_POOL,
+    _SQUARE,
+    _T_LOG_T,
+    _X_SQ_OVER_Y,
+    _a_window,
+    _b_spectrum,
+    _b_window,
+    _draw_single_map,
+    _Map,
+    _normalized,
+    _pick,
+    _pick_fh,
+    _prob_vector,
+    _spectrum,
+    _unit_vector,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lab import GenConfig
@@ -35,16 +65,180 @@ class _Draw(NamedTuple):
     pairs for `K.from_spectrum`, one row per slot.
     """
 
-    f: ScalarOperatorFunction
-    w: Optional[np.ndarray]  # field or family weights; THM2_4's mixture p
-    a: tuple  # the Hermitian slots
+    f: Optional[ScalarOperatorFunction]
+    w: Optional[np.ndarray]  # field or family weights; a mixture's p; EX2_8's (alpha, beta)
+    a: Optional[tuple] = None  # the Hermitian slots
     b: Optional[tuple] = None  # the positive slots
-    c: Optional[np.ndarray] = None  # Gaussians of a unital congruence family
+    c: Optional[np.ndarray] = None  # Gaussians of a congruence family
     t1: Optional[list] = None  # the sorted first block of a bipartition
+    h: Optional[ScalarOperatorFunction] = None  # a generalized perspective's h; THM2_10's f2
+    q: Optional[np.ndarray] = None  # a mixture's q; a subunital family's shrinks
+    m: Optional[_Map] = None  # a subunital single map
+    x: Optional[np.ndarray] = None  # the unit vectors of quadratic forms
+
+
+# Drawing, grouping, folding and payloads.
 
 
 def _pack(spectra) -> tuple:
     return np.array([lam for lam, _ in spectra]), np.array([g for _, g in spectra])
+
+
+def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
+    """n Hermitian slots with spectra in f's a window."""
+    alo, ahi = _a_window(f, cfg)
+    return _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n)])
+
+
+def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
+    """n positive-definite slots with spectra in the b window."""
+    return _pack([_b_spectrum(rng, cfg) for _ in range(n)])
+
+
+def _shapes(record) -> tuple:
+    """The shapes of a record's arrays, and of the arrays in its tuples."""
+    return tuple(
+        v.shape if isinstance(v, np.ndarray) else _shapes(v) if isinstance(v, tuple) else None
+        for v in record
+    )
+
+
+def _by_shape(evaluate_group):
+    """An evaluate that splits the trials into groups whose draws have one
+    shape (`_shapes`), never padded, and runs `evaluate_group(group, tol)`
+    on each. If that raises, the error is the first failing trial's own
+    (`kernels.in_trial_order`)."""
+
+    def evaluate(records, tol):
+        groups = {}
+        for i, record in enumerate(records):
+            groups.setdefault(_shapes(record), []).append(i)
+        worst = np.empty(len(records))
+        violated = np.empty(len(records), dtype=bool)
+        payloads = [None] * len(records)
+        for ix in groups.values():
+            worst[ix], violated[ix], thunks = evaluate_group([records[i] for i in ix], tol)
+            for i, thunk in zip(ix, thunks):
+                payloads[i] = thunk
+        return worst, violated, payloads
+
+    return partial(K.in_trial_order, evaluate)
+
+
+def _build(group, *slots) -> tuple:
+    """The matrices of the named slots of every trial, one stack per slot,
+    from one stacked eigendecomposition."""
+    lam = np.stack([[getattr(r, s)[0] for s in slots] for r in group])
+    gaussian = np.stack([[getattr(r, s)[1] for s in slots] for r in group])
+    built = K.from_spectrum(lam, gaussian)
+    return tuple(built[:, i] for i in range(len(slots)))
+
+
+def _single(group, *slots) -> tuple:
+    """`_build` for slots of one matrix each."""
+    return tuple(x[:, 0] for x in _build(group, *slots))
+
+
+def _stack(group, name: str) -> np.ndarray:
+    return np.stack([getattr(r, name) for r in group])
+
+
+def _fh(group) -> tuple:
+    return [r.f for r in group], [r.h for r in group]
+
+
+def _mask(group) -> np.ndarray:
+    """(T, k) membership of each slot in the trial's first block."""
+    k = group[0].a[0].shape[0]
+    return np.array([[i in r.t1 for i in range(k)] for r in group])
+
+
+def _sum(x, mask=None, w=None, first=False):
+    """Sum over axis 1, term by term from left to right: w_i x_i for the
+    terms where `mask` holds. It starts from zeros, or from the first term
+    when `first`, in each check's own order: the two differ in the signs
+    of zeros."""
+
+    def term(i):
+        t = x[:, i]
+        return t if w is None else t * w[:, i].reshape((-1,) + (1,) * (t.ndim - 1))
+
+    out = term(0) if first else np.zeros_like(x[:, 0])
+    for i in range(int(first), x.shape[1]):
+        if mask is None:
+            out = out + term(i)
+        else:
+            out = np.where(mask[:, i, None, None], out + term(i), out)
+    return out
+
+
+def _eval(fs, x) -> np.ndarray:
+    """fs[t] on the values x[t] of every trial t, one call per function."""
+    out = np.empty_like(x)
+    for g, rows in K._by_function(fs):
+        rows = slice(None) if rows is None else rows
+        out[rows] = g.eval_array(x[rows])
+    return out
+
+
+def _quad(m, x) -> np.ndarray:
+    """<x, M x> of each trial's matrix M (T, n, n) at its vectors x (T, L, n)."""
+    return (x.conj()[..., None, :] @ m[:, None] @ x[..., :, None])[..., 0, 0].real
+
+
+def _fold(margins, used) -> tuple:
+    """Worst margin and violation flag of each trial over its (T, L)
+    margins, each held to the tolerance in `used`. Margins fold left to
+    right from inf with a strict `<`; a NaN margin is a violation and
+    never the worst."""
+    worst = np.full(len(margins), math.inf)
+    for j in range(margins.shape[1]):
+        worst = np.where(margins[:, j] < worst, margins[:, j], worst)
+    return worst, ~np.all(margins >= -used, axis=1)
+
+
+def _links(tol: ToleranceConfig, *links) -> tuple:
+    """`_fold` over the Loewner links lhs <= rhs: margin the smallest
+    eigenvalue of rhs - lhs (`K.loewner`)."""
+    lhs = np.stack([lhs for lhs, _ in links], axis=1)
+    rhs = np.stack([rhs for _, rhs in links], axis=1)
+    low, _, used = K.loewner(lhs, rhs, tol)
+    return _fold(low, used)
+
+
+def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
+    """`_fold` over the scalar links lhs <= rhs, (T, L) each: margin
+    rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
+    return _fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
+
+
+def _family(w, maps, unital: bool):
+    """A weighted congruence family's JSON, as a thunk for `_payload`."""
+    return lambda: MapField([(wi, Congruence(m)) for wi, m in zip(w, maps)], unital).to_json()
+
+
+def _json(value):
+    """A payload value: a matrix as rows, a stack of them as a list, a
+    vector as a list, a function by its id, a map by its JSON and a
+    callable by what it returns."""
+    if callable(value):
+        return value()
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return array_to_rows(value)
+        return value.tolist() if value.ndim < 2 else [_json(x) for x in value]
+    if isinstance(value, ScalarOperatorFunction):
+        return value.id
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def _payload(**parts) -> dict:
+    """A trial's instance payload, built only for the worst trial; parts
+    that are None are left out."""
+    return {key: _json(value) for key, value in parts.items() if value is not None}
+
+
+# Weighted fields: Theorems 2.1, 2.4 and 2.12, Corollaries 2.2 and 2.3.
 
 
 def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
@@ -80,9 +274,7 @@ def _draw_thm2_12_grad(rng, trial, cfg, f_over):
 def _draw_cor2_2_ii(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n)])
-    return _Draw(f, None, a, _pack([_b_spectrum(rng, cfg) for _ in range(n)]))
+    return _Draw(f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
 
 
 def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
@@ -90,100 +282,14 @@ def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
     p = rng.uniform(0.2, 2.0, n)
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n * n)])
-    return _Draw(f, p, a, _pack([_b_spectrum(rng, cfg) for _ in range(n * n)]))
-
-
-def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
-    """f, a unital congruence family, one operator per map and a
-    bipartition of the maps. With unit weights the congruences sum to the
-    identity (Corollary 3.4)."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
-    k = int(rng.integers(2, 4))
-    w = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
-    c = np.array([complex_gaussian(rng, cfg.dim, cfg.dim) for _ in range(k)])
-    alo, ahi = _a_window(f, cfg)
-    a = _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(k)])
-    cut = int(rng.integers(1, k))
-    perm = rng.permutation(k)
-    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
-
-
-def _by_shape(evaluate_group):
-    """An evaluate that splits the trials into groups of one draw shape
-    (field size, map count), never padded, and runs
-    `evaluate_group(group, tol)` on each. If that raises, the error is the
-    first failing trial's own (`kernels.in_trial_order`)."""
-
-    def evaluate(records, tol):
-        groups = {}
-        for i, record in enumerate(records):
-            groups.setdefault(record.a[0].shape, []).append(i)
-        worst = np.empty(len(records))
-        violated = np.empty(len(records), dtype=bool)
-        payloads = [None] * len(records)
-        for ix in groups.values():
-            worst[ix], violated[ix], thunks = evaluate_group([records[i] for i in ix], tol)
-            for i, thunk in zip(ix, thunks):
-                payloads[i] = thunk
-        return worst, violated, payloads
-
-    return partial(K.in_trial_order, evaluate)
-
-
-def _build(group, *slots) -> tuple:
-    """The matrices of the named slots of every trial, one stack per slot,
-    from one stacked eigendecomposition."""
-    lam = np.stack([[getattr(r, s)[0] for s in slots] for r in group])
-    gaussian = np.stack([[getattr(r, s)[1] for s in slots] for r in group])
-    built = K.from_spectrum(lam, gaussian)
-    return tuple(built[:, i] for i in range(len(slots)))
-
-
-def _mask(group) -> np.ndarray:
-    """(T, k) membership of each slot in the trial's first block."""
-    k = group[0].a[0].shape[0]
-    return np.array([[i in r.t1 for i in range(k)] for r in group])
-
-
-def _sum(x, mask=None, w=None, first=False):
-    """Sum over axis 1, term by term from left to right: w_i x_i for the
-    terms where `mask` holds. It starts from zeros, or from the first term
-    when `first`, in each check's own order: the two differ in the signs
-    of zeros."""
-
-    def term(i):
-        t = x[:, i]
-        return t if w is None else t * w[:, i].reshape((-1,) + (1,) * (t.ndim - 1))
-
-    out = term(0) if first else np.zeros_like(x[:, 0])
-    for i in range(int(first), x.shape[1]):
-        if mask is None:
-            out = out + term(i)
-        else:
-            out = np.where(mask[:, i, None, None], out + term(i), out)
-    return out
-
-
-def _links(tol: ToleranceConfig, *links) -> tuple:
-    """Worst margin and violation flag of each trial over the Loewner
-    links lhs <= rhs. Links fold left to right from inf with a strict
-    `<`; a NaN margin is a violation and never the worst."""
-    lhs = np.stack([lhs for lhs, _ in links], axis=1)
-    rhs = np.stack([rhs for _, rhs in links], axis=1)
-    low, _, used = K.loewner(lhs, rhs, tol)
-    worst = np.full(len(low), math.inf)
-    for j in range(low.shape[1]):
-        worst = np.where(low[:, j] < worst, low[:, j], worst)
-    return worst, ~np.all(low >= -used, axis=1)
+    return _Draw(f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
 
 
 def _field(group) -> tuple:
     """Functions, weights and A and B stacks of field draws, with B's
     decompositions (each B is positive definite)."""
     a, b = _build(group, "a", "b")
-    return [r.f for r in group], np.stack([r.w for r in group]), a, b, K.positive(b)
+    return [r.f for r in group], _stack(group, "w"), a, b, K.positive(b)
 
 
 def _perspective_of_sums(fs, w, a, b):
@@ -195,20 +301,10 @@ def _theta(fs, w, a, b_pos):
     return _sum(K.perspective(fs, a, b_pos), w=w)
 
 
-def _field_payload(r: _Draw, a, b) -> dict:
-    out = {
-        "f": r.f.id,
-        "w": r.w.tolist(),
-        "A": [array_to_rows(x) for x in a],
-        "B": [array_to_rows(x) for x in b],
-    }
-    if r.t1 is not None:
-        out["t1"] = r.t1
-    return out
-
-
 def _field_payloads(group, a, b) -> list:
-    return [partial(_field_payload, r, a[i], b[i]) for i, r in enumerate(group)]
+    return [
+        partial(_payload, f=r.f, w=r.w, A=a[i], B=b[i], t1=r.t1) for i, r in enumerate(group)
+    ]
 
 
 def _eval_thm2_1(group, tol):
@@ -250,14 +346,6 @@ def _eval_thm2_12_grad(group, tol):
     return worst, violated, _field_payloads(group, a, b)
 
 
-def _slots_payload(r: _Draw, lefts, rights) -> dict:
-    return {
-        "f": r.f.id,
-        "L": [array_to_rows(x) for x in lefts],
-        "R": [array_to_rows(x) for x in rights],
-    }
-
-
 def _eval_cor2_2_ii(group, tol):
     """f of the left sum vs the perspective sum when the right slots add to I."""
     fs = [r.f for r in group]
@@ -269,31 +357,45 @@ def _eval_cor2_2_ii(group, tol):
     lhs = K.apply_function(fs, _sum(lefts, first=True))
     rhs = _sum(K.perspective(fs, lefts, K.positive(rights)), first=True)
     worst, violated = _links(tol, (lhs, rhs))
-    payloads = [partial(_slots_payload, r, lefts[i], rights[i]) for i, r in enumerate(group)]
+    payloads = [partial(_payload, f=r.f, L=lefts[i], R=rights[i]) for i, r in enumerate(group)]
     return worst, violated, payloads
-
-
-def _grid_payload(r: _Draw, ls, rs) -> dict:
-    return {
-        "f": r.f.id,
-        "p": r.w.tolist(),
-        "L": [[array_to_rows(x) for x in row] for row in ls],
-        "R": [[array_to_rows(x) for x in row] for row in rs],
-    }
 
 
 def _eval_thm2_4_mixture(group, tol):
     """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
     fs = [r.f for r in group]
-    p = np.stack([r.w for r in group])
+    p = _stack(group, "w")
     grid_shape = (len(group),) + p.shape[1:] * 2
     ls, rs = (x.reshape(grid_shape + x.shape[-2:]) for x in _build(group, "a", "b"))
     rows = [_sum(x.swapaxes(1, 2), w=p, first=True) for x in (ls, rs)]
     lhs = _sum(K.perspective(fs, rows[0], K.positive(rows[1])))
     columns = _sum(K.perspective(fs, ls, K.positive(rs)), first=True)
     worst, violated = _links(tol, (lhs, _sum(columns, w=p)))
-    payloads = [partial(_grid_payload, r, ls[i], rs[i]) for i, r in enumerate(group)]
+    payloads = [partial(_payload, f=r.f, p=r.w, L=ls[i], R=rs[i]) for i, r in enumerate(group)]
     return worst, violated, payloads
+
+
+# Unital families and the refinement chain: Theorem 3.1, Corollary 3.4.
+
+
+def _draw_unital_family(rng, dim: int, k: int, unit_weights=False) -> tuple:
+    """The weights and Gaussians of k congruences that `_normalized` makes
+    a unital family."""
+    w = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
+    return w, np.array([complex_gaussian(rng, dim, dim) for _ in range(k)])
+
+
+def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
+    """f, a unital congruence family, one operator per map and a
+    bipartition of the maps. With unit weights the congruences sum to the
+    identity (Corollary 3.4)."""
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    k = int(rng.integers(2, 4))
+    w, c = _draw_unital_family(rng, cfg.dim, k, unit_weights)
+    a = _a_slots(rng, cfg, f, k)
+    cut = int(rng.integers(1, k))
+    perm = rng.permutation(k)
+    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
 
 
 def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
@@ -323,26 +425,17 @@ def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
     return (m1, m2, m3, _sum(mapped_f)), blocks[:, 0], _sum(mapped_f, t1)
 
 
-def _jensen_payload(r: _Draw, maps, ops, unit_weights: bool) -> dict:
-    """With unit weights the congruence matrices go under "C"."""
-    if unit_weights:
-        family = {"C": [array_to_rows(m) for m in maps]}
-    else:
-        fam = MapField([(w, Congruence(m)) for w, m in zip(r.w, maps)], unital=True)
-        family = {"maps": fam.to_json()}
-    return {"f": r.f.id, **family, "A": [array_to_rows(x) for x in ops], "t1": r.t1}
-
-
 def _eval_jensen(group, tol, unit_weights=False, full=True):
     """The refinement chain of the mapped Jensen inequality (`full`), or
-    the block deficit lower bound for the mapped Jensen gap."""
+    the block deficit lower bound for the mapped Jensen gap. With unit
+    weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
-    w = np.stack([r.w for r in group])
-    maps = _normalized(w, np.stack([r.c for r in group]))
+    w = _stack(group, "w")
+    maps = _normalized(w, _stack(group, "c"))
     (ops,) = _build(group, "a")
 
     def mapped(x):
-        return K.hermitian_part(K.adjoint(maps) @ x @ maps) * w[..., None, None]
+        return K.congruence(maps, x) * w[..., None, None]
 
     (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, _mask(group), full)
     if full:
@@ -351,7 +444,366 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
         deficit = f_one - block_one
         links = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
     worst, violated = _links(tol, *links)
+    payloads = []
+    for i, r in enumerate(group):
+        family = {"C": maps[i]} if unit_weights else {"maps": _family(r.w, maps[i], True)}
+        payloads.append(partial(_payload, f=r.f, **family, A=ops[i], t1=r.t1))
+    return worst, violated, payloads
+
+
+# Choi-Davis-Jensen refinements: Theorems 2.6 and 2.10, Corollary 2.7, Example 2.8.
+
+
+def _draw_thm2_6(rng, trial, cfg, f_over):
+    """f and h, a subunital congruence family (weights, output dimension,
+    shrinks, Gaussians), then the k operators A_i and the k B_i."""
+    f, h = _pick_fh(trial, f_over)
+    k = int(rng.integers(2, 4))
+    out_dim = cfg.dim if rng.integers(0, 2) else max(2, cfg.dim - 1)
+    w = rng.uniform(0.3, 1.5, k)
+    shrinks = rng.uniform(0.5, 1.0, k)
+    c = np.array([complex_gaussian(rng, cfg.dim, out_dim) for _ in range(k)])
+    a, b = _a_slots(rng, cfg, f, k), _b_slots(rng, cfg, k)
+    return _Draw(f, w, a, b, c, h=h, q=shrinks)
+
+
+def _eval_thm2_6(group, tol):
+    """Generalized perspective of the mapped sums vs the mapped sum of
+    generalized perspectives, for a subunital family."""
+    fs, hs = _fh(group)
+    w = _stack(group, "w")
+    maps = _normalized(w, _stack(group, "c"), _stack(group, "q"))
+    a, b = _build(group, "a", "b")
+    K.positive(b)  # each drawn B is positive definite
+    mapped = K.congruence(maps[:, None], np.stack([a, b, K.f_delta_h(fs, hs, a, b)], axis=1))
+    sum_a, sum_b, rhs = (_sum(mapped[:, i], w=w) for i in range(3))
+    worst, violated = _links(tol, (K.f_delta_h(fs, hs, sum_a, sum_b), rhs))
     payloads = [
-        partial(_jensen_payload, r, maps[i], ops[i], unit_weights) for i, r in enumerate(group)
+        partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=a[i], B=b[i])
+        for i, r in enumerate(group)
     ]
     return worst, violated, payloads
+
+
+def _draw_thm2_10(rng, trial, cfg, f_over):
+    """A structural pair f1 <= f2 (the override is ignored), a unital
+    congruence family, then the k positive A_i and the k B_i."""
+    f1, f2 = _DOM_PAIRS[trial % len(_DOM_PAIRS)]
+    k = int(rng.integers(2, 4))
+    w, c = _draw_unital_family(rng, cfg.dim, k)
+    lo = max(_a_window(f1, cfg)[0], _a_window(f2, cfg)[0], _b_window(cfg)[0])
+    hi = min(_a_window(f1, cfg)[1], _a_window(f2, cfg)[1])
+    a = _pack([_spectrum(rng, cfg.dim, lo, hi, cfg.condition_cap) for _ in range(k)])
+    return _Draw(f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
+
+
+def _eval_thm2_10(group, tol):
+    """Pointwise dominance f1 <= f2 transfers to the mapped perspective
+    and functional-calculus bounds."""
+    f1s, f2s = _fh(group)
+    w = _stack(group, "w")
+    maps = _normalized(w, _stack(group, "c"))
+    a, b = _build(group, "a", "b")
+    K.positive(a)  # each drawn A is positive definite
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    images = [eye, a, b, K.perspective(f2s, a, K.positive(b)), K.apply_function(f2s, a)]
+    mapped = K.congruence(maps[:, None], np.stack(images, axis=1))
+    unit, sum_a, sum_b, rhs_g, rhs_f = (_sum(mapped[:, i], w=w) for i in range(len(images)))
+    check_unital(unit)
+    worst, violated = _links(
+        tol,
+        (K.perspective(f1s, sum_a, K.positive(sum_b)), rhs_g),
+        (K.apply_function(f1s, sum_a), rhs_f),
+    )
+    payloads = [
+        partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i], True), A=a[i], B=b[i])
+        for i, r in enumerate(group)
+    ]
+    return worst, violated, payloads
+
+
+def _single_maps(group, dim: int) -> tuple:
+    """Each trial's subunital single map (`_draw_single_map`), all of one
+    variant: `apply` maps a stack (T, S, dim, dim), and the maps
+    themselves are for payloads."""
+    ms = [r.m for r in group]
+    scale = np.array([m.scale for m in ms])[:, None, None, None]
+    if ms[0].variant == 1:
+        ix = np.stack([m.ix for m in ms])[:, None]
+
+        def apply(x):
+            rows = np.take_along_axis(x, ix[..., :, None], axis=-2)
+            return np.take_along_axis(rows, ix[..., None, :], axis=-1) * scale
+
+        return apply, [Compression(dim, m.ix.tolist(), m.scale) for m in ms]
+    c = np.stack([m.c for m in ms])
+    if ms[0].variant == 0:
+        c = c / (np.linalg.norm(c, 2, axis=(-2, -1))[..., None, None] * scale)
+        return partial(K.congruence, c), [Congruence(ci[0]) for ci in c]
+    c = _normalized(np.ones(c.shape[:2]), c)
+
+    def apply(x):  # the two congruences summed from zeros, as MapSum does
+        return _sum(K.congruence(c[:, :, None], x[:, None])) * scale
+
+    maps = [ScaledMap(MapSum([Congruence(p) for p in ci]), m.scale) for ci, m in zip(c, ms)]
+    return apply, maps
+
+
+def _draw_cor2_7(rng, trial, cfg, f_over):
+    f, h = _pick_fh(trial, f_over)
+    m = _draw_single_map(rng, cfg.dim, trial)
+    return _Draw(f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
+
+
+def _draw_ex2_8(rng, trial, cfg, f_over):
+    """Power-function pairs where the subunital Jensen argument applies:
+    growth exponents beta in [1, 2] with any root exponent alpha in
+    [0, 1], or inverse exponents in [-1, 0] with the identity in the h
+    slot. The override is ignored; the functions are structural here."""
+    if trial == 0:
+        alpha, beta = 1.0, -1.0
+    elif rng.uniform() < 0.5:
+        alpha, beta = float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.0, 2.0))
+    else:
+        alpha, beta = 1.0, float(rng.uniform(-1.0, 0.0))
+    m = _draw_single_map(rng, cfg.dim, trial)
+    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
+    f, h = builtin("power", [beta]), builtin("power", [alpha])
+    return _Draw(f, np.array([alpha, beta]), a, b, h=h, m=m)
+
+
+def _eval_single_map(group, tol, perspective=True):
+    """One subunital map Phi: the generalized perspective of
+    (Phi(A), Phi(B)) vs Phi of the generalized perspective of (A, B), and
+    with `perspective` the same bound for the perspective of f (COR2_7).
+    Without it (EX2_8) A is drawn positive definite and the payload names
+    the functions by their exponents."""
+    fs, hs = _fh(group)
+    a, b = _single(group, "a", "b")
+    b_pos = K.positive(b)
+    if not perspective:
+        K.positive(a)
+    apply, maps = _single_maps(group, a.shape[-1])
+    images = [a, b, K.f_delta_h(fs, hs, a, b)]
+    if perspective:
+        images.append(K.perspective(fs, a, b_pos))
+    phi = apply(np.stack(images, axis=1))
+    links = [(K.f_delta_h(fs, hs, phi[:, 0], phi[:, 1]), phi[:, 2])]
+    if perspective:
+        links.append((K.perspective(fs, phi[:, 0], K.positive(phi[:, 1])), phi[:, 3]))
+    worst, violated = _links(tol, *links)
+    payloads = []
+    for i, r in enumerate(group):
+        ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
+        payloads.append(partial(_payload, **ids, map=maps[i], A=a[i], B=b[i]))
+    return worst, violated, payloads
+
+
+# Quadratic forms, mixtures, Ky Fan norms and tensor calculus.
+
+
+def _draw_cor2_9(rng, trial, cfg, f_over):
+    f, h = _pick_fh(trial, f_over)
+    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
+    x = np.array([_unit_vector(rng, cfg.dim) for _ in range(3)])
+    return _Draw(f, None, a, b, h=h, x=x)
+
+
+def _eval_cor2_9(group, tol):
+    """Scalar generalized perspective h(<x, B x>) f(<x, A x> / h(<x, B x>))
+    vs the quadratic form of the generalized perspective, at three unit
+    vectors x."""
+    fs, hs = _fh(group)
+    a, b = _single(group, "a", "b")
+    K.positive(np.stack([a, b], axis=1))  # each drawn A and B is positive definite
+    x = _stack(group, "x")
+    ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b)))
+    hbx = _eval(hs, bx)
+    worst, violated = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
+    payloads = [
+        partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=r.x[:, None]) for i, r in enumerate(group)
+    ]
+    return worst, violated, payloads
+
+
+def _draw_delta_nabla(rng, trial, cfg, f_over):
+    """f and h, the mixtures p and q, then the L_i (in the a window and
+    above the b window's floor) and the R_i."""
+    f, h = _pick_fh(trial, f_over)
+    n = int(rng.integers(2, 4))
+    p, q = _prob_vector(rng, n), _prob_vector(rng, n)
+    alo, ahi = _a_window(f, cfg)
+    lo = max(alo, _b_window(cfg)[0])
+    a = _pack([_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)])
+    return _Draw(f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
+
+
+def _eval_delta_nabla(group, tol):
+    """Generalized perspective of the mixtures (sum p_i L_i, sum q_i R_i)
+    vs the mixture functional sum_i p_i f_delta_h(L_i, q_i R_i)."""
+    fs, hs = _fh(group)
+    p, q = _stack(group, "w"), _stack(group, "q")
+    ls, rs = _build(group, "a", "b")
+    K.positive(rs)  # each drawn R is positive definite
+    lhs = K.f_delta_h(fs, hs, _sum(ls, w=p, first=True), _sum(rs, w=q, first=True))
+    rhs = _sum(K.f_delta_h(fs, hs, ls, rs * q[..., None, None]), w=p)
+    worst, violated = _links(tol, (lhs, rhs))
+    payloads = [
+        partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=ls[i], R=rs[i])
+        for i, r in enumerate(group)
+    ]
+    return worst, violated, payloads
+
+
+def _draw_thm3_8(rng, trial, cfg, f_over):
+    f = _pick(_NORM_POOL, trial, f_over)
+    return _Draw(f, None, _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1))
+
+
+def _eval_thm3_8(group, tol):
+    """Scalar perspective of the Ky Fan k-norms of A and B vs the Ky Fan
+    k-norms of their perspective, for every k."""
+    fs = [r.f for r in group]
+    a, b = _single(group, "a", "b")
+    K.positive(a)  # each drawn A is positive definite
+    g = K.perspective(fs, a, K.positive(b))
+    sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
+    worst, violated = _scalar_links(tol, sb * _eval(fs, sa / sb), sg)
+    return worst, violated, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
+
+
+def _draw_lemma_jadjit(rng, trial, cfg, f_over):
+    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
+    uv = [(_unit_vector(rng, cfg.dim), _unit_vector(rng, cfg.dim)) for _ in range(3)]
+    return _Draw(None, None, a, b, x=np.array(uv))
+
+
+def _eval_lemma_jadjit(group, tol):
+    """x^2/y calculus on A (x) B vs tensor quadratic forms:
+    <u, A u>^2 / <v, B v> <= <u (x) v, phi(A, B) u (x) v> at three (u, v)."""
+    a, b = _single(group, "a", "b")
+    a_dec, b_dec = K.positive(a), K.positive(b)
+    u, v = np.moveaxis(_stack(group, "x"), 2, 0)
+    au, bv = _quad(a, u), _quad(b, v)
+    uv = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
+    rhs = np.empty_like(au)
+    # The tensors are dim**2 x dim**2, so they take their own chunks.
+    for span in K.chunks(len(group), uv.shape[-1]):
+        t = slice(span.start, span.stop)
+        mat = K.bivariate(_X_SQ_OVER_Y, (a_dec[0][t], a_dec[1][t]), (b_dec[0][t], b_dec[1][t]))
+        rhs[t] = _quad(mat, uv[t])
+    worst, violated = _scalar_links(tol, au * au / bv, rhs)
+    payloads = [
+        partial(_payload, A=a[i], B=b[i], uv=r.x[:, :, None]) for i, r in enumerate(group)
+    ]
+    return worst, violated, payloads
+
+
+# Relative entropy, the scalar reduction and the Example 3.3 fixture.
+
+
+def _draw_kl(rng, trial, cfg, f_over):
+    return _Draw(None, None, _b_slots(rng, cfg, 2), _b_slots(rng, cfg, 2))
+
+
+def _far(got, want, rtol: float) -> np.ndarray:
+    """Per trial: ||got - want||_F > rtol * max(1, ||want||_F)."""
+    dist = [np.linalg.norm(g - w) for g, w in zip(got, want)]
+    return np.array(dist) > rtol * np.array([max(1.0, float(np.linalg.norm(w))) for w in want])
+
+
+def _eval_kl(group, tol):
+    """Operator relative-entropy bounds for a two-entry unit-weight field.
+
+    (a) The combined-field term never exceeds the sum of per-entry terms
+    (joint convexity plus homogeneity). (b, c) Tangent-line bounds for
+    the two entropy generators, each cross-checked against the direct
+    sandwich formula it equals analytically.
+    """
+    ls, rs = _build(group, "a", "b")
+    l_vals, l_vecs = K.positive(ls)
+    r_dec = K.positive(rs)
+    half, inv_half = roots = K.sqrt_pair(*r_dec)
+    ones = np.ones(ls.shape[:2])
+    sum_l, sum_r = _sum(ls, w=ones), _sum(rs, w=ones)
+    theta_log, theta_tlt = (
+        _sum(K.perspective(f, ls, r_dec, roots=roots), w=ones) for f in (_NEG_LOG, _T_LOG_T)
+    )
+    inner = K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half)
+    K.positive(inner)  # each R^{1/2} L^{-1} R^{1/2} is positive definite
+    direct_log = _sum(K.hermitian_part(half @ K.apply_function(_LOG, inner) @ half))
+    log_inner = K.apply_function(_LOG, K.hermitian_part(inv_half @ ls @ inv_half))
+    direct_tlt = K.hermitian_part(_sum(ls @ inv_half @ log_inner @ half))
+    worst, violated = _links(
+        tol,
+        (K.perspective(_NEG_LOG, sum_l, K.positive(sum_r)), theta_log),
+        (sum_r, theta_log + sum_l),
+        (sum_l - sum_r, theta_tlt),
+    )
+    violated |= _far(theta_log, direct_log, 1e-9) | _far(theta_tlt, direct_tlt, 1e-9)
+    return worst, violated, [partial(_payload, L=ls[i], R=rs[i]) for i in range(len(group))]
+
+
+def _draw_scalar_csiszar(rng, trial, cfg, f_over):
+    f = _pick(_CONVEX_POOL, trial, f_over)
+    n = int(rng.integers(2, 7))
+    p = rng.uniform(0.1, 4.0, n)
+    return _Draw(f, p, q=rng.uniform(0.1, 4.0, n))
+
+
+def _eval_scalar_csiszar(group, tol):
+    """In dimension one the divergence functional of the field (p_i, q_i)
+    is the scalar sum S = sum_i q_i f(p_i / q_i), and S >= Q f(P / Q) for
+    the totals P and Q."""
+    fs = [r.f for r in group]
+    p, q = _stack(group, "w"), _stack(group, "q")
+    total = np.sum(q * _eval(fs, p / q), axis=1)
+    # The same sum as the divergence functional of 1 x 1 matrices.
+    cell_p, cell_q = (K.hermitian_part(x[..., None, None]) for x in (p, q))
+    theta = _sum(K.perspective(fs, cell_p, K.positive(cell_q)), w=np.ones_like(p))[:, 0, 0].real
+    big_q = q.sum(axis=1)
+    lhs = big_q * _eval(fs, p.sum(axis=1) / big_q)
+    worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])
+    violated |= np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
+    return worst, violated, [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
+
+
+_CHAIN_LABELS = (
+    "f_at_sum",
+    "two_block_refinement",
+    "per_map_perspective_sum",
+    "sum_of_mapped_f",
+)
+
+
+def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
+    """The Example 3.3 fixture: its chain as computed (the first matrix
+    shifted by `perturbation` * I, so the failure path can be exercised),
+    the stored chain, each matrix's largest entrywise deviation from its
+    stored value, and each link's Loewner margin and tolerance."""
+    ex = example_33()
+    ops = np.stack([a.entries for a in ex.operators])[None]
+    t1 = np.array([[i in ex.partition[0] for i in range(len(ex.operators))]])
+
+    def mapped(x):
+        images = [w * phi.apply(HermitianMatrix._wrap(xi)) for (w, phi), xi in zip(ex.maps, x[0])]
+        return np.stack([image.entries for image in images])[None]
+
+    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, t1)
+    computed = np.stack([m[0] for m in chain])
+    if perturbation:
+        computed[0] = computed[0] + np.eye(computed.shape[-1], dtype=complex) * float(perturbation)
+    expected = np.stack([m.entries for m in ex.expected_chain])
+    devs = np.max(np.abs(computed - expected), axis=(-2, -1))
+    low, _, used = K.loewner(computed[:-1], computed[1:], tol)
+    return computed, expected, devs, low, used
+
+
+def _eval_example(group, tol):
+    """Entrywise match with the stored chain plus strictly positive chain
+    gaps. The fixture reads no draw, so every trial has one outcome."""
+    _, _, devs, low, used = _example(tol)
+    worst, violated = _fold(low[None], used[None])
+    violated |= np.any(devs > 1e-9)
+    payload = partial(_payload, fixture="compression_example", labels=list(_CHAIN_LABELS))
+    return np.repeat(worst, len(group)), np.repeat(violated, len(group)), [payload] * len(group)

@@ -281,7 +281,7 @@ def congruence(c: np.ndarray, x: HermitianMatrix) -> HermitianMatrix:
         raise ShapeMismatch(
             f"congruence matrix of shape {c.shape} cannot act on dimension {x.dim}"
         )
-    return hermitian_part(c.conj().T @ x.entries @ c)
+    return HermitianMatrix._wrap(kernels.congruence(c, x.entries))
 
 
 def loewner_compare(

@@ -3,9 +3,9 @@
 Every function here works on arrays whose last two axes are matrix
 axes, `(..., n, n)`, and treats the leading axes as a batch: one call
 decomposes, transforms or compares a whole stack of matrices. The
-objects in `hermitian` and `perspective` are validating facades over
-these kernels, and the verification lab evaluates all trials of a check
-through them at once.
+objects in `hermitian`, `perspective` and `norms` are validating facades
+over these kernels, and the verification lab evaluates all trials of a
+check through them at once.
 
 LAPACK and matmul work matrix by matrix, so a stacked call gives the
 same bits as the same call on each matrix alone, and batching never
@@ -21,7 +21,14 @@ import math
 
 import numpy as np
 
-from .errors import IllConditioned, NotPositiveDefinite, NumericalFailure, OpDivError
+from .errors import (
+    DomainViolation,
+    IllConditioned,
+    NonPositiveH,
+    NotPositiveDefinite,
+    NumericalFailure,
+    OpDivError,
+)
 
 PD_FLOOR = 1e-10
 DECOMP_TOL = 1e-10
@@ -161,8 +168,15 @@ def _by_function(f):
     return [(g, np.array(rows)) for g, rows in groups.values()]
 
 
-def _evaluate(f, vals, clamp_tol):
-    fvals = f.eval_array(f.domain.clamp_spectrum(vals, clamp_tol))
+def _clamped(domain, vals):
+    """Descending eigenvalues of each matrix, clamped onto a closed endpoint
+    of `domain` within DOMAIN_CLAMP_TOL * max(1, ||H||_2)."""
+    scale = _pymax(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
+    return domain.clamp_spectrum(vals, np.asarray(DOMAIN_CLAMP_TOL * _pymax(1.0, scale))[..., None])
+
+
+def _evaluate(f, vals):
+    fvals = f.eval_array(_clamped(f.domain, vals))
     if not np.isfinite(fvals).all():
         raise NumericalFailure(f"function {f.id!r} produced non-finite values")
     return fvals
@@ -178,14 +192,12 @@ def apply_function(f, h):
     raises DomainViolation, and a non-finite value NumericalFailure.
     """
     vals, vecs = decompose(h)
-    scale = _pymax(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
-    clamp_tol = np.asarray(DOMAIN_CLAMP_TOL * _pymax(1.0, scale))[..., None]
     groups = _by_function(f)
     if groups[0][1] is None:
-        return rebuild(_evaluate(groups[0][0], vals, clamp_tol), vecs)
+        return rebuild(_evaluate(groups[0][0], vals), vecs)
     out = np.empty_like(vals)
     for g, rows in groups:
-        out[rows] = _evaluate(g, vals[rows], clamp_tol[rows])
+        out[rows] = _evaluate(g, vals[rows])
     return rebuild(out, vecs)
 
 
@@ -205,6 +217,59 @@ def perspective(f, left, right, condition_cap=CONDITION_CAP, roots=None):
     half, inv_half = sqrt_pair(vals, vecs) if roots is None else roots
     inner = hermitian_part(inv_half @ left @ inv_half)
     return hermitian_part(half @ apply_function(f, inner) @ half)
+
+
+def f_delta_h(f, h, left, right):
+    """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
+    the stack: the perspective of f at h(R), the generalized perspective.
+
+    `f` and `h` are as for `apply_function`. Raises NonPositiveH if an h
+    is not flagged strictly positive or an h(R) is not strictly positive.
+    """
+    for g, _ in _by_function(h):
+        if not g.flags.strictly_positive:
+            raise NonPositiveH(f"h = {g.id!r} is not flagged strictly positive")
+    h_of_r = apply_function(h, right)
+    try:
+        h_pos = positive(h_of_r)
+    except NotPositiveDefinite as exc:
+        raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
+    return perspective(f, left, h_pos)
+
+
+def bivariate(phi, left, right):
+    """phi on the eigenvalue grid of each pair (A, B), carried by U (x) V.
+
+    `left` and `right` are the (eigenvalues, eigenvectors) pairs that
+    `decompose` returns for A = U diag(lam) U* and B = V diag(mu) V*. The
+    (i, j) pair sits at tensor index i * dim(B) + j. The eigenvalues are
+    clamped onto phi's domains as for `apply_function`; a non-finite grid
+    value raises DomainViolation.
+    """
+    lam, mu = _clamped(phi.domain_x, left[0]), _clamped(phi.domain_y, right[0])
+    grid = np.asarray(phi.fn(lam[..., :, None], mu[..., None, :]), dtype=float)
+    grid = grid.reshape(grid.shape[:-2] + (-1,))
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        raise DomainViolation(float(_first(grid, bad)), (phi.domain_x, phi.domain_y))
+    u, v = left[1], right[1]
+    w = (u[..., :, None, :, None] * v[..., None, :, None, :]).reshape(grid.shape + grid.shape[-1:])
+    return hermitian_part((w * grid[..., None, :]) @ adjoint(w))
+
+
+def congruence(c, x):
+    """C* X C, symmetrized, for every pair of the stack; C may be rectangular."""
+    return hermitian_part(adjoint(c) @ x @ c)
+
+
+def singular_values(x):
+    """Singular values of every matrix of the stack, descending: the
+    eigenvalues of (X* X)^{1/2}, clipped at zero before the root."""
+    try:
+        gram = np.linalg.eigvalsh(adjoint(x) @ x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular value computation failed: {exc}") from exc
+    return np.sqrt(np.clip(gram, 0.0, None))[..., ::-1]
 
 
 def loewner(lhs, rhs, tol):

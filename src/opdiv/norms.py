@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, NumericalFailure, ShapeMismatch
+from . import kernels
+from .errors import BadK, ShapeMismatch
 from .hermitian import HermitianMatrix, ToleranceConfig
 
 
@@ -42,12 +43,7 @@ def singular_values(a) -> SingularSpectrum:
     before the square root; for Hermitian input this equals the sorted
     absolute eigenvalues.
     """
-    arr = _as_array(a)
-    try:
-        gram = np.linalg.eigvalsh(arr.conj().T @ arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"singular value computation failed: {exc}") from exc
-    vals = np.sqrt(np.clip(gram, 0.0, None))[::-1].copy()
+    vals = kernels.singular_values(_as_array(a)).copy()
     vals.flags.writeable = False
     return SingularSpectrum(vals)
 

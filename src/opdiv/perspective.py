@@ -19,8 +19,6 @@ from .errors import (
     DerivativeRequired,
     DomainViolation,
     EmptyField,
-    NonPositiveH,
-    NotPositiveDefinite,
     NotProbability,
     ShapeMismatch,
     SizeLimit,
@@ -30,11 +28,8 @@ from .hermitian import (
     KRON_CAP,
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    apply_function,
-    hermitian_part,
     matrix_from_json,
     matrix_to_json,
-    spectral_decompose,
 )
 from .kernels import CONDITION_CAP
 
@@ -191,14 +186,9 @@ def f_delta_h(
 
     With h = identity this reduces exactly to the perspective of f.
     """
-    if not h.flags.strictly_positive:
-        raise NonPositiveH(f"h = {h.id!r} is not flagged strictly positive")
-    h_of_r = apply_function(h, right)
-    try:
-        h_pd = PositiveDefiniteMatrix(h_of_r)
-    except NotPositiveDefinite as exc:
-        raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
-    return perspective(f, left, h_pd)
+    if left.dim != right.dim:
+        raise ShapeMismatch(f"dimension mismatch {left.dim} vs {right.dim}")
+    return HermitianMatrix._wrap(kernels.f_delta_h(f, h, left.entries, right.entries))
 
 
 def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
@@ -233,11 +223,15 @@ def f_nabla_h(
         raise NotProbability("p and q must match the field length")
     if np.any((p > 0) & (q == 0)):
         raise NotProbability("q must be positive wherever p is positive")
+    # The terms with p_i > 0, in stacks of entries (`kernels.chunks`).
+    terms = [(a, b, p_i, q_i) for (_, a, b), p_i, q_i in zip(field, p, q) if p_i != 0]
     total = np.zeros((field.dim, field.dim), dtype=complex)
-    for (_, a, b), p_i, q_i in zip(field, p, q):
-        if p_i == 0:
-            continue
-        total += p_i * f_delta_h(f, h, a, q_i * b.base).entries
+    for span in kernels.chunks(len(terms), field.dim):
+        chunk = terms[span.start : span.stop]
+        lefts = kernels.stack([a.entries for a, _, _, _ in chunk])
+        rights = kernels.stack([b.entries * float(q_i) for _, b, _, q_i in chunk])
+        for (_, _, p_i, _), value in zip(chunk, kernels.f_delta_h(f, h, lefts, rights)):
+            total += p_i * value
     return HermitianMatrix._wrap(total)
 
 
@@ -251,22 +245,13 @@ def bivariate_calculus(
 
     With A = U diag(lam) U* and B = V diag(mu) V*, returns
     (U (x) V) diag(phi(lam_i, mu_j)) (U (x) V)* with the (i, j) pair at
-    tensor index i * dim(B) + j.
+    tensor index i * dim(B) + j (`kernels.bivariate`).
     """
     total = a.dim * b.dim
     if total > size_cap:
         raise SizeLimit(f"tensor dimension {total} exceeds cap {size_cap}")
-    da = spectral_decompose(a)
-    db = spectral_decompose(b)
-    clamp_a = 1e-9 * max(1.0, float(np.max(np.abs(da.eigenvalues))))
-    clamp_b = 1e-9 * max(1.0, float(np.max(np.abs(db.eigenvalues))))
-    lam = phi.domain_x.clamp_spectrum(da.eigenvalues, clamp_a)
-    mu = phi.domain_y.clamp_spectrum(db.eigenvalues, clamp_b)
-    grid = np.asarray(phi.fn(lam[:, None], mu[None, :]), dtype=float).reshape(-1)
-    if not np.all(np.isfinite(grid)):
-        raise DomainViolation(float(grid[~np.isfinite(grid)][0]), (phi.domain_x, phi.domain_y))
-    w = np.kron(da.unitary, db.unitary)
-    return hermitian_part((w * grid) @ w.conj().T)
+    left, right = kernels.decompose(a.entries), kernels.decompose(b.entries)
+    return HermitianMatrix._wrap(kernels.bivariate(phi, left, right))
 
 
 def tangent_point(f: ScalarOperatorFunction) -> tuple[float, float]:

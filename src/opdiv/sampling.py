@@ -1,16 +1,16 @@
 """Deterministic instance generation for the check registry.
 
 Per-trial RNG streams, the spectrum windows of the Hermitian and
-positive slots, the draws of random matrices and congruence families,
-and the function pools that the checks cycle through. A draw makes its
-RNG calls in a fixed order, so every instance is fully determined by
-(seed, check id, trial index).
+positive slots, the draws of random matrices and subunital single maps,
+the normalization of congruence families, and the function pools that
+the checks cycle through. A draw makes its RNG calls in a fixed order,
+so every instance is fully determined by (seed, check id, trial index).
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .funcatalog import (
     builtin,
     sampling_window,
 )
-from .hermitian import HermitianMatrix, PositiveDefiniteMatrix, complex_gaussian
+from .hermitian import complex_gaussian, draw_spectrum
 from .perspective import BivariateSpec
-from .posmap import Compression, Congruence, MapSum, ScaledMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lab import GenConfig
@@ -36,20 +35,17 @@ def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
 
 
-def _capped_spectrum(rng, dim: int, lo: float, hi: float, cond_cap: float) -> tuple:
-    """`draw_spectrum` with the eigenvalues raised to lambda_max / cond_cap."""
-    lam = rng.uniform(lo, hi, dim)
-    lam = np.maximum(lam, lam.max() / cond_cap)
-    return lam, complex_gaussian(rng, dim, dim)
-
-
-def _pd_from(rng, dim: int, lo: float, hi: float, cond_cap: float) -> PositiveDefiniteMatrix:
-    if lo <= 0:
-        raise BadRange(f"positive-definite sampling needs lo > 0, got {lo}")
+def _spectrum(rng, dim: int, lo: float, hi: float, cond_cap=None) -> tuple:
+    """`draw_spectrum`, with the eigenvalues raised to lambda_max / cond_cap
+    if given. For lo == hi, the draws of lo * I without drawing anything,
+    as `hermitian_from_rng` does: a zero Gaussian carries the identity as
+    eigenvectors, so `K.from_spectrum` builds lo * I exactly."""
     if lo == hi:
-        return PositiveDefiniteMatrix(HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex)))
-    spectrum = _capped_spectrum(rng, dim, lo, hi, cond_cap)
-    return PositiveDefiniteMatrix(HermitianMatrix._wrap(K.from_spectrum(*spectrum)))
+        return np.full(dim, float(lo)), np.zeros((dim, dim), dtype=complex)
+    lam, gaussian = draw_spectrum(rng, dim, lo, hi)
+    if cond_cap is not None:
+        lam = np.maximum(lam, lam.max() / cond_cap)
+    return lam, gaussian
 
 
 def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
@@ -70,15 +66,10 @@ def _b_window(cfg: GenConfig) -> tuple:
     return wlo, hi
 
 
-def _draw_b(rng, cfg: GenConfig) -> PositiveDefiniteMatrix:
-    """Positive-definite matrix with spectrum in the b window."""
-    blo, bhi = _b_window(cfg)
-    return _pd_from(rng, cfg.dim, blo, bhi, cfg.condition_cap)
-
-
 def _b_spectrum(rng, cfg: GenConfig) -> tuple:
-    """The draws of `_draw_b`, for `K.from_spectrum`."""
-    return _capped_spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
+    """The draws of a positive-definite matrix with spectrum in the b
+    window, for `K.from_spectrum`."""
+    return _spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
 
 
 def _prob_vector(rng, n: int) -> np.ndarray:
@@ -109,26 +100,29 @@ def _normalized(weights, cs, shrinks=None):
     return maps
 
 
-def _congruence_family(rng, k: int, in_dim: int, out_dim: int, weights, shrinks=None):
-    """Congruence maps with sum_i w_i Phi_i(I) = I, optionally shrunk per map."""
-    cs = np.array([complex_gaussian(rng, in_dim, out_dim) for _ in range(k)])
-    weights = np.asarray(weights, dtype=float)
-    return [Congruence(m) for m in _normalized(weights, cs, shrinks)]
+class _Map(NamedTuple):
+    """The draws of a subunital single map: a contraction (variant 0: a
+    Gaussian, and the factor on its spectral norm), a compression (1:
+    indices, scale) or a scaled sum of congruences (2: two Gaussians)."""
+
+    variant: int
+    c: Optional[np.ndarray]
+    ix: Optional[np.ndarray]
+    scale: float
 
 
-def _single_subunital_map(rng, dim: int, variant: int):
+def _draw_single_map(rng, dim: int, variant: int) -> _Map:
     """One subunital positive map: contraction, compression, or scaled sum."""
     variant = variant % 3
     if variant == 0:
-        c = complex_gaussian(rng, dim, dim)
-        c = c / (np.linalg.norm(c, 2) * rng.uniform(1.0, 1.8))
-        return Congruence(c)
+        c = complex_gaussian(rng, dim, dim)[None]
+        return _Map(0, c, None, float(rng.uniform(1.0, 1.8)))
     if variant == 1:
         k = int(rng.integers(1, dim + 1))
         ix = np.sort(rng.choice(dim, size=k, replace=False))
-        return Compression(dim, ix.tolist(), float(rng.uniform(0.3, 1.0)))
-    parts = _congruence_family(rng, 2, dim, dim, (1.0, 1.0))
-    return ScaledMap(MapSum(parts), float(rng.uniform(0.4, 1.0)))
+        return _Map(1, None, ix, float(rng.uniform(0.3, 1.0)))
+    c = np.array([complex_gaussian(rng, dim, dim) for _ in range(2)])
+    return _Map(2, c, None, float(rng.uniform(0.4, 1.0)))
 
 
 # ---------------------------------------------------------------------------

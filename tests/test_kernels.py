@@ -26,7 +26,7 @@ from opdiv.hermitian import (
     apply_function,
     loewner_compare,
 )
-from opdiv.lab import GenConfig, run_check
+from opdiv.lab import GenConfig, check_ids, run_check
 from opdiv.perspective import WeightedOperatorField, perspective, theta_divergence
 
 
@@ -264,7 +264,8 @@ def test_theta_divergence_matches_entry_by_entry_sum(dim, size):
 
 
 # ---------------------------------------------------------------------------
-# Batching guard: eigensolver calls per check run do not grow with trials
+# Batching guards: eigensolver calls per check run do not grow with
+# trials, and tensor stacks keep the stack bound
 # ---------------------------------------------------------------------------
 
 
@@ -285,7 +286,34 @@ def _eig_calls(monkeypatch, check_id, gen) -> int:
     return calls[0]
 
 
-def test_thm2_1_eig_calls_do_not_grow_with_trials(monkeypatch):
-    few = _eig_calls(monkeypatch, "THM2_1", GenConfig(dim=3, seed=1, trials=100))
-    many = _eig_calls(monkeypatch, "THM2_1", GenConfig(dim=3, seed=1, trials=400))
+@pytest.mark.parametrize("check_id", check_ids())
+def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
+    """No check decomposes trial by trial: 400 trials (one chunk at dim 3)
+    make the eigensolver calls that 100 trials make."""
+    few = _eig_calls(monkeypatch, check_id, GenConfig(dim=3, seed=1, trials=100))
+    many = _eig_calls(monkeypatch, check_id, GenConfig(dim=3, seed=1, trials=400))
     assert few == many
+
+
+def test_tensor_stacks_stay_within_the_stack_bound(monkeypatch):
+    """LEMMA_JADJIT's dim**2 x dim**2 tensors are stacked by their own
+    size: at dim 8 one per call, and with room for 3 tensors at dim 2 no
+    call holds more, and the result is that of the unbounded stacks."""
+    stacks = []
+    real = kernels.bivariate
+
+    def counted(phi, left, right):
+        out = real(phi, left, right)
+        stacks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(kernels, "bivariate", counted)
+    run_check("LEMMA_JADJIT", GenConfig(dim=8, seed=2, trials=70))
+    assert {shape for shape in stacks} == {(1, 64, 64)} and len(stacks) == 70
+
+    gen = GenConfig(dim=2, seed=2, trials=40)
+    whole = run_check("LEMMA_JADJIT", gen)
+    stacks.clear()
+    monkeypatch.setattr(kernels, "STACK_ELEMENTS", 3 * 4**2)
+    assert run_check("LEMMA_JADJIT", gen) == whole
+    assert max(shape[0] for shape in stacks) == 3 and sum(shape[0] for shape in stacks) == 40

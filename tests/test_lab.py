@@ -7,7 +7,7 @@ import pytest
 from opdiv import batched, kernels, lab
 from opdiv.errors import BadRange, NumericalFailure, UnknownCheck
 from opdiv.funcatalog import builtin, quartic
-from opdiv.hermitian import HermitianMatrix, LoewnerRelation, LoewnerVerdict, ToleranceConfig
+from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import (
     GenConfig,
     check_description,
@@ -157,14 +157,21 @@ def test_reproduce_example_matches_and_perturbation_fails():
     ]
 
 
+def _one_trial(check_id, trial, gen, tol, function):
+    """One trial, drawn and evaluated as a batch of one: its worst margin,
+    violation flag and payload thunk."""
+    check = lab._REGISTRY[check_id]
+    record = check.draw(lab._trial_rng(gen.seed, check_id, trial), trial, gen, function)
+    worst, violated, payloads = check.evaluate([record], tol)
+    return float(worst[0]), bool(violated[0]), payloads[0]
+
+
 def _reference_check(check_id, gen, function=None):
     """Every trial run, every payload built, the first minimum taken."""
-    fn = lab._REGISTRY[check_id].fn
     outcomes = []
     for trial in range(gen.trials):
-        rng = lab._trial_rng(gen.seed, check_id, trial)
-        margins, payload = fn(rng, trial, gen, ToleranceConfig(), function)
-        outcomes.append((margins.worst, margins.violated, payload()))
+        worst, violated, payload = _one_trial(check_id, trial, gen, ToleranceConfig(), function)
+        outcomes.append((worst, violated, payload()))
     worst = min(range(len(outcomes)), key=lambda i: outcomes[i][0])
     violations = sum(1 for _, violated, _ in outcomes if violated)
     return violations, outcomes[worst][0], lab._digest(outcomes[worst][2])
@@ -186,22 +193,9 @@ def test_run_check_matches_eager_reference_loop(check_id, gen, function):
     assert (got.violations, got.worst_margin, got.instance_digest_of_worst) == want
 
 
-def test_nan_margin_counts_as_violation(monkeypatch):
-    scalar = lab._Margins(ToleranceConfig())
-    scalar.scalar_le(0.0, math.nan)
-    assert scalar.violated
-
-    nan_verdict = LoewnerVerdict(LoewnerRelation.INCOMPARABLE, math.nan, math.nan, 1e-8)
-    monkeypatch.setattr(lab, "loewner_compare", lambda lhs, rhs, tol: nan_verdict)
-    matrix = lab._Margins(ToleranceConfig())
-    eye = HermitianMatrix.identity(2)
-    matrix.loewner_le(eye, eye)
-    assert matrix.violated
-
-
 def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypatch):
-    """The batched checks fold their links with a strict `<` from inf: a
-    NaN margin flags its trial as violated but is never its worst margin."""
+    """Loewner and scalar links fold with a strict `<` from inf: a NaN
+    margin flags its trial as violated but is never its worst margin."""
     low = np.array(
         [
             [0.5, math.nan, 0.25],
@@ -211,27 +205,38 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
             [0.0, -0.0, 1.0],
         ]
     )
+    want_worst = [0.25, math.inf, -1.0, 0.25, 0.0]
+    want_violated = [True, True, True, False, False]
     used = np.full_like(low, 1e-8)
     monkeypatch.setattr(kernels, "loewner", lambda lhs, rhs, tol: (low, -low, used))
     link = (np.zeros((5, 2, 2)), np.zeros((5, 2, 2)))
     worst, violated = batched._links(ToleranceConfig(), link, link, link)
-    assert worst.tolist() == [0.25, math.inf, -1.0, 0.25, 0.0]
+    assert worst.tolist() == want_worst
     assert math.copysign(1, worst[4]) == 1  # the first of equal margins
-    assert violated.tolist() == [True, True, True, False, False]
+    assert violated.tolist() == want_violated
+
+    # Scalar links: margin rhs - lhs, so lhs = 0 gives the margins above,
+    # and a NaN side makes a NaN margin.
+    worst, violated = batched._scalar_links(ToleranceConfig(), np.zeros_like(low), low)
+    assert worst.tolist() == want_worst
+    assert violated.tolist() == want_violated
+    lhs = np.array([[0.0, math.nan]])
+    worst, violated = batched._scalar_links(ToleranceConfig(), lhs, np.ones((1, 2)))
+    assert (worst.tolist(), violated.tolist()) == ([1.0], [True])
 
 
-def test_held_check_raises_the_first_failing_trials_error(monkeypatch):
-    """A held check that raises mid-chunk raises what the loop over single
-    trials raises: the first failing trial's error, not one from a rerun."""
-    real = lab.perspective
+def test_stacked_check_raises_the_first_failing_trials_error(monkeypatch):
+    """A check whose stacked evaluation raises mid-chunk raises what the
+    loop over single trials raises: the first failing trial's own error."""
+    real = kernels.perspective
 
-    def refusing(f, left, right, *args):
-        x = float(left.entries[0, 0].real)
-        if x > 3.0:
-            raise NumericalFailure(f"perspective refused L[0, 0] = {x!r}")
-        return real(f, left, right, *args)
+    def refusing(f, left, right, *args, **kwargs):
+        corner = left[..., 0, 0].real
+        if np.any(corner > 3.0):
+            raise NumericalFailure(f"perspective refused L[0, 0] = {corner[corner > 3.0][0]!r}")
+        return real(f, left, right, *args, **kwargs)
 
-    monkeypatch.setattr(lab, "perspective", refusing)
+    monkeypatch.setattr(kernels, "perspective", refusing)
     gen = GenConfig(dim=2, seed=5, trials=40)
     with pytest.raises(NumericalFailure) as want:
         _reference_check("COR2_7_SINGLE", gen)
@@ -240,26 +245,11 @@ def test_held_check_raises_the_first_failing_trials_error(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-_BATCHED = [cid for cid in check_ids() if lab._REGISTRY[cid].evaluate is not lab._run_held]
+# Checks whose trials all draw one shape, so they evaluate as one group.
+_ONE_SHAPE = {"COR2_9_VECTOR", "THM3_8_NORM", "LEMMA_JADJIT", "KL_SUITE", "EX3_3_EXACT"}
 
 
-def test_batched_checks_are_the_field_mixture_and_jensen_chain_checks():
-    assert sorted(_BATCHED) == sorted(
-        [
-            "THM2_1",
-            "COR2_2_SUBADD",
-            "COR2_2_II",
-            "COR2_3_SPLIT",
-            "THM2_4_MIXTURE",
-            "THM2_12_GRAD",
-            "THM3_1_CHAIN",
-            "THM3_1_II",
-            "COR3_4_ISOM",
-        ]
-    )
-
-
-@pytest.mark.parametrize("check_id", _BATCHED)
+@pytest.mark.parametrize("check_id", check_ids())
 @pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
 def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
@@ -272,12 +262,13 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
         check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
         for t in range(gen.trials)
     ]
-    assert len({r.a[0].shape for r in records}) > 1  # more than one shape group
+    groups = len({batched._shapes(r) for r in records})
+    assert (groups > 1) == (check_id not in _ONE_SHAPE)
     worst, violated, payloads = check.evaluate(records, tol)
     for t in range(gen.trials):
-        one, payload = check.fn(lab._trial_rng(gen.seed, check_id, t), t, gen, tol, function)
-        assert math.copysign(1, worst[t]) == math.copysign(1, one.worst)
-        assert (worst[t], violated[t]) == (one.worst, one.violated)
+        one_worst, one_violated, payload = _one_trial(check_id, t, gen, tol, function)
+        assert math.copysign(1, worst[t]) == math.copysign(1, one_worst)
+        assert (worst[t], violated[t]) == (one_worst, one_violated)
         assert lab._digest(payloads[t]()) == lab._digest(payload())
 
 
