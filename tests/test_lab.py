@@ -215,14 +215,24 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
     assert math.copysign(1, worst[4]) == 1  # the first of equal margins
     assert violated.tolist() == want_violated
 
-    # Scalar links: margin rhs - lhs, so lhs = 0 gives the margins above,
-    # and a NaN side makes a NaN margin.
+    # Scalar links: margin rhs - lhs, so lhs = 0 gives the margins above.
     worst, violated = batched._scalar_links(ToleranceConfig(), np.zeros_like(low), low)
     assert worst.tolist() == want_worst
     assert violated.tolist() == want_violated
+
+
+def test_nan_margin_counts_as_violation(monkeypatch):
+    """A single NaN margin, scalar or Loewner, flags its trial as violated."""
     lhs = np.array([[0.0, math.nan]])
     worst, violated = batched._scalar_links(ToleranceConfig(), lhs, np.ones((1, 2)))
     assert (worst.tolist(), violated.tolist()) == ([1.0], [True])
+
+    nan = np.full((1, 1), math.nan)
+    used = np.full_like(nan, 1e-8)
+    monkeypatch.setattr(kernels, "loewner", lambda lhs, rhs, tol: (nan, nan, used))
+    eye = np.eye(2)[None]
+    worst, violated = batched._links(ToleranceConfig(), (eye, eye))
+    assert violated.tolist() == [True]
 
 
 def test_stacked_check_raises_the_first_failing_trials_error(monkeypatch):
