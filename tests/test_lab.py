@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -48,6 +49,32 @@ def test_random_hermitian_determinism_and_range():
     assert not np.array_equal(h1.entries, h3.entries)
     eigs = np.linalg.eigvalsh(h1.entries)
     assert eigs.min() >= 0.5 - 1e-9 and eigs.max() <= 2.0 + 1e-9
+
+
+# sha256 over entries.tobytes() of trials 0-2 at dims 2-8, seed 5, with
+# condition_cap 10 (which binds only random_pd's (0.1, 4) spectra).
+_GENERATOR_BITS = [
+    (random_hermitian, (0.1, 4.0), "fe2b9e9d9e69e9d09a9dc8148758b06ac46cde93820e5ff37e523902f61f01de"),
+    (random_hermitian, (-1.0, 0.2), "e71d32a2bd883c2a6516315ea2869c40a8a1e259ac3b91d574de1ce550cf3684"),
+    (random_hermitian, (1.0, 1.0), "b387a746b7f6e540ee3d1d59fa8f76460bb5e5d3be80ac3cdcb578e4cb2faefc"),
+    (random_hermitian, (-2.0, -0.5), "654b18e8f84e79b0d910268e9e4acd50d450120706fb75af887690d8890c0412"),
+    (random_pd, (0.1, 4.0), "dbb6adba66e6c71392e0661e45376af9e41fa1f3df3efef544c1ba612dc36281"),
+    (random_pd, (1.0, 1.0), "b387a746b7f6e540ee3d1d59fa8f76460bb5e5d3be80ac3cdcb578e4cb2faefc"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, spectrum_range, want",
+    _GENERATOR_BITS,
+    ids=[f"{g.__name__}{r}" for g, r, _ in _GENERATOR_BITS],
+)
+def test_generators_are_pinned_to_the_bit(generator, spectrum_range, want):
+    digest = hashlib.sha256()
+    for dim in range(2, 9):
+        cfg = GenConfig(dim=dim, spectrum_range=spectrum_range, seed=5, condition_cap=10.0)
+        for trial in range(3):
+            digest.update(generator(cfg, trial).entries.tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_random_pd_condition_cap_and_range_guard():
