@@ -7,13 +7,12 @@ shapes of their draws (field size, map count, map variant, output
 dimension) and never padded, pool functions are applied through index
 masks, and sums keep each check's own term order, so every margin has
 the bits of the one-trial-at-a-time computation. Loewner links and
-scalar links fold into a trial's worst margin and violation flag by one
-rule (`_fold`).
+scalar links fold into a trial's worst margin and violation flag by the
+rule that also folds the trials (`kernels.fold`).
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -106,8 +105,8 @@ def _shapes(record) -> tuple:
 def _by_shape(evaluate_group):
     """An evaluate that splits the trials into groups whose draws have one
     shape (`_shapes`), never padded, and runs `evaluate_group(group, tol)`
-    on each. If that raises, the error is the first failing trial's own
-    (`kernels.in_trial_order`)."""
+    on each. The trial loop (`kernels.run_trials`) calls it through
+    `kernels.in_trial_order`, so an error is the first failing trial's own."""
 
     def evaluate(records, tol):
         groups = {}
@@ -122,7 +121,7 @@ def _by_shape(evaluate_group):
                 payloads[i] = thunk
         return worst, violated, payloads
 
-    return partial(K.in_trial_order, evaluate)
+    return evaluate
 
 
 def _build(group, *slots) -> tuple:
@@ -186,30 +185,19 @@ def _quad(m, x) -> np.ndarray:
     return (x.conj()[..., None, :] @ m[:, None] @ x[..., :, None])[..., 0, 0].real
 
 
-def _fold(margins, used) -> tuple:
-    """Worst margin and violation flag of each trial over its (T, L)
-    margins, each held to the tolerance in `used`. Margins fold left to
-    right from inf with a strict `<`; a NaN margin is a violation and
-    never the worst."""
-    worst = np.full(len(margins), math.inf)
-    for j in range(margins.shape[1]):
-        worst = np.where(margins[:, j] < worst, margins[:, j], worst)
-    return worst, ~np.all(margins >= -used, axis=1)
-
-
 def _links(tol: ToleranceConfig, *links) -> tuple:
-    """`_fold` over the Loewner links lhs <= rhs: margin the smallest
+    """`kernels.fold` over the Loewner links lhs <= rhs: margin the smallest
     eigenvalue of rhs - lhs (`K.loewner`)."""
     lhs = np.stack([lhs for lhs, _ in links], axis=1)
     rhs = np.stack([rhs for _, rhs in links], axis=1)
     low, _, used = K.loewner(lhs, rhs, tol)
-    return _fold(low, used)
+    return K.fold(low, used)
 
 
 def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
-    """`_fold` over the scalar links lhs <= rhs, (T, L) each: margin
+    """`kernels.fold` over the scalar links lhs <= rhs, (T, L) each: margin
     rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
-    return _fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
+    return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
 
 
 def _family(w, maps, unital: bool):
@@ -803,7 +791,7 @@ def _eval_example(group, tol):
     """Entrywise match with the stored chain plus strictly positive chain
     gaps. The fixture reads no draw, so every trial has one outcome."""
     _, _, devs, low, used = _example(tol)
-    worst, violated = _fold(low[None], used[None])
+    worst, violated = K.fold(low[None], used[None])
     violated |= np.any(devs > 1e-9)
     payload = partial(_payload, fixture="compression_example", labels=list(_CHAIN_LABELS))
     return np.repeat(worst, len(group)), np.repeat(violated, len(group)), [payload] * len(group)

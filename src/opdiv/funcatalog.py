@@ -284,25 +284,23 @@ def convexity_falsifier(
 
     Samples Hermitian pairs with spectra inside dom(f) and random mixing
     ratios; a reported violation refutes the convexity claim, while a clean
-    report proves nothing.
+    report proves nothing. The trials run through the verification lab's
+    trial loop (`kernels.run_trials`), so a NaN margin is a violation and
+    never the worst, and worst_trial is 0 unless a margin is below inf.
     """
     if dim < 2:
         raise ValueError("falsifier needs dim >= 2")
     if trials < 1:
         raise ValueError("falsifier needs trials >= 1")
     lo, hi = sampling_window(f.domain)
-    worst = math.inf
-    worst_trial = -1
-    violations = 0
-    for chunk in kernels.chunks(trials, dim):
-        draws = [_convexity_draw(seed, trial, dim, lo, hi) for trial in chunk]
-        margins, tolerances = kernels.in_trial_order(_convexity_margins, draws, f, tol)
-        for trial, margin, used in zip(chunk, margins.tolist(), tolerances.tolist()):
-            if margin < worst:
-                worst = margin
-                worst_trial = trial
-            if margin < -used:
-                violations += 1
+    violations, worst, worst_trial, _ = kernels.run_trials(
+        trials,
+        dim,
+        lambda trial: _convexity_draw(seed, trial, dim, lo, hi),
+        _convexity_margins,
+        f,
+        tol,
+    )
     return FalsifierReport(f.id, dim, trials, violations, worst, worst_trial)
 
 
@@ -316,7 +314,8 @@ def _convexity_draw(seed, trial, dim, lo, hi):
 
 def _convexity_margins(draws, f, tol):
     """Margins of f(t A + (1 - t) B) <= t f(A) + (1 - t) f(B), stacked over
-    the drawn (A, B, t) triples, with the tolerance each is held to."""
+    the drawn (A, B, t) triples and folded (`kernels.fold`) into each
+    trial's margin and violation flag, with the draws as extras."""
     lam = np.array([[a[0], b[0]] for a, b, _ in draws])
     gaussian = np.array([[a[1], b[1]] for a, b, _ in draws])
     pairs = kernels.from_spectrum(lam, gaussian)
@@ -324,4 +323,4 @@ def _convexity_margins(draws, f, tol):
     t = np.array([t for _, _, t in draws])[:, None, None]
     f_a, f_b, lhs = kernels.apply_function(f, np.stack([a, b, a * t + b * (1.0 - t)]))
     low, _, used = kernels.loewner(lhs, f_a * t + f_b * (1.0 - t), tol)
-    return low, used
+    return *kernels.fold(low[:, None], used[:, None]), draws

@@ -158,7 +158,7 @@ class SpectralDecomposition:
 class PositiveDefiniteMatrix:
     """Hermitian matrix whose smallest eigenvalue clears the strict floor."""
 
-    __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number", "_sqrt_pair")
+    __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number")
 
     def __init__(self, base):
         if not isinstance(base, HermitianMatrix):
@@ -170,7 +170,6 @@ class PositiveDefiniteMatrix:
         self._decomp = SpectralDecomposition(_frozen(vals), _frozen(vecs))
         self._min_eigenvalue = lam_min
         self._condition_number = lam_max / lam_min
-        self._sqrt_pair = None
 
     @property
     def base(self) -> HermitianMatrix:
@@ -198,25 +197,9 @@ class PositiveDefiniteMatrix:
 
     def sqrt_pair(self) -> tuple[HermitianMatrix, HermitianMatrix]:
         """(R^{1/2}, R^{-1/2}) from one shared spectral decomposition."""
-        if self._sqrt_pair is None:
-            d = self._decomp
-            half, inv_half = kernels.sqrt_pair(d.eigenvalues, d.unitary)
-            self._sqrt_pair = (HermitianMatrix._wrap(half), HermitianMatrix._wrap(inv_half))
-        return self._sqrt_pair
-
-    @staticmethod
-    def stacked_sqrt_pairs(matrices: Sequence["PositiveDefiniteMatrix"]) -> tuple:
-        """The `sqrt_pair` of each matrix, as two stacked arrays. Pairs not
-        yet cached are computed in one kernel call and cached."""
-        missing = [m for m in matrices if m._sqrt_pair is None]
-        if missing:
-            half, inv_half = kernels.sqrt_pair(
-                kernels.stack([m._decomp.eigenvalues for m in missing]),
-                kernels.stack([m._decomp.unitary for m in missing]),
-            )
-            for m, h, ih in zip(missing, half, inv_half):
-                m._sqrt_pair = (HermitianMatrix._wrap(h), HermitianMatrix._wrap(ih))
-        return tuple(kernels.stack([m._sqrt_pair[i].entries for m in matrices]) for i in (0, 1))
+        d = self._decomp
+        half, inv_half = kernels.sqrt_pair(d.eigenvalues, d.unitary)
+        return HermitianMatrix._wrap(half), HermitianMatrix._wrap(inv_half)
 
     def __repr__(self) -> str:
         return (
@@ -332,17 +315,6 @@ def draw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> t
     the eigenvectors. `kernels.from_spectrum` builds the matrices, so a
     stack of draws is diagonalized in one call."""
     return rng.uniform(lo, hi, dim), complex_gaussian(rng, dim, dim)
-
-
-def hermitian_from_rng(rng: np.random.Generator, dim: int, lo: float, hi: float) -> HermitianMatrix:
-    """Random Hermitian matrix with a uniform spectrum in [lo, hi].
-
-    The eigenvalues are drawn before the unitary; lo == hi gives lo * I
-    without drawing anything.
-    """
-    if lo == hi:
-        return HermitianMatrix._wrap(lo * np.eye(dim, dtype=complex))
-    return HermitianMatrix._wrap(kernels.from_spectrum(*draw_spectrum(rng, dim, lo, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ axes, `(..., n, n)`, and treats the leading axes as a batch: one call
 decomposes, transforms or compares a whole stack of matrices. The
 objects in `hermitian`, `perspective` and `norms` are validating facades
 over these kernels, and the verification lab evaluates all trials of a
-check through them at once.
+check through them at once. `run_trials` is the one trial loop of the
+lab's checks and of the convexity falsifier.
 
 LAPACK and matmul work matrix by matrix, so a stacked call gives the
 same bits as the same call on each matrix alone, and batching never
@@ -280,9 +281,22 @@ def loewner(lhs, rhs, tol):
     spectral norm of the two sides. One eigvalsh call over the stack
     [rhs - lhs, lhs, rhs] gives all three.
     """
-    eig = np.linalg.eigvalsh(np.stack([rhs - lhs, lhs, rhs]))
+    try:
+        eig = np.linalg.eigvalsh(np.stack([rhs - lhs, lhs, rhs]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Loewner comparison failed: {exc}") from exc
     scale = _pymax(np.max(np.abs(eig[1]), axis=-1), np.max(np.abs(eig[2]), axis=-1))
     return eig[0, ..., 0], -eig[0, ..., -1], tol.at_scale(scale)
+
+
+def fold(margins, used) -> tuple:
+    """Worst margin and violation flag of each row of (T, L) margins, each
+    held to the tolerance in `used`. Margins fold left to right from inf
+    with a strict `<`; a NaN margin is a violation and never the worst."""
+    worst = np.full(len(margins), math.inf)
+    for j in range(margins.shape[1]):
+        worst = np.where(margins[:, j] < worst, margins[:, j], worst)
+    return worst, ~np.all(margins >= -used, axis=1)
 
 
 def stack(arrays):
@@ -315,3 +329,27 @@ def in_trial_order(evaluate, records, *args):
         for record in records:
             evaluate([record], *args)
         raise
+
+
+def run_trials(count: int, dim: int, draw, evaluate, *args) -> tuple:
+    """The trial loop: trials 0 .. count - 1 of dim x dim matrices.
+
+    Each chunk of trials (`chunks`) is drawn serially, `draw(trial)` per
+    trial, and evaluated at once through `in_trial_order`:
+    `evaluate(records, *args)` returns each trial's worst margin,
+    violation flag and an extra, such as a payload thunk. The trials fold
+    by `fold`'s rule: strict `<` from inf, so the first of equal margins
+    is the worst and trial 0 stands until one is smaller, and a NaN
+    margin is never the worst. Returns the violation count, the worst
+    margin, that trial's index and its extra.
+    """
+    violations, worst_margin, worst_trial, worst_extra = 0, math.inf, 0, None
+    for chunk in chunks(count, dim):
+        worst, violated, extras = in_trial_order(evaluate, [draw(t) for t in chunk], *args)
+        violations += int(np.count_nonzero(violated))
+        if chunk.start == 0:
+            worst_extra = extras[0]
+        for trial, margin, extra in zip(chunk, worst.tolist(), extras):
+            if margin < worst_margin:
+                worst_margin, worst_trial, worst_extra = margin, trial, extra
+    return violations, worst_margin, worst_trial, worst_extra

@@ -1,4 +1,4 @@
-"""The inequality check registry and the trial loop that runs it.
+"""The inequality check registry and the runner of its checks.
 
 Every registered check draws random instances from a per-trial RNG stream
 keyed by (seed, check id, trial index), builds both sides of one operator
@@ -6,14 +6,15 @@ inequality, and records the worst Loewner (or scalar) margin. A violation
 is a margin below the combined abs+rel tolerance; near-zero margins count
 as equality because several of the inequalities degenerate to equalities
 for affine f. A check's `draw` runs serially per trial, and its stacked
-`evaluate` (both in `batched`) takes a chunk of draws at once.
+`evaluate` (both in `batched`) takes a chunk of draws at once; the trial
+loop that drives them (`kernels.run_trials`) is the one the convexity
+falsifier runs too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +31,6 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     ToleranceConfig,
     array_to_rows,
-    hermitian_from_rng,
 )
 from .sampling import _spectrum, _trial_rng
 
@@ -116,23 +116,27 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
-    """Random Hermitian matrix with spectrum inside cfg.spectrum_range.
+def _random_matrix(cfg: GenConfig, trial: int, cond_cap=None) -> HermitianMatrix:
+    """`sampling._spectrum` in cfg.spectrum_range, built by `K.from_spectrum`.
 
     Fully determined by (cfg.seed, trial) and the draw order inside.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    return hermitian_from_rng(rng, cfg.dim, *cfg.spectrum_range)
+    spectrum = _spectrum(rng, cfg.dim, *cfg.spectrum_range, cond_cap)
+    return HermitianMatrix._wrap(K.from_spectrum(*spectrum))
+
+
+def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
+    """Random Hermitian matrix with spectrum inside cfg.spectrum_range."""
+    return _random_matrix(cfg, trial)
 
 
 def random_pd(cfg: GenConfig, trial: int) -> PositiveDefiniteMatrix:
     """Random strictly positive matrix; condition number capped by rescaling."""
-    lo, hi = cfg.spectrum_range
+    lo = cfg.spectrum_range[0]
     if lo <= 0:
         raise BadRange(f"random_pd needs spectrum_range.lo > 0, got {lo}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    spectrum = _spectrum(rng, cfg.dim, lo, hi, cfg.condition_cap)
-    return PositiveDefiniteMatrix(HermitianMatrix._wrap(K.from_spectrum(*spectrum)))
+    return PositiveDefiniteMatrix(_random_matrix(cfg, trial, cfg.condition_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +151,13 @@ class _Check:
     `draw(rng, trial, cfg, f_over)` makes one trial's RNG calls and
     returns its record. `evaluate(records, tol)` returns the per-trial
     worst margins, violation flags and payload thunks of a list of
-    records. `fixed` marks a check that reads none of its arguments, so
-    every trial has the same outcome.
+    records. Every check runs all of its trials, including EX3_3_EXACT,
+    whose fixture reads no draw.
     """
 
     draw: Callable
     evaluate: Callable
     description: str
-    fixed: bool = False
 
 
 _REGISTRY: dict[str, _Check] = {
@@ -199,14 +202,10 @@ _REGISTRY: dict[str, _Check] = {
          "operator relative-entropy sum bound and tangent bounds"),
         ("SCALAR_CSISZAR", B._draw_scalar_csiszar, B._eval_scalar_csiszar,
          "dimension-one reduction to the scalar divergence sum"),
+        ("EX3_3_EXACT", lambda *draw_args: (), B._eval_example,
+         "exact compression-example fixture with strict chain gaps"),
     )
 }
-_REGISTRY["EX3_3_EXACT"] = _Check(
-    lambda *draw_args: (),
-    B._by_shape(B._eval_example),
-    "exact compression-example fixture with strict chain gaps",
-    fixed=True,
-)
 
 
 def check_ids() -> list[str]:
@@ -243,29 +242,14 @@ def run_check(
     candidates are falsified.
     """
     check = _check(check_id)
-    # A fixed check gives the same outcome on every trial: run it once.
-    runs = 1 if check.fixed else gen.trials
-    violations = 0
-    worst_margin, worst_payload = math.inf, None
-    # Trials are drawn and evaluated in chunks that one stacked call takes,
-    # so memory stays bounded however many trials run.
-    for chunk in K.chunks(runs, gen.dim):
-        records = [
-            check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function)
-            for trial in chunk
-        ]
-        worst, violated, payloads = check.evaluate(records, tol)
-        violations += int(np.count_nonzero(violated))
-        if chunk.start == 0:
-            worst_payload = payloads[0]
-        # Strict `<` from inf keeps the first trial among equal margins, and
-        # trial 0 stands until one is smaller; only the worst trial's
-        # payload is ever built.
-        for margin, payload in zip(worst.tolist(), payloads):
-            if margin < worst_margin:
-                worst_margin, worst_payload = margin, payload
-    if check.fixed:
-        violations *= gen.trials
+    # Only the worst trial's payload thunk is ever called.
+    violations, worst_margin, _, worst_payload = K.run_trials(
+        gen.trials,
+        gen.dim,
+        lambda trial: check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function),
+        check.evaluate,
+        tol,
+    )
     return CheckResult(
         check_id=check_id,
         trials=gen.trials,

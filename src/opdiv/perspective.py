@@ -134,15 +134,8 @@ def perspective(
     if left.dim != right.dim:
         raise ShapeMismatch(f"dimension mismatch {left.dim} vs {right.dim}")
     d = right.decomposition
-    half, inv_half = right.sqrt_pair()
     return HermitianMatrix._wrap(
-        kernels.perspective(
-            f,
-            left.entries,
-            (d.eigenvalues, d.unitary),
-            condition_cap,
-            roots=(half.entries, inv_half.entries),
-        )
+        kernels.perspective(f, left.entries, (d.eigenvalues, d.unitary), condition_cap)
     )
 
 
@@ -153,23 +146,20 @@ def theta_divergence(
 
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
-    stacks of entries (`kernels.chunks`) and summed in field order. Each
-    B's square roots are computed once and cached, as `perspective` does.
+    stacks of entries (`kernels.chunks`) and summed in field order.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
     total = np.zeros((field.dim, field.dim), dtype=complex)
     for span in kernels.chunks(field.size, field.dim):
         chunk = field.entries[span.start : span.stop]
-        rights = [b for _, _, b in chunk]
         terms = kernels.perspective(
             f,
             kernels.stack([a.entries for _, a, _ in chunk]),
             (
-                kernels.stack([b.decomposition.eigenvalues for b in rights]),
-                kernels.stack([b.decomposition.unitary for b in rights]),
+                kernels.stack([b.decomposition.eigenvalues for _, _, b in chunk]),
+                kernels.stack([b.decomposition.unitary for _, _, b in chunk]),
             ),
-            roots=PositiveDefiniteMatrix.stacked_sqrt_pairs(rights),
         )
         for (w, _, _), term in zip(chunk, terms):
             total += w * term

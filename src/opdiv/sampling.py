@@ -37,9 +37,10 @@ def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
 
 def _spectrum(rng, dim: int, lo: float, hi: float, cond_cap=None) -> tuple:
     """`draw_spectrum`, with the eigenvalues raised to lambda_max / cond_cap
-    if given. For lo == hi, the draws of lo * I without drawing anything,
-    as `hermitian_from_rng` does: a zero Gaussian carries the identity as
-    eigenvectors, so `K.from_spectrum` builds lo * I exactly."""
+    if given. For lo == hi, the draws of lo * I without drawing anything:
+    a zero Gaussian carries the identity as eigenvectors, so
+    `K.from_spectrum` builds lo * I exactly. `lab.random_hermitian` and
+    `lab.random_pd` draw through it too."""
     if lo == hi:
         return np.full(dim, float(lo)), np.zeros((dim, dim), dtype=complex)
     lam, gaussian = draw_spectrum(rng, dim, lo, hi)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,29 @@ def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, w
     f = quartic() if func_id == "quartic" else builtin(func_id, params)
     report = convexity_falsifier(f, dim=dim, trials=300, seed=3)
     assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
+
+
+def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkeypatch):
+    """The falsifier folds its trials as the lab does: a NaN margin on the
+    clean run's worst trial makes that trial a violation, and the worst
+    trial becomes another one."""
+    clean = convexity_falsifier(builtin("square"), dim=2, trials=300, seed=3)
+    assert clean.violations == 0
+    real = kernels.loewner
+    seen = []
+
+    def nan_on_worst_trial(lhs, rhs, tol):
+        low, high, used = real(lhs, rhs, tol)
+        trials = np.arange(len(seen), len(seen) + len(low))
+        seen.extend(trials)
+        return np.where(trials == clean.worst_trial, math.nan, low), high, used
+
+    monkeypatch.setattr(kernels, "loewner", nan_on_worst_trial)
+    report = convexity_falsifier(builtin("square"), dim=2, trials=300, seed=3)
+    assert len(seen) == 300
+    assert report.violations == 1
+    assert report.worst_trial != clean.worst_trial
+    assert clean.worst_margin < report.worst_margin < math.inf
 
 
 def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):

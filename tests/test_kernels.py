@@ -16,8 +16,16 @@ from hypothesis import strategies as st
 
 from conftest import make_herm, make_pd
 from opdiv import kernels, sampling
-from opdiv.errors import DomainViolation
-from opdiv.funcatalog import Interval, builtin, from_spec, quartic, sampling_window
+from opdiv.errors import DomainViolation, NumericalFailure
+from opdiv.funcatalog import (
+    Interval,
+    ScalarOperatorFunction,
+    builtin,
+    convexity_falsifier,
+    from_spec,
+    quartic,
+    sampling_window,
+)
 from opdiv.hermitian import (
     HermitianMatrix,
     LoewnerRelation,
@@ -93,6 +101,22 @@ def test_stacked_loewner_matches_pair_by_pair(dim):
         want = _three_call_verdict(HermitianMatrix._wrap(lhs[i]), HermitianMatrix._wrap(rhs[i]), tol)
         got = (float(low[i]), float(high[i]), float(used[i]))
         assert _bits(got) == _bits((want.margin_low, want.margin_high, want.tolerance_used))
+
+
+def test_loewner_solver_failure_is_a_numerical_failure():
+    """A function whose values reach 1.5e308 overflows the Loewner
+    comparison to non-finite matrices, where eigvalsh does not converge.
+    That surfaces as NumericalFailure, in the falsifier and in a check."""
+    big = ScalarOperatorFunction(
+        id="big",
+        domain=Interval.real_line(),
+        eval=lambda t: 1.5e308 * np.tanh(np.asarray(t, float)) ** 2,
+    )
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+            convexity_falsifier(big, dim=3, trials=50, seed=1)
+        with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+            run_check("THM2_1", GenConfig(dim=3, trials=20), function=big)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,20 @@ def test_exact_fixture_margins():
     assert result.worst_margin >= 0.1
 
 
+@pytest.mark.parametrize("trials", [1, 1000])
+def test_exact_fixture_violates_on_every_trial_when_perturbed(trials, monkeypatch):
+    """EX3_3_EXACT runs every trial like the other checks: a perturbed
+    fixture violates on each of them, and trial 0 is the worst."""
+    real = batched._example
+    monkeypatch.setattr(batched, "_example", lambda tol: real(tol, perturbation=1.0))
+    gen = GenConfig(dim=3, seed=0, trials=trials)
+    worst, violated, payload = _one_trial("EX3_3_EXACT", 0, gen, ToleranceConfig(), None)
+    assert violated and worst < 0
+    result = run_check("EX3_3_EXACT", gen)
+    assert (result.violations, result.worst_margin) == (trials, worst)
+    assert result.instance_digest_of_worst == lab._digest(payload())
+
+
 def test_registry_covers_expected_ids():
     ids = check_ids()
     assert len(ids) == 20
@@ -246,6 +260,24 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
     worst, violated = batched._scalar_links(ToleranceConfig(), np.zeros_like(low), low)
     assert worst.tolist() == want_worst
     assert violated.tolist() == want_violated
+
+    # The trial loop folds the trials by the same rule, across chunks of
+    # two trials: the first of equal margins is the worst, a NaN margin is
+    # a violation and never the worst, and trial 0 stands when no margin
+    # is below inf.
+    monkeypatch.setattr(kernels, "STACK_ELEMENTS", 2 * 2**2)
+
+    def run(margins):
+        def evaluate(records):
+            worst = np.array([margins[t] for t in records])
+            return worst, ~(worst >= -1e-8), [f"extra {t}" for t in records]
+
+        return kernels.run_trials(len(margins), 2, lambda trial: trial, evaluate)
+
+    assert run([math.nan, 0.5, -1.0, math.nan, -1.0]) == (4, -1.0, 2, "extra 2")
+    assert run([0.0, 0.5, -0.0]) == (0, 0.0, 0, "extra 0")
+    assert run([math.nan, math.inf, math.nan]) == (2, math.inf, 0, "extra 0")
+    assert run([math.inf, math.inf, 3.0]) == (0, 3.0, 2, "extra 2")
 
 
 def test_nan_margin_counts_as_violation(monkeypatch):
