@@ -1,12 +1,13 @@
 """The draws and stacked evaluations of the registered checks.
 
 Each check is a `draw`, run serially per trial, that makes only the RNG
-calls of that trial, and an `evaluate` that builds and compares every
-trial on stacked arrays through `kernels`. Trials are grouped by the
-shapes of their draws (field size, map count, map variant, output
-dimension) and never padded, pool functions are applied through index
-masks, and sums keep each check's own term order, so every margin has
-the bits of the one-trial-at-a-time computation. Loewner links and
+calls of that trial and keeps their output as it comes, and an
+`evaluate` that builds and compares every trial on stacked arrays
+through `kernels`. Trials are grouped by the shape key of their draws
+(field size, map count, map variant, output dimension) and never padded,
+pool functions are applied through index masks, and sums keep each
+check's own term order, so every margin has the bits of the
+one-trial-at-a-time computation. Loewner links and
 scalar links fold into a trial's worst margin and violation flag by the
 rule that also folds the trials (`kernels.fold`).
 """
@@ -20,13 +21,7 @@ import numpy as np
 
 from . import kernels as K
 from .funcatalog import ScalarOperatorFunction, builtin
-from .hermitian import (
-    HermitianMatrix,
-    ToleranceConfig,
-    array_to_rows,
-    complex_gaussian,
-    draw_spectrum,
-)
+from .hermitian import HermitianMatrix, ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
 from .perspective import tangent_point
 from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
 from .sampling import (
@@ -39,8 +34,9 @@ from .sampling import (
     _SQUARE,
     _T_LOG_T,
     _X_SQ_OVER_Y,
+    _a_slots,
     _a_window,
-    _b_spectrum,
+    _b_slots,
     _b_window,
     _draw_single_map,
     _Map,
@@ -57,61 +53,44 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _Draw(NamedTuple):
-    """One trial's random draws.
+    """One trial's random draws, kept as the RNG gave them.
 
-    Every eigendecomposition, including the ones that turn Gaussians into
-    unitaries, is left to evaluate. Spectra are (eigenvalues, Gaussians)
-    pairs for `K.from_spectrum`, one row per slot.
+    `key` is the shape of the draws (field size, map count, map variant,
+    output dimension); trials with one key stack. A slot field is a
+    (cap, spectra) pair: per slot its eigenvalues and its `raw_gaussian`
+    pair, and the condition cap the eigenvalues get when built (None for
+    none). Every float transform, from complex assembly and the cap to
+    every eigendecomposition, is left to evaluate (`_build`,
+    `_gaussians`); a record holds only real and integer arrays.
     """
 
+    key: tuple
     f: Optional[ScalarOperatorFunction]
     w: Optional[np.ndarray]  # field or family weights; a mixture's p; EX2_8's (alpha, beta)
     a: Optional[tuple] = None  # the Hermitian slots
     b: Optional[tuple] = None  # the positive slots
-    c: Optional[np.ndarray] = None  # Gaussians of a congruence family
+    c: Optional[list] = None  # the Gaussian pairs of a congruence family
     t1: Optional[list] = None  # the sorted first block of a bipartition
     h: Optional[ScalarOperatorFunction] = None  # a generalized perspective's h; THM2_10's f2
     q: Optional[np.ndarray] = None  # a mixture's q; a subunital family's shrinks
     m: Optional[_Map] = None  # a subunital single map
-    x: Optional[np.ndarray] = None  # the unit vectors of quadratic forms
+    x: Optional[list] = None  # the unit vectors of quadratic forms (`_unit_vector`)
 
 
 # Drawing, grouping, folding and payloads.
 
 
-def _pack(spectra) -> tuple:
-    return np.array([lam for lam, _ in spectra]), np.array([g for _, g in spectra])
-
-
-def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
-    """n Hermitian slots with spectra in f's a window."""
-    alo, ahi = _a_window(f, cfg)
-    return _pack([draw_spectrum(rng, cfg.dim, alo, ahi) for _ in range(n)])
-
-
-def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
-    """n positive-definite slots with spectra in the b window."""
-    return _pack([_b_spectrum(rng, cfg) for _ in range(n)])
-
-
-def _shapes(record) -> tuple:
-    """The shapes of a record's arrays, and of the arrays in its tuples."""
-    return tuple(
-        v.shape if isinstance(v, np.ndarray) else _shapes(v) if isinstance(v, tuple) else None
-        for v in record
-    )
-
-
 def _by_shape(evaluate_group):
     """An evaluate that splits the trials into groups whose draws have one
-    shape (`_shapes`), never padded, and runs `evaluate_group(group, tol)`
-    on each. The trial loop (`kernels.run_trials`) calls it through
-    `kernels.in_trial_order`, so an error is the first failing trial's own."""
+    shape key (`_Draw.key`), never padded, and runs
+    `evaluate_group(group, tol)` on each. The trial loop
+    (`kernels.run_trials`) calls it through `kernels.in_trial_order`, so
+    an error is the first failing trial's own."""
 
     def evaluate(records, tol):
         groups = {}
         for i, record in enumerate(records):
-            groups.setdefault(_shapes(record), []).append(i)
+            groups.setdefault(record.key, []).append(i)
         worst = np.empty(len(records))
         violated = np.empty(len(records), dtype=bool)
         payloads = [None] * len(records)
@@ -125,17 +104,39 @@ def _by_shape(evaluate_group):
 
 
 def _build(group, *slots) -> tuple:
-    """The matrices of the named slots of every trial, one stack per slot,
-    from one stacked eigendecomposition."""
-    lam = np.stack([[getattr(r, s)[0] for s in slots] for r in group])
-    gaussian = np.stack([[getattr(r, s)[1] for s in slots] for r in group])
-    built = K.from_spectrum(lam, gaussian)
+    """The matrices of the named slots of every trial, one (T, k, n, n)
+    stack per slot, from one stacked eigendecomposition. Each slot's
+    eigenvalues are capped at its trials' caps (`K.capped`) and its
+    Gaussians assembled (`K.from_spectrum`) once for the whole group."""
+    lams = []
+    for s in slots:
+        lam = np.stack([lam for r in group for lam, _ in getattr(r, s)[1]])
+        lam = lam.reshape(len(group), -1, lam.shape[-1])
+        if getattr(group[0], s)[0] is not None:
+            lam = K.capped(lam, np.array([getattr(r, s)[0] for r in group])[:, None, None])
+        lams.append(lam)
+    lam = np.stack(lams, axis=1)
+    pairs = np.stack([pair for r in group for s in slots for _, pair in getattr(r, s)[1]])
+    built = K.from_spectrum(lam, pairs.reshape(lam.shape[:3] + pairs.shape[1:]))
     return tuple(built[:, i] for i in range(len(slots)))
 
 
 def _single(group, *slots) -> tuple:
     """`_build` for slots of one matrix each."""
     return tuple(x[:, 0] for x in _build(group, *slots))
+
+
+def _gaussians(records, name: str) -> np.ndarray:
+    """The complex Gaussians of each record's list `name` of Gaussian
+    pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call."""
+    g = K.complex_pair(np.stack([pair for r in records for pair in getattr(r, name)]))
+    return g.reshape((len(records), -1) + g.shape[-2:])
+
+
+def _vectors(group) -> np.ndarray:
+    """Each trial's unit vectors (`_unit_vector`) as complex, (T, L, n)."""
+    x = np.stack([v for r in group for v in r.x]).view(complex)
+    return x.reshape((len(group), len(group[0].x)) + x.shape[1:])
 
 
 def _stack(group, name: str) -> np.ndarray:
@@ -148,7 +149,7 @@ def _fh(group) -> tuple:
 
 def _mask(group) -> np.ndarray:
     """(T, k) membership of each slot in the trial's first block."""
-    k = group[0].a[0].shape[0]
+    k = len(group[0].a[1])
     return np.array([[i in r.t1 for i in range(k)] for r in group])
 
 
@@ -231,12 +232,14 @@ def _payload(**parts) -> dict:
 
 def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
     """A weighted field: the weights, then each entry's A and B."""
-    alo, ahi = _a_window(f, cfg)
+    (alo, ahi), (blo, bhi) = _a_window(f, cfg), _b_window(cfg)
     if weights is None:
         weights = rng.uniform(0.2, 2.0, n)
-    entries = [(draw_spectrum(rng, cfg.dim, alo, ahi), _b_spectrum(rng, cfg)) for _ in range(n)]
-    a, b = _pack([a for a, _ in entries]), _pack([b for _, b in entries])
-    return _Draw(f, np.asarray(weights, dtype=float), a, b)
+    a, b = [], []
+    for _ in range(n):
+        a.append(raw_spectrum(rng, cfg.dim, alo, ahi))
+        b.append(raw_spectrum(rng, cfg.dim, blo, bhi))
+    return _Draw((n,), f, weights, (None, a), (cfg.condition_cap, b))
 
 
 def _draw_thm2_1(rng, trial, cfg, f_over, unit_weights=False):
@@ -262,7 +265,7 @@ def _draw_thm2_12_grad(rng, trial, cfg, f_over):
 def _draw_cor2_2_ii(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
-    return _Draw(f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
+    return _Draw((n,), f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
 
 
 def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
@@ -270,7 +273,7 @@ def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
     p = rng.uniform(0.2, 2.0, n)
-    return _Draw(f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
+    return _Draw((n,), f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
 
 
 def _field(group) -> tuple:
@@ -367,10 +370,10 @@ def _eval_thm2_4_mixture(group, tol):
 
 
 def _draw_unital_family(rng, dim: int, k: int, unit_weights=False) -> tuple:
-    """The weights and Gaussians of k congruences that `_normalized` makes
-    a unital family."""
+    """The weights and Gaussian pairs of k congruences that `_normalized`
+    makes a unital family."""
     w = np.ones(k) if unit_weights else rng.uniform(0.2, 2.0, k)
-    return w, np.array([complex_gaussian(rng, dim, dim) for _ in range(k)])
+    return w, [raw_gaussian(rng, dim, dim) for _ in range(k)]
 
 
 def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
@@ -383,7 +386,7 @@ def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
     a = _a_slots(rng, cfg, f, k)
     cut = int(rng.integers(1, k))
     perm = rng.permutation(k)
-    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
+    return _Draw((k,), f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
 
 
 def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
@@ -419,7 +422,7 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
     w = _stack(group, "w")
-    maps = _normalized(w, _stack(group, "c"))
+    maps = _normalized(w, _gaussians(group, "c"))
     (ops,) = _build(group, "a")
 
     def mapped(x):
@@ -450,9 +453,9 @@ def _draw_thm2_6(rng, trial, cfg, f_over):
     out_dim = cfg.dim if rng.integers(0, 2) else max(2, cfg.dim - 1)
     w = rng.uniform(0.3, 1.5, k)
     shrinks = rng.uniform(0.5, 1.0, k)
-    c = np.array([complex_gaussian(rng, cfg.dim, out_dim) for _ in range(k)])
+    c = [raw_gaussian(rng, cfg.dim, out_dim) for _ in range(k)]
     a, b = _a_slots(rng, cfg, f, k), _b_slots(rng, cfg, k)
-    return _Draw(f, w, a, b, c, h=h, q=shrinks)
+    return _Draw((k, out_dim), f, w, a, b, c, h=h, q=shrinks)
 
 
 def _eval_thm2_6(group, tol):
@@ -460,12 +463,12 @@ def _eval_thm2_6(group, tol):
     generalized perspectives, for a subunital family."""
     fs, hs = _fh(group)
     w = _stack(group, "w")
-    maps = _normalized(w, _stack(group, "c"), _stack(group, "q"))
+    maps = _normalized(w, _gaussians(group, "c"), _stack(group, "q"))
     a, b = _build(group, "a", "b")
-    K.positive(b)  # each drawn B is positive definite
-    mapped = K.congruence(maps[:, None], np.stack([a, b, K.f_delta_h(fs, hs, a, b)], axis=1))
+    b_pos = K.positive(b)  # each drawn B is positive definite
+    mapped = K.congruence(maps[:, None], np.stack([a, b, K.f_delta_h(fs, hs, a, b_pos)], axis=1))
     sum_a, sum_b, rhs = (_sum(mapped[:, i], w=w) for i in range(3))
-    worst, violated = _links(tol, (K.f_delta_h(fs, hs, sum_a, sum_b), rhs))
+    worst, violated = _links(tol, (K.f_delta_h(fs, hs, sum_a, K.decompose(sum_b)), rhs))
     payloads = [
         partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=a[i], B=b[i])
         for i, r in enumerate(group)
@@ -481,8 +484,8 @@ def _draw_thm2_10(rng, trial, cfg, f_over):
     w, c = _draw_unital_family(rng, cfg.dim, k)
     lo = max(_a_window(f1, cfg)[0], _a_window(f2, cfg)[0], _b_window(cfg)[0])
     hi = min(_a_window(f1, cfg)[1], _a_window(f2, cfg)[1])
-    a = _pack([_spectrum(rng, cfg.dim, lo, hi, cfg.condition_cap) for _ in range(k)])
-    return _Draw(f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
+    a = cfg.condition_cap, [_spectrum(rng, cfg.dim, lo, hi) for _ in range(k)]
+    return _Draw((k,), f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
 
 
 def _eval_thm2_10(group, tol):
@@ -490,11 +493,11 @@ def _eval_thm2_10(group, tol):
     and functional-calculus bounds."""
     f1s, f2s = _fh(group)
     w = _stack(group, "w")
-    maps = _normalized(w, _stack(group, "c"))
+    maps = _normalized(w, _gaussians(group, "c"))
     a, b = _build(group, "a", "b")
-    K.positive(a)  # each drawn A is positive definite
+    a_pos = K.positive(a)  # each drawn A is positive definite
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    images = [eye, a, b, K.perspective(f2s, a, K.positive(b)), K.apply_function(f2s, a)]
+    images = [eye, a, b, K.perspective(f2s, a, K.positive(b)), K.calculus(f2s, a_pos)]
     mapped = K.congruence(maps[:, None], np.stack(images, axis=1))
     unit, sum_a, sum_b, rhs_g, rhs_f = (_sum(mapped[:, i], w=w) for i in range(len(images)))
     check_unital(unit)
@@ -517,14 +520,14 @@ def _single_maps(group, dim: int) -> tuple:
     ms = [r.m for r in group]
     scale = np.array([m.scale for m in ms])[:, None, None, None]
     if ms[0].variant == 1:
-        ix = np.stack([m.ix for m in ms])[:, None]
+        ix = np.sort(np.stack([m.ix for m in ms]), axis=-1)[:, None]
 
         def apply(x):
             rows = np.take_along_axis(x, ix[..., :, None], axis=-2)
             return np.take_along_axis(rows, ix[..., None, :], axis=-1) * scale
 
-        return apply, [Compression(dim, m.ix.tolist(), m.scale) for m in ms]
-    c = np.stack([m.c for m in ms])
+        return apply, [Compression(dim, i.tolist(), m.scale) for i, m in zip(ix[:, 0], ms)]
+    c = _gaussians(ms, "c")
     if ms[0].variant == 0:
         c = c / (np.linalg.norm(c, 2, axis=(-2, -1))[..., None, None] * scale)
         return partial(K.congruence, c), [Congruence(ci[0]) for ci in c]
@@ -537,10 +540,15 @@ def _single_maps(group, dim: int) -> tuple:
     return apply, maps
 
 
+def _map_key(m: _Map) -> tuple:
+    """A single map's shape key: its variant and a compression's size."""
+    return m.variant, 0 if m.ix is None else len(m.ix)
+
+
 def _draw_cor2_7(rng, trial, cfg, f_over):
     f, h = _pick_fh(trial, f_over)
     m = _draw_single_map(rng, cfg.dim, trial)
-    return _Draw(f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
+    return _Draw(_map_key(m), f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
 
 
 def _draw_ex2_8(rng, trial, cfg, f_over):
@@ -555,9 +563,9 @@ def _draw_ex2_8(rng, trial, cfg, f_over):
     else:
         alpha, beta = 1.0, float(rng.uniform(-1.0, 0.0))
     m = _draw_single_map(rng, cfg.dim, trial)
-    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
+    cap, (a, b) = _b_slots(rng, cfg, 2)
     f, h = builtin("power", [beta]), builtin("power", [alpha])
-    return _Draw(f, np.array([alpha, beta]), a, b, h=h, m=m)
+    return _Draw(_map_key(m), f, np.array([alpha, beta]), (cap, [a]), (cap, [b]), h=h, m=m)
 
 
 def _eval_single_map(group, tol, perspective=True):
@@ -572,13 +580,14 @@ def _eval_single_map(group, tol, perspective=True):
     if not perspective:
         K.positive(a)
     apply, maps = _single_maps(group, a.shape[-1])
-    images = [a, b, K.f_delta_h(fs, hs, a, b)]
+    images = [a, b, K.f_delta_h(fs, hs, a, b_pos)]
     if perspective:
         images.append(K.perspective(fs, a, b_pos))
     phi = apply(np.stack(images, axis=1))
-    links = [(K.f_delta_h(fs, hs, phi[:, 0], phi[:, 1]), phi[:, 2])]
+    phi_b = K.decompose(phi[:, 1])
+    links = [(K.f_delta_h(fs, hs, phi[:, 0], phi_b), phi[:, 2])]
     if perspective:
-        links.append((K.perspective(fs, phi[:, 0], K.positive(phi[:, 1])), phi[:, 3]))
+        links.append((K.perspective(fs, phi[:, 0], K.strictly_positive(phi_b)), phi[:, 3]))
     worst, violated = _links(tol, *links)
     payloads = []
     for i, r in enumerate(group):
@@ -592,9 +601,9 @@ def _eval_single_map(group, tol, perspective=True):
 
 def _draw_cor2_9(rng, trial, cfg, f_over):
     f, h = _pick_fh(trial, f_over)
-    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
-    x = np.array([_unit_vector(rng, cfg.dim) for _ in range(3)])
-    return _Draw(f, None, a, b, h=h, x=x)
+    cap, (a, b) = _b_slots(rng, cfg, 2)
+    x = [_unit_vector(rng, cfg.dim) for _ in range(3)]
+    return _Draw((), f, None, (cap, [a]), (cap, [b]), h=h, x=x)
 
 
 def _eval_cor2_9(group, tol):
@@ -603,13 +612,15 @@ def _eval_cor2_9(group, tol):
     vectors x."""
     fs, hs = _fh(group)
     a, b = _single(group, "a", "b")
-    K.positive(np.stack([a, b], axis=1))  # each drawn A and B is positive definite
-    x = _stack(group, "x")
-    ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b)))
+    # Each drawn A and B is positive definite.
+    vals, vecs = K.positive(np.stack([a, b], axis=1))
+    x = _vectors(group)
+    ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, (vals[:, 1], vecs[:, 1]))))
     hbx = _eval(hs, bx)
     worst, violated = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
     payloads = [
-        partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=r.x[:, None]) for i, r in enumerate(group)
+        partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=x[i][:, None])
+        for i, r in enumerate(group)
     ]
     return worst, violated, payloads
 
@@ -622,8 +633,8 @@ def _draw_delta_nabla(rng, trial, cfg, f_over):
     p, q = _prob_vector(rng, n), _prob_vector(rng, n)
     alo, ahi = _a_window(f, cfg)
     lo = max(alo, _b_window(cfg)[0])
-    a = _pack([_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)])
-    return _Draw(f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
+    a = None, [_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)]
+    return _Draw((n,), f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
 
 
 def _eval_delta_nabla(group, tol):
@@ -633,8 +644,9 @@ def _eval_delta_nabla(group, tol):
     p, q = _stack(group, "w"), _stack(group, "q")
     ls, rs = _build(group, "a", "b")
     K.positive(rs)  # each drawn R is positive definite
-    lhs = K.f_delta_h(fs, hs, _sum(ls, w=p, first=True), _sum(rs, w=q, first=True))
-    rhs = _sum(K.f_delta_h(fs, hs, ls, rs * q[..., None, None]), w=p)
+    sum_l, sum_r = _sum(ls, w=p, first=True), _sum(rs, w=q, first=True)
+    lhs = K.f_delta_h(fs, hs, sum_l, K.decompose(sum_r))
+    rhs = _sum(K.f_delta_h(fs, hs, ls, K.decompose(rs * q[..., None, None])), w=p)
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=ls[i], R=rs[i])
@@ -645,7 +657,8 @@ def _eval_delta_nabla(group, tol):
 
 def _draw_thm3_8(rng, trial, cfg, f_over):
     f = _pick(_NORM_POOL, trial, f_over)
-    return _Draw(f, None, _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1))
+    cap, (a, b) = _b_slots(rng, cfg, 2)
+    return _Draw((), f, None, (cap, [a]), (cap, [b]))
 
 
 def _eval_thm3_8(group, tol):
@@ -661,9 +674,10 @@ def _eval_thm3_8(group, tol):
 
 
 def _draw_lemma_jadjit(rng, trial, cfg, f_over):
-    a, b = _b_slots(rng, cfg, 1), _b_slots(rng, cfg, 1)
-    uv = [(_unit_vector(rng, cfg.dim), _unit_vector(rng, cfg.dim)) for _ in range(3)]
-    return _Draw(None, None, a, b, x=np.array(uv))
+    """A and B, then three pairs (u, v) of unit vectors, u before v."""
+    cap, (a, b) = _b_slots(rng, cfg, 2)
+    uv = [_unit_vector(rng, cfg.dim) for _ in range(6)]
+    return _Draw((), None, None, (cap, [a]), (cap, [b]), x=uv)
 
 
 def _eval_lemma_jadjit(group, tol):
@@ -671,7 +685,9 @@ def _eval_lemma_jadjit(group, tol):
     <u, A u>^2 / <v, B v> <= <u (x) v, phi(A, B) u (x) v> at three (u, v)."""
     a, b = _single(group, "a", "b")
     a_dec, b_dec = K.positive(a), K.positive(b)
-    u, v = np.moveaxis(_stack(group, "x"), 2, 0)
+    uv_pairs = _vectors(group)
+    uv_pairs = uv_pairs.reshape((len(group), -1, 2) + uv_pairs.shape[-1:])
+    u, v = np.moveaxis(uv_pairs, 2, 0)
     au, bv = _quad(a, u), _quad(b, v)
     uv = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))
     rhs = np.empty_like(au)
@@ -682,7 +698,7 @@ def _eval_lemma_jadjit(group, tol):
         rhs[t] = _quad(mat, uv[t])
     worst, violated = _scalar_links(tol, au * au / bv, rhs)
     payloads = [
-        partial(_payload, A=a[i], B=b[i], uv=r.x[:, :, None]) for i, r in enumerate(group)
+        partial(_payload, A=a[i], B=b[i], uv=uv_pairs[i][:, :, None]) for i in range(len(group))
     ]
     return worst, violated, payloads
 
@@ -691,7 +707,8 @@ def _eval_lemma_jadjit(group, tol):
 
 
 def _draw_kl(rng, trial, cfg, f_over):
-    return _Draw(None, None, _b_slots(rng, cfg, 2), _b_slots(rng, cfg, 2))
+    cap, slots = _b_slots(rng, cfg, 4)
+    return _Draw((), None, None, (cap, slots[:2]), (cap, slots[2:]))
 
 
 def _far(got, want, rtol: float) -> np.ndarray:
@@ -710,17 +727,16 @@ def _eval_kl(group, tol):
     """
     ls, rs = _build(group, "a", "b")
     l_vals, l_vecs = K.positive(ls)
-    r_dec = K.positive(rs)
-    half, inv_half = roots = K.sqrt_pair(*r_dec)
+    half, inv_half = K.conditioned_roots(K.positive(rs))
     ones = np.ones(ls.shape[:2])
     sum_l, sum_r = _sum(ls, w=ones), _sum(rs, w=ones)
-    theta_log, theta_tlt = (
-        _sum(K.perspective(f, ls, r_dec, roots=roots), w=ones) for f in (_NEG_LOG, _T_LOG_T)
-    )
-    inner = K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half)
-    K.positive(inner)  # each R^{1/2} L^{-1} R^{1/2} is positive definite
-    direct_log = _sum(K.hermitian_part(half @ K.apply_function(_LOG, inner) @ half))
-    log_inner = K.apply_function(_LOG, K.hermitian_part(inv_half @ ls @ inv_half))
+    # R^{-1/2} L R^{-1/2}, decomposed once for both perspectives and log.
+    inner = K.decompose(K.hermitian_part(inv_half @ ls @ inv_half))
+    theta_log, theta_tlt = (_sum(K.sandwich(f, half, inner), w=ones) for f in (_NEG_LOG, _T_LOG_T))
+    # Each R^{1/2} L^{-1} R^{1/2} is positive definite.
+    recip = K.positive(K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half))
+    direct_log = _sum(K.sandwich(_LOG, half, recip))
+    log_inner = K.calculus(_LOG, inner)
     direct_tlt = K.hermitian_part(_sum(ls @ inv_half @ log_inner @ half))
     worst, violated = _links(
         tol,
@@ -736,7 +752,7 @@ def _draw_scalar_csiszar(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 7))
     p = rng.uniform(0.1, 4.0, n)
-    return _Draw(f, p, q=rng.uniform(0.1, 4.0, n))
+    return _Draw((n,), f, p, q=rng.uniform(0.1, 4.0, n))
 
 
 def _eval_scalar_csiszar(group, tol):
@@ -785,6 +801,11 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     devs = np.max(np.abs(computed - expected), axis=(-2, -1))
     low, _, used = K.loewner(computed[:-1], computed[1:], tol)
     return computed, expected, devs, low, used
+
+
+def _draw_example(rng, trial, cfg, f_over):
+    """The fixture reads no draw."""
+    return _Draw((), None, None)
 
 
 def _eval_example(group, tol):

@@ -9,6 +9,7 @@ fixture mismatch, 2 configuration or IO errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,10 @@ from .hermitian import ToleranceConfig
 from .lab import GenConfig, check_description, check_ids, reproduce_example, run_suite
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it, and each `main` call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="opdiv",
         description="Verify operator perspective and matrix divergence inequalities "
@@ -114,8 +118,7 @@ def cmd_list_checks() -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "reproduce-example":

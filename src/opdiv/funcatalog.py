@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainViolation, ParamOutOfRange, UnknownFunction
 from . import kernels
-from .hermitian import ToleranceConfig, draw_spectrum
+from .hermitian import ToleranceConfig, raw_spectrum
 
 
 @dataclass(frozen=True)
@@ -305,10 +305,11 @@ def convexity_falsifier(
 
 
 def _convexity_draw(seed, trial, dim, lo, hi):
-    """Trial `trial`'s spectra of A and B and mixing ratio t."""
+    """Trial `trial`'s spectra of A and B (`raw_spectrum`) and mixing
+    ratio t."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-    a = draw_spectrum(rng, dim, lo, hi)
-    b = draw_spectrum(rng, dim, lo, hi)
+    a = raw_spectrum(rng, dim, lo, hi)
+    b = raw_spectrum(rng, dim, lo, hi)
     return a, b, float(rng.uniform(0.0, 1.0))
 
 
@@ -316,9 +317,12 @@ def _convexity_margins(draws, f, tol):
     """Margins of f(t A + (1 - t) B) <= t f(A) + (1 - t) f(B), stacked over
     the drawn (A, B, t) triples and folded (`kernels.fold`) into each
     trial's margin and violation flag, with the draws as extras."""
-    lam = np.array([[a[0], b[0]] for a, b, _ in draws])
-    gaussian = np.array([[a[1], b[1]] for a, b, _ in draws])
-    pairs = kernels.from_spectrum(lam, gaussian)
+    spectra = [s for a, b, _ in draws for s in (a, b)]
+    lam = np.stack([lam for lam, _ in spectra])
+    gaussian = np.stack([g for _, g in spectra])
+    pairs = kernels.from_spectrum(
+        lam.reshape(len(draws), 2, -1), gaussian.reshape((len(draws), 2) + gaussian.shape[1:])
+    )
     a, b = pairs[:, 0], pairs[:, 1]
     t = np.array([t for _, _, t in draws])[:, None, None]
     f_a, f_b, lhs = kernels.apply_function(f, np.stack([a, b, a * t + b * (1.0 - t)]))

@@ -298,9 +298,17 @@ def kronecker(
     return HermitianMatrix._wrap(np.kron(a.entries, b.entries))
 
 
+def raw_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """The real and the imaginary parts of a standard complex Gaussian
+    matrix, side by side with shape (2, rows, cols), from one RNG call:
+    the same stream as drawing the real parts first, then the imaginary
+    ones. `kernels.complex_pair` assembles the matrix."""
+    return rng.standard_normal((2, rows, cols))
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Standard complex Gaussian matrix: real parts drawn before imaginary."""
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return kernels.complex_pair(raw_gaussian(rng, rows, cols))
 
 
 def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -309,12 +317,19 @@ def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vecs
 
 
+def raw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
+    """The RNG output behind a random Hermitian matrix with spectrum in
+    [lo, hi]: uniform eigenvalues, then the `raw_gaussian` whose Hermitian
+    part carries the eigenvectors. `kernels.from_spectrum` builds a whole
+    stack of them with one eigendecomposition call."""
+    return rng.uniform(lo, hi, dim), raw_gaussian(rng, dim, dim)
+
+
 def draw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
-    """The draws of a random Hermitian matrix with spectrum in [lo, hi]:
-    uniform eigenvalues, then the Gaussian whose Hermitian part carries
-    the eigenvectors. `kernels.from_spectrum` builds the matrices, so a
-    stack of draws is diagonalized in one call."""
-    return rng.uniform(lo, hi, dim), complex_gaussian(rng, dim, dim)
+    """`raw_spectrum` with its Gaussian assembled: the eigenvalues and the
+    complex Gaussian matrix."""
+    lam, gaussian = raw_spectrum(rng, dim, lo, hi)
+    return lam, kernels.complex_pair(gaussian)
 
 
 # ---------------------------------------------------------------------------

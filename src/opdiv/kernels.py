@@ -126,18 +126,42 @@ def rebuild(vals, vecs):
     return hermitian_part((vecs * vals[..., None, :]) @ adjoint(vecs))
 
 
+def complex_pair(pair):
+    """pair[..., 0, :, :] + 1j * pair[..., 1, :, :]: the complex matrices
+    whose real and imaginary parts a draw keeps side by side."""
+    return pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
+
+
+def capped(vals, cap):
+    """Each spectrum raised to at least its largest eigenvalue / `cap`, so
+    that a positive spectrum's condition number is at most `cap`. `cap` is
+    a number or an array against the leading axes of `vals`. A constant
+    positive spectrum, lo * I, is left as it is."""
+    return np.maximum(vals, vals.max(axis=-1, keepdims=True) / cap)
+
+
 def from_spectrum(vals, gaussian):
     """Hermitian matrices with eigenvalues `vals`, carried by the
-    eigenvectors of the Hermitian part of `gaussian` (a Haar-random
-    unitary when `gaussian` is a complex Gaussian matrix)."""
-    _, unitary = np.linalg.eigh(hermitian_part(gaussian))
+    eigenvectors of the Hermitian part of `complex_pair(gaussian)` (a
+    Haar-random unitary when that is a complex Gaussian matrix).
+    `gaussian` holds real and imaginary parts as drawn, (..., 2, n, n),
+    and a zero one carries the identity, so it builds diag(vals)."""
+    _, unitary = np.linalg.eigh(hermitian_part(complex_pair(gaussian)))
     return rebuild(vals, unitary)
 
 
 def positive(h):
     """`decompose`, requiring each smallest eigenvalue to clear the
-    strict-positivity floor PD_FLOOR * max(1, |lambda_max|, |lambda_min|)."""
-    vals, vecs = decompose(h)
+    strict-positivity floor (`strictly_positive`)."""
+    return strictly_positive(decompose(h))
+
+
+def strictly_positive(decomposition):
+    """The (eigenvalues, eigenvectors) pair that `decompose` returns, once
+    each smallest eigenvalue clears the strict-positivity floor
+    PD_FLOOR * max(1, |lambda_max|, |lambda_min|); NotPositiveDefinite
+    otherwise."""
+    vals, vecs = decomposition
     lam_max, lam_min = vals[..., 0], vals[..., -1]
     floor = PD_FLOOR * _pymax(_pymax(1.0, np.abs(lam_max)), np.abs(lam_min))
     bad = lam_min < floor
@@ -183,16 +207,20 @@ def _evaluate(f, vals):
     return fvals
 
 
-def apply_function(f, h):
-    """Functional calculus f(H) = U f(diag lambda) U* on a stack.
+def _finite(f, x):
+    """`x`, the stack of f's results, if every entry is finite; otherwise
+    NumericalFailure naming the function of the first offending matrix."""
+    if np.isfinite(x).all():
+        return x
+    if isinstance(f, (list, tuple)):
+        rows = ~np.isfinite(x).reshape(len(f), -1).all(axis=1)
+        f = f[int(np.flatnonzero(rows)[0])]
+    raise NumericalFailure(f"function {f.id!r} produced a non-finite matrix")
 
-    `f` is one function for the whole stack, or a sequence with one
-    function per entry of the first axis; each function evaluates all of
-    its entries in one call. Eigenvalues within 1e-9 * max(1, ||H||_2) of
-    a closed domain endpoint are clamped onto it; anything farther outside
-    raises DomainViolation, and a non-finite value NumericalFailure.
-    """
-    vals, vecs = decompose(h)
+
+def _calculus(f, decomposition):
+    """`calculus` without the finiteness check of the rebuilt matrices."""
+    vals, vecs = decomposition
     groups = _by_function(f)
     if groups[0][1] is None:
         return rebuild(_evaluate(groups[0][0], vals), vecs)
@@ -202,35 +230,70 @@ def apply_function(f, h):
     return rebuild(out, vecs)
 
 
-def perspective(f, left, right, condition_cap=CONDITION_CAP, roots=None):
-    """R^{1/2} f(R^{-1/2} L R^{-1/2}) R^{1/2} for every pair of the stack.
+def calculus(f, decomposition):
+    """Functional calculus f(H) = U f(diag lambda) U* from the
+    (eigenvalues, eigenvectors) pair that `decompose` returns for each H.
 
-    `right` is the (eigenvalues, eigenvectors) pair that `positive`
-    returns, and `roots` its `sqrt_pair` if already at hand. `f` is as for
-    `apply_function`. Raises IllConditioned if a condition number exceeds
-    `condition_cap`.
+    `f` is one function for the whole stack, or a sequence with one
+    function per entry of the first axis; each function evaluates all of
+    its entries in one call. Eigenvalues within 1e-9 * max(1, ||H||_2) of
+    a closed domain endpoint are clamped onto it; anything farther outside
+    raises DomainViolation, and a non-finite value or matrix
+    NumericalFailure.
     """
+    return _finite(f, _calculus(f, decomposition))
+
+
+def apply_function(f, h):
+    """`calculus` of f on the decomposition of each H of the stack."""
+    return calculus(f, decompose(h))
+
+
+def conditioned_roots(right, condition_cap=CONDITION_CAP):
+    """(R^{1/2}, R^{-1/2}) from the (eigenvalues, eigenvectors) pair that
+    `positive` returns for each R. Raises IllConditioned if a condition
+    number exceeds `condition_cap`."""
     vals, vecs = right
     cond = vals[..., 0] / vals[..., -1]
     worst = _first(cond, cond > condition_cap)
     if worst is not None:
         raise IllConditioned(f"condition number {worst:.3e} exceeds cap {condition_cap:.1e}")
-    half, inv_half = sqrt_pair(vals, vecs) if roots is None else roots
-    inner = hermitian_part(inv_half @ left @ inv_half)
-    return hermitian_part(half @ apply_function(f, inner) @ half)
+    return sqrt_pair(vals, vecs)
+
+
+def perspective(f, left, right, condition_cap=CONDITION_CAP):
+    """R^{1/2} f(R^{-1/2} L R^{-1/2}) R^{1/2} for every pair of the stack.
+
+    `right` is the (eigenvalues, eigenvectors) pair that `positive`
+    returns, and its roots come from `conditioned_roots`. `f` is as for
+    `calculus`, and a non-finite result raises NumericalFailure naming it.
+    """
+    half, inv_half = conditioned_roots(right, condition_cap)
+    return sandwich(f, half, decompose(hermitian_part(inv_half @ left @ inv_half)))
+
+
+def sandwich(f, half, inner):
+    """R^{1/2} f(X) R^{1/2} from `half` = R^{1/2} and the decomposition
+    `inner` of each X = R^{-1/2} L R^{-1/2}: the last step of `perspective`,
+    for a caller that takes several functions of one X. A non-finite
+    result raises NumericalFailure naming f."""
+    # A non-finite f(X) leaves the product non-finite, so one check names f.
+    return _finite(f, hermitian_part(half @ _calculus(f, inner) @ half))
 
 
 def f_delta_h(f, h, left, right):
     """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
     the stack: the perspective of f at h(R), the generalized perspective.
 
-    `f` and `h` are as for `apply_function`. Raises NonPositiveH if an h
-    is not flagged strictly positive or an h(R) is not strictly positive.
+    `right` is the (eigenvalues, eigenvectors) pair that `decompose` (or
+    `positive`) returns for each R. `f` and `h` are as for `calculus`.
+    Raises NonPositiveH if an h is not flagged strictly positive or an
+    h(R) is not strictly positive.
     """
     for g, _ in _by_function(h):
         if not g.flags.strictly_positive:
             raise NonPositiveH(f"h = {g.id!r} is not flagged strictly positive")
-    h_of_r = apply_function(h, right)
+    h_of_r = calculus(h, right)
     try:
         h_pos = positive(h_of_r)
     except NotPositiveDefinite as exc:

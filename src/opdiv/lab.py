@@ -117,13 +117,16 @@ class SuiteReport:
 
 
 def _random_matrix(cfg: GenConfig, trial: int, cond_cap=None) -> HermitianMatrix:
-    """`sampling._spectrum` in cfg.spectrum_range, built by `K.from_spectrum`.
+    """`sampling._spectrum` in cfg.spectrum_range, capped at `cond_cap` if
+    given (`K.capped`) and built by `K.from_spectrum`.
 
     Fully determined by (cfg.seed, trial) and the draw order inside.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    spectrum = _spectrum(rng, cfg.dim, *cfg.spectrum_range, cond_cap)
-    return HermitianMatrix._wrap(K.from_spectrum(*spectrum))
+    lam, gaussian = _spectrum(rng, cfg.dim, *cfg.spectrum_range)
+    if cond_cap is not None:
+        lam = K.capped(lam, cond_cap)
+    return HermitianMatrix._wrap(K.from_spectrum(lam, gaussian))
 
 
 def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:
@@ -202,7 +205,7 @@ _REGISTRY: dict[str, _Check] = {
          "operator relative-entropy sum bound and tangent bounds"),
         ("SCALAR_CSISZAR", B._draw_scalar_csiszar, B._eval_scalar_csiszar,
          "dimension-one reduction to the scalar divergence sum"),
-        ("EX3_3_EXACT", lambda *draw_args: (), B._eval_example,
+        ("EX3_3_EXACT", B._draw_example, B._eval_example,
          "exact compression-example fixture with strict chain gaps"),
     )
 }

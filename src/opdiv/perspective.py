@@ -178,7 +178,8 @@ def f_delta_h(
     """
     if left.dim != right.dim:
         raise ShapeMismatch(f"dimension mismatch {left.dim} vs {right.dim}")
-    return HermitianMatrix._wrap(kernels.f_delta_h(f, h, left.entries, right.entries))
+    right_dec = kernels.decompose(right.entries)
+    return HermitianMatrix._wrap(kernels.f_delta_h(f, h, left.entries, right_dec))
 
 
 def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
@@ -220,6 +221,7 @@ def f_nabla_h(
         chunk = terms[span.start : span.stop]
         lefts = kernels.stack([a.entries for a, _, _, _ in chunk])
         rights = kernels.stack([b.entries * float(q_i) for _, b, _, q_i in chunk])
+        rights = kernels.decompose(rights)
         for (_, _, p_i, _), value in zip(chunk, kernels.f_delta_h(f, h, lefts, rights)):
             total += p_i * value
     return HermitianMatrix._wrap(total)

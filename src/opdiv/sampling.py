@@ -5,6 +5,12 @@ positive slots, the draws of random matrices and subunital single maps,
 the normalization of congruence families, and the function pools that
 the checks cycle through. A draw makes its RNG calls in a fixed order,
 so every instance is fully determined by (seed, check id, trial index).
+
+A draw keeps the RNG output as it comes: eigenvalues, uncapped, and each
+Gaussian as the real pair of `raw_gaussian`. Complex assembly, the
+condition cap and every eigendecomposition happen once per stack of
+trials, when the checks evaluate them. Only unit and probability vectors
+are normalized per trial.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .funcatalog import (
     builtin,
     sampling_window,
 )
-from .hermitian import complex_gaussian, draw_spectrum
+from .hermitian import raw_gaussian, raw_spectrum
 from .perspective import BivariateSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,18 +41,14 @@ def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
 
 
-def _spectrum(rng, dim: int, lo: float, hi: float, cond_cap=None) -> tuple:
-    """`draw_spectrum`, with the eigenvalues raised to lambda_max / cond_cap
-    if given. For lo == hi, the draws of lo * I without drawing anything:
-    a zero Gaussian carries the identity as eigenvectors, so
-    `K.from_spectrum` builds lo * I exactly. `lab.random_hermitian` and
-    `lab.random_pd` draw through it too."""
+def _spectrum(rng, dim: int, lo: float, hi: float) -> tuple:
+    """`raw_spectrum`, except that for lo == hi it draws nothing: lo * I
+    is the spectrum (lo, ..., lo) with a zero Gaussian, which carries the
+    identity as eigenvectors, so `K.from_spectrum` builds lo * I exactly.
+    `lab.random_hermitian` and `lab.random_pd` draw through it too."""
     if lo == hi:
-        return np.full(dim, float(lo)), np.zeros((dim, dim), dtype=complex)
-    lam, gaussian = draw_spectrum(rng, dim, lo, hi)
-    if cond_cap is not None:
-        lam = np.maximum(lam, lam.max() / cond_cap)
-    return lam, gaussian
+        return np.full(dim, float(lo)), np.zeros((2, dim, dim))
+    return raw_spectrum(rng, dim, lo, hi)
 
 
 def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
@@ -67,10 +69,19 @@ def _b_window(cfg: GenConfig) -> tuple:
     return wlo, hi
 
 
-def _b_spectrum(rng, cfg: GenConfig) -> tuple:
-    """The draws of a positive-definite matrix with spectrum in the b
-    window, for `K.from_spectrum`."""
-    return _spectrum(rng, cfg.dim, *_b_window(cfg), cfg.condition_cap)
+def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
+    """n Hermitian slots with spectra in f's a window, uncapped, as
+    (cap, spectra) with cap None."""
+    lo, hi = _a_window(f, cfg)
+    return None, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
+
+
+def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
+    """n positive-definite slots with spectra in the b window, as
+    (cap, spectra): their eigenvalues are capped at cfg.condition_cap when
+    built."""
+    lo, hi = _b_window(cfg)
+    return cfg.condition_cap, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
 
 
 def _prob_vector(rng, n: int) -> np.ndarray:
@@ -79,8 +90,12 @@ def _prob_vector(rng, n: int) -> np.ndarray:
 
 
 def _unit_vector(rng, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    """A complex unit vector, normalized here (the norm of one complex
+    vector has its own summation order), and kept as the float64 view of
+    its entries: (re_0, im_0, re_1, im_1, ...)."""
+    re, im = rng.standard_normal((2, dim))
+    v = re + 1j * im
+    return (v / np.linalg.norm(v)).view(np.float64)
 
 
 def _normalized(weights, cs, shrinks=None):
@@ -103,11 +118,12 @@ def _normalized(weights, cs, shrinks=None):
 
 class _Map(NamedTuple):
     """The draws of a subunital single map: a contraction (variant 0: a
-    Gaussian, and the factor on its spectral norm), a compression (1:
-    indices, scale) or a scaled sum of congruences (2: two Gaussians)."""
+    Gaussian pair, and the factor on its spectral norm), a compression (1:
+    the indices as drawn, unsorted, and the scale) or a scaled sum of
+    congruences (2: two Gaussian pairs)."""
 
     variant: int
-    c: Optional[np.ndarray]
+    c: Optional[list]
     ix: Optional[np.ndarray]
     scale: float
 
@@ -116,13 +132,12 @@ def _draw_single_map(rng, dim: int, variant: int) -> _Map:
     """One subunital positive map: contraction, compression, or scaled sum."""
     variant = variant % 3
     if variant == 0:
-        c = complex_gaussian(rng, dim, dim)[None]
-        return _Map(0, c, None, float(rng.uniform(1.0, 1.8)))
+        return _Map(0, [raw_gaussian(rng, dim, dim)], None, float(rng.uniform(1.0, 1.8)))
     if variant == 1:
         k = int(rng.integers(1, dim + 1))
-        ix = np.sort(rng.choice(dim, size=k, replace=False))
+        ix = rng.choice(dim, size=k, replace=False)
         return _Map(1, None, ix, float(rng.uniform(0.3, 1.0)))
-    c = np.array([complex_gaussian(rng, dim, dim) for _ in range(2)])
+    c = [raw_gaussian(rng, dim, dim) for _ in range(2)]
     return _Map(2, c, None, float(rng.uniform(0.4, 1.0)))
 
 

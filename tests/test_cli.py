@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from opdiv import cli
 from opdiv.cli import main
 
 
@@ -143,3 +144,16 @@ def test_reproduce_example_perturbed_exits_1(capsys):
     assert cmd_reproduce_example(Args(), perturbation=1e-3) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out
+
+
+def test_parser_is_built_once_and_calls_do_not_share_options(capsys):
+    """`main` reuses one parser; an option given to one call does not carry
+    over to the next."""
+    assert cli._parser() is cli._parser()
+    argv = ["verify", "--suite", "THM2_1", "--dim", "2", "--trials", "5", "--seed", "1"]
+    assert main(argv + ["--function", '{"id": "square"}']) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["config"]["function"] == "square"
+    assert second["config"]["function"] is None

@@ -104,19 +104,45 @@ def test_stacked_loewner_matches_pair_by_pair(dim):
 
 
 def test_loewner_solver_failure_is_a_numerical_failure():
-    """A function whose values reach 1.5e308 overflows the Loewner
-    comparison to non-finite matrices, where eigvalsh does not converge.
-    That surfaces as NumericalFailure, in the falsifier and in a check."""
+    """Non-finite sides, where eigvalsh does not converge, surface from the
+    Loewner comparison as NumericalFailure rather than LinAlgError."""
+    bad = np.full((2, 3, 3), math.inf, dtype=complex)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+            kernels.loewner(bad, np.zeros_like(bad), ToleranceConfig())
+
+
+def test_overflowing_function_is_named():
+    """A function whose values reach 1.5e308 is finite on every eigenvalue,
+    but the matrices rebuilt from those values overflow. The failure names
+    the function, in the falsifier and in a check, before any
+    non-finite matrix reaches the Loewner comparison."""
     big = ScalarOperatorFunction(
         id="big",
         domain=Interval.real_line(),
         eval=lambda t: 1.5e308 * np.tanh(np.asarray(t, float)) ** 2,
     )
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+        with pytest.raises(NumericalFailure, match="function 'big' produced a non-finite matrix"):
             convexity_falsifier(big, dim=3, trials=50, seed=1)
-        with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+        with pytest.raises(NumericalFailure, match="function 'big' produced a non-finite matrix"):
             run_check("THM2_1", GenConfig(dim=3, trials=20), function=big)
+
+
+def test_non_finite_result_names_the_function_of_its_row():
+    """With one function per stacked entry, the failure names the function
+    of the first entry whose result is not finite."""
+    big = ScalarOperatorFunction(
+        id="big",
+        domain=Interval.real_line(),
+        eval=lambda t: 1.5e308 * np.tanh(np.asarray(t, float)) ** 2,
+    )
+    h = 3.0 * np.eye(3)[None].repeat(2, axis=0) + np.ones((2, 3, 3))
+    fs = [builtin("square"), big]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailure, match="function 'big'"):
+            kernels.apply_function(fs, h)
+    assert np.isfinite(kernels.apply_function(fs[:1], h[:1])).all()
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
         check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
         for t in range(gen.trials)
     ]
-    groups = len({batched._shapes(r) for r in records})
+    groups = len({r.key for r in records})
     assert (groups > 1) == (check_id not in _ONE_SHAPE)
     worst, violated, payloads = check.evaluate(records, tol)
     for t in range(gen.trials):
@@ -339,6 +339,32 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
         assert math.copysign(1, worst[t]) == math.copysign(1, one_worst)
         assert (worst[t], violated[t]) == (one_worst, one_violated)
         assert lab._digest(payloads[t]()) == lab._digest(payload())
+
+
+def _leaves(value):
+    """The values in a draw record, through its tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("check_id", check_ids())
+@pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
+def test_draw_records_hold_only_real_rng_output(check_id, function):
+    """A draw keeps what the RNG returns: every array in its record is real
+    or integer, and no number is complex, so assembling complex Gaussians
+    (and every other float transform) stays in the stacked evaluate."""
+    check = lab._REGISTRY[check_id]
+    for dim in (2, 8):
+        gen = GenConfig(dim=dim, seed=3, trials=14)
+        for t in range(gen.trials):
+            record = check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
+            for leaf in _leaves(record):
+                assert not isinstance(leaf, complex)
+                if isinstance(leaf, np.ndarray):
+                    assert leaf.dtype.kind in "biuf", (check_id, leaf.dtype)
 
 
 @pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_II", "KL_SUITE", "EX3_3_EXACT"])
