@@ -34,9 +34,7 @@ from .sampling import (
     _SQUARE,
     _T_LOG_T,
     _X_SQ_OVER_Y,
-    _a_slots,
     _a_window,
-    _b_slots,
     _b_window,
     _draw_single_map,
     _Map,
@@ -78,6 +76,19 @@ class _Draw(NamedTuple):
 
 
 # Drawing, grouping, folding and payloads.
+
+
+def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
+    """n Hermitian slots with spectra in f's a window, uncapped."""
+    lo, hi = _a_window(f, cfg)
+    return None, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
+
+
+def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
+    """n positive-definite slots with spectra in the b window, capped at
+    cfg.condition_cap when built."""
+    lo, hi = _b_window(cfg)
+    return cfg.condition_cap, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
 
 
 def _by_shape(evaluate_group):

@@ -69,21 +69,6 @@ def _b_window(cfg: GenConfig) -> tuple:
     return wlo, hi
 
 
-def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
-    """n Hermitian slots with spectra in f's a window, uncapped, as
-    (cap, spectra) with cap None."""
-    lo, hi = _a_window(f, cfg)
-    return None, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
-
-
-def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
-    """n positive-definite slots with spectra in the b window, as
-    (cap, spectra): their eigenvalues are capped at cfg.condition_cap when
-    built."""
-    lo, hi = _b_window(cfg)
-    return cfg.condition_cap, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
-
-
 def _prob_vector(rng, n: int) -> np.ndarray:
     v = rng.uniform(0.1, 1.0, n)
     return v / v.sum()
