@@ -59,7 +59,8 @@ class _Draw(NamedTuple):
     pair, and the condition cap the eigenvalues get when built (None for
     none). Every float transform, from complex assembly and the cap to
     every eigendecomposition, is left to evaluate (`_build`,
-    `_gaussians`); a record holds only real and integer arrays.
+    `_gaussians`); a record holds only real and integer arrays, apart
+    from the complex unit vectors `x`, which are normalized per trial.
     """
 
     key: tuple
@@ -72,7 +73,7 @@ class _Draw(NamedTuple):
     h: Optional[ScalarOperatorFunction] = None  # a generalized perspective's h; THM2_10's f2
     q: Optional[np.ndarray] = None  # a mixture's q; a subunital family's shrinks
     m: Optional[_Map] = None  # a subunital single map
-    x: Optional[list] = None  # the unit vectors of quadratic forms (`_unit_vector`)
+    x: Optional[list] = None  # the unit vectors (or (u, v) pairs) of quadratic forms
 
 
 # Drawing, grouping, folding and payloads.
@@ -117,14 +118,16 @@ def _by_shape(evaluate_group):
 def _build(group, *slots) -> tuple:
     """The matrices of the named slots of every trial, one (T, k, n, n)
     stack per slot, from one stacked eigendecomposition. Each slot's
-    eigenvalues are capped at its trials' caps (`K.capped`) and its
-    Gaussians assembled (`K.from_spectrum`) once for the whole group."""
+    eigenvalues are capped (`K.capped`) and its Gaussians assembled
+    (`K.from_spectrum`) once for the whole group; the cap is the run's
+    one condition cap, read from the first trial."""
     lams = []
     for s in slots:
         lam = np.stack([lam for r in group for lam, _ in getattr(r, s)[1]])
         lam = lam.reshape(len(group), -1, lam.shape[-1])
-        if getattr(group[0], s)[0] is not None:
-            lam = K.capped(lam, np.array([getattr(r, s)[0] for r in group])[:, None, None])
+        cap = getattr(group[0], s)[0]
+        if cap is not None:
+            lam = K.capped(lam, cap)
         lams.append(lam)
     lam = np.stack(lams, axis=1)
     pairs = np.stack([pair for r in group for s in slots for _, pair in getattr(r, s)[1]])
@@ -142,12 +145,6 @@ def _gaussians(records, name: str) -> np.ndarray:
     pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call."""
     g = K.complex_pair(np.stack([pair for r in records for pair in getattr(r, name)]))
     return g.reshape((len(records), -1) + g.shape[-2:])
-
-
-def _vectors(group) -> np.ndarray:
-    """Each trial's unit vectors (`_unit_vector`) as complex, (T, L, n)."""
-    x = np.stack([v for r in group for v in r.x]).view(complex)
-    return x.reshape((len(group), len(group[0].x)) + x.shape[1:])
 
 
 def _stack(group, name: str) -> np.ndarray:
@@ -625,7 +622,7 @@ def _eval_cor2_9(group, tol):
     a, b = _single(group, "a", "b")
     # Each drawn A and B is positive definite.
     vals, vecs = K.positive(np.stack([a, b], axis=1))
-    x = _vectors(group)
+    x = _stack(group, "x")
     ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, (vals[:, 1], vecs[:, 1]))))
     hbx = _eval(hs, bx)
     worst, violated = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
@@ -656,7 +653,7 @@ def _eval_delta_nabla(group, tol):
     ls, rs = _build(group, "a", "b")
     K.positive(rs)  # each drawn R is positive definite
     sum_l, sum_r = _sum(ls, w=p, first=True), _sum(rs, w=q, first=True)
-    lhs = K.f_delta_h(fs, hs, sum_l, K.decompose(sum_r))
+    lhs = K.f_delta_h(fs, K.flagged_positive(hs), sum_l, K.decompose(sum_r))
     rhs = _sum(K.f_delta_h(fs, hs, ls, K.decompose(rs * q[..., None, None])), w=p)
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
@@ -687,7 +684,7 @@ def _eval_thm3_8(group, tol):
 def _draw_lemma_jadjit(rng, trial, cfg, f_over):
     """A and B, then three pairs (u, v) of unit vectors, u before v."""
     cap, (a, b) = _b_slots(rng, cfg, 2)
-    uv = [_unit_vector(rng, cfg.dim) for _ in range(6)]
+    uv = [(_unit_vector(rng, cfg.dim), _unit_vector(rng, cfg.dim)) for _ in range(3)]
     return _Draw((), None, None, (cap, [a]), (cap, [b]), x=uv)
 
 
@@ -696,8 +693,7 @@ def _eval_lemma_jadjit(group, tol):
     <u, A u>^2 / <v, B v> <= <u (x) v, phi(A, B) u (x) v> at three (u, v)."""
     a, b = _single(group, "a", "b")
     a_dec, b_dec = K.positive(a), K.positive(b)
-    uv_pairs = _vectors(group)
-    uv_pairs = uv_pairs.reshape((len(group), -1, 2) + uv_pairs.shape[-1:])
+    uv_pairs = _stack(group, "x")
     u, v = np.moveaxis(uv_pairs, 2, 0)
     au, bv = _quad(a, u), _quad(b, v)
     uv = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (-1,))

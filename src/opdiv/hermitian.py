@@ -306,14 +306,10 @@ def raw_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((2, rows, cols))
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Standard complex Gaussian matrix: real parts drawn before imaginary."""
-    return kernels.complex_pair(raw_gaussian(rng, rows, cols))
-
-
 def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Unitary factor of a random Gaussian Hermitian matrix."""
-    _, vecs = np.linalg.eigh(kernels.hermitian_part(complex_gaussian(rng, dim, dim)))
+    gaussian = kernels.complex_pair(raw_gaussian(rng, dim, dim))
+    _, vecs = np.linalg.eigh(kernels.hermitian_part(gaussian))
     return vecs
 
 
@@ -323,13 +319,6 @@ def raw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tu
     part carries the eigenvectors. `kernels.from_spectrum` builds a whole
     stack of them with one eigendecomposition call."""
     return rng.uniform(lo, hi, dim), raw_gaussian(rng, dim, dim)
-
-
-def draw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
-    """`raw_spectrum` with its Gaussian assembled: the eigenvalues and the
-    complex Gaussian matrix."""
-    lam, gaussian = raw_spectrum(rng, dim, lo, hi)
-    return lam, kernels.complex_pair(gaussian)
 
 
 # ---------------------------------------------------------------------------

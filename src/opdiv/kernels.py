@@ -281,19 +281,27 @@ def sandwich(f, half, inner):
     return _finite(f, hermitian_part(half @ _calculus(f, inner) @ half))
 
 
+def flagged_positive(h):
+    """`h`, one function or one per entry of the first axis, once each is
+    flagged strictly positive; NonPositiveH otherwise. Callers that
+    decompose R for `f_delta_h` check h first, so an h that is not
+    flagged is refused before any eigendecomposition."""
+    for g, _ in _by_function(h):
+        if not g.flags.strictly_positive:
+            raise NonPositiveH(f"h = {g.id!r} is not flagged strictly positive")
+    return h
+
+
 def f_delta_h(f, h, left, right):
     """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
     the stack: the perspective of f at h(R), the generalized perspective.
 
     `right` is the (eigenvalues, eigenvectors) pair that `decompose` (or
     `positive`) returns for each R. `f` and `h` are as for `calculus`.
-    Raises NonPositiveH if an h is not flagged strictly positive or an
-    h(R) is not strictly positive.
+    Raises NonPositiveH if an h is not flagged strictly positive
+    (`flagged_positive`) or an h(R) is not strictly positive.
     """
-    for g, _ in _by_function(h):
-        if not g.flags.strictly_positive:
-            raise NonPositiveH(f"h = {g.id!r} is not flagged strictly positive")
-    h_of_r = calculus(h, right)
+    h_of_r = calculus(flagged_positive(h), right)
     try:
         h_pos = positive(h_of_r)
     except NotPositiveDefinite as exc:

@@ -178,6 +178,7 @@ def f_delta_h(
     """
     if left.dim != right.dim:
         raise ShapeMismatch(f"dimension mismatch {left.dim} vs {right.dim}")
+    kernels.flagged_positive(h)
     right_dec = kernels.decompose(right.entries)
     return HermitianMatrix._wrap(kernels.f_delta_h(f, h, left.entries, right_dec))
 
@@ -214,6 +215,7 @@ def f_nabla_h(
         raise NotProbability("p and q must match the field length")
     if np.any((p > 0) & (q == 0)):
         raise NotProbability("q must be positive wherever p is positive")
+    kernels.flagged_positive(h)
     # The terms with p_i > 0, in stacks of entries (`kernels.chunks`).
     terms = [(a, b, p_i, q_i) for (_, a, b), p_i, q_i in zip(field, p, q) if p_i != 0]
     total = np.zeros((field.dim, field.dim), dtype=complex)

@@ -75,12 +75,12 @@ def _prob_vector(rng, n: int) -> np.ndarray:
 
 
 def _unit_vector(rng, dim: int) -> np.ndarray:
-    """A complex unit vector, normalized here (the norm of one complex
-    vector has its own summation order), and kept as the float64 view of
-    its entries: (re_0, im_0, re_1, im_1, ...)."""
+    """A complex unit vector, normalized here: the norm of one complex
+    vector has its own summation order, which a stacked norm would not
+    keep."""
     re, im = rng.standard_normal((2, dim))
     v = re + 1j * im
-    return (v / np.linalg.norm(v)).view(np.float64)
+    return v / np.linalg.norm(v)
 
 
 def _normalized(weights, cs, shrinks=None):

@@ -204,6 +204,24 @@ def test_f_delta_h_rejects_bad_h():
         f_delta_h(SQUARE, flagged, left, right)  # h(R) has negative eigenvalues
 
 
+def test_unflagged_h_is_refused_before_r_is_decomposed(monkeypatch):
+    """An h not flagged strictly positive raises NonPositiveH before R is
+    decomposed, so a bad h is named even where R's decomposition fails."""
+    from opdiv import kernels
+
+    def failing(h):
+        raise AssertionError("R was decomposed before h was checked")
+
+    left = HermitianMatrix.identity(2)
+    right = HermitianMatrix.diagonal([1.0, 2.0])
+    field = WeightedOperatorField([(1.0, left, PositiveDefiniteMatrix(right.entries))])
+    monkeypatch.setattr(kernels, "decompose", failing)
+    with pytest.raises(NonPositiveH):
+        f_delta_h(SQUARE, NEG_LOG, left, right)
+    with pytest.raises(NonPositiveH):
+        f_nabla_h(SQUARE, NEG_LOG, field, [1.0], [1.0])
+
+
 def test_f_nabla_h_point_mass_reduces_to_delta():
     rng = np.random.default_rng(6)
     entries = [(1.0, make_herm(rng, 2, 0.1, 4.0), make_pd(rng, 2)) for _ in range(3)]
