@@ -2,14 +2,21 @@
 
 Each check is a `draw`, run serially per trial, that makes only the RNG
 calls of that trial and keeps their output as it comes, and an
-`evaluate` that builds and compares every trial on stacked arrays
-through `kernels`. Trials are grouped by the shape key of their draws
-(field size, map count, map variant, output dimension) and never padded,
-pool functions are applied through index masks, and sums keep each
-check's own term order, so every margin has the bits of the
-one-trial-at-a-time computation. Loewner links and
-scalar links fold into a trial's worst margin and violation flag by the
-rule that also folds the trials (`kernels.fold`).
+`evaluate` that builds and compares every trial of a chunk on stacked
+arrays through `kernels`. Trials stack by the matrix shape of each
+stage, not by the shape of their draws: the entries of fields and map
+families of any size form one flat stack of the entries present, so
+each per-entry stage (build, decompositions, perspectives, congruences,
+calculus) runs once per chunk. Sums over a trial's entries run over a
+(T, k) presence mask and keep each check's own term order; an absent
+term is never added, so no padded zero can flip the sign of a zero. Only
+a stage whose matrix size depends on the draw is split by that size: the
+mapped matrices of a subunital family (its output dimension) and of a
+single map (its variant and a compression's size). Pool functions are
+applied through index masks, so every margin has the bits of the
+one-trial-at-a-time computation. Loewner links and scalar links fold
+into a trial's worst margin and violation flag by the rule that also
+folds the trials (`kernels.fold`).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .funcatalog import ScalarOperatorFunction, builtin
+from .funcatalog import PowerFamily, ScalarOperatorFunction
 from .hermitian import HermitianMatrix, ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
 from .perspective import tangent_point
 from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
@@ -53,17 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class _Draw(NamedTuple):
     """One trial's random draws, kept as the RNG gave them.
 
-    `key` is the shape of the draws (field size, map count, map variant,
-    output dimension); trials with one key stack. A slot field is a
-    (cap, spectra) pair: per slot its eigenvalues and its `raw_gaussian`
-    pair, and the condition cap the eigenvalues get when built (None for
-    none). Every float transform, from complex assembly and the cap to
-    every eigendecomposition, is left to evaluate (`_build`,
-    `_gaussians`); a record holds only real and integer arrays, apart
-    from the complex unit vectors `x`, which are normalized per trial.
+    A slot field is a (cap, spectra) pair: per slot its eigenvalues and
+    its `raw_gaussian` pair, and the condition cap the eigenvalues get
+    when built (None for none). Fields, families and vectors hold as many
+    entries as the trial drew. Every float transform, from complex
+    assembly and the cap to every eigendecomposition, is left to evaluate
+    (`_build`, `_gaussians`); a record holds only real and integer
+    arrays, apart from the complex unit vectors `x`, which are normalized
+    per trial.
     """
 
-    key: tuple
     f: Optional[ScalarOperatorFunction]
     w: Optional[np.ndarray]  # field or family weights; a mixture's p; EX2_8's (alpha, beta)
     a: Optional[tuple] = None  # the Hermitian slots
@@ -76,7 +82,7 @@ class _Draw(NamedTuple):
     x: Optional[list] = None  # the unit vectors (or (u, v) pairs) of quadratic forms
 
 
-# Drawing, grouping, folding and payloads.
+# Drawing, stacking, summing, folding and payloads.
 
 
 def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
@@ -92,92 +98,119 @@ def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
     return cfg.condition_cap, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(n)]
 
 
-def _by_shape(evaluate_group):
-    """An evaluate that splits the trials into groups whose draws have one
-    shape key (`_Draw.key`), never padded, and runs
-    `evaluate_group(group, tol)` on each. The trial loop
-    (`kernels.run_trials`) calls it through `kernels.in_trial_order`, so
-    an error is the first failing trial's own."""
-
-    def evaluate(records, tol):
-        groups = {}
-        for i, record in enumerate(records):
-            groups.setdefault(record.key, []).append(i)
-        worst = np.empty(len(records))
-        violated = np.empty(len(records), dtype=bool)
-        payloads = [None] * len(records)
-        for ix in groups.values():
-            worst[ix], violated[ix], thunks = evaluate_group([records[i] for i in ix], tol)
-            for i, thunk in zip(ix, thunks):
-                payloads[i] = thunk
-        return worst, violated, payloads
-
-    return evaluate
-
-
 def _build(group, *slots) -> tuple:
-    """The matrices of the named slots of every trial, one (T, k, n, n)
-    stack per slot, from one stacked eigendecomposition. Each slot's
-    eigenvalues are capped (`K.capped`) and its Gaussians assembled
-    (`K.from_spectrum`) once for the whole group; the cap is the run's
-    one condition cap, read from the first trial."""
-    lams = []
+    """The matrices of the named slots of every trial, one flat stack per
+    slot (each trial's matrices in order, trial by trial), from one
+    stacked eigendecomposition. Each slot's eigenvalues are capped
+    (`K.capped`) and its Gaussians assembled (`K.from_spectrum`) once for
+    the whole chunk; the cap is the run's one condition cap, read from
+    the first trial."""
+    lams, pairs = [], []
     for s in slots:
-        lam = np.stack([lam for r in group for lam, _ in getattr(r, s)[1]])
-        lam = lam.reshape(len(group), -1, lam.shape[-1])
+        spectra = [spectrum for r in group for spectrum in getattr(r, s)[1]]
+        lam = np.array([lam for lam, _ in spectra])
         cap = getattr(group[0], s)[0]
-        if cap is not None:
-            lam = K.capped(lam, cap)
-        lams.append(lam)
-    lam = np.stack(lams, axis=1)
-    pairs = np.stack([pair for r in group for s in slots for _, pair in getattr(r, s)[1]])
-    built = K.from_spectrum(lam, pairs.reshape(lam.shape[:3] + pairs.shape[1:]))
-    return tuple(built[:, i] for i in range(len(slots)))
+        lams.append(lam if cap is None else K.capped(lam, cap))
+        pairs += [pair for _, pair in spectra]
+    built = K.from_spectrum(np.concatenate(lams), np.array(pairs))
+    return tuple(np.split(built, len(slots)))
 
 
-def _single(group, *slots) -> tuple:
-    """`_build` for slots of one matrix each."""
-    return tuple(x[:, 0] for x in _build(group, *slots))
+def _present(counts) -> np.ndarray:
+    """(T, k) mask of the entries of each trial: trial t holds the first
+    counts[t] of k, the largest count."""
+    counts = np.array(counts)
+    return np.arange(counts.max()) < counts[:, None]
 
 
-def _gaussians(records, name: str) -> np.ndarray:
+def _pad(flat, mask) -> np.ndarray:
+    """A flat stack of the present entries, trial by trial, laid out as
+    (T, k, ...) by `mask`. Absent entries are zero; no sum adds them."""
+    out = np.zeros(mask.shape + flat.shape[1:], dtype=flat.dtype)
+    out[mask] = flat
+    return out
+
+
+def _padded(group, name: str, mask) -> np.ndarray:
+    """Each record's vector `name`, one entry per present entry, (T, k)."""
+    return _pad(np.concatenate([getattr(r, name) for r in group]), mask)
+
+
+def _each(values, mask) -> list:
+    """Per-trial `values` repeated for each present entry of the trial."""
+    return [values[t] for t in np.nonzero(mask)[0].tolist()]
+
+
+def _per_trial(flat, mask) -> list:
+    """A flat stack of the present entries cut into each trial's own."""
+    return np.split(flat, np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))[:-1])
+
+
+def _take(f, rows):
+    """The functions of the trials `rows`: one per trial, or a family."""
+    return f[rows] if isinstance(f, PowerFamily) else [f[i] for i in rows]
+
+
+def _split_by(records, key) -> list:
+    """The indices of the records, one array per value of key(record), in
+    order of first appearance."""
+    groups = {}
+    for i, r in enumerate(records):
+        groups.setdefault(key(r), []).append(i)
+    return [np.array(rows) for rows in groups.values()]
+
+
+def _gaussians(records, name: str, mask=None) -> np.ndarray:
     """The complex Gaussians of each record's list `name` of Gaussian
-    pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call."""
-    g = K.complex_pair(np.stack([pair for r in records for pair in getattr(r, name)]))
+    pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call:
+    zero where `mask` has no entry, or k of each without a mask."""
+    g = K.complex_pair(np.array([pair for r in records for pair in getattr(r, name)]))
+    if mask is not None:
+        return _pad(g, mask)
     return g.reshape((len(records), -1) + g.shape[-2:])
 
 
 def _stack(group, name: str) -> np.ndarray:
-    return np.stack([getattr(r, name) for r in group])
+    return np.array([getattr(r, name) for r in group])
 
 
 def _fh(group) -> tuple:
     return [r.f for r in group], [r.h for r in group]
 
 
-def _mask(group) -> np.ndarray:
-    """(T, k) membership of each slot in the trial's first block."""
-    k = len(group[0].a[1])
-    return np.array([[i in r.t1 for i in range(k)] for r in group])
+def _mask(group, present) -> np.ndarray:
+    """(T, k) membership of each present entry in the trial's first block."""
+    t1 = np.zeros_like(present)
+    for t, r in enumerate(group):
+        t1[t, r.t1] = True
+    return t1
 
 
 def _sum(x, mask=None, w=None, first=False):
     """Sum over axis 1, term by term from left to right: w_i x_i for the
     terms where `mask` holds. It starts from zeros, or from the first term
-    when `first`, in each check's own order: the two differ in the signs
-    of zeros."""
+    (which every trial holds) when `first`, in each check's own order: the
+    two differ in the signs of zeros."""
+
+    def rows(v, t):  # one value per trial against the term t
+        return v.reshape((-1,) + (1,) * (t.ndim - 1))
 
     def term(i):
         t = x[:, i]
-        return t if w is None else t * w[:, i].reshape((-1,) + (1,) * (t.ndim - 1))
+        return t if w is None else t * rows(w[:, i], t)
 
     out = term(0) if first else np.zeros_like(x[:, 0])
     for i in range(int(first), x.shape[1]):
         if mask is None:
             out = out + term(i)
         else:
-            out = np.where(mask[:, i, None, None], out + term(i), out)
+            out = np.where(rows(mask[:, i], out), out + term(i), out)
     return out
+
+
+def _total(flat, mask, w=None, first=False):
+    """`_sum` over each trial's own entries of a flat stack of them."""
+    return _sum(_pad(flat, mask), mask, w, first)
 
 
 def _eval(fs, x) -> np.ndarray:
@@ -207,6 +240,12 @@ def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
     """`kernels.fold` over the scalar links lhs <= rhs, (T, L) each: margin
     rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
     return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
+
+
+def _outcomes(count: int) -> tuple:
+    """Empty worst margins and violation flags of `count` trials, for
+    checks whose last stage runs in several pieces."""
+    return np.empty(count), np.empty(count, dtype=bool)
 
 
 def _family(w, maps, unital: bool):
@@ -247,7 +286,7 @@ def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
     for _ in range(n):
         a.append(raw_spectrum(rng, cfg.dim, alo, ahi))
         b.append(raw_spectrum(rng, cfg.dim, blo, bhi))
-    return _Draw((n,), f, weights, (None, a), (cfg.condition_cap, b))
+    return _Draw(f, weights, (None, a), (cfg.condition_cap, b))
 
 
 def _draw_thm2_1(rng, trial, cfg, f_over, unit_weights=False):
@@ -273,7 +312,7 @@ def _draw_thm2_12_grad(rng, trial, cfg, f_over):
 def _draw_cor2_2_ii(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
-    return _Draw((n,), f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
+    return _Draw(f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
 
 
 def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
@@ -281,28 +320,32 @@ def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
     p = rng.uniform(0.2, 2.0, n)
-    return _Draw((n,), f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
+    return _Draw(f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
 
 
 def _field(group) -> tuple:
-    """Functions, weights and A and B stacks of field draws, with B's
-    decompositions (each B is positive definite)."""
+    """Functions, entry mask, weights, the flat A and B stacks of field
+    draws and B's decompositions (each B is positive definite)."""
+    mask = _present([len(r.w) for r in group])
     a, b = _build(group, "a", "b")
-    return [r.f for r in group], _stack(group, "w"), a, b, K.positive(b)
+    return [r.f for r in group], mask, _padded(group, "w", mask), a, b, K.positive(b)
 
 
-def _perspective_of_sums(fs, w, a, b):
-    return K.perspective(fs, _sum(a, w=w), K.positive(_sum(b, w=w)))
+def _perspective_of_sums(fs, mask, w, a, b):
+    """The perspective of the weighted sums of the (T, k) stacks a and b."""
+    return K.perspective(fs, _sum(a, mask, w), K.positive(_sum(b, mask, w)))
 
 
-def _theta(fs, w, a, b_pos):
-    """The divergence functional: the weighted sum of the perspectives."""
-    return _sum(K.perspective(fs, a, b_pos), w=w)
+def _theta(fs, mask, w, a, b_pos):
+    """The divergence functional: the weighted sum of the perspectives of
+    the entries, from the flat stacks."""
+    return _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
 
 
-def _field_payloads(group, a, b) -> list:
+def _field_payloads(group, mask, a, b) -> list:
     return [
-        partial(_payload, f=r.f, w=r.w, A=a[i], B=b[i], t1=r.t1) for i, r in enumerate(group)
+        partial(_payload, f=r.f, w=r.w, A=ai, B=bi, t1=r.t1)
+        for r, ai, bi in zip(group, _per_trial(a, mask), _per_trial(b, mask))
     ]
 
 
@@ -312,65 +355,78 @@ def _eval_thm2_1(group, tol):
     With unit weights this is the subadditivity of the perspective over
     entrywise sums (Corollary 2.2).
     """
-    fs, w, a, b, b_pos = _field(group)
-    worst, violated = _links(tol, (_perspective_of_sums(fs, w, a, b), _theta(fs, w, a, b_pos)))
-    return worst, violated, _field_payloads(group, a, b)
+    fs, mask, w, a, b, b_pos = _field(group)
+    lhs = _perspective_of_sums(fs, mask, w, _pad(a, mask), _pad(b, mask))
+    worst, violated = _links(tol, (lhs, _theta(fs, mask, w, a, b_pos)))
+    return worst, violated, _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_3_split(group, tol):
     """Two-block split sits between the combined perspective and the divergence."""
-    fs, w, a, b, b_pos = _field(group)
-    t1 = _mask(group)
-    halves = (t1, ~t1)
+    fs, mask, w, a, b, b_pos = _field(group)
+    a_k, b_k = _pad(a, mask), _pad(b, mask)
+    t1 = _mask(group, mask)
+    halves = (t1, mask & ~t1)
     blocks = K.perspective(
         fs,
-        np.stack([_sum(a, m, w) for m in halves], axis=1),
-        K.positive(np.stack([_sum(b, m, w) for m in halves], axis=1)),
+        np.stack([_sum(a_k, m, w) for m in halves], axis=1),
+        K.positive(np.stack([_sum(b_k, m, w) for m in halves], axis=1)),
     )
     split = blocks[:, 0] + blocks[:, 1]
     worst, violated = _links(
-        tol, (_perspective_of_sums(fs, w, a, b), split), (split, _theta(fs, w, a, b_pos))
+        tol,
+        (_perspective_of_sums(fs, mask, w, a_k, b_k), split),
+        (split, _theta(fs, mask, w, a, b_pos)),
     )
-    return worst, violated, _field_payloads(group, a, b)
+    return worst, violated, _field_payloads(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):
     """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
     divergence functional."""
-    fs, w, a, b, b_pos = _field(group)
+    fs, mask, w, a, b, b_pos = _field(group)
     points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
-    sum_b, sum_a = _sum(b, w=w), _sum(a, w=w)
+    sum_b, sum_a = _total(b, mask, w), _total(a, mask, w)
     lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
-    worst, violated = _links(tol, (lower, _theta(fs, w, a, b_pos)))
-    return worst, violated, _field_payloads(group, a, b)
+    worst, violated = _links(tol, (lower, _theta(fs, mask, w, a, b_pos)))
+    return worst, violated, _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_2_ii(group, tol):
     """f of the left sum vs the perspective sum when the right slots add to I."""
     fs = [r.f for r in group]
+    mask = _present([len(r.a[1]) for r in group])
     lefts, raw = _build(group, "a", "b")
     K.positive(raw)  # each drawn right slot is positive definite
-    _, inv_half = K.sqrt_pair(*K.positive(_sum(raw, first=True)))
-    inv_half = inv_half[:, None]
+    _, inv_half = K.sqrt_pair(*K.positive(_total(raw, mask, first=True)))
+    inv_half = inv_half[np.nonzero(mask)[0]]
     rights = K.hermitian_part(inv_half @ raw @ inv_half)
-    lhs = K.apply_function(fs, _sum(lefts, first=True))
-    rhs = _sum(K.perspective(fs, lefts, K.positive(rights)), first=True)
+    lhs = K.apply_function(fs, _total(lefts, mask, first=True))
+    rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask, first=True)
     worst, violated = _links(tol, (lhs, rhs))
-    payloads = [partial(_payload, f=r.f, L=lefts[i], R=rights[i]) for i, r in enumerate(group)]
+    payloads = [
+        partial(_payload, f=r.f, L=left, R=right)
+        for r, left, right in zip(group, _per_trial(lefts, mask), _per_trial(rights, mask))
+    ]
     return worst, violated, payloads
 
 
 def _eval_thm2_4_mixture(group, tol):
     """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
     fs = [r.f for r in group]
-    p = _stack(group, "w")
-    grid_shape = (len(group),) + p.shape[1:] * 2
-    ls, rs = (x.reshape(grid_shape + x.shape[-2:]) for x in _build(group, "a", "b"))
-    rows = [_sum(x.swapaxes(1, 2), w=p, first=True) for x in (ls, rs)]
-    lhs = _sum(K.perspective(fs, rows[0], K.positive(rows[1])))
-    columns = _sum(K.perspective(fs, ls, K.positive(rs)), first=True)
-    worst, violated = _links(tol, (lhs, _sum(columns, w=p)))
-    payloads = [partial(_payload, f=r.f, p=r.w, L=ls[i], R=rs[i]) for i, r in enumerate(group)]
+    mask = _present([len(r.w) for r in group])
+    grid = mask[:, :, None] & mask[:, None, :]
+    p = _padded(group, "w", mask)
+    ls, rs = _build(group, "a", "b")
+    # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
+    rows = [_sum(_pad(x, grid).swapaxes(1, 2), mask, p, first=True)[mask] for x in (ls, rs)]
+    lhs = _total(K.perspective(_each(fs, mask), rows[0], K.positive(rows[1])), mask)
+    cells = _pad(K.perspective(_each(fs, grid), ls, K.positive(rs)), grid)
+    worst, violated = _links(tol, (lhs, _sum(_sum(cells, mask, first=True), mask, p)))
+    payloads = []
+    for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
+        shape = (len(r.w),) * 2 + left.shape[1:]
+        payloads.append(partial(_payload, f=r.f, p=r.w, L=left.reshape(shape), R=right.reshape(shape)))
     return worst, violated, payloads
 
 
@@ -394,24 +450,33 @@ def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
     a = _a_slots(rng, cfg, f, k)
     cut = int(rng.integers(1, k))
     perm = rng.permutation(k)
-    return _Draw((k,), f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
+    return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
 
 
-def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
+def _unital_family(group, mask) -> tuple:
+    """The weights (T, k) and normalized congruences (T, k, n, n) of
+    unital congruence families, zero where `mask` has no map."""
+    w = _padded(group, "w", mask)
+    return w, _normalized(w, _gaussians(group, "c", mask), mask=mask)
+
+
+def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     """The four-stage refinement chain of a unital map family, stacked.
 
-    `mapped(x)` gives w_i Phi_i(x_i) for a stack `x` of one operator per
-    map, `ops` holds the operators and `t1` masks the first block.
-    Returns the chain (m1, m2, m3, m4), the first block's perspective and
-    the first block's share of m4. Without `full` the second block and
-    the per-map perspectives are not built, and m2 and m3 are None.
+    `mapped(x)` gives w_i Phi_i(x_i), (T, k, n, n), for a flat stack `x`
+    of one operator per map that `present` (T, k) holds, `ops` holds the
+    operators and `t1` masks the first block. Returns the chain (m1, m2,
+    m3, m4), the first block's perspective and the first block's share of
+    m4. Without `full` the second block and the per-map perspectives are
+    not built, and m2 and m3 are None.
     """
+    each = _each(fs, present)
     mapped_a = mapped(ops)
     mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
-    check_unital(_sum(mapped_i))
-    mapped_f = mapped(K.apply_function(fs, ops))
-    m1 = K.apply_function(fs, _sum(mapped_a))
-    masks = (t1, ~t1) if full else (t1,)
+    check_unital(_sum(mapped_i, present))
+    mapped_f = mapped(K.apply_function(each, ops))
+    m1 = K.apply_function(fs, _sum(mapped_a, present))
+    masks = (t1, present & ~t1) if full else (t1,)
     blocks = K.perspective(
         fs,
         np.stack([_sum(mapped_a, m) for m in masks], axis=1),
@@ -420,8 +485,9 @@ def _jensen_chain(fs, mapped, ops, t1, full: bool = True):
     m2 = m3 = None
     if full:
         m2 = blocks[:, 0] + blocks[:, 1]
-        m3 = _sum(K.perspective(fs, mapped_a, K.positive(mapped_i)))
-    return (m1, m2, m3, _sum(mapped_f)), blocks[:, 0], _sum(mapped_f, t1)
+        per_map = K.perspective(each, mapped_a[present], K.positive(mapped_i[present]))
+        m3 = _total(per_map, present)
+    return (m1, m2, m3, _sum(mapped_f, present)), blocks[:, 0], _sum(mapped_f, t1)
 
 
 def _eval_jensen(group, tol, unit_weights=False, full=True):
@@ -429,14 +495,15 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     the block deficit lower bound for the mapped Jensen gap. With unit
     weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
-    w = _stack(group, "w")
-    maps = _normalized(w, _gaussians(group, "c"))
+    present = _present([len(r.w) for r in group])
+    w, maps = _unital_family(group, present)
     (ops,) = _build(group, "a")
 
     def mapped(x):
-        return K.congruence(maps, x) * w[..., None, None]
+        return K.congruence(maps, _pad(x, present)) * w[..., None, None]
 
-    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, _mask(group), full)
+    chain, block_one, f_one = _jensen_chain(fs, mapped, ops, present, _mask(group, present), full)
+    m1, m2, m3, m4 = chain
     if full:
         links = ((m1, m2), (m2, m3), (m3, m4))
     else:
@@ -444,9 +511,10 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
         links = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
     worst, violated = _links(tol, *links)
     payloads = []
-    for i, r in enumerate(group):
-        family = {"C": maps[i]} if unit_weights else {"maps": _family(r.w, maps[i], True)}
-        payloads.append(partial(_payload, f=r.f, **family, A=ops[i], t1=r.t1))
+    for i, (r, a) in enumerate(zip(group, _per_trial(ops, present))):
+        own = maps[i, : len(r.w)]
+        family = {"C": own} if unit_weights else {"maps": _family(r.w, own, True)}
+        payloads.append(partial(_payload, f=r.f, **family, A=a, t1=r.t1))
     return worst, violated, payloads
 
 
@@ -463,23 +531,35 @@ def _draw_thm2_6(rng, trial, cfg, f_over):
     shrinks = rng.uniform(0.5, 1.0, k)
     c = [raw_gaussian(rng, cfg.dim, out_dim) for _ in range(k)]
     a, b = _a_slots(rng, cfg, f, k), _b_slots(rng, cfg, k)
-    return _Draw((k, out_dim), f, w, a, b, c, h=h, q=shrinks)
+    return _Draw(f, w, a, b, c, h=h, q=shrinks)
 
 
 def _eval_thm2_6(group, tol):
     """Generalized perspective of the mapped sums vs the mapped sum of
-    generalized perspectives, for a subunital family."""
+    generalized perspectives, for a subunital family. The mapped matrices
+    take the family's output dimension, so they stack per dimension."""
     fs, hs = _fh(group)
-    w = _stack(group, "w")
-    maps = _normalized(w, _gaussians(group, "c"), _stack(group, "q"))
+    present = _present([len(r.w) for r in group])
+    w, shrinks = _padded(group, "w", present), _padded(group, "q", present)
     a, b = _build(group, "a", "b")
     b_pos = K.positive(b)  # each drawn B is positive definite
-    mapped = K.congruence(maps[:, None], np.stack([a, b, K.f_delta_h(fs, hs, a, b_pos)], axis=1))
-    sum_a, sum_b, rhs = (_sum(mapped[:, i], w=w) for i in range(3))
-    worst, violated = _links(tol, (K.f_delta_h(fs, hs, sum_a, K.decompose(sum_b)), rhs))
+    f_ab = K.f_delta_h(_each(fs, present), _each(hs, present), a, b_pos)
+    images = _pad(np.stack([a, b, f_ab], axis=1), present)
+    worst, violated = _outcomes(len(group))
+    maps = [None] * len(group)
+    for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
+        mask, w_rows = present[rows], w[rows]
+        gaussians = _gaussians([group[i] for i in rows], "c", mask)
+        family = _normalized(w_rows, gaussians, shrinks[rows], mask)
+        mapped = K.congruence(family[:, :, None], images[rows])
+        sum_a, sum_b, rhs = (_sum(mapped[:, :, i], mask, w_rows) for i in range(3))
+        lhs = K.f_delta_h(_take(fs, rows), _take(hs, rows), sum_a, K.decompose(sum_b))
+        worst[rows], violated[rows] = _links(tol, (lhs, rhs))
+        for i, own in zip(rows.tolist(), family):
+            maps[i] = own[: len(group[i].w)]
     payloads = [
-        partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=a[i], B=b[i])
-        for i, r in enumerate(group)
+        partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=ai, B=bi)
+        for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
     ]
     return worst, violated, payloads
 
@@ -493,21 +573,24 @@ def _draw_thm2_10(rng, trial, cfg, f_over):
     lo = max(_a_window(f1, cfg)[0], _a_window(f2, cfg)[0], _b_window(cfg)[0])
     hi = min(_a_window(f1, cfg)[1], _a_window(f2, cfg)[1])
     a = cfg.condition_cap, [_spectrum(rng, cfg.dim, lo, hi) for _ in range(k)]
-    return _Draw((k,), f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
+    return _Draw(f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
 
 
 def _eval_thm2_10(group, tol):
     """Pointwise dominance f1 <= f2 transfers to the mapped perspective
     and functional-calculus bounds."""
     f1s, f2s = _fh(group)
-    w = _stack(group, "w")
-    maps = _normalized(w, _gaussians(group, "c"))
+    present = _present([len(r.w) for r in group])
+    w, maps = _unital_family(group, present)
     a, b = _build(group, "a", "b")
     a_pos = K.positive(a)  # each drawn A is positive definite
+    f2 = _each(f2s, present)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    images = [eye, a, b, K.perspective(f2s, a, K.positive(b)), K.calculus(f2s, a_pos)]
-    mapped = K.congruence(maps[:, None], np.stack(images, axis=1))
-    unit, sum_a, sum_b, rhs_g, rhs_f = (_sum(mapped[:, i], w=w) for i in range(len(images)))
+    images = [eye, a, b, K.perspective(f2, a, K.positive(b)), K.calculus(f2, a_pos)]
+    mapped = K.congruence(maps[:, :, None], _pad(np.stack(images, axis=1), present))
+    unit, sum_a, sum_b, rhs_g, rhs_f = (
+        _sum(mapped[:, :, i], present, w) for i in range(len(images))
+    )
     check_unital(unit)
     worst, violated = _links(
         tol,
@@ -515,20 +598,19 @@ def _eval_thm2_10(group, tol):
         (K.apply_function(f1s, sum_a), rhs_f),
     )
     payloads = [
-        partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i], True), A=a[i], B=b[i])
-        for i, r in enumerate(group)
+        partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i, : len(r.w)], True), A=ai, B=bi)
+        for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
     ]
     return worst, violated, payloads
 
 
-def _single_maps(group, dim: int) -> tuple:
-    """Each trial's subunital single map (`_draw_single_map`), all of one
-    variant: `apply` maps a stack (T, S, dim, dim), and the maps
-    themselves are for payloads."""
-    ms = [r.m for r in group]
+def _single_maps(ms, dim: int) -> tuple:
+    """The subunital single maps `ms` (`_draw_single_map`), all of one
+    variant and, for compressions, one size: `apply` maps a stack (T, S,
+    dim, dim), and the maps themselves are for payloads."""
     scale = np.array([m.scale for m in ms])[:, None, None, None]
     if ms[0].variant == 1:
-        ix = np.sort(np.stack([m.ix for m in ms]), axis=-1)[:, None]
+        ix = np.sort(np.array([m.ix for m in ms]), axis=-1)[:, None]
 
         def apply(x):
             rows = np.take_along_axis(x, ix[..., :, None], axis=-2)
@@ -549,21 +631,41 @@ def _single_maps(group, dim: int) -> tuple:
 
 
 def _map_key(m: _Map) -> tuple:
-    """A single map's shape key: its variant and a compression's size."""
+    """What fixes how a single map applies: its variant and a
+    compression's size."""
     return m.variant, 0 if m.ix is None else len(m.ix)
+
+
+def _map_images(ms, x) -> tuple:
+    """Each trial's subunital single map applied to its stack of images x
+    (T, S, dim, dim), the maps of one `_map_key` at once. Returns the
+    (trial indices, images) of each output size and each trial's map."""
+    sizes, maps = {}, [None] * len(ms)
+    for rows in _split_by(ms, _map_key):
+        apply, kind = _single_maps([ms[i] for i in rows], x.shape[-1])
+        phi = apply(x[rows])
+        sizes.setdefault(phi.shape[-1], []).append((rows, phi))
+        for i, m in zip(rows.tolist(), kind):
+            maps[i] = m
+    stacks = [
+        (np.concatenate([rows for rows, _ in parts]), np.concatenate([phi for _, phi in parts]))
+        for parts in sizes.values()
+    ]
+    return stacks, maps
 
 
 def _draw_cor2_7(rng, trial, cfg, f_over):
     f, h = _pick_fh(trial, f_over)
     m = _draw_single_map(rng, cfg.dim, trial)
-    return _Draw(_map_key(m), f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
+    return _Draw(f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
 
 
 def _draw_ex2_8(rng, trial, cfg, f_over):
     """Power-function pairs where the subunital Jensen argument applies:
     growth exponents beta in [1, 2] with any root exponent alpha in
     [0, 1], or inverse exponents in [-1, 0] with the identity in the h
-    slot. The override is ignored; the functions are structural here."""
+    slot. The override is ignored; the functions are structural here,
+    kept as their exponents (alpha, beta)."""
     if trial == 0:
         alpha, beta = 1.0, -1.0
     elif rng.uniform() < 0.5:
@@ -572,31 +674,37 @@ def _draw_ex2_8(rng, trial, cfg, f_over):
         alpha, beta = 1.0, float(rng.uniform(-1.0, 0.0))
     m = _draw_single_map(rng, cfg.dim, trial)
     cap, (a, b) = _b_slots(rng, cfg, 2)
-    f, h = builtin("power", [beta]), builtin("power", [alpha])
-    return _Draw(_map_key(m), f, np.array([alpha, beta]), (cap, [a]), (cap, [b]), h=h, m=m)
+    return _Draw(None, np.array([alpha, beta]), (cap, [a]), (cap, [b]), m=m)
 
 
 def _eval_single_map(group, tol, perspective=True):
     """One subunital map Phi: the generalized perspective of
     (Phi(A), Phi(B)) vs Phi of the generalized perspective of (A, B), and
     with `perspective` the same bound for the perspective of f (COR2_7).
-    Without it (EX2_8) A is drawn positive definite and the payload names
-    the functions by their exponents."""
-    fs, hs = _fh(group)
-    a, b = _single(group, "a", "b")
+    Without it (EX2_8) A is drawn positive definite, f and h are the power
+    families of the drawn exponents and the payload names them by their
+    exponents. The images under Phi stack per output size."""
+    if perspective:
+        fs, hs = _fh(group)
+    else:
+        alpha, beta = _stack(group, "w").T
+        fs, hs = PowerFamily(beta), PowerFamily(alpha)
+    a, b = _build(group, "a", "b")
     b_pos = K.positive(b)
     if not perspective:
         K.positive(a)
-    apply, maps = _single_maps(group, a.shape[-1])
     images = [a, b, K.f_delta_h(fs, hs, a, b_pos)]
     if perspective:
         images.append(K.perspective(fs, a, b_pos))
-    phi = apply(np.stack(images, axis=1))
-    phi_b = K.decompose(phi[:, 1])
-    links = [(K.f_delta_h(fs, hs, phi[:, 0], phi_b), phi[:, 2])]
-    if perspective:
-        links.append((K.perspective(fs, phi[:, 0], K.strictly_positive(phi_b)), phi[:, 3]))
-    worst, violated = _links(tol, *links)
+    stacks, maps = _map_images([r.m for r in group], np.stack(images, axis=1))
+    worst, violated = _outcomes(len(group))
+    for rows, phi in stacks:
+        f, h = _take(fs, rows), _take(hs, rows)
+        phi_b = K.decompose(phi[:, 1])
+        links = [(K.f_delta_h(f, h, phi[:, 0], phi_b), phi[:, 2])]
+        if perspective:
+            links.append((K.perspective(f, phi[:, 0], K.strictly_positive(phi_b)), phi[:, 3]))
+        worst[rows], violated[rows] = _links(tol, *links)
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
@@ -611,7 +719,7 @@ def _draw_cor2_9(rng, trial, cfg, f_over):
     f, h = _pick_fh(trial, f_over)
     cap, (a, b) = _b_slots(rng, cfg, 2)
     x = [_unit_vector(rng, cfg.dim) for _ in range(3)]
-    return _Draw((), f, None, (cap, [a]), (cap, [b]), h=h, x=x)
+    return _Draw(f, None, (cap, [a]), (cap, [b]), h=h, x=x)
 
 
 def _eval_cor2_9(group, tol):
@@ -619,7 +727,7 @@ def _eval_cor2_9(group, tol):
     vs the quadratic form of the generalized perspective, at three unit
     vectors x."""
     fs, hs = _fh(group)
-    a, b = _single(group, "a", "b")
+    a, b = _build(group, "a", "b")
     # Each drawn A and B is positive definite.
     vals, vecs = K.positive(np.stack([a, b], axis=1))
     x = _stack(group, "x")
@@ -642,23 +750,25 @@ def _draw_delta_nabla(rng, trial, cfg, f_over):
     alo, ahi = _a_window(f, cfg)
     lo = max(alo, _b_window(cfg)[0])
     a = None, [_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)]
-    return _Draw((n,), f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
+    return _Draw(f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
 
 
 def _eval_delta_nabla(group, tol):
     """Generalized perspective of the mixtures (sum p_i L_i, sum q_i R_i)
     vs the mixture functional sum_i p_i f_delta_h(L_i, q_i R_i)."""
     fs, hs = _fh(group)
-    p, q = _stack(group, "w"), _stack(group, "q")
+    mask = _present([len(r.w) for r in group])
+    p, q = _padded(group, "w", mask), _padded(group, "q", mask)
     ls, rs = _build(group, "a", "b")
     K.positive(rs)  # each drawn R is positive definite
-    sum_l, sum_r = _sum(ls, w=p, first=True), _sum(rs, w=q, first=True)
+    sum_l, sum_r = _total(ls, mask, p, first=True), _total(rs, mask, q, first=True)
     lhs = K.f_delta_h(fs, K.flagged_positive(hs), sum_l, K.decompose(sum_r))
-    rhs = _sum(K.f_delta_h(fs, hs, ls, K.decompose(rs * q[..., None, None])), w=p)
+    q_rs = rs * q[mask][:, None, None]
+    rhs = _total(K.f_delta_h(_each(fs, mask), _each(hs, mask), ls, K.decompose(q_rs)), mask, p)
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
-        partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=ls[i], R=rs[i])
-        for i, r in enumerate(group)
+        partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=left, R=right)
+        for r, left, right in zip(group, _per_trial(ls, mask), _per_trial(rs, mask))
     ]
     return worst, violated, payloads
 
@@ -666,14 +776,14 @@ def _eval_delta_nabla(group, tol):
 def _draw_thm3_8(rng, trial, cfg, f_over):
     f = _pick(_NORM_POOL, trial, f_over)
     cap, (a, b) = _b_slots(rng, cfg, 2)
-    return _Draw((), f, None, (cap, [a]), (cap, [b]))
+    return _Draw(f, None, (cap, [a]), (cap, [b]))
 
 
 def _eval_thm3_8(group, tol):
     """Scalar perspective of the Ky Fan k-norms of A and B vs the Ky Fan
     k-norms of their perspective, for every k."""
     fs = [r.f for r in group]
-    a, b = _single(group, "a", "b")
+    a, b = _build(group, "a", "b")
     K.positive(a)  # each drawn A is positive definite
     g = K.perspective(fs, a, K.positive(b))
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
@@ -685,13 +795,13 @@ def _draw_lemma_jadjit(rng, trial, cfg, f_over):
     """A and B, then three pairs (u, v) of unit vectors, u before v."""
     cap, (a, b) = _b_slots(rng, cfg, 2)
     uv = [(_unit_vector(rng, cfg.dim), _unit_vector(rng, cfg.dim)) for _ in range(3)]
-    return _Draw((), None, None, (cap, [a]), (cap, [b]), x=uv)
+    return _Draw(None, None, (cap, [a]), (cap, [b]), x=uv)
 
 
 def _eval_lemma_jadjit(group, tol):
     """x^2/y calculus on A (x) B vs tensor quadratic forms:
     <u, A u>^2 / <v, B v> <= <u (x) v, phi(A, B) u (x) v> at three (u, v)."""
-    a, b = _single(group, "a", "b")
+    a, b = _build(group, "a", "b")
     a_dec, b_dec = K.positive(a), K.positive(b)
     uv_pairs = _stack(group, "x")
     u, v = np.moveaxis(uv_pairs, 2, 0)
@@ -715,7 +825,7 @@ def _eval_lemma_jadjit(group, tol):
 
 def _draw_kl(rng, trial, cfg, f_over):
     cap, slots = _b_slots(rng, cfg, 4)
-    return _Draw((), None, None, (cap, slots[:2]), (cap, slots[2:]))
+    return _Draw(None, None, (cap, slots[:2]), (cap, slots[2:]))
 
 
 def _far(got, want, rtol: float) -> np.ndarray:
@@ -732,7 +842,7 @@ def _eval_kl(group, tol):
     the two entropy generators, each cross-checked against the direct
     sandwich formula it equals analytically.
     """
-    ls, rs = _build(group, "a", "b")
+    ls, rs = (x.reshape((len(group), 2) + x.shape[1:]) for x in _build(group, "a", "b"))
     l_vals, l_vecs = K.positive(ls)
     half, inv_half = K.conditioned_roots(K.positive(rs))
     ones = np.ones(ls.shape[:2])
@@ -759,7 +869,7 @@ def _draw_scalar_csiszar(rng, trial, cfg, f_over):
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 7))
     p = rng.uniform(0.1, 4.0, n)
-    return _Draw((n,), f, p, q=rng.uniform(0.1, 4.0, n))
+    return _Draw(f, p, q=rng.uniform(0.1, 4.0, n))
 
 
 def _eval_scalar_csiszar(group, tol):
@@ -767,13 +877,17 @@ def _eval_scalar_csiszar(group, tol):
     is the scalar sum S = sum_i q_i f(p_i / q_i), and S >= Q f(P / Q) for
     the totals P and Q."""
     fs = [r.f for r in group]
-    p, q = _stack(group, "w"), _stack(group, "q")
-    total = np.sum(q * _eval(fs, p / q), axis=1)
+    mask = _present([len(r.w) for r in group])
+    each = _each(fs, mask)
+    p, q = (np.concatenate([getattr(r, s) for r in group]) for s in ("w", "q"))
+    # Sums from zeros, term by term, as np.sum adds the few terms of a row.
+    total = _total(q * _eval(each, p / q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
-    cell_p, cell_q = (K.hermitian_part(x[..., None, None]) for x in (p, q))
-    theta = _sum(K.perspective(fs, cell_p, K.positive(cell_q)), w=np.ones_like(p))[:, 0, 0].real
-    big_q = q.sum(axis=1)
-    lhs = big_q * _eval(fs, p.sum(axis=1) / big_q)
+    cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
+    cells = K.perspective(each, cell_p, K.positive(cell_q))
+    theta = _total(cells, mask, _pad(np.ones_like(p), mask))[:, 0, 0].real
+    big_q = _total(q, mask)
+    lhs = big_q * _eval(fs, _total(p, mask) / big_q)
     worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])
     violated |= np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
     return worst, violated, [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
@@ -793,14 +907,15 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     the stored chain, each matrix's largest entrywise deviation from its
     stored value, and each link's Loewner margin and tolerance."""
     ex = example_33()
-    ops = np.stack([a.entries for a in ex.operators])[None]
-    t1 = np.array([[i in ex.partition[0] for i in range(len(ex.operators))]])
+    ops = np.array([a.entries for a in ex.operators])
+    present = np.ones((1, len(ops)), dtype=bool)
+    t1 = np.array([[i in ex.partition[0] for i in range(len(ops))]])
 
     def mapped(x):
-        images = [w * phi.apply(HermitianMatrix._wrap(xi)) for (w, phi), xi in zip(ex.maps, x[0])]
-        return np.stack([image.entries for image in images])[None]
+        images = [w * phi.apply(HermitianMatrix._wrap(xi)) for (w, phi), xi in zip(ex.maps, x)]
+        return np.array([image.entries for image in images])[None]
 
-    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, t1)
+    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, present, t1)
     computed = np.stack([m[0] for m in chain])
     if perturbation:
         computed[0] = computed[0] + np.eye(computed.shape[-1], dtype=complex) * float(perturbation)
@@ -812,7 +927,7 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
 
 def _draw_example(rng, trial, cfg, f_over):
     """The fixture reads no draw."""
-    return _Draw((), None, None)
+    return _Draw(None, None)
 
 
 def _eval_example(group, tol):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -114,13 +114,17 @@ def _t_log_t(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power_domain(beta: float) -> Interval:
+    return Interval.positive() if beta < 0 else Interval.nonnegative()
+
+
 def _power_factory(beta: float) -> ScalarOperatorFunction:
     if not -1.0 <= beta <= 2.0:
         raise ParamOutOfRange(
             f"power exponent {beta} outside [-1, 2]; operator convexity/concavity "
             "claims are only valid for beta in [-1, 0] u [0, 1] u [1, 2]"
         )
-    domain = Interval.positive() if beta < 0 else Interval.nonnegative()
+    domain = _power_domain(beta)
     flags = FunctionFlags(
         claims_operator_convex=(-1.0 <= beta <= 0.0) or (1.0 <= beta <= 2.0),
         claims_operator_concave=0.0 <= beta <= 1.0,
@@ -134,6 +138,59 @@ def _power_factory(beta: float) -> ScalarOperatorFunction:
         deriv=lambda t, b=beta: b * np.asarray(t, dtype=float) ** (b - 1.0),
         flags=flags,
     )
+
+
+# numpy computes x ** b for these scalar exponents with other ufuncs
+# (reciprocal, sqrt, square), whose results differ from pow's in the last bit.
+_FAST_EXPONENTS = (-1.0, 0.5, 2.0)
+
+
+@dataclass(frozen=True)
+class PowerFamily:
+    """power(beta) with one exponent per row: for the stacked kernels,
+    row t of a stack of eigenvalues is raised to exponents[t].
+
+    Each row gets the domain, clamping and bits of its own
+    `builtin("power", [beta])`, so a stack needs no function object per
+    row and evaluates in one call. A family of one row has that
+    function's id. Every power is strictly positive, the one flag the
+    generalized perspective reads of h.
+    """
+
+    exponents: np.ndarray
+    flags: ClassVar[FunctionFlags] = FunctionFlags(strictly_positive=True)
+
+    @property
+    def id(self) -> str:
+        return "power(" + ",".join(f"{b:g}" for b in self.exponents.tolist()) + ")"
+
+    @property
+    def domain(self) -> "PowerFamily":
+        """The family clamps each row onto its own power's domain."""
+        return self
+
+    def __getitem__(self, rows) -> "PowerFamily":
+        return PowerFamily(self.exponents[rows])
+
+    def clamp_spectrum(self, values: np.ndarray, tol) -> np.ndarray:
+        """`Interval.clamp_spectrum` of each row onto its power's domain;
+        `tol` holds one tolerance per row."""
+        out = np.array(values, dtype=float)
+        negative = self.exponents < 0
+        for rows in (negative, ~negative):
+            if rows.any():
+                domain = _power_domain(self.exponents[rows][0])
+                out[rows] = domain.clamp_spectrum(out[rows], tol[rows])
+        return out
+
+    def eval_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = x ** self.exponents.reshape((-1,) + (1,) * (x.ndim - 1))
+        for beta in _FAST_EXPONENTS:
+            rows = self.exponents == beta
+            if rows.any():
+                out[rows] = x[rows] ** beta
+        return out
 
 
 def _affine_factory(a: float, b: float) -> ScalarOperatorFunction:

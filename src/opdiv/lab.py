@@ -164,7 +164,7 @@ class _Check:
 
 
 _REGISTRY: dict[str, _Check] = {
-    check_id: _Check(draw, B._by_shape(evaluate), description)
+    check_id: _Check(draw, evaluate, description)
     for check_id, draw, evaluate, description in (
         ("THM2_1", B._draw_thm2_1, B._eval_thm2_1,
          "perspective of the field's weighted sums <= weighted sum of perspectives"),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from opdiv import kernels
-from opdiv.errors import ParamOutOfRange, UnknownFunction
+from opdiv.errors import DomainViolation, NumericalFailure, ParamOutOfRange, UnknownFunction
 from opdiv.funcatalog import (
     FalsifierReport,
     Interval,
+    PowerFamily,
     builtin,
     convexity_falsifier,
     from_spec,
@@ -110,6 +111,49 @@ def test_interval_clamp_behaviour():
     assert np.allclose(got, [0.5, 2.0])
     bounded = Interval(0.0, 1.0, True, True)
     assert np.allclose(bounded.clamp_spectrum(np.array([1.0 + 1e-12]), 1e-9), [1.0])
+
+
+def test_power_family_rows_match_their_own_power_functions():
+    """A PowerFamily row has the bits of `builtin("power", [beta])`,
+    including at -1, 0.5 and 2, where numpy computes a scalar power with
+    another ufunc, and the domain, clamping and errors of that function."""
+    betas = np.array([-1.0, -0.7, 0.0, 0.5, 0.3, 1.0, 1.5, 2.0, 1.2345])
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.01, 9.0, (len(betas), 4))
+    # Where numpy's scalar power and pow differ on some value, each row
+    # holds one such value.
+    pool = rng.uniform(0.01, 9.0, 4000)
+    for row, beta in enumerate(betas):
+        differs = np.flatnonzero(pool**beta != pool ** np.full_like(pool, beta))
+        if differs.size:
+            vals[row, 0] = pool[differs[0]]
+    vals = np.sort(vals, axis=-1)[:, ::-1].copy()
+    vecs = np.linalg.eigh(rng.standard_normal((len(betas), 4, 4)) + 0j)[1]
+    own = [builtin("power", [b]) for b in betas]
+    family = PowerFamily(betas)
+    got = kernels.calculus(family, (vals, vecs))
+    assert np.array_equal(got.view(np.int64), kernels.calculus(own, (vals, vecs)).view(np.int64))
+    assert family[[0]].id == own[0].id == "power(-1)"
+    assert family.flags.strictly_positive
+
+    # A value just below 0 clamps onto 0 for beta >= 0; for beta < 0 the
+    # domain is open at 0 and the value is refused.
+    low = vals.copy()
+    low[:, -1] = -1e-12
+    rows = betas >= 0
+    got = kernels.calculus(family[rows], (low[rows], vecs[rows]))
+    want = kernels.calculus([f for f, r in zip(own, rows) if r], (low[rows], vecs[rows]))
+    assert np.array_equal(got, want)
+    with pytest.raises(DomainViolation):
+        kernels.calculus(family[[1]], (low[[1]], vecs[[1]]))
+
+    # A non-finite value names the row's own function.
+    zero = vals[[0]].copy()
+    zero[0, -1] = 0.0
+    with pytest.raises(DomainViolation):
+        kernels.calculus(family[[0]], (zero, vecs[[0]]))
+    with pytest.raises(NumericalFailure, match=r"power\(1.5\)"), np.errstate(over="ignore"):
+        kernels.calculus(family[[6]], (np.full((1, 4), 1e300), vecs[[6]]))
 
 
 def test_falsifier_clears_operator_convex_catalog():

@@ -314,8 +314,16 @@ def test_stacked_check_raises_the_first_failing_trials_error(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-# Checks whose trials all draw one shape, so they evaluate as one group.
+# Checks whose trials all draw one shape: no field size, family size, map
+# variant or output dimension varies between their trials.
 _ONE_SHAPE = {"COR2_9_VECTOR", "THM3_8_NORM", "LEMMA_JADJIT", "KL_SUITE", "EX3_3_EXACT"}
+
+
+def _draw_shape(record):
+    """The shapes of everything a draw record holds, through its tuples and
+    lists: trials differ in it when they draw another field or family
+    size, map variant, compression size or output dimension."""
+    return tuple(np.shape(leaf) for leaf in _leaves(record))
 
 
 @pytest.mark.parametrize("check_id", check_ids())
@@ -331,8 +339,9 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
         check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
         for t in range(gen.trials)
     ]
-    groups = len({r.key for r in records})
-    assert (groups > 1) == (check_id not in _ONE_SHAPE)
+    # The stack mixes field sizes, map variants or output dimensions.
+    shapes = len({_draw_shape(r) for r in records})
+    assert (shapes > 1) == (check_id not in _ONE_SHAPE)
     worst, violated, payloads = check.evaluate(records, tol)
     for t in range(gen.trials):
         one_worst, one_violated, payload = _one_trial(check_id, t, gen, tol, function)
@@ -366,6 +375,25 @@ def test_draw_records_hold_only_real_rng_output(check_id, function):
                 assert not isinstance(leaf, complex)
                 if isinstance(leaf, np.ndarray):
                     assert leaf.dtype.kind in "biuf", (check_id, leaf.dtype)
+
+
+def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
+    """THM2_1's trials draw fields of 2 to 4 entries, yet a chunk of 100
+    trials makes as many eigendecompositions as one trial: each stage runs
+    once over the whole chunk, however the field sizes mix."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
+        )
+
+    def dispatches(trials):
+        calls.clear()
+        run_check("THM2_1", GenConfig(dim=3, trials=trials))
+        return sorted(calls)
+
+    assert dispatches(100) == dispatches(1)
 
 
 @pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_II", "KL_SUITE", "EX3_3_EXACT"])
