@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import OpDivError
+from .errors import OpDivError, UnknownCheck
 from .funcatalog import from_spec
 from .hermitian import ToleranceConfig
 from .lab import GenConfig, check_description, check_ids, reproduce_example, run_suite
@@ -66,6 +66,8 @@ def cmd_verify(args) -> int:
             ids = check_ids()
         else:
             ids = [s.strip() for s in args.suite.split(",") if s.strip()]
+            if not ids:
+                raise UnknownCheck(f"--suite {args.suite!r} names no check")
         function = None
         if args.function is not None:
             function = from_spec(json.loads(args.function))

@@ -50,6 +50,17 @@ def test_verify_unknown_check_exits_2(capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", [",", " ", " , ,"])
+def test_verify_empty_suite_exits_2(suite, capsys, tmp_path):
+    """A suite that names no check runs nothing, so it is refused rather
+    than reported green."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--trials", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_bad_function_json_exits_2(capsys):
     assert main(["verify", "--suite", "THM2_1", "--function", "{not json"]) == 2
     assert main(["verify", "--suite", "THM2_1", "--function", '{"id": "nope"}']) == 2
