@@ -108,12 +108,18 @@ def _build(group, *slots) -> tuple:
     lams, pairs = [], []
     for s in slots:
         spectra = [spectrum for r in group for spectrum in getattr(r, s)[1]]
-        lam = np.array([lam for lam, _ in spectra])
+        lam = _stacked([lam for lam, _ in spectra])
         cap = getattr(group[0], s)[0]
         lams.append(lam if cap is None else K.capped(lam, cap))
         pairs += [pair for _, pair in spectra]
-    built = K.from_spectrum(np.concatenate(lams), np.array(pairs))
+    built = K.from_spectrum(np.concatenate(lams), _stacked(pairs))
     return tuple(np.split(built, len(slots)))
+
+
+def _stacked(arrays) -> np.ndarray:
+    """`np.stack(arrays)` of equal-shaped arrays as one concatenation,
+    which costs a chunk's many small arrays a third as much."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
 
 
 def _present(counts) -> np.ndarray:
@@ -164,7 +170,7 @@ def _gaussians(records, name: str, mask=None) -> np.ndarray:
     """The complex Gaussians of each record's list `name` of Gaussian
     pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call:
     zero where `mask` has no entry, or k of each without a mask."""
-    g = K.complex_pair(np.array([pair for r in records for pair in getattr(r, name)]))
+    g = K.complex_pair(_stacked([pair for r in records for pair in getattr(r, name)]))
     if mask is not None:
         return _pad(g, mask)
     return g.reshape((len(records), -1) + g.shape[-2:])
@@ -178,7 +184,7 @@ def _fh(group) -> tuple:
     return [r.f for r in group], [r.h for r in group]
 
 
-def _mask(group, present) -> np.ndarray:
+def _first_block(group, present) -> np.ndarray:
     """(T, k) membership of each present entry in the trial's first block."""
     t1 = np.zeros_like(present)
     for t, r in enumerate(group):
@@ -365,7 +371,7 @@ def _eval_cor2_3_split(group, tol):
     """Two-block split sits between the combined perspective and the divergence."""
     fs, mask, w, a, b, b_pos = _field(group)
     a_k, b_k = _pad(a, mask), _pad(b, mask)
-    t1 = _mask(group, mask)
+    t1 = _first_block(group, mask)
     halves = (t1, mask & ~t1)
     blocks = K.perspective(
         fs,
@@ -422,11 +428,13 @@ def _eval_thm2_4_mixture(group, tol):
     rows = [_sum(_pad(x, grid).swapaxes(1, 2), mask, p, first=True)[mask] for x in (ls, rs)]
     lhs = _total(K.perspective(_each(fs, mask), rows[0], K.positive(rows[1])), mask)
     cells = _pad(K.perspective(_each(fs, grid), ls, K.positive(rs)), grid)
-    worst, violated = _links(tol, (lhs, _sum(_sum(cells, mask, first=True), mask, p)))
+    columns = _sum(cells, mask, first=True)
+    worst, violated = _links(tol, (lhs, _sum(columns, mask, p)))
     payloads = []
     for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
         shape = (len(r.w),) * 2 + left.shape[1:]
-        payloads.append(partial(_payload, f=r.f, p=r.w, L=left.reshape(shape), R=right.reshape(shape)))
+        grids = dict(L=left.reshape(shape), R=right.reshape(shape))
+        payloads.append(partial(_payload, f=r.f, p=r.w, **grids))
     return worst, violated, payloads
 
 
@@ -502,8 +510,8 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     def mapped(x):
         return K.congruence(maps, _pad(x, present)) * w[..., None, None]
 
-    chain, block_one, f_one = _jensen_chain(fs, mapped, ops, present, _mask(group, present), full)
-    m1, m2, m3, m4 = chain
+    t1 = _first_block(group, present)
+    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, present, t1, full)
     if full:
         links = ((m1, m2), (m2, m3), (m3, m4))
     else:

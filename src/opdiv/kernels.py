@@ -185,12 +185,15 @@ def _by_function(f):
     one function per entry of the first axis, grouped by function."""
     if not isinstance(f, (list, tuple)):
         return [(f, None)]
-    groups = {}
+    groups = {}  # id -> [function, its rows...], in order of first appearance
     for i, g in enumerate(f):
-        groups.setdefault(id(g), (g, []))[1].append(i)
+        rows = groups.get(id(g))
+        if rows is None:
+            groups[id(g)] = rows = [g]
+        rows.append(i)
     if len(groups) == 1:
         return [(f[0], None)]
-    return [(g, np.array(rows)) for g, rows in groups.values()]
+    return [(rows[0], np.array(rows[1:])) for rows in groups.values()]
 
 
 def _clamped(domain, vals):

@@ -383,10 +383,12 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
     once over the whole chunk, however the field sizes mix."""
     calls = []
     for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
-        )
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
 
     def dispatches(trials):
         calls.clear()
