@@ -248,12 +248,6 @@ def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
     return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
 
 
-def _outcomes(count: int) -> tuple:
-    """Empty worst margins and violation flags of `count` trials, for
-    checks whose last stage runs in several pieces."""
-    return np.empty(count), np.empty(count, dtype=bool)
-
-
 def _family(w, maps, unital: bool):
     """A weighted congruence family's JSON, as a thunk for `_payload`."""
     return lambda: MapField([(wi, Congruence(m)) for wi, m in zip(w, maps)], unital).to_json()
@@ -553,7 +547,7 @@ def _eval_thm2_6(group, tol):
     b_pos = K.positive(b)  # each drawn B is positive definite
     f_ab = K.f_delta_h(_each(fs, present), _each(hs, present), a, b_pos)
     images = _pad(np.stack([a, b, f_ab], axis=1), present)
-    worst, violated = _outcomes(len(group))
+    worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
     maps = [None] * len(group)
     for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
         mask, w_rows = present[rows], w[rows]
@@ -705,7 +699,7 @@ def _eval_single_map(group, tol, perspective=True):
     if perspective:
         images.append(K.perspective(fs, a, b_pos))
     stacks, maps = _map_images([r.m for r in group], np.stack(images, axis=1))
-    worst, violated = _outcomes(len(group))
+    worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
     for rows, phi in stacks:
         f, h = _take(fs, rows), _take(hs, rows)
         phi_b = K.decompose(phi[:, 1])
