@@ -185,7 +185,7 @@ def _by_function(f):
     one function per entry of the first axis, grouped by function."""
     if not isinstance(f, (list, tuple)):
         return [(f, None)]
-    groups = {}  # id -> [function, its rows...], in order of first appearance
+    groups = {}  # id(g) -> [g, the rows of g], in order of first appearance
     for i, g in enumerate(f):
         rows = groups.get(id(g))
         if rows is None:
