@@ -145,7 +145,7 @@ def _power_factory(beta: float) -> ScalarOperatorFunction:
 _FAST_EXPONENTS = (-1.0, 0.5, 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity comparison: the exponents are an array
 class PowerFamily:
     """power(beta) with one exponent per row: for the stacked kernels,
     row t of a stack of eigenvalues is raised to exponents[t].
