@@ -10,13 +10,14 @@ each per-entry stage (build, decompositions, perspectives, congruences,
 calculus) runs once per chunk. Sums over a trial's entries run over a
 (T, k) presence mask and keep each check's own term order; an absent
 term is never added, so no padded zero can flip the sign of a zero. Only
-a stage whose matrix size depends on the draw is split by that size: the
-mapped matrices of a subunital family (its output dimension) and of a
-single map (its variant and a compression's size). Pool functions are
-applied through index masks, so every margin has the bits of the
-one-trial-at-a-time computation. Loewner links and scalar links fold
-into a trial's worst margin and violation flag by the rule that also
-folds the trials (`kernels.fold`).
+a stage whose matrix size depends on the draw is split by that size:
+what follows the maps stacks per output dimension of a subunital family,
+and per output size of a single map, whose maps apply at once per
+variant and compression size. Pool functions are applied through index
+masks, so every margin has the bits of the one-trial-at-a-time
+computation. Loewner links and scalar links fold into a trial's worst
+margin and violation flag by the rule that also folds the trials
+(`kernels.fold`).
 """
 
 from __future__ import annotations
