@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels as K
 from .funcatalog import PowerFamily, ScalarOperatorFunction
-from .hermitian import HermitianMatrix, ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
+from .hermitian import ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
 from .perspective import tangent_point
 from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
 from .sampling import (
@@ -101,26 +101,12 @@ def _b_slots(rng, cfg: GenConfig, n: int) -> tuple:
 
 def _build(group, *slots) -> tuple:
     """The matrices of the named slots of every trial, one flat stack per
-    slot (each trial's matrices in order, trial by trial), from one
-    stacked eigendecomposition. Each slot's eigenvalues are capped
-    (`K.capped`) and its Gaussians assembled (`K.from_spectrum`) once for
-    the whole chunk; the cap is the run's one condition cap, read from
-    the first trial."""
-    lams, pairs = [], []
-    for s in slots:
-        spectra = [spectrum for r in group for spectrum in getattr(r, s)[1]]
-        lam = _stacked([lam for lam, _ in spectra])
-        cap = getattr(group[0], s)[0]
-        lams.append(lam if cap is None else K.capped(lam, cap))
-        pairs += [pair for _, pair in spectra]
-    built = K.from_spectrum(np.concatenate(lams), _stacked(pairs))
-    return tuple(np.split(built, len(slots)))
-
-
-def _stacked(arrays) -> np.ndarray:
-    """`np.stack(arrays)` of equal-shaped arrays as one concatenation,
-    which costs a chunk's many small arrays a third as much."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+    slot (each trial's matrices in order, trial by trial), decoded by one
+    `K.build`; the cap is the run's one condition cap, read from the
+    first trial."""
+    return K.build(
+        *((getattr(group[0], s)[0], [x for r in group for x in getattr(r, s)[1]]) for s in slots)
+    )
 
 
 def _present(counts) -> np.ndarray:
@@ -171,7 +157,7 @@ def _gaussians(records, name: str, mask=None) -> np.ndarray:
     """The complex Gaussians of each record's list `name` of Gaussian
     pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call:
     zero where `mask` has no entry, or k of each without a mask."""
-    g = K.complex_pair(_stacked([pair for r in records for pair in getattr(r, name)]))
+    g = K.complex_pair(K._stacked([pair for r in records for pair in getattr(r, name)]))
     if mask is not None:
         return _pad(g, mask)
     return g.reshape((len(records), -1) + g.shape[-2:])
@@ -250,16 +236,16 @@ def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
 
 
 def _family(w, maps, unital: bool):
-    """A weighted congruence family's JSON, as a thunk for `_payload`."""
-    return lambda: MapField([(wi, Congruence(m)) for wi, m in zip(w, maps)], unital).to_json()
+    """A weighted congruence family, as a thunk for `_payload`."""
+    return lambda: MapField([(wi, Congruence(m)) for wi, m in zip(w, maps)], unital)
 
 
 def _json(value):
     """A payload value: a matrix as rows, a stack of them as a list, a
     vector as a list, a function by its id, a map by its JSON and a
-    callable by what it returns."""
+    callable, such as a thunk that builds a map, by what it returns."""
     if callable(value):
-        return value()
+        return _json(value())
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
             return array_to_rows(value)
@@ -610,46 +596,35 @@ def _eval_thm2_10(group, tol):
 def _single_maps(ms, dim: int) -> tuple:
     """The subunital single maps `ms` (`_draw_single_map`), all of one
     variant and, for compressions, one size: `apply` maps a stack (T, S,
-    dim, dim), and the maps themselves are for payloads."""
-    scale = np.array([m.scale for m in ms])[:, None, None, None]
+    dim, dim), and `build(i)` makes the object of map i, for its payload."""
+    scale = np.array([m.scale for m in ms])[:, None]
     if ms[0].variant == 1:
         ix = np.sort(np.array([m.ix for m in ms]), axis=-1)[:, None]
-
-        def apply(x):
-            rows = np.take_along_axis(x, ix[..., :, None], axis=-2)
-            return np.take_along_axis(rows, ix[..., None, :], axis=-1) * scale
-
-        return apply, [Compression(dim, i.tolist(), m.scale) for i, m in zip(ix[:, 0], ms)]
+        return partial(K.compress, ix, scale), lambda i: Compression(dim, ix[i, 0], ms[i].scale)
     c = _gaussians(ms, "c")
     if ms[0].variant == 0:
-        c = c / (np.linalg.norm(c, 2, axis=(-2, -1))[..., None, None] * scale)
-        return partial(K.congruence, c), [Congruence(ci[0]) for ci in c]
+        c = c / (np.linalg.norm(c, 2, axis=(-2, -1)) * scale)[..., None, None]
+        return partial(K.congruence, c), lambda i: Congruence(c[i, 0])
     c = _normalized(np.ones(c.shape[:2]), c)
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
-        return _sum(K.congruence(c[:, :, None], x[:, None])) * scale
+        return _sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
 
-    maps = [ScaledMap(MapSum([Congruence(p) for p in ci]), m.scale) for ci, m in zip(c, ms)]
-    return apply, maps
-
-
-def _map_key(m: _Map) -> tuple:
-    """What fixes how a single map applies: its variant and a
-    compression's size."""
-    return m.variant, 0 if m.ix is None else len(m.ix)
+    return apply, lambda i: ScaledMap(MapSum([Congruence(p) for p in c[i]]), ms[i].scale)
 
 
 def _map_images(ms, x) -> tuple:
     """Each trial's subunital single map applied to its stack of images x
-    (T, S, dim, dim), the maps of one `_map_key` at once. Returns the
-    (trial indices, images) of each output size and each trial's map."""
+    (T, S, dim, dim), the maps of one variant and compression size at
+    once. Returns the (trial indices, images) of each output size and a
+    thunk per trial that builds its map."""
     sizes, maps = {}, [None] * len(ms)
-    for rows in _split_by(ms, _map_key):
-        apply, kind = _single_maps([ms[i] for i in rows], x.shape[-1])
+    for rows in _split_by(ms, lambda m: (m.variant, 0 if m.ix is None else len(m.ix))):
+        apply, build = _single_maps([ms[i] for i in rows], x.shape[-1])
         phi = apply(x[rows])
         sizes.setdefault(phi.shape[-1], []).append((rows, phi))
-        for i, m in zip(rows.tolist(), kind):
-            maps[i] = m
+        for j, i in enumerate(rows.tolist()):
+            maps[i] = partial(build, j)
     stacks = [
         (np.concatenate([rows for rows, _ in parts]), np.concatenate([phi for _, phi in parts]))
         for parts in sizes.values()
@@ -833,8 +808,7 @@ def _draw_kl(rng, trial, cfg, f_over):
 
 def _far(got, want, rtol: float) -> np.ndarray:
     """Per trial: ||got - want||_F > rtol * max(1, ||want||_F)."""
-    dist = [np.linalg.norm(g - w) for g, w in zip(got, want)]
-    return np.array(dist) > rtol * np.array([max(1.0, float(np.linalg.norm(w))) for w in want])
+    return K._fro(got - want) > rtol * K._pymax(1.0, K._fro(want))
 
 
 def _eval_kl(group, tol):
@@ -913,10 +887,11 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     ops = np.array([a.entries for a in ex.operators])
     present = np.ones((1, len(ops)), dtype=bool)
     t1 = np.array([[i in ex.partition[0] for i in range(len(ops))]])
+    w, maps = zip(*ex.maps)
+    ix, scale = np.array([m.indices for m in maps]), np.array([m.scale for m in maps])
 
     def mapped(x):
-        images = [w * phi.apply(HermitianMatrix._wrap(xi)) for (w, phi), xi in zip(ex.maps, x)]
-        return np.array([image.entries for image in images])[None]
+        return (K.compress(ix, scale, x) * np.array(w)[:, None, None])[None]
 
     chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, present, t1)
     computed = np.stack([m[0] for m in chain])

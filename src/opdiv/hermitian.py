@@ -63,6 +63,8 @@ class HermitianMatrix:
         arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NotHermitian("matrix has non-finite entries")
         scale = max(1.0, float(np.linalg.norm(arr)))
         skew = float(np.linalg.norm(arr - arr.conj().T))
         if skew > SYMMETRY_TOL * scale:

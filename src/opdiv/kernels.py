@@ -132,11 +132,10 @@ def complex_pair(pair):
     return pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
 
 
-def capped(vals, cap):
+def capped(vals, cap: float):
     """Each spectrum raised to at least its largest eigenvalue / `cap`, so
-    that a positive spectrum's condition number is at most `cap`. `cap` is
-    a number or an array against the leading axes of `vals`. A constant
-    positive spectrum, lo * I, is left as it is."""
+    that a positive spectrum's condition number is at most `cap`. A
+    constant positive spectrum, lo * I, is left as it is."""
     return np.maximum(vals, vals.max(axis=-1, keepdims=True) / cap)
 
 
@@ -148,6 +147,26 @@ def from_spectrum(vals, gaussian):
     and a zero one carries the identity, so it builds diag(vals)."""
     _, unitary = np.linalg.eigh(hermitian_part(complex_pair(gaussian)))
     return rebuild(vals, unitary)
+
+
+def build(*slots) -> tuple:
+    """The matrices of raw draws, one flat stack per slot, from one
+    `from_spectrum` call. A slot is a (cap, spectra) pair: the
+    (eigenvalues, `raw_gaussian`) pairs of its matrices, in order, and the
+    condition cap of its eigenvalues (`capped`; None for none). Every slot
+    holds as many matrices."""
+    lams, pairs = [], []
+    for cap, spectra in slots:
+        lam = _stacked([lam for lam, _ in spectra])
+        lams.append(lam if cap is None else capped(lam, cap))
+        pairs += [pair for _, pair in spectra]
+    return tuple(np.split(from_spectrum(np.concatenate(lams), _stacked(pairs)), len(slots)))
+
+
+def _stacked(arrays) -> np.ndarray:
+    """`np.stack(arrays)` of equal-shaped arrays as one concatenation,
+    which costs many small arrays a third as much."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
 
 
 def positive(h):
@@ -337,6 +356,15 @@ def congruence(c, x):
     return hermitian_part(adjoint(c) @ x @ c)
 
 
+def compress(ix, scale, x):
+    """s X[ix, ix], the principal submatrix on the indices ix times the
+    scale s, for every matrix of the stack: `ix` (..., k) and `scale` (...)
+    hold each compression's indices and scale against the leading axes
+    of x."""
+    rows = np.take_along_axis(x, ix[..., :, None], axis=-2)
+    return np.take_along_axis(rows, ix[..., None, :], axis=-1) * np.asarray(scale)[..., None, None]
+
+
 def singular_values(x):
     """Singular values of every matrix of the stack, descending: the
     eigenvalues of (X* X)^{1/2}, clipped at zero before the root."""
@@ -353,10 +381,14 @@ def loewner(lhs, rhs, tol):
     margin_low is the smallest eigenvalue of rhs - lhs, margin_high the
     smallest of lhs - rhs, and tolerance_used is `tol` at the larger
     spectral norm of the two sides. One eigvalsh call over the stack
-    [rhs - lhs, lhs, rhs] gives all three.
+    [rhs - lhs, lhs, rhs] gives all three. A non-finite side raises
+    NumericalFailure: its eigenvalues would be arbitrary.
     """
+    sides = np.stack([rhs - lhs, lhs, rhs])
+    if not np.isfinite(sides).all():
+        raise NumericalFailure("Loewner comparison failed: a side has non-finite entries")
     try:
-        eig = np.linalg.eigvalsh(np.stack([rhs - lhs, lhs, rhs]))
+        eig = np.linalg.eigvalsh(sides)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Loewner comparison failed: {exc}") from exc
     scale = _pymax(np.max(np.abs(eig[1]), axis=-1), np.max(np.abs(eig[2]), axis=-1))

@@ -118,15 +118,13 @@ class SuiteReport:
 
 def _random_matrix(cfg: GenConfig, trial: int, cond_cap=None) -> HermitianMatrix:
     """`sampling._spectrum` in cfg.spectrum_range, capped at `cond_cap` if
-    given (`K.capped`) and built by `K.from_spectrum`.
+    given, built by `K.build`.
 
     Fully determined by (cfg.seed, trial) and the draw order inside.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    lam, gaussian = _spectrum(rng, cfg.dim, *cfg.spectrum_range)
-    if cond_cap is not None:
-        lam = K.capped(lam, cond_cap)
-    return HermitianMatrix._wrap(K.from_spectrum(lam, gaussian))
+    (built,) = K.build((cond_cap, [_spectrum(rng, cfg.dim, *cfg.spectrum_range)]))
+    return HermitianMatrix._wrap(built[0])
 
 
 def random_hermitian(cfg: GenConfig, trial: int) -> HermitianMatrix:

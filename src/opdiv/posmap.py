@@ -3,7 +3,10 @@
 Maps form a closed variant union (congruence, scaled principal-submatrix
 compression, sum, scaling), so positivity holds by construction and a
 failed inequality check indicts the theorem encoding rather than a
-user-supplied map. Includes exact constructors for the worked
+user-supplied map. A congruence and a compression apply through the
+stacked kernels (`kernels.congruence`, `kernels.compress`) as a batch
+of one, so a map object gives the bits of the stacked maps that the
+verification lab applies. Includes exact constructors for the worked
 three-map compression example used as the library's sharpness fixture.
 """
 
@@ -14,13 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import BadRange, NotUnital, ShapeMismatch
 from .hermitian import (
     UNITALITY_TOL,
     HermitianMatrix,
     ToleranceConfig,
     array_to_rows,
-    congruence as _congruence,
     loewner_compare,
     rows_to_array,
 )
@@ -58,7 +61,7 @@ class Congruence(PositiveLinearMap):
 
     def apply(self, x: HermitianMatrix) -> HermitianMatrix:
         self._check_input(x)
-        return _congruence(self.matrix, x)
+        return HermitianMatrix._wrap(kernels.congruence(self.matrix, x.entries))
 
     def to_json(self) -> dict:
         return {"variant": "congruence", "rows": array_to_rows(self.matrix)}
@@ -86,8 +89,8 @@ class Compression(PositiveLinearMap):
 
     def apply(self, x: HermitianMatrix) -> HermitianMatrix:
         self._check_input(x)
-        ix = np.asarray(self.indices)
-        return HermitianMatrix._wrap(self.scale * x.entries[np.ix_(ix, ix)])
+        ix = np.array(self.indices)
+        return HermitianMatrix._wrap(kernels.compress(ix, self.scale, x.entries))
 
     def to_json(self) -> dict:
         return {

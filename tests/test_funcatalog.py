@@ -254,8 +254,8 @@ def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkey
 
 
 def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):
-    """With room for 7 pairs per stacked call, no call holds more, and the
-    report is the one of a single stack."""
+    """With room for 7 pairs per stacked call, no call builds more than
+    their 14 matrices, and the report is the one of a single stack."""
     whole = convexity_falsifier(quartic(), dim=2, trials=300, seed=3)
     stacks = []
     real = kernels.from_spectrum
@@ -267,4 +267,4 @@ def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(kernels, "STACK_ELEMENTS", 7 * 2**2)
     monkeypatch.setattr(kernels, "from_spectrum", counted)
     assert convexity_falsifier(quartic(), dim=2, trials=300, seed=3) == whole
-    assert max(stacks) == 7 and sum(stacks) == 300
+    assert max(stacks) == 14 and sum(stacks) == 600

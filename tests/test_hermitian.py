@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from opdiv.errors import (
     DomainViolation,
     NotHermitian,
     NotPositiveDefinite,
+    NumericalFailure,
     ShapeMismatch,
     SizeLimit,
 )
@@ -21,6 +23,7 @@ from opdiv.hermitian import (
     ToleranceConfig,
     apply_function,
     congruence,
+    hermitian_part,
     kronecker,
     loewner_compare,
     matrix_from_json,
@@ -190,6 +193,32 @@ def test_loewner_tolerance_reported():
     tol = ToleranceConfig(abs=1e-6, rel=1e-3)
     verdict = loewner_compare(a, a, tol)
     assert verdict.tolerance_used == pytest.approx(1e-6 + 1e-3 * 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused(bad):
+    """Every symmetry guard compares against the entry, which is false for
+    NaN, so a non-finite matrix is refused before them."""
+    entries = [[bad, 0.0], [0.0, 1.0]]
+    with pytest.raises(NotHermitian, match="non-finite"):
+        HermitianMatrix(entries)
+    with pytest.raises(NotHermitian, match="non-finite"):
+        PositiveDefiniteMatrix(entries)
+    with pytest.raises(NotHermitian, match="non-finite"):
+        matrix_from_json(json.loads(json.dumps({"dim": 2, "rows": entries})))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_side_gets_no_loewner_verdict(bad):
+    """A non-finite matrix that bypasses the constructor, as a symmetrized
+    product or a congruence image does, gets no verdict: its eigenvalues
+    would be arbitrary (a NaN entry read EQUAL with margin 0)."""
+    eye, entries = HermitianMatrix.identity(2), np.array([[bad, 0.0], [0.0, 1.0]])
+    with np.errstate(all="ignore"):
+        for side in (hermitian_part(entries), congruence(entries, eye)):
+            for lhs, rhs in ((side, eye), (eye, side)):
+                with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
+                    loewner_compare(lhs, rhs)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every private module-level helper is used somewhere in the package.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -101,3 +102,73 @@ def test_unused_imports_are_found():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [(2, "math"), (7, "BadRange"), (11, "GenConfig")]
+
+
+def _private_definitions(tree):
+    """(statement, name) of each module-level function, class or
+    assignment whose name starts with a single underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def _references(tree):
+    """(line, name) of every name the tree reads, every attribute it reads
+    and every name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def orphaned_helpers(sources: dict) -> list:
+    """(module, line, name) of each private module-level name (`_name`) of
+    the modules `sources` (module -> source) that no module refers to
+    outside the statement that defines it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = [
+        (module, line, name) for module, tree in trees.items() for line, name in _references(tree)
+    ]
+    orphans = []
+    for module, tree in sorted(trees.items()):
+        for node, name in _private_definitions(tree):
+            span = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and not (m == module and line in span) for m, line, n in references):
+                orphans.append((module, node.lineno, name))
+    return orphans
+
+
+def test_package_has_no_orphaned_helpers():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert orphaned_helpers(sources) == []
+
+
+def test_orphaned_helpers_are_found():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_UNUSED, __dunder__ = 2, 3\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) + _USED\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _attribute():\n"
+            "    pass\n"
+            "def public():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _Imported\nimport a\na._attribute()\n",
+    }
+    assert orphaned_helpers(sources) == [("a.py", 2, "_UNUSED"), ("a.py", 3, "_recursive")]

@@ -19,6 +19,7 @@ from opdiv.lab import (
     run_check,
     run_suite,
 )
+from opdiv.posmap import Compression, Congruence, MapSum, ScaledMap
 
 
 def test_gen_config_validation():
@@ -406,3 +407,21 @@ def test_trial_chunks_do_not_change_the_result(check_id, monkeypatch):
     monkeypatch.setattr(kernels, "STACK_ELEMENTS", 7 * gen.dim**2)
     chunked = run_check(check_id, gen, function=quartic() if check_id == "COR2_3_SPLIT" else None)
     assert chunked == whole
+
+
+@pytest.mark.parametrize("check_id", ["COR2_7_SINGLE", "EX2_8_POWER"])
+def test_only_the_worst_trials_map_is_built(check_id, monkeypatch):
+    """The maps of a chunk apply as stacks; a map object is built only for
+    the worst trial's payload, so 100 trials build the objects of one map:
+    a contraction, a compression, or a scaled sum of two congruences."""
+    built = []
+    for cls in (Congruence, Compression, MapSum, ScaledMap):
+
+        def counted(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    run_check(check_id, GenConfig(dim=3, seed=1, trials=100))
+    one_map = (["Congruence"], ["Compression"], ["Congruence", "Congruence", "MapSum", "ScaledMap"])
+    assert built in one_map, len(built)
