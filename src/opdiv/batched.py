@@ -13,9 +13,9 @@ term is never added, so no padded zero can flip the sign of a zero. Only
 a stage whose matrix size depends on the draw is split by that size:
 what follows the maps stacks per output dimension of a subunital family,
 and per output size of a single map, whose maps apply at once per
-variant and compression size. Pool functions are applied through index
-masks, so every margin has the bits of the one-trial-at-a-time
-computation. Loewner links and scalar links fold into a trial's worst
+variant and compression size; map objects are built only for the worst
+trial's payload. Pool functions are applied through index masks, so
+every margin has the bits of the one-trial-at-a-time computation. Loewner links and scalar links fold into a trial's worst
 margin and violation flag by the rule that also folds the trials
 (`kernels.fold`).
 """

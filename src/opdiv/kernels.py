@@ -3,10 +3,10 @@
 Every function here works on arrays whose last two axes are matrix
 axes, `(..., n, n)`, and treats the leading axes as a batch: one call
 decomposes, transforms or compares a whole stack of matrices. The
-objects in `hermitian`, `perspective` and `norms` are validating facades
-over these kernels, and the verification lab evaluates all trials of a
-check through them at once. `run_trials` is the one trial loop of the
-lab's checks and of the convexity falsifier.
+objects in `hermitian`, `perspective`, `norms` and `posmap` are
+validating facades over these kernels. The lab decodes its draws into
+matrices with `build` and runs every check and the convexity falsifier
+through `run_trials`, one trial loop that evaluates a chunk at once.
 
 LAPACK and matmul work matrix by matrix, so a stacked call gives the
 same bits as the same call on each matrix alone, and batching never

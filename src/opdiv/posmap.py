@@ -89,7 +89,7 @@ class Compression(PositiveLinearMap):
 
     def apply(self, x: HermitianMatrix) -> HermitianMatrix:
         self._check_input(x)
-        ix = np.array(self.indices)
+        ix = np.asarray(self.indices)
         return HermitianMatrix._wrap(kernels.compress(ix, self.scale, x.entries))
 
     def to_json(self) -> dict:

@@ -103,6 +103,30 @@ def test_stacked_loewner_matches_pair_by_pair(dim):
         assert _bits(got) == _bits((want.margin_low, want.margin_high, want.tolerance_used))
 
 
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_stacked_compression_matches_submatrix_by_submatrix(dim):
+    """Each matrix of a stack compressed on its own indices and scale has
+    the bits of its principal submatrix times its scale."""
+    rng = np.random.default_rng(200 + dim)
+    x = np.stack([make_herm(rng, dim).entries for _ in range(6)])
+    k = max(1, dim - 2)
+    ix = np.sort(np.stack([rng.choice(dim, k, replace=False) for _ in range(6)]), axis=-1)
+    scale = rng.uniform(0.3, 1.0, 6)
+    got = kernels.compress(ix, scale, x)
+    for i in range(6):
+        assert got[i].tobytes() == (scale[i] * x[i][np.ix_(ix[i], ix[i])]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_stacked_frobenius_norm_matches_matrix_by_matrix(dim):
+    """The stacked Frobenius norm sums in another order than
+    `np.linalg.norm`, so it agrees to a few ulps, not to the bit."""
+    rng = np.random.default_rng(300 + dim)
+    x = rng.standard_normal((9, dim, dim)) + 1j * rng.standard_normal((9, dim, dim))
+    want = [np.linalg.norm(m) for m in x]
+    np.testing.assert_allclose(kernels._fro(x), want, rtol=8 * np.finfo(float).eps)
+
+
 def test_loewner_solver_failure_is_a_numerical_failure():
     """Non-finite sides, where eigvalsh does not converge, surface from the
     Loewner comparison as NumericalFailure rather than LinAlgError."""
