@@ -15,9 +15,9 @@ what follows the maps stacks per output dimension of a subunital family,
 and per output size of a single map, whose maps apply at once per
 variant and compression size; map objects are built only for the worst
 trial's payload. Pool functions are applied through index masks, so
-every margin has the bits of the one-trial-at-a-time computation. Loewner links and scalar links fold into a trial's worst
-margin and violation flag by the rule that also folds the trials
-(`kernels.fold`).
+every margin has the bits of the one-trial-at-a-time computation.
+Loewner links and scalar links fold into a trial's worst margin and
+violation flag by the rule that also folds the trials (`kernels.fold`).
 """
 
 from __future__ import annotations

@@ -145,7 +145,8 @@ def orphaned_helpers(sources: dict) -> list:
     for module, tree in sorted(trees.items()):
         for node, name in _private_definitions(tree):
             span = range(node.lineno, node.end_lineno + 1)
-            if not any(n == name and not (m == module and line in span) for m, line, n in references):
+            outside = (n == name and (m != module or line not in span) for m, line, n in references)
+            if not any(outside):
                 orphans.append((module, node.lineno, name))
     return orphans
 
