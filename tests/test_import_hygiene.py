@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every private module-level helper is used somewhere in the package.
+"""Every module-level import in the package is used by its module,
+every private module-level helper is used somewhere in the package, and
+no source line is wider than LINE_WIDTH columns.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opdiv"
+LINE_WIDTH = 100
 
 
 def _module_imports(body):
@@ -173,3 +175,19 @@ def test_orphaned_helpers_are_found():
         "b.py": "from .a import _Imported\nimport a\na._attribute()\n",
     }
     assert orphaned_helpers(sources) == [("a.py", 2, "_UNUSED"), ("a.py", 3, "_recursive")]
+
+
+def long_lines(source: str) -> list:
+    """(line, width) of each line of `source` wider than LINE_WIDTH."""
+    lines = enumerate(source.splitlines(), start=1)
+    return [(i, len(line)) for i, line in lines if len(line) > LINE_WIDTH]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_lines_fit_the_width(module):
+    assert long_lines((PACKAGE / module).read_text()) == []
+
+
+def test_long_lines_are_found():
+    source = "x = 1\n" + "#" * LINE_WIDTH + "\n" + "#" * (LINE_WIDTH + 1) + "\n"
+    assert long_lines(source) == [(3, LINE_WIDTH + 1)]
