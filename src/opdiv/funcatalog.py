@@ -298,6 +298,8 @@ def from_spec(spec: dict) -> ScalarOperatorFunction:
     ):
         raise ParamOutOfRange(f"function params must be a list of finite numbers, got {params!r}")
     if func_id == "quartic":
+        if params:
+            raise ParamOutOfRange("quartic takes no parameters")
         return quartic()
     return builtin(func_id, params)
 

@@ -68,7 +68,12 @@ def test_verify_bad_function_json_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ['{"id":"power","params":2}', "[1]", '{"id":"power","params":["x"]}'],
+    [
+        '{"id":"power","params":2}',
+        "[1]",
+        '{"id":"power","params":["x"]}',
+        '{"id":"quartic","params":[3]}',
+    ],
 )
 def test_verify_malformed_function_spec_exits_2(spec, capsys):
     assert main(["verify", "--suite", "THM2_1", "--trials", "2", "--function", spec]) == 2
