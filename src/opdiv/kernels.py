@@ -52,6 +52,13 @@ def _pymax(a, b):
     return max(a, b)
 
 
+def _exceeds(x, bound):
+    """Elementwise `x > bound`, counting a NaN on either side as exceeding,
+    so that a guard written with it fails on NaN."""
+    within = x <= bound
+    return ~within if isinstance(within, np.ndarray) else not within
+
+
 def _first(values, bad):
     """The first entry of `values` flagged in `bad`, in C order, or None."""
     if not isinstance(bad, np.ndarray):
@@ -108,13 +115,13 @@ def decompose(h):
     residual = vecs @ vecs_h
     residual -= _eye(dim)
     eye_err = _fro(residual)
-    worst = _first(eye_err, eye_err > DECOMP_TOL * dim)
+    worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * dim))
     if worst is not None:
         raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
     residual = (vecs * vals[..., None, :]) @ vecs_h
     residual -= h
     rec_err = _fro(residual)
-    worst = _first(rec_err, rec_err > DECOMP_TOL * _pymax(1.0, _fro(h)))
+    worst = _first(rec_err, _exceeds(rec_err, DECOMP_TOL * _pymax(1.0, _fro(h))))
     if worst is not None:
         raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")
     return vals, vecs
@@ -183,7 +190,7 @@ def strictly_positive(decomposition):
     vals, vecs = decomposition
     lam_max, lam_min = vals[..., 0], vals[..., -1]
     floor = PD_FLOOR * _pymax(_pymax(1.0, np.abs(lam_max)), np.abs(lam_min))
-    bad = lam_min < floor
+    bad = _exceeds(floor, lam_min)
     worst = _first(lam_min, bad)
     if worst is not None:
         raise NotPositiveDefinite(

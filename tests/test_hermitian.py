@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_herm, make_pd
+from opdiv import kernels
 from opdiv.errors import (
     DomainViolation,
     NotHermitian,
@@ -219,6 +220,29 @@ def test_non_finite_side_gets_no_loewner_verdict(bad):
             for lhs, rhs in ((side, eye), (eye, side)):
                 with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
                     loewner_compare(lhs, rhs)
+
+
+def test_nan_matrix_fails_the_positivity_and_decomposition_guards():
+    """A NaN entry that bypasses the constructor makes the residuals and
+    the smallest eigenvalue NaN, and every guard fails on NaN: neither a
+    positive-definite matrix with min_eig nan nor a spectrum [1, nan]."""
+    side = hermitian_part(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises((NumericalFailure, NotPositiveDefinite)):
+        PositiveDefiniteMatrix(side)
+    with pytest.raises(NumericalFailure):
+        spectral_decompose(side)
+    with pytest.raises(NotPositiveDefinite, match="nan"):
+        kernels.strictly_positive((np.array([1.0, math.nan]), np.eye(2)))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_infinite_entry_fails_the_decomposition_guards(stacked):
+    """eigh of a matrix with an inf entry returns NaN eigenvalues, whose
+    residuals are NaN: the guards raise on the single-matrix route and on
+    a stack alike."""
+    entries = np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        kernels.decompose(entries[None] if stacked else entries)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
