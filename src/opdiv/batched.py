@@ -7,14 +7,13 @@ arrays through `kernels`. Trials stack by the matrix shape of each
 stage, not by the shape of their draws: the entries of fields and map
 families of any size form one flat stack of the entries present, so
 each per-entry stage (build, decompositions, perspectives, congruences,
-calculus) runs once per chunk. Sums over a trial's entries run over a
-(T, k) presence mask and keep each check's own term order; an absent
-term is never added, so no padded zero can flip the sign of a zero. Only
-a stage whose matrix size depends on the draw is split by that size:
-what follows the maps stacks per output dimension of a subunital family,
-and per output size of a single map, whose maps apply at once per
-variant and compression size; map objects are built only for the worst
-trial's payload. Pool functions are applied through index masks, so
+calculus) runs once per chunk. Sums over a trial's entries are one
+`kernels.field_sum` over a (T, k) presence mask: the present terms, in
+entry order, added to zeros. Only a stage whose matrix size depends on
+the draw is split by that size: what follows the maps stacks per output
+dimension of a subunital family, and per output size of a single map,
+whose maps apply at once per variant and compression size; map objects
+are built only for the worst trial's payload. Pool functions are applied through index masks, so
 every margin has the bits of the one-trial-at-a-time computation.
 Loewner links and scalar links fold into a trial's worst margin and
 violation flag by the rule that also folds the trials (`kernels.fold`).
@@ -179,31 +178,9 @@ def _first_block(group, present) -> np.ndarray:
     return t1
 
 
-def _sum(x, mask=None, w=None, first=False):
-    """Sum over axis 1, term by term from left to right: w_i x_i for the
-    terms where `mask` holds. It starts from zeros, or from the first term
-    (which every trial holds) when `first`, in each check's own order: the
-    two differ in the signs of zeros."""
-
-    def rows(v, t):  # one value per trial against the term t
-        return v.reshape((-1,) + (1,) * (t.ndim - 1))
-
-    def term(i):
-        t = x[:, i]
-        return t if w is None else t * rows(w[:, i], t)
-
-    out = term(0) if first else np.zeros_like(x[:, 0])
-    for i in range(int(first), x.shape[1]):
-        if mask is None:
-            out = out + term(i)
-        else:
-            out = np.where(rows(mask[:, i], out), out + term(i), out)
-    return out
-
-
-def _total(flat, mask, w=None, first=False):
-    """`_sum` over each trial's own entries of a flat stack of them."""
-    return _sum(_pad(flat, mask), mask, w, first)
+def _total(flat, mask, w=None):
+    """`K.field_sum` over each trial's own entries of a flat stack of them."""
+    return K.field_sum(_pad(flat, mask), mask, w)
 
 
 def _eval(fs, x) -> np.ndarray:
@@ -320,7 +297,7 @@ def _field(group) -> tuple:
 
 def _perspective_of_sums(fs, mask, w, a, b):
     """The perspective of the weighted sums of the (T, k) stacks a and b."""
-    return K.perspective(fs, _sum(a, mask, w), K.positive(_sum(b, mask, w)))
+    return K.perspective(fs, K.field_sum(a, mask, w), K.positive(K.field_sum(b, mask, w)))
 
 
 def _theta(fs, mask, w, a, b_pos):
@@ -356,8 +333,8 @@ def _eval_cor2_3_split(group, tol):
     halves = (t1, mask & ~t1)
     blocks = K.perspective(
         fs,
-        np.stack([_sum(a_k, m, w) for m in halves], axis=1),
-        K.positive(np.stack([_sum(b_k, m, w) for m in halves], axis=1)),
+        np.stack([K.field_sum(a_k, m, w) for m in halves], axis=1),
+        K.positive(np.stack([K.field_sum(b_k, m, w) for m in halves], axis=1)),
     )
     split = blocks[:, 0] + blocks[:, 1]
     worst, violated = _links(
@@ -385,11 +362,11 @@ def _eval_cor2_2_ii(group, tol):
     mask = _present([len(r.a[1]) for r in group])
     lefts, raw = _build(group, "a", "b")
     K.positive(raw)  # each drawn right slot is positive definite
-    _, inv_half = K.sqrt_pair(*K.positive(_total(raw, mask, first=True)))
+    _, inv_half = K.sqrt_pair(*K.positive(_total(raw, mask)))
     inv_half = inv_half[np.nonzero(mask)[0]]
     rights = K.hermitian_part(inv_half @ raw @ inv_half)
-    lhs = K.apply_function(fs, _total(lefts, mask, first=True))
-    rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask, first=True)
+    lhs = K.apply_function(fs, _total(lefts, mask))
+    rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask)
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, L=left, R=right)
@@ -406,11 +383,11 @@ def _eval_thm2_4_mixture(group, tol):
     p = _padded(group, "w", mask)
     ls, rs = _build(group, "a", "b")
     # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
-    rows = [_sum(_pad(x, grid).swapaxes(1, 2), mask, p, first=True)[mask] for x in (ls, rs)]
+    rows = [K.field_sum(_pad(x, grid).swapaxes(1, 2), mask, p)[mask] for x in (ls, rs)]
     lhs = _total(K.perspective(_each(fs, mask), rows[0], K.positive(rows[1])), mask)
     cells = _pad(K.perspective(_each(fs, grid), ls, K.positive(rs)), grid)
-    columns = _sum(cells, mask, first=True)
-    worst, violated = _links(tol, (lhs, _sum(columns, mask, p)))
+    columns = K.field_sum(cells, mask)
+    worst, violated = _links(tol, (lhs, K.field_sum(columns, mask, p)))
     payloads = []
     for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
         shape = (len(r.w),) * 2 + left.shape[1:]
@@ -462,21 +439,21 @@ def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     each = _each(fs, present)
     mapped_a = mapped(ops)
     mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
-    check_unital(_sum(mapped_i, present))
+    check_unital(K.field_sum(mapped_i, present))
     mapped_f = mapped(K.apply_function(each, ops))
-    m1 = K.apply_function(fs, _sum(mapped_a, present))
+    m1 = K.apply_function(fs, K.field_sum(mapped_a, present))
     masks = (t1, present & ~t1) if full else (t1,)
     blocks = K.perspective(
         fs,
-        np.stack([_sum(mapped_a, m) for m in masks], axis=1),
-        K.positive(np.stack([_sum(mapped_i, m) for m in masks], axis=1)),
+        np.stack([K.field_sum(mapped_a, m) for m in masks], axis=1),
+        K.positive(np.stack([K.field_sum(mapped_i, m) for m in masks], axis=1)),
     )
     m2 = m3 = None
     if full:
         m2 = blocks[:, 0] + blocks[:, 1]
         per_map = K.perspective(each, mapped_a[present], K.positive(mapped_i[present]))
         m3 = _total(per_map, present)
-    return (m1, m2, m3, _sum(mapped_f, present)), blocks[:, 0], _sum(mapped_f, t1)
+    return (m1, m2, m3, K.field_sum(mapped_f, present)), blocks[:, 0], K.field_sum(mapped_f, t1)
 
 
 def _eval_jensen(group, tol, unit_weights=False, full=True):
@@ -541,7 +518,7 @@ def _eval_thm2_6(group, tol):
         gaussians = _gaussians([group[i] for i in rows], "c", mask)
         family = _normalized(w_rows, gaussians, shrinks[rows], mask)
         mapped = K.congruence(family[:, :, None], images[rows])
-        sum_a, sum_b, rhs = (_sum(mapped[:, :, i], mask, w_rows) for i in range(3))
+        sum_a, sum_b, rhs = (K.field_sum(mapped[:, :, i], mask, w_rows) for i in range(3))
         lhs = K.f_delta_h(_take(fs, rows), _take(hs, rows), sum_a, K.decompose(sum_b))
         worst[rows], violated[rows] = _links(tol, (lhs, rhs))
         for i, own in zip(rows.tolist(), family):
@@ -578,7 +555,7 @@ def _eval_thm2_10(group, tol):
     images = [eye, a, b, K.perspective(f2, a, K.positive(b)), K.calculus(f2, a_pos)]
     mapped = K.congruence(maps[:, :, None], _pad(np.stack(images, axis=1), present))
     unit, sum_a, sum_b, rhs_g, rhs_f = (
-        _sum(mapped[:, :, i], present, w) for i in range(len(images))
+        K.field_sum(mapped[:, :, i], present, w) for i in range(len(images))
     )
     check_unital(unit)
     worst, violated = _links(
@@ -608,7 +585,7 @@ def _single_maps(ms, dim: int) -> tuple:
     c = _normalized(np.ones(c.shape[:2]), c)
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
-        return _sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
+        return K.field_sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
 
     return apply, lambda i: ScaledMap(MapSum([Congruence(p) for p in c[i]]), ms[i].scale)
 
@@ -739,7 +716,7 @@ def _eval_delta_nabla(group, tol):
     p, q = _padded(group, "w", mask), _padded(group, "q", mask)
     ls, rs = _build(group, "a", "b")
     K.positive(rs)  # each drawn R is positive definite
-    sum_l, sum_r = _total(ls, mask, p, first=True), _total(rs, mask, q, first=True)
+    sum_l, sum_r = _total(ls, mask, p), _total(rs, mask, q)
     lhs = K.f_delta_h(fs, K.flagged_positive(hs), sum_l, K.decompose(sum_r))
     q_rs = rs * q[mask][:, None, None]
     rhs = _total(K.f_delta_h(_each(fs, mask), _each(hs, mask), ls, K.decompose(q_rs)), mask, p)
@@ -822,16 +799,15 @@ def _eval_kl(group, tol):
     ls, rs = (x.reshape((len(group), 2) + x.shape[1:]) for x in _build(group, "a", "b"))
     l_vals, l_vecs = K.positive(ls)
     half, inv_half = K.conditioned_roots(K.positive(rs))
-    ones = np.ones(ls.shape[:2])
-    sum_l, sum_r = _sum(ls, w=ones), _sum(rs, w=ones)
+    sum_l, sum_r = K.field_sum(ls), K.field_sum(rs)
     # R^{-1/2} L R^{-1/2}, decomposed once for both perspectives and log.
     inner = K.decompose(K.hermitian_part(inv_half @ ls @ inv_half))
-    theta_log, theta_tlt = (_sum(K.sandwich(f, half, inner), w=ones) for f in (_NEG_LOG, _T_LOG_T))
+    theta_log, theta_tlt = (K.field_sum(K.sandwich(f, half, inner)) for f in (_NEG_LOG, _T_LOG_T))
     # Each R^{1/2} L^{-1} R^{1/2} is positive definite.
     recip = K.positive(K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half))
-    direct_log = _sum(K.sandwich(_LOG, half, recip))
+    direct_log = K.field_sum(K.sandwich(_LOG, half, recip))
     log_inner = K.calculus(_LOG, inner)
-    direct_tlt = K.hermitian_part(_sum(ls @ inv_half @ log_inner @ half))
+    direct_tlt = K.hermitian_part(K.field_sum(ls @ inv_half @ log_inner @ half))
     worst, violated = _links(
         tol,
         (K.perspective(_NEG_LOG, sum_l, K.positive(sum_r)), theta_log),
@@ -862,7 +838,7 @@ def _eval_scalar_csiszar(group, tol):
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
     cells = K.perspective(each, cell_p, K.positive(cell_q))
-    theta = _total(cells, mask, _pad(np.ones_like(p), mask))[:, 0, 0].real
+    theta = _total(cells, mask)[:, 0, 0].real
     big_q = _total(q, mask)
     lhs = big_q * _eval(fs, _total(p, mask) / big_q)
     worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])

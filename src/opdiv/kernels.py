@@ -7,6 +7,8 @@ objects in `hermitian`, `perspective`, `norms` and `posmap` are
 validating facades over these kernels. The lab decodes its draws into
 matrices with `build` and runs every check and the convexity falsifier
 through `run_trials`, one trial loop that evaluates a chunk at once.
+Every weighted sum of matrices, a field's or a map family's, a trial's
+or a facade's, is one `field_sum`.
 
 LAPACK and matmul work matrix by matrix, so a stacked call gives the
 same bits as the same call on each matrix alone, and batching never
@@ -35,9 +37,13 @@ PD_FLOOR = 1e-10
 DECOMP_TOL = 1e-10
 DOMAIN_CLAMP_TOL = 1e-9
 CONDITION_CAP = 1e8
-# A stacked call holds at most this many matrix elements per operand
-# (1024 matrices at n = 2, 64 at n = 8, one from n = 46), so the memory of
-# stacked evaluation stays bounded however many matrices there are.
+# A chunk of trials (`chunks`) holds STACK_ELEMENTS // n**2 of them (1024
+# at n = 2, 64 at n = 8, one from n = 46), so the memory of stacked
+# evaluation stays bounded however many trials there are. The bound is
+# on trials, not on the matrices of one call: a per-entry stage stacks
+# every entry of the chunk's trials (up to 9 a trial), so a call may hold
+# several times STACK_ELEMENTS elements per operand (26,675 in one
+# THM2_4_MIXTURE perspective at n = 5, 200 trials).
 STACK_ELEMENTS = 4096
 
 
@@ -372,6 +378,25 @@ def compress(ix, scale, x):
     return np.take_along_axis(rows, ix[..., None, :], axis=-1) * np.asarray(scale)[..., None, None]
 
 
+def field_sum(x, mask=None, w=None):
+    """sum_i w_i x_i over axis 1 of a (T, k, ...) stack, for each of the T:
+    the terms where `mask` (T, k) holds (all without one), with weights `w`
+    (T, k) (unit without), added to zeros one term at a time in entry
+    order. A sum from +0.0 never becomes -0.0, so a term left out and a
+    zero term added give the same bits, and every sum has the bits of a
+    loop over its own terms from zero. One reduction over the axis would
+    not keep that order: numpy reduces 1 x 1 matrices pairwise."""
+    axes = (1,) * (x.ndim - 2)
+    if w is not None:
+        x = x * w.reshape(w.shape + axes)
+    if mask is not None:
+        x = np.where(mask.reshape(mask.shape + axes), x, 0)
+    out = np.zeros_like(x[:, 0])
+    for term in x.swapaxes(0, 1):
+        out += term
+    return out
+
+
 def singular_values(x):
     """Singular values of every matrix of the stack, descending: the
     eigenvalues of (X* X)^{1/2}, clipped at zero before the root."""
@@ -417,7 +442,7 @@ def stack(arrays):
     one as a view, not a copy: the kernels never write to their inputs."""
     if len(arrays) == 1:
         return arrays[0][None]
-    return np.stack(arrays)
+    return _stacked(arrays)
 
 
 def chunks(count: int, dim: int):

@@ -88,26 +88,28 @@ class WeightedOperatorField:
         return np.array([w for w, _, _ in self._entries], dtype=float)
 
     def weighted_sum_a(self) -> HermitianMatrix:
-        if not self._entries:
-            raise EmptyField("field has no entries")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, a, _ in self._entries:
-            total += w * a.entries
-        return HermitianMatrix._wrap(total)
+        return self._weighted_sum([a.entries for _, a, _ in self._entries])
 
     def weighted_sum_b(self) -> HermitianMatrix:
+        return self._weighted_sum([b.entries for _, _, b in self._entries])
+
+    def _weighted_sum(self, matrices) -> HermitianMatrix:
+        """sum_t w_t X_t of one matrix X_t per entry."""
         if not self._entries:
             raise EmptyField("field has no entries")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, _, b in self._entries:
-            total += w * b.entries
-        return HermitianMatrix._wrap(total)
+        return _weighted(self.weights, kernels.stack(matrices))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
         return iter(self._entries)
+
+
+def _weighted(w, terms) -> HermitianMatrix:
+    """sum_t w_t X_t of the stack `terms` of the X_t, in order from zero
+    (`kernels.field_sum`)."""
+    return HermitianMatrix._wrap(kernels.field_sum(terms[None], w=w[None])[0])
 
 
 @dataclass(frozen=True)
@@ -150,20 +152,15 @@ def theta_divergence(
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
-    total = np.zeros((field.dim, field.dim), dtype=complex)
+    terms = []
     for span in kernels.chunks(field.size, field.dim):
         chunk = field.entries[span.start : span.stop]
-        terms = kernels.perspective(
-            f,
-            kernels.stack([a.entries for _, a, _ in chunk]),
-            (
-                kernels.stack([b.decomposition.eigenvalues for _, _, b in chunk]),
-                kernels.stack([b.decomposition.unitary for _, _, b in chunk]),
-            ),
+        right = (
+            kernels.stack([b.decomposition.eigenvalues for _, _, b in chunk]),
+            kernels.stack([b.decomposition.unitary for _, _, b in chunk]),
         )
-        for (w, _, _), term in zip(chunk, terms):
-            total += w * term
-    return HermitianMatrix._wrap(total)
+        terms.append(kernels.perspective(f, kernels.stack([a.entries for _, a, _ in chunk]), right))
+    return _weighted(field.weights, np.concatenate(terms))
 
 
 def f_delta_h(
@@ -217,16 +214,14 @@ def f_nabla_h(
         raise NotProbability("q must be positive wherever p is positive")
     kernels.flagged_positive(h)
     # The terms with p_i > 0, in stacks of entries (`kernels.chunks`).
-    terms = [(a, b, p_i, q_i) for (_, a, b), p_i, q_i in zip(field, p, q) if p_i != 0]
-    total = np.zeros((field.dim, field.dim), dtype=complex)
+    terms = [(a, b, q_i) for (_, a, b), p_i, q_i in zip(field, p, q) if p_i != 0]
+    values = []
     for span in kernels.chunks(len(terms), field.dim):
         chunk = terms[span.start : span.stop]
-        lefts = kernels.stack([a.entries for a, _, _, _ in chunk])
-        rights = kernels.stack([b.entries * float(q_i) for _, b, _, q_i in chunk])
-        rights = kernels.decompose(rights)
-        for (_, _, p_i, _), value in zip(chunk, kernels.f_delta_h(f, h, lefts, rights)):
-            total += p_i * value
-    return HermitianMatrix._wrap(total)
+        lefts = kernels.stack([a.entries for a, _, _ in chunk])
+        rights = kernels.stack([b.entries * float(q_i) for _, b, q_i in chunk])
+        values.append(kernels.f_delta_h(f, h, lefts, kernels.decompose(rights)))
+    return _weighted(p[p != 0], np.concatenate(values))
 
 
 def bivariate_calculus(

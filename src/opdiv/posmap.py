@@ -119,10 +119,8 @@ class MapSum(PositiveLinearMap):
         self.out_dim = out_dim
 
     def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        total = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for p in self.parts:
-            total += p.apply(x).entries
-        return HermitianMatrix._wrap(total)
+        images = kernels.stack([p.apply(x).entries for p in self.parts])
+        return HermitianMatrix._wrap(kernels.field_sum(images[None])[0])
 
     def to_json(self) -> dict:
         return {"variant": "sum", "parts": [p.to_json() for p in self.parts]}
@@ -223,10 +221,9 @@ class MapField:
     def identity_image(self) -> HermitianMatrix:
         """sum_i w_i Phi_i(I)."""
         eye = HermitianMatrix.identity(self.in_dim)
-        total = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for w, phi in self._entries:
-            total += w * phi.apply(eye).entries
-        return HermitianMatrix._wrap(total)
+        images = kernels.stack([phi.apply(eye).entries for _, phi in self._entries])
+        weights = np.array([w for w, _ in self._entries])
+        return HermitianMatrix._wrap(kernels.field_sum(images[None], w=weights[None])[0])
 
     def __iter__(self):
         return iter(self._entries)

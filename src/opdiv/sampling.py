@@ -86,17 +86,13 @@ def _unit_vector(rng, dim: int) -> np.ndarray:
 def _normalized(weights, cs, shrinks=None, mask=None):
     """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
 
-    `cs` stacks the k Gaussians of each family, shape (..., k, in, out),
-    and `weights` (and `shrinks`) are (..., k). With these matrices as
+    `cs` stacks the k Gaussians of each of T families, shape (T, k, in,
+    out), and `weights` (and `shrinks`) are (T, k). With these matrices as
     congruences, sum_i w_i Phi_i(I) = I before shrinking. A family holds
-    the maps where `mask` (..., k) holds, the first one always; the sum
-    leaves the others out.
+    the maps where `mask` (T, k) holds, the first one always; the Gram
+    sum (`K.field_sum`) leaves the others out.
     """
-    gram = 0
-    for j in range(cs.shape[-3]):
-        c = cs[..., j, :, :]
-        term = gram + (weights[..., j, None, None] * K.adjoint(c)) @ c
-        gram = term if mask is None else np.where(mask[..., j, None, None], term, gram)
+    gram = K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask)
     _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
     maps = cs @ inv_half[..., None, :, :]
     if shrinks is not None:

@@ -127,6 +127,28 @@ def test_stacked_frobenius_norm_matches_matrix_by_matrix(dim):
     np.testing.assert_allclose(kernels._fro(x), want, rtol=8 * np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
+def test_field_sum_matches_the_loop_from_zero(dim, k):
+    """Each trial's sum has the bits of a loop that adds its own present
+    terms w_i x_i, in entry order, to zeros: at dim 1 too, where numpy
+    would reduce the entry axis pairwise, and with signed zeros mixed in,
+    which a sum from zero never returns as -0.0."""
+    rng = np.random.default_rng(400 + dim)
+    x = rng.standard_normal((50, k, dim, dim)) + 1j * rng.standard_normal((50, k, dim, dim))
+    x[rng.uniform(size=x.shape) < 0.2] = -0.0
+    w = rng.uniform(0.2, 2.0, (50, k))
+    mask = rng.uniform(size=(50, k)) < 0.7
+    for got, weights, present in (
+        (kernels.field_sum(x, mask, w), w, mask),
+        (kernels.field_sum(x), np.ones((50, k)), np.ones((50, k), dtype=bool)),
+    ):
+        for t in range(50):
+            want = np.zeros((dim, dim), dtype=complex)
+            for i in np.flatnonzero(present[t]):
+                want = want + weights[t, i] * x[t, i]
+            assert _bits(got[t]) == _bits(want)
+
+
 def test_loewner_solver_failure_is_a_numerical_failure():
     """Non-finite sides, where eigvalsh does not converge, surface from the
     Loewner comparison as NumericalFailure rather than LinAlgError."""
