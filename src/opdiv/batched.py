@@ -49,7 +49,6 @@ from .sampling import (
     _pick,
     _pick_fh,
     _prob_vector,
-    _spectrum,
     _unit_vector,
 )
 
@@ -156,7 +155,7 @@ def _gaussians(records, name: str, mask=None) -> np.ndarray:
     """The complex Gaussians of each record's list `name` of Gaussian
     pairs, (T, k, rows, cols), assembled in one `K.complex_pair` call:
     zero where `mask` has no entry, or k of each without a mask."""
-    g = K.complex_pair(K._stacked([pair for r in records for pair in getattr(r, name)]))
+    g = K.complex_pair(K.stack([pair for r in records for pair in getattr(r, name)]))
     if mask is not None:
         return _pad(g, mask)
     return g.reshape((len(records), -1) + g.shape[-2:])
@@ -187,7 +186,6 @@ def _eval(fs, x) -> np.ndarray:
     """fs[t] on the values x[t] of every trial t, one call per function."""
     out = np.empty_like(x)
     for g, rows in K._by_function(fs):
-        rows = slice(None) if rows is None else rows
         out[rows] = g.eval_array(x[rows])
     return out
 
@@ -538,7 +536,7 @@ def _draw_thm2_10(rng, trial, cfg, f_over):
     w, c = _draw_unital_family(rng, cfg.dim, k)
     lo = max(_a_window(f1, cfg)[0], _a_window(f2, cfg)[0], _b_window(cfg)[0])
     hi = min(_a_window(f1, cfg)[1], _a_window(f2, cfg)[1])
-    a = cfg.condition_cap, [_spectrum(rng, cfg.dim, lo, hi) for _ in range(k)]
+    a = cfg.condition_cap, [raw_spectrum(rng, cfg.dim, lo, hi) for _ in range(k)]
     return _Draw(f1, w, a, _b_slots(rng, cfg, k), c, h=f2)
 
 
@@ -704,7 +702,7 @@ def _draw_delta_nabla(rng, trial, cfg, f_over):
     p, q = _prob_vector(rng, n), _prob_vector(rng, n)
     alo, ahi = _a_window(f, cfg)
     lo = max(alo, _b_window(cfg)[0])
-    a = None, [_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)]
+    a = None, [raw_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)]
     return _Draw(f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
 
 

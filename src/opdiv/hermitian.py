@@ -319,7 +319,13 @@ def raw_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tu
     """The RNG output behind a random Hermitian matrix with spectrum in
     [lo, hi]: uniform eigenvalues, then the `raw_gaussian` whose Hermitian
     part carries the eigenvectors. `kernels.from_spectrum` builds a whole
-    stack of them with one eigendecomposition call."""
+    stack of them with one eigendecomposition call.
+
+    For lo == hi nothing is drawn: the spectrum is (lo, ..., lo) and the
+    Gaussian is zero, which carries the identity as eigenvectors, so
+    `kernels.from_spectrum` builds lo * I exactly."""
+    if lo == hi:
+        return np.full(dim, float(lo)), np.zeros((2, dim, dim))
     return rng.uniform(lo, hi, dim), raw_gaussian(rng, dim, dim)
 
 

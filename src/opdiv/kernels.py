@@ -8,7 +8,8 @@ validating facades over these kernels. The lab decodes its draws into
 matrices with `build` and runs every check and the convexity falsifier
 through `run_trials`, one trial loop that evaluates a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
-or a facade's, is one `field_sum`.
+or a facade's, is one `field_sum`, and every stack of equal-shaped
+arrays is one `stack`.
 
 LAPACK and matmul work matrix by matrix, so a stacked call gives the
 same bits as the same call on each matrix alone, and batching never
@@ -38,17 +39,19 @@ DECOMP_TOL = 1e-10
 DOMAIN_CLAMP_TOL = 1e-9
 CONDITION_CAP = 1e8
 # A chunk of trials (`chunks`) holds STACK_ELEMENTS // n**2 of them (1024
-# at n = 2, 64 at n = 8, one from n = 46), so the memory of stacked
-# evaluation stays bounded however many trials there are. The bound is
-# on trials, not on the matrices of one call: a per-entry stage stacks
-# every entry of the chunk's trials (up to 9 a trial), so a call may hold
-# several times STACK_ELEMENTS elements per operand (26,675 in one
-# THM2_4_MIXTURE perspective at n = 5, 200 trials).
+# at n = 2, 64 at n = 8, one from n = 46), which bounds memory for any
+# trial count. A per-entry stage stacks every entry of the chunk's trials
+# (up to 9 a trial), so one operand may hold several times STACK_ELEMENTS
+# elements (26,675 in a THM2_4_MIXTURE perspective at n = 5, 200 trials).
+# From n = 46 the facades' chunks hold one matrix. Against one stack of a
+# whole field (n = 48-64, A/B in CPU time) that ran theta_divergence 1.03x
+# faster (in 22 of 30 rounds); whole verdicts did not resolve (0.95-1.00x).
 STACK_ELEMENTS = 4096
 
 
-# A single matrix makes scalars of what a stack makes arrays; the
-# helpers below take the cheap scalar route for those.
+# A single matrix makes scalars of what a stack makes arrays; the helpers
+# below take the scalar route for those. Without it (A/B in CPU time), 630
+# small-field verdicts ran at 0.92-0.93x, slower in 72 of 80 rounds.
 
 
 def _pymax(a, b):
@@ -170,13 +173,13 @@ def build(*slots) -> tuple:
     holds as many matrices."""
     lams, pairs = [], []
     for cap, spectra in slots:
-        lam = _stacked([lam for lam, _ in spectra])
+        lam = stack([lam for lam, _ in spectra])
         lams.append(lam if cap is None else capped(lam, cap))
         pairs += [pair for _, pair in spectra]
-    return tuple(np.split(from_spectrum(np.concatenate(lams), _stacked(pairs)), len(slots)))
+    return tuple(np.split(from_spectrum(np.concatenate(lams), stack(pairs)), len(slots)))
 
 
-def _stacked(arrays) -> np.ndarray:
+def stack(arrays) -> np.ndarray:
     """`np.stack(arrays)` of equal-shaped arrays as one concatenation,
     which costs many small arrays a third as much."""
     return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
@@ -213,18 +216,16 @@ def sqrt_pair(vals, vecs):
 
 
 def _by_function(f):
-    """(function, rows) pairs: `f` is one function for the whole stack, or
-    one function per entry of the first axis, grouped by function."""
+    """(function, rows) pairs, `rows` indexing the first axis: `f` is one
+    function for the whole stack (rows `slice(None)`), or one function per
+    entry of the first axis, grouped by function."""
     if not isinstance(f, (list, tuple)):
-        return [(f, None)]
+        return [(f, slice(None))]
     groups = {}  # id(g) -> [g, the rows of g], in order of first appearance
     for i, g in enumerate(f):
-        rows = groups.get(id(g))
-        if rows is None:
-            groups[id(g)] = rows = [g]
-        rows.append(i)
+        groups.setdefault(id(g), [g]).append(i)
     if len(groups) == 1:
-        return [(f[0], None)]
+        return [(f[0], slice(None))]
     return [(rows[0], np.array(rows[1:])) for rows in groups.values()]
 
 
@@ -256,11 +257,8 @@ def _finite(f, x):
 def _calculus(f, decomposition):
     """`calculus` without the finiteness check of the rebuilt matrices."""
     vals, vecs = decomposition
-    groups = _by_function(f)
-    if groups[0][1] is None:
-        return rebuild(_evaluate(groups[0][0], vals), vecs)
     out = np.empty_like(vals)
-    for g, rows in groups:
+    for g, rows in _by_function(f):
         out[rows] = _evaluate(g, vals[rows])
     return rebuild(out, vecs)
 
@@ -435,14 +433,6 @@ def fold(margins, used) -> tuple:
     for j in range(margins.shape[1]):
         worst = np.where(margins[:, j] < worst, margins[:, j], worst)
     return worst, ~np.all(margins >= -used, axis=1)
-
-
-def stack(arrays):
-    """`np.stack(arrays)`, except that a single array becomes a stack of
-    one as a view, not a copy: the kernels never write to their inputs."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    return _stacked(arrays)
 
 
 def chunks(count: int, dim: int):

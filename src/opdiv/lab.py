@@ -31,8 +31,9 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     ToleranceConfig,
     array_to_rows,
+    raw_spectrum,
 )
-from .sampling import _spectrum, _trial_rng
+from .sampling import _trial_rng
 
 __all__ = [
     "GenConfig",
@@ -117,13 +118,13 @@ class SuiteReport:
 
 
 def _random_matrix(cfg: GenConfig, trial: int, cond_cap=None) -> HermitianMatrix:
-    """`sampling._spectrum` in cfg.spectrum_range, capped at `cond_cap` if
+    """`raw_spectrum` in cfg.spectrum_range, capped at `cond_cap` if
     given, built by `K.build`.
 
     Fully determined by (cfg.seed, trial) and the draw order inside.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(trial)]))
-    (built,) = K.build((cond_cap, [_spectrum(rng, cfg.dim, *cfg.spectrum_range)]))
+    (built,) = K.build((cond_cap, [raw_spectrum(rng, cfg.dim, *cfg.spectrum_range)]))
     return HermitianMatrix._wrap(built[0])
 
 

@@ -29,7 +29,7 @@ from .funcatalog import (
     builtin,
     sampling_window,
 )
-from .hermitian import raw_gaussian, raw_spectrum
+from .hermitian import raw_gaussian
 from .perspective import BivariateSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,16 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     key = zlib.crc32(check_id.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
-
-
-def _spectrum(rng, dim: int, lo: float, hi: float) -> tuple:
-    """`raw_spectrum`, except that for lo == hi it draws nothing: lo * I
-    is the spectrum (lo, ..., lo) with a zero Gaussian, which carries the
-    identity as eigenvectors, so `K.from_spectrum` builds lo * I exactly.
-    `lab.random_hermitian` and `lab.random_pd` draw through it too."""
-    if lo == hi:
-        return np.full(dim, float(lo)), np.zeros((2, dim, dim))
-    return raw_spectrum(rng, dim, lo, hi)
 
 
 def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:

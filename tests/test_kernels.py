@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_herm, make_pd
 from opdiv import kernels, sampling
-from opdiv.errors import DomainViolation, NumericalFailure
+from opdiv.errors import DomainViolation, IllConditioned, NotPositiveDefinite, NumericalFailure
 from opdiv.funcatalog import (
     Interval,
     ScalarOperatorFunction,
@@ -33,6 +33,7 @@ from opdiv.hermitian import (
     ToleranceConfig,
     apply_function,
     loewner_compare,
+    unitary_from_rng,
 )
 from opdiv.lab import GenConfig, check_ids, run_check
 from opdiv.perspective import WeightedOperatorField, perspective, theta_divergence
@@ -125,6 +126,79 @@ def test_stacked_frobenius_norm_matches_matrix_by_matrix(dim):
     x = rng.standard_normal((9, dim, dim)) + 1j * rng.standard_normal((9, dim, dim))
     want = [np.linalg.norm(m) for m in x]
     np.testing.assert_allclose(kernels._fro(x), want, rtol=8 * np.finfo(float).eps)
+
+
+# A single matrix takes the guards' scalar route (`kernels._pymax`,
+# `_exceeds`, `_first` and the 2-D `_fro`); a stack of one takes the
+# array route. Both must give the same bits and raise the same error.
+
+_NEG_LOG = builtin("neg_log")
+_SQUARE = builtin("square")
+
+
+def _left(x):
+    """A fixed Hermitian operand of x's shape."""
+    n = x.shape[-1]
+    return np.broadcast_to(np.diag([1.0, -0.5, 2.0, 0.25, 3.0][:n]).astype(complex), x.shape)
+
+
+# kernel name -> (kernel of a matrix x or of a stack of them, the error
+# each case raises: None for a result).
+_ROUTE_KERNELS = {
+    "decompose": (kernels.decompose, (None, NumericalFailure, NumericalFailure, None, None)),
+    "positive": (
+        kernels.positive,
+        (None, NumericalFailure, NumericalFailure, NotPositiveDefinite, None),
+    ),
+    "calculus": (
+        lambda x: kernels.calculus(_NEG_LOG, kernels.decompose(x)),
+        (None, NumericalFailure, NumericalFailure, DomainViolation, None),
+    ),
+    "perspective": (
+        lambda x: kernels.perspective(_SQUARE, _left(x), kernels.positive(x)),
+        (None, NumericalFailure, NumericalFailure, NotPositiveDefinite, IllConditioned),
+    ),
+    "loewner": (
+        lambda x: kernels.loewner(x, _left(x), ToleranceConfig()),
+        (None, NumericalFailure, NumericalFailure, None, None),
+    ),
+}
+
+
+def _route_cases(dim):
+    """A positive matrix, the same with a NaN and with an inf entry, one
+    that is not positive, and one whose condition number 1e9 breaches the
+    default cap of 1e8."""
+    rng = np.random.default_rng(500 + dim)
+    ok = make_pd(rng, dim).entries
+    nan, inf = ok.copy(), ok.copy()
+    nan[0, 0], inf[0, 0] = math.nan, math.inf
+    not_positive = make_herm(rng, dim, -2.0, -0.5).entries
+    u = unitary_from_rng(rng, dim)
+    ill = kernels.hermitian_part((u * np.geomspace(1e-3, 1e6, dim)) @ u.conj().T)
+    return ok, nan, inf, not_positive, ill
+
+
+def _route_outcome(kernel, x, stacked):
+    """The bits of each output of kernel(x) (of x[None], its entry 0), or
+    the class of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = kernel(x[None] if stacked else x)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+    out = out if isinstance(out, tuple) else (out,)
+    return [_bits(part[0] if stacked else part) for part in out]
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_KERNELS))
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_scalar_route_matches_a_stack_of_one(name, dim):
+    kernel, errors = _ROUTE_KERNELS[name]
+    for x, error in zip(_route_cases(dim), errors):
+        single = _route_outcome(kernel, x, stacked=False)
+        assert single == _route_outcome(kernel, x, stacked=True)
+        assert (single if isinstance(single, type) else None) is error
 
 
 @pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
