@@ -295,7 +295,7 @@ def kronecker(
 ) -> HermitianMatrix:
     """Kronecker product A (x) B with the row-major (i, j) index order."""
     total = a.dim * b.dim
-    if total > size_cap:
+    if not total <= size_cap:
         raise SizeLimit(f"tensor dimension {total} exceeds cap {size_cap}")
     return HermitianMatrix._wrap(np.kron(a.entries, b.entries))
 

@@ -288,7 +288,7 @@ def conditioned_roots(right, condition_cap=CONDITION_CAP):
     number exceeds `condition_cap`."""
     vals, vecs = right
     cond = vals[..., 0] / vals[..., -1]
-    worst = _first(cond, cond > condition_cap)
+    worst = _first(cond, _exceeds(cond, condition_cap))
     if worst is not None:
         raise IllConditioned(f"condition number {worst:.3e} exceeds cap {condition_cap:.1e}")
     return sqrt_pair(vals, vecs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -64,11 +65,13 @@ class GenConfig:
         if not 2 <= self.dim <= 8:
             raise BadRange(f"dim must be within 2..8, got {self.dim}")
         lo, hi = self.spectrum_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BadRange(f"spectrum_range must be finite, got {self.spectrum_range}")
         # lo == hi is allowed: it pins the spectrum and yields an exact
         # multiple of the identity.
         if not lo <= hi:
             raise BadRange(f"spectrum_range needs lo <= hi, got {self.spectrum_range}")
-        if self.condition_cap < 1:
+        if not self.condition_cap >= 1:
             raise BadRange(f"condition_cap must be >= 1, got {self.condition_cap}")
         if self.seed < 0:
             raise BadRange("seed must be nonnegative")

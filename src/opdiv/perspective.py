@@ -8,6 +8,7 @@ products, and the differentiable tangent-line lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,8 +52,8 @@ class WeightedOperatorField:
         dim = None
         for w, a, b in entries:
             w = float(w)
-            if w <= 0:
-                raise BadRange(f"field weights must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise BadRange(f"field weights must be positive and finite, got {w}")
             if not isinstance(a, HermitianMatrix):
                 a = HermitianMatrix(a)
             if not isinstance(b, PositiveDefiniteMatrix):
@@ -64,7 +65,7 @@ class WeightedOperatorField:
             triples.append((w, a, b))
         if probability_normalized:
             total = sum(w for w, _, _ in triples)
-            if abs(total - 1.0) > PROBABILITY_TOL:
+            if not abs(total - 1.0) <= PROBABILITY_TOL:
                 raise NotProbability(f"weights sum to {total!r}, expected 1")
         self._entries = tuple(triples)
         self.probability_normalized = bool(probability_normalized)
@@ -184,9 +185,9 @@ def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise NotProbability(f"{name} must be a vector")
-    if np.any(vec < 0):
-        raise NotProbability(f"{name} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > PROBABILITY_TOL:
+    if not np.all(vec >= 0):
+        raise NotProbability(f"{name} has negative or NaN entries")
+    if not abs(float(vec.sum()) - 1.0) <= PROBABILITY_TOL:
         raise NotProbability(f"{name} sums to {float(vec.sum())!r}, expected 1")
     return vec
 
@@ -237,7 +238,7 @@ def bivariate_calculus(
     tensor index i * dim(B) + j (`kernels.bivariate`).
     """
     total = a.dim * b.dim
-    if total > size_cap:
+    if not total <= size_cap:
         raise SizeLimit(f"tensor dimension {total} exceeds cap {size_cap}")
     left, right = kernels.decompose(a.entries), kernels.decompose(b.entries)
     return HermitianMatrix._wrap(kernels.bivariate(phi, left, right))

@@ -12,6 +12,7 @@ three-map compression example used as the library's sharpness fixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +56,8 @@ class Congruence(PositiveLinearMap):
         arr = np.asarray(matrix, dtype=complex)
         if arr.ndim != 2:
             raise ShapeMismatch("congruence needs a 2-D matrix")
+        if not np.isfinite(arr).all():
+            raise BadRange("congruence matrix has non-finite entries")
         self.matrix = arr
         self.in_dim = arr.shape[0]
         self.out_dim = arr.shape[1]
@@ -80,8 +83,8 @@ class Compression(PositiveLinearMap):
             raise BadRange("compression indices must be distinct")
         if indices[0] < 0 or indices[-1] >= in_dim:
             raise BadRange(f"indices {indices} outside 0..{in_dim - 1}")
-        if scale <= 0:
-            raise BadRange(f"compression scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise BadRange(f"compression scale must be positive and finite, got {scale}")
         self.indices = indices
         self.scale = float(scale)
         self.in_dim = int(in_dim)
@@ -132,8 +135,8 @@ class ScaledMap(PositiveLinearMap):
     __slots__ = ("inner", "factor", "in_dim", "out_dim")
 
     def __init__(self, inner: PositiveLinearMap, factor: float):
-        if factor <= 0:
-            raise BadRange(f"scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise BadRange(f"scale factor must be positive and finite, got {factor}")
         self.inner = inner
         self.factor = float(factor)
         self.in_dim = inner.in_dim
@@ -188,8 +191,8 @@ class MapField:
         in_dim = out_dim = None
         for w, phi in entries:
             w = float(w)
-            if w <= 0:
-                raise BadRange(f"map weights must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise BadRange(f"map weights must be positive and finite, got {w}")
             if in_dim is None:
                 in_dim, out_dim = phi.in_dim, phi.out_dim
             if phi.in_dim != in_dim or phi.out_dim != out_dim:

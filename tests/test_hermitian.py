@@ -269,6 +269,13 @@ def test_kronecker_size_cap():
     assert kronecker(big, big, size_cap=100).dim == 81
 
 
+def test_kronecker_nan_size_cap_is_refused():
+    """`81 > nan` is false, so a NaN cap built the 81 x 81 product."""
+    big = HermitianMatrix.identity(9)
+    with pytest.raises(SizeLimit):
+        kronecker(big, big, size_cap=math.nan)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_kronecker_spectrum_is_pairwise_products(seed):

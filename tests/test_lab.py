@@ -35,6 +35,24 @@ def test_gen_config_validation():
         GenConfig(trials=0)
 
 
+@pytest.mark.parametrize("spectrum_range", [(0.1, math.inf), (-math.inf, 4.0)])
+def test_gen_config_refuses_an_infinite_spectrum_range(spectrum_range):
+    """An infinite end reached numpy's uniform draw and ended in its
+    OverflowError, in a check and in random_pd alike."""
+    with pytest.raises(BadRange, match="finite"):
+        run_check("THM2_1", GenConfig(spectrum_range=spectrum_range, trials=5))
+    with pytest.raises(BadRange, match="finite"):
+        random_pd(GenConfig(spectrum_range=spectrum_range), 0)
+
+
+def test_gen_config_refuses_a_nan_condition_cap_and_keeps_inf():
+    """`nan < 1` is false, so a NaN cap was accepted and the check failed in
+    the eigensolver; an infinite cap means no cap and still runs."""
+    with pytest.raises(BadRange):
+        GenConfig(condition_cap=math.nan)
+    assert run_check("THM2_1", GenConfig(condition_cap=math.inf, trials=5)).trials == 5
+
+
 def test_random_hermitian_degenerate_range_is_identity():
     cfg = GenConfig(dim=3, spectrum_range=(1.0, 1.0), seed=0)
     h = random_hermitian(cfg, 0)

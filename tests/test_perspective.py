@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,17 @@ def test_field_validation():
     )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_field_refuses_non_finite_weights(bad, normalized):
+    """NaN fails no `w <= 0` test: a NaN weight gave an all-NaN weighted
+    sum (an inf one inf+nanj entries), and passed the sum-to-one check."""
+    with pytest.raises(BadRange, match="finite"):
+        WeightedOperatorField(
+            [(bad, HermitianMatrix.identity(2), pd(np.eye(2)))], probability_normalized=normalized
+        )
+
+
 def test_f_delta_h_identity_reduces_to_perspective():
     rng = np.random.default_rng(5)
     left = make_herm(rng, 3, 0.1, 4.0)
@@ -262,6 +275,27 @@ def test_f_nabla_h_probability_validation():
         f_nabla_h(SQUARE, SQRT, field, [0.5, 0.5], [0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize(
+    "p, q", [([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0])]
+)
+def test_f_nabla_h_refuses_nan_probabilities(p, q):
+    """A NaN entry passed both the sign and the sum check of a probability
+    vector, and f_nabla_h returned a NaN matrix or failed in the solver."""
+    rng = np.random.default_rng(8)
+    entries = [(1.0, make_herm(rng, 2, 0.1, 4.0), make_pd(rng, 2)) for _ in range(2)]
+    field = WeightedOperatorField(entries)
+    with np.errstate(all="ignore"), pytest.raises(NotProbability):
+        f_nabla_h(SQUARE, SQRT, field, p, q)
+
+
+def test_nan_condition_cap_refuses_every_right_side():
+    """`cond > nan` is false for every cond, so a NaN cap let a condition
+    number of 1e9 through; a guard that fails on NaN refuses it."""
+    right = pd(np.diag([1e9, 1.0]))
+    with pytest.raises(IllConditioned):
+        perspective(SQUARE, HermitianMatrix.identity(2), right, condition_cap=math.nan)
+
+
 def test_bivariate_fixtures():
     a = HermitianMatrix.diagonal([1.0, 2.0])
     eye = HermitianMatrix.identity(2)
@@ -315,6 +349,14 @@ def test_bivariate_size_cap_and_domain():
     pos_spec = BivariateSpec(lambda x, y: x / y, Interval.positive(), Interval.positive())
     with pytest.raises(DomainViolation):
         bivariate_calculus(pos_spec, neg, HermitianMatrix.identity(2))
+
+
+def test_bivariate_nan_size_cap_is_refused():
+    """`81 > nan` is false, so a NaN cap built the 81 x 81 calculus."""
+    big = HermitianMatrix.identity(9)
+    spec = BivariateSpec(lambda x, y: x * y, Interval.real_line(), Interval.real_line())
+    with pytest.raises(SizeLimit):
+        bivariate_calculus(spec, big, big, size_cap=math.nan)
 
 
 def test_gradient_lower_bound_fixtures():

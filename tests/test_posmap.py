@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,33 @@ def test_map_field_unital_flag_validated():
     with pytest.raises(NotUnital):
         MapField([(1.0, Congruence(np.eye(2) * 0.5))], unital=True)
     MapField([(1.0, Congruence(np.eye(2)))], unital=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_compression_refuses_a_non_finite_scale(bad):
+    with pytest.raises(BadRange, match="finite"):
+        Compression(2, (0,), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scaled_map_refuses_a_non_finite_factor(bad):
+    with pytest.raises(BadRange, match="finite"):
+        ScaledMap(Compression(2, (0,), 1.0), bad)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_map_field_refuses_non_finite_weights(bad, unital):
+    """A NaN weight gave NaN images; with unital=True the unitality check
+    ended in numpy's LinAlgError, which is no OpDivError."""
+    with pytest.raises(BadRange, match="finite"):
+        MapField([(bad, Congruence(np.eye(2)))], unital=unital)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_congruence_refuses_a_non_finite_matrix(bad):
+    with pytest.raises(BadRange, match="non-finite"):
+        Congruence(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_example_33_fixture_values():
