@@ -4,8 +4,8 @@ Maps form a closed variant union (congruence, scaled principal-submatrix
 compression, sum, scaling), so positivity holds by construction and a
 failed inequality check indicts the theorem encoding rather than a
 user-supplied map. A congruence and a compression apply through the
-stacked kernels (`kernels.congruence`, `kernels.compress`) as a batch
-of one, so a map object gives the bits of the stacked maps that the
+stacked kernels (`kernels.congruence`, `kernels.compress`) on its one
+matrix, so a map object gives the bits of the stacked maps that the
 verification lab applies. Includes exact constructors for the worked
 three-map compression example used as the library's sharpness fixture.
 """
