@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from conftest import make_herm, make_pd
 from opdiv import kernels, sampling
-from opdiv.errors import DomainViolation, IllConditioned, NotPositiveDefinite, NumericalFailure
+from opdiv.errors import (
+    DomainViolation,
+    IllConditioned,
+    NotPositiveDefinite,
+    NumericalFailure,
+    OpDivError,
+)
 from opdiv.funcatalog import (
     Interval,
     ScalarOperatorFunction,
@@ -185,7 +191,7 @@ def _route_outcome(kernel, x, stacked):
     try:
         with np.errstate(all="ignore"):
             out = kernel(x[None] if stacked else x)
-    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+    except OpDivError as exc:
         return type(exc)
     out = out if isinstance(out, tuple) else (out,)
     return [_bits(part[0] if stacked else part) for part in out]
