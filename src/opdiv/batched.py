@@ -1,20 +1,28 @@
 """The draws and stacked evaluations of the registered checks.
 
-Each check is a `draw`, run serially per trial, that makes only the RNG
-calls of that trial and keeps their output as it comes, and an
-`evaluate` that builds and compares every trial of a chunk on stacked
-arrays through `kernels`. Trials stack by the matrix shape of each
-stage, not by the shape of their draws: the entries of fields and map
-families of any size form one flat stack of the entries present, so
-each per-entry stage (build, decompositions, perspectives, congruences,
-calculus) runs once per chunk. Sums over a trial's entries are one
-`kernels.field_sum` over a (T, k) presence mask: the present terms, in
-entry order, added to zeros. Only a stage whose matrix size depends on
-the draw is split by that size: what follows the maps stacks per output
-dimension of a subunital family, and per output size of a single map,
-whose maps apply at once per variant and compression size; map objects
-are built only for the worst trial's payload. Pool functions are applied through index masks, so
-every margin has the bits of the one-trial-at-a-time computation.
+Each check is a `draw`, run serially per trial, and an `evaluate` that
+builds and compares every trial of a chunk on stacked arrays through
+`kernels`. A draw makes only the RNG calls of its trial, in a fixed
+order, so the trial's stream (keyed in `lab` by seed, check id and trial
+index) fully determines its instance. It reads the spectrum windows,
+vectors, single maps and function pools defined here, and keeps the RNG
+output as it comes: eigenvalues, uncapped, and each Gaussian as the real
+pair of `raw_gaussian`; only unit and probability vectors are normalized
+per trial. Complex assembly, the condition cap, the normalization of
+congruence families and every eigendecomposition happen in evaluate.
+
+Trials stack by the matrix shape of each stage, not by the shape of
+their draws: the entries of fields and map families of any size form one
+flat stack of the entries present, so each per-entry stage (build,
+decompositions, perspectives, congruences, calculus) runs once per
+chunk. Sums over a trial's entries are one `kernels.field_sum` over a
+(T, k) presence mask: the present terms, in entry order, added to zeros.
+Only a stage whose matrix size depends on the draw is split by that
+size: what follows the maps stacks per output dimension of a subunital
+family, and per output size of a single map, whose maps apply at once
+per variant and compression size; map objects are built only for the
+worst trial's payload. Pool functions are applied through index masks,
+so every margin has the bits of the one-trial-at-a-time computation.
 Loewner links and scalar links fold into a trial's worst margin and
 violation flag by the rule that also folds the trials (`kernels.fold`).
 """
@@ -27,33 +35,99 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .funcatalog import PowerFamily, ScalarOperatorFunction
-from .hermitian import ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
-from .perspective import tangent_point
-from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
-from .sampling import (
-    _CONVEX_POOL,
-    _DIFF_POOL,
-    _DOM_PAIRS,
-    _LOG,
-    _NEG_LOG,
-    _NORM_POOL,
-    _SQUARE,
-    _T_LOG_T,
-    _X_SQ_OVER_Y,
-    _a_window,
-    _b_window,
-    _draw_single_map,
-    _Map,
-    _normalized,
-    _pick,
-    _pick_fh,
-    _prob_vector,
-    _unit_vector,
+from .errors import BadRange
+from .funcatalog import (
+    FunctionFlags,
+    Interval,
+    PowerFamily,
+    ScalarOperatorFunction,
+    builtin,
+    sampling_window,
 )
+from .hermitian import ToleranceConfig, array_to_rows, raw_gaussian, raw_spectrum
+from .perspective import BivariateSpec, tangent_point
+from .posmap import Compression, Congruence, MapField, MapSum, ScaledMap, check_unital, example_33
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lab import GenConfig
+
+
+# Function pools: a draw picks its entry by the trial index.
+
+_SQUARE = builtin("square")
+_NEG_LOG = builtin("neg_log")
+_T_LOG_T = builtin("t_log_t")
+_IDENTITY = builtin("identity")
+_INV = builtin("power", [-1])
+_INV_SQRT = builtin("power", [-0.5])
+_P15 = builtin("power", [1.5])
+_SQRT = builtin("power", [0.5])
+_P08 = builtin("power", [0.8])
+_AFF_H = builtin("affine", [0.7, 0.3])
+
+_SQUARE_M1 = ScalarOperatorFunction(
+    id="square_minus_one",
+    domain=Interval.real_line(),
+    eval=lambda t: np.asarray(t, dtype=float) ** 2 - 1.0,
+    deriv=lambda t: 2.0 * np.asarray(t, dtype=float),
+    flags=FunctionFlags(claims_operator_convex=True, value_at_zero_nonpositive=True),
+)
+_INV_M1 = ScalarOperatorFunction(
+    id="inv_minus_one",
+    domain=Interval.positive(),
+    eval=lambda t: 1.0 / np.asarray(t, dtype=float) - 1.0,
+    deriv=lambda t: -1.0 / np.asarray(t, dtype=float) ** 2,
+    flags=FunctionFlags(claims_operator_convex=True),
+)
+_LOG = ScalarOperatorFunction(
+    id="log",
+    domain=Interval.positive(),
+    eval=lambda t: np.log(t),
+    deriv=lambda t: 1.0 / np.asarray(t, dtype=float),
+    flags=FunctionFlags(claims_operator_concave=True),
+)
+
+# Operator convex catalog entries for the generic divergence checks.
+_CONVEX_POOL = (_SQUARE, _NEG_LOG, _T_LOG_T, _INV, _INV_SQRT, _P15, _IDENTITY)
+# Operator convex with f(0) <= 0, as the subunital (contraction-style)
+# Jensen arguments require.
+_F0_POOL = (_SQUARE, _T_LOG_T, _P15, _SQUARE_M1, builtin("affine", [1.0, -0.5]))
+# Strictly positive operator concave h candidates with h(0) >= 0.
+_H_POOL = (_IDENTITY, _SQRT, _P08, _AFF_H)
+# Differentiable operator convex functions for the tangent-line bound.
+_DIFF_POOL = (_SQUARE, _T_LOG_T, _NEG_LOG, _INV_SQRT, _P15)
+# Pointwise-dominated operator convex pairs f1 <= f2.
+_DOM_PAIRS = ((_SQUARE_M1, _SQUARE), (_NEG_LOG, _INV_M1))
+# Functions for the Ky Fan norm check.
+_NORM_POOL = (_SQUARE, _INV, _NEG_LOG)
+
+_X_SQ_OVER_Y = BivariateSpec(
+    fn=lambda x, y: x * x / y,
+    domain_x=Interval.nonnegative(),
+    domain_y=Interval.positive(),
+)
+
+
+def _pick(pool, trial: int, f_over):
+    return f_over if f_over is not None else pool[trial % len(pool)]
+
+
+def _pick_fh(trial: int, f_over):
+    """f from the f(0) <= 0 pool and h from the h pool, cycling jointly."""
+    f = _pick(_F0_POOL, trial, f_over)
+    return f, _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+
+
+class _Map(NamedTuple):
+    """The draws of a subunital single map: a contraction (variant 0: a
+    Gaussian pair, and the factor on its spectral norm), a compression (1:
+    the indices as drawn, unsorted, and the scale) or a scaled sum of
+    congruences (2: two Gaussian pairs)."""
+
+    variant: int
+    c: Optional[list]
+    ix: Optional[np.ndarray]
+    scale: float
 
 
 class _Draw(NamedTuple):
@@ -82,6 +156,38 @@ class _Draw(NamedTuple):
 
 
 # Drawing, stacking, summing, folding and payloads.
+
+
+def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
+    """Spectrum window for the self-adjoint slot, kept inside dom(f)."""
+    lo, hi = cfg.spectrum_range
+    dlo, dhi = sampling_window(f.domain, lo_default=lo, hi_default=hi)
+    wlo, whi = max(lo, dlo), min(hi, dhi)
+    if not wlo < whi:
+        raise BadRange(f"spectrum_range {cfg.spectrum_range} incompatible with dom {f.domain!r}")
+    return wlo, whi
+
+
+def _b_window(cfg: GenConfig) -> tuple:
+    lo, hi = cfg.spectrum_range
+    wlo = max(lo, 0.1)
+    if not wlo < hi:
+        raise BadRange(f"spectrum_range {cfg.spectrum_range} has no positive part above 0.1")
+    return wlo, hi
+
+
+def _prob_vector(rng, n: int) -> np.ndarray:
+    v = rng.uniform(0.1, 1.0, n)
+    return v / v.sum()
+
+
+def _unit_vector(rng, dim: int) -> np.ndarray:
+    """A complex unit vector, normalized here: the norm of one complex
+    vector has its own summation order, which a stacked norm would not
+    keep."""
+    re, im = rng.standard_normal((2, dim))
+    v = re + 1j * im
+    return v / np.linalg.norm(v)
 
 
 def _a_slots(rng, cfg: GenConfig, f, n: int) -> tuple:
@@ -208,6 +314,23 @@ def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
     """`kernels.fold` over the scalar links lhs <= rhs, (T, L) each: margin
     rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
     return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
+
+
+def _normalized(weights, cs, shrinks=None, mask=None):
+    """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
+
+    `cs` stacks the k Gaussians of each of T families, shape (T, k, in,
+    out), and `weights` (and `shrinks`) are (T, k). With these matrices as
+    congruences, sum_i w_i Phi_i(I) = I before shrinking. A family holds
+    the maps where `mask` (T, k) holds, the first one always; the Gram
+    sum (`K.field_sum`) leaves the others out.
+    """
+    gram = K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask)
+    _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
+    maps = cs @ inv_half[..., None, :, :]
+    if shrinks is not None:
+        maps = maps * np.sqrt(shrinks)[..., None, None]
+    return maps
 
 
 def _family(w, maps, unital: bool):
@@ -566,6 +689,19 @@ def _eval_thm2_10(group, tol):
         for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
     ]
     return worst, violated, payloads
+
+
+def _draw_single_map(rng, dim: int, variant: int) -> _Map:
+    """One subunital positive map: contraction, compression, or scaled sum."""
+    variant = variant % 3
+    if variant == 0:
+        return _Map(0, [raw_gaussian(rng, dim, dim)], None, float(rng.uniform(1.0, 1.8)))
+    if variant == 1:
+        k = int(rng.integers(1, dim + 1))
+        ix = rng.choice(dim, size=k, replace=False)
+        return _Map(1, None, ix, float(rng.uniform(0.3, 1.0)))
+    c = [raw_gaussian(rng, dim, dim) for _ in range(2)]
+    return _Map(2, c, None, float(rng.uniform(0.4, 1.0)))
 
 
 def _single_maps(ms, dim: int) -> tuple:

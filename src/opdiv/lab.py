@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import time
+import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -34,7 +35,6 @@ from .hermitian import (
     array_to_rows,
     raw_spectrum,
 )
-from .sampling import _trial_rng
 
 __all__ = [
     "GenConfig",
@@ -118,6 +118,12 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # Deterministic generators
 # ---------------------------------------------------------------------------
+
+
+def _trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
+    """The RNG stream of one trial of a registered check."""
+    key = zlib.crc32(check_id.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(trial)]))
 
 
 def _random_matrix(cfg: GenConfig, trial: int, cond_cap=None) -> HermitianMatrix:

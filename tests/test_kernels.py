@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_herm, make_pd
-from opdiv import kernels, sampling
+from opdiv import batched, kernels
 from opdiv.errors import (
     DomainViolation,
     IllConditioned,
@@ -366,14 +366,14 @@ def test_nan_passes_through_the_clamp():
 _POOL_FUNCTIONS = {
     f.id: f
     for f in (
-        *sampling._CONVEX_POOL,
-        *sampling._F0_POOL,
-        *sampling._H_POOL,
-        *sampling._DIFF_POOL,
-        *(f for pair in sampling._DOM_PAIRS for f in pair),
-        *sampling._NORM_POOL,
-        sampling._LOG,
-        sampling._INV_M1,
+        *batched._CONVEX_POOL,
+        *batched._F0_POOL,
+        *batched._H_POOL,
+        *batched._DIFF_POOL,
+        *(f for pair in batched._DOM_PAIRS for f in pair),
+        *batched._NORM_POOL,
+        batched._LOG,
+        batched._INV_M1,
     )
 }
 _OVERRIDES = {
@@ -413,7 +413,7 @@ def test_eval_array_on_stacks_matches_per_matrix(func_id, count, dim, seed):
 
 def test_apply_function_with_one_function_per_row_matches_facade():
     rng = np.random.default_rng(8)
-    pool = list(sampling._CONVEX_POOL)
+    pool = list(batched._CONVEX_POOL)
     for dim in (2, 5, 8):
         hs = [make_herm(rng, dim, 0.1, 4.0) for _ in range(3 * len(pool))]
         fs = [pool[i % len(pool)] for i in range(len(hs))]
