@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used by its module,
-every private module-level helper is used somewhere in the package, and
-no source line is wider than LINE_WIDTH columns.
+"""Every module-level import in the package is used by its module, no
+module imports another module's private name, every private module-level
+helper is used somewhere in the package, and no source line is wider
+than LINE_WIDTH columns.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -104,6 +105,38 @@ def test_unused_imports_are_found():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [(2, "math"), (7, "BadRange"), (11, "GenConfig")]
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private name (`_name`) that the source
+    imports from another module of the package (`from .module import`)."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_no_private_name(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import kernels as K\n"
+        "from .kernels import PD_FLOOR, _helper\n"
+        "from .lab import __all__\n"
+        "from numpy import _private\n"
+        "def f():\n"
+        "    from .batched import (\n"
+        "        _Draw,\n"
+        "    )\n"
+    )
+    assert private_imports(source) == [(3, "_helper"), (7, "_Draw")]
 
 
 def _private_definitions(tree):
