@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import NotHermitian, ShapeMismatch, SizeLimit
+from .errors import BadRange, NotHermitian, ShapeMismatch, SizeLimit
 from .kernels import DECOMP_TOL, DOMAIN_CLAMP_TOL, PD_FLOOR  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,7 +125,10 @@ class HermitianMatrix:
         return HermitianMatrix._wrap(self._entries - other._entries)
 
     def __mul__(self, c: float) -> "HermitianMatrix":
-        return HermitianMatrix._wrap(self._entries * float(c))
+        c = float(c)
+        if not math.isfinite(c):
+            raise BadRange(f"scalar factor must be finite, got {c}")
+        return HermitianMatrix._wrap(self._entries * c)
 
     __rmul__ = __mul__
 

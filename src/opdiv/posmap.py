@@ -163,15 +163,19 @@ def map_from_json(obj: dict) -> PositiveLinearMap:
 
 
 def _unitality_error(image: np.ndarray) -> np.ndarray:
-    """Spectral-norm distance of each identity image of a stack from I."""
-    return np.linalg.norm(image - np.eye(image.shape[-1]), ord=2, axis=(-2, -1))
+    """Spectral-norm distance of each identity image of a stack from I;
+    inf for an image with a non-finite entry, which has no SVD."""
+    diff = image - np.eye(image.shape[-1])
+    finite = np.isfinite(diff).all(axis=(-2, -1))
+    err = np.linalg.norm(np.where(finite[..., None, None], diff, 0.0), ord=2, axis=(-2, -1))
+    return np.where(finite, err, np.inf)
 
 
 def check_unital(image: np.ndarray) -> None:
     """Raise NotUnital unless every identity image sum_i w_i Phi_i(I) of
     the stack is within UNITALITY_TOL of I."""
     err = _unitality_error(image)
-    bad = np.flatnonzero(err > UNITALITY_TOL)
+    bad = np.flatnonzero(~(err <= UNITALITY_TOL))
     if bad.size:
         raise NotUnital(f"identity image deviates from I by {np.ravel(err)[bad[0]]:.3e}")
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_herm, make_pd
 from opdiv import kernels
 from opdiv.errors import (
+    BadRange,
     DomainViolation,
     NotHermitian,
     NotPositiveDefinite,
@@ -243,6 +244,17 @@ def test_infinite_entry_fails_the_decomposition_guards(stacked):
     entries = np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
         kernels.decompose(entries[None] if stacked else entries)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_multiple_refuses_a_non_finite_factor(bad):
+    """A non-finite factor gave a NaN or infinite matrix past the
+    constructor's refusal; its trace and norms then read NaN."""
+    eye = HermitianMatrix.identity(2)
+    with pytest.raises(BadRange, match="finite"):
+        eye * bad
+    with pytest.raises(BadRange, match="finite"):
+        bad * eye
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])

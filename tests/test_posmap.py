@@ -14,6 +14,7 @@ from opdiv.posmap import (
     MapSum,
     ScaledMap,
     apply_map,
+    check_unital,
     example_33,
     map_from_json,
     unitality,
@@ -135,6 +136,19 @@ def test_map_field_refuses_non_finite_weights(bad, unital):
 def test_congruence_refuses_a_non_finite_matrix(bad):
     with pytest.raises(BadRange, match="non-finite"):
         Congruence(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_check_unital_fails_a_nan_image():
+    """A NaN image has no SVD (numpy raised LinAlgError), and a NaN error
+    is not above the tolerance: it must fail the check all the same."""
+    with pytest.raises(NotUnital):
+        check_unital(np.full((1, 2, 2), np.nan))
+
+
+def test_map_field_with_an_overflowing_identity_image_is_not_unital():
+    """Finite maps whose identity image overflows, 1e200 squared."""
+    with np.errstate(all="ignore"), pytest.raises(NotUnital, match="inf"):
+        MapField([(1.0, Congruence(np.eye(2) * 1e200))], unital=True)
 
 
 def test_example_33_fixture_values():
