@@ -423,7 +423,7 @@ def _perspective_of_sums(fs, mask, w, a, b):
 
 def _theta(fs, mask, w, a, b_pos):
     """The divergence functional: the weighted sum of the perspectives of
-    the entries, from the flat stacks."""
+    the entries, from the flat stacks; the plain sum when `w` is None."""
     return _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
 
 
@@ -487,7 +487,7 @@ def _eval_cor2_2_ii(group, tol):
     inv_half = inv_half[np.nonzero(mask)[0]]
     rights = K.hermitian_part(inv_half @ raw @ inv_half)
     lhs = K.apply_function(fs, _total(lefts, mask))
-    rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask)
+    rhs = _theta(fs, mask, None, lefts, K.positive(rights))
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, L=left, R=right)
@@ -505,7 +505,7 @@ def _eval_thm2_4_mixture(group, tol):
     ls, rs = _build(group, "a", "b")
     # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
     rows = [K.field_sum(_pad(x, grid).swapaxes(1, 2), mask, p)[mask] for x in (ls, rs)]
-    lhs = _total(K.perspective(_each(fs, mask), rows[0], K.positive(rows[1])), mask)
+    lhs = _theta(fs, mask, None, rows[0], K.positive(rows[1]))
     cells = _pad(K.perspective(_each(fs, grid), ls, K.positive(rs)), grid)
     columns = K.field_sum(cells, mask)
     worst, violated = _links(tol, (lhs, K.field_sum(columns, mask, p)))
@@ -572,8 +572,7 @@ def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     m2 = m3 = None
     if full:
         m2 = blocks[:, 0] + blocks[:, 1]
-        per_map = K.perspective(each, mapped_a[present], K.positive(mapped_i[present]))
-        m3 = _total(per_map, present)
+        m3 = _theta(fs, present, None, mapped_a[present], K.positive(mapped_i[present]))
     return (m1, m2, m3, K.field_sum(mapped_f, present)), blocks[:, 0], K.field_sum(mapped_f, t1)
 
 
@@ -971,8 +970,7 @@ def _eval_scalar_csiszar(group, tol):
     total = _total(q * _eval(each, p / q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
-    cells = K.perspective(each, cell_p, K.positive(cell_q))
-    theta = _total(cells, mask)[:, 0, 0].real
+    theta = _theta(fs, mask, None, cell_p, K.positive(cell_q))[:, 0, 0].real
     big_q = _total(q, mask)
     lhs = big_q * _eval(fs, _total(p, mask) / big_q)
     worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])
