@@ -557,11 +557,10 @@ def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     m4. Without `full` the second block and the per-map perspectives are
     not built, and m2 and m3 are None.
     """
-    each = _each(fs, present)
     mapped_a = mapped(ops)
     mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
     check_unital(K.field_sum(mapped_i, present))
-    mapped_f = mapped(K.apply_function(each, ops))
+    mapped_f = mapped(K.apply_function(_each(fs, present), ops))
     m1 = K.apply_function(fs, K.field_sum(mapped_a, present))
     masks = (t1, present & ~t1) if full else (t1,)
     blocks = K.perspective(
@@ -964,10 +963,9 @@ def _eval_scalar_csiszar(group, tol):
     the totals P and Q."""
     fs = [r.f for r in group]
     mask = _present([len(r.w) for r in group])
-    each = _each(fs, mask)
     p, q = (np.concatenate([getattr(r, s) for r in group]) for s in ("w", "q"))
     # Sums from zeros, term by term, as np.sum adds the few terms of a row.
-    total = _total(q * _eval(each, p / q), mask)
+    total = _total(q * _eval(_each(fs, mask), p / q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
     theta = _theta(fs, mask, None, cell_p, K.positive(cell_q))[:, 0, 0].real
