@@ -15,8 +15,14 @@ Trials stack by the matrix shape of each stage, not by the shape of
 their draws: the entries of fields and map families of any size form one
 flat stack of the entries present, so each per-entry stage (build,
 decompositions, perspectives, congruences, calculus) runs once per
-chunk. Sums over a trial's entries are one `kernels.field_sum` over a
-(T, k) presence mask: the present terms, in entry order, added to zeros.
+chunk. A stage fuses its independent work of one matrix size: its
+decompositions are one `kernels.decompositions` call, and its
+perspectives, plain, generalized (at h(R), `kernels.h_of`) or the terms
+of the divergence functional (`_Theta`), are one `kernels.perspective`
+call over the stacks laid end to end, with one function per row
+(`_perspectives`). Sums over a trial's entries are one
+`kernels.field_sum` over a (T, k) presence mask: the present terms, in
+entry order, added to zeros.
 Only a stage whose matrix size depends on the draw is split by that
 size: what follows the maps stacks per output dimension of a subunital
 family, and per output size of a single map, whose maps apply at once
@@ -316,17 +322,21 @@ def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
     return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
 
 
-def _normalized(weights, cs, shrinks=None, mask=None):
-    """C_i (sum_j w_j C_j* C_j)^{-1/2}, times sqrt(shrink_i) if given.
+def _gram(weights, cs, mask=None):
+    """sum_j w_j C_j* C_j of each family: `cs` stacks the k Gaussians of
+    each of T families, shape (T, k, in, out), and `weights` is (T, k). A
+    family holds the maps where `mask` (T, k) holds, the first one always;
+    the sum (`K.field_sum`) leaves the others out."""
+    return K.hermitian_part(K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask))
 
-    `cs` stacks the k Gaussians of each of T families, shape (T, k, in,
-    out), and `weights` (and `shrinks`) are (T, k). With these matrices as
-    congruences, sum_i w_i Phi_i(I) = I before shrinking. A family holds
-    the maps where `mask` (T, k) holds, the first one always; the Gram
-    sum (`K.field_sum`) leaves the others out.
+
+def _normalized(cs, gram, shrinks=None):
+    """C_i G^{-1/2}, times sqrt(shrink_i) if given, from the decomposition
+    `gram` that `K.positive` returns for each family's Gram sum G
+    (`_gram`); `shrinks` is (T, k). With these matrices as congruences,
+    sum_i w_i Phi_i(I) = I before shrinking.
     """
-    gram = K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask)
-    _, inv_half = K.sqrt_pair(*K.positive(K.hermitian_part(gram)))
+    _, inv_half = K.sqrt_pair(*gram)
     maps = cs @ inv_half[..., None, :, :]
     if shrinks is not None:
         maps = maps * np.sqrt(shrinks)[..., None, None]
@@ -357,6 +367,39 @@ def _payload(**parts) -> dict:
     """A trial's instance payload, built only for the worst trial; parts
     that are None are left out."""
     return {key: _json(value) for key, value in parts.items() if value is not None}
+
+
+def _joined(*decompositions) -> tuple:
+    """The (eigenvalues, eigenvectors) pairs of several stacks as the pair
+    of their concatenation."""
+    return tuple(np.concatenate(x) for x in zip(*decompositions))
+
+
+class _Theta(NamedTuple):
+    """The divergence functional of fields, as a part of `_perspectives`:
+    the weighted sum (the plain sum when `w` is None) of the perspectives
+    of the entries, from the flat stacks `a` and the decompositions
+    `b_pos` that `K.positive` returns."""
+
+    fs: list
+    mask: np.ndarray
+    w: Optional[np.ndarray]
+    a: np.ndarray
+    b_pos: tuple
+
+
+def _perspectives(*parts) -> list:
+    """The perspective of each (f, left, right) part, `f` one function or
+    one per row and `right` the decomposition that `K.positive` returns,
+    and the divergence functional of each `_Theta` part, from one
+    `K.perspective` call over the parts laid end to end, one function per
+    row."""
+    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
+    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
+    lefts = np.concatenate([left for _, left, _ in rows])
+    out = K.perspective(fs, lefts, _joined(*(right for _, _, right in rows)))
+    outs = np.split(out, np.cumsum([len(left) for _, left, _ in rows])[:-1])
+    return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
 
 
 # Weighted fields: Theorems 2.1, 2.4 and 2.12, Corollaries 2.2 and 2.3.
@@ -409,22 +452,11 @@ def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
 
 
 def _field(group) -> tuple:
-    """Functions, entry mask, weights, the flat A and B stacks of field
-    draws and B's decompositions (each B is positive definite)."""
+    """Functions, entry mask, weights and the flat A and B stacks of field
+    draws."""
     mask = _present([len(r.w) for r in group])
     a, b = _build(group, "a", "b")
-    return [r.f for r in group], mask, _padded(group, "w", mask), a, b, K.positive(b)
-
-
-def _perspective_of_sums(fs, mask, w, a, b):
-    """The perspective of the weighted sums of the (T, k) stacks a and b."""
-    return K.perspective(fs, K.field_sum(a, mask, w), K.positive(K.field_sum(b, mask, w)))
-
-
-def _theta(fs, mask, w, a, b_pos):
-    """The divergence functional: the weighted sum of the perspectives of
-    the entries, from the flat stacks; the plain sum when `w` is None."""
-    return _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
+    return [r.f for r in group], mask, _padded(group, "w", mask), a, b
 
 
 def _field_payloads(group, mask, a, b) -> list:
@@ -440,40 +472,41 @@ def _eval_thm2_1(group, tol):
     With unit weights this is the subadditivity of the perspective over
     entrywise sums (Corollary 2.2).
     """
-    fs, mask, w, a, b, b_pos = _field(group)
-    lhs = _perspective_of_sums(fs, mask, w, _pad(a, mask), _pad(b, mask))
-    worst, violated = _links(tol, (lhs, _theta(fs, mask, w, a, b_pos)))
+    fs, mask, w, a, b = _field(group)
+    sum_a, sum_b = (_total(x, mask, w) for x in (a, b))
+    b_pos, sum_pos = K.decompositions(b, sum_b, positive=True)
+    lhs, theta = _perspectives((fs, sum_a, sum_pos), _Theta(fs, mask, w, a, b_pos))
+    worst, violated = _links(tol, (lhs, theta))
     return worst, violated, _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_3_split(group, tol):
     """Two-block split sits between the combined perspective and the divergence."""
-    fs, mask, w, a, b, b_pos = _field(group)
+    fs, mask, w, a, b = _field(group)
     a_k, b_k = _pad(a, mask), _pad(b, mask)
     t1 = _first_block(group, mask)
-    halves = (t1, mask & ~t1)
-    blocks = K.perspective(
-        fs,
-        np.stack([K.field_sum(a_k, m, w) for m in halves], axis=1),
-        K.positive(np.stack([K.field_sum(b_k, m, w) for m in halves], axis=1)),
+    # The weighted sums of the two blocks and of the whole field.
+    sums = [(K.field_sum(a_k, m, w), K.field_sum(b_k, m, w)) for m in (t1, mask & ~t1, mask)]
+    b_pos, *rights = K.decompositions(b, *(sum_b for _, sum_b in sums), positive=True)
+    one, two, whole, theta = _perspectives(
+        *((fs, sum_a, right) for (sum_a, _), right in zip(sums, rights)),
+        _Theta(fs, mask, w, a, b_pos),
     )
-    split = blocks[:, 0] + blocks[:, 1]
-    worst, violated = _links(
-        tol,
-        (_perspective_of_sums(fs, mask, w, a_k, b_k), split),
-        (split, _theta(fs, mask, w, a, b_pos)),
-    )
+    split = one + two
+    worst, violated = _links(tol, (whole, split), (split, theta))
     return worst, violated, _field_payloads(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):
     """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
     divergence functional."""
-    fs, mask, w, a, b, b_pos = _field(group)
+    fs, mask, w, a, b = _field(group)
+    b_pos = K.positive(b)  # each drawn B is positive definite
     points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
     sum_b, sum_a = _total(b, mask, w), _total(a, mask, w)
     lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
-    worst, violated = _links(tol, (lower, _theta(fs, mask, w, a, b_pos)))
+    (theta,) = _perspectives(_Theta(fs, mask, w, a, b_pos))
+    worst, violated = _links(tol, (lower, theta))
     return worst, violated, _field_payloads(group, mask, a, b)
 
 
@@ -482,12 +515,15 @@ def _eval_cor2_2_ii(group, tol):
     fs = [r.f for r in group]
     mask = _present([len(r.a[1]) for r in group])
     lefts, raw = _build(group, "a", "b")
-    K.positive(raw)  # each drawn right slot is positive definite
-    _, inv_half = K.sqrt_pair(*K.positive(_total(raw, mask)))
+    # Each drawn right slot is positive definite, and so is their sum.
+    _, raw_sum, left_sum = K.decompositions(
+        raw, _total(raw, mask), _total(lefts, mask), positive=(True, True, False)
+    )
+    _, inv_half = K.sqrt_pair(*raw_sum)
     inv_half = inv_half[np.nonzero(mask)[0]]
     rights = K.hermitian_part(inv_half @ raw @ inv_half)
-    lhs = K.apply_function(fs, _total(lefts, mask))
-    rhs = _theta(fs, mask, None, lefts, K.positive(rights))
+    lhs = K.calculus(fs, left_sum)
+    (rhs,) = _perspectives(_Theta(fs, mask, None, lefts, K.positive(rights)))
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, L=left, R=right)
@@ -505,9 +541,11 @@ def _eval_thm2_4_mixture(group, tol):
     ls, rs = _build(group, "a", "b")
     # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
     rows = [K.field_sum(_pad(x, grid).swapaxes(1, 2), mask, p)[mask] for x in (ls, rs)]
-    lhs = _theta(fs, mask, None, rows[0], K.positive(rows[1]))
-    cells = _pad(K.perspective(_each(fs, grid), ls, K.positive(rs)), grid)
-    columns = K.field_sum(cells, mask)
+    row_pos, cell_pos = K.decompositions(rows[1], rs, positive=True)
+    lhs, cells = _perspectives(
+        _Theta(fs, mask, None, rows[0], row_pos), (_each(fs, grid), ls, cell_pos)
+    )
+    columns = K.field_sum(_pad(cells, grid), mask)
     worst, violated = _links(tol, (lhs, K.field_sum(columns, mask, p)))
     payloads = []
     for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
@@ -541,38 +579,45 @@ def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
 
 
 def _unital_family(group, mask) -> tuple:
-    """The weights (T, k) and normalized congruences (T, k, n, n) of
-    unital congruence families, zero where `mask` has no map."""
-    w = _padded(group, "w", mask)
-    return w, _normalized(w, _gaussians(group, "c", mask), mask=mask)
+    """The weights (T, k), Gaussians (T, k, n, n) and Gram sums (`_gram`)
+    of unital congruence families, zero where `mask` has no map: the
+    decompositions of the Gram sums make the congruences (`_normalized`)."""
+    w, cs = _padded(group, "w", mask), _gaussians(group, "c", mask)
+    return w, cs, _gram(w, cs, mask)
 
 
-def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
+def _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full: bool = True):
     """The four-stage refinement chain of a unital map family, stacked.
 
     `mapped(x)` gives w_i Phi_i(x_i), (T, k, n, n), for a flat stack `x`
     of one operator per map that `present` (T, k) holds, `ops` holds the
-    operators and `t1` masks the first block. Returns the chain (m1, m2,
-    m3, m4), the first block's perspective and the first block's share of
-    m4. Without `full` the second block and the per-map perspectives are
-    not built, and m2 and m3 are None.
+    operators, `ops_dec` their decompositions, and `t1` masks the first
+    block. Returns the chain (m1, m2, m3, m4), the first block's
+    perspective and the first block's share of m4. Without `full` the
+    second block and the per-map perspectives are not built, and m2 and
+    m3 are None.
     """
     mapped_a = mapped(ops)
     mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
     check_unital(K.field_sum(mapped_i, present))
-    mapped_f = mapped(K.apply_function(_each(fs, present), ops))
-    m1 = K.apply_function(fs, K.field_sum(mapped_a, present))
+    mapped_f = mapped(K.calculus(_each(fs, present), ops_dec))
     masks = (t1, present & ~t1) if full else (t1,)
-    blocks = K.perspective(
-        fs,
-        np.stack([K.field_sum(mapped_a, m) for m in masks], axis=1),
-        K.positive(np.stack([K.field_sum(mapped_i, m) for m in masks], axis=1)),
+    lefts = [K.field_sum(mapped_a, m) for m in masks]
+    # The sum of the mapped operators, then the blocks' right sides and with
+    # `full` each map's, decomposed at once.
+    rights = [K.field_sum(mapped_i, m) for m in masks] + ([mapped_i[present]] if full else [])
+    sum_dec, *rights = K.decompositions(
+        K.field_sum(mapped_a, present), *rights, positive=(False,) + (True,) * len(rights)
     )
+    m1 = K.calculus(fs, sum_dec)
+    parts = [(fs, left, right) for left, right in zip(lefts, rights)]
+    if full:
+        parts.append(_Theta(fs, present, None, mapped_a[present], rights[-1]))
+    persp = _perspectives(*parts)
     m2 = m3 = None
     if full:
-        m2 = blocks[:, 0] + blocks[:, 1]
-        m3 = _theta(fs, present, None, mapped_a[present], K.positive(mapped_i[present]))
-    return (m1, m2, m3, K.field_sum(mapped_f, present)), blocks[:, 0], K.field_sum(mapped_f, t1)
+        m2, m3 = persp[0] + persp[1], persp[2]
+    return (m1, m2, m3, K.field_sum(mapped_f, present)), persp[0], K.field_sum(mapped_f, t1)
 
 
 def _eval_jensen(group, tol, unit_weights=False, full=True):
@@ -581,14 +626,16 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
     present = _present([len(r.w) for r in group])
-    w, maps = _unital_family(group, present)
+    w, cs, gram = _unital_family(group, present)
     (ops,) = _build(group, "a")
+    gram_pos, ops_dec = K.decompositions(gram, ops, positive=(True, False))
+    maps = _normalized(cs, gram_pos)
 
     def mapped(x):
         return K.congruence(maps, _pad(x, present)) * w[..., None, None]
 
     t1 = _first_block(group, present)
-    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, present, t1, full)
+    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full)
     if full:
         links = ((m1, m2), (m2, m3), (m3, m4))
     else:
@@ -635,7 +682,7 @@ def _eval_thm2_6(group, tol):
     for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
         mask, w_rows = present[rows], w[rows]
         gaussians = _gaussians([group[i] for i in rows], "c", mask)
-        family = _normalized(w_rows, gaussians, shrinks[rows], mask)
+        family = _normalized(gaussians, K.positive(_gram(w_rows, gaussians, mask)), shrinks[rows])
         mapped = K.congruence(family[:, :, None], images[rows])
         sum_a, sum_b, rhs = (K.field_sum(mapped[:, :, i], mask, w_rows) for i in range(3))
         lhs = K.f_delta_h(_take(fs, rows), _take(hs, rows), sum_a, K.decompose(sum_b))
@@ -666,21 +713,24 @@ def _eval_thm2_10(group, tol):
     and functional-calculus bounds."""
     f1s, f2s = _fh(group)
     present = _present([len(r.w) for r in group])
-    w, maps = _unital_family(group, present)
+    w, cs, gram = _unital_family(group, present)
     a, b = _build(group, "a", "b")
-    a_pos = K.positive(a)  # each drawn A is positive definite
+    # Each drawn A and B is positive definite.
+    gram_pos, a_pos, b_pos = K.decompositions(gram, a, b, positive=True)
+    maps = _normalized(cs, gram_pos)
     f2 = _each(f2s, present)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    images = [eye, a, b, K.perspective(f2, a, K.positive(b)), K.calculus(f2, a_pos)]
+    images = [eye, a, b, K.perspective(f2, a, b_pos), K.calculus(f2, a_pos)]
     mapped = K.congruence(maps[:, :, None], _pad(np.stack(images, axis=1), present))
     unit, sum_a, sum_b, rhs_g, rhs_f = (
         K.field_sum(mapped[:, :, i], present, w) for i in range(len(images))
     )
     check_unital(unit)
+    sum_b_pos, sum_a_dec = K.decompositions(sum_b, sum_a, positive=(True, False))
     worst, violated = _links(
         tol,
-        (K.perspective(f1s, sum_a, K.positive(sum_b)), rhs_g),
-        (K.apply_function(f1s, sum_a), rhs_f),
+        (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
+        (K.calculus(f1s, sum_a_dec), rhs_f),
     )
     payloads = [
         partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i, : len(r.w)], True), A=ai, B=bi)
@@ -714,7 +764,7 @@ def _single_maps(ms, dim: int) -> tuple:
     if ms[0].variant == 0:
         c = c / (np.linalg.norm(c, 2, axis=(-2, -1)) * scale)[..., None, None]
         return partial(K.congruence, c), lambda i: Congruence(c[i, 0])
-    c = _normalized(np.ones(c.shape[:2]), c)
+    c = _normalized(c, K.positive(_gram(np.ones(c.shape[:2]), c)))
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
         return K.field_sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
@@ -777,21 +827,20 @@ def _eval_single_map(group, tol, perspective=True):
         alpha, beta = _stack(group, "w").T
         fs, hs = PowerFamily(beta), PowerFamily(alpha)
     a, b = _build(group, "a", "b")
-    b_pos = K.positive(b)
-    if not perspective:
-        K.positive(a)
-    images = [a, b, K.f_delta_h(fs, hs, a, b_pos)]
-    if perspective:
-        images.append(K.perspective(fs, a, b_pos))
-    stacks, maps = _map_images([r.m for r in group], np.stack(images, axis=1))
+    # Each drawn B is positive definite, and without `perspective` each A.
+    b_pos = K.decompositions(b, *(() if perspective else (a,)), positive=True)[0]
+    parts = [(fs, a, K.h_of(hs, b_pos))] + ([(fs, a, b_pos)] if perspective else [])
+    images = np.stack([a, b, *_perspectives(*parts)], axis=1)
+    stacks, maps = _map_images([r.m for r in group], images)
     worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
     for rows, phi in stacks:
         f, h = _take(fs, rows), _take(hs, rows)
         phi_b = K.decompose(phi[:, 1])
-        links = [(K.f_delta_h(f, h, phi[:, 0], phi_b), phi[:, 2])]
+        parts = [(f, phi[:, 0], K.h_of(h, phi_b))]
         if perspective:
-            links.append((K.perspective(f, phi[:, 0], K.strictly_positive(phi_b)), phi[:, 3]))
-        worst[rows], violated[rows] = _links(tol, *links)
+            parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
+        lhs = _perspectives(*parts)
+        worst[rows], violated[rows] = _links(tol, *zip(lhs, phi.swapaxes(0, 1)[2:]))
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
@@ -815,10 +864,9 @@ def _eval_cor2_9(group, tol):
     vectors x."""
     fs, hs = _fh(group)
     a, b = _build(group, "a", "b")
-    # Each drawn A and B is positive definite.
-    vals, vecs = K.positive(np.stack([a, b], axis=1))
+    _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     x = _stack(group, "x")
-    ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, (vals[:, 1], vecs[:, 1]))))
+    ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b_pos)))
     hbx = _eval(hs, bx)
     worst, violated = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
     payloads = [
@@ -847,11 +895,16 @@ def _eval_delta_nabla(group, tol):
     mask = _present([len(r.w) for r in group])
     p, q = _padded(group, "w", mask), _padded(group, "q", mask)
     ls, rs = _build(group, "a", "b")
-    K.positive(rs)  # each drawn R is positive definite
     sum_l, sum_r = _total(ls, mask, p), _total(rs, mask, q)
-    lhs = K.f_delta_h(fs, K.flagged_positive(hs), sum_l, K.decompose(sum_r))
-    q_rs = rs * q[mask][:, None, None]
-    rhs = _total(K.f_delta_h(_each(fs, mask), _each(hs, mask), ls, K.decompose(q_rs)), mask, p)
+    K.flagged_positive(hs)
+    # Each drawn R is positive definite; the mixture and each q_i R_i give
+    # the right sides of the two generalized perspectives, taken at once.
+    _, *rights = K.decompositions(
+        rs, sum_r, rs * q[mask][:, None, None], positive=(True, False, False)
+    )
+    lefts = np.concatenate([sum_l, ls])
+    both = K.f_delta_h(fs + _each(fs, mask), hs + _each(hs, mask), lefts, _joined(*rights))
+    lhs, rhs = both[: len(group)], _total(both[len(group) :], mask, p)
     worst, violated = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=left, R=right)
@@ -871,8 +924,8 @@ def _eval_thm3_8(group, tol):
     k-norms of their perspective, for every k."""
     fs = [r.f for r in group]
     a, b = _build(group, "a", "b")
-    K.positive(a)  # each drawn A is positive definite
-    g = K.perspective(fs, a, K.positive(b))
+    _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
+    g = K.perspective(fs, a, b_pos)
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
     worst, violated = _scalar_links(tol, sb * _eval(fs, sa / sb), sg)
     return worst, violated, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
@@ -889,7 +942,7 @@ def _eval_lemma_jadjit(group, tol):
     """x^2/y calculus on A (x) B vs tensor quadratic forms:
     <u, A u>^2 / <v, B v> <= <u (x) v, phi(A, B) u (x) v> at three (u, v)."""
     a, b = _build(group, "a", "b")
-    a_dec, b_dec = K.positive(a), K.positive(b)
+    a_dec, b_dec = K.decompositions(a, b, positive=True)
     uv_pairs = _stack(group, "x")
     u, v = np.moveaxis(uv_pairs, 2, 0)
     au, bv = _quad(a, u), _quad(b, v)
@@ -929,20 +982,25 @@ def _eval_kl(group, tol):
     sandwich formula it equals analytically.
     """
     ls, rs = (x.reshape((len(group), 2) + x.shape[1:]) for x in _build(group, "a", "b"))
-    l_vals, l_vecs = K.positive(ls)
-    half, inv_half = K.conditioned_roots(K.positive(rs))
     sum_l, sum_r = K.field_sum(ls), K.field_sum(rs)
-    # R^{-1/2} L R^{-1/2}, decomposed once for both perspectives and log.
-    inner = K.decompose(K.hermitian_part(inv_half @ ls @ inv_half))
+    (l_vals, l_vecs), r_pos, sum_pos = K.decompositions(ls, rs, sum_r, positive=True)
+    half, inv_half = K.conditioned_roots(r_pos)
+    sum_half, sum_inv_half = K.conditioned_roots(sum_pos)
+    # R^{-1/2} L R^{-1/2}, decomposed once for both perspectives and log,
+    # the same of the sums, and R^{1/2} L^{-1} R^{1/2}, positive definite.
+    inner, sum_inner, recip = K.decompositions(
+        K.hermitian_part(inv_half @ ls @ inv_half),
+        K.hermitian_part(sum_inv_half @ sum_l @ sum_inv_half),
+        K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half),
+        positive=(False, False, True),
+    )
     theta_log, theta_tlt = (K.field_sum(K.sandwich(f, half, inner)) for f in (_NEG_LOG, _T_LOG_T))
-    # Each R^{1/2} L^{-1} R^{1/2} is positive definite.
-    recip = K.positive(K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half))
     direct_log = K.field_sum(K.sandwich(_LOG, half, recip))
     log_inner = K.calculus(_LOG, inner)
     direct_tlt = K.hermitian_part(K.field_sum(ls @ inv_half @ log_inner @ half))
     worst, violated = _links(
         tol,
-        (K.perspective(_NEG_LOG, sum_l, K.positive(sum_r)), theta_log),
+        (K.sandwich(_NEG_LOG, sum_half, sum_inner), theta_log),
         (sum_r, theta_log + sum_l),
         (sum_l - sum_r, theta_tlt),
     )
@@ -968,7 +1026,8 @@ def _eval_scalar_csiszar(group, tol):
     total = _total(q * _eval(_each(fs, mask), p / q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
-    theta = _theta(fs, mask, None, cell_p, K.positive(cell_q))[:, 0, 0].real
+    (theta,) = _perspectives(_Theta(fs, mask, None, cell_p, K.positive(cell_q)))
+    theta = theta[:, 0, 0].real
     big_q = _total(q, mask)
     lhs = big_q * _eval(fs, _total(p, mask) / big_q)
     worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])
@@ -999,7 +1058,7 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     def mapped(x):
         return (K.compress(ix, scale, x) * np.array(w)[:, None, None])[None]
 
-    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, present, t1)
+    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, K.decompose(ops), present, t1)
     computed = np.stack([m[0] for m in chain])
     if perturbation:
         computed[0] = computed[0] + np.eye(computed.shape[-1], dtype=complex) * float(perturbation)

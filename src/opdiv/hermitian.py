@@ -125,10 +125,14 @@ class HermitianMatrix:
         return HermitianMatrix._wrap(self._entries - other._entries)
 
     def __mul__(self, c: float) -> "HermitianMatrix":
+        """The matrix times c; BadRange if the product is not finite, for
+        a NaN or infinite c or one under which an entry overflows."""
         c = float(c)
-        if not math.isfinite(c):
-            raise BadRange(f"scalar factor must be finite, got {c}")
-        return HermitianMatrix._wrap(self._entries * c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._entries * c
+        if not np.isfinite(out).all():
+            raise BadRange(f"scalar factor {c} gives a non-finite matrix")
+        return HermitianMatrix._wrap(out)
 
     __rmul__ = __mul__
 

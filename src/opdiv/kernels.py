@@ -9,13 +9,16 @@ matrices with `build` and runs every check and the convexity falsifier
 through `run_trials`, one trial loop that evaluates a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
-arrays is one `stack`.
+arrays is one `stack`. A stage that decomposes several independent
+stacks of one matrix size does so in one eigensolver dispatch
+(`decompositions`), and `f_delta_h` exposes its h(R) step (`h_of`) so
+that its perspective can share one `perspective` call with others.
 
-LAPACK and matmul work matrix by matrix, so a stacked call gives the
-same bits as the same call on each matrix alone, and batching never
-moves a reported number. Every guard of the single-matrix API is kept
-and vectorized; a failing guard raises for the first offending matrix
-in index order.
+LAPACK and matmul work matrix by matrix, so a stacked or fused call
+gives the same bits as the same call on each matrix alone, and batching
+never moves a reported number. Every guard of the single-matrix API is
+kept and vectorized; a failing guard raises for the first offending
+matrix in index order.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ CONDITION_CAP = 1e8
 # A chunk of trials (`chunks`) holds STACK_ELEMENTS // n**2 of them (1024
 # at n = 2, 64 at n = 8, one from n = 46), which bounds memory for any
 # trial count. A per-entry stage stacks every entry of the chunk's trials
-# (up to 9 a trial), so one operand may hold several times STACK_ELEMENTS
-# elements (26,675 in a THM2_4_MIXTURE perspective at n = 5, 200 trials).
+# (up to 9 a trial) and fuses its same-size parts (`decompositions`), so
+# one operand may hold several times STACK_ELEMENTS elements. Over every
+# check at n = 2-8, two chunks each, the largest fused operand measured
+# 39,936 elements: THM2_4_MIXTURE's row and cell matrices at n = 8, 624
+# of them in one decomposition and one perspective. The largest operand
+# of all is that check's `build` at n = 8, 58,368 elements.
 # From n = 46 the facades' chunks hold one matrix. Against one stack of a
 # whole field (n = 48-64, A/B in CPU time) that ran theta_divergence 1.03x
 # faster (in 22 of 30 rounds); whole verdicts did not resolve (0.95-1.00x).
@@ -107,33 +114,75 @@ def hermitian_part(x):
     return out
 
 
-def decompose(h):
-    """Eigenvalues in descending order and the matching eigenvectors.
-
-    Raises NumericalFailure if the solver does not converge or a
-    unitarity or reconstruction residual exceeds its bound.
-    """
+def _solve(h):
+    """The descending eigenvalues and eigenvectors of each H of the stack,
+    the unitarity and reconstruction residuals of each decomposition, and
+    the bound the reconstruction residual is held to."""
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
-    dim = h.shape[-1]
     vecs_h = adjoint(vecs)
     residual = vecs @ vecs_h
-    residual -= _eye(dim)
+    residual -= _eye(h.shape[-1])
     eye_err = _fro(residual)
-    worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * dim))
-    if worst is not None:
-        raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
     residual = (vecs * vals[..., None, :]) @ vecs_h
     residual -= h
-    rec_err = _fro(residual)
-    worst = _first(rec_err, _exceeds(rec_err, DECOMP_TOL * _pymax(1.0, _fro(h))))
+    return vals, vecs, eye_err, _fro(residual), DECOMP_TOL * _pymax(1.0, _fro(h))
+
+
+def _guarded(positive: bool, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:
+    """(vals, vecs) once the unitarity guard, the reconstruction guard and,
+    with `positive`, the strict-positivity guard pass, in that order."""
+    worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * vals.shape[-1]))
+    if worst is not None:
+        raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
+    worst = _first(rec_err, _exceeds(rec_err, rec_bound))
     if worst is not None:
         raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")
-    return vals, vecs
+    return strictly_positive((vals, vecs)) if positive else (vals, vecs)
+
+
+def decompositions(*parts, positive=False) -> list:
+    """`decompose` of each stack of `parts`, all of one matrix size, from
+    one `np.linalg.eigh` call over the parts laid end to end; `positive`
+    (one flag, or one per part) makes it a part's `positive` instead.
+
+    A stage that decomposes several independent stacks so costs one LAPACK
+    dispatch per matrix size, with the bits of one call per part. The
+    guards are computed once over the fused stack and raise in part order:
+    each part's unitarity, reconstruction and positivity guard in turn, as
+    one call per part would.
+    """
+    flags = (positive,) * len(parts) if isinstance(positive, bool) else positive
+    if len(parts) == 1:
+        return [_guarded(flags[0], *_solve(parts[0]))]
+    dim = parts[0].shape[-1]
+    try:
+        fused = _solve(np.concatenate([p.reshape((-1, dim, dim)) for p in parts]))
+    except NumericalFailure:
+        # The solver does not name the matrix it failed on; the parts one
+        # by one raise the error of the first that fails.
+        for part, flag in zip(parts, flags):
+            _guarded(flag, *_solve(part))
+        raise
+    cuts = np.cumsum([p[..., 0, 0].size for p in parts])[:-1]
+    out = []
+    for part, flag, vals, vecs, *errors in zip(parts, flags, *(np.split(x, cuts) for x in fused)):
+        lead = part.shape[:-2]
+        out.append(_guarded(flag, vals.reshape(lead + (dim,)), vecs.reshape(part.shape), *errors))
+    return out
+
+
+def decompose(h):
+    """Eigenvalues in descending order and the matching eigenvectors.
+
+    Raises NumericalFailure if the solver does not converge or a
+    unitarity or reconstruction residual exceeds its bound.
+    """
+    return decompositions(h)[0]
 
 
 def rebuild(vals, vecs):
@@ -188,7 +237,7 @@ def stack(arrays) -> np.ndarray:
 def positive(h):
     """`decompose`, requiring each smallest eigenvalue to clear the
     strict-positivity floor (`strictly_positive`)."""
-    return strictly_positive(decompose(h))
+    return decompositions(h, positive=True)[0]
 
 
 def strictly_positive(decomposition):
@@ -325,21 +374,27 @@ def flagged_positive(h):
     return h
 
 
-def f_delta_h(f, h, left, right):
-    """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
-    the stack: the perspective of f at h(R), the generalized perspective.
-
-    `right` is the (eigenvalues, eigenvectors) pair that `decompose` (or
-    `positive`) returns for each R. `f` and `h` are as for `calculus`.
-    Raises NonPositiveH if an h is not flagged strictly positive
-    (`flagged_positive`) or an h(R) is not strictly positive.
-    """
+def h_of(h, right):
+    """The decomposition of each h(R) that `positive` returns, from the
+    (eigenvalues, eigenvectors) pair that `decompose` returns for each R:
+    the right side of `f_delta_h`'s perspective, for a caller that takes
+    that perspective in one `perspective` call with others. Raises
+    NonPositiveH if an h is not flagged strictly positive
+    (`flagged_positive`) or an h(R) is not strictly positive."""
     h_of_r = calculus(flagged_positive(h), right)
     try:
-        h_pos = positive(h_of_r)
+        return positive(h_of_r)
     except NotPositiveDefinite as exc:
         raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
-    return perspective(f, left, h_pos)
+
+
+def f_delta_h(f, h, left, right):
+    """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
+    the stack: the perspective of f at h(R) (`h_of`), the generalized
+    perspective. `right` is as for `h_of`, and `f` and `h` are as for
+    `calculus`.
+    """
+    return perspective(f, left, h_of(h, right))
 
 
 def bivariate(phi, left, right):

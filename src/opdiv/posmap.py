@@ -207,7 +207,7 @@ class MapField:
         self._entries = tuple(pairs)
         self.unital = bool(unital)
         if self.unital:
-            check_unital(self.identity_image().entries)
+            check_unital(self._identity_image())
 
     @property
     def entries(self) -> tuple:
@@ -225,12 +225,20 @@ class MapField:
     def out_dim(self) -> int:
         return self._entries[0][1].out_dim
 
-    def identity_image(self) -> HermitianMatrix:
-        """sum_i w_i Phi_i(I)."""
+    def _identity_image(self) -> np.ndarray:
         eye = HermitianMatrix.identity(self.in_dim)
         images = kernels.stack([phi.apply(eye).entries for _, phi in self._entries])
         weights = np.array([w for w, _ in self._entries])
-        return HermitianMatrix._wrap(kernels.field_sum(images[None], w=weights[None])[0])
+        return kernels.field_sum(images[None], w=weights[None])[0]
+
+    def identity_image(self) -> HermitianMatrix:
+        """sum_i w_i Phi_i(I); BadRange if it overflows to a non-finite
+        matrix. A unital field is refused at construction instead, with
+        NotUnital."""
+        image = self._identity_image()
+        if not np.isfinite(image).all():
+            raise BadRange("identity image has non-finite entries")
+        return HermitianMatrix._wrap(image)
 
     def __iter__(self):
         return iter(self._entries)

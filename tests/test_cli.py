@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from opdiv import cli
+from opdiv import cli, lab
 from opdiv.cli import main
 
 
@@ -59,6 +59,17 @@ def test_verify_empty_suite_exits_2(suite, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_too_many_trials_exits_2_before_any_trial(capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(lab, "run_check", no_trials)
+    argv = ["verify", "--suite", "THM2_1", "--trials", str(lab.MAX_TRIALS + 1)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "trials" in err
 
 
 def test_verify_bad_function_json_exits_2(capsys):

@@ -257,6 +257,19 @@ def test_scalar_multiple_refuses_a_non_finite_factor(bad):
         bad * eye
 
 
+@pytest.mark.parametrize("factor", [1e300, -1e300])
+def test_scalar_multiple_refuses_an_overflowing_product(factor):
+    """A finite factor under which an entry overflows gave a matrix with an
+    infinite entry, and an infinite trace, past the constructor's
+    non-finite refusal; a product that stays finite is kept."""
+    big = HermitianMatrix.diagonal([1e10, 1.0])
+    with pytest.raises(BadRange, match="finite"):
+        big * factor
+    with pytest.raises(BadRange, match="finite"):
+        factor * big
+    assert (big * (factor / 1e10)).trace() == factor + factor / 1e10
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
 def test_tolerance_rejects_non_finite_and_negative(bad):
     with pytest.raises(ValueError):

@@ -207,6 +207,39 @@ def test_scalar_route_matches_a_stack_of_one(name, dim):
         assert (single if isinstance(single, type) else None) is error
 
 
+def _decomposed(call):
+    """The bits of every decomposition call() returns, or the class and
+    message of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call()
+    except OpDivError as exc:
+        return type(exc), str(exc)
+    return [_bits(x) for decomposition in out for x in decomposition]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_fused_decompositions_raise_what_separate_calls_raise(dim):
+    """`decompositions` runs one eigh over its parts, yet each part has the
+    bits of its own `decompose` or `positive` call, and a failing stage
+    raises what those calls, made in part order, raise: the first failing
+    part's unitarity, reconstruction or positivity error, even when a later
+    part fails a guard that is checked earlier within a part."""
+    cases = _route_cases(dim)
+    ok = cases[0]
+    for first, second in ((x, y) for x in cases for y in cases):
+        # Parts of different leading shapes: (2, n, n) and (1, 2, n, n).
+        parts = (np.stack([ok, first]), np.stack([second, ok])[None])
+        for flags in ((False, True), (True, False), (True, True)):
+            want = _decomposed(
+                lambda: [
+                    kernels.positive(p) if flag else kernels.decompose(p)
+                    for p, flag in zip(parts, flags)
+                ]
+            )
+            assert _decomposed(lambda: kernels.decompositions(*parts, positive=flags)) == want
+
+
 @pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
 def test_field_sum_matches_the_loop_from_zero(dim, k):
     """Each trial's sum has the bits of a loop that adds its own present
@@ -445,21 +478,29 @@ def test_theta_divergence_matches_entry_by_entry_sum(dim, size):
 # ---------------------------------------------------------------------------
 
 
-def _eig_calls(monkeypatch, check_id, gen) -> int:
-    calls = [0]
-    for name in ("eigh", "eigvalsh"):
+def _eig_counts(monkeypatch, check_id, gen) -> tuple:
+    """(eigh dispatches, eigh matrices, eigvalsh dispatches, eigvalsh
+    matrices) of one run of the check."""
+    counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
+    for name, count in counts.items():
         real = getattr(np.linalg, name)
 
-        def counted(*args, _real=real, **kwargs):
-            calls[0] += 1
-            return _real(*args, **kwargs)
+        def counted(x, *args, _real=real, _count=count, **kwargs):
+            _count[0] += 1
+            _count[1] += int(np.prod(np.shape(x)[:-2]))
+            return _real(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     try:
         run_check(check_id, gen)
     finally:
         monkeypatch.undo()
-    return calls[0]
+    return (*counts["eigh"], *counts["eigvalsh"])
+
+
+def _eig_calls(monkeypatch, check_id, gen) -> int:
+    eigh_calls, _, eigvalsh_calls, _ = _eig_counts(monkeypatch, check_id, gen)
+    return eigh_calls + eigvalsh_calls
 
 
 @pytest.mark.parametrize("check_id", check_ids())
@@ -469,6 +510,42 @@ def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
     few = _eig_calls(monkeypatch, check_id, GenConfig(dim=3, seed=1, trials=100))
     many = _eig_calls(monkeypatch, check_id, GenConfig(dim=3, seed=1, trials=400))
     assert few == many
+
+
+# (eigh dispatches, eigh matrices, eigvalsh dispatches, eigvalsh matrices)
+# of each check at `registry_sweep`'s shape: check i at dim 2 + i % 4, 100
+# trials, seed 1. Each stage decomposes its independent stacks of one size
+# in one dispatch (`kernels.decompositions`) and takes its perspectives in
+# one `kernels.perspective` call; the matrices are those of one call per
+# stack. 131 dispatches in all, 0.0655 per trial.
+_EIG_PINS = {
+    "THM2_1": (3, 1416, 1, 300),
+    "COR2_2_SUBADD": (3, 1380, 1, 300),
+    "COR2_2_II": (4, 1425, 1, 300),
+    "COR2_3_SPLIT": (3, 1784, 1, 600),
+    "THM2_4_MIXTURE": (3, 3254, 1, 300),
+    "THM2_6_CDJ_DELTA": (12, 1630, 2, 300),
+    "COR2_7_SINGLE": (17, 1033, 4, 600),
+    "EX2_8_POWER": (20, 933, 5, 300),
+    "COR2_9_VECTOR": (4, 600, 0, 0),
+    "THM2_10_DOM": (5, 1625, 1, 600),
+    "THM_DELTA_NABLA": (4, 1806, 1, 300),
+    "THM2_12_GRAD": (3, 1028, 1, 300),
+    "THM3_1_CHAIN": (4, 1580, 1, 900),
+    "THM3_1_II": (4, 900, 1, 600),
+    "COR3_4_ISOM": (4, 1620, 1, 900),
+    "THM3_8_NORM": (3, 500, 1, 300),
+    "LEMMA_JADJIT": (2, 400, 0, 0),
+    "KL_SUITE": (3, 1400, 1, 900),
+    "SCALAR_CSISZAR": (2, 772, 0, 0),
+    "EX3_3_EXACT": (3, 14, 1, 9),
+}
+
+
+@pytest.mark.parametrize("index, check_id", list(enumerate(check_ids())))
+def test_eig_dispatches_and_matrices_are_pinned(monkeypatch, index, check_id):
+    gen = GenConfig(dim=2 + index % 4, seed=1, trials=100)
+    assert _eig_counts(monkeypatch, check_id, gen) == _EIG_PINS[check_id]
 
 
 def test_tensor_stacks_stay_within_the_stack_bound(monkeypatch):

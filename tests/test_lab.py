@@ -35,6 +35,14 @@ def test_gen_config_validation():
         GenConfig(trials=0)
 
 
+def test_gen_config_bounds_the_trial_count():
+    """A count above a day's work on two cores is refused; the bound
+    itself is accepted. Nothing here runs a trial."""
+    assert GenConfig(trials=lab.MAX_TRIALS).trials == lab.MAX_TRIALS
+    with pytest.raises(BadRange, match=str(lab.MAX_TRIALS)):
+        GenConfig(trials=lab.MAX_TRIALS + 1)
+
+
 @pytest.mark.parametrize("spectrum_range", [(0.1, math.inf), (-math.inf, 4.0)])
 def test_gen_config_refuses_an_infinite_spectrum_range(spectrum_range):
     """An infinite end reached numpy's uniform draw and ended in its
@@ -396,10 +404,16 @@ def test_draw_records_hold_only_real_rng_output(check_id, function):
                     assert leaf.dtype.kind in "biuf", (check_id, leaf.dtype)
 
 
+# The checks with a stage that splits by drawn size: the output dimension
+# of a subunital family, or the variant and output size of a single map.
+_SPLIT_BY_SIZE = {"THM2_6_CDJ_DELTA", "COR2_7_SINGLE", "EX2_8_POWER"}
+
+
 def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
-    """THM2_1's trials draw fields of 2 to 4 entries, yet a chunk of 100
-    trials makes as many eigendecompositions as one trial: each stage runs
-    once over the whole chunk, however the field sizes mix."""
+    """Trials draw fields and families of 2 to 4 entries (THM2_1's, for
+    one), yet in every check whose stages do not split by drawn size a
+    chunk of 100 trials makes as many eigensolver dispatches as one trial:
+    each stage runs once over the whole chunk, however the sizes mix."""
     calls = []
     for name in ("eigh", "eigvalsh"):
 
@@ -409,12 +423,14 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
-    def dispatches(trials):
+    def dispatches(check_id, trials):
         calls.clear()
-        run_check("THM2_1", GenConfig(dim=3, trials=trials))
+        run_check(check_id, GenConfig(dim=3, trials=trials))
         return sorted(calls)
 
-    assert dispatches(100) == dispatches(1)
+    for check_id in check_ids():
+        if check_id not in _SPLIT_BY_SIZE:
+            assert dispatches(check_id, 100) == dispatches(check_id, 1), check_id
 
 
 @pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_II", "KL_SUITE", "EX3_3_EXACT"])

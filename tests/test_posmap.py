@@ -151,6 +151,14 @@ def test_map_field_with_an_overflowing_identity_image_is_not_unital():
         MapField([(1.0, Congruence(np.eye(2) * 1e200))], unital=True)
 
 
+def test_identity_image_refuses_an_overflowing_image():
+    """Without unital=True the field was built, and its identity image had
+    NaN on the diagonal."""
+    field = MapField([(1.0, Congruence(np.eye(2) * 1e200))], unital=False)
+    with np.errstate(all="ignore"), pytest.raises(BadRange, match="non-finite"):
+        field.identity_image()
+
+
 def test_example_33_fixture_values():
     ex = example_33()
     assert ex.partition == ((0,), (1, 2))
