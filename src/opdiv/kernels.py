@@ -157,8 +157,6 @@ def decompositions(*parts, positive=False) -> list:
     one call per part would.
     """
     flags = (positive,) * len(parts) if isinstance(positive, bool) else positive
-    if len(parts) == 1:
-        return [_guarded(flags[0], *_solve(parts[0]))]
     dim = parts[0].shape[-1]
     try:
         fused = _solve(np.concatenate([p.reshape((-1, dim, dim)) for p in parts]))
@@ -182,7 +180,7 @@ def decompose(h):
     Raises NumericalFailure if the solver does not converge or a
     unitarity or reconstruction residual exceeds its bound.
     """
-    return decompositions(h)[0]
+    return _guarded(False, *_solve(h))
 
 
 def rebuild(vals, vecs):
@@ -237,7 +235,7 @@ def stack(arrays) -> np.ndarray:
 def positive(h):
     """`decompose`, requiring each smallest eigenvalue to clear the
     strict-positivity floor (`strictly_positive`)."""
-    return decompositions(h, positive=True)[0]
+    return _guarded(True, *_solve(h))
 
 
 def strictly_positive(decomposition):
