@@ -15,20 +15,25 @@ Trials stack by the matrix shape of each stage, not by the shape of
 their draws: the entries of fields and map families of any size form one
 flat stack of the entries present, so each per-entry stage (build,
 decompositions, perspectives, congruences, calculus) runs once per
-chunk. A stage fuses its independent work of one matrix size: its
-decompositions are one `kernels.decompositions` call, and its
-perspectives, plain, generalized (at h(R), `kernels.h_of`) or the terms
-of the divergence functional (`_Theta`), are one `kernels.perspective`
-call over the stacks laid end to end, with one function per row
+chunk. A stage fuses its independent work: its decompositions are one
+`kernels.decompositions` call, one eigensolver dispatch per matrix size,
+and its perspectives, plain, generalized (at h(R), `kernels.h_at`) or
+the terms of the divergence functional (`_Theta`), are one perspective
+over the stacks laid end to end, with one function per row
 (`_perspectives`). Sums over a trial's entries are one
 `kernels.field_sum` over a (T, k) presence mask: the present terms, in
 entry order, added to zeros.
 Only a stage whose matrix size depends on the draw is split by that
-size: what follows the maps stacks per output dimension of a subunital
+size: the mapped side stacks per output dimension of a subunital
 family, and per output size of a single map, whose maps apply at once
 per variant and compression size; map objects are built only for the
-worst trial's payload. Pool functions are applied through index masks,
-so every margin has the bits of the one-trial-at-a-time computation.
+worst trial's payload. The maps apply to A and B first and to the
+perspectives of (A, B) later, so each mapped stage runs in the dispatch
+of the first unmapped stage its inputs allow (`_inner` splits a
+perspective at its dispatch); the output size equal to the input size
+shares that dispatch, smaller ones take their own. Pool functions are
+applied through index masks, so every margin has the bits of the
+one-trial-at-a-time computation.
 Loewner links and scalar links fold into a trial's worst margin and
 violation flag by the rule that also folds the trials (`kernels.fold`).
 """
@@ -343,6 +348,14 @@ def _normalized(cs, gram, shrinks=None):
     return maps
 
 
+def _mapped(maps, w, mask, x) -> list:
+    """sum_i w_i Phi_i(X_i) for each of the S stacks of images x (T, k, S,
+    in, in), under the families of congruences `maps` (T, k, in, out),
+    each holding its maps where `mask` (T, k) holds."""
+    images = K.congruence(maps[:, :, None], x)
+    return [K.field_sum(images[:, :, i], mask, w) for i in range(x.shape[2])]
+
+
 def _family(w, maps, unital: bool):
     """A weighted congruence family, as a thunk for `_payload`."""
     return lambda: MapField([(wi, Congruence(m)) for wi, m in zip(w, maps)], unital)
@@ -388,18 +401,31 @@ class _Theta(NamedTuple):
     b_pos: tuple
 
 
+def _inner(*parts) -> tuple:
+    """`_perspectives` up to its eigensolver dispatch: the inner matrices
+    R^{-1/2} L R^{-1/2} of the parts laid end to end, and a function that
+    makes the perspectives from their decomposition. A caller decomposes
+    the inner matrices with the other stacks of its stage."""
+    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
+    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
+    lefts = np.concatenate([left for _, left, _ in rows])
+    half, inv_half = K.conditioned_roots(_joined(*(right for _, _, right in rows)))
+
+    def finish(inner) -> list:
+        outs = np.split(K.sandwich(fs, half, inner), np.cumsum([len(x) for _, x, _ in rows])[:-1])
+        return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
+
+    return K.hermitian_part(inv_half @ lefts @ inv_half), finish
+
+
 def _perspectives(*parts) -> list:
     """The perspective of each (f, left, right) part, `f` one function or
     one per row and `right` the decomposition that `K.positive` returns,
     and the divergence functional of each `_Theta` part, from one
-    `K.perspective` call over the parts laid end to end, one function per
-    row."""
-    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
-    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
-    lefts = np.concatenate([left for _, left, _ in rows])
-    out = K.perspective(fs, lefts, _joined(*(right for _, _, right in rows)))
-    outs = np.split(out, np.cumsum([len(left) for _, left, _ in rows])[:-1])
-    return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
+    perspective (`K.perspective`'s steps) over the parts laid end to end,
+    one function per row."""
+    inner, finish = _inner(*parts)
+    return finish(K.decompose(inner))
 
 
 # Weighted fields: Theorems 2.1, 2.4 and 2.12, Corollaries 2.2 and 2.3.
@@ -669,23 +695,43 @@ def _draw_thm2_6(rng, trial, cfg, f_over):
 def _eval_thm2_6(group, tol):
     """Generalized perspective of the mapped sums vs the mapped sum of
     generalized perspectives, for a subunital family. The mapped matrices
-    take the family's output dimension, so they stack per dimension."""
+    take the family's output dimension, so they stack per dimension.
+
+    The families map A and B before the generalized perspectives of
+    (A, B) are taken, and each mapped stage shares the dispatch of an
+    unmapped one: the Gram sums are decomposed with B, the mapped sums of
+    B with h(B), and h of those with the perspectives' inner matrices. So
+    the mapped stages' guards and h on the mapped sums of B come before
+    the unmapped perspectives' later steps, and f's calculus on them."""
     fs, hs = _fh(group)
     present = _present([len(r.w) for r in group])
     w, shrinks = _padded(group, "w", present), _padded(group, "q", present)
     a, b = _build(group, "a", "b")
-    b_pos = K.positive(b)  # each drawn B is positive definite
-    f_ab = K.f_delta_h(_each(fs, present), _each(hs, present), a, b_pos)
-    images = _pad(np.stack([a, b, f_ab], axis=1), present)
+    dims = _split_by(group, lambda r: r.c[0].shape[-1])
+    masks = [present[rows] for rows in dims]
+    cs = [_gaussians([group[i] for i in rows], "c", m) for rows, m in zip(dims, masks)]
+    grams = [_gram(w[rows], c, m) for rows, c, m in zip(dims, cs, masks)]
+    # Each drawn B is positive definite.
+    b_pos, *grams = K.decompositions(b, *grams, positive=True)
+    families = [_normalized(c, g, shrinks[rows]) for rows, c, g in zip(dims, cs, grams)]
+    images = _pad(np.stack([a, b], axis=1), present)
+    sums = [_mapped(fam, w[rows], m, images[rows]) for rows, fam, m in zip(dims, families, masks)]
+    h_b, *sum_b = K.decompositions(
+        K.h_at(_each(hs, present), b_pos),
+        *(s for _, s in sums),
+        positive=(K.h_positive,) + (False,) * len(dims),
+    )
+    inner, finish = _inner((_each(fs, present), a, h_b))
+    h_sums = [K.h_at(_take(hs, rows), s) for rows, s in zip(dims, sum_b)]
+    inner, *h_sums = K.decompositions(
+        inner, *h_sums, positive=(False,) + (K.h_positive,) * len(dims)
+    )
+    f_ab = _pad(finish(inner)[0][:, None], present)
     worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
     maps = [None] * len(group)
-    for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
-        mask, w_rows = present[rows], w[rows]
-        gaussians = _gaussians([group[i] for i in rows], "c", mask)
-        family = _normalized(gaussians, K.positive(_gram(w_rows, gaussians, mask)), shrinks[rows])
-        mapped = K.congruence(family[:, :, None], images[rows])
-        sum_a, sum_b, rhs = (K.field_sum(mapped[:, :, i], mask, w_rows) for i in range(3))
-        lhs = K.f_delta_h(_take(fs, rows), _take(hs, rows), sum_a, K.decompose(sum_b))
+    for rows, family, m, (sum_a, _), h_sum in zip(dims, families, masks, sums, h_sums):
+        (rhs,) = _mapped(family, w[rows], m, f_ab[rows])
+        (lhs,) = _perspectives((_take(fs, rows), sum_a, h_sum))
         worst[rows], violated[rows] = _links(tol, (lhs, rhs))
         for i, own in zip(rows.tolist(), family):
             maps[i] = own[: len(group[i].w)]
@@ -710,7 +756,12 @@ def _draw_thm2_10(rng, trial, cfg, f_over):
 
 def _eval_thm2_10(group, tol):
     """Pointwise dominance f1 <= f2 transfers to the mapped perspective
-    and functional-calculus bounds."""
+    and functional-calculus bounds.
+
+    The family maps I, A and B before the perspectives of f2 are taken,
+    and the mapped sums are decomposed with those perspectives' inner
+    matrices. So the family's unitality and the guards of the mapped sums
+    come before the perspectives' later steps and f2's calculus."""
     f1s, f2s = _fh(group)
     present = _present([len(r.w) for r in group])
     w, cs, gram = _unital_family(group, present)
@@ -718,18 +769,19 @@ def _eval_thm2_10(group, tol):
     # Each drawn A and B is positive definite.
     gram_pos, a_pos, b_pos = K.decompositions(gram, a, b, positive=True)
     maps = _normalized(cs, gram_pos)
-    f2 = _each(f2s, present)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    images = [eye, a, b, K.perspective(f2, a, b_pos), K.calculus(f2, a_pos)]
-    mapped = K.congruence(maps[:, :, None], _pad(np.stack(images, axis=1), present))
-    unit, sum_a, sum_b, rhs_g, rhs_f = (
-        K.field_sum(mapped[:, :, i], present, w) for i in range(len(images))
-    )
+    unit, sum_a, sum_b = _mapped(maps, w, present, _pad(np.stack([eye, a, b], axis=1), present))
     check_unital(unit)
-    sum_b_pos, sum_a_dec = K.decompositions(sum_b, sum_a, positive=(True, False))
+    f2 = _each(f2s, present)
+    inner, finish = _inner((f2, a, b_pos))
+    inner, sum_b_pos, sum_a_dec = K.decompositions(
+        inner, sum_b, sum_a, positive=(False, True, False)
+    )
+    images = np.stack([*finish(inner), K.calculus(f2, a_pos)], axis=1)
+    rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present))
     worst, violated = _links(
         tol,
-        (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
+        (*_perspectives((f1s, sum_a, sum_b_pos)), rhs_g),
         (K.calculus(f1s, sum_a_dec), rhs_f),
     )
     payloads = [
@@ -752,19 +804,32 @@ def _draw_single_map(rng, dim: int, variant: int) -> _Map:
     return _Map(2, c, None, float(rng.uniform(0.4, 1.0)))
 
 
-def _single_maps(ms, dim: int) -> tuple:
-    """The subunital single maps `ms` (`_draw_single_map`), all of one
-    variant and, for compressions, one size: `apply` maps a stack (T, S,
-    dim, dim), and `build(i)` makes the object of map i, for its payload."""
+def _single_maps(ms) -> tuple:
+    """The subunital single maps `ms` (`_draw_single_map`) by variant and,
+    for compressions, size: the (trial indices, maps, Gaussians) of each
+    group, the Gaussians None for compressions, and the Gram sums of the
+    groups of sums of congruences, which `_applied` normalizes by."""
+    groups = []
+    for rows in _split_by(ms, lambda m: (m.variant, 0 if m.ix is None else len(m.ix))):
+        own = [ms[i] for i in rows]
+        groups.append((rows, own, None if own[0].variant == 1 else _gaussians(own, "c")))
+    grams = [_gram(np.ones(c.shape[:2]), c) for _, own, c in groups if own[0].variant == 2]
+    return groups, grams
+
+
+def _group_map(ms, c, gram, dim: int) -> tuple:
+    """The maps `ms` of one group of `_single_maps`, with its Gaussians
+    `c` and, for sums of congruences, the decomposition `gram` of its Gram
+    sums: `apply` maps a stack (T, S, dim, dim), and `build(i)` makes the
+    object of map i, for its payload."""
     scale = np.array([m.scale for m in ms])[:, None]
     if ms[0].variant == 1:
         ix = np.sort(np.array([m.ix for m in ms]), axis=-1)[:, None]
         return partial(K.compress, ix, scale), lambda i: Compression(dim, ix[i, 0], ms[i].scale)
-    c = _gaussians(ms, "c")
     if ms[0].variant == 0:
         c = c / (np.linalg.norm(c, 2, axis=(-2, -1)) * scale)[..., None, None]
         return partial(K.congruence, c), lambda i: Congruence(c[i, 0])
-    c = _normalized(c, K.positive(_gram(np.ones(c.shape[:2]), c)))
+    c = _normalized(c, gram)
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
         return K.field_sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
@@ -772,23 +837,30 @@ def _single_maps(ms, dim: int) -> tuple:
     return apply, lambda i: ScaledMap(MapSum([Congruence(p) for p in c[i]]), ms[i].scale)
 
 
-def _map_images(ms, x) -> tuple:
+def _applied(groups, grams, dim: int) -> tuple:
+    """The (trial indices, `apply`) of each group of `_single_maps`, from
+    the decompositions `grams` of its Gram sums, and a thunk per trial
+    that builds its map."""
+    grams, applies, maps = iter(grams), [], {}
+    for rows, ms, c in groups:
+        apply, build = _group_map(ms, c, next(grams) if ms[0].variant == 2 else None, dim)
+        applies.append((rows, apply))
+        maps.update((i, partial(build, j)) for j, i in enumerate(rows.tolist()))
+    return applies, [maps[i] for i in range(len(maps))]
+
+
+def _map_images(applies, x) -> list:
     """Each trial's subunital single map applied to its stack of images x
-    (T, S, dim, dim), the maps of one variant and compression size at
-    once. Returns the (trial indices, images) of each output size and a
-    thunk per trial that builds its map."""
-    sizes, maps = {}, [None] * len(ms)
-    for rows in _split_by(ms, lambda m: (m.variant, 0 if m.ix is None else len(m.ix))):
-        apply, build = _single_maps([ms[i] for i in rows], x.shape[-1])
+    (T, S, dim, dim), the maps of each group (`_applied`) at once: the
+    (trial indices, images) of each output size."""
+    sizes = {}
+    for rows, apply in applies:
         phi = apply(x[rows])
         sizes.setdefault(phi.shape[-1], []).append((rows, phi))
-        for j, i in enumerate(rows.tolist()):
-            maps[i] = partial(build, j)
-    stacks = [
+    return [
         (np.concatenate([rows for rows, _ in parts]), np.concatenate([phi for _, phi in parts]))
         for parts in sizes.values()
     ]
-    return stacks, maps
 
 
 def _draw_cor2_7(rng, trial, cfg, f_over):
@@ -820,27 +892,46 @@ def _eval_single_map(group, tol, perspective=True):
     with `perspective` the same bound for the perspective of f (COR2_7).
     Without it (EX2_8) A is drawn positive definite, f and h are the power
     families of the drawn exponents and the payload names them by their
-    exponents. The images under Phi stack per output size."""
+    exponents. The images under Phi stack per output size.
+
+    Phi maps A and B before the perspectives of (A, B) are taken, and each
+    mapped stage shares the dispatch of an unmapped one: the Gram sums of
+    the sums of congruences are decomposed with B, each Phi(B) with h(B),
+    and h(Phi(B)) with the perspectives' inner matrices. So the mapped
+    stages' guards and h on Phi(B) come before the unmapped perspectives'
+    later steps, and f's calculus on them."""
     if perspective:
         fs, hs = _fh(group)
     else:
         alpha, beta = _stack(group, "w").T
         fs, hs = PowerFamily(beta), PowerFamily(alpha)
     a, b = _build(group, "a", "b")
+    groups, grams = _single_maps([r.m for r in group])
     # Each drawn B is positive definite, and without `perspective` each A.
-    b_pos = K.decompositions(b, *(() if perspective else (a,)), positive=True)[0]
-    parts = [(fs, a, K.h_of(hs, b_pos))] + ([(fs, a, b_pos)] if perspective else [])
-    images = np.stack([a, b, *_perspectives(*parts)], axis=1)
-    stacks, maps = _map_images([r.m for r in group], images)
+    drawn = (b,) if perspective else (b, a)
+    decs = K.decompositions(*drawn, *grams, positive=True)
+    b_pos = decs[0]
+    applies, maps = _applied(groups, decs[len(drawn) :], a.shape[-1])
+    stacks = _map_images(applies, np.stack([a, b], axis=1))
+    h_b, *phi_bs = K.decompositions(
+        K.h_at(hs, b_pos),
+        *(phi[:, 1] for _, phi in stacks),
+        positive=(K.h_positive,) + (False,) * len(stacks),
+    )
+    inner, finish = _inner((fs, a, h_b), *([(fs, a, b_pos)] if perspective else []))
+    h_phis = [K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)]
+    inner, *h_phis = K.decompositions(
+        inner, *h_phis, positive=(False,) + (K.h_positive,) * len(stacks)
+    )
+    images = _map_images(applies, np.stack(finish(inner), axis=1))
     worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
-    for rows, phi in stacks:
-        f, h = _take(fs, rows), _take(hs, rows)
-        phi_b = K.decompose(phi[:, 1])
-        parts = [(f, phi[:, 0], K.h_of(h, phi_b))]
+    for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
+        f = _take(fs, rows)
+        parts = [(f, phi[:, 0], h_phi)]
         if perspective:
             parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
         lhs = _perspectives(*parts)
-        worst[rows], violated[rows] = _links(tol, *zip(lhs, phi.swapaxes(0, 1)[2:]))
+        worst[rows], violated[rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())

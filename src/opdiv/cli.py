@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
     except (OpDivError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report.to_json_dict(), indent=2)
+    text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

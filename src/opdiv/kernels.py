@@ -10,9 +10,10 @@ through `run_trials`, one trial loop that evaluates a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
 arrays is one `stack`. A stage that decomposes several independent
-stacks of one matrix size does so in one eigensolver dispatch
-(`decompositions`), and `f_delta_h` exposes its h(R) step (`h_of`) so
-that its perspective can share one `perspective` call with others.
+stacks does so in one eigensolver dispatch per matrix size
+(`decompositions`), and `f_delta_h` exposes its steps: h(R) (`h_at`),
+its decomposition under its own guard (`h_positive`, `h_of`) and the
+perspective, so that a caller can decompose each with other stacks.
 
 LAPACK and matmul work matrix by matrix, so a stacked or fused call
 gives the same bits as the same call on each matrix alone, and batching
@@ -133,44 +134,54 @@ def _solve(h):
     return vals, vecs, eye_err, _fro(residual), DECOMP_TOL * _pymax(1.0, _fro(h))
 
 
-def _guarded(positive: bool, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:
+def _guarded(positive, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:
     """(vals, vecs) once the unitarity guard, the reconstruction guard and,
-    with `positive`, the strict-positivity guard pass, in that order."""
+    with `positive`, the strict-positivity guard pass, in that order:
+    `strictly_positive` for True, or the guard `positive` names."""
     worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * vals.shape[-1]))
     if worst is not None:
         raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
     worst = _first(rec_err, _exceeds(rec_err, rec_bound))
     if worst is not None:
         raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")
-    return strictly_positive((vals, vecs)) if positive else (vals, vecs)
+    guard = strictly_positive if positive is True else positive
+    return guard((vals, vecs)) if guard else (vals, vecs)
 
 
 def decompositions(*parts, positive=False) -> list:
-    """`decompose` of each stack of `parts`, all of one matrix size, from
-    one `np.linalg.eigh` call over the parts laid end to end; `positive`
-    (one flag, or one per part) makes it a part's `positive` instead.
+    """`decompose` of each stack of `parts`, from one `np.linalg.eigh` call
+    per matrix size over that size's parts laid end to end; `positive` (one
+    flag, or a tuple of one per part) makes it a part's `positive` instead,
+    and a flag may be a guard that takes `strictly_positive`'s place, such
+    as `h_positive`.
 
     A stage that decomposes several independent stacks so costs one LAPACK
     dispatch per matrix size, with the bits of one call per part. The
-    guards are computed once over the fused stack and raise in part order:
-    each part's unitarity, reconstruction and positivity guard in turn, as
-    one call per part would.
+    guards are computed once per fused stack and raise in part order: each
+    part's unitarity, reconstruction and positivity guard in turn, as one
+    call per part would.
     """
-    flags = (positive,) * len(parts) if isinstance(positive, bool) else positive
-    dim = parts[0].shape[-1]
+    flags = positive if isinstance(positive, tuple) else (positive,) * len(parts)
+    sizes = {}  # matrix size -> the indices of its parts, in order of first appearance
+    for i, part in enumerate(parts):
+        sizes.setdefault(part.shape[-1], []).append(i)
+    solved = [None] * len(parts)
     try:
-        fused = _solve(np.concatenate([p.reshape((-1, dim, dim)) for p in parts]))
+        for dim, own in sizes.items():
+            fused = _solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
+            cuts = np.cumsum([parts[i][..., 0, 0].size for i in own])[:-1]
+            for i, *x in zip(own, *(np.split(x, cuts) for x in fused)):
+                solved[i] = x
     except NumericalFailure:
         # The solver does not name the matrix it failed on; the parts one
         # by one raise the error of the first that fails.
         for part, flag in zip(parts, flags):
             _guarded(flag, *_solve(part))
         raise
-    cuts = np.cumsum([p[..., 0, 0].size for p in parts])[:-1]
     out = []
-    for part, flag, vals, vecs, *errors in zip(parts, flags, *(np.split(x, cuts) for x in fused)):
-        lead = part.shape[:-2]
-        out.append(_guarded(flag, vals.reshape(lead + (dim,)), vecs.reshape(part.shape), *errors))
+    for part, flag, (vals, vecs, *errors) in zip(parts, flags, solved):
+        vals = vals.reshape(part.shape[:-1])
+        out.append(_guarded(flag, vals, vecs.reshape(part.shape), *errors))
     return out
 
 
@@ -372,18 +383,31 @@ def flagged_positive(h):
     return h
 
 
-def h_of(h, right):
-    """The decomposition of each h(R) that `positive` returns, from the
-    (eigenvalues, eigenvectors) pair that `decompose` returns for each R:
-    the right side of `f_delta_h`'s perspective, for a caller that takes
-    that perspective in one `perspective` call with others. Raises
-    NonPositiveH if an h is not flagged strictly positive
-    (`flagged_positive`) or an h(R) is not strictly positive."""
-    h_of_r = calculus(flagged_positive(h), right)
+def h_at(h, right):
+    """Each h(R), from the (eigenvalues, eigenvectors) pair that
+    `decompose` returns for each R, once each h is flagged strictly
+    positive (`flagged_positive`). Its decomposition under `h_positive` is
+    `h_of`; a caller decomposes it with the other stacks of its stage."""
+    return calculus(flagged_positive(h), right)
+
+
+def h_positive(decomposition):
+    """`strictly_positive` for the decomposition of each h(R) (`h_at`),
+    raising NonPositiveH in place of NotPositiveDefinite: the positivity
+    guard of `h_of`, and a `decompositions` flag."""
     try:
-        return positive(h_of_r)
+        return strictly_positive(decomposition)
     except NotPositiveDefinite as exc:
         raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
+
+
+def h_of(h, right):
+    """The decomposition of each h(R) (`h_at`) that passes `h_positive`:
+    the right side of `f_delta_h`'s perspective, for a caller that takes
+    that perspective in one `perspective` call with others. Raises
+    NonPositiveH if an h is not flagged strictly positive or an h(R) is
+    not strictly positive."""
+    return _guarded(h_positive, *_solve(h_at(h, right)))
 
 
 def f_delta_h(f, h, left, right):

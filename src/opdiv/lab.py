@@ -95,11 +95,13 @@ class CheckResult:
     instance_digest_of_worst: str
 
     def to_json_dict(self) -> dict:
+        """The check's report entry. A worst margin that is not finite (inf
+        when every margin was NaN) is null: JSON has no number for it."""
         return {
             "id": self.check_id,
             "trials": self.trials,
             "violations": self.violations,
-            "worst_margin": self.worst_margin,
+            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "digest": self.instance_digest_of_worst,
         }
 

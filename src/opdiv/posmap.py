@@ -31,17 +31,25 @@ from .hermitian import (
 
 
 class PositiveLinearMap:
-    """Base of the closed map union; subclasses implement `apply`."""
+    """Base of the closed map union; subclasses implement `_image`."""
 
     in_dim: int
     out_dim: int
 
     def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        raise NotImplementedError
-
-    def _check_input(self, x: HermitianMatrix) -> None:
+        """The image of x; BadRange if an entry overflows to a non-finite
+        value, as finite maps may on finite inputs."""
         if x.dim != self.in_dim:
             raise ShapeMismatch(f"map expects dimension {self.in_dim}, got {x.dim}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self._image(x.entries)
+        if not np.isfinite(image).all():
+            raise BadRange("map image has non-finite entries")
+        return HermitianMatrix._wrap(image)
+
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        """The image of the Hermitian array x, unchecked."""
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -62,9 +70,8 @@ class Congruence(PositiveLinearMap):
         self.in_dim = arr.shape[0]
         self.out_dim = arr.shape[1]
 
-    def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        self._check_input(x)
-        return HermitianMatrix._wrap(kernels.congruence(self.matrix, x.entries))
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        return kernels.congruence(self.matrix, x)
 
     def to_json(self) -> dict:
         return {"variant": "congruence", "rows": array_to_rows(self.matrix)}
@@ -90,10 +97,8 @@ class Compression(PositiveLinearMap):
         self.in_dim = int(in_dim)
         self.out_dim = len(indices)
 
-    def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        self._check_input(x)
-        ix = np.asarray(self.indices)
-        return HermitianMatrix._wrap(kernels.compress(ix, self.scale, x.entries))
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        return kernels.compress(np.asarray(self.indices), self.scale, x)
 
     def to_json(self) -> dict:
         return {
@@ -121,9 +126,8 @@ class MapSum(PositiveLinearMap):
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        images = kernels.stack([p.apply(x).entries for p in self.parts])
-        return HermitianMatrix._wrap(kernels.field_sum(images[None])[0])
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        return kernels.field_sum(kernels.stack([p._image(x) for p in self.parts])[None])[0]
 
     def to_json(self) -> dict:
         return {"variant": "sum", "parts": [p.to_json() for p in self.parts]}
@@ -142,8 +146,8 @@ class ScaledMap(PositiveLinearMap):
         self.in_dim = inner.in_dim
         self.out_dim = inner.out_dim
 
-    def apply(self, x: HermitianMatrix) -> HermitianMatrix:
-        return self.factor * self.inner.apply(x)
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        return self.inner._image(x) * self.factor
 
     def to_json(self) -> dict:
         return {"variant": "scaled", "factor": self.factor, "inner": self.inner.to_json()}
@@ -226,10 +230,13 @@ class MapField:
         return self._entries[0][1].out_dim
 
     def _identity_image(self) -> np.ndarray:
-        eye = HermitianMatrix.identity(self.in_dim)
-        images = kernels.stack([phi.apply(eye).entries for _, phi in self._entries])
+        """sum_i w_i Phi_i(I), unchecked: an overflow leaves it non-finite
+        for the caller to refuse."""
+        eye = np.eye(self.in_dim, dtype=complex)
         weights = np.array([w for w, _ in self._entries])
-        return kernels.field_sum(images[None], w=weights[None])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = kernels.stack([phi._image(eye) for _, phi in self._entries])
+            return kernels.field_sum(images[None], w=weights[None])[0]
 
     def identity_image(self) -> HermitianMatrix:
         """sum_i w_i Phi_i(I); BadRange if it overflows to a non-finite

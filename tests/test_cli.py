@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from opdiv import cli, lab
+from opdiv import cli, kernels, lab
 from opdiv.cli import main
 
 
@@ -70,6 +72,28 @@ def test_verify_too_many_trials_exits_2_before_any_trial(capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "trials" in err
+
+
+def test_verify_writes_a_nan_margin_check_as_strict_json(capsys, monkeypatch):
+    """A check whose every margin is NaN has no worst margin (the fold
+    leaves inf): the report writes it as null, parses under a parser that
+    refuses NaN and Infinity, and the run exits 1."""
+    real = lab._REGISTRY["THM2_1"]
+
+    def nan_margins(records, tol):
+        payloads = real.evaluate(records, tol)[2]
+        nan = np.full((len(records), 1), np.nan)
+        return (*kernels.fold(nan, np.zeros_like(nan)), payloads)
+
+    monkeypatch.setitem(lab._REGISTRY, "THM2_1", dataclasses.replace(real, evaluate=nan_margins))
+    code = main(["verify", "--suite", "THM2_1,EX3_3_EXACT", "--dim", "2", "--trials", "5"])
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    checks = json.loads(capsys.readouterr().out, parse_constant=refuse)["checks"]
+    assert code == 1
+    assert [(c["violations"], c["worst_margin"] is None) for c in checks] == [(5, True), (0, False)]
 
 
 def test_verify_bad_function_json_exits_2(capsys):

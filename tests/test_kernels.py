@@ -240,6 +240,38 @@ def test_fused_decompositions_raise_what_separate_calls_raise(dim):
             assert _decomposed(lambda: kernels.decompositions(*parts, positive=flags)) == want
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch):
+    """Parts of two matrix sizes, the second size between two parts of the
+    first, make one eigh dispatch per size, yet have the bits and raise
+    the error of separate calls in part order; an `h_positive` flag turns
+    only its own part's NotPositiveDefinite into NonPositiveH."""
+    small, large = _route_cases(dim), _route_cases(dim + 1)
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape[-1])
+        return real(x, *args, **kwargs)
+
+    def alone(p, flag):
+        if flag is kernels.h_positive:
+            return kernels.h_positive(kernels.decompose(p))
+        return kernels.positive(p) if flag else kernels.decompose(p)
+
+    for first, second in ((x, y) for x in small for y in large):
+        parts = (np.stack([small[0], first]), second[None], first[None])
+        for flags in ((kernels.h_positive, True, False), (False, kernels.h_positive, True)):
+            want = _decomposed(lambda: [alone(p, flag) for p, flag in zip(parts, flags)])
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            got = _decomposed(lambda: kernels.decompositions(*parts, positive=flags))
+            monkeypatch.undo()
+            assert got == want
+            if not isinstance(got, tuple):
+                assert calls == [dim, dim + 1]
+
+
 @pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
 def test_field_sum_matches_the_loop_from_zero(dim, k):
     """Each trial's sum has the bits of a loop that adds its own present
@@ -514,21 +546,22 @@ def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
 
 # (eigh dispatches, eigh matrices, eigvalsh dispatches, eigvalsh matrices)
 # of each check at `registry_sweep`'s shape: check i at dim 2 + i % 4, 100
-# trials, seed 1. Each stage decomposes its independent stacks of one size
-# in one dispatch (`kernels.decompositions`) and takes its perspectives in
-# one `kernels.perspective` call; the matrices are those of one call per
-# stack. 131 dispatches in all, 0.0655 per trial.
+# trials, seed 1. Each stage decomposes its independent stacks, the inner
+# matrices of its perspectives among them, in one dispatch per matrix size
+# (`kernels.decompositions`), and a mapped stage joins the first stage its
+# inputs allow; the matrices are those of one call per stack. 121
+# dispatches in all, 0.0605 per trial.
 _EIG_PINS = {
     "THM2_1": (3, 1416, 1, 300),
     "COR2_2_SUBADD": (3, 1380, 1, 300),
     "COR2_2_II": (4, 1425, 1, 300),
     "COR2_3_SPLIT": (3, 1784, 1, 600),
     "THM2_4_MIXTURE": (3, 3254, 1, 300),
-    "THM2_6_CDJ_DELTA": (12, 1630, 2, 300),
-    "COR2_7_SINGLE": (17, 1033, 4, 600),
-    "EX2_8_POWER": (20, 933, 5, 300),
+    "THM2_6_CDJ_DELTA": (9, 1630, 2, 300),
+    "COR2_7_SINGLE": (14, 1033, 4, 600),
+    "EX2_8_POWER": (17, 933, 5, 300),
     "COR2_9_VECTOR": (4, 600, 0, 0),
-    "THM2_10_DOM": (5, 1625, 1, 600),
+    "THM2_10_DOM": (4, 1625, 1, 600),
     "THM_DELTA_NABLA": (4, 1806, 1, 300),
     "THM2_12_GRAD": (3, 1028, 1, 300),
     "THM3_1_CHAIN": (4, 1580, 1, 900),

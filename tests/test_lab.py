@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from opdiv import batched, kernels, lab
-from opdiv.errors import BadRange, NumericalFailure, UnknownCheck
-from opdiv.funcatalog import builtin, quartic
+from opdiv.errors import BadRange, NonPositiveH, NumericalFailure, UnknownCheck
+from opdiv.funcatalog import FunctionFlags, Interval, ScalarOperatorFunction, builtin, quartic
 from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import (
     GenConfig,
@@ -323,16 +323,19 @@ def test_nan_margin_counts_as_violation(monkeypatch):
 
 def test_stacked_check_raises_the_first_failing_trials_error(monkeypatch):
     """A check whose stacked evaluation raises mid-chunk raises what the
-    loop over single trials raises: the first failing trial's own error."""
-    real = kernels.perspective
+    loop over single trials raises: the first failing trial's own error.
+    The error is injected in `kernels.sandwich`, the last step of every
+    perspective, fused or not."""
+    real = kernels.sandwich
 
-    def refusing(f, left, right, *args, **kwargs):
-        corner = left[..., 0, 0].real
+    def refusing(f, half, inner):
+        out = real(f, half, inner)
+        corner = out[..., 0, 0].real
         if np.any(corner > 3.0):
-            raise NumericalFailure(f"perspective refused L[0, 0] = {corner[corner > 3.0][0]!r}")
-        return real(f, left, right, *args, **kwargs)
+            raise NumericalFailure(f"perspective refused P[0, 0] = {corner[corner > 3.0][0]!r}")
+        return out
 
-    monkeypatch.setattr(kernels, "perspective", refusing)
+    monkeypatch.setattr(kernels, "sandwich", refusing)
     gen = GenConfig(dim=2, seed=5, trials=40)
     with pytest.raises(NumericalFailure) as want:
         _reference_check("COR2_7_SINGLE", gen)
@@ -431,6 +434,32 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
     for check_id in check_ids():
         if check_id not in _SPLIT_BY_SIZE:
             assert dispatches(check_id, 100) == dispatches(check_id, 1), check_id
+
+
+@pytest.mark.parametrize(
+    "check_id, draw",
+    [("THM2_6_CDJ_DELTA", batched._draw_thm2_6), ("COR2_7_SINGLE", batched._draw_cor2_7)],
+)
+def test_a_fused_stage_raises_its_unmapped_part_first(check_id, draw, monkeypatch):
+    """These checks decompose h(B) with the mapped B, and h of the mapped B
+    with the perspectives' inner matrices. With an h, flagged strictly
+    positive, that is negative on every B and every mapped B, both h
+    stages fail; the run raises trial 0's NonPositiveH for its unmapped
+    h(B), as when the mapped side ran after the unmapped one."""
+    minus_five = ScalarOperatorFunction(
+        id="minus_five",
+        domain=Interval.real_line(),
+        eval=lambda t: np.asarray(t, dtype=float) - 5.0,
+        flags=FunctionFlags(strictly_positive=True),
+    )
+    monkeypatch.setattr(batched, "_H_POOL", (minus_five,))
+    gen = GenConfig(dim=3, seed=4, trials=30)
+    _, b = batched._build([draw(lab._trial_rng(gen.seed, check_id, 0), 0, gen, None)], "a", "b")
+    with pytest.raises(NonPositiveH) as want:
+        kernels.h_of(minus_five, kernels.positive(b))
+    with pytest.raises(NonPositiveH) as got:
+        run_check(check_id, gen)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_II", "KL_SUITE", "EX3_3_EXACT"])

@@ -159,6 +159,22 @@ def test_identity_image_refuses_an_overflowing_image():
         field.identity_image()
 
 
+@pytest.mark.parametrize(
+    "phi, x",
+    [
+        (Congruence(np.eye(2) * 1e200), HermitianMatrix.identity(2)),
+        (Compression(2, (0, 1), 1e300), HermitianMatrix.diagonal([1e10, 1.0])),
+        (ScaledMap(Congruence(np.eye(2) * 1e150), 1e300), HermitianMatrix.identity(2)),
+    ],
+)
+def test_map_refuses_an_overflowing_image(phi, x):
+    """Finite maps on finite inputs whose image overflows: the congruence
+    returned a NaN diagonal and the compression an inf entry, each with a
+    numpy RuntimeWarning on the way, which fails a test here."""
+    with pytest.raises(BadRange, match="non-finite"):
+        apply_map(phi, x)
+
+
 def test_example_33_fixture_values():
     ex = example_33()
     assert ex.partition == ((0,), (1, 2))
