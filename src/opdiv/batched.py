@@ -731,7 +731,7 @@ def _eval_thm2_6(group, tol):
     maps = [None] * len(group)
     for rows, family, m, (sum_a, _), h_sum in zip(dims, families, masks, sums, h_sums):
         (rhs,) = _mapped(family, w[rows], m, f_ab[rows])
-        (lhs,) = _perspectives((_take(fs, rows), sum_a, h_sum))
+        lhs = K.perspective(_take(fs, rows), sum_a, h_sum)
         worst[rows], violated[rows] = _links(tol, (lhs, rhs))
         for i, own in zip(rows.tolist(), family):
             maps[i] = own[: len(group[i].w)]
@@ -781,7 +781,7 @@ def _eval_thm2_10(group, tol):
     rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present))
     worst, violated = _links(
         tol,
-        (*_perspectives((f1s, sum_a, sum_b_pos)), rhs_g),
+        (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
         (K.calculus(f1s, sum_a_dec), rhs_f),
     )
     payloads = [
