@@ -31,7 +31,9 @@ from .hermitian import (
 
 
 class PositiveLinearMap:
-    """Base of the closed map union; subclasses implement `_image`."""
+    """Base of the closed map union. Each variant implements `_image` and
+    binds `apply` in its own class body, where per-class instrumentation
+    (`bench/tracer.py`) looks it up."""
 
     in_dim: int
     out_dim: int
@@ -70,6 +72,8 @@ class Congruence(PositiveLinearMap):
         self.in_dim = arr.shape[0]
         self.out_dim = arr.shape[1]
 
+    apply = PositiveLinearMap.apply
+
     def _image(self, x: np.ndarray) -> np.ndarray:
         return kernels.congruence(self.matrix, x)
 
@@ -96,6 +100,8 @@ class Compression(PositiveLinearMap):
         self.scale = float(scale)
         self.in_dim = int(in_dim)
         self.out_dim = len(indices)
+
+    apply = PositiveLinearMap.apply
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         return kernels.compress(np.asarray(self.indices), self.scale, x)
@@ -126,6 +132,8 @@ class MapSum(PositiveLinearMap):
         self.in_dim = in_dim
         self.out_dim = out_dim
 
+    apply = PositiveLinearMap.apply
+
     def _image(self, x: np.ndarray) -> np.ndarray:
         return kernels.field_sum(kernels.stack([p._image(x) for p in self.parts])[None])[0]
 
@@ -145,6 +153,8 @@ class ScaledMap(PositiveLinearMap):
         self.factor = float(factor)
         self.in_dim = inner.in_dim
         self.out_dim = inner.out_dim
+
+    apply = PositiveLinearMap.apply
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         return self.inner._image(x) * self.factor

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, no
 module imports another module's private name, every private module-level
 helper is used somewhere in the package, and no source line is wider
-than LINE_WIDTH columns.
+than LINE_WIDTH columns. The benchmark's tracer (`bench/tracer.py`)
+finds every function and method it wraps under the name it looks up.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -9,11 +10,14 @@ syntax tree instead. `__init__.py` only re-exports, and a line marked
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opdiv"
+TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
 LINE_WIDTH = 100
 
 
@@ -224,3 +228,22 @@ def test_module_lines_fit_the_width(module):
 def test_long_lines_are_found():
     source = "x = 1\n" + "#" * LINE_WIDTH + "\n" + "#" * (LINE_WIDTH + 1) + "\n"
     assert long_lines(source) == [(3, LINE_WIDTH + 1)]
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    """The tracer looks each boundary up by module and name, and a method
+    in its own class's namespace; installing it over every boundary and
+    uninstalling it leaves each name bound as before."""
+    spec = importlib.util.spec_from_file_location("opdiv_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    boundaries = tracer.NUMPY_BOUNDARIES + tracer.OPDIV_BOUNDARIES
+    modules = {name: importlib.import_module(name) for _, name, _ in boundaries}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    traced = tracer.Tracer(boundaries)
+    try:
+        traced.install()
+    finally:
+        traced.uninstall()
+    for name, module in modules.items():
+        assert all(vars(module)[k] is v for k, v in before[name].items()), name
