@@ -2,7 +2,9 @@
 
 `weighted_sum_a`, `weighted_sum_b`, `theta_divergence` (square and
 neg_log), `f_nabla_h` and `gradient_lower_bound` on three seeded fields
-of each of 2, 4, 8 and 16 entries at dims 1, 2, 3, 5, 8 and 48. Dim 1 is
+of each of 2, 4, 8 and 16 entries at dims 1, 2, 3, 5, 8 and 48, and
+`bivariate_calculus` of x^2/y on three seeded pairs of each pair of
+dims, equal and unequal, up to tensor dim 64. Dim 1 is
 pinned on its own: numpy reduces 1 x 1 matrices over the entry axis
 pairwise, not in entry order, so it is where an order-changing sum
 shows first. At dim 48 each perspective is a stack of its own
@@ -16,9 +18,11 @@ import numpy as np
 import pytest
 
 from conftest import make_herm, make_pd
-from opdiv.funcatalog import builtin
+from opdiv.funcatalog import Interval, builtin
 from opdiv.perspective import (
+    BivariateSpec,
     WeightedOperatorField,
+    bivariate_calculus,
     f_nabla_h,
     gradient_lower_bound,
     theta_divergence,
@@ -99,3 +103,18 @@ _PINS = {
 def test_facade_sums_are_pinned_to_the_bit(facade):
     got = {"dim 1": _digest(facade, (1,)), "dims 2-48": _digest(facade, (2, 3, 5, 8, 48))}
     assert got == _PINS[facade]
+
+
+_X_SQ_OVER_Y = BivariateSpec(lambda x, y: x * x / y, Interval.nonnegative(), Interval.positive())
+_BIVARIATE_DIMS = ((1, 1), (1, 3), (2, 2), (3, 2), (5, 5), (7, 7), (7, 8), (8, 7), (8, 8))
+
+
+def test_bivariate_calculus_is_pinned_to_the_bit():
+    digest = hashlib.sha256()
+    for da, db in _BIVARIATE_DIMS:
+        for copy in range(3):
+            rng = np.random.default_rng([15, da, db, copy])
+            a, b = make_herm(rng, da, 0.1, 4.0), make_herm(rng, db, 0.1, 4.0)
+            out = bivariate_calculus(_X_SQ_OVER_Y, a, b).entries
+            digest.update(np.ascontiguousarray(out).tobytes())
+    assert digest.hexdigest()[:32] == "8e4395dc7254747d42373aa139b3e511"
