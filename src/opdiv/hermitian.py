@@ -50,14 +50,30 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite(make, message: str) -> np.ndarray:
+    """The array `make()` computes, with overflow and invalid operations
+    silenced; BadRange with `message` if an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = make()
+    if not np.isfinite(out).all():
+        raise BadRange(message)
+    return out
+
+
 class HermitianMatrix:
     """A dense complex square matrix with ||H - H*|| below tolerance.
 
     Stored entries are the symmetrized form (H + H*) / 2. Real input is
-    embedded with zero imaginary parts.
+    embedded with zero imaginary parts. Every entry is finite: the
+    constructors refuse others with NotHermitian and the arithmetic with
+    BadRange.
     """
 
-    __slots__ = ("_entries",)
+    # `_solution` is this matrix's `kernels.solve` when another stack's
+    # eigensolver dispatch made it (`perspective.theta_divergence` solves
+    # a field's summed B with its last stack), else None. Only
+    # `PositiveDefiniteMatrix` reads it, and runs every guard on it.
+    __slots__ = ("_entries", "_solution")
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=complex)
@@ -65,20 +81,27 @@ class HermitianMatrix:
             raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NotHermitian("matrix has non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(arr)))
-        skew = float(np.linalg.norm(arr - arr.conj().T))
+        # Entries near the float limit overflow the norms and the sum H + H*.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = max(1.0, float(np.linalg.norm(arr)))
+            skew = float(np.linalg.norm(arr - arr.conj().T))
+            sym = kernels.hermitian_part(arr)
         if skew > SYMMETRY_TOL * scale:
             raise NotHermitian(
                 f"matrix deviates from Hermitian symmetry by {skew:.3e} "
                 f"(allowed {SYMMETRY_TOL * scale:.3e})"
             )
-        self._entries = _frozen(kernels.hermitian_part(arr))
+        if not np.isfinite(sym).all():
+            raise NotHermitian("matrix entries overflow in (H + H*) / 2")
+        self._entries = _frozen(sym)
+        self._solution = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
         """Trusted constructor: `arr` must already be exactly Hermitian."""
         out = object.__new__(cls)
         out._entries = _frozen(np.asarray(arr, dtype=complex))
+        out._solution = None
         return out
 
     @classmethod
@@ -91,7 +114,10 @@ class HermitianMatrix:
 
     @classmethod
     def diagonal(cls, values: Iterable[float]) -> "HermitianMatrix":
-        return cls._wrap(np.diag(np.asarray(list(values), dtype=float)).astype(complex))
+        values = np.asarray(list(values), dtype=float)
+        if not np.isfinite(values).all():
+            raise NotHermitian("diagonal has non-finite entries")
+        return cls._wrap(np.diag(values).astype(complex))
 
     @property
     def entries(self) -> np.ndarray:
@@ -115,24 +141,26 @@ class HermitianMatrix:
             return NotImplemented
         if other.dim != self.dim:
             raise ShapeMismatch("dimension mismatch in matrix sum")
-        return HermitianMatrix._wrap(self._entries + other._entries)
+        return HermitianMatrix._wrap(
+            _finite(lambda: self._entries + other._entries, "matrix sum is not finite")
+        )
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
         if other.dim != self.dim:
             raise ShapeMismatch("dimension mismatch in matrix difference")
-        return HermitianMatrix._wrap(self._entries - other._entries)
+        return HermitianMatrix._wrap(
+            _finite(lambda: self._entries - other._entries, "matrix difference is not finite")
+        )
 
     def __mul__(self, c: float) -> "HermitianMatrix":
         """The matrix times c; BadRange if the product is not finite, for
         a NaN or infinite c or one under which an entry overflows."""
         c = float(c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._entries * c
-        if not np.isfinite(out).all():
-            raise BadRange(f"scalar factor {c} gives a non-finite matrix")
-        return HermitianMatrix._wrap(out)
+        return HermitianMatrix._wrap(
+            _finite(lambda: self._entries * c, f"scalar factor {c} gives a non-finite matrix")
+        )
 
     __rmul__ = __mul__
 
@@ -165,14 +193,23 @@ class SpectralDecomposition:
 
 
 class PositiveDefiniteMatrix:
-    """Hermitian matrix whose smallest eigenvalue clears the strict floor."""
+    """Hermitian matrix whose smallest eigenvalue clears the strict floor.
+
+    The decomposition is `base`'s own solution when another dispatch made
+    one (`HermitianMatrix._solution`); the unitarity, reconstruction and
+    strict-positivity guards run on it here all the same.
+    """
 
     __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number")
 
     def __init__(self, base):
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        vals, vecs = kernels.positive(base.entries)
+        solution = base._solution
+        if solution is None:
+            vals, vecs = kernels.positive(base.entries)
+        else:
+            vals, vecs = kernels.guarded(True, *solution)
         lam_min = float(vals[-1])
         lam_max = float(vals[0])
         self._base = base

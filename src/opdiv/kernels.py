@@ -14,6 +14,9 @@ stacks does so in one eigensolver dispatch per matrix size
 (`decompositions`), and `f_delta_h` exposes its steps: h(R) (`h_at`),
 its decomposition under its own guard (`h_positive`, `h_of`) and the
 perspective, so that a caller can decompose each with other stacks.
+A matrix solved in another stack's dispatch keeps its unguarded
+solution (`solve`) until its own guards run on it (`guarded`), as
+`perspective.theta_divergence` does for a field's summed B.
 
 LAPACK and matmul work matrix by matrix, so a stacked or fused call
 gives the same bits as the same call on each matrix alone, and batching
@@ -115,10 +118,13 @@ def hermitian_part(x):
     return out
 
 
-def _solve(h):
+def solve(h):
     """The descending eigenvalues and eigenvectors of each H of the stack,
     the unitarity and reconstruction residuals of each decomposition, and
-    the bound the reconstruction residual is held to."""
+    the bound the reconstruction residual is held to: a decomposition
+    before its guards (`guarded`). A caller that solves a matrix in the
+    dispatch of another stack keeps its slice of these and guards it
+    where the matrix is used."""
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -134,10 +140,12 @@ def _solve(h):
     return vals, vecs, eye_err, _fro(residual), DECOMP_TOL * _pymax(1.0, _fro(h))
 
 
-def _guarded(positive, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:
-    """(vals, vecs) once the unitarity guard, the reconstruction guard and,
-    with `positive`, the strict-positivity guard pass, in that order:
-    `strictly_positive` for True, or the guard `positive` names."""
+def guarded(positive, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:
+    """(vals, vecs) of a `solve` once the unitarity guard, the
+    reconstruction guard and, with `positive`, the strict-positivity guard
+    pass, in that order: `strictly_positive` for True, or the guard
+    `positive` names. `decompose` is `guarded(False, *solve(h))` and
+    `positive` is `guarded(True, *solve(h))`."""
     worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * vals.shape[-1]))
     if worst is not None:
         raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
@@ -168,7 +176,7 @@ def decompositions(*parts, positive=False) -> list:
     solved = [None] * len(parts)
     try:
         for dim, own in sizes.items():
-            fused = _solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
+            fused = solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
             cuts = np.cumsum([parts[i][..., 0, 0].size for i in own])[:-1]
             for i, *x in zip(own, *(np.split(x, cuts) for x in fused)):
                 solved[i] = x
@@ -176,12 +184,12 @@ def decompositions(*parts, positive=False) -> list:
         # The solver does not name the matrix it failed on; the parts one
         # by one raise the error of the first that fails.
         for part, flag in zip(parts, flags):
-            _guarded(flag, *_solve(part))
+            guarded(flag, *solve(part))
         raise
     out = []
     for part, flag, (vals, vecs, *errors) in zip(parts, flags, solved):
         vals = vals.reshape(part.shape[:-1])
-        out.append(_guarded(flag, vals, vecs.reshape(part.shape), *errors))
+        out.append(guarded(flag, vals, vecs.reshape(part.shape), *errors))
     return out
 
 
@@ -191,7 +199,7 @@ def decompose(h):
     Raises NumericalFailure if the solver does not converge or a
     unitarity or reconstruction residual exceeds its bound.
     """
-    return _guarded(False, *_solve(h))
+    return guarded(False, *solve(h))
 
 
 def rebuild(vals, vecs):
@@ -246,7 +254,7 @@ def stack(arrays) -> np.ndarray:
 def positive(h):
     """`decompose`, requiring each smallest eigenvalue to clear the
     strict-positivity floor (`strictly_positive`)."""
-    return _guarded(True, *_solve(h))
+    return guarded(True, *solve(h))
 
 
 def strictly_positive(decomposition):
@@ -358,6 +366,9 @@ def perspective(f, left, right, condition_cap=CONDITION_CAP):
     `right` is the (eigenvalues, eigenvectors) pair that `positive`
     returns, and its roots come from `conditioned_roots`. `f` is as for
     `calculus`, and a non-finite result raises NumericalFailure naming it.
+    A caller that decomposes the inner matrices with other stacks takes
+    these steps itself: the roots, the inner matrices, their
+    decomposition and `sandwich`.
     """
     half, inv_half = conditioned_roots(right, condition_cap)
     return sandwich(f, half, decompose(hermitian_part(inv_half @ left @ inv_half)))
@@ -407,7 +418,7 @@ def h_of(h, right):
     that perspective in one `perspective` call with others. Raises
     NonPositiveH if an h is not flagged strictly positive or an h(R) is
     not strictly positive."""
-    return _guarded(h_positive, *_solve(h_at(h, right)))
+    return guarded(h_positive, *solve(h_at(h, right)))
 
 
 def f_delta_h(f, h, left, right):

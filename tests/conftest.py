@@ -1,6 +1,7 @@
 import numpy as np
 
 from opdiv.hermitian import HermitianMatrix, PositiveDefiniteMatrix, hermitian_part, unitary_from_rng
+from opdiv.perspective import WeightedOperatorField
 
 
 def make_herm(rng: np.random.Generator, dim: int, lo: float = -2.0, hi: float = 2.0) -> HermitianMatrix:
@@ -11,3 +12,11 @@ def make_herm(rng: np.random.Generator, dim: int, lo: float = -2.0, hi: float = 
 
 def make_pd(rng: np.random.Generator, dim: int, lo: float = 0.1, hi: float = 4.0) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(make_herm(rng, dim, lo, hi))
+
+
+def make_field(rng: np.random.Generator, dim: int, size: int) -> WeightedOperatorField:
+    """A field of `size` entries: for each a weight in [0.2, 2], an A and a
+    B with spectra in [0.1, 4]."""
+    return WeightedOperatorField(
+        [(rng.uniform(0.2, 2.0), make_herm(rng, dim, 0.1, 4.0), make_pd(rng, dim)) for _ in range(size)]
+    )

@@ -270,6 +270,34 @@ def test_scalar_multiple_refuses_an_overflowing_product(factor):
     assert (big * (factor / 1e10)).trace() == factor + factor / 1e10
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_diagonal_refuses_non_finite_values(bad):
+    """`diagonal` skipped the constructor's refusal and built a matrix
+    with a NaN or infinite entry."""
+    with pytest.raises(NotHermitian, match="non-finite"):
+        HermitianMatrix.diagonal([bad, 1.0])
+
+
+def test_constructor_refuses_an_overflowing_symmetrization():
+    """Finite entries near the float limit passed the non-finite refusal,
+    then (H + H*) / 2 overflowed and stored inf. The overflow raises no
+    RuntimeWarning, and entries whose norm overflows are still kept."""
+    with pytest.raises(NotHermitian, match="overflow"):
+        HermitianMatrix(np.eye(2) * 1e308)
+    assert HermitianMatrix(np.eye(2) * 1e200).trace() == 2e200
+
+
+def test_sum_and_difference_refuse_an_overflowing_result():
+    """A sum or difference of finite matrices that overflows gave inf
+    entries past every refusal of the constructors."""
+    big = HermitianMatrix.diagonal([1e308, 1.0])
+    with pytest.raises(BadRange, match="sum is not finite"):
+        big + big
+    with pytest.raises(BadRange, match="difference is not finite"):
+        big - (-big)
+    assert (big - big).trace() == 0.0 and (big + -big).trace() == 0.0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
 def test_tolerance_rejects_non_finite_and_negative(bad):
     with pytest.raises(ValueError):

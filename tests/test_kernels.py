@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_herm, make_pd
+from conftest import make_field, make_herm, make_pd
 from opdiv import batched, kernels
 from opdiv.errors import (
     DomainViolation,
@@ -36,13 +36,20 @@ from opdiv.hermitian import (
     HermitianMatrix,
     LoewnerRelation,
     LoewnerVerdict,
+    PositiveDefiniteMatrix,
     ToleranceConfig,
     apply_function,
     loewner_compare,
     unitary_from_rng,
 )
 from opdiv.lab import GenConfig, check_ids, run_check
-from opdiv.perspective import WeightedOperatorField, perspective, theta_divergence
+from opdiv.perspective import (
+    BivariateSpec,
+    WeightedOperatorField,
+    bivariate_calculus,
+    perspective,
+    theta_divergence,
+)
 
 
 def _bits(x) -> bytes:
@@ -510,9 +517,9 @@ def test_theta_divergence_matches_entry_by_entry_sum(dim, size):
 # ---------------------------------------------------------------------------
 
 
-def _eig_counts(monkeypatch, check_id, gen) -> tuple:
+def _eig_counts(monkeypatch, run, *args) -> tuple:
     """(eigh dispatches, eigh matrices, eigvalsh dispatches, eigvalsh
-    matrices) of one run of the check."""
+    matrices) of `run(*args)`, such as one run of a check."""
     counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
     for name, count in counts.items():
         real = getattr(np.linalg, name)
@@ -524,14 +531,14 @@ def _eig_counts(monkeypatch, check_id, gen) -> tuple:
 
         monkeypatch.setattr(np.linalg, name, counted)
     try:
-        run_check(check_id, gen)
+        run(*args)
     finally:
         monkeypatch.undo()
     return (*counts["eigh"], *counts["eigvalsh"])
 
 
 def _eig_calls(monkeypatch, check_id, gen) -> int:
-    eigh_calls, _, eigvalsh_calls, _ = _eig_counts(monkeypatch, check_id, gen)
+    eigh_calls, _, eigvalsh_calls, _ = _eig_counts(monkeypatch, run_check, check_id, gen)
     return eigh_calls + eigvalsh_calls
 
 
@@ -578,7 +585,50 @@ _EIG_PINS = {
 @pytest.mark.parametrize("index, check_id", list(enumerate(check_ids())))
 def test_eig_dispatches_and_matrices_are_pinned(monkeypatch, index, check_id):
     gen = GenConfig(dim=2 + index % 4, seed=1, trials=100)
-    assert _eig_counts(monkeypatch, check_id, gen) == _EIG_PINS[check_id]
+    assert _eig_counts(monkeypatch, run_check, check_id, gen) == _EIG_PINS[check_id]
+
+
+def _verdict(f, field):
+    """The README quickstart's Theorem 2.1 verdict, as the benchmark's
+    field workloads take it."""
+    theta = theta_divergence(f, field)
+    lhs = perspective(f, field.weighted_sum_a(), PositiveDefiniteMatrix(field.weighted_sum_b()))
+    return loewner_compare(lhs, theta)
+
+
+def _field(dim: int, size: int) -> WeightedOperatorField:
+    return make_field(np.random.default_rng([18, dim, size]), dim, size)
+
+
+@pytest.mark.parametrize("size", [2, 16])
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_verdict_makes_two_eigh_and_one_eigvalsh(monkeypatch, dim, size):
+    """Theta solves the summed B with its inner matrices, so a verdict
+    makes one eigh for those, one for the inner matrix of the sums and one
+    eigvalsh for the comparison."""
+    counts = _eig_counts(monkeypatch, _verdict, builtin("neg_log"), _field(dim, size))
+    assert counts == (2, size + 2, 1, 3)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_verdict_solves_nothing_ahead_from_dim_46(monkeypatch, size):
+    """At dim 48 each of Theta's stacks holds one matrix and has no room
+    for the summed B: a verdict makes k + 2 eigh, and Theta alone k."""
+    field = _field(48, size)
+    assert _eig_counts(monkeypatch, _verdict, builtin("neg_log"), field) == (
+        size + 2, size + 2, 1, 3
+    )
+    assert _eig_counts(monkeypatch, theta_divergence, builtin("neg_log"), _field(48, size)) == (
+        size, size, 0, 0
+    )
+
+
+@pytest.mark.parametrize("da, db, calls", [(3, 3, 1), (2, 3, 2)])
+def test_bivariate_calculus_decomposes_one_size_in_one_dispatch(monkeypatch, da, db, calls):
+    rng = np.random.default_rng([19, da, db])
+    a, b = make_herm(rng, da, 0.1, 4.0), make_herm(rng, db, 0.1, 4.0)
+    spec = BivariateSpec(lambda x, y: x * x / y, Interval.nonnegative(), Interval.positive())
+    assert _eig_counts(monkeypatch, bivariate_calculus, spec, a, b) == (calls, 2, 0, 0)
 
 
 def test_tensor_stacks_stay_within_the_stack_bound(monkeypatch):

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_herm, make_pd
+from conftest import make_field, make_herm, make_pd
 from opdiv.errors import (
     BadRange,
     DerivativeRequired,
@@ -11,6 +12,7 @@ from opdiv.errors import (
     EmptyField,
     IllConditioned,
     NonPositiveH,
+    NotPositiveDefinite,
     NotProbability,
     ShapeMismatch,
     SizeLimit,
@@ -182,6 +184,53 @@ def test_field_refuses_non_finite_weights(bad, normalized):
         WeightedOperatorField(
             [(bad, HermitianMatrix.identity(2), pd(np.eye(2)))], probability_normalized=normalized
         )
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("the summed B was decomposed again")
+
+
+def test_summed_b_below_the_floor_raises_on_the_kept_solution(monkeypatch):
+    """theta_divergence solves the summed B with its own stack but skips
+    its guards: it returns its value, and the PositiveDefiniteMatrix of
+    the sum raises what it raises without Theta, from the kept solution."""
+    b = pd(np.eye(2) * 1e-9)
+    field = WeightedOperatorField([(0.01, HermitianMatrix.identity(2), b)] * 2)
+    theta = theta_divergence(NEG_LOG, field)
+    assert np.isfinite(theta.entries).all()
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+    floor = "smallest eigenvalue 2.000e-11 below strict-positivity floor 1.000e-10"
+    with pytest.raises(NotPositiveDefinite, match=re.escape(floor)):
+        PositiveDefiniteMatrix(field.weighted_sum_b())
+
+
+@pytest.mark.parametrize("dim, size", [(1, 4), (2, 2), (5, 16), (8, 3), (48, 2)])
+def test_summed_b_has_the_same_bits_whether_or_not_theta_ran(dim, size):
+    """The field keeps its summed B, and its positive-definite form has
+    the bits of a fresh decomposition whether Theta solved it ahead (up to
+    dim 45) or not."""
+    alone, after = [make_field(np.random.default_rng([17, dim, size]), dim, size) for _ in range(2)]
+    theta_divergence(NEG_LOG, after)
+    got = []
+    for field in (alone, after):
+        sum_b = field.weighted_sum_b()
+        assert field.weighted_sum_b() is sum_b
+        right = PositiveDefiniteMatrix(sum_b)
+        arrays = (sum_b.entries, right.decomposition.eigenvalues, right.decomposition.unitary)
+        got.append([np.ascontiguousarray(x).tobytes() for x in arrays])
+        got[-1] += [right.min_eigenvalue.hex(), right.condition_number.hex()]
+    assert got[0] == got[1]
+
+
+def test_theta_does_not_raise_for_an_overflowing_summed_b():
+    """The weighted sums of a field refuse an overflow (they gave inf
+    under a RuntimeWarning), and Theta, which solves the summed B ahead,
+    still returns its value without a warning: x^2's terms underflow."""
+    b = pd(np.eye(2) * 1e307)
+    field = WeightedOperatorField([(10.0, HermitianMatrix.identity(2), b)] * 2)
+    assert np.isfinite(theta_divergence(SQUARE, field).entries).all()
+    with pytest.raises(BadRange, match="overflows"):
+        field.weighted_sum_b()
 
 
 def test_f_delta_h_identity_reduces_to_perspective():
