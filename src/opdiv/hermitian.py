@@ -50,16 +50,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _finite(make, message: str) -> np.ndarray:
-    """The array `make()` computes, with overflow and invalid operations
-    silenced; BadRange with `message` if an entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = make()
-    if not np.isfinite(out).all():
-        raise BadRange(message)
-    return out
-
-
 class HermitianMatrix:
     """A dense complex square matrix with ||H - H*|| below tolerance.
 
@@ -105,6 +95,17 @@ class HermitianMatrix:
         return out
 
     @classmethod
+    def _wrap_finite(cls, make, message: str) -> "HermitianMatrix":
+        """`_wrap` of the array `make()` computes from finite matrices,
+        with overflow silenced; BadRange with `message` if an entry
+        overflowed to a non-finite value."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = make()
+        if not np.isfinite(out).all():
+            raise BadRange(message)
+        return cls._wrap(out)
+
+    @classmethod
     def identity(cls, dim: int) -> "HermitianMatrix":
         return cls._wrap(np.eye(dim, dtype=complex))
 
@@ -141,8 +142,8 @@ class HermitianMatrix:
             return NotImplemented
         if other.dim != self.dim:
             raise ShapeMismatch("dimension mismatch in matrix sum")
-        return HermitianMatrix._wrap(
-            _finite(lambda: self._entries + other._entries, "matrix sum is not finite")
+        return HermitianMatrix._wrap_finite(
+            lambda: self._entries + other._entries, "matrix sum is not finite"
         )
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
@@ -150,16 +151,16 @@ class HermitianMatrix:
             return NotImplemented
         if other.dim != self.dim:
             raise ShapeMismatch("dimension mismatch in matrix difference")
-        return HermitianMatrix._wrap(
-            _finite(lambda: self._entries - other._entries, "matrix difference is not finite")
+        return HermitianMatrix._wrap_finite(
+            lambda: self._entries - other._entries, "matrix difference is not finite"
         )
 
     def __mul__(self, c: float) -> "HermitianMatrix":
         """The matrix times c; BadRange if the product is not finite, for
         a NaN or infinite c or one under which an entry overflows."""
         c = float(c)
-        return HermitianMatrix._wrap(
-            _finite(lambda: self._entries * c, f"scalar factor {c} gives a non-finite matrix")
+        return HermitianMatrix._wrap_finite(
+            lambda: self._entries * c, f"scalar factor {c} gives a non-finite matrix"
         )
 
     __rmul__ = __mul__

@@ -109,15 +109,10 @@ class WeightedOperatorField:
         return self._sum_b
 
     def _weighted_sum(self, matrices) -> HermitianMatrix:
-        """sum_t w_t X_t of one matrix X_t per entry; BadRange if it
-        overflows."""
+        """sum_t w_t X_t of one matrix X_t per entry."""
         if not self._entries:
             raise EmptyField("field has no entries")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _weighted(self.weights, kernels.stack(matrices))
-        if not np.isfinite(out.entries).all():
-            raise BadRange("the weighted sum of the field overflows")
-        return out
+        return _weighted(self.weights, kernels.stack(matrices))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,8 +123,10 @@ class WeightedOperatorField:
 
 def _weighted(w, terms) -> HermitianMatrix:
     """sum_t w_t X_t of the stack `terms` of the X_t, in order from zero
-    (`kernels.field_sum`)."""
-    return HermitianMatrix._wrap(kernels.field_sum(terms[None], w=w[None])[0])
+    (`kernels.field_sum`); BadRange if it overflows."""
+    return HermitianMatrix._wrap_finite(
+        lambda: kernels.field_sum(terms[None], w=w[None])[0], "the weighted sum overflows"
+    )
 
 
 @dataclass(frozen=True)

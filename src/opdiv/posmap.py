@@ -43,11 +43,9 @@ class PositiveLinearMap:
         value, as finite maps may on finite inputs."""
         if x.dim != self.in_dim:
             raise ShapeMismatch(f"map expects dimension {self.in_dim}, got {x.dim}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            image = self._image(x.entries)
-        if not np.isfinite(image).all():
-            raise BadRange("map image has non-finite entries")
-        return HermitianMatrix._wrap(image)
+        return HermitianMatrix._wrap_finite(
+            lambda: self._image(x.entries), "map image has non-finite entries"
+        )
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         """The image of the Hermitian array x, unchecked."""

@@ -233,6 +233,15 @@ def test_theta_does_not_raise_for_an_overflowing_summed_b():
         field.weighted_sum_b()
 
 
+def test_theta_refuses_an_overflowing_sum_of_finite_terms():
+    """-log's terms of a B of 1e300 are finite near 7e302, and their
+    weighted sum gave inf under a RuntimeWarning."""
+    b = pd(np.eye(2) * 1e300)
+    field = WeightedOperatorField([(1e6, HermitianMatrix.identity(2), b)] * 2)
+    with pytest.raises(BadRange, match="overflows"):
+        theta_divergence(NEG_LOG, field)
+
+
 def test_f_delta_h_identity_reduces_to_perspective():
     rng = np.random.default_rng(5)
     left = make_herm(rng, 3, 0.1, 4.0)
