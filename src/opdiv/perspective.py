@@ -168,38 +168,44 @@ def theta_divergence(
     stacks of entries (`kernels.chunks`) and summed in field order, each
     stack by `kernels.perspective`'s steps. When the last stack has room
     for one more matrix, the field's summed B (`weighted_sum_b`) is
-    solved in that stack's eigensolver dispatch (`_decompose_with_sum_b`),
-    so that Theorem 2.1's verdict makes one dispatch fewer. From n = 46 a
-    stack holds one matrix and nothing is solved ahead. The sum never
-    makes this raise.
+    solved in that stack's eigensolver dispatch (`_decompose`), so that
+    Theorem 2.1's verdict makes one dispatch fewer. From n = 46 a stack
+    holds one matrix and nothing is solved ahead. The sum never makes
+    this raise.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
     n = field.dim
     terms = []
     for span in kernels.chunks(field.size, n):
+        room = span.stop == field.size and len(span) < kernels.STACK_ELEMENTS // n**2
         chunk = field.entries[span.start : span.stop]
-        half, inv_half = kernels.conditioned_roots((
-            kernels.stack([b.decomposition.eigenvalues for _, _, b in chunk]),
-            kernels.stack([b.decomposition.unitary for _, _, b in chunk]),
-        ))
-        lefts = kernels.stack([a.entries for _, a, _ in chunk])
-        inner = kernels.hermitian_part(inv_half @ lefts @ inv_half)
-        if span.stop == field.size and len(span) < kernels.STACK_ELEMENTS // n**2:
-            decomposition = _decompose_with_sum_b(inner, field)
-        else:
-            decomposition = kernels.decompose(inner)
-        terms.append(kernels.sandwich(f, half, decomposition))
+        terms.append(_perspectives(f, chunk, field if room else None))
     return _weighted(field.weights, np.concatenate(terms))
 
 
-def _decompose_with_sum_b(inner, field: WeightedOperatorField) -> tuple:
-    """`kernels.decompose` of the stack `inner`, with the field's summed B
-    solved in the same `np.linalg.eigh` call and its unguarded solution
-    (`kernels.solve`) kept on that matrix for `PositiveDefiniteMatrix`.
-    The sum's slice is copied, so it does not keep the fused arrays
-    alive. If the sum overflows or the fused call fails, the stack is
-    decomposed alone and the sum left unsolved."""
+def _perspectives(f, entries, field=None) -> np.ndarray:
+    """The perspective of each (w, A, B) of `entries`, by
+    `kernels.perspective`'s steps; with `field`, its summed B is solved in
+    the same dispatch (`_decompose`)."""
+    half, inv_half = kernels.conditioned_roots((
+        kernels.stack([b.decomposition.eigenvalues for _, _, b in entries]),
+        kernels.stack([b.decomposition.unitary for _, _, b in entries]),
+    ))
+    lefts = kernels.stack([a.entries for _, a, _ in entries])
+    decomposition = _decompose(kernels.hermitian_part(inv_half @ lefts @ inv_half), field)
+    return kernels.sandwich(f, half, decomposition)
+
+
+def _decompose(inner, field=None) -> tuple:
+    """`kernels.decompose` of the stack `inner`. With `field`, the field's
+    summed B is solved in the same `np.linalg.eigh` call, and its
+    unguarded solution (`kernels.solve`) kept on that matrix for
+    `PositiveDefiniteMatrix`; the sum's slice is copied, so it does not
+    keep the fused arrays alive. If the sum overflows or the fused call
+    fails, `inner` is decomposed alone and the sum left unsolved."""
+    if field is None:
+        return kernels.decompose(inner)
     try:
         sum_b = field.weighted_sum_b()
         solved = kernels.solve(np.concatenate([inner, sum_b.entries[None]]))
