@@ -180,11 +180,11 @@ def theta_divergence(
     for span in kernels.chunks(field.size, n):
         room = span.stop == field.size and len(span) < kernels.STACK_ELEMENTS // n**2
         chunk = field.entries[span.start : span.stop]
-        terms.append(_perspectives(f, chunk, field if room else None))
+        terms.append(_entry_perspectives(f, chunk, field if room else None))
     return _weighted(field.weights, np.concatenate(terms))
 
 
-def _perspectives(f, entries, field=None) -> np.ndarray:
+def _entry_perspectives(f, entries, field=None) -> np.ndarray:
     """The perspective of each (w, A, B) of `entries`, by
     `kernels.perspective`'s steps; with `field`, its summed B is solved in
     the same dispatch (`_decompose`)."""

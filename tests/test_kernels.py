@@ -614,13 +614,9 @@ def test_verdict_makes_two_eigh_and_one_eigvalsh(monkeypatch, dim, size):
 def test_verdict_solves_nothing_ahead_from_dim_46(monkeypatch, size):
     """At dim 48 each of Theta's stacks holds one matrix and has no room
     for the summed B: a verdict makes k + 2 eigh, and Theta alone k."""
-    field = _field(48, size)
-    assert _eig_counts(monkeypatch, _verdict, builtin("neg_log"), field) == (
-        size + 2, size + 2, 1, 3
-    )
-    assert _eig_counts(monkeypatch, theta_divergence, builtin("neg_log"), _field(48, size)) == (
-        size, size, 0, 0
-    )
+    f, field = builtin("neg_log"), _field(48, size)
+    assert _eig_counts(monkeypatch, _verdict, f, field) == (size + 2, size + 2, 1, 3)
+    assert _eig_counts(monkeypatch, theta_divergence, f, field) == (size, size, 0, 0)
 
 
 @pytest.mark.parametrize("da, db, calls", [(3, 3, 1), (2, 3, 2)])

@@ -44,8 +44,7 @@ def _instance(rng, dim: int, kappa: float) -> tuple:
     left = make_herm(rng, dim, 0.1, 4.0)
     lam = rng.permutation(4.0 * np.geomspace(1.0, 1.0 / kappa, dim))
     u = unitary_from_rng(rng, dim)
-    m = (u * lam) @ u.conj().T
-    return left, PositiveDefiniteMatrix(HermitianMatrix((m + m.conj().T) / 2))
+    return left, PositiveDefiniteMatrix((u * lam) @ u.conj().T)
 
 
 def _mp(x: np.ndarray):
