@@ -1061,7 +1061,7 @@ def _draw_kl(rng, trial, cfg, f_over):
 
 def _far(got, want, rtol: float) -> np.ndarray:
     """Per trial: ||got - want||_F > rtol * max(1, ||want||_F)."""
-    return K._fro(got - want) > rtol * K._pymax(1.0, K._fro(want))
+    return K.frobenius(got - want) > rtol * K._pymax(1.0, K.frobenius(want))
 
 
 def _eval_kl(group, tol):

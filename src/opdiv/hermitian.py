@@ -59,10 +59,11 @@ class HermitianMatrix:
     BadRange.
     """
 
-    # `_solution` is this matrix's `kernels.solve` when another stack's
-    # eigensolver dispatch made it (`perspective.theta_divergence` solves
-    # a field's summed B with its last stack), else None. Only
-    # `PositiveDefiniteMatrix` reads it, and runs every guard on it.
+    # `_solution` is this matrix's `kernels.solve` once one is made, else
+    # None: `PositiveDefiniteMatrix` keeps the one it makes, and
+    # `perspective.theta_divergence` solves a field's summed B with its
+    # last stack unless the sum has one. `PositiveDefiniteMatrix` runs
+    # every guard on a kept solution.
     __slots__ = ("_entries", "_solution")
 
     def __init__(self, entries):
@@ -71,15 +72,23 @@ class HermitianMatrix:
             raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NotHermitian("matrix has non-finite entries")
-        # Entries near the float limit overflow the norms and the sum H + H*.
+        # Entries near the float limit overflow H - H* and H + H*. A norm
+        # past the limit is inf (`kernels.frobenius`), so the symmetry test,
+        # which is relative, then runs on 2**-64 H, an exact scaling.
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = max(1.0, float(np.linalg.norm(arr)))
-            skew = float(np.linalg.norm(arr - arr.conj().T))
+            unit, test = 1.0, arr
+            norm = kernels.frobenius(arr)
+            if norm == math.inf:
+                unit = 2.0**-64
+                test = arr * unit
+                norm = kernels.frobenius(test)
+            scale = max(unit, norm)
+            skew = kernels.frobenius(test - test.conj().T)
             sym = kernels.hermitian_part(arr)
         if skew > SYMMETRY_TOL * scale:
             raise NotHermitian(
-                f"matrix deviates from Hermitian symmetry by {skew:.3e} "
-                f"(allowed {SYMMETRY_TOL * scale:.3e})"
+                f"matrix deviates from Hermitian symmetry by {skew / unit:.3e} "
+                f"(allowed {SYMMETRY_TOL * scale / unit:.3e})"
             )
         if not np.isfinite(sym).all():
             raise NotHermitian("matrix entries overflow in (H + H*) / 2")
@@ -196,8 +205,9 @@ class SpectralDecomposition:
 class PositiveDefiniteMatrix:
     """Hermitian matrix whose smallest eigenvalue clears the strict floor.
 
-    The decomposition is `base`'s own solution when another dispatch made
-    one (`HermitianMatrix._solution`); the unitarity, reconstruction and
+    The decomposition is `base`'s solution (`HermitianMatrix._solution`):
+    the one kept on it, made here or in another dispatch, or else one
+    made here and kept. The unitarity, reconstruction and
     strict-positivity guards run on it here all the same.
     """
 
@@ -206,11 +216,9 @@ class PositiveDefiniteMatrix:
     def __init__(self, base):
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        solution = base._solution
-        if solution is None:
-            vals, vecs = kernels.positive(base.entries)
-        else:
-            vals, vecs = kernels.guarded(True, *solution)
+        if base._solution is None:
+            base._solution = kernels.solve(base.entries)
+        vals, vecs = kernels.guarded(True, *base._solution)
         lam_min = float(vals[-1])
         lam_max = float(vals[0])
         self._base = base

@@ -88,14 +88,46 @@ def _first(values, bad):
     return np.ravel(values)[np.flatnonzero(bad)[0]]
 
 
-def _fro(x):
-    """Frobenius norm of every matrix of the stack."""
+def _parts(x):
+    """The real and imaginary parts of each complex matrix of the stack,
+    side by side in one contiguous row per matrix."""
+    return np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (-1,))
+
+
+def _root_sum_squares(x):
+    """Frobenius norm of every matrix of the stack, by the plain sum of
+    squares, which overflows from entries of about 1e154."""
     if x.ndim == 2:
         return math.sqrt(np.vdot(x, x).real)
-    # Real and imaginary parts side by side, one row per matrix: a sum of
-    # squares over contiguous memory, not over the strided .real and .imag.
-    flat = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (-1,))
+    # A sum of squares over contiguous memory, not over the strided .real
+    # and .imag.
+    flat = _parts(x)
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+
+
+def frobenius(x):
+    """Frobenius norm of every complex matrix of the stack: inf only for a
+    norm above the float limit or a matrix with an infinite entry, NaN
+    for one with a NaN entry. A norm the plain sum of squares leaves
+    non-finite is taken again on the matrix divided by its largest real or
+    imaginary part; every finite norm is the plain sum's, bit for bit. The
+    skew guard of `HermitianMatrix` and the residuals and reconstruction
+    bound of `solve` use it."""
+    norm = _root_sum_squares(x)
+    redo = ~np.isfinite(norm)
+    if not redo.any():
+        return norm
+    # The single matrix's sum, a complex dot product, can give NaN for
+    # overflowing entries; the stacked sum of squares of the parts cannot.
+    big = x[redo] if x.ndim > 2 else x[None]
+    peak = np.abs(_parts(big)).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = peak * _root_sum_squares(big / peak[:, None, None])
+    scaled = np.where(np.isinf(peak), math.inf, scaled)
+    if x.ndim == 2:
+        return float(scaled[0])
+    norm[redo] = scaled
+    return norm
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,10 +166,10 @@ def solve(h):
     vecs_h = adjoint(vecs)
     residual = vecs @ vecs_h
     residual -= _eye(h.shape[-1])
-    eye_err = _fro(residual)
+    eye_err = frobenius(residual)
     residual = (vecs * vals[..., None, :]) @ vecs_h
     residual -= h
-    return vals, vecs, eye_err, _fro(residual), DECOMP_TOL * _pymax(1.0, _fro(h))
+    return vals, vecs, eye_err, frobenius(residual), DECOMP_TOL * _pymax(1.0, frobenius(h))
 
 
 def guarded(positive, vals, vecs, eye_err, rec_err, rec_bound) -> tuple:

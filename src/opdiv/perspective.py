@@ -8,9 +8,10 @@ products, and the differentiable tangent-line lower bound.
 Theorem 2.1's verdict, P_f(sum w A, sum w B) <= Theta, needs the
 decompositions of Theta's inner matrices and of the summed B. The field
 keeps its summed B, and `theta_divergence` solves it in the eigensolver
-dispatch of its last stack when that stack has room; the
-`PositiveDefiniteMatrix` of the sum then guards that solution instead of
-decomposing the sum again.
+dispatch of its last stack; the `PositiveDefiniteMatrix` of the sum
+then guards that solution instead of decomposing the sum again. Built
+first, that `PositiveDefiniteMatrix` keeps its own solution on the sum,
+and Theta does not solve it again.
 """
 
 from __future__ import annotations
@@ -166,50 +167,57 @@ def theta_divergence(
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
     stacks of entries (`kernels.chunks`) and summed in field order, each
-    stack by `kernels.perspective`'s steps. When the last stack has room
-    for one more matrix, the field's summed B (`weighted_sum_b`) is
-    solved in that stack's eigensolver dispatch (`_decompose`), so that
-    Theorem 2.1's verdict makes one dispatch fewer. From n = 46 a stack
-    holds one matrix and nothing is solved ahead. The sum never makes
-    this raise.
+    stack by `kernels.perspective`'s steps. The field's summed B
+    (`weighted_sum_b`) is solved in the last stack's eigensolver dispatch
+    (`_decompose`), unless it already has a solution, so that Theorem
+    2.1's verdict makes one dispatch fewer at every dimension. The sum
+    never makes this raise.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
-    n = field.dim
     terms = []
-    for span in kernels.chunks(field.size, n):
-        room = span.stop == field.size and len(span) < kernels.STACK_ELEMENTS // n**2
+    for span in kernels.chunks(field.size, field.dim):
+        sum_b = _unsolved_sum_b(field) if span.stop == field.size else None
         chunk = field.entries[span.start : span.stop]
-        terms.append(_entry_perspectives(f, chunk, field if room else None))
+        terms.append(_entry_perspectives(f, chunk, sum_b))
     return _weighted(field.weights, np.concatenate(terms))
 
 
-def _entry_perspectives(f, entries, field=None) -> np.ndarray:
+def _unsolved_sum_b(field):
+    """The field's summed B if it has no solution yet, or None; None too
+    if the sum overflows."""
+    try:
+        sum_b = field.weighted_sum_b()
+    except BadRange:
+        return None
+    return sum_b if sum_b._solution is None else None
+
+
+def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
     """The perspective of each (w, A, B) of `entries`, by
-    `kernels.perspective`'s steps; with `field`, its summed B is solved in
+    `kernels.perspective`'s steps; with `sum_b`, that matrix is solved in
     the same dispatch (`_decompose`)."""
     half, inv_half = kernels.conditioned_roots((
         kernels.stack([b.decomposition.eigenvalues for _, _, b in entries]),
         kernels.stack([b.decomposition.unitary for _, _, b in entries]),
     ))
     lefts = kernels.stack([a.entries for _, a, _ in entries])
-    decomposition = _decompose(kernels.hermitian_part(inv_half @ lefts @ inv_half), field)
+    decomposition = _decompose(kernels.hermitian_part(inv_half @ lefts @ inv_half), sum_b)
     return kernels.sandwich(f, half, decomposition)
 
 
-def _decompose(inner, field=None) -> tuple:
-    """`kernels.decompose` of the stack `inner`. With `field`, the field's
-    summed B is solved in the same `np.linalg.eigh` call, and its
-    unguarded solution (`kernels.solve`) kept on that matrix for
-    `PositiveDefiniteMatrix`; the sum's slice is copied, so it does not
-    keep the fused arrays alive. If the sum overflows or the fused call
-    fails, `inner` is decomposed alone and the sum left unsolved."""
-    if field is None:
+def _decompose(inner, sum_b=None) -> tuple:
+    """`kernels.decompose` of the stack `inner`. With `sum_b`, that matrix
+    is solved in the same `np.linalg.eigh` call, and its unguarded
+    solution (`kernels.solve`) kept on it for `PositiveDefiniteMatrix`;
+    its slice is copied, so it does not keep the fused arrays alive. If
+    the fused call fails, `inner` is decomposed alone and `sum_b` left
+    unsolved."""
+    if sum_b is None:
         return kernels.decompose(inner)
     try:
-        sum_b = field.weighted_sum_b()
         solved = kernels.solve(np.concatenate([inner, sum_b.entries[None]]))
-    except (BadRange, NumericalFailure):
+    except NumericalFailure:
         return kernels.decompose(inner)
     sum_b._solution = tuple(x[-1].copy() for x in solved)
     return kernels.guarded(False, *(x[:-1] for x in solved))

@@ -287,6 +287,18 @@ def test_constructor_refuses_an_overflowing_symmetrization():
     assert HermitianMatrix(np.eye(2) * 1e200).trace() == 2e200
 
 
+def test_constructor_refuses_skew_matrices_whose_norms_overflow():
+    """The skew check compared inf with 1e-12 * inf, so matrices far from
+    Hermitian with entries from about 1e154 were accepted, the first as
+    diag(1e200, 1e200). Past the float limit the norm is inf and the
+    check runs at 2**-64 scale, where a Hermitian matrix still passes."""
+    with pytest.raises(NotHermitian, match="deviates"):
+        HermitianMatrix([[1e200, 1e200], [-1e200, 1e200]])
+    with pytest.raises(NotHermitian, match="deviates"):
+        HermitianMatrix([[0, 1.7e308j], [1.7e308j, 0]])
+    assert HermitianMatrix(np.full((4, 4), 8e307)).entries[3, 0] == 8e307
+
+
 def test_sum_and_difference_refuse_an_overflowing_result():
     """A sum or difference of finite matrices that overflows gave inf
     entries past every refusal of the constructors."""

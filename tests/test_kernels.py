@@ -138,11 +138,49 @@ def test_stacked_frobenius_norm_matches_matrix_by_matrix(dim):
     rng = np.random.default_rng(300 + dim)
     x = rng.standard_normal((9, dim, dim)) + 1j * rng.standard_normal((9, dim, dim))
     want = [np.linalg.norm(m) for m in x]
-    np.testing.assert_allclose(kernels._fro(x), want, rtol=8 * np.finfo(float).eps)
+    np.testing.assert_allclose(kernels.frobenius(x), want, rtol=8 * np.finfo(float).eps)
+
+
+def test_frobenius_norm_rescales_only_an_overflowing_sum():
+    """From entries of about 1e154 the sum of squares overflowed to inf.
+    Such a norm is taken again at the matrix's own scale; every finite
+    norm keeps the bits of the plain sum, and only a norm past the float
+    limit is inf."""
+    rng = np.random.default_rng(310)
+    x = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    plain = kernels.frobenius(x)
+    big = x.copy()
+    big[1] *= 1e200
+    got = kernels.frobenius(big)
+    assert got[[0, 2]].tobytes() == plain[[0, 2]].tobytes()
+    np.testing.assert_allclose([got[1], kernels.frobenius(big[1])], 1e200 * plain[1], rtol=1e-14)
+    assert kernels.frobenius(x[0]) == math.sqrt(np.vdot(x[0], x[0]).real)
+    past = np.full((2, 2), 1e308 + 1e308j)
+    assert kernels.frobenius(past) == math.inf and kernels.frobenius(past[None])[0] == math.inf
+
+
+def test_reconstruction_guard_holds_at_1e200(monkeypatch):
+    """The reconstruction bound DECOMP_TOL * max(1, ||H||_F) was inf at
+    1e200, so that guard could not fail there. A correct decomposition
+    passes; one with its eigenvalues out of order fails."""
+    h = np.diag([1e200, 2e200]).astype(complex)
+    _, _, eye_err, rec_err, bound = kernels.solve(h)
+    assert bound == pytest.approx(kernels.DECOMP_TOL * math.sqrt(5) * 1e200, rel=1e-15)
+    assert eye_err == 0 and rec_err <= bound
+    assert kernels.decompose(h)[0].tolist() == [2e200, 1e200]
+    real = np.linalg.eigh
+
+    def disordered(x):
+        vals, vecs = real(x)
+        return vals[::-1].copy(), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", disordered)
+    with pytest.raises(NumericalFailure, match="reconstruction residual 1.414e[+]200"):
+        kernels.decompose(h)
 
 
 # A single matrix takes the guards' scalar route (`kernels._pymax`,
-# `_exceeds`, `_first` and the 2-D `_fro`); a stack of one takes the
+# `_exceeds`, `_first` and the 2-D `frobenius`); a stack of one takes the
 # array route. Both must give the same bits and raise the same error.
 
 _NEG_LOG = builtin("neg_log")
@@ -610,13 +648,35 @@ def test_verdict_makes_two_eigh_and_one_eigvalsh(monkeypatch, dim, size):
     assert counts == (2, size + 2, 1, 3)
 
 
-@pytest.mark.parametrize("size", [2, 3])
-def test_verdict_solves_nothing_ahead_from_dim_46(monkeypatch, size):
-    """At dim 48 each of Theta's stacks holds one matrix and has no room
-    for the summed B: a verdict makes k + 2 eigh, and Theta alone k."""
-    f, field = builtin("neg_log"), _field(48, size)
-    assert _eig_counts(monkeypatch, _verdict, f, field) == (size + 2, size + 2, 1, 3)
-    assert _eig_counts(monkeypatch, theta_divergence, f, field) == (size, size, 0, 0)
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("dim", [48, 64])
+def test_verdict_solves_the_summed_b_with_the_last_stack_from_dim_46(monkeypatch, dim, size):
+    """From dim 46 each of Theta's stacks holds one matrix, and the last
+    one takes the summed B too: a verdict makes k + 1 eigh over k + 2
+    matrices and one eigvalsh, and Theta alone k eigh over k + 1."""
+    f = builtin("neg_log")
+    assert _eig_counts(monkeypatch, _verdict, f, _field(dim, size)) == (size + 1, size + 2, 1, 3)
+    assert _eig_counts(monkeypatch, theta_divergence, f, _field(dim, size)) == (size, size + 1, 0, 0)
+
+
+def _verdict_sum_first(f, field):
+    """`_verdict` with the summed B's PositiveDefiniteMatrix built before
+    Theta."""
+    right = PositiveDefiniteMatrix(field.weighted_sum_b())
+    theta = theta_divergence(f, field)
+    return loewner_compare(perspective(f, field.weighted_sum_a(), right), theta)
+
+
+@pytest.mark.parametrize("dim, size, calls", [(3, 4, 1), (64, 4, 4)])
+def test_summed_b_is_decomposed_once_whichever_facade_runs_first(monkeypatch, dim, size, calls):
+    """Theta does not solve a summed B that its PositiveDefiniteMatrix
+    solved (at dim 3 its eigh took 5 matrices, not 4), so a verdict
+    decomposes k + 2 matrices in either order."""
+    f, field = builtin("neg_log"), _field(dim, size)
+    PositiveDefiniteMatrix(field.weighted_sum_b())
+    assert _eig_counts(monkeypatch, theta_divergence, f, field) == (calls, size, 0, 0)
+    for verdict in (_verdict, _verdict_sum_first):
+        assert _eig_counts(monkeypatch, verdict, f, _field(dim, size))[1:] == (size + 2, 1, 3)
 
 
 @pytest.mark.parametrize("da, db, calls", [(3, 3, 1), (2, 3, 2)])

@@ -204,11 +204,11 @@ def test_summed_b_below_the_floor_raises_on_the_kept_solution(monkeypatch):
         PositiveDefiniteMatrix(field.weighted_sum_b())
 
 
-@pytest.mark.parametrize("dim, size", [(1, 4), (2, 2), (5, 16), (8, 3), (48, 2)])
+@pytest.mark.parametrize("dim, size", [(1, 4), (2, 2), (5, 16), (8, 3), (48, 2), (64, 4)])
 def test_summed_b_has_the_same_bits_whether_or_not_theta_ran(dim, size):
     """The field keeps its summed B, and its positive-definite form has
-    the bits of a fresh decomposition whether Theta solved it ahead (up to
-    dim 45) or not."""
+    the bits of a fresh decomposition whether Theta solved it ahead, with
+    its last stack, or not."""
     alone, after = [make_field(np.random.default_rng([17, dim, size]), dim, size) for _ in range(2)]
     theta_divergence(NEG_LOG, after)
     got = []
@@ -219,6 +219,28 @@ def test_summed_b_has_the_same_bits_whether_or_not_theta_ran(dim, size):
         arrays = (sum_b.entries, right.decomposition.eigenvalues, right.decomposition.unitary)
         got.append([np.ascontiguousarray(x).tobytes() for x in arrays])
         got[-1] += [right.min_eigenvalue.hex(), right.condition_number.hex()]
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("dim, size", [(3, 4), (48, 2), (64, 4)])
+def test_verdict_has_the_same_bits_whichever_facade_runs_first(dim, size):
+    """Theta, the perspective of the sums, both margins and the summed
+    B's decomposition have the same bits whether Theta solves the summed
+    B or the PositiveDefiniteMatrix of the sum, built first, does."""
+    got = []
+    for theta_first in (True, False):
+        field = make_field(np.random.default_rng([23, dim, size]), dim, size)
+        if theta_first:
+            theta = theta_divergence(NEG_LOG, field)
+        right = PositiveDefiniteMatrix(field.weighted_sum_b())
+        if not theta_first:
+            theta = theta_divergence(NEG_LOG, field)
+        lhs = perspective(NEG_LOG, field.weighted_sum_a(), right)
+        verdict = loewner_compare(lhs, theta)
+        d = right.decomposition
+        arrays = (theta.entries, lhs.entries, d.eigenvalues, d.unitary)
+        got.append([np.ascontiguousarray(x).tobytes() for x in arrays])
+        got[-1] += [verdict.margin_low.hex(), verdict.margin_high.hex()]
     assert got[0] == got[1]
 
 
