@@ -103,8 +103,9 @@ class WeightedOperatorField:
 
     def weighted_sum_b(self) -> HermitianMatrix:
         """sum_t w_t B_t, kept from the first call: the field is immutable,
-        so every call returns the same matrix, and `theta_divergence` may
-        leave the sum's decomposition on it."""
+        so every call returns the same matrix, and the first of
+        `theta_divergence` and `PositiveDefiniteMatrix` to solve the sum
+        leaves its solution on it for the other."""
         if self._sum_b is None:
             self._sum_b = self._weighted_sum([b.entries for _, _, b in self._entries])
         return self._sum_b
