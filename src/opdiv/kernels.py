@@ -175,6 +175,9 @@ def solve(h):
     residual = vecs @ vecs_h
     residual -= _eye(h.shape[-1])
     eye_err = frobenius(residual)
+    # Freed before the second residual is built: a fused stack holds one
+    # buffer of its size fewer at its peak.
+    del residual
     residual = (vecs * vals[..., None, :]) @ vecs_h
     residual -= h
     return vals, vecs, eye_err, frobenius(residual), DECOMP_TOL * _pymax(1.0, frobenius(h))
