@@ -6,7 +6,10 @@ neg_log), the decomposition of the summed B after Theta, `f_nabla_h` and
 entries at dims 1, 2, 3, 5, 8 and 48; Theta, the summed B and its
 decomposition again on fields of 2 and 4 entries at dims 52 and 64; and
 `bivariate_calculus` of x^2/y on three seeded pairs of each pair of
-dims, equal and unequal, up to tensor dim 64. Dim 1 is
+dims, equal and unequal, up to tensor dim 64; and Theorem 2.1's whole
+verdict, Theta, the perspective of the sums and `loewner_compare`'s
+margins and tolerance, for each operator convex function of the
+divergence benchmark on the fields of dims 1-8. Dim 1 is
 pinned on its own: numpy reduces 1 x 1 matrices over the entry axis
 pairwise, not in entry order, so it is where an order-changing sum
 shows first. From dim 46 each perspective is a stack of its own
@@ -21,13 +24,14 @@ import pytest
 
 from conftest import make_herm, make_pd
 from opdiv.funcatalog import Interval, builtin
-from opdiv.hermitian import PositiveDefiniteMatrix, SpectralDecomposition
+from opdiv.hermitian import PositiveDefiniteMatrix, SpectralDecomposition, loewner_compare
 from opdiv.perspective import (
     BivariateSpec,
     WeightedOperatorField,
     bivariate_calculus,
     f_nabla_h,
     gradient_lower_bound,
+    perspective,
     theta_divergence,
 )
 
@@ -152,3 +156,70 @@ def test_bivariate_calculus_is_pinned_to_the_bit():
             out = bivariate_calculus(_X_SQ_OVER_Y, a, b).entries
             digest.update(np.ascontiguousarray(out).tobytes())
     assert digest.hexdigest()[:32] == "8e4395dc7254747d42373aa139b3e511"
+
+
+# The operator convex functions of the divergence benchmark, as (id, params).
+_CONVEX = (
+    ("square", ()),
+    ("neg_log", ()),
+    ("t_log_t", ()),
+    ("power", (-1.0,)),
+    ("power", (-0.5,)),
+    ("power", (1.5,)),
+)
+
+
+def _verdict_digest(f, dims) -> str:
+    """Theorem 2.1's verdict P_f(sum w A, sum w B) <= Theta on each field,
+    Theta first, as a user runs it: the bytes of Theta, of the perspective
+    of the sums and of the margins and tolerance of the comparison."""
+    digest = hashlib.sha256()
+    for dim in dims:
+        for size in SIZES:
+            for copy in range(3):
+                field = _field(dim, size, copy)
+                theta = theta_divergence(f, field)
+                right = PositiveDefiniteMatrix(field.weighted_sum_b())
+                lhs = perspective(f, field.weighted_sum_a(), right)
+                verdict = loewner_compare(lhs, theta)
+                digest.update(theta.entries.tobytes())
+                digest.update(lhs.entries.tobytes())
+                digest.update(np.array([
+                    verdict.margin_low, verdict.margin_high, verdict.tolerance_used
+                ]).tobytes())
+    return digest.hexdigest()[:32]
+
+
+_VERDICT_PINS = {
+    ("square", ()): {
+        "dim 1": "9c0043f7195eec62c5075845fbfe2282",
+        "dims 2-8": "7c4ebaeacf9254c9b79b9b4e704d8441",
+    },
+    ("neg_log", ()): {
+        "dim 1": "8345e94c0cc062d18cd52eeb47f7b7f1",
+        "dims 2-8": "9466350fd09201386305e86ac33f842c",
+    },
+    ("t_log_t", ()): {
+        "dim 1": "d55450a409a5314e44d9207debc4dc8d",
+        "dims 2-8": "9f0ea723badb6fdafbc8039b943b0758",
+    },
+    ("power", (-1.0,)): {
+        "dim 1": "cfdf6a6d4979824dc1dca2fc35bcf38f",
+        "dims 2-8": "edec1c65078dcce5713c04ef2c2b32d5",
+    },
+    ("power", (-0.5,)): {
+        "dim 1": "1ce2385bd887fa761e7b381481987ec1",
+        "dims 2-8": "864b362d582bdf5502a60926fb84c2cd",
+    },
+    ("power", (1.5,)): {
+        "dim 1": "577d7db8f3daa027120ccc8cc4edc095",
+        "dims 2-8": "aafdaad5b01e313aff900bcef3182ca8",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", _CONVEX, ids=lambda spec: f"{spec[0]}{list(spec[1])}")
+def test_theorem_2_1_verdict_is_pinned_to_the_bit(spec):
+    f = builtin(spec[0], list(spec[1]))
+    got = {"dim 1": _verdict_digest(f, (1,)), "dims 2-8": _verdict_digest(f, (2, 3, 5, 8))}
+    assert got == _VERDICT_PINS[spec]
