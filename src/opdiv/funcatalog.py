@@ -57,7 +57,7 @@ class Interval:
         # Past a closed endpoint, or at or past an open one.
         low = out < self.lo if self.lo_closed else out <= self.lo
         high = out > self.hi if self.hi_closed else out >= self.hi
-        if low.any() or high.any():
+        if np.count_nonzero(low) or np.count_nonzero(high):
             with np.errstate(invalid="ignore"):
                 bad = (low & ~(self.lo_closed & (self.lo - out <= tol))) | (
                     high & ~(self.hi_closed & (out - self.hi <= tol))

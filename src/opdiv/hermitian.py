@@ -110,7 +110,7 @@ class HermitianMatrix:
         overflowed to a non-finite value."""
         with np.errstate(over="ignore", invalid="ignore"):
             out = make()
-        if not np.isfinite(out).all():
+        if not kernels.all_finite(out):
             raise BadRange(message)
         return cls._wrap(out)
 
@@ -138,7 +138,13 @@ class HermitianMatrix:
         return self._entries.shape[0]
 
     def norm_fro(self) -> float:
-        return float(np.linalg.norm(self._entries))
+        """Frobenius norm: `np.linalg.norm`'s where that is finite, else
+        the norm taken at the matrix's own scale (`kernels.frobenius`),
+        which is inf only past the float limit. numpy's sum of squares
+        overflows from entries of about 1e154."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(self._entries))
+            return norm if math.isfinite(norm) else kernels.frobenius(self._entries)
 
     def norm_two(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self._entries))))

@@ -181,7 +181,7 @@ def theta_divergence(
         sum_b = _unsolved_sum_b(field) if span.stop == field.size else None
         chunk = field.entries[span.start : span.stop]
         terms.append(_entry_perspectives(f, chunk, sum_b))
-    return _weighted(field.weights, np.concatenate(terms))
+    return _weighted(field.weights, terms[0] if len(terms) == 1 else np.concatenate(terms))
 
 
 def _unsolved_sum_b(field):
@@ -220,8 +220,9 @@ def _decompose(inner, sum_b=None) -> tuple:
         solved = kernels.solve(np.concatenate([inner, sum_b.entries[None]]))
     except NumericalFailure:
         return kernels.decompose(inner)
-    sum_b._solution = tuple(x[-1].copy() for x in solved)
-    return kernels.guarded(False, *(x[:-1] for x in solved))
+    vals, vecs, eye_err, rec_err, _ = solved
+    sum_b._solution = (vals[-1].copy(), vecs[-1].copy(), eye_err[-1], rec_err[-1], sum_b.entries)
+    return kernels.guarded(False, vals[:-1], vecs[:-1], eye_err[:-1], rec_err[:-1], inner)
 
 
 def f_delta_h(

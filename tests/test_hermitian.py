@@ -287,6 +287,16 @@ def test_constructor_refuses_an_overflowing_symmetrization():
     assert HermitianMatrix(np.eye(2) * 1e200).trace() == 2e200
 
 
+def test_frobenius_norm_holds_past_numpys_overflow():
+    """`np.linalg.norm` overflowed to inf under a RuntimeWarning from
+    entries of about 1e154. Its value stays wherever it is finite; past
+    that the norm is taken at the matrix's own scale."""
+    assert HermitianMatrix(np.eye(2) * 1e200).norm_fro() == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    rng = np.random.default_rng(41)
+    h = make_herm(rng, 5)
+    assert h.norm_fro() == float(np.linalg.norm(h.entries))
+
+
 def test_constructor_refuses_skew_matrices_whose_norms_overflow():
     """The skew check compared inf with 1e-12 * inf, so matrices far from
     Hermitian with entries from about 1e154 were accepted, the first as

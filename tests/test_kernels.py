@@ -159,13 +159,30 @@ def test_frobenius_norm_rescales_only_an_overflowing_sum():
     assert kernels.frobenius(past) == math.inf and kernels.frobenius(past[None])[0] == math.inf
 
 
+def test_frobenius_norm_keeps_each_matrix_bits_when_the_norms_sum_past_the_limit():
+    """Three matrices whose norms, near 1e308, are finite but sum past the
+    float limit: each norm is the one the matrix gives alone, and the
+    finiteness test of the stack raises no overflow warning."""
+    x = np.stack([np.diag([d, d]).astype(complex) for d in (5e307, 6e307, 7e307)])
+    got = kernels.frobenius(x)
+    assert np.isfinite(got).all() and sum(got.tolist()) == math.inf
+    assert got.tolist() == [kernels.frobenius(m) for m in x]
+    np.testing.assert_allclose(got, math.sqrt(2) * np.array([5e307, 6e307, 7e307]), rtol=1e-15)
+
+
 def test_reconstruction_guard_holds_at_1e200(monkeypatch):
     """The reconstruction bound DECOMP_TOL * max(1, ||H||_F) was inf at
-    1e200, so that guard could not fail there. A correct decomposition
-    passes; one with its eigenvalues out of order fails."""
+    1e200, so that guard could not fail there. The bound, checked through
+    `guarded`, is DECOMP_TOL * sqrt(5) * 1e200: a residual at it passes and
+    the next float above it fails. A correct decomposition passes; one
+    with its eigenvalues out of order fails."""
     h = np.diag([1e200, 2e200]).astype(complex)
-    _, _, eye_err, rec_err, bound = kernels.solve(h)
+    vals, vecs, eye_err, rec_err, _ = kernels.solve(h)
+    bound = kernels.DECOMP_TOL * kernels.frobenius(h)
     assert bound == pytest.approx(kernels.DECOMP_TOL * math.sqrt(5) * 1e200, rel=1e-15)
+    kernels.guarded(False, vals, vecs, eye_err, bound, h)
+    with pytest.raises(NumericalFailure, match="reconstruction residual 2.236e[+]190"):
+        kernels.guarded(False, vals, vecs, eye_err, np.nextafter(bound, math.inf), h)
     assert eye_err == 0 and rec_err <= bound
     assert kernels.decompose(h)[0].tolist() == [2e200, 1e200]
     real = np.linalg.eigh
@@ -177,6 +194,28 @@ def test_reconstruction_guard_holds_at_1e200(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", disordered)
     with pytest.raises(NumericalFailure, match="reconstruction residual 1.414e[+]200"):
         kernels.decompose(h)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_reconstruction_guard_takes_the_norm_only_past_decomp_tol(stacked):
+    """||H||_F = 10 makes the bound 1e-9. A residual between DECOMP_TOL and
+    the bound passes, one past the bound and a NaN one fail with the
+    guard's message, on one matrix and on the second matrix of a stack."""
+    h = np.diag([6.0, 8.0]).astype(complex)
+    vals, vecs, eye_err, _, _ = kernels.solve(h)
+    if stacked:
+        h, vals, vecs, eye_err = (np.stack([x, x]) for x in (h, vals, vecs, eye_err))
+
+    def guard(residual):
+        rec_err = np.array([0.0, residual]) if stacked else residual
+        return kernels.guarded(True, vals, vecs, eye_err, rec_err, h)
+
+    assert guard(5e-10)[0].tobytes() == vals.tobytes()
+    assert guard(1e-9)[0].tobytes() == vals.tobytes()
+    with pytest.raises(NumericalFailure, match="spectral reconstruction residual 2.000e-09 too large"):
+        guard(2e-9)
+    with pytest.raises(NumericalFailure, match="spectral reconstruction residual nan too large"):
+        guard(math.nan)
 
 
 # A single matrix takes the guards' scalar route (`kernels._pymax`,
