@@ -198,9 +198,9 @@ def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
     """The perspective of each (w, A, B) of `entries`, by
     `kernels.perspective`'s steps; with `sum_b`, that matrix is solved in
     the same dispatch (`_decompose`)."""
+    rights = [b.decomposition for _, _, b in entries]
     half, inv_half = kernels.conditioned_roots((
-        kernels.stack([b.decomposition.eigenvalues for _, _, b in entries]),
-        kernels.stack([b.decomposition.unitary for _, _, b in entries]),
+        kernels.stack([d.eigenvalues for d in rights]), kernels.stack([d.unitary for d in rights])
     ))
     lefts = kernels.stack([a.entries for _, a, _ in entries])
     decomposition = _decompose(kernels.hermitian_part(inv_half @ lefts @ inv_half), sum_b)
