@@ -151,8 +151,7 @@ def _rescaled(x):
 
 @functools.lru_cache(maxsize=None)
 def _eye(dim: int) -> np.ndarray:
-    """The complex identity, so that subtracting it casts nothing."""
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     eye.flags.writeable = False
     return eye
 
