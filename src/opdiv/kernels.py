@@ -82,12 +82,10 @@ def _exceeds(x, bound):
     return ~within if isinstance(within, np.ndarray) else not within
 
 
-# `np.count_nonzero` answers `any` and `all` on a small array in a third
-# to a half of the time of the array methods.
-
-
 def all_finite(x) -> bool:
-    """Whether every entry of the array `x` is finite."""
+    """Whether every entry of the array `x` is finite. A count answers
+    this, and `_first`'s any, in a third to a half of the time of the
+    array methods on a small array."""
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
@@ -338,8 +336,7 @@ def strictly_positive(decomposition):
 def sqrt_pair(vals, vecs):
     """(R^{1/2}, R^{-1/2}) from one decomposition of each R."""
     roots = np.sqrt(vals)
-    half, inv_half = rebuild(stack([roots, 1.0 / roots]), vecs)
-    return half, inv_half
+    return rebuild(roots, vecs), rebuild(1.0 / roots, vecs)
 
 
 def _by_function(f):
