@@ -34,8 +34,9 @@ perspective at its dispatch); the output size equal to the input size
 shares that dispatch, smaller ones take their own. Pool functions are
 applied through index masks, so every margin has the bits of the
 one-trial-at-a-time computation.
-Loewner links and scalar links fold into a trial's worst margin and
-violation flag by the rule that also folds the trials (`kernels.fold`).
+An evaluate returns the (T, L) margins and tolerances of its trials' L
+Loewner or scalar links, a deviation test as one more (`_flagged`), and
+payload thunks; only the trial loop folds links (`kernels.run_trials`).
 """
 
 from __future__ import annotations
@@ -313,18 +314,27 @@ def _quad(m, x) -> np.ndarray:
 
 
 def _links(tol: ToleranceConfig, *links) -> tuple:
-    """`kernels.fold` over the Loewner links lhs <= rhs: margin the smallest
-    eigenvalue of rhs - lhs (`K.loewner`)."""
+    """The (T, L) margins and tolerances of the Loewner links lhs <= rhs:
+    margin the smallest eigenvalue of rhs - lhs (`K.loewner`)."""
     lhs = np.stack([lhs for lhs, _ in links], axis=1)
     rhs = np.stack([rhs for _, rhs in links], axis=1)
     low, _, used = K.loewner(lhs, rhs, tol)
-    return K.fold(low, used)
+    return low, used
 
 
 def _scalar_links(tol: ToleranceConfig, lhs, rhs) -> tuple:
-    """`kernels.fold` over the scalar links lhs <= rhs, (T, L) each: margin
-    rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
-    return K.fold(rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs))))
+    """The margins and tolerances of the scalar links lhs <= rhs, (T, L)
+    each: margin rhs - lhs, held to the tolerance at max(|lhs|, |rhs|)."""
+    return rhs - lhs, tol.at_scale(K._pymax(np.abs(lhs), np.abs(rhs)))
+
+
+def _flagged(links, far) -> tuple:
+    """The (T, L) margins and tolerances `links` and one more link for the
+    deviation test `far` (T,): margin NaN where it fails, +inf where it
+    holds, tolerance 0. A flagged trial so counts as violated and keeps
+    the worst margin of its other links (`kernels.fold`)."""
+    flag = np.where(far, np.nan, np.inf)[:, None]
+    return np.hstack([links[0], flag]), np.hstack([links[1], np.zeros_like(flag)])
 
 
 def _gram(weights, cs, mask=None):
@@ -502,8 +512,7 @@ def _eval_thm2_1(group, tol):
     sum_a, sum_b = (_total(x, mask, w) for x in (a, b))
     b_pos, sum_pos = K.decompositions(b, sum_b, positive=True)
     lhs, theta = _perspectives((fs, sum_a, sum_pos), _Theta(fs, mask, w, a, b_pos))
-    worst, violated = _links(tol, (lhs, theta))
-    return worst, violated, _field_payloads(group, mask, a, b)
+    return *_links(tol, (lhs, theta)), _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_3_split(group, tol):
@@ -519,8 +528,7 @@ def _eval_cor2_3_split(group, tol):
         _Theta(fs, mask, w, a, b_pos),
     )
     split = one + two
-    worst, violated = _links(tol, (whole, split), (split, theta))
-    return worst, violated, _field_payloads(group, mask, a, b)
+    return *_links(tol, (whole, split), (split, theta)), _field_payloads(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):
@@ -532,8 +540,7 @@ def _eval_thm2_12_grad(group, tol):
     sum_b, sum_a = _total(b, mask, w), _total(a, mask, w)
     lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
     (theta,) = _perspectives(_Theta(fs, mask, w, a, b_pos))
-    worst, violated = _links(tol, (lower, theta))
-    return worst, violated, _field_payloads(group, mask, a, b)
+    return *_links(tol, (lower, theta)), _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_2_ii(group, tol):
@@ -550,12 +557,12 @@ def _eval_cor2_2_ii(group, tol):
     rights = K.hermitian_part(inv_half @ raw @ inv_half)
     lhs = K.calculus(fs, left_sum)
     (rhs,) = _perspectives(_Theta(fs, mask, None, lefts, K.positive(rights)))
-    worst, violated = _links(tol, (lhs, rhs))
+    links = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, L=left, R=right)
         for r, left, right in zip(group, _per_trial(lefts, mask), _per_trial(rights, mask))
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 def _eval_thm2_4_mixture(group, tol):
@@ -572,13 +579,13 @@ def _eval_thm2_4_mixture(group, tol):
         _Theta(fs, mask, None, rows[0], row_pos), (_each(fs, grid), ls, cell_pos)
     )
     columns = K.field_sum(_pad(cells, grid), mask)
-    worst, violated = _links(tol, (lhs, K.field_sum(columns, mask, p)))
+    links = _links(tol, (lhs, K.field_sum(columns, mask, p)))
     payloads = []
     for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
         shape = (len(r.w),) * 2 + left.shape[1:]
         grids = dict(L=left.reshape(shape), R=right.reshape(shape))
         payloads.append(partial(_payload, f=r.f, p=r.w, **grids))
-    return worst, violated, payloads
+    return *links, payloads
 
 
 # Unital families and the refinement chain: Theorem 3.1, Corollary 3.4.
@@ -663,17 +670,17 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     t1 = _first_block(group, present)
     (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full)
     if full:
-        links = ((m1, m2), (m2, m3), (m3, m4))
+        pairs = ((m1, m2), (m2, m3), (m3, m4))
     else:
         deficit = f_one - block_one
-        links = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
-    worst, violated = _links(tol, *links)
+        pairs = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
+    links = _links(tol, *pairs)
     payloads = []
     for i, (r, a) in enumerate(zip(group, _per_trial(ops, present))):
         own = maps[i, : len(r.w)]
         family = {"C": own} if unit_weights else {"maps": _family(r.w, own, True)}
         payloads.append(partial(_payload, f=r.f, **family, A=a, t1=r.t1))
-    return worst, violated, payloads
+    return *links, payloads
 
 
 # Choi-Davis-Jensen refinements: Theorems 2.6 and 2.10, Corollary 2.7, Example 2.8.
@@ -727,19 +734,18 @@ def _eval_thm2_6(group, tol):
         inner, *h_sums, positive=(False,) + (K.h_positive,) * len(dims)
     )
     f_ab = _pad(finish(inner)[0][:, None], present)
-    worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
-    maps = [None] * len(group)
+    links, maps = np.empty((2, len(group), 1)), [None] * len(group)
     for rows, family, m, (sum_a, _), h_sum in zip(dims, families, masks, sums, h_sums):
         (rhs,) = _mapped(family, w[rows], m, f_ab[rows])
         lhs = K.perspective(_take(fs, rows), sum_a, h_sum)
-        worst[rows], violated[rows] = _links(tol, (lhs, rhs))
+        links[:, rows] = _links(tol, (lhs, rhs))
         for i, own in zip(rows.tolist(), family):
             maps[i] = own[: len(group[i].w)]
     payloads = [
         partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=ai, B=bi)
         for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 def _draw_thm2_10(rng, trial, cfg, f_over):
@@ -779,7 +785,7 @@ def _eval_thm2_10(group, tol):
     )
     images = np.stack([*finish(inner), K.calculus(f2, a_pos)], axis=1)
     rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present))
-    worst, violated = _links(
+    links = _links(
         tol,
         (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
         (K.calculus(f1s, sum_a_dec), rhs_f),
@@ -788,7 +794,7 @@ def _eval_thm2_10(group, tol):
         partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i, : len(r.w)], True), A=ai, B=bi)
         for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 def _draw_single_map(rng, dim: int, variant: int) -> _Map:
@@ -924,19 +930,19 @@ def _eval_single_map(group, tol, perspective=True):
         inner, *h_phis, positive=(False,) + (K.h_positive,) * len(stacks)
     )
     images = _map_images(applies, np.stack(finish(inner), axis=1))
-    worst, violated = np.empty(len(group)), np.empty(len(group), dtype=bool)
+    links = np.empty((2, len(group), 2 if perspective else 1))
     for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
         f = _take(fs, rows)
         parts = [(f, phi[:, 0], h_phi)]
         if perspective:
             parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
         lhs = _perspectives(*parts)
-        worst[rows], violated[rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
+        links[:, rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
         payloads.append(partial(_payload, **ids, map=maps[i], A=a[i], B=b[i]))
-    return worst, violated, payloads
+    return *links, payloads
 
 
 # Quadratic forms, mixtures, Ky Fan norms and tensor calculus.
@@ -959,12 +965,12 @@ def _eval_cor2_9(group, tol):
     x = _stack(group, "x")
     ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b_pos)))
     hbx = _eval(hs, bx)
-    worst, violated = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
+    links = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
     payloads = [
         partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=x[i][:, None])
         for i, r in enumerate(group)
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 def _draw_delta_nabla(rng, trial, cfg, f_over):
@@ -996,12 +1002,12 @@ def _eval_delta_nabla(group, tol):
     lefts = np.concatenate([sum_l, ls])
     both = K.f_delta_h(fs + _each(fs, mask), hs + _each(hs, mask), lefts, _joined(*rights))
     lhs, rhs = both[: len(group)], _total(both[len(group) :], mask, p)
-    worst, violated = _links(tol, (lhs, rhs))
+    links = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=left, R=right)
         for r, left, right in zip(group, _per_trial(ls, mask), _per_trial(rs, mask))
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 def _draw_thm3_8(rng, trial, cfg, f_over):
@@ -1018,8 +1024,8 @@ def _eval_thm3_8(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     g = K.perspective(fs, a, b_pos)
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
-    worst, violated = _scalar_links(tol, sb * _eval(fs, sa / sb), sg)
-    return worst, violated, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
+    links = _scalar_links(tol, sb * _eval(fs, sa / sb), sg)
+    return *links, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
 
 
 def _draw_lemma_jadjit(rng, trial, cfg, f_over):
@@ -1044,11 +1050,11 @@ def _eval_lemma_jadjit(group, tol):
         t = slice(span.start, span.stop)
         mat = K.bivariate(_X_SQ_OVER_Y, (a_dec[0][t], a_dec[1][t]), (b_dec[0][t], b_dec[1][t]))
         rhs[t] = _quad(mat, uv[t])
-    worst, violated = _scalar_links(tol, au * au / bv, rhs)
+    links = _scalar_links(tol, au * au / bv, rhs)
     payloads = [
         partial(_payload, A=a[i], B=b[i], uv=uv_pairs[i][:, :, None]) for i in range(len(group))
     ]
-    return worst, violated, payloads
+    return *links, payloads
 
 
 # Relative entropy, the scalar reduction and the Example 3.3 fixture.
@@ -1089,14 +1095,14 @@ def _eval_kl(group, tol):
     direct_log = K.field_sum(K.sandwich(_LOG, half, recip))
     log_inner = K.calculus(_LOG, inner)
     direct_tlt = K.hermitian_part(K.field_sum(ls @ inv_half @ log_inner @ half))
-    worst, violated = _links(
+    links = _links(
         tol,
         (K.sandwich(_NEG_LOG, sum_half, sum_inner), theta_log),
         (sum_r, theta_log + sum_l),
         (sum_l - sum_r, theta_tlt),
     )
-    violated |= _far(theta_log, direct_log, 1e-9) | _far(theta_tlt, direct_tlt, 1e-9)
-    return worst, violated, [partial(_payload, L=ls[i], R=rs[i]) for i in range(len(group))]
+    far = _far(theta_log, direct_log, 1e-9) | _far(theta_tlt, direct_tlt, 1e-9)
+    return *_flagged(links, far), [partial(_payload, L=ls[i], R=rs[i]) for i in range(len(group))]
 
 
 def _draw_scalar_csiszar(rng, trial, cfg, f_over):
@@ -1121,9 +1127,9 @@ def _eval_scalar_csiszar(group, tol):
     theta = theta[:, 0, 0].real
     big_q = _total(q, mask)
     lhs = big_q * _eval(fs, _total(p, mask) / big_q)
-    worst, violated = _scalar_links(tol, lhs[:, None], total[:, None])
-    violated |= np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
-    return worst, violated, [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
+    links = _scalar_links(tol, lhs[:, None], total[:, None])
+    far = np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
+    return *_flagged(links, far), [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
 
 
 _CHAIN_LABELS = (
@@ -1168,7 +1174,6 @@ def _eval_example(group, tol):
     """Entrywise match with the stored chain plus strictly positive chain
     gaps. The fixture reads no draw, so every trial has one outcome."""
     _, _, devs, low, used = _example(tol)
-    worst, violated = K.fold(low[None], used[None])
-    violated |= np.any(devs > 1e-9)
+    links = _flagged((low[None], used[None]), np.any(devs[None] > 1e-9, axis=1))
     payload = partial(_payload, fixture="compression_example", labels=list(_CHAIN_LABELS))
-    return np.repeat(worst, len(group)), np.repeat(violated, len(group)), [payload] * len(group)
+    return *(np.repeat(x, len(group), axis=0) for x in links), [payload] * len(group)

@@ -373,11 +373,11 @@ def _convexity_draw(seed, trial, dim, lo, hi):
 
 
 def _convexity_margins(draws, f, tol):
-    """Margins of f(t A + (1 - t) B) <= t f(A) + (1 - t) f(B), stacked over
-    the drawn (A, B, t) triples and folded (`kernels.fold`) into each
-    trial's margin and violation flag, with the draws as extras."""
+    """The margins and tolerances of f(t A + (1 - t) B) <= t f(A) + (1 - t)
+    f(B), one link per drawn (A, B, t) triple, (T, 1) each, with the draws
+    as extras: the trial loop folds them (`kernels.run_trials`)."""
     a, b = kernels.build((None, [draw[0] for draw in draws]), (None, [draw[1] for draw in draws]))
     t = np.array([t for _, _, t in draws])[:, None, None]
     f_a, f_b, lhs = kernels.apply_function(f, np.stack([a, b, a * t + b * (1.0 - t)]))
     low, _, used = kernels.loewner(lhs, f_a * t + f_b * (1.0 - t), tol)
-    return *kernels.fold(low[:, None], used[:, None]), draws
+    return low[:, None], used[:, None], draws

@@ -169,10 +169,10 @@ class _Check:
     """A registered check.
 
     `draw(rng, trial, cfg, f_over)` makes one trial's RNG calls and
-    returns its record. `evaluate(records, tol)` returns the per-trial
-    worst margins, violation flags and payload thunks of a list of
-    records. Every check runs all of its trials, including EX3_3_EXACT,
-    whose fixture reads no draw.
+    returns its record. `evaluate(records, tol)` returns the (T, L) link
+    margins and tolerances and the payload thunks of T records, which
+    `kernels.run_trials` folds. Every check runs all of its trials,
+    including EX3_3_EXACT, whose fixture reads no draw.
     """
 
     draw: Callable

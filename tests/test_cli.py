@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opdiv import cli, kernels, lab
+from opdiv import cli, lab
 from opdiv.cli import main
 
 
@@ -83,7 +83,7 @@ def test_verify_writes_a_nan_margin_check_as_strict_json(capsys, monkeypatch):
     def nan_margins(records, tol):
         payloads = real.evaluate(records, tol)[2]
         nan = np.full((len(records), 1), np.nan)
-        return (*kernels.fold(nan, np.zeros_like(nan)), payloads)
+        return nan, np.zeros_like(nan), payloads
 
     monkeypatch.setitem(lab._REGISTRY, "THM2_1", dataclasses.replace(real, evaluate=nan_margins))
     code = main(["verify", "--suite", "THM2_1,EX3_3_EXACT", "--dim", "2", "--trials", "5"])

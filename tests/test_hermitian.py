@@ -190,6 +190,33 @@ def test_loewner_equal_and_incomparable():
     assert loewner_compare(b + b, b).relation is LoewnerRelation.GREATER_OR_EQUAL
 
 
+@pytest.mark.parametrize("relation", list(LoewnerRelation))
+def test_verdict_holds_agree_with_its_relation(relation):
+    """`holds_ge` holds exactly for GREATER_OR_EQUAL and EQUAL, as
+    `holds_le` does for LESS_OR_EQUAL and EQUAL."""
+    a, b = HermitianMatrix.diagonal([1.0, 2.0]), HermitianMatrix.diagonal([2.0, 1.0])
+    sides = {
+        LoewnerRelation.LESS_OR_EQUAL: (a, a + a),
+        LoewnerRelation.GREATER_OR_EQUAL: (a + a, a),
+        LoewnerRelation.EQUAL: (a, a),
+        LoewnerRelation.INCOMPARABLE: (a, b),
+    }
+    verdict = loewner_compare(*sides[relation])
+    assert verdict.relation is relation
+    ge = relation in (LoewnerRelation.GREATER_OR_EQUAL, LoewnerRelation.EQUAL)
+    le = relation in (LoewnerRelation.LESS_OR_EQUAL, LoewnerRelation.EQUAL)
+    assert (verdict.holds_ge, verdict.holds_le) == (ge, le)
+
+
+def test_norm_two_is_the_largest_eigenvalue_modulus():
+    """The spectral norm of a matrix whose eigenvalue of largest modulus,
+    -1 - sqrt(6), is negative: not its largest eigenvalue, 1.45."""
+    x = np.array([[-3.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])
+    norm = HermitianMatrix(x).norm_two()
+    assert norm == pytest.approx(np.linalg.norm(x, 2), rel=1e-12)
+    assert norm == pytest.approx(1.0 + math.sqrt(6.0), rel=1e-12)
+
+
 def test_loewner_tolerance_reported():
     a = HermitianMatrix.diagonal([1.0, 1.0])
     tol = ToleranceConfig(abs=1e-6, rel=1e-3)

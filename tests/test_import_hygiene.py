@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, no
 module imports another module's private name, every private module-level
-helper is used somewhere in the package, and no source line is wider
-than LINE_WIDTH columns. The benchmark's tracer (`bench/tracer.py`)
-finds every function and method it wraps under the name it looks up.
+helper is used somewhere in the package, no source line is wider than
+LINE_WIDTH columns, and only the trial loop folds link margins. The
+benchmark's tracer (`bench/tracer.py`) finds every function and method
+it wraps under the name it looks up.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -228,6 +229,52 @@ def test_module_lines_fit_the_width(module):
 def test_long_lines_are_found():
     source = "x = 1\n" + "#" * LINE_WIDTH + "\n" + "#" * (LINE_WIDTH + 1) + "\n"
     assert long_lines(source) == [(3, LINE_WIDTH + 1)]
+
+
+def fold_calls(source: str) -> list:
+    """(line, owner) of each call to `fold` in `source`, by bare name or as
+    an attribute (`K.fold`), in line order: `owner` is the module-level
+    function or class the call sits in, None at module level."""
+    calls = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "fold":
+                    calls.append((call.lineno, owner))
+    return sorted(calls)
+
+
+def test_links_fold_only_in_the_trial_loop():
+    """`kernels.run_trials` is the one place that folds link margins, so
+    no evaluate folds its own links or ORs in a flag."""
+    owners = [
+        (p.name, owner)
+        for p in sorted(PACKAGE.glob("*.py"))
+        for _, owner in fold_calls(p.read_text())
+    ]
+    assert owners == [("kernels.py", "run_trials")]
+
+
+def test_fold_calls_are_found():
+    source = (
+        "from . import kernels as K\n"
+        "from .kernels import fold\n"
+        "def run_trials(m, u):\n"
+        "    return fold(m, u)\n"
+        "def _eval(m, u):\n"
+        "    worst = K.fold(m, u)[0]\n"
+        "    return [kernels.fold(x, u) for x in m], unfold(m), K.fold\n"
+        "class _Check:\n"
+        "    def evaluate(self, m, u):\n"
+        "        return K.fold(m, u)\n"
+        "x = fold(1, 2)\n"
+    )
+    assert fold_calls(source) == [
+        (4, "run_trials"), (6, "_eval"), (7, "_eval"), (10, "_Check"), (11, None)
+    ]
 
 
 def test_benchmark_tracer_finds_every_boundary():

@@ -230,7 +230,8 @@ def _one_trial(check_id, trial, gen, tol, function):
     violation flag and payload thunk."""
     check = lab._REGISTRY[check_id]
     record = check.draw(lab._trial_rng(gen.seed, check_id, trial), trial, gen, function)
-    worst, violated, payloads = check.evaluate([record], tol)
+    margins, used, payloads = check.evaluate([record], tol)
+    worst, violated = kernels.fold(margins, used)
     return float(worst[0]), bool(violated[0]), payloads[0]
 
 
@@ -261,9 +262,24 @@ def test_run_check_matches_eager_reference_loop(check_id, gen, function):
     assert (got.violations, got.worst_margin, got.instance_digest_of_worst) == want
 
 
+def _folded(margins, used) -> list:
+    """Each trial's worst margin and violation flag, from the trial loop
+    (`kernels.run_trials`) over that trial's (L,) margins and tolerances
+    alone, the one place that folds links."""
+    out = []
+    for t in range(len(margins)):
+        violations, worst, _, _ = kernels.run_trials(
+            1, 2, lambda trial: t, lambda records: (margins[records], used[records], [None])
+        )
+        out.append((worst, bool(violations)))
+    return out
+
+
 def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypatch):
-    """Loewner and scalar links fold with a strict `<` from inf: a NaN
-    margin flags its trial as violated but is never its worst margin."""
+    """Loewner and scalar links fold in the trial loop with a strict `<`
+    from inf: a NaN margin flags its trial as violated but is never its
+    worst margin. A failed deviation test is one more link, NaN, so its
+    trial counts as violated and keeps the worst of its other links."""
     low = np.array(
         [
             [0.5, math.nan, 0.25],
@@ -278,15 +294,21 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
     used = np.full_like(low, 1e-8)
     monkeypatch.setattr(kernels, "loewner", lambda lhs, rhs, tol: (low, -low, used))
     link = (np.zeros((5, 2, 2)), np.zeros((5, 2, 2)))
-    worst, violated = batched._links(ToleranceConfig(), link, link, link)
-    assert worst.tolist() == want_worst
-    assert math.copysign(1, worst[4]) == 1  # the first of equal margins
-    assert violated.tolist() == want_violated
+    links = batched._links(ToleranceConfig(), link, link, link)
+    assert _folded(*links) == list(zip(want_worst, want_violated))
+    assert math.copysign(1, _folded(*links)[4][0]) == 1  # the first of equal margins
 
     # Scalar links: margin rhs - lhs, so lhs = 0 gives the margins above.
-    worst, violated = batched._scalar_links(ToleranceConfig(), np.zeros_like(low), low)
-    assert worst.tolist() == want_worst
-    assert violated.tolist() == want_violated
+    links = batched._scalar_links(ToleranceConfig(), np.zeros_like(low), low)
+    assert _folded(*links) == list(zip(want_worst, want_violated))
+
+    # The deviation link: a flagged trial is violated and keeps its worst
+    # margin, inf when every other margin is NaN; an unflagged one is as
+    # it was.
+    far = np.array([False, True, True, True, False])
+    margins, used = batched._flagged(links, far)
+    assert margins.shape == used.shape == (5, 4) and not used[:, 3].any()
+    assert _folded(margins, used) == list(zip(want_worst, [True, True, True, True, False]))
 
     # The trial loop folds the trials by the same rule, across chunks of
     # two trials: the first of equal margins is the worst, a NaN margin is
@@ -296,8 +318,8 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
 
     def run(margins):
         def evaluate(records):
-            worst = np.array([margins[t] for t in records])
-            return worst, ~(worst >= -1e-8), [f"extra {t}" for t in records]
+            links = np.array([[margins[t]] for t in records])
+            return links, np.full_like(links, 1e-8), [f"extra {t}" for t in records]
 
         return kernels.run_trials(len(margins), 2, lambda trial: trial, evaluate)
 
@@ -308,17 +330,17 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
 
 
 def test_nan_margin_counts_as_violation(monkeypatch):
-    """A single NaN margin, scalar or Loewner, flags its trial as violated."""
+    """A single NaN margin, scalar or Loewner, flags its trial as violated
+    in the trial loop."""
     lhs = np.array([[0.0, math.nan]])
-    worst, violated = batched._scalar_links(ToleranceConfig(), lhs, np.ones((1, 2)))
-    assert (worst.tolist(), violated.tolist()) == ([1.0], [True])
+    links = batched._scalar_links(ToleranceConfig(), lhs, np.ones((1, 2)))
+    assert _folded(*links) == [(1.0, True)]
 
     nan = np.full((1, 1), math.nan)
     used = np.full_like(nan, 1e-8)
     monkeypatch.setattr(kernels, "loewner", lambda lhs, rhs, tol: (nan, nan, used))
     eye = np.eye(2)[None]
-    worst, violated = batched._links(ToleranceConfig(), (eye, eye))
-    assert violated.tolist() == [True]
+    assert _folded(*batched._links(ToleranceConfig(), (eye, eye))) == [(math.inf, True)]
 
 
 def test_stacked_check_raises_the_first_failing_trials_error(monkeypatch):
@@ -360,7 +382,8 @@ def _draw_shape(record):
 @pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
 def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
-    """Every trial's margin, violation flag and payload digest is the same
+    """Every trial's link margins and tolerances, to the bit, and so its
+    worst margin and violation flag, and its payload digest are the same
     whether its check evaluates all trials at once or one at a time."""
     gen = GenConfig(dim=dim, seed=3, trials=14)
     tol = ToleranceConfig()
@@ -372,12 +395,61 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
     # The stack mixes field sizes, map variants or output dimensions.
     shapes = len({_draw_shape(r) for r in records})
     assert (shapes > 1) == (check_id not in _ONE_SHAPE)
-    worst, violated, payloads = check.evaluate(records, tol)
-    for t in range(gen.trials):
-        one_worst, one_violated, payload = _one_trial(check_id, t, gen, tol, function)
-        assert math.copysign(1, worst[t]) == math.copysign(1, one_worst)
-        assert (worst[t], violated[t]) == (one_worst, one_violated)
+    margins, used, payloads = check.evaluate(records, tol)
+    worst, violated = kernels.fold(margins, used)
+    for t, record in enumerate(records):
+        one_margins, one_used, (payload,) = check.evaluate([record], tol)
+        assert margins[t].tobytes() == one_margins[0].tobytes()
+        assert used[t].tobytes() == one_used[0].tobytes()
+        one_worst, one_violated = kernels.fold(one_margins, one_used)
+        assert math.copysign(1, worst[t]) == math.copysign(1, one_worst[0])
+        assert (worst[t], violated[t]) == (one_worst[0], one_violated[0])
         assert lab._digest(payloads[t]()) == lab._digest(payload())
+
+
+# The links of each check's chain, L of its (T, L) margins: THM3_8_NORM
+# has one per Ky Fan k-norm, k = 1 .. n, and KL_SUITE, SCALAR_CSISZAR and
+# EX3_3_EXACT count their deviation test as one more.
+_LINKS = {
+    "THM2_1": 1,
+    "COR2_2_SUBADD": 1,
+    "COR2_2_II": 1,
+    "COR2_3_SPLIT": 2,
+    "THM2_4_MIXTURE": 1,
+    "THM2_6_CDJ_DELTA": 1,
+    "COR2_7_SINGLE": 2,
+    "EX2_8_POWER": 1,
+    "COR2_9_VECTOR": 3,
+    "THM2_10_DOM": 2,
+    "THM_DELTA_NABLA": 1,
+    "THM2_12_GRAD": 1,
+    "THM3_1_CHAIN": 3,
+    "THM3_1_II": 2,
+    "COR3_4_ISOM": 3,
+    "THM3_8_NORM": "n",
+    "LEMMA_JADJIT": 3,
+    "KL_SUITE": 4,
+    "SCALAR_CSISZAR": 2,
+    "EX3_3_EXACT": 4,
+}
+
+
+@pytest.mark.parametrize("check_id", check_ids())
+@pytest.mark.parametrize("dim", [2, 8])
+def test_evaluate_returns_every_link_margin(check_id, dim):
+    """An evaluate folds nothing: it returns each trial's margin and
+    tolerance on every link of its chain, (T, L) each, and the tolerances
+    are finite and never negative."""
+    gen = GenConfig(dim=dim, seed=3, trials=14)
+    check = lab._REGISTRY[check_id]
+    records = [
+        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, None) for t in range(gen.trials)
+    ]
+    margins, used, payloads = check.evaluate(records, ToleranceConfig())
+    links = dim if _LINKS[check_id] == "n" else _LINKS[check_id]
+    assert margins.shape == used.shape == (gen.trials, links)
+    assert np.isfinite(used).all() and (used >= 0).all()
+    assert len(payloads) == gen.trials
 
 
 def _leaves(value):
