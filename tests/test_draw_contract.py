@@ -10,7 +10,8 @@ one float bit fails here.
 
 The report shows only the worst trial, so every trial's margin and
 violation flag is pinned too, as one digest per dimension over all
-checks.
+checks, and so is every margin and tolerance of every link of each
+trial, which the fold into a trial's worst would hide.
 """
 
 import hashlib
@@ -290,6 +291,22 @@ def test_every_check_is_pinned_to_the_bit(dim, seed, function, trials):
     assert got == _PINS[dim, seed, function, trials]
 
 
+def _evaluated(dim, function):
+    """(margins, used) of every check's evaluate, in registry order, over
+    the check's 30 trials at seed 0 with its pool or the `quartic`
+    override."""
+    gen = GenConfig(dim=dim, seed=0, trials=30)
+    override = quartic() if function == "quartic" else None
+    for check_id in check_ids():
+        check = lab._REGISTRY[check_id]
+        records = [
+            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, override)
+            for t in range(gen.trials)
+        ]
+        margins, used, _ = check.evaluate(records, ToleranceConfig())
+        yield margins, used
+
+
 # (dim, function) -> sha256 (first 32 hex digits) of every trial's worst
 # margin and violation flag, check after check in registry order, at seed
 # 0 with 30 trials.
@@ -313,16 +330,39 @@ _TRIAL_PINS = {
 
 @pytest.mark.parametrize("dim, function", sorted(_TRIAL_PINS), ids=lambda v: str(v))
 def test_every_trial_is_pinned_to_the_bit(dim, function):
-    gen = GenConfig(dim=dim, seed=0, trials=30)
-    override = quartic() if function == "quartic" else None
     digest = hashlib.sha256()
-    for check_id in check_ids():
-        check = lab._REGISTRY[check_id]
-        records = [
-            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, override)
-            for t in range(gen.trials)
-        ]
-        margins, used, _ = check.evaluate(records, ToleranceConfig())
+    for margins, used in _evaluated(dim, function):
         worst, violated = kernels.fold(margins, used)
         digest.update(worst.tobytes() + violated.tobytes())
     assert digest.hexdigest()[:32] == _TRIAL_PINS[dim, function]
+
+
+# (dim, function) -> sha256 (first 32 hex digits) of every check's (T, L)
+# link margins and tolerances, with their shape, in registry order, at
+# seed 0 with 30 trials. A trial's folded worst hides every link that is
+# not its worst, such as COR2_7_SINGLE's second link or THM2_10_DOM's
+# calculus link; these pins see each one.
+_LINK_PINS = {
+    (2, 'pool'): '2457cc14531b6f50ca0277bbc851127d',
+    (3, 'pool'): 'a7e2066d6fb5cee800af6f0ef76e9319',
+    (4, 'pool'): '1b33da1c849bf93e1a3732f874e7e398',
+    (5, 'pool'): 'c5a6237541c77d2e8d306993be5476c3',
+    (6, 'pool'): '1b36261ebbc1e12535f366f0774c4c87',
+    (7, 'pool'): '081c1850800bd25938f9041fc1adbac1',
+    (8, 'pool'): '73aa9c23270803ea156bd0095d153891',
+    (2, 'quartic'): 'd861f89e10457ac8258a099a3063c7ea',
+    (3, 'quartic'): '97dc54df90ee30a1a1c1f60032252f9e',
+    (4, 'quartic'): 'adb8f0db5c9e0016c9ad7676974f4f6c',
+    (5, 'quartic'): 'b5c0d6724cf5b13f53c4e801435551dc',
+    (6, 'quartic'): 'a8284d6f1580b7ec09eefaa9f6f834e7',
+    (7, 'quartic'): '48f07ec7b6a6ffd6b26d84655ba6c27b',
+    (8, 'quartic'): '3ae8ad1f685a71d6bb8b569fcd4d5921',
+}
+
+
+@pytest.mark.parametrize("dim, function", sorted(_LINK_PINS), ids=lambda v: str(v))
+def test_every_link_is_pinned_to_the_bit(dim, function):
+    digest = hashlib.sha256()
+    for margins, used in _evaluated(dim, function):
+        digest.update(repr(margins.shape).encode() + margins.tobytes() + used.tobytes())
+    assert digest.hexdigest()[:32] == _LINK_PINS[dim, function]
