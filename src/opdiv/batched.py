@@ -31,8 +31,9 @@ worst trial's payload. The maps apply to A and B first and to the
 perspectives of (A, B) later, so each mapped stage runs in the dispatch
 of the first unmapped stage its inputs allow (`_inner` splits a
 perspective at its dispatch); the output size equal to the input size
-shares that dispatch, smaller ones take their own. Pool functions are
-applied through index masks, so every margin has the bits of the
+shares that dispatch, smaller ones take their own; `_cdj_links` is
+that chain for families and single maps alike. Pool functions apply
+through index masks, so every margin has the bits of the
 one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
 Loewner or scalar links, a deviation test as one more (`_flagged`), and
@@ -358,12 +359,12 @@ def _normalized(cs, gram, shrinks=None):
     return maps
 
 
-def _mapped(maps, w, mask, x) -> list:
-    """sum_i w_i Phi_i(X_i) for each of the S stacks of images x (T, k, S,
-    in, in), under the families of congruences `maps` (T, k, in, out),
-    each holding its maps where `mask` (T, k) holds."""
-    images = K.congruence(maps[:, :, None], x)
-    return [K.field_sum(images[:, :, i], mask, w) for i in range(x.shape[2])]
+def _mapped(maps, w, mask, x) -> np.ndarray:
+    """sum_i w_i Phi_i(X_i), (T, S, out, out), for each of the S stacks of
+    images x (T, k, S, in, in), under the families of congruences `maps`
+    (T, k, in, out), each holding its maps where `mask` (T, k) holds (all
+    without one), with weights `w` (T, k) (unit without)."""
+    return K.field_sum(K.congruence(maps[:, :, None], x), mask, w)
 
 
 def _family(w, maps, unital: bool):
@@ -701,15 +702,9 @@ def _draw_thm2_6(rng, trial, cfg, f_over):
 
 def _eval_thm2_6(group, tol):
     """Generalized perspective of the mapped sums vs the mapped sum of
-    generalized perspectives, for a subunital family. The mapped matrices
-    take the family's output dimension, so they stack per dimension.
-
-    The families map A and B before the generalized perspectives of
-    (A, B) are taken, and each mapped stage shares the dispatch of an
-    unmapped one: the Gram sums are decomposed with B, the mapped sums of
-    B with h(B), and h of those with the perspectives' inner matrices. So
-    the mapped stages' guards and h on the mapped sums of B come before
-    the unmapped perspectives' later steps, and f's calculus on them."""
+    generalized perspectives, for a subunital family (`_cdj_links`). The
+    mapped matrices take the family's output dimension, so the families
+    apply per dimension, their Gram sums decomposed with B."""
     fs, hs = _fh(group)
     present = _present([len(r.w) for r in group])
     w, shrinks = _padded(group, "w", present), _padded(group, "q", present)
@@ -720,27 +715,12 @@ def _eval_thm2_6(group, tol):
     grams = [_gram(w[rows], c, m) for rows, c, m in zip(dims, cs, masks)]
     # Each drawn B is positive definite.
     b_pos, *grams = K.decompositions(b, *grams, positive=True)
-    families = [_normalized(c, g, shrinks[rows]) for rows, c, g in zip(dims, cs, grams)]
-    images = _pad(np.stack([a, b], axis=1), present)
-    sums = [_mapped(fam, w[rows], m, images[rows]) for rows, fam, m in zip(dims, families, masks)]
-    h_b, *sum_b = K.decompositions(
-        K.h_at(_each(hs, present), b_pos),
-        *(s for _, s in sums),
-        positive=(K.h_positive,) + (False,) * len(dims),
-    )
-    inner, finish = _inner((_each(fs, present), a, h_b))
-    h_sums = [K.h_at(_take(hs, rows), s) for rows, s in zip(dims, sum_b)]
-    inner, *h_sums = K.decompositions(
-        inner, *h_sums, positive=(False,) + (K.h_positive,) * len(dims)
-    )
-    f_ab = _pad(finish(inner)[0][:, None], present)
-    links, maps = np.empty((2, len(group), 1)), [None] * len(group)
-    for rows, family, m, (sum_a, _), h_sum in zip(dims, families, masks, sums, h_sums):
-        (rhs,) = _mapped(family, w[rows], m, f_ab[rows])
-        lhs = K.perspective(_take(fs, rows), sum_a, h_sum)
-        links[:, rows] = _links(tol, (lhs, rhs))
-        for i, own in zip(rows.tolist(), family):
-            maps[i] = own[: len(group[i].w)]
+    applies, maps = [], {}
+    for rows, c, gram, m in zip(dims, cs, grams, masks):
+        family = _normalized(c, gram, shrinks[rows])
+        applies.append((rows, partial(_mapped, family, w[rows], m)))
+        maps.update((i, own[: len(group[i].w)]) for i, own in zip(rows.tolist(), family))
+    links = _cdj_links(fs, hs, a, b, b_pos, applies, tol, present)
     payloads = [
         partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=ai, B=bi)
         for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
@@ -776,7 +756,8 @@ def _eval_thm2_10(group, tol):
     gram_pos, a_pos, b_pos = K.decompositions(gram, a, b, positive=True)
     maps = _normalized(cs, gram_pos)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    unit, sum_a, sum_b = _mapped(maps, w, present, _pad(np.stack([eye, a, b], axis=1), present))
+    images = _pad(np.stack([eye, a, b], axis=1), present)
+    unit, sum_a, sum_b = _mapped(maps, w, present, images).swapaxes(0, 1)
     check_unital(unit)
     f2 = _each(f2s, present)
     inner, finish = _inner((f2, a, b_pos))
@@ -784,7 +765,7 @@ def _eval_thm2_10(group, tol):
         inner, sum_b, sum_a, positive=(False, True, False)
     )
     images = np.stack([*finish(inner), K.calculus(f2, a_pos)], axis=1)
-    rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present))
+    rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present)).swapaxes(0, 1)
     links = _links(
         tol,
         (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
@@ -838,7 +819,7 @@ def _group_map(ms, c, gram, dim: int) -> tuple:
     c = _normalized(c, gram)
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
-        return K.field_sum(K.congruence(c[:, :, None], x[:, None])) * scale[..., None, None]
+        return _mapped(c, None, None, x[:, None]) * scale[..., None, None]
 
     return apply, lambda i: ScaledMap(MapSum([Congruence(p) for p in c[i]]), ms[i].scale)
 
@@ -855,10 +836,14 @@ def _applied(groups, grams, dim: int) -> tuple:
     return applies, [maps[i] for i in range(len(maps))]
 
 
-def _map_images(applies, x) -> list:
-    """Each trial's subunital single map applied to its stack of images x
-    (T, S, dim, dim), the maps of each group (`_applied`) at once: the
-    (trial indices, images) of each output size."""
+def _map_images(applies, stacks, mask=None) -> list:
+    """Each trial's subunital maps applied to its images, the S flat
+    `stacks` side by side, laid out by `mask` (T, k) when a trial maps
+    several entries: the maps of each (trial indices, apply) group at
+    once, `apply` taking the group's rows and giving (T, S, out, out).
+    Returns the (trial indices, images) of each output size."""
+    x = np.stack(stacks, axis=1)
+    x = x if mask is None else _pad(x, mask)
     sizes = {}
     for rows, apply in applies:
         phi = apply(x[rows])
@@ -867,6 +852,45 @@ def _map_images(applies, x) -> list:
         (np.concatenate([rows for rows, _ in parts]), np.concatenate([phi for _, phi in parts]))
         for parts in sizes.values()
     ]
+
+
+def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) -> np.ndarray:
+    """The (2, T, L) margins and tolerances of the Choi-Davis-Jensen
+    refinement through subunital maps (THM2_6, COR2_7, EX2_8): the
+    generalized perspective of (Phi(A), Phi(B)) vs Phi of the generalized
+    perspective of (A, B), for each trial's f and h (`fs`, `hs`), and with
+    `perspective` the same bound for the perspective of f. `a`, `b` and
+    `b_pos` are the flat A, B and B's decomposition (`K.positive`): each
+    trial's one entry, or the entries that `mask` (T, k) holds. `applies`
+    holds the (trial indices, apply) of each group of maps (`_map_images`).
+
+    The maps apply to A and B before the perspectives of (A, B) are taken,
+    and each mapped stage shares the dispatch of an unmapped one: Phi(B)
+    is decomposed with h(B), and h(Phi(B)) with the perspectives' inner
+    matrices. So the mapped stages' guards and h on Phi(B) come before the
+    unmapped perspectives' later steps, and f's calculus on them."""
+    each_f, each_h = (fs, hs) if mask is None else (_each(fs, mask), _each(hs, mask))
+    stacks = _map_images(applies, [a, b], mask)
+    h_b, *phi_bs = K.decompositions(
+        K.h_at(each_h, b_pos),
+        *(phi[:, 1] for _, phi in stacks),
+        positive=(K.h_positive,) + (False,) * len(stacks),
+    )
+    inner, finish = _inner((each_f, a, h_b), *([(each_f, a, b_pos)] if perspective else []))
+    h_phis = [K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)]
+    inner, *h_phis = K.decompositions(
+        inner, *h_phis, positive=(False,) + (K.h_positive,) * len(stacks)
+    )
+    images = _map_images(applies, finish(inner), mask)
+    links = np.empty((2, sum(len(rows) for rows, _ in applies), 1 + perspective))
+    for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
+        f = _take(fs, rows)
+        parts = [(f, phi[:, 0], h_phi)]
+        if perspective:
+            parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
+        lhs = _perspectives(*parts)
+        links[:, rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
+    return links
 
 
 def _draw_cor2_7(rng, trial, cfg, f_over):
@@ -895,17 +919,12 @@ def _draw_ex2_8(rng, trial, cfg, f_over):
 def _eval_single_map(group, tol, perspective=True):
     """One subunital map Phi: the generalized perspective of
     (Phi(A), Phi(B)) vs Phi of the generalized perspective of (A, B), and
-    with `perspective` the same bound for the perspective of f (COR2_7).
-    Without it (EX2_8) A is drawn positive definite, f and h are the power
-    families of the drawn exponents and the payload names them by their
-    exponents. The images under Phi stack per output size.
-
-    Phi maps A and B before the perspectives of (A, B) are taken, and each
-    mapped stage shares the dispatch of an unmapped one: the Gram sums of
-    the sums of congruences are decomposed with B, each Phi(B) with h(B),
-    and h(Phi(B)) with the perspectives' inner matrices. So the mapped
-    stages' guards and h on Phi(B) come before the unmapped perspectives'
-    later steps, and f's calculus on them."""
+    with `perspective` the same bound for the perspective of f (COR2_7;
+    `_cdj_links`). Without it (EX2_8) A is drawn positive definite, f and
+    h are the power families of the drawn exponents and the payload names
+    them by their exponents. The maps apply at once per variant and
+    compression size, the Gram sums of the sums of congruences decomposed
+    with B, and the images under Phi stack per output size."""
     if perspective:
         fs, hs = _fh(group)
     else:
@@ -916,28 +935,8 @@ def _eval_single_map(group, tol, perspective=True):
     # Each drawn B is positive definite, and without `perspective` each A.
     drawn = (b,) if perspective else (b, a)
     decs = K.decompositions(*drawn, *grams, positive=True)
-    b_pos = decs[0]
     applies, maps = _applied(groups, decs[len(drawn) :], a.shape[-1])
-    stacks = _map_images(applies, np.stack([a, b], axis=1))
-    h_b, *phi_bs = K.decompositions(
-        K.h_at(hs, b_pos),
-        *(phi[:, 1] for _, phi in stacks),
-        positive=(K.h_positive,) + (False,) * len(stacks),
-    )
-    inner, finish = _inner((fs, a, h_b), *([(fs, a, b_pos)] if perspective else []))
-    h_phis = [K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)]
-    inner, *h_phis = K.decompositions(
-        inner, *h_phis, positive=(False,) + (K.h_positive,) * len(stacks)
-    )
-    images = _map_images(applies, np.stack(finish(inner), axis=1))
-    links = np.empty((2, len(group), 2 if perspective else 1))
-    for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
-        f = _take(fs, rows)
-        parts = [(f, phi[:, 0], h_phi)]
-        if perspective:
-            parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
-        lhs = _perspectives(*parts)
-        links[:, rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
+    links = _cdj_links(fs, hs, a, b, decs[0], applies, tol, perspective=perspective)
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, no
 module imports another module's private name, every private module-level
 helper is used somewhere in the package, no source line is wider than
-LINE_WIDTH columns, and only the trial loop folds link margins. The
+LINE_WIDTH columns, only the trial loop folds link margins, and one
+helper of `batched` writes the chain through subunital maps. The
 benchmark's tracer (`bench/tracer.py`) finds every function and method
 it wraps under the name it looks up.
 
@@ -274,6 +275,57 @@ def test_fold_calls_are_found():
     )
     assert fold_calls(source) == [
         (4, "run_trials"), (6, "_eval"), (7, "_eval"), (10, "_Check"), (11, None)
+    ]
+
+
+def name_uses(source: str, names) -> list:
+    """(line, owner, name) of each reference in `source` to one of `names`,
+    by bare name or as an attribute (`K.h_at`), called or passed, in line
+    order: `owner` is the module-level function or class the reference
+    sits in, None at module level."""
+    uses = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for ref in ast.walk(node):
+            name = ref.id if isinstance(ref, ast.Name) else getattr(ref, "attr", None)
+            if isinstance(ref, (ast.Name, ast.Attribute)) and name in names:
+                uses.append((ref.lineno, owner, name))
+    return sorted(uses)
+
+
+def test_the_subunital_chain_is_written_once():
+    """In `batched`, h(R) and its guard (`h_at`, `h_positive`) appear only
+    in `_cdj_links`, the one Choi-Davis-Jensen chain through subunital
+    maps, and neither the family's nor the single map's evaluate splits a
+    perspective at its dispatch (`_inner`), so the chain cannot be copied
+    back into an evaluate."""
+    uses = name_uses((PACKAGE / "batched.py").read_text(), {"h_at", "h_positive", "_inner"})
+    assert {owner for _, owner, name in uses if name != "_inner"} == {"_cdj_links"}
+    evaluates = {"_eval_thm2_6", "_eval_single_map"}
+    assert [use for use in uses if use[1] in evaluates] == []
+
+
+def test_name_uses_are_found():
+    source = (
+        "from .kernels import h_at\n"
+        "def _cdj_links(K, x):\n"
+        "    return K.decompositions(K.h_at(x), positive=K.h_positive)\n"
+        "def _eval(K, x):\n"
+        "    y = h_at(x)\n"
+        "    return _inner(y), K.h_atx(x), x.h_positive\n"
+        "class _Check:\n"
+        "    def evaluate(self, K):\n"
+        "        return K.h_at\n"
+        "z = h_at(1)\n"
+    )
+    assert name_uses(source, {"h_at", "h_positive", "_inner"}) == [
+        (3, "_cdj_links", "h_at"),
+        (3, "_cdj_links", "h_positive"),
+        (5, "_eval", "h_at"),
+        (6, "_eval", "_inner"),
+        (6, "_eval", "h_positive"),
+        (9, "_Check", "h_at"),
+        (10, None, "h_at"),
     ]
 
 
