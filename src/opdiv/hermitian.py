@@ -1,10 +1,14 @@
 """Dense complex Hermitian matrix algebra.
 
 Spectral decomposition, functional calculus, congruence, Kronecker
-products and Loewner-order comparison. All values are immutable after
-construction and all operations are pure functions, so instances can be
-shared freely between threads. The constructions are validating facades
-over the stacked kernels in `kernels`, called with a single matrix.
+products and Loewner-order comparison. All operations are pure
+functions, and every value is immutable after construction but one: a
+`HermitianMatrix` keeps its decomposition (`_solution`) once one is
+made. Every writer of that slot writes the same value, the `kernels.solve`
+of the matrix (a stacked solve gives each matrix the bits of its own), so
+instances can still be shared freely between threads. The constructions
+are validating facades over the stacked kernels in `kernels`, called
+with a single matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ class ToleranceConfig:
         return self.abs + self.rel * scale
 
 
+def _nonempty(dim: int) -> int:
+    """`dim`, once it is at least 1; ShapeMismatch for a 0 x 0 matrix."""
+    if dim < 1:
+        raise ShapeMismatch(f"a matrix needs at least one row, got dimension {dim}")
+    return dim
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -56,7 +67,8 @@ class HermitianMatrix:
     Stored entries are the symmetrized form (H + H*) / 2. Real input is
     embedded with zero imaginary parts. Every entry is finite: the
     constructors refuse others with NotHermitian and the arithmetic with
-    BadRange.
+    BadRange. A matrix has at least one row: the constructors refuse a
+    0 x 0 one with ShapeMismatch.
     """
 
     # `_solution` is this matrix's `kernels.solve` once one is made, else
@@ -70,6 +82,7 @@ class HermitianMatrix:
         arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
+        _nonempty(arr.shape[0])
         if not np.isfinite(arr).all():
             raise NotHermitian("matrix has non-finite entries")
         # Entries near the float limit overflow H - H* and H + H*. A norm
@@ -116,15 +129,16 @@ class HermitianMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianMatrix":
-        return cls._wrap(np.eye(dim, dtype=complex))
+        return cls._wrap(np.eye(_nonempty(dim), dtype=complex))
 
     @classmethod
     def zeros(cls, dim: int) -> "HermitianMatrix":
-        return cls._wrap(np.zeros((dim, dim), dtype=complex))
+        return cls._wrap(np.zeros((_nonempty(dim),) * 2, dtype=complex))
 
     @classmethod
     def diagonal(cls, values: Iterable[float]) -> "HermitianMatrix":
         values = np.asarray(list(values), dtype=float)
+        _nonempty(len(values))
         if not np.isfinite(values).all():
             raise NotHermitian("diagonal has non-finite entries")
         return cls._wrap(np.diag(values).astype(complex))

@@ -39,6 +39,7 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
     OpDivError,
+    ShapeMismatch,
 )
 
 PD_FLOOR = 1e-10
@@ -173,7 +174,10 @@ def solve(h):
     the stack H itself, which sets the bound the reconstruction residual is
     held to: a decomposition before its guards (`guarded`). A caller that
     solves a matrix in the dispatch of another stack keeps its slice of
-    these and guards it where the matrix is used."""
+    these and guards it where the matrix is used. An empty stack raises
+    ShapeMismatch: it has no matrix to decompose."""
+    if h.size == 0:
+        raise ShapeMismatch(f"cannot decompose an empty stack of shape {h.shape}")
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -234,15 +238,19 @@ def decompositions(*parts, positive=False) -> list:
     solved = [None] * len(parts)
     try:
         for dim, own in sizes.items():
-            fused = solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
-            cuts = np.cumsum([parts[i][..., 0, 0].size for i in own])[:-1]
+            counts = [math.prod(parts[i].shape[:-2]) for i in own]
+            stacks = [parts[i].reshape((n, dim, dim)) for i, n in zip(own, counts)]
+            fused = solve(np.concatenate(stacks))
+            cuts = np.cumsum(counts)[:-1]
             for i, *x in zip(own, *(np.split(x, cuts) for x in fused)):
                 solved[i] = x
     except NumericalFailure:
         # The solver does not name the matrix it failed on; the parts one
-        # by one raise the error of the first that fails.
+        # by one raise the error of the first that fails. An empty part
+        # has no matrix to fail on.
         for part, flag in zip(parts, flags):
-            guarded(flag, *solve(part))
+            if part.size:
+                guarded(flag, *solve(part))
         raise
     out = []
     for part, flag, (vals, vecs, *errors) in zip(parts, flags, solved):

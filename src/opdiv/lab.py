@@ -69,6 +69,13 @@ class GenConfig:
     trials: int = 100
 
     def __post_init__(self):
+        for name in ("dim", "seed", "trials"):
+            value = getattr(self, name)
+            # A bool is an int, and a float's draws would run as its floor's
+            # while the report echoed the float.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadRange(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer echoes as JSON
         if not 2 <= self.dim <= 8:
             raise BadRange(f"dim must be within 2..8, got {self.dim}")
         lo, hi = self.spectrum_range

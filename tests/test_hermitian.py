@@ -47,6 +47,31 @@ def test_construction_rejects_non_hermitian():
         HermitianMatrix(np.zeros((2, 3)))
 
 
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda: PositiveDefiniteMatrix(_EMPTY),
+        lambda: PositiveDefiniteMatrix(HermitianMatrix(_EMPTY)),
+        lambda: apply_function(builtin("square"), HermitianMatrix(_EMPTY)),
+        lambda: loewner_compare(HermitianMatrix(_EMPTY), HermitianMatrix(_EMPTY)),
+        lambda: HermitianMatrix(_EMPTY).norm_two(),
+        lambda: HermitianMatrix.identity(0),
+        lambda: HermitianMatrix.zeros(0),
+        lambda: HermitianMatrix.diagonal([]),
+    ],
+    ids=["pd", "pd_of_matrix", "apply_function", "loewner", "norm_two", "identity", "zeros",
+         "diagonal"],
+)
+def test_a_zero_by_zero_matrix_is_refused(use):
+    """A 0 x 0 matrix is refused where it is made, not by a bare IndexError
+    or ValueError from the operation that first reads an eigenvalue."""
+    with pytest.raises(ShapeMismatch):
+        use()
+
+
 def test_construction_tolerates_roundoff_skew():
     base = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
     base[0, 1] += 1e-14

@@ -356,6 +356,37 @@ def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch)
                 assert calls == [dim, dim + 1]
 
 
+@pytest.mark.parametrize(
+    "solve", [kernels.decompose, kernels.positive, kernels.decompositions], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0)])
+def test_an_empty_stack_is_refused(solve, shape):
+    """An empty stack has no matrix to decompose: an OpDivError, not a bare
+    ValueError from the residual norms."""
+    with pytest.raises(OpDivError, match="empty stack"):
+        solve(np.zeros(shape, dtype=complex))
+
+
+def test_an_empty_part_beside_a_nonempty_one_is_decomposed_empty(monkeypatch):
+    """In a fused call an empty part takes its empty slice of the other
+    parts' dispatch, and if that dispatch fails, the parts one by one
+    raise the failing part's error; the empty one is not solved alone."""
+    empty, eye = np.zeros((0, 2, 2), dtype=complex), np.eye(2, dtype=complex)[None]
+    (vals, vecs), got = kernels.decompositions(empty, eye, positive=True)
+    assert vals.shape == (0, 2) and vecs.shape == (0, 2, 2)
+    assert [_bits(x) for x in got] == [_bits(x) for x in kernels.positive(eye)]
+    real = np.linalg.eigh
+
+    def failing(x, *args, **kwargs):
+        if np.count_nonzero(x == 7):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        kernels.decompositions(empty, eye, 7 * eye)
+
+
 @pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
 def test_field_sum_matches_the_loop_from_zero(dim, k):
     """Each trial's sum has the bits of a loop that adds its own present

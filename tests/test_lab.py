@@ -35,6 +35,27 @@ def test_gen_config_validation():
         GenConfig(trials=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", 3.5), ("trials", 10.5), ("seed", 1.5), ("seed", True), ("dim", True),
+     ("trials", True), ("seed", np.float64(1.0)), ("dim", "3")],
+)
+def test_gen_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """A float dim or trial count ended in a bare TypeError inside the draw,
+    and a float or bool seed ran the draws of its integer part while the
+    report echoed the value given."""
+    with pytest.raises(BadRange, match=f"{field} must be an integer"):
+        GenConfig(**{field: value})
+
+
+def test_gen_config_takes_numpy_integers_as_python_ints():
+    gen = GenConfig(dim=np.int64(3), seed=np.int32(1), trials=np.uint8(5))
+    assert [type(x) for x in (gen.dim, gen.seed, gen.trials)] == [int] * 3
+    got = run_suite(["THM2_1"], gen).to_json_dict()
+    want = run_suite(["THM2_1"], GenConfig(dim=3, seed=1, trials=5)).to_json_dict()
+    assert json.dumps({**got, "wall_ms": 0}) == json.dumps({**want, "wall_ms": 0})
+
+
 def test_gen_config_bounds_the_trial_count():
     """A count above a day's work on two cores is refused; the bound
     itself is accepted. Nothing here runs a trial."""
