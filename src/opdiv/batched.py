@@ -756,8 +756,8 @@ def _eval_thm2_10(group, tol):
     gram_pos, a_pos, b_pos = K.decompositions(gram, a, b, positive=True)
     maps = _normalized(cs, gram_pos)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-    images = _pad(np.stack([eye, a, b], axis=1), present)
-    unit, sum_a, sum_b = _mapped(maps, w, present, images).swapaxes(0, 1)
+    sides = _pad(np.stack([eye, a, b], axis=1), present)
+    unit, sum_a, sum_b = _mapped(maps, w, present, sides).swapaxes(0, 1)
     check_unital(unit)
     f2 = _each(f2s, present)
     inner, finish = _inner((f2, a, b_pos))

@@ -335,7 +335,7 @@ def apply_function(f: "ScalarOperatorFunction", h: HermitianMatrix) -> Hermitian
 def congruence(c: np.ndarray, x: HermitianMatrix) -> HermitianMatrix:
     """C* X C, symmetrized. C may be rectangular (dim(X) by out_dim)."""
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != x.dim:
+    if c.ndim != 2 or c.shape[0] != x.dim or c.shape[1] == 0:
         raise ShapeMismatch(
             f"congruence matrix of shape {c.shape} cannot act on dimension {x.dim}"
         )

@@ -238,10 +238,8 @@ def decompositions(*parts, positive=False) -> list:
     solved = [None] * len(parts)
     try:
         for dim, own in sizes.items():
-            counts = [math.prod(parts[i].shape[:-2]) for i in own]
-            stacks = [parts[i].reshape((n, dim, dim)) for i, n in zip(own, counts)]
-            fused = solve(np.concatenate(stacks))
-            cuts = np.cumsum(counts)[:-1]
+            fused = solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
+            cuts = np.cumsum([parts[i][..., 0, 0].size for i in own])[:-1]
             for i, *x in zip(own, *(np.split(x, cuts) for x in fused)):
                 solved[i] = x
     except NumericalFailure:

@@ -71,8 +71,8 @@ class GenConfig:
     def __post_init__(self):
         for name in ("dim", "seed", "trials"):
             value = getattr(self, name)
-            # A bool is an int, and a float's draws would run as its floor's
-            # while the report echoed the float.
+            # A bool is an int to Python, and a float seed would run its
+            # integer part's draws while the report echoed the float.
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise BadRange(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer echoes as JSON

@@ -215,11 +215,12 @@ def _decompose(inner, sum_b=None) -> tuple:
     the fused call fails, `inner` is decomposed alone and `sum_b` left
     unsolved."""
     # Written out rather than through `kernels.decompositions`, which would
-    # guard `sum_b` here rather than in `PositiveDefiniteMatrix` and costs
-    # its general bookkeeping per verdict: so routed, 630 small-field
-    # verdicts (dims 2-8, 2-16 entries) took 1.13-1.14x the CPU time of
-    # this in one process (slower in 19 of 20 interleaved rounds, both
-    # load orders; 2-vCPU host, numpy 2.4.6, OpenBLAS 0.3.31, one thread).
+    # guard `sum_b` here instead of in `PositiveDefiniteMatrix` and adds its
+    # general bookkeeping to every verdict. Routed through it, 630
+    # small-field verdicts (dims 2-8, 2-16 entries) took 1.13-1.14x the CPU
+    # time they take here, in one process (slower in 19 of 20 interleaved
+    # rounds, both load orders; 2-vCPU host, numpy 2.4.6, OpenBLAS 0.3.31
+    # on one thread).
     if sum_b is None:
         return kernels.decompose(inner)
     try:

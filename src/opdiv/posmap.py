@@ -62,8 +62,8 @@ class Congruence(PositiveLinearMap):
 
     def __init__(self, matrix):
         arr = np.asarray(matrix, dtype=complex)
-        if arr.ndim != 2:
-            raise ShapeMismatch("congruence needs a 2-D matrix")
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ShapeMismatch(f"congruence needs a nonempty 2-D matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise BadRange("congruence matrix has non-finite entries")
         self.matrix = arr

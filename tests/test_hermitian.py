@@ -186,6 +186,8 @@ def test_congruence_scaled_identity():
 def test_congruence_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         congruence(np.eye(3), HermitianMatrix.identity(2))
+    with pytest.raises(ShapeMismatch):  # no column: a 0 x 0 image
+        congruence(np.zeros((2, 0)), HermitianMatrix.identity(2))
 
 
 def test_congruence_preserves_order():

@@ -359,12 +359,11 @@ def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch)
 @pytest.mark.parametrize(
     "solve", [kernels.decompose, kernels.positive, kernels.decompositions], ids=lambda f: f.__name__
 )
-@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0)])
-def test_an_empty_stack_is_refused(solve, shape):
+def test_an_empty_stack_is_refused(solve):
     """An empty stack has no matrix to decompose: an OpDivError, not a bare
     ValueError from the residual norms."""
     with pytest.raises(OpDivError, match="empty stack"):
-        solve(np.zeros(shape, dtype=complex))
+        solve(np.zeros((0, 2, 2), dtype=complex))
 
 
 def test_an_empty_part_beside_a_nonempty_one_is_decomposed_empty(monkeypatch):

@@ -132,6 +132,14 @@ def test_map_field_refuses_non_finite_weights(bad, unital):
         MapField([(bad, Congruence(np.eye(2)))], unital=unital)
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_congruence_refuses_an_empty_matrix(shape):
+    """A congruence with no column mapped onto a 0 x 0 matrix, which no
+    HermitianMatrix constructor accepts."""
+    with pytest.raises(ShapeMismatch, match="nonempty"):
+        Congruence(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_congruence_refuses_a_non_finite_matrix(bad):
     with pytest.raises(BadRange, match="non-finite"):
