@@ -420,13 +420,13 @@ def _inner(*parts) -> tuple:
     rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
     fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
     lefts = np.concatenate([left for _, left, _ in rows])
-    half, inv_half = K.conditioned_roots(_joined(*(right for _, _, right in rows)))
+    half, x, _ = K.inner(lefts, _joined(*(right for _, _, right in rows)))
 
     def finish(inner) -> list:
         outs = np.split(K.sandwich(fs, half, inner), np.cumsum([len(x) for _, x, _ in rows])[:-1])
         return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
 
-    return K.hermitian_part(inv_half @ lefts @ inv_half), finish
+    return x, finish
 
 
 def _perspectives(*parts) -> list:
@@ -554,8 +554,7 @@ def _eval_cor2_2_ii(group, tol):
         raw, _total(raw, mask), _total(lefts, mask), positive=(True, True, False)
     )
     _, inv_half = K.sqrt_pair(*raw_sum)
-    inv_half = inv_half[np.nonzero(mask)[0]]
-    rights = K.hermitian_part(inv_half @ raw @ inv_half)
+    rights = K.congruence(inv_half[np.nonzero(mask)[0]], raw)
     lhs = K.calculus(fs, left_sum)
     (rhs,) = _perspectives(_Theta(fs, mask, None, lefts, K.positive(rights)))
     links = _links(tol, (lhs, rhs))
@@ -1080,14 +1079,14 @@ def _eval_kl(group, tol):
     ls, rs = (x.reshape((len(group), 2) + x.shape[1:]) for x in _build(group, "a", "b"))
     sum_l, sum_r = K.field_sum(ls), K.field_sum(rs)
     (l_vals, l_vecs), r_pos, sum_pos = K.decompositions(ls, rs, sum_r, positive=True)
-    half, inv_half = K.conditioned_roots(r_pos)
-    sum_half, sum_inv_half = K.conditioned_roots(sum_pos)
+    half, x, inv_half = K.inner(ls, r_pos)
+    sum_half, sum_x, _ = K.inner(sum_l, sum_pos)
     # R^{-1/2} L R^{-1/2}, decomposed once for both perspectives and log,
     # the same of the sums, and R^{1/2} L^{-1} R^{1/2}, positive definite.
     inner, sum_inner, recip = K.decompositions(
-        K.hermitian_part(inv_half @ ls @ inv_half),
-        K.hermitian_part(sum_inv_half @ sum_l @ sum_inv_half),
-        K.hermitian_part(half @ K.rebuild(1.0 / l_vals, l_vecs) @ half),
+        x,
+        sum_x,
+        K.congruence(half, K.rebuild(1.0 / l_vals, l_vecs)),
         positive=(False, False, True),
     )
     theta_log, theta_tlt = (K.field_sum(K.sandwich(f, half, inner)) for f in (_NEG_LOG, _T_LOG_T))

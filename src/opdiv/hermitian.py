@@ -46,6 +46,16 @@ class ToleranceConfig:
             raise ValueError("tolerances must be nonnegative")
 
     def at_scale(self, scale: float) -> float:
+        """abs + rel * scale, for a scale or an array of them. An infinite
+        tolerance would let every finite margin pass, so one that
+        overflows (or has an infinite scale) raises BadRange. The largest
+        scale sets the largest tolerance, and that one Python float is
+        tested before any array is scaled. That test skips a NaN scale,
+        from a side with a NaN: its tolerance is NaN, which fails every
+        margin, so its link is a violation."""
+        peak = float(np.fmax.reduce(scale, axis=None) if isinstance(scale, np.ndarray) else scale)
+        if self.abs + self.rel * peak == math.inf:
+            raise BadRange(f"tolerance {self.abs} + {self.rel} * {peak} is not finite")
         return self.abs + self.rel * scale
 
 

@@ -11,9 +11,11 @@ Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
 arrays is one `stack`. A stage that decomposes several independent
 stacks does so in one eigensolver dispatch per matrix size
-(`decompositions`), and `f_delta_h` exposes its steps: h(R) (`h_at`),
-its decomposition under its own guard (`h_positive`, `h_of`) and the
-perspective, so that a caller can decompose each with other stacks.
+(`decompositions`). So the perspective exposes its steps: the roots of
+R and the inner matrix R^{-1/2} L R^{-1/2} (`inner`, the one place that
+product is written), its decomposition, and `sandwich`; and
+`f_delta_h` exposes h(R) (`h_at`) and its guard (`h_positive`). A
+caller decomposes each inner matrix and h(R) with its other stacks.
 A matrix solved in another stack's dispatch keeps its unguarded
 solution (`solve`) until its own guards run on it (`guarded`), as
 `perspective.theta_divergence` does for a field's summed B.
@@ -418,30 +420,32 @@ def apply_function(f, h):
     return calculus(f, decompose(h))
 
 
-def conditioned_roots(right, condition_cap=CONDITION_CAP):
-    """(R^{1/2}, R^{-1/2}) from the (eigenvalues, eigenvectors) pair that
-    `positive` returns for each R. Raises IllConditioned if a condition
-    number exceeds `condition_cap`."""
+def inner(left, right, condition_cap=CONDITION_CAP) -> tuple:
+    """`perspective` up to its eigensolver dispatch: R^{1/2}, the inner
+    matrix X = R^{-1/2} L R^{-1/2} and R^{-1/2} for every pair of the
+    stack. `right` is the (eigenvalues, eigenvectors) pair that `positive`
+    returns, and both roots come from it (`sqrt_pair`). Raises
+    IllConditioned, before any root is taken, if a condition number
+    exceeds `condition_cap`."""
     vals, vecs = right
     cond = vals[..., 0] / vals[..., -1]
     worst = _first(cond, _exceeds(cond, condition_cap))
     if worst is not None:
         raise IllConditioned(f"condition number {worst:.3e} exceeds cap {condition_cap:.1e}")
-    return sqrt_pair(vals, vecs)
+    half, inv_half = sqrt_pair(vals, vecs)
+    return half, hermitian_part(inv_half @ left @ inv_half), inv_half
 
 
 def perspective(f, left, right, condition_cap=CONDITION_CAP):
-    """R^{1/2} f(R^{-1/2} L R^{-1/2}) R^{1/2} for every pair of the stack.
+    """R^{1/2} f(R^{-1/2} L R^{-1/2}) R^{1/2} for every pair of the stack:
+    `inner`, the decomposition of its inner matrices and `sandwich`.
 
-    `right` is the (eigenvalues, eigenvectors) pair that `positive`
-    returns, and its roots come from `conditioned_roots`. `f` is as for
-    `calculus`, and a non-finite result raises NumericalFailure naming it.
-    A caller that decomposes the inner matrices with other stacks takes
-    these steps itself: the roots, the inner matrices, their
-    decomposition and `sandwich`.
+    `right` is as for `inner`, and `f` as for `calculus`; a non-finite
+    result raises NumericalFailure naming f. A caller that decomposes the
+    inner matrices with other stacks takes these three steps itself.
     """
-    half, inv_half = conditioned_roots(right, condition_cap)
-    return sandwich(f, half, decompose(hermitian_part(inv_half @ left @ inv_half)))
+    half, x, _ = inner(left, right, condition_cap)
+    return sandwich(f, half, decompose(x))
 
 
 def sandwich(f, half, inner):
@@ -467,37 +471,31 @@ def flagged_positive(h):
 def h_at(h, right):
     """Each h(R), from the (eigenvalues, eigenvectors) pair that
     `decompose` returns for each R, once each h is flagged strictly
-    positive (`flagged_positive`). Its decomposition under `h_positive` is
-    `h_of`; a caller decomposes it with the other stacks of its stage."""
+    positive (`flagged_positive`): the right side of `f_delta_h`'s
+    perspective, before its decomposition under `h_positive`. A caller
+    decomposes it with the other stacks of its stage."""
     return calculus(flagged_positive(h), right)
 
 
 def h_positive(decomposition):
     """`strictly_positive` for the decomposition of each h(R) (`h_at`),
     raising NonPositiveH in place of NotPositiveDefinite: the positivity
-    guard of `h_of`, and a `decompositions` flag."""
+    guard of `f_delta_h`, and a `decompositions` flag."""
     try:
         return strictly_positive(decomposition)
     except NotPositiveDefinite as exc:
         raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
 
 
-def h_of(h, right):
-    """The decomposition of each h(R) (`h_at`) that passes `h_positive`:
-    the right side of `f_delta_h`'s perspective, for a caller that takes
-    that perspective in one `perspective` call with others. Raises
-    NonPositiveH if an h is not flagged strictly positive or an h(R) is
-    not strictly positive."""
-    return guarded(h_positive, *solve(h_at(h, right)))
-
-
 def f_delta_h(f, h, left, right):
     """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
-    the stack: the perspective of f at h(R) (`h_of`), the generalized
-    perspective. `right` is as for `h_of`, and `f` and `h` are as for
-    `calculus`.
+    the stack: the perspective of f at h(R), the generalized perspective.
+    `right` is the (eigenvalues, eigenvectors) pair that `decompose`
+    returns for each R, and `f` and `h` are as for `calculus`. Raises
+    NonPositiveH if an h is not flagged strictly positive or an h(R) is
+    not strictly positive (`h_positive`).
     """
-    return perspective(f, left, h_of(h, right))
+    return perspective(f, left, guarded(h_positive, *solve(h_at(h, right))))
 
 
 def bivariate(phi, left, right):

@@ -58,6 +58,15 @@ __all__ = [
 MAX_TRIALS = 500_000_000
 
 
+def _real(name: str, value):
+    """`value`, a real number that is not a bool, with a numpy number
+    stored as a Python one so that the report echoes it as JSON; BadRange
+    otherwise. A bool would run as 0 or 1 while the report echoed it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise BadRange(f"{name} must be a real number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Instance generator settings; fully determines every random draw."""
@@ -78,7 +87,13 @@ class GenConfig:
             object.__setattr__(self, name, int(value))  # a numpy integer echoes as JSON
         if not 2 <= self.dim <= 8:
             raise BadRange(f"dim must be within 2..8, got {self.dim}")
-        lo, hi = self.spectrum_range
+        try:
+            lo, hi = self.spectrum_range
+        except (TypeError, ValueError):
+            raise BadRange(f"spectrum_range must be a pair, got {self.spectrum_range!r}") from None
+        lo, hi = _real("spectrum_range lo", lo), _real("spectrum_range hi", hi)
+        object.__setattr__(self, "spectrum_range", (lo, hi))
+        object.__setattr__(self, "condition_cap", _real("condition_cap", self.condition_cap))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise BadRange(f"spectrum_range must be finite, got {self.spectrum_range}")
         # lo == hi is allowed: it pins the spectrum and yields an exact

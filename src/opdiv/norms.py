@@ -28,11 +28,13 @@ class SingularSpectrum:
 
 
 def _as_array(a) -> np.ndarray:
+    """The entries of `a`, a square matrix with at least one row;
+    ShapeMismatch otherwise, as for a `HermitianMatrix`."""
     if isinstance(a, HermitianMatrix):
         return a.entries
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ShapeMismatch(f"expected a nonempty square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -76,5 +78,5 @@ def ky_fan_dominates(a, b, tol: ToleranceConfig = ToleranceConfig()) -> bool:
         raise ShapeMismatch(f"shape mismatch {arr_a.shape} vs {arr_b.shape}")
     sa = singular_values(arr_a).values
     sb = singular_values(arr_b).values
-    slack = tol.at_scale(max(float(sa[0]), float(sb[0])) if sa.size else 0.0)
+    slack = tol.at_scale(max(float(sa[0]), float(sb[0])))
     return bool(np.all(np.cumsum(sa) <= np.cumsum(sb) + slack))

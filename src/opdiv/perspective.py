@@ -196,15 +196,15 @@ def _unsolved_sum_b(field):
 
 def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
     """The perspective of each (w, A, B) of `entries`, by
-    `kernels.perspective`'s steps; with `sum_b`, that matrix is solved in
-    the same dispatch (`_decompose`)."""
+    `kernels.perspective`'s steps: `kernels.inner`, the decomposition of
+    the inner matrices and `kernels.sandwich`. With `sum_b`, that matrix
+    is solved in the inner matrices' dispatch (`_decompose`)."""
     rights = [b.decomposition for _, _, b in entries]
-    half, inv_half = kernels.conditioned_roots((
+    lefts = kernels.stack([a.entries for _, a, _ in entries])
+    half, inner, _ = kernels.inner(lefts, (
         kernels.stack([d.eigenvalues for d in rights]), kernels.stack([d.unitary for d in rights])
     ))
-    lefts = kernels.stack([a.entries for _, a, _ in entries])
-    decomposition = _decompose(kernels.hermitian_part(inv_half @ lefts @ inv_half), sum_b)
-    return kernels.sandwich(f, half, decomposition)
+    return kernels.sandwich(f, half, _decompose(inner, sum_b))
 
 
 def _decompose(inner, sum_b=None) -> tuple:

@@ -139,6 +139,21 @@ def test_verify_nan_tolerance_exits_2(flag, capsys):
     assert "finite" in captured.err
 
 
+def test_verify_overflowing_tolerance_exits_2(capsys):
+    """With --tol-rel 1e308 the tolerance overflowed to inf: the run that
+    finds violations without it exited 0 with none, and numpy's overflow
+    warning (an error under this suite's warning filter) reached stderr."""
+    argv = ["verify", "--suite", "THM2_1", "--dim", "8", "--trials", "60", "--seed", "7"]
+    argv += ["--function", '{"id":"quartic"}']
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--tol-rel", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
 def test_verify_bad_dim_exits_2():
     assert main(["verify", "--suite", "THM2_1", "--dim", "77"]) == 2
 

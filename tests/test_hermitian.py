@@ -251,6 +251,20 @@ def test_loewner_tolerance_reported():
     assert verdict.tolerance_used == pytest.approx(1e-6 + 1e-3 * 1.0)
 
 
+def test_an_overflowing_tolerance_is_refused():
+    """abs + rel * scale overflowed to inf, so diag(5, 1) compared EQUAL to
+    I under any margin."""
+    tol = ToleranceConfig(abs=0.0, rel=1e308)
+    with pytest.raises(BadRange, match="not finite"):
+        loewner_compare(HermitianMatrix.diagonal([5.0, 1.0]), HermitianMatrix.identity(2), tol)
+    with pytest.raises(BadRange, match="not finite"):
+        tol.at_scale(np.array([0.5, 2.0]))
+    with pytest.raises(BadRange, match="not finite"):
+        tol.at_scale(np.array([math.nan, math.inf]))
+    assert tol.at_scale(np.array([0.5, 1.0])).tolist() == [0.5e308, 1e308]
+    assert math.isnan(tol.at_scale(math.nan))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_are_refused(bad):
     """Every symmetry guard compares against the entry, which is false for

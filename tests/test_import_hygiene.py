@@ -1,10 +1,11 @@
 """Every module-level import in the package is used by its module, no
 module imports another module's private name, every private module-level
 helper is used somewhere in the package, no source line is wider than
-LINE_WIDTH columns, only the trial loop folds link margins, and one
-helper of `batched` writes the chain through subunital maps. The
-benchmark's tracer (`bench/tracer.py`) finds every function and method
-it wraps under the name it looks up.
+LINE_WIDTH columns, only the trial loop folds link margins, one helper
+of `batched` writes the chain through subunital maps, and only
+`kernels.inner` and `kernels.sandwich` write the perspective's two-sided
+product. The benchmark's tracer (`bench/tracer.py`) finds every function
+and method it wraps under the name it looks up.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -326,6 +327,58 @@ def test_name_uses_are_found():
         (6, "_eval", "h_positive"),
         (9, "_Check", "h_at"),
         (10, None, "h_at"),
+    ]
+
+
+def _matmul_operands(node) -> list:
+    """The operands of a chain of `@` products, left to right."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _matmul_operands(node.left) + _matmul_operands(node.right)
+    return [node]
+
+
+def two_sided_products(source: str) -> list:
+    """(line, owner) of each product `r @ X @ r` in `source`, with one name
+    `r` at both ends of a chain of at least three operands, in line order:
+    `owner` is the module-level function or class it sits in."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for product in ast.walk(node):
+            operands = _matmul_operands(product)
+            ends = operands[0], operands[-1]
+            if len(operands) >= 3 and all(isinstance(end, ast.Name) for end in ends):
+                if ends[0].id == ends[1].id:
+                    found.append((product.lineno, owner))
+    return sorted(set(found))
+
+
+def test_the_perspective_inner_step_is_written_once():
+    """The two-sided product of the perspective, R^{-1/2} L R^{-1/2} and
+    R^{1/2} f(X) R^{1/2}, is written only in `kernels.inner` and
+    `kernels.sandwich`; every other perspective goes through them, and a
+    congruence by a root through `kernels.congruence`."""
+    found = {
+        (path.name, owner)
+        for path in PACKAGE.glob("*.py")
+        for _, owner in two_sided_products(path.read_text())
+    }
+    assert found == {("kernels.py", "inner"), ("kernels.py", "sandwich")}
+
+
+def test_two_sided_products_are_found():
+    source = (
+        "def inner(half, x):\n"
+        "    return half @ x @ half\n"
+        "def _copy(K, r, x):\n"
+        "    y = K.hermitian_part(r @ (x @ r))\n"
+        "    return y @ x @ x @ y, r @ x, r @ x @ y\n"
+        "class _Check:\n"
+        "    def evaluate(self, r, x):\n"
+        "        return r @ x @ r @ x\n"
+    )
+    assert two_sided_products(source) == [
+        (2, "inner"), (4, "_copy"), (5, "_copy"), (8, "_Check"),
     ]
 
 

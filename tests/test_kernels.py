@@ -248,6 +248,10 @@ _ROUTE_KERNELS = {
         lambda x: kernels.perspective(_SQUARE, _left(x), kernels.positive(x)),
         (None, NumericalFailure, NumericalFailure, NotPositiveDefinite, IllConditioned),
     ),
+    "inner": (
+        lambda x: kernels.inner(_left(x), kernels.positive(x)),
+        (None, NumericalFailure, NumericalFailure, NotPositiveDefinite, IllConditioned),
+    ),
     "loewner": (
         lambda x: kernels.loewner(x, _left(x), ToleranceConfig()),
         (None, NumericalFailure, NumericalFailure, None, None),

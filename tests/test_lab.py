@@ -56,6 +56,39 @@ def test_gen_config_takes_numpy_integers_as_python_ints():
     assert json.dumps({**got, "wall_ms": 0}) == json.dumps({**want, "wall_ms": 0})
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"condition_cap": True, "spectrum_range": (True, 4)}, "spectrum_range lo"),
+        ({"condition_cap": True}, "condition_cap"),
+        ({"condition_cap": "5"}, "condition_cap"),
+        ({"spectrum_range": ("0.1", 4)}, "spectrum_range lo"),
+        ({"spectrum_range": (0.1, False)}, "spectrum_range hi"),
+    ],
+)
+def test_gen_config_refuses_a_float_field_that_is_not_a_real_number(kwargs, field):
+    """A bool cap or bound ran as 0 or 1 while the report echoed `true`,
+    and a string ended in a bare TypeError."""
+    with pytest.raises(BadRange, match=f"{field} must be a real number"):
+        GenConfig(**kwargs)
+
+
+@pytest.mark.parametrize("spectrum_range", [(0.1, 2, 4), (0.1,), 4.0])
+def test_gen_config_refuses_a_spectrum_range_that_is_not_a_pair(spectrum_range):
+    """Three bounds ended in a bare ValueError from unpacking."""
+    with pytest.raises(BadRange, match="spectrum_range must be a pair"):
+        GenConfig(spectrum_range=spectrum_range)
+
+
+def test_gen_config_takes_numpy_floats_as_python_floats():
+    gen = GenConfig(
+        spectrum_range=(np.float32(0.5), np.int64(3)), condition_cap=np.float64(10.0), trials=2
+    )
+    assert [type(x) for x in (*gen.spectrum_range, gen.condition_cap)] == [float, int, float]
+    config = run_suite(["THM2_1"], gen).to_json_dict()["config"]
+    assert json.dumps([config["spectrum_range"], config["condition_cap"]]) == "[[0.5, 3], 10.0]"
+
+
 def test_gen_config_bounds_the_trial_count():
     """A count above a day's work on two cores is refused; the bound
     itself is accepted. Nothing here runs a trial."""
@@ -549,7 +582,7 @@ def test_a_fused_stage_raises_its_unmapped_part_first(check_id, draw, monkeypatc
     gen = GenConfig(dim=3, seed=4, trials=30)
     _, b = batched._build([draw(lab._trial_rng(gen.seed, check_id, 0), 0, gen, None)], "a", "b")
     with pytest.raises(NonPositiveH) as want:
-        kernels.h_of(minus_five, kernels.positive(b))
+        kernels.f_delta_h(minus_five, minus_five, b, kernels.positive(b))
     with pytest.raises(NonPositiveH) as got:
         run_check(check_id, gen)
     assert str(got.value) == str(want.value)

@@ -103,3 +103,22 @@ def test_top_k_eigenvalue_sum_dominates_frames():
             q, _ = np.linalg.qr(g)
             frame_sum = float(np.trace(q.conj().T @ a.entries @ q).real)
             assert frame_sum <= eigs[:k].sum() + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        singular_values,
+        lambda x: ky_fan(x, 1),
+        spectral_norm,
+        trace_norm,
+        lambda x: ky_fan_dominates(x, x),
+    ],
+    ids=["singular_values", "ky_fan", "spectral_norm", "trace_norm", "ky_fan_dominates"],
+)
+def test_an_empty_matrix_is_refused(call):
+    """A 0 x 0 array passed the squareness check: it had an empty spectrum,
+    ky_fan and trace_norm raised BadK "k must be in 1..0", and two of them
+    dominated each other."""
+    with pytest.raises(ShapeMismatch, match="nonempty square matrix"):
+        call(np.zeros((0, 0)))
