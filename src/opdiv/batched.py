@@ -28,11 +28,11 @@ size: the mapped side stacks per output dimension of a subunital
 family, and per output size of a single map, whose maps apply at once
 per variant and compression size; map objects are built only for the
 worst trial's payload. The maps apply to A and B first and to the
-perspectives of (A, B) later, so each mapped stage runs in the dispatch
-of the first unmapped stage its inputs allow (`_inner` splits a
-perspective at its dispatch); the output size equal to the input size
-shares that dispatch, smaller ones take their own; `_cdj_links` is
-that chain for families and single maps alike. Pool functions apply
+perspectives of (A, B) later; `_cdj_links` is that chain for families
+and single maps alike. Only its first mapped stage shares a dispatch:
+Phi(B) is decomposed with h(B), the output size equal to the input
+size in that dispatch and smaller ones in their own. Every perspective
+takes its own dispatch (`_perspectives`). Pool functions apply
 through index masks, so every margin has the bits of the
 one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .errors import BadRange
+from .errors import BadRange, NumericalFailure
 from .funcatalog import (
     FunctionFlags,
     Interval,
@@ -302,10 +302,15 @@ def _total(flat, mask, w=None):
 
 
 def _eval(fs, x) -> np.ndarray:
-    """fs[t] on the values x[t] of every trial t, one call per function."""
+    """fs[t] on the values x[t] of every trial t, one call per function;
+    NumericalFailure naming the first function with a non-finite value,
+    as when it overflows."""
     out = np.empty_like(x)
-    for g, rows in K._by_function(fs):
-        out[rows] = g.eval_array(x[rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, rows in K._by_function(fs):
+            out[rows] = g.eval_array(x[rows])
+            if not K.all_finite(out[rows]):
+                raise NumericalFailure(f"function {g.id!r} produced non-finite values")
     return out
 
 
@@ -412,31 +417,20 @@ class _Theta(NamedTuple):
     b_pos: tuple
 
 
-def _inner(*parts) -> tuple:
-    """`_perspectives` up to its eigensolver dispatch: the inner matrices
-    R^{-1/2} L R^{-1/2} of the parts laid end to end, and a function that
-    makes the perspectives from their decomposition. A caller decomposes
-    the inner matrices with the other stacks of its stage."""
-    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
-    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
-    lefts = np.concatenate([left for _, left, _ in rows])
-    half, x, _ = K.inner(lefts, _joined(*(right for _, _, right in rows)))
-
-    def finish(inner) -> list:
-        outs = np.split(K.sandwich(fs, half, inner), np.cumsum([len(x) for _, x, _ in rows])[:-1])
-        return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
-
-    return x, finish
-
-
 def _perspectives(*parts) -> list:
     """The perspective of each (f, left, right) part, `f` one function or
     one per row and `right` the decomposition that `K.positive` returns,
     and the divergence functional of each `_Theta` part, from one
-    perspective (`K.perspective`'s steps) over the parts laid end to end,
-    one function per row."""
-    inner, finish = _inner(*parts)
-    return finish(K.decompose(inner))
+    perspective (`K.perspective`'s steps, the inner matrices decomposed in
+    a dispatch of their own) over the parts laid end to end, one function
+    per row."""
+    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
+    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
+    lefts = [left for _, left, _ in rows]
+    half, inner, _ = K.inner(np.concatenate(lefts), _joined(*(right for _, _, right in rows)))
+    cuts = np.cumsum([len(left) for left in lefts])[:-1]
+    outs = np.split(K.sandwich(fs, half, K.decompose(inner)), cuts)
+    return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
 
 
 # Weighted fields: Theorems 2.1, 2.4 and 2.12, Corollaries 2.2 and 2.3.
@@ -743,10 +737,10 @@ def _eval_thm2_10(group, tol):
     """Pointwise dominance f1 <= f2 transfers to the mapped perspective
     and functional-calculus bounds.
 
-    The family maps I, A and B before the perspectives of f2 are taken,
-    and the mapped sums are decomposed with those perspectives' inner
-    matrices. So the family's unitality and the guards of the mapped sums
-    come before the perspectives' later steps and f2's calculus."""
+    The family maps I, A and B and its unitality is checked first. Then
+    come the perspectives of f2 and f2's calculus, and only then the
+    mapped sums' decomposition, so a trial that fails two guards reports
+    the perspectives' error before that of the mapped sums."""
     f1s, f2s = _fh(group)
     present = _present([len(r.w) for r in group])
     w, cs, gram = _unital_family(group, present)
@@ -759,11 +753,8 @@ def _eval_thm2_10(group, tol):
     unit, sum_a, sum_b = _mapped(maps, w, present, sides).swapaxes(0, 1)
     check_unital(unit)
     f2 = _each(f2s, present)
-    inner, finish = _inner((f2, a, b_pos))
-    inner, sum_b_pos, sum_a_dec = K.decompositions(
-        inner, sum_b, sum_a, positive=(False, True, False)
-    )
-    images = np.stack([*finish(inner), K.calculus(f2, a_pos)], axis=1)
+    images = np.stack([*_perspectives((f2, a, b_pos)), K.calculus(f2, a_pos)], axis=1)
+    sum_b_pos, sum_a_dec = K.decompositions(sum_b, sum_a, positive=(True, False))
     rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present)).swapaxes(0, 1)
     links = _links(
         tol,
@@ -864,10 +855,11 @@ def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) 
     holds the (trial indices, apply) of each group of maps (`_map_images`).
 
     The maps apply to A and B before the perspectives of (A, B) are taken,
-    and each mapped stage shares the dispatch of an unmapped one: Phi(B)
-    is decomposed with h(B), and h(Phi(B)) with the perspectives' inner
-    matrices. So the mapped stages' guards and h on Phi(B) come before the
-    unmapped perspectives' later steps, and f's calculus on them."""
+    and Phi(B) is decomposed with h(B), so Phi(B)'s guards come first.
+    Then come the unmapped perspectives, then h on each Phi(B) and its
+    decomposition, one call over the output sizes. A trial that fails two
+    guards so reports the unmapped perspectives' error before that of
+    h(Phi(B))."""
     each_f, each_h = (fs, hs) if mask is None else (_each(fs, mask), _each(hs, mask))
     stacks = _map_images(applies, [a, b], mask)
     h_b, *phi_bs = K.decompositions(
@@ -875,12 +867,12 @@ def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) 
         *(phi[:, 1] for _, phi in stacks),
         positive=(K.h_positive,) + (False,) * len(stacks),
     )
-    inner, finish = _inner((each_f, a, h_b), *([(each_f, a, b_pos)] if perspective else []))
-    h_phis = [K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)]
-    inner, *h_phis = K.decompositions(
-        inner, *h_phis, positive=(False,) + (K.h_positive,) * len(stacks)
+    unmapped = _perspectives((each_f, a, h_b), *([(each_f, a, b_pos)] if perspective else []))
+    h_phis = K.decompositions(
+        *(K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)),
+        positive=K.h_positive,
     )
-    images = _map_images(applies, finish(inner), mask)
+    images = _map_images(applies, unmapped, mask)
     links = np.empty((2, sum(len(rows) for rows, _ in applies), 1 + perspective))
     for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
         f = _take(fs, rows)

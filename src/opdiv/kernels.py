@@ -15,7 +15,7 @@ stacks does so in one eigensolver dispatch per matrix size
 R and the inner matrix R^{-1/2} L R^{-1/2} (`inner`, the one place that
 product is written), its decomposition, and `sandwich`; and
 `f_delta_h` exposes h(R) (`h_at`) and its guard (`h_positive`). A
-caller decomposes each inner matrix and h(R) with its other stacks.
+caller may decompose an inner matrix or h(R) with its other stacks.
 A matrix solved in another stack's dispatch keeps its unguarded
 solution (`solve`) until its own guards run on it (`guarded`), as
 `perspective.theta_divergence` does for a field's summed B.
@@ -390,7 +390,8 @@ def _finite(f, x):
 
 
 def _calculus(f, decomposition):
-    """`calculus` without the finiteness check of the rebuilt matrices."""
+    """`calculus` without its `np.errstate` and the finiteness check of the
+    rebuilt matrices."""
     vals, vecs = decomposition
     groups = _by_function(f)
     if len(groups) == 1:
@@ -410,9 +411,12 @@ def calculus(f, decomposition):
     its entries in one call. Eigenvalues within 1e-9 * max(1, ||H||_2) of
     a closed domain endpoint are clamped onto it; anything farther outside
     raises DomainViolation, and a non-finite value or matrix
-    NumericalFailure.
+    NumericalFailure. An overflow while f is evaluated or the matrices
+    rebuilt is that NumericalFailure, not a RuntimeWarning.
     """
-    return _finite(f, _calculus(f, decomposition))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _calculus(f, decomposition)
+    return _finite(f, out)
 
 
 def apply_function(f, h):
@@ -452,9 +456,11 @@ def sandwich(f, half, inner):
     """R^{1/2} f(X) R^{1/2} from `half` = R^{1/2} and the decomposition
     `inner` of each X = R^{-1/2} L R^{-1/2}: the last step of `perspective`,
     for a caller that takes several functions of one X. A non-finite
-    result raises NumericalFailure naming f."""
+    result, an overflow among them, raises NumericalFailure naming f."""
     # A non-finite f(X) leaves the product non-finite, so one check names f.
-    return _finite(f, hermitian_part(half @ _calculus(f, inner) @ half))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = hermitian_part(half @ _calculus(f, inner) @ half)
+    return _finite(f, out)
 
 
 def flagged_positive(h):
@@ -557,12 +563,17 @@ def field_sum(x, mask=None, w=None):
 
 def singular_values(x):
     """Singular values of every matrix of the stack, descending: the
-    eigenvalues of (X* X)^{1/2}, clipped at zero before the root."""
+    eigenvalues of (X* X)^{1/2}, clipped at zero before the root.
+    NumericalFailure if X* X is not finite, as when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint(x) @ x
+    if not all_finite(gram):
+        raise NumericalFailure("singular value computation failed: X* X has non-finite entries")
     try:
-        gram = np.linalg.eigvalsh(adjoint(x) @ x)
+        vals = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular value computation failed: {exc}") from exc
-    return np.sqrt(np.clip(gram, 0.0, None))[..., ::-1]
+    return np.sqrt(np.clip(vals, 0.0, None))[..., ::-1]
 
 
 def loewner(lhs, rhs, tol):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadK, ShapeMismatch
+from .errors import BadK, BadRange, ShapeMismatch
 from .hermitian import HermitianMatrix, ToleranceConfig
 
 
@@ -28,13 +28,17 @@ class SingularSpectrum:
 
 
 def _as_array(a) -> np.ndarray:
-    """The entries of `a`, a square matrix with at least one row;
-    ShapeMismatch otherwise, as for a `HermitianMatrix`."""
+    """The entries of `a`, a square matrix with at least one row and
+    finite entries; ShapeMismatch for any other shape, as for a
+    `HermitianMatrix`, and BadRange for a non-finite entry, as for a
+    `Congruence`."""
     if isinstance(a, HermitianMatrix):
         return a.entries
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ShapeMismatch(f"expected a nonempty square matrix, got shape {arr.shape}")
+    if not kernels.all_finite(arr):
+        raise BadRange("matrix has non-finite entries")
     return arr
 
 
@@ -43,7 +47,7 @@ def singular_values(a) -> SingularSpectrum:
 
     Computed from the eigenvalues of A* A with a negative clip at zero
     before the square root; for Hermitian input this equals the sorted
-    absolute eigenvalues.
+    absolute eigenvalues. NumericalFailure if A* A overflows.
     """
     vals = kernels.singular_values(_as_array(a)).copy()
     vals.flags.writeable = False

@@ -154,6 +154,19 @@ def test_verify_overflowing_tolerance_exits_2(capsys):
     assert "not finite" in captured.err
 
 
+@pytest.mark.parametrize("suite", ["THM2_1", "SCALAR_CSISZAR"])
+def test_verify_overflowing_function_exits_2_with_one_line(suite, capsys):
+    """An affine override of slope and intercept 1e308 overflows on every
+    eigenvalue and scalar: numpy's overflow warnings (errors under this
+    suite's warning filter) reached stderr before the error line, two for
+    THM2_1 and three for SCALAR_CSISZAR."""
+    spec = '{"id":"affine","params":[1e308,1e308]}'
+    assert main(["verify", "--suite", suite, "--trials", "5", "--function", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: function 'affine(1e+308,1e+308)' produced non-finite values\n"
+
+
 def test_verify_bad_dim_exits_2():
     assert main(["verify", "--suite", "THM2_1", "--dim", "77"]) == 2
 

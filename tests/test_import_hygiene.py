@@ -2,7 +2,8 @@
 module imports another module's private name, every private module-level
 helper is used somewhere in the package, no source line is wider than
 LINE_WIDTH columns, only the trial loop folds link margins, one helper
-of `batched` writes the chain through subunital maps, and only
+of `batched` writes the chain through subunital maps, no evaluate of
+`batched` splits a perspective at its eigensolver dispatch, and only
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
 product. The benchmark's tracer (`bench/tracer.py`) finds every function
 and method it wraps under the name it looks up.
@@ -297,18 +298,25 @@ def name_uses(source: str, names) -> list:
 def test_the_subunital_chain_is_written_once():
     """In `batched`, h(R) and its guard (`h_at`, `h_positive`) appear only
     in `_cdj_links`, the one Choi-Davis-Jensen chain through subunital
-    maps, and neither the family's nor the single map's evaluate splits a
-    perspective at its dispatch (`_inner`), so the chain cannot be copied
-    back into an evaluate."""
-    uses = name_uses((PACKAGE / "batched.py").read_text(), {"h_at", "h_positive", "_inner"})
-    assert {owner for _, owner, name in uses if name != "_inner"} == {"_cdj_links"}
-    evaluates = {"_eval_thm2_6", "_eval_single_map"}
-    assert [use for use in uses if use[1] in evaluates] == []
+    maps, so the chain cannot be copied back into an evaluate."""
+    uses = name_uses((PACKAGE / "batched.py").read_text(), {"h_at", "h_positive"})
+    assert {owner for _, owner, _ in uses} == {"_cdj_links"}
+
+
+def test_no_evaluate_splits_a_perspective():
+    """In `batched`, the perspective's inner step and last step (`inner`,
+    `sandwich`) appear only in `_perspectives`, which decomposes the inner
+    matrices in a dispatch of their own, and in `_eval_kl`, whose direct
+    formula reuses R^{-1/2} from `inner`. So no evaluate splits a
+    perspective at its eigensolver dispatch to decompose other stacks in
+    it."""
+    uses = name_uses((PACKAGE / "batched.py").read_text(), {"inner", "sandwich"})
+    assert {owner for _, owner, _ in uses} == {"_perspectives", "_eval_kl"}
 
 
 def test_name_uses_are_found():
     source = (
-        "from .kernels import h_at\n"
+        "from .kernels import h_at, sandwich\n"
         "def _cdj_links(K, x):\n"
         "    return K.decompositions(K.h_at(x), positive=K.h_positive)\n"
         "def _eval(K, x):\n"
@@ -318,15 +326,18 @@ def test_name_uses_are_found():
         "    def evaluate(self, K):\n"
         "        return K.h_at\n"
         "z = h_at(1)\n"
+        "def _split(K, x):\n"
+        "    return sandwich(K.inner(x), x.inners)\n"
     )
-    assert name_uses(source, {"h_at", "h_positive", "_inner"}) == [
+    assert name_uses(source, {"h_at", "h_positive", "inner", "sandwich"}) == [
         (3, "_cdj_links", "h_at"),
         (3, "_cdj_links", "h_positive"),
         (5, "_eval", "h_at"),
-        (6, "_eval", "_inner"),
         (6, "_eval", "h_positive"),
         (9, "_Check", "h_at"),
         (10, None, "h_at"),
+        (12, "_split", "inner"),
+        (12, "_split", "sandwich"),
     ]
 
 

@@ -506,6 +506,64 @@ def test_evaluate_returns_every_link_margin(check_id, dim):
     assert len(payloads) == gen.trials
 
 
+# The links that are equalities for affine f = at + b, whose perspective
+# aA + bB is linear: (check, link indices or None for every link, the
+# functions of `_EQUALITY_FUNCTIONS` they hold for). Through a subunital
+# map or a scalar reduction a generalized perspective keeps b h(.), so
+# those links are equalities only for f(0) = 0, and a Ky Fan norm is
+# linear only in the identity. Deviation-flag links are left out.
+_AFFINE = ("affine(1,-2)", "affine(-1,0)", "identity")
+_F_ZERO_AT_ZERO = ("affine(-1,0)", "identity")
+_EQUALITIES = (
+    ("THM2_1", None, _AFFINE),
+    ("COR2_2_SUBADD", None, _AFFINE),
+    ("COR2_2_II", None, _AFFINE),
+    ("COR2_3_SPLIT", None, _AFFINE),
+    ("THM2_4_MIXTURE", None, _AFFINE),
+    ("THM2_12_GRAD", None, _AFFINE),
+    ("THM3_1_CHAIN", None, _AFFINE),
+    ("THM3_1_II", None, _AFFINE),
+    ("COR3_4_ISOM", None, _AFFINE),
+    ("SCALAR_CSISZAR", [0], _AFFINE),
+    ("COR2_7_SINGLE", [1], _AFFINE),
+    ("THM2_6_CDJ_DELTA", None, _F_ZERO_AT_ZERO),
+    ("COR2_9_VECTOR", None, _F_ZERO_AT_ZERO),
+    ("THM_DELTA_NABLA", None, _F_ZERO_AT_ZERO),
+    ("COR2_7_SINGLE", [0], _F_ZERO_AT_ZERO),
+    ("THM3_8_NORM", None, ("identity",)),
+)
+_EQUALITY_FUNCTIONS = {
+    f.id: f for f in (builtin("affine", [1, -2]), builtin("affine", [-1, 0]), builtin("identity"))
+}
+
+
+@pytest.mark.parametrize(
+    "check_id, links, f_id",
+    [
+        pytest.param(check_id, links, f_id, id=f"{check_id}{links or ''}-{f_id}")
+        for check_id, links, ids in _EQUALITIES
+        for f_id in ids
+    ],
+)
+def test_equality_cases_pin_both_sides(check_id, links, f_id):
+    """Where a link is an equality, its margin stays within 1e3 eps of its
+    sides' scale on every trial, so a side that came out too large (a
+    missing weight, a map on one side only), which every golden would
+    keep, fails here. The scale is the one the tolerance was taken at.
+    The largest margin measured here is 0.1 of this bound (THM3_1_II)."""
+    tol, check, f = ToleranceConfig(), lab._REGISTRY[check_id], _EQUALITY_FUNCTIONS[f_id]
+    for dim in (2, 5, 8):
+        gen = GenConfig(dim=dim, seed=5, trials=40)
+        records = [
+            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(gen.trials)
+        ]
+        margins, used, _ = check.evaluate(records, tol)
+        scale = (used - tol.abs) / tol.rel
+        bound = 1e3 * np.finfo(float).eps * (1.0 + scale)
+        within = np.abs(margins) <= bound
+        assert within[:, slice(None) if links is None else links].all(), dim
+
+
 def _leaves(value):
     """The values in a draw record, through its tuples and lists."""
     if isinstance(value, (tuple, list)):
@@ -567,8 +625,8 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
     [("THM2_6_CDJ_DELTA", batched._draw_thm2_6), ("COR2_7_SINGLE", batched._draw_cor2_7)],
 )
 def test_a_fused_stage_raises_its_unmapped_part_first(check_id, draw, monkeypatch):
-    """These checks decompose h(B) with the mapped B, and h of the mapped B
-    with the perspectives' inner matrices. With an h, flagged strictly
+    """These checks decompose h(B) with the mapped B, and take h of the
+    mapped B after the perspectives of (A, B). With an h, flagged strictly
     positive, that is negative on every B and every mapped B, both h
     stages fail; the run raises trial 0's NonPositiveH for its unmapped
     h(B), as when the mapped side ran after the unmapped one."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_herm, make_pd
-from opdiv.errors import BadK, ShapeMismatch
+from opdiv.errors import BadK, BadRange, NumericalFailure, ShapeMismatch
 from opdiv.hermitian import ToleranceConfig, unitary_from_rng
 from opdiv.norms import (
     ky_fan,
@@ -122,3 +122,33 @@ def test_an_empty_matrix_is_refused(call):
     dominated each other."""
     with pytest.raises(ShapeMismatch, match="nonempty square matrix"):
         call(np.zeros((0, 0)))
+
+
+def _with_nan() -> np.ndarray:
+    a = np.eye(2)
+    a[0, 1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        singular_values,
+        lambda x: ky_fan(x, 1),
+        lambda x: ky_fan_dominates(x, np.eye(2)),
+        lambda x: ky_fan_dominates(np.eye(2), x),
+    ],
+    ids=["singular_values", "ky_fan", "ky_fan_dominates", "ky_fan_dominated"],
+)
+def test_a_non_finite_matrix_is_refused(call):
+    """With one NaN entry, singular_values gave [nan, nan], ky_fan nan, and
+    ky_fan_dominates False in both argument orders."""
+    with pytest.raises(BadRange, match="non-finite entries"):
+        call(_with_nan())
+
+
+def test_an_overflowing_gram_product_is_refused():
+    """Entries of 1e300 overflow A* A: the singular values came out NaN
+    under a RuntimeWarning (an error under this suite's warning filter)."""
+    with pytest.raises(NumericalFailure, match="X\\* X has non-finite entries"):
+        singular_values(np.full((2, 2), 1e300))
