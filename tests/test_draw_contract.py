@@ -366,3 +366,37 @@ def test_every_link_is_pinned_to_the_bit(dim, function):
     for margins, used in _evaluated(dim, function):
         digest.update(repr(margins.shape).encode() + margins.tobytes() + used.tobytes())
     assert digest.hexdigest()[:32] == _LINK_PINS[dim, function]
+
+
+# function -> sha256 (first 32 hex digits) of SCALAR_CSISZAR's 1 x 1
+# divergence functional, the (T, 1, 1) Θ array its evaluate sums, over
+# dims 2-8 in order, at seed 0 with 30 trials. Θ feeds only a deviation
+# flag against 1e-12, which no reported number shows, so no other pin
+# sees the order of that sum. The draw reads no dim, so every dim sums
+# the same terms; the dims walk `run_check`'s chunking.
+_SCALAR_THETA_PINS = {
+    "pool": "fced73c667580cee248e9c160aa1abd7",
+    "quartic": "d7703e8dacb48d175d593290c56d9d98",
+}
+
+
+@pytest.mark.parametrize("function", sorted(_SCALAR_THETA_PINS))
+def test_scalar_csiszar_theta_is_pinned_to_the_bit(function, monkeypatch):
+    sums = []
+    field_sum = kernels.field_sum
+
+    def recorded(x, mask=None, w=None):
+        out = field_sum(x, mask, w)
+        if out.ndim == 3:  # the one matrix sum; the scalar sums are (T,)
+            sums.append(out)
+        return out
+
+    monkeypatch.setattr(kernels, "field_sum", recorded)
+    override = quartic() if function == "quartic" else None
+    digest = hashlib.sha256()
+    for dim in range(2, 9):
+        run_check("SCALAR_CSISZAR", GenConfig(dim=dim, seed=0, trials=30), function=override)
+        (theta,) = sums
+        digest.update(repr(theta.shape).encode() + theta.tobytes())
+        sums.clear()
+    assert digest.hexdigest()[:32] == _SCALAR_THETA_PINS[function]
