@@ -18,9 +18,9 @@ decompositions, perspectives, congruences, calculus) runs once per
 chunk. A stage fuses its independent work: its decompositions are one
 `kernels.decompositions` call, one eigensolver dispatch per matrix size,
 and its perspectives, plain, generalized (at h(R), `kernels.h_at`) or
-the terms of the divergence functional (`_Theta`), are one perspective
+the terms of the divergence functional, are one `kernels.perspective`
 over the stacks laid end to end, with one function per row
-(`_perspectives`). Sums over a trial's entries are one
+(`_perspectives`). Sums over a trial's entries, Theta's among them, are one
 `kernels.field_sum` over a (T, k) presence mask: the present terms, in
 entry order, added to zeros.
 Only a stage whose matrix size depends on the draw is split by that
@@ -32,7 +32,7 @@ perspectives of (A, B) later; `_cdj_links` is that chain for families
 and single maps alike. Only its first mapped stage shares a dispatch:
 Phi(B) is decomposed with h(B), the output size equal to the input
 size in that dispatch and smaller ones in their own. Every perspective
-takes its own dispatch (`_perspectives`). Pool functions apply
+takes its own dispatch (`kernels.perspective`). Pool functions apply
 through index masks, so every margin has the bits of the
 one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
@@ -404,33 +404,17 @@ def _joined(*decompositions) -> tuple:
     return tuple(np.concatenate(x) for x in zip(*decompositions))
 
 
-class _Theta(NamedTuple):
-    """The divergence functional of fields, as a part of `_perspectives`:
-    the weighted sum (the plain sum when `w` is None) of the perspectives
-    of the entries, from the flat stacks `a` and the decompositions
-    `b_pos` that `K.positive` returns."""
-
-    fs: list
-    mask: np.ndarray
-    w: Optional[np.ndarray]
-    a: np.ndarray
-    b_pos: tuple
-
-
 def _perspectives(*parts) -> list:
     """The perspective of each (f, left, right) part, `f` one function or
-    one per row and `right` the decomposition that `K.positive` returns,
-    and the divergence functional of each `_Theta` part, from one
-    perspective (`K.perspective`'s steps, the inner matrices decomposed in
-    a dispatch of their own) over the parts laid end to end, one function
-    per row."""
-    rows = [(_each(p.fs, p.mask), p.a, p.b_pos) if isinstance(p, _Theta) else p for p in parts]
-    fs = [g for f, left, _ in rows for g in (f if isinstance(f, list) else [f] * len(left))]
-    lefts = [left for _, left, _ in rows]
-    half, inner, _ = K.inner(np.concatenate(lefts), _joined(*(right for _, _, right in rows)))
-    cuts = np.cumsum([len(left) for left in lefts])[:-1]
-    outs = np.split(K.sandwich(fs, half, K.decompose(inner)), cuts)
-    return [_total(x, p.mask, p.w) if isinstance(p, _Theta) else x for p, x in zip(parts, outs)]
+    one per row and `right` the decomposition that `K.positive` returns:
+    one `K.perspective` over the parts laid end to end, one function per
+    row, so the parts share its eigensolver dispatch. The divergence
+    functional of a field is the part of its entries, each with its
+    trial's function (`_each`), summed by the caller (`_total`)."""
+    fs = [g for f, left, _ in parts for g in (f if isinstance(f, list) else [f] * len(left))]
+    lefts = [left for _, left, _ in parts]
+    whole = K.perspective(fs, np.concatenate(lefts), _joined(*(right for _, _, right in parts)))
+    return np.split(whole, np.cumsum([len(left) for left in lefts])[:-1])
 
 
 # Weighted fields: Theorems 2.1, 2.4 and 2.12, Corollaries 2.2 and 2.3.
@@ -506,8 +490,8 @@ def _eval_thm2_1(group, tol):
     fs, mask, w, a, b = _field(group)
     sum_a, sum_b = (_total(x, mask, w) for x in (a, b))
     b_pos, sum_pos = K.decompositions(b, sum_b, positive=True)
-    lhs, theta = _perspectives((fs, sum_a, sum_pos), _Theta(fs, mask, w, a, b_pos))
-    return *_links(tol, (lhs, theta)), _field_payloads(group, mask, a, b)
+    lhs, terms = _perspectives((fs, sum_a, sum_pos), (_each(fs, mask), a, b_pos))
+    return *_links(tol, (lhs, _total(terms, mask, w))), _field_payloads(group, mask, a, b)
 
 
 def _eval_cor2_3_split(group, tol):
@@ -518,23 +502,25 @@ def _eval_cor2_3_split(group, tol):
     # The weighted sums of the two blocks and of the whole field.
     sums = [(K.field_sum(a_k, m, w), K.field_sum(b_k, m, w)) for m in (t1, mask & ~t1, mask)]
     b_pos, *rights = K.decompositions(b, *(sum_b for _, sum_b in sums), positive=True)
-    one, two, whole, theta = _perspectives(
+    one, two, whole, terms = _perspectives(
         *((fs, sum_a, right) for (sum_a, _), right in zip(sums, rights)),
-        _Theta(fs, mask, w, a, b_pos),
+        (_each(fs, mask), a, b_pos),
     )
-    split = one + two
+    split, theta = one + two, _total(terms, mask, w)
     return *_links(tol, (whole, split), (split, theta)), _field_payloads(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):
     """Tangent-line lower bound f(1) sum w B - f'(1) sum w (B - A) for the
-    divergence functional."""
+    divergence functional. A bound that overflows raises NumericalFailure
+    naming the function of its trial."""
     fs, mask, w, a, b = _field(group)
     b_pos = K.positive(b)  # each drawn B is positive definite
     points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
     sum_b, sum_a = _total(b, mask, w), _total(a, mask, w)
-    lower = sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1]
-    (theta,) = _perspectives(_Theta(fs, mask, w, a, b_pos))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = K._finite(fs, sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1])
+    theta = _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
     return *_links(tol, (lower, theta)), _field_payloads(group, mask, a, b)
 
 
@@ -550,7 +536,7 @@ def _eval_cor2_2_ii(group, tol):
     _, inv_half = K.sqrt_pair(*raw_sum)
     rights = K.congruence(inv_half[np.nonzero(mask)[0]], raw)
     lhs = K.calculus(fs, left_sum)
-    (rhs,) = _perspectives(_Theta(fs, mask, None, lefts, K.positive(rights)))
+    rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask)
     links = _links(tol, (lhs, rhs))
     payloads = [
         partial(_payload, f=r.f, L=left, R=right)
@@ -569,9 +555,10 @@ def _eval_thm2_4_mixture(group, tol):
     # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
     rows = [K.field_sum(_pad(x, grid).swapaxes(1, 2), mask, p)[mask] for x in (ls, rs)]
     row_pos, cell_pos = K.decompositions(rows[1], rs, positive=True)
-    lhs, cells = _perspectives(
-        _Theta(fs, mask, None, rows[0], row_pos), (_each(fs, grid), ls, cell_pos)
+    row_terms, cells = _perspectives(
+        (_each(fs, mask), rows[0], row_pos), (_each(fs, grid), ls, cell_pos)
     )
+    lhs = _total(row_terms, mask)
     columns = K.field_sum(_pad(cells, grid), mask)
     links = _links(tol, (lhs, K.field_sum(columns, mask, p)))
     payloads = []
@@ -639,11 +626,9 @@ def _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full: bool = True):
     m1 = K.calculus(fs, sum_dec)
     parts = [(fs, left, right) for left, right in zip(lefts, rights)]
     if full:
-        parts.append(_Theta(fs, present, None, mapped_a[present], rights[-1]))
+        parts.append((_each(fs, present), mapped_a[present], rights[-1]))
     persp = _perspectives(*parts)
-    m2 = m3 = None
-    if full:
-        m2, m3 = persp[0] + persp[1], persp[2]
+    m2, m3 = (persp[0] + persp[1], _total(persp[2], present)) if full else (None, None)
     return (m1, m2, m3, K.field_sum(mapped_f, present)), persp[0], K.field_sum(mapped_f, t1)
 
 
@@ -753,7 +738,7 @@ def _eval_thm2_10(group, tol):
     unit, sum_a, sum_b = _mapped(maps, w, present, sides).swapaxes(0, 1)
     check_unital(unit)
     f2 = _each(f2s, present)
-    images = np.stack([*_perspectives((f2, a, b_pos)), K.calculus(f2, a_pos)], axis=1)
+    images = np.stack([K.perspective(f2, a, b_pos), K.calculus(f2, a_pos)], axis=1)
     sum_b_pos, sum_a_dec = K.decompositions(sum_b, sum_a, positive=(True, False))
     rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present)).swapaxes(0, 1)
     links = _links(
@@ -1113,8 +1098,7 @@ def _eval_scalar_csiszar(group, tol):
     total = _total(q * _eval(_each(fs, mask), p / q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
-    (theta,) = _perspectives(_Theta(fs, mask, None, cell_p, K.positive(cell_q)))
-    theta = theta[:, 0, 0].real
+    theta = _total(K.perspective(_each(fs, mask), cell_p, K.positive(cell_q)), mask)[:, 0, 0].real
     big_q = _total(q, mask)
     lhs = big_q * _eval(fs, _total(p, mask) / big_q)
     links = _scalar_links(tol, lhs[:, None], total[:, None])

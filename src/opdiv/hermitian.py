@@ -4,9 +4,10 @@ Spectral decomposition, functional calculus, congruence, Kronecker
 products and Loewner-order comparison. All operations are pure
 functions, and every value is immutable after construction but one: a
 `HermitianMatrix` keeps its decomposition (`_solution`) once one is
-made. Every writer of that slot writes the same value, the `kernels.solve`
-of the matrix (a stacked solve gives each matrix the bits of its own), so
-instances can still be shared freely between threads. The constructions
+made. The invariant that keeps that slot harmless: every writer writes
+the same value, the `kernels.solve` of the matrix (a stacked solve gives
+each matrix the bits of its own), so whether and when the slot is filled
+never changes a result. The constructions
 are validating facades over the stacked kernels in `kernels`, called
 with a single matrix.
 """

@@ -314,12 +314,18 @@ def bivariate_calculus(
 
 
 def tangent_point(f: ScalarOperatorFunction) -> tuple[float, float]:
-    """(f(1), f'(1)), the coefficients of the tangent-line bound."""
+    """(f(1), f'(1)), the coefficients of the tangent-line bound;
+    NumericalFailure naming f if either is not finite, as when f
+    overflows at 1."""
     if f.deriv is None:
         raise DerivativeRequired(f"function {f.id!r} carries no derivative")
     if not f.domain.contains(1.0):
         raise DomainViolation(1.0, f.domain, "tangent point 1 outside dom(f)")
-    return f.eval_scalar(1.0), f.deriv_scalar(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = f.eval_scalar(1.0), f.deriv_scalar(1.0)
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise NumericalFailure(f"function {f.id!r} produced non-finite values")
+    return point
 
 
 def gradient_lower_bound(

@@ -154,17 +154,31 @@ def test_verify_overflowing_tolerance_exits_2(capsys):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("suite", ["THM2_1", "SCALAR_CSISZAR"])
-def test_verify_overflowing_function_exits_2_with_one_line(suite, capsys):
-    """An affine override of slope and intercept 1e308 overflows on every
-    eigenvalue and scalar: numpy's overflow warnings (errors under this
-    suite's warning filter) reached stderr before the error line, two for
-    THM2_1 and three for SCALAR_CSISZAR."""
-    spec = '{"id":"affine","params":[1e308,1e308]}'
+_OVERFLOWS = "function 'affine(1e+308,1e+308)' produced non-finite values"
+
+
+@pytest.mark.parametrize(
+    "suite, params, error",
+    [
+        ("THM2_1", "1e308,1e308", _OVERFLOWS),
+        ("SCALAR_CSISZAR", "1e308,1e308", _OVERFLOWS),
+        ("THM2_12_GRAD", "1e308,1e308", _OVERFLOWS),
+        ("THM2_12_GRAD", "1e308,0", "function 'affine(1e+308,0)' produced a non-finite matrix"),
+    ],
+    ids=["THM2_1", "SCALAR_CSISZAR", "THM2_12_GRAD", "THM2_12_GRAD-bound"],
+)
+def test_verify_overflowing_function_exits_2_with_one_line(suite, params, error, capsys):
+    """An affine override of slope 1e308 overflows on every eigenvalue and
+    scalar: numpy's overflow warnings (errors under this suite's warning
+    filter) reached stderr before the error line, two for THM2_1 and three
+    for SCALAR_CSISZAR. THM2_12_GRAD overflowed at f(1) with intercept
+    1e308 (four warnings) and in its tangent-line bound f'(1) sum w (B - A)
+    with intercept 0 (one)."""
+    spec = '{"id":"affine","params":[%s]}' % params
     assert main(["verify", "--suite", suite, "--trials", "5", "--function", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: function 'affine(1e+308,1e+308)' produced non-finite values\n"
+    assert captured.err == f"error: {error}\n"
 
 
 def test_verify_bad_dim_exits_2():

@@ -305,13 +305,13 @@ def test_the_subunital_chain_is_written_once():
 
 def test_no_evaluate_splits_a_perspective():
     """In `batched`, the perspective's inner step and last step (`inner`,
-    `sandwich`) appear only in `_perspectives`, which decomposes the inner
-    matrices in a dispatch of their own, and in `_eval_kl`, whose direct
-    formula reuses R^{-1/2} from `inner`. So no evaluate splits a
-    perspective at its eigensolver dispatch to decompose other stacks in
-    it."""
+    `sandwich`) appear only in `_eval_kl`, which takes several functions
+    of one inner matrix and whose direct formula reuses R^{-1/2} from
+    `inner`. Every other perspective, `_perspectives` included, is one
+    `kernels.perspective` call, so no evaluate splits a perspective at its
+    eigensolver dispatch to decompose other stacks in it."""
     uses = name_uses((PACKAGE / "batched.py").read_text(), {"inner", "sandwich"})
-    assert {owner for _, owner, _ in uses} == {"_perspectives", "_eval_kl"}
+    assert {owner for _, owner, _ in uses} == {"_eval_kl"}
 
 
 def test_name_uses_are_found():

@@ -667,7 +667,7 @@ def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
 # trials, seed 1. Each stage decomposes its independent stacks in one
 # dispatch per matrix size (`kernels.decompositions`). The inner matrices
 # of a stage's perspectives take one dispatch of their own
-# (`batched._perspectives`), but KL_SUITE's share one with its other
+# (`kernels.perspective`), but KL_SUITE's share one with its other
 # stacks, and the mapped Phi(B) of a Choi-Davis-Jensen chain joins h(B)'s
 # dispatch. The matrices are those of one call per stack. 125 dispatches
 # in all, 0.0625 per trial.

@@ -14,6 +14,7 @@ from opdiv.errors import (
     NonPositiveH,
     NotPositiveDefinite,
     NotProbability,
+    NumericalFailure,
     ShapeMismatch,
     SizeLimit,
 )
@@ -464,6 +465,24 @@ def test_gradient_lower_bound_requires_derivative():
     field = WeightedOperatorField([(1.0, HermitianMatrix.identity(2), pd(np.eye(2)))])
     with pytest.raises(DerivativeRequired):
         gradient_lower_bound(f, field)
+
+
+@pytest.mark.parametrize(
+    "params, error, message",
+    [
+        ([1e308, 1e308], NumericalFailure, "function 'affine(1e+308,1e+308)' produced non-finite"),
+        ([1e308, 0.0], BadRange, "scalar factor 1e+308 gives a non-finite matrix"),
+    ],
+    ids=["at_one", "in_bound"],
+)
+def test_gradient_lower_bound_overflow_raises_without_warning(params, error, message):
+    """An affine f of slope 1e308 overflows at the tangent point when its
+    intercept is 1e308 too, and otherwise in the bound, f'(1) times the
+    summed matrices: either way one error and no numpy warning before it
+    (a warning is an error under this suite's filter)."""
+    entry = (1.0, HermitianMatrix.diagonal([1.0, 2.0]), pd(np.eye(2) * 2))
+    with pytest.raises(error, match=re.escape(message)):
+        gradient_lower_bound(builtin("affine", params), WeightedOperatorField([entry]))
 
 
 def test_theta_output_is_hermitian_invariant():
