@@ -17,12 +17,17 @@ are sums over its members. Permuting the members together with their
 weights, Gaussians, operators and shrinks, and renaming the first block
 to match, leaves every link of THM2_6_CDJ_DELTA, THM2_10_DOM,
 THM3_1_CHAIN, THM3_1_II and COR3_4_ISOM as it was, up to rounding.
+
+The perspective is jointly homogeneous, so on the checks built from
+perspectives and weighted sums alone, scaling every A and B by 4 scales
+every margin by 4, and exactly, since 4 is a power of two.
 """
 
 import numpy as np
 import pytest
 
-from opdiv import batched, lab
+from opdiv import batched, kernels, lab
+from opdiv.funcatalog import builtin
 from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import GenConfig
 
@@ -140,3 +145,56 @@ def test_the_relation_sees_shrinks_paired_with_the_wrong_maps(monkeypatch):
         move, violations = _worst_move("THM2_6_CDJ_DELTA", dim)
         assert violations == 0
         assert move > _CHAIN_BOUND
+
+
+def _times_four(record):
+    """`record` with the eigenvalues of every A and B slot times 4."""
+    (a_cap, a), (b_cap, b) = record.a, record.b
+    return record._replace(
+        a=(a_cap, [(4.0 * lam, g) for lam, g in a]), b=(b_cap, [(4.0 * lam, g) for lam, g in b])
+    )
+
+
+def _scaled_margins(check_id, dim, f, trials=40, seed=3):
+    """The link margins of the drawn trials and of the same trials with
+    every A and B slot's eigenvalues times 4, and the violation count of
+    the drawn trials."""
+    check = lab._REGISTRY[check_id]
+    gen = GenConfig(dim=dim, seed=seed, trials=trials)
+    tol = ToleranceConfig()
+    records = [check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(trials)]
+    margins, used, _ = check.evaluate(records, tol)
+    moved, _, _ = check.evaluate([_times_four(r) for r in records], tol)
+    violations = int(np.count_nonzero(~np.all(margins >= -used, axis=1)))
+    return margins, moved, violations
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8])
+@pytest.mark.parametrize("f", [None, builtin("power", [1.5]), builtin("neg_log")], ids=str)
+@pytest.mark.parametrize(
+    "check_id", ["THM2_1", "COR2_2_SUBADD", "COR2_3_SPLIT", "THM2_4_MIXTURE", "THM2_12_GRAD"]
+)
+def test_scaling_a_and_b_by_four_scales_margins_by_four_to_the_bit(check_id, f, dim):
+    """The perspective is jointly homogeneous, P_f(tA, tB) = t P_f(A, B)
+    for t > 0, and sums and weighted sums are linear. Every side of these
+    checks is built from perspectives and weighted sums of the drawn A and
+    B alone (THM2_12_GRAD's tangent-line bound f(1) sum w B -
+    f'(1) sum w (B - A) is linear in them too), so scaling every A and B
+    by 4 scales every link by 4. Checks that normalize a sum to I
+    (COR2_2_II), map through a family normalized by its Gram sum or take
+    a generalized perspective's h of B are not homogeneous and are left
+    out. A power of two scales every float exactly, and the condition cap
+    is relative to the largest eigenvalue, so the margins are 4 times the
+    drawn ones bit for bit."""
+    margins, moved, _ = _scaled_margins(check_id, dim, f)
+    assert np.array_equal(moved, 4.0 * margins)
+
+
+def test_the_scaling_relation_sees_an_absolute_eigenvalue_floor(monkeypatch):
+    """Self-test: an absolute floor in place of the relative condition cap
+    leaves THM2_1's verdicts clean, yet the floor does not scale with B,
+    which the ×4 relation exposes."""
+    monkeypatch.setattr(kernels, "capped", lambda vals, cap: np.maximum(vals, 0.5))
+    margins, moved, violations = _scaled_margins("THM2_1", 3, None)
+    assert violations == 0
+    assert not np.array_equal(moved, 4.0 * margins)
