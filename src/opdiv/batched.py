@@ -343,21 +343,15 @@ def _flagged(links, far) -> tuple:
     return np.hstack([links[0], flag]), np.hstack([links[1], np.zeros_like(flag)])
 
 
-def _gram(weights, cs, mask=None):
-    """sum_j w_j C_j* C_j of each family: `cs` stacks the k Gaussians of
-    each of T families, shape (T, k, in, out), and `weights` is (T, k). A
-    family holds the maps where `mask` (T, k) holds, the first one always;
-    the sum (`K.field_sum`) leaves the others out."""
-    return K.hermitian_part(K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask))
-
-
-def _normalized(cs, gram, shrinks=None):
-    """C_i G^{-1/2}, times sqrt(shrink_i) if given, from the decomposition
-    `gram` that `K.positive` returns for each family's Gram sum G
-    (`_gram`); `shrinks` is (T, k). With these matrices as congruences,
-    sum_i w_i Phi_i(I) = I before shrinking.
-    """
-    _, inv_half = K.sqrt_pair(*gram)
+def _normalized(weights, cs, mask=None, shrinks=None):
+    """C_i G^{-1/2}, times sqrt(shrink_i) if given, for each family's Gram
+    sum G = sum_j w_j C_j* C_j, decomposed in a dispatch of its own
+    (`K.positive`): `cs` stacks the k Gaussians of each of T families,
+    (T, k, in, out), `weights` and `shrinks` are (T, k), and a family holds
+    the maps where `mask` (T, k) holds, the first always. With these
+    matrices as congruences, sum_i w_i Phi_i(I) = I before shrinking."""
+    gram = K.hermitian_part(K.field_sum((weights[..., None, None] * K.adjoint(cs)) @ cs, mask))
+    _, inv_half = K.sqrt_pair(*K.positive(gram))
     maps = cs @ inv_half[..., None, :, :]
     if shrinks is not None:
         maps = maps * np.sqrt(shrinks)[..., None, None]
@@ -593,36 +587,36 @@ def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
 
 
 def _unital_family(group, mask) -> tuple:
-    """The weights (T, k), Gaussians (T, k, n, n) and Gram sums (`_gram`)
-    of unital congruence families, zero where `mask` has no map: the
-    decompositions of the Gram sums make the congruences (`_normalized`)."""
-    w, cs = _padded(group, "w", mask), _gaussians(group, "c", mask)
-    return w, cs, _gram(w, cs, mask)
+    """The weights (T, k) and congruences (T, k, n, n) of unital
+    congruence families (`_normalized`), zero where `mask` has no map."""
+    w = _padded(group, "w", mask)
+    return w, _normalized(w, _gaussians(group, "c", mask), mask)
 
 
-def _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full: bool = True):
+def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     """The four-stage refinement chain of a unital map family, stacked.
 
     `mapped(x)` gives w_i Phi_i(x_i), (T, k, n, n), for a flat stack `x`
     of one operator per map that `present` (T, k) holds, `ops` holds the
-    operators, `ops_dec` their decompositions, and `t1` masks the first
-    block. Returns the chain (m1, m2, m3, m4), the first block's
-    perspective and the first block's share of m4. Without `full` the
-    second block and the per-map perspectives are not built, and m2 and
-    m3 are None.
+    operators, and `t1` masks the first block. Returns the chain
+    (m1, m2, m3, m4), the first block's perspective and the first block's
+    share of m4. Without `full` the second block and the per-map
+    perspectives are not built, and m2 and m3 are None.
+
+    Unitality is checked first. Then the operators are decomposed with the
+    mapped sums, and f is taken of them before it is of the sum, so a
+    non-unital family is reported before the operators' errors.
     """
     mapped_a = mapped(ops)
     mapped_i = mapped(np.broadcast_to(np.eye(ops.shape[-1], dtype=complex), ops.shape))
     check_unital(K.field_sum(mapped_i, present))
-    mapped_f = mapped(K.calculus(_each(fs, present), ops_dec))
     masks = (t1, present & ~t1) if full else (t1,)
     lefts = [K.field_sum(mapped_a, m) for m in masks]
-    # The sum of the mapped operators, then the blocks' right sides and with
-    # `full` each map's, decomposed at once.
     rights = [K.field_sum(mapped_i, m) for m in masks] + ([mapped_i[present]] if full else [])
-    sum_dec, *rights = K.decompositions(
-        K.field_sum(mapped_a, present), *rights, positive=(False,) + (True,) * len(rights)
+    ops_dec, sum_dec, *rights = K.decompositions(
+        ops, K.field_sum(mapped_a, present), *rights, positive=(False,) * 2 + (True,) * len(rights)
     )
+    mapped_f = mapped(K.calculus(_each(fs, present), ops_dec))
     m1 = K.calculus(fs, sum_dec)
     parts = [(fs, left, right) for left, right in zip(lefts, rights)]
     if full:
@@ -638,16 +632,14 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
     present = _present([len(r.w) for r in group])
-    w, cs, gram = _unital_family(group, present)
+    w, maps = _unital_family(group, present)
     (ops,) = _build(group, "a")
-    gram_pos, ops_dec = K.decompositions(gram, ops, positive=(True, False))
-    maps = _normalized(cs, gram_pos)
 
     def mapped(x):
         return K.congruence(maps, _pad(x, present)) * w[..., None, None]
 
     t1 = _first_block(group, present)
-    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, ops_dec, present, t1, full)
+    (m1, m2, m3, m4), block_one, f_one = _jensen_chain(fs, mapped, ops, present, t1, full)
     if full:
         pairs = ((m1, m2), (m2, m3), (m3, m4))
     else:
@@ -682,20 +674,17 @@ def _eval_thm2_6(group, tol):
     """Generalized perspective of the mapped sums vs the mapped sum of
     generalized perspectives, for a subunital family (`_cdj_links`). The
     mapped matrices take the family's output dimension, so the families
-    apply per dimension, their Gram sums decomposed with B."""
+    are normalized and apply per dimension."""
     fs, hs = _fh(group)
     present = _present([len(r.w) for r in group])
     w, shrinks = _padded(group, "w", present), _padded(group, "q", present)
     a, b = _build(group, "a", "b")
-    dims = _split_by(group, lambda r: r.c[0].shape[-1])
-    masks = [present[rows] for rows in dims]
-    cs = [_gaussians([group[i] for i in rows], "c", m) for rows, m in zip(dims, masks)]
-    grams = [_gram(w[rows], c, m) for rows, c, m in zip(dims, cs, masks)]
-    # Each drawn B is positive definite.
-    b_pos, *grams = K.decompositions(b, *grams, positive=True)
+    b_pos = K.positive(b)  # each drawn B is positive definite
     applies, maps = [], {}
-    for rows, c, gram, m in zip(dims, cs, grams, masks):
-        family = _normalized(c, gram, shrinks[rows])
+    for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
+        m = present[rows]
+        c = _gaussians([group[i] for i in rows], "c", m)
+        family = _normalized(w[rows], c, m, shrinks[rows])
         applies.append((rows, partial(_mapped, family, w[rows], m)))
         maps.update((i, own[: len(group[i].w)]) for i, own in zip(rows.tolist(), family))
     links = _cdj_links(fs, hs, a, b, b_pos, applies, tol, present)
@@ -722,17 +711,17 @@ def _eval_thm2_10(group, tol):
     """Pointwise dominance f1 <= f2 transfers to the mapped perspective
     and functional-calculus bounds.
 
-    The family maps I, A and B and its unitality is checked first. Then
-    come the perspectives of f2 and f2's calculus, and only then the
-    mapped sums' decomposition, so a trial that fails two guards reports
-    the perspectives' error before that of the mapped sums."""
+    The Gram sum, A and B are decomposed in that order, then the family
+    maps I, A and B and its unitality is checked. Then come the
+    perspectives of f2 and f2's calculus, and only then the mapped sums'
+    decomposition, so a trial that fails two guards reports the
+    perspectives' error before that of the mapped sums."""
     f1s, f2s = _fh(group)
     present = _present([len(r.w) for r in group])
-    w, cs, gram = _unital_family(group, present)
+    w, maps = _unital_family(group, present)
     a, b = _build(group, "a", "b")
     # Each drawn A and B is positive definite.
-    gram_pos, a_pos, b_pos = K.decompositions(gram, a, b, positive=True)
-    maps = _normalized(cs, gram_pos)
+    a_pos, b_pos = K.decompositions(a, b, positive=True)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
     sides = _pad(np.stack([eye, a, b], axis=1), present)
     unit, sum_a, sum_b = _mapped(maps, w, present, sides).swapaxes(0, 1)
@@ -766,49 +755,38 @@ def _draw_single_map(rng, dim: int, variant: int) -> _Map:
     return _Map(2, c, None, float(rng.uniform(0.4, 1.0)))
 
 
-def _single_maps(ms) -> tuple:
-    """The subunital single maps `ms` (`_draw_single_map`) by variant and,
-    for compressions, size: the (trial indices, maps, Gaussians) of each
-    group, the Gaussians None for compressions, and the Gram sums of the
-    groups of sums of congruences, which `_applied` normalizes by."""
-    groups = []
+def _single_maps(ms, dim: int) -> tuple:
+    """The subunital single maps `ms` (`_draw_single_map`) on dim x dim
+    matrices, grouped by variant and, for compressions, size: the
+    (trial indices, apply) of each group (`_group_map`) and a thunk per
+    map that builds its object."""
+    applies, maps = [], {}
     for rows in _split_by(ms, lambda m: (m.variant, 0 if m.ix is None else len(m.ix))):
-        own = [ms[i] for i in rows]
-        groups.append((rows, own, None if own[0].variant == 1 else _gaussians(own, "c")))
-    grams = [_gram(np.ones(c.shape[:2]), c) for _, own, c in groups if own[0].variant == 2]
-    return groups, grams
+        apply, build = _group_map([ms[i] for i in rows], dim)
+        applies.append((rows, apply))
+        maps.update((i, partial(build, j)) for j, i in enumerate(rows.tolist()))
+    return applies, [maps[i] for i in range(len(maps))]
 
 
-def _group_map(ms, c, gram, dim: int) -> tuple:
-    """The maps `ms` of one group of `_single_maps`, with its Gaussians
-    `c` and, for sums of congruences, the decomposition `gram` of its Gram
-    sums: `apply` maps a stack (T, S, dim, dim), and `build(i)` makes the
-    object of map i, for its payload."""
+def _group_map(ms, dim: int) -> tuple:
+    """The maps `ms` of one group of `_single_maps`, from their own
+    Gaussians; a sum of congruences is normalized by its Gram sum
+    (`_normalized`). `apply` maps a stack (T, S, dim, dim), and `build(i)`
+    makes the object of map i, for its payload."""
     scale = np.array([m.scale for m in ms])[:, None]
     if ms[0].variant == 1:
         ix = np.sort(np.array([m.ix for m in ms]), axis=-1)[:, None]
         return partial(K.compress, ix, scale), lambda i: Compression(dim, ix[i, 0], ms[i].scale)
+    c = _gaussians(ms, "c")
     if ms[0].variant == 0:
         c = c / (np.linalg.norm(c, 2, axis=(-2, -1)) * scale)[..., None, None]
         return partial(K.congruence, c), lambda i: Congruence(c[i, 0])
-    c = _normalized(c, gram)
+    c = _normalized(np.ones(c.shape[:2]), c)
 
     def apply(x):  # the two congruences summed from zeros, as MapSum does
         return _mapped(c, None, None, x[:, None]) * scale[..., None, None]
 
     return apply, lambda i: ScaledMap(MapSum([Congruence(p) for p in c[i]]), ms[i].scale)
-
-
-def _applied(groups, grams, dim: int) -> tuple:
-    """The (trial indices, `apply`) of each group of `_single_maps`, from
-    the decompositions `grams` of its Gram sums, and a thunk per trial
-    that builds its map."""
-    grams, applies, maps = iter(grams), [], {}
-    for rows, ms, c in groups:
-        apply, build = _group_map(ms, c, next(grams) if ms[0].variant == 2 else None, dim)
-        applies.append((rows, apply))
-        maps.update((i, partial(build, j)) for j, i in enumerate(rows.tolist()))
-    return applies, [maps[i] for i in range(len(maps))]
 
 
 def _map_images(applies, stacks, mask=None) -> list:
@@ -898,21 +876,19 @@ def _eval_single_map(group, tol, perspective=True):
     with `perspective` the same bound for the perspective of f (COR2_7;
     `_cdj_links`). Without it (EX2_8) A is drawn positive definite, f and
     h are the power families of the drawn exponents and the payload names
-    them by their exponents. The maps apply at once per variant and
-    compression size, the Gram sums of the sums of congruences decomposed
-    with B, and the images under Phi stack per output size."""
+    them by their exponents. The drawn matrices are decomposed first; the
+    maps apply at once per variant and compression size, and the images
+    under Phi stack per output size."""
     if perspective:
         fs, hs = _fh(group)
     else:
         alpha, beta = _stack(group, "w").T
         fs, hs = PowerFamily(beta), PowerFamily(alpha)
     a, b = _build(group, "a", "b")
-    groups, grams = _single_maps([r.m for r in group])
     # Each drawn B is positive definite, and without `perspective` each A.
-    drawn = (b,) if perspective else (b, a)
-    decs = K.decompositions(*drawn, *grams, positive=True)
-    applies, maps = _applied(groups, decs[len(drawn) :], a.shape[-1])
-    links = _cdj_links(fs, hs, a, b, decs[0], applies, tol, perspective=perspective)
+    b_pos = K.decompositions(b, *(() if perspective else (a,)), positive=True)[0]
+    applies, maps = _single_maps([r.m for r in group], a.shape[-1])
+    links = _cdj_links(fs, hs, a, b, b_pos, applies, tol, perspective=perspective)
     payloads = []
     for i, r in enumerate(group):
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
@@ -1129,7 +1105,7 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     def mapped(x):
         return (K.compress(ix, scale, x) * np.array(w)[:, None, None])[None]
 
-    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, K.decompose(ops), present, t1)
+    chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, present, t1)
     computed = np.stack([m[0] for m in chain])
     if perturbation:
         computed[0] = computed[0] + np.eye(computed.shape[-1], dtype=complex) * float(perturbation)

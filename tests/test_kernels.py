@@ -669,19 +669,20 @@ def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
 # of a stage's perspectives take one dispatch of their own
 # (`kernels.perspective`), but KL_SUITE's share one with its other
 # stacks, and the mapped Phi(B) of a Choi-Davis-Jensen chain joins h(B)'s
-# dispatch. The matrices are those of one call per stack. 125 dispatches
-# in all, 0.0625 per trial.
+# dispatch. Each congruence family's Gram sum takes one of its own per
+# output size (`batched._normalized`). The matrices are those of one call
+# per stack. 129 dispatches in all, 0.0645 per trial.
 _EIG_PINS = {
     "THM2_1": (3, 1416, 1, 300),
     "COR2_2_SUBADD": (3, 1380, 1, 300),
     "COR2_2_II": (4, 1425, 1, 300),
     "COR2_3_SPLIT": (3, 1784, 1, 600),
     "THM2_4_MIXTURE": (3, 3254, 1, 300),
-    "THM2_6_CDJ_DELTA": (10, 1630, 2, 300),
-    "COR2_7_SINGLE": (15, 1033, 4, 600),
-    "EX2_8_POWER": (18, 933, 5, 300),
+    "THM2_6_CDJ_DELTA": (11, 1630, 2, 300),
+    "COR2_7_SINGLE": (16, 1033, 4, 600),
+    "EX2_8_POWER": (19, 933, 5, 300),
     "COR2_9_VECTOR": (4, 600, 0, 0),
-    "THM2_10_DOM": (5, 1625, 1, 600),
+    "THM2_10_DOM": (6, 1625, 1, 600),
     "THM_DELTA_NABLA": (4, 1806, 1, 300),
     "THM2_12_GRAD": (3, 1028, 1, 300),
     "THM3_1_CHAIN": (4, 1580, 1, 900),
