@@ -510,10 +510,8 @@ def _eval_thm2_12_grad(group, tol):
     naming the function of its trial."""
     fs, mask, w, a, b = _field(group)
     b_pos = K.positive(b)  # each drawn B is positive definite
-    points = np.array([tangent_point(f) for f in fs])[:, :, None, None]
-    sum_b, sum_a = _total(b, mask, w), _total(a, mask, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower = K._finite(fs, sum_b * points[:, 0] - (sum_b - sum_a) * points[:, 1])
+    points = [tangent_point(f) for f in fs]
+    lower = K.tangent_line(fs, points, _total(a, mask, w), _total(b, mask, w))
     theta = _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
     return *_links(tol, (lower, theta)), _field_payloads(group, mask, a, b)
 

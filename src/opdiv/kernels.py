@@ -424,6 +424,17 @@ def apply_function(f, h):
     return calculus(f, decompose(h))
 
 
+def tangent_line(f, points, sum_a, sum_b):
+    """The tangent-line bound f(1) sum_b - f'(1) (sum_b - sum_a) of each
+    matrix of the stack, from `points`, the (f(1), f'(1)) of `f`: one pair
+    for one function, or one per entry of the first axis for a sequence of
+    functions. An overflow is NumericalFailure naming f, not a
+    RuntimeWarning."""
+    f_one, fp_one = np.moveaxis(np.asarray(points, dtype=float), -1, 0)[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(f, sum_b * f_one - (sum_b - sum_a) * fp_one)
+
+
 def inner(left, right, condition_cap=CONDITION_CAP) -> tuple:
     """`perspective` up to its eigensolver dispatch: R^{1/2}, the inner
     matrix X = R^{-1/2} L R^{-1/2} and R^{-1/2} for every pair of the

@@ -331,17 +331,17 @@ def tangent_point(f: ScalarOperatorFunction) -> tuple[float, float]:
 def gradient_lower_bound(
     f: ScalarOperatorFunction, field: WeightedOperatorField
 ) -> HermitianMatrix:
-    """Tangent-line bound f(1) * sum w B - f'(1) * sum w (B - A).
+    """Tangent-line bound f(1) * sum w B - f'(1) * sum w (B - A)
+    (`kernels.tangent_line`).
 
     For differentiable convex f this never exceeds the divergence
     functional of the field; the caller performs that comparison.
     """
-    f_one, fp_one = tangent_point(f)
+    point = tangent_point(f)
     if field.size == 0:
         raise EmptyField("needs at least one field entry")
-    sum_b = field.weighted_sum_b()
-    sum_a = field.weighted_sum_a()
-    return f_one * sum_b - fp_one * (sum_b - sum_a)
+    sum_a, sum_b = field.weighted_sum_a().entries, field.weighted_sum_b().entries
+    return HermitianMatrix._wrap(kernels.tangent_line(f, point, sum_a, sum_b))
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,20 @@ def test_non_finite_result_names_the_function_of_its_row():
     assert np.isfinite(kernels.apply_function(fs[:1], h[:1])).all()
 
 
+def test_tangent_line_names_the_function_of_the_row_that_overflows():
+    """The tangent-line bound of a stack with one (f(1), f'(1)) per entry
+    names the function of the first entry whose bound overflows, with no
+    overflow warning, and a finite stack keeps every bit of
+    f(1) sum_b - f'(1) (sum_b - sum_a)."""
+    fs = [builtin("square"), builtin("affine", [1e308, 0.0])]
+    sum_a, sum_b = np.zeros((2, 2, 2)), 2.0 * np.eye(2)[None].repeat(2, axis=0)
+    points = [(1.0, 2.0), (0.0, 1e308)]
+    with pytest.raises(NumericalFailure, match="function 'affine\\(1e\\+308,0\\)'"):
+        kernels.tangent_line(fs, points, sum_a, sum_b)
+    got = kernels.tangent_line(fs[0], points[0], sum_a[0], sum_b[0])
+    assert np.array_equal(got, 1.0 * sum_b[0] - 2.0 * (sum_b[0] - sum_a[0]))
+
+
 # ---------------------------------------------------------------------------
 # Interval.clamp_spectrum: vectorized mask vs the per-value loop
 # ---------------------------------------------------------------------------
