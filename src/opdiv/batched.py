@@ -32,9 +32,10 @@ perspectives of (A, B) later; `_cdj_links` is that chain for families
 and single maps alike. Only its first mapped stage shares a dispatch:
 Phi(B) is decomposed with h(B), the output size equal to the input
 size in that dispatch and smaller ones in their own. Every perspective
-takes its own dispatch (`kernels.perspective`). Pool functions apply
-through index masks, so every margin has the bits of the
-one-trial-at-a-time computation.
+takes its own dispatch (`kernels.perspective`), and so does each
+family's Gram sum, which `_normalized` alone forms and applies. Pool
+functions apply through index masks, so every margin has the bits of
+the one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
 Loewner or scalar links, a deviation test as one more (`_flagged`), and
 payload thunks; only the trial loop folds links (`kernels.run_trials`).
@@ -1055,6 +1056,9 @@ def _eval_kl(group, tol):
 
 
 def _draw_scalar_csiszar(rng, trial, cfg, f_over):
+    """f and the positive scalars p and q of a field of 2 to 6 entries.
+    Nothing of `cfg` is read, --dim included, so the trials are the same
+    at every dimension."""
     f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 7))
     p = rng.uniform(0.1, 4.0, n)

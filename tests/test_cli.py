@@ -196,6 +196,20 @@ def test_verify_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_scalar_csiszar_reads_no_dim(tmp_path):
+    """SCALAR_CSISZAR draws scalars, so its report entry is the same at
+    every --dim; only the config echoes the dim."""
+    entries = []
+    for dim in (2, 8):
+        path = tmp_path / f"dim{dim}.json"
+        args = ["verify", "--suite", "SCALAR_CSISZAR", "--dim", str(dim), "--seed", "0"]
+        assert main(args + ["--trials", "30", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["config"]["dim"] == dim
+        entries.append(report["checks"])
+    assert entries[0] == entries[1]
+
+
 def test_verify_out_file_io_error(tmp_path):
     bad = tmp_path / "missing" / "report.json"
     assert main(["verify", "--suite", "SCALAR_CSISZAR", "--trials", "5", "--out", str(bad)]) == 2
