@@ -193,6 +193,33 @@ def test_quartic_falsification_detected():
     assert result.worst_margin < -1e-4
 
 
+# The checks that quartic, scalar convex but not operator convex, refutes
+# at seed 3 (ROADMAP's falsification-power table), with the violations it
+# makes in 100 trials at dims 2 and 8.
+_QUARTIC_REFUTES = {
+    "COR2_3_SPLIT": (25, 96),
+    "THM3_1_CHAIN": (17, 88),
+    "COR3_4_ISOM": (14, 88),
+    "COR2_7_SINGLE": (7, 63),
+    "THM3_1_II": (8, 66),
+    "THM2_1": (8, 32),
+    "COR2_2_SUBADD": (4, 32),
+    "COR2_2_II": (11, 45),
+    "THM2_6_CDJ_DELTA": (7, 13),
+    "THM2_4_MIXTURE": (2, 7),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("check_id", sorted(_QUARTIC_REFUTES))
+def test_quartic_is_refuted_by_every_check_that_tests_operator_convexity(check_id, dim):
+    """Falsification power: a refactor that stops a check from seeing
+    operator convexity fail keeps it green under the pool, so a negative
+    control must still make at least one violation on each of these."""
+    result = run_check(check_id, GenConfig(dim=dim, seed=3, trials=100), function=quartic())
+    assert result.violations >= 1, _QUARTIC_REFUTES[check_id]
+
+
 def test_exact_fixture_margins():
     result = run_check("EX3_3_EXACT", GenConfig(dim=3, seed=0, trials=2))
     assert result.violations == 0
