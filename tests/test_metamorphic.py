@@ -18,6 +18,15 @@ weights, Gaussians, operators and shrinks, and renaming the first block
 to match, leaves every link of THM2_6_CDJ_DELTA, THM2_10_DOM,
 THM3_1_CHAIN, THM3_1_II and COR3_4_ISOM as it was, up to rounding.
 
+A bipartition is unordered too. COR2_3_SPLIT's split and the chains'
+m2 are the sum of the two blocks' perspectives, and every other side
+reads the whole field or family, so naming the second block first adds
+the same two matrices in the other order; float addition commutes, so
+every margin and tolerance of COR2_3_SPLIT, THM3_1_CHAIN and COR3_4_ISOM
+keeps its bits. THM3_1_II is left out: its deficit reads the first block
+alone, so the swap changes the link, not just its rounding (it moved by
+up to 1.6e16 eps * (1 + scale)).
+
 The perspective is jointly homogeneous, so on the checks built from
 perspectives and weighted sums alone, scaling every A and B by 4 scales
 every margin by 4, and exactly, since 4 is a power of two.
@@ -27,7 +36,7 @@ import numpy as np
 import pytest
 
 from opdiv import batched, kernels, lab
-from opdiv.funcatalog import builtin
+from opdiv.funcatalog import builtin, quartic
 from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import GenConfig
 
@@ -147,6 +156,55 @@ def test_the_relation_sees_shrinks_paired_with_the_wrong_maps(monkeypatch):
         assert move > _CHAIN_BOUND
 
 
+def _swapped(record):
+    """`record` with its first block replaced by the other block of the
+    bipartition: its complement among the record's entries."""
+    return record._replace(t1=sorted(set(range(len(record.w))) - set(record.t1)))
+
+
+def _swap_evaluations(check_id, dim, f, trials=40, seed=3):
+    """The (margins, tolerances) of the drawn trials and of the same
+    trials with their blocks swapped, and the drawn trials' violation
+    count."""
+    check = lab._REGISTRY[check_id]
+    gen = GenConfig(dim=dim, seed=seed, trials=trials)
+    tol = ToleranceConfig()
+    records = [check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(trials)]
+    margins, used, _ = check.evaluate(records, tol)
+    moved, moved_used, _ = check.evaluate([_swapped(r) for r in records], tol)
+    violations = int(np.count_nonzero(~np.all(margins >= -used, axis=1)))
+    return (margins, used), (moved, moved_used), violations
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("f", [None, quartic()], ids=str)
+@pytest.mark.parametrize("check_id", ["COR2_3_SPLIT", "THM3_1_CHAIN", "COR3_4_ISOM"])
+def test_swapping_the_blocks_keeps_every_bit(check_id, f, dim):
+    drawn, swapped, _ = _swap_evaluations(check_id, dim, f)
+    assert all(np.array_equal(x, y) for x, y in zip(drawn, swapped))
+
+
+def test_the_swap_relation_sees_a_member_dropped_from_the_first_block(monkeypatch):
+    """Self-test: the last member of every first block of two or more
+    dropped leaves these checks' verdicts clean at dim 3, yet the block
+    sums then miss a member only when it is named first, which swapping
+    the blocks exposes."""
+    first_block = batched._first_block
+
+    def dropped(group, present):
+        t1 = first_block(group, present)
+        for t, r in enumerate(group):
+            if len(r.t1) > 1:
+                t1[t, r.t1[-1]] = False
+        return t1
+
+    monkeypatch.setattr(batched, "_first_block", dropped)
+    for check_id in ("COR2_3_SPLIT", "THM3_1_CHAIN", "COR3_4_ISOM"):
+        (margins, _), (moved, _), violations = _swap_evaluations(check_id, 3, None)
+        assert violations == 0
+        assert not np.array_equal(margins, moved)
+
+
 def _times_four(record):
     """`record` with the eigenvalues of every A and B slot times 4."""
     (a_cap, a), (b_cap, b) = record.a, record.b
@@ -175,7 +233,16 @@ def _scaled_margins(check_id, dim, f, trials=40, seed=3):
     "check_id", ["THM2_1", "COR2_2_SUBADD", "COR2_3_SPLIT", "THM2_4_MIXTURE", "THM2_12_GRAD"]
 )
 def test_scaling_a_and_b_by_four_scales_margins_by_four_to_the_bit(check_id, f, dim):
-    """The perspective is jointly homogeneous, P_f(tA, tB) = t P_f(A, B)
+    """A bipartition is unordered too. COR2_3_SPLIT's split and the chains'
+m2 are the sum of the two blocks' perspectives, and every other side
+reads the whole field or family, so naming the second block first adds
+the same two matrices in the other order; float addition commutes, so
+every margin and tolerance of COR2_3_SPLIT, THM3_1_CHAIN and COR3_4_ISOM
+keeps its bits. THM3_1_II is left out: its deficit reads the first block
+alone, so the swap changes the link, not just its rounding (it moved by
+up to 1.6e16 eps * (1 + scale)).
+
+The perspective is jointly homogeneous, P_f(tA, tB) = t P_f(A, B)
     for t > 0, and sums and weighted sums are linear. Every side of these
     checks is built from perspectives and weighted sums of the drawn A and
     B alone (THM2_12_GRAD's tangent-line bound f(1) sum w B -
