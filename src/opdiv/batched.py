@@ -17,25 +17,24 @@ flat stack of the entries present, so each per-entry stage (build,
 decompositions, perspectives, congruences, calculus) runs once per
 chunk. A stage fuses its independent work: its decompositions are one
 `kernels.decompositions` call, one eigensolver dispatch per matrix size,
-and its perspectives, plain, generalized (at h(R), `kernels.h_at`) or
-the terms of the divergence functional, are one `kernels.perspective`
-over the stacks laid end to end, with one function per row
-(`_perspectives`). Sums over a trial's entries, Theta's among them, are one
-`kernels.field_sum` over a (T, k) presence mask: the present terms, in
-entry order, added to zeros.
+and its perspectives, plain, generalized (at h(R),
+`kernels.h_decomposition`) or the terms of the divergence functional,
+are one `kernels.perspective` over the stacks laid end to end, with one
+function per row (`_perspectives`). Sums over a trial's entries,
+Theta's among them, are one `kernels.field_sum` over a (T, k) presence
+mask: the present terms, in entry order, added to zeros.
 Only a stage whose matrix size depends on the draw is split by that
 size: the mapped side stacks per output dimension of a subunital
 family, and per output size of a single map, whose maps apply at once
 per variant and compression size; map objects are built only for the
 worst trial's payload. The maps apply to A and B first and to the
 perspectives of (A, B) later; `_cdj_links` is that chain for families
-and single maps alike. Only its first mapped stage shares a dispatch:
-Phi(B) is decomposed with h(B), the output size equal to the input
-size in that dispatch and smaller ones in their own. Every perspective
-takes its own dispatch (`kernels.perspective`), and so does each
-family's Gram sum, which `_normalized` alone forms and applies. Pool
-functions apply through index masks, so every margin has the bits of
-the one-trial-at-a-time computation.
+and single maps alike, and `_cdj_side` each of its sides. Every h(R)
+takes its own dispatch (`kernels.h_decomposition`), and so does every
+perspective (`kernels.perspective`) and each family's Gram sum, which
+`_normalized` alone forms and applies. Pool functions apply through
+index masks, so every margin has the bits of the
+one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
 Loewner or scalar links, a deviation test as one more (`_flagged`), and
 payload thunks; only the trial loop folds links (`kernels.run_trials`).
@@ -806,6 +805,17 @@ def _map_images(applies, stacks, mask=None) -> list:
     ]
 
 
+def _cdj_side(f, h, left, right, perspective: bool) -> list:
+    """One side of `_cdj_links`: the generalized perspective of each pair
+    (L, R) at h(R) (`K.h_decomposition`), and with `perspective` the
+    perspective of f at R too, from one `_perspectives` call. `right` is
+    the decomposition of each R that `K.decompose` returns."""
+    parts = [(f, left, K.h_decomposition(h, right))]
+    if perspective:
+        parts.append((f, left, K.strictly_positive(right)))
+    return _perspectives(*parts)
+
+
 def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) -> np.ndarray:
     """The (2, T, L) margins and tolerances of the Choi-Davis-Jensen
     refinement through subunital maps (THM2_6, COR2_7, EX2_8): the
@@ -817,31 +827,18 @@ def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) 
     holds the (trial indices, apply) of each group of maps (`_map_images`).
 
     The maps apply to A and B before the perspectives of (A, B) are taken,
-    and Phi(B) is decomposed with h(B), so Phi(B)'s guards come first.
-    Then come the unmapped perspectives, then h on each Phi(B) and its
-    decomposition, one call over the output sizes. A trial that fails two
-    guards so reports the unmapped perspectives' error before that of
-    h(Phi(B))."""
+    and each Phi(B) is decomposed then, one call over the output sizes.
+    Then comes the unmapped side (`_cdj_side`), then the mapped side of
+    each output size in turn. A trial that fails two guards so reports
+    Phi(B)'s error first, then the unmapped side's, then its mapped
+    side's."""
     each_f, each_h = (fs, hs) if mask is None else (_each(fs, mask), _each(hs, mask))
     stacks = _map_images(applies, [a, b], mask)
-    h_b, *phi_bs = K.decompositions(
-        K.h_at(each_h, b_pos),
-        *(phi[:, 1] for _, phi in stacks),
-        positive=(K.h_positive,) + (False,) * len(stacks),
-    )
-    unmapped = _perspectives((each_f, a, h_b), *([(each_f, a, b_pos)] if perspective else []))
-    h_phis = K.decompositions(
-        *(K.h_at(_take(hs, rows), phi_b) for (rows, _), phi_b in zip(stacks, phi_bs)),
-        positive=K.h_positive,
-    )
-    images = _map_images(applies, unmapped, mask)
+    phi_bs = K.decompositions(*(phi[:, 1] for _, phi in stacks))
+    images = _map_images(applies, _cdj_side(each_f, each_h, a, b_pos, perspective), mask)
     links = np.empty((2, sum(len(rows) for rows, _ in applies), 1 + perspective))
-    for (rows, phi), phi_b, h_phi, (_, rhs) in zip(stacks, phi_bs, h_phis, images):
-        f = _take(fs, rows)
-        parts = [(f, phi[:, 0], h_phi)]
-        if perspective:
-            parts.append((f, phi[:, 0], K.strictly_positive(phi_b)))
-        lhs = _perspectives(*parts)
+    for (rows, phi), phi_b, (_, rhs) in zip(stacks, phi_bs, images):
+        lhs = _cdj_side(_take(fs, rows), _take(hs, rows), phi[:, 0], phi_b, perspective)
         links[:, rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
     return links
 

@@ -13,12 +13,13 @@ arrays is one `stack`. A stage that decomposes several independent
 stacks does so in one eigensolver dispatch per matrix size
 (`decompositions`). So the perspective exposes its steps: the roots of
 R and the inner matrix R^{-1/2} L R^{-1/2} (`inner`, the one place that
-product is written), its decomposition, and `sandwich`; and
-`f_delta_h` exposes h(R) (`h_at`) and its guard (`h_positive`). A
-caller may decompose an inner matrix or h(R) with its other stacks.
-A matrix solved in another stack's dispatch keeps its unguarded
-solution (`solve`) until its own guards run on it (`guarded`), as
-`perspective.theta_divergence` does for a field's summed B.
+product is written), its decomposition, and `sandwich`; a caller may
+decompose an inner matrix with its other stacks. h(R), the right side of
+the generalized perspective `f_delta_h`, is formed and guarded in one
+place, `h_decomposition`, in a dispatch of its own. A matrix solved in
+another stack's dispatch keeps its unguarded solution (`solve`) until
+its own guards run on it (`guarded`), as `perspective.theta_divergence`
+does for a field's summed B.
 
 LAPACK and matmul work matrix by matrix, so a stacked or fused call
 gives the same bits as the same call on each matrix alone, and batching
@@ -198,12 +199,11 @@ def solve(h):
     return vals, vecs, eye_err, frobenius(residual), h
 
 
-def guarded(positive, vals, vecs, eye_err, rec_err, h) -> tuple:
+def guarded(positive: bool, vals, vecs, eye_err, rec_err, h) -> tuple:
     """(vals, vecs) of a `solve` of the stack `h` once the unitarity guard,
     the reconstruction guard and, with `positive`, the strict-positivity
-    guard pass, in that order: `strictly_positive` for True, or the guard
-    `positive` names. `decompose` is `guarded(False, *solve(h))` and
-    `positive` is `guarded(True, *solve(h))`.
+    guard (`strictly_positive`) pass, in that order. `decompose` is
+    `guarded(False, *solve(h))` and `positive` is `guarded(True, *solve(h))`.
 
     The reconstruction residual is held to DECOMP_TOL * max(1, ||H||_F).
     That bound is never below DECOMP_TOL, so ||H||_F is taken only when a
@@ -216,16 +216,13 @@ def guarded(positive, vals, vecs, eye_err, rec_err, h) -> tuple:
         worst = _first(rec_err, _exceeds(rec_err, DECOMP_TOL * _pymax(1.0, frobenius(h))))
         if worst is not None:
             raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")
-    guard = strictly_positive if positive is True else positive
-    return guard((vals, vecs)) if guard else (vals, vecs)
+    return strictly_positive((vals, vecs)) if positive else (vals, vecs)
 
 
 def decompositions(*parts, positive=False) -> list:
     """`decompose` of each stack of `parts`, from one `np.linalg.eigh` call
     per matrix size over that size's parts laid end to end; `positive` (one
-    flag, or a tuple of one per part) makes it a part's `positive` instead,
-    and a flag may be a guard that takes `strictly_positive`'s place, such
-    as `h_positive`.
+    bool, or a tuple of one per part) makes it a part's `positive` instead.
 
     A stage that decomposes several independent stacks so costs one LAPACK
     dispatch per matrix size, with the bits of one call per part. The
@@ -485,34 +482,28 @@ def flagged_positive(h):
     return h
 
 
-def h_at(h, right):
-    """Each h(R), from the (eigenvalues, eigenvectors) pair that
-    `decompose` returns for each R, once each h is flagged strictly
-    positive (`flagged_positive`): the right side of `f_delta_h`'s
-    perspective, before its decomposition under `h_positive`. A caller
-    decomposes it with the other stacks of its stage."""
-    return calculus(flagged_positive(h), right)
-
-
-def h_positive(decomposition):
-    """`strictly_positive` for the decomposition of each h(R) (`h_at`),
-    raising NonPositiveH in place of NotPositiveDefinite: the positivity
-    guard of `f_delta_h`, and a `decompositions` flag."""
+def h_decomposition(h, right):
+    """The decomposition of each h(R) that `positive` returns, from the
+    (eigenvalues, eigenvectors) pair that `decompose` returns for each R:
+    the right side of the generalized perspective, in its own eigensolver
+    dispatch. `h` is as for `calculus`. Raises NonPositiveH if an h is not
+    flagged strictly positive (`flagged_positive`) or an h(R) is not
+    strictly positive, after the unitarity and reconstruction guards."""
     try:
-        return strictly_positive(decomposition)
+        return positive(calculus(flagged_positive(h), right))
     except NotPositiveDefinite as exc:
         raise NonPositiveH(f"h(R) is not strictly positive: {exc}") from exc
 
 
 def f_delta_h(f, h, left, right):
     """h(R)^{1/2} f(h(R)^{-1/2} L h(R)^{-1/2}) h(R)^{1/2} for every pair of
-    the stack: the perspective of f at h(R), the generalized perspective.
-    `right` is the (eigenvalues, eigenvectors) pair that `decompose`
-    returns for each R, and `f` and `h` are as for `calculus`. Raises
-    NonPositiveH if an h is not flagged strictly positive or an h(R) is
-    not strictly positive (`h_positive`).
+    the stack: the perspective of f at h(R) (`h_decomposition`), the
+    generalized perspective. `right` is the (eigenvalues, eigenvectors)
+    pair that `decompose` returns for each R, and `f` and `h` are as for
+    `calculus`. An h or h(R) that is not strictly positive raises
+    NonPositiveH.
     """
-    return perspective(f, left, guarded(h_positive, *solve(h_at(h, right))))
+    return perspective(f, left, h_decomposition(h, right))
 
 
 def bivariate(phi, left, right):

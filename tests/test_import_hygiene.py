@@ -282,7 +282,7 @@ def test_fold_calls_are_found():
 
 def name_uses(source: str, names) -> list:
     """(line, owner, name) of each reference in `source` to one of `names`,
-    by bare name or as an attribute (`K.h_at`), called or passed, in line
+    by bare name or as an attribute (`K.fold`), called or passed, in line
     order: `owner` is the module-level function or class the reference
     sits in, None at module level."""
     uses = []
@@ -296,11 +296,11 @@ def name_uses(source: str, names) -> list:
 
 
 def test_the_subunital_chain_is_written_once():
-    """In `batched`, h(R) and its guard (`h_at`, `h_positive`) appear only
-    in `_cdj_links`, the one Choi-Davis-Jensen chain through subunital
-    maps, so the chain cannot be copied back into an evaluate."""
-    uses = name_uses((PACKAGE / "batched.py").read_text(), {"h_at", "h_positive"})
-    assert {owner for _, owner, _ in uses} == {"_cdj_links"}
+    """In `batched`, the guarded h(R) (`h_decomposition`) appears only in
+    `_cdj_side`, the one side of the Choi-Davis-Jensen chain through
+    subunital maps, so the chain cannot be copied back into an evaluate."""
+    uses = name_uses((PACKAGE / "batched.py").read_text(), {"h_decomposition"})
+    assert {owner for _, owner, _ in uses} == {"_cdj_side"}
 
 
 def test_no_evaluate_splits_a_perspective():

@@ -19,11 +19,13 @@ from opdiv import batched, kernels
 from opdiv.errors import (
     DomainViolation,
     IllConditioned,
+    NonPositiveH,
     NotPositiveDefinite,
     NumericalFailure,
     OpDivError,
 )
 from opdiv.funcatalog import (
+    FunctionFlags,
     Interval,
     ScalarOperatorFunction,
     builtin,
@@ -332,8 +334,7 @@ def test_fused_decompositions_raise_what_separate_calls_raise(dim):
 def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch):
     """Parts of two matrix sizes, the second size between two parts of the
     first, make one eigh dispatch per size, yet have the bits and raise
-    the error of separate calls in part order; an `h_positive` flag turns
-    only its own part's NotPositiveDefinite into NonPositiveH."""
+    the error of separate calls in part order."""
     small, large = _route_cases(dim), _route_cases(dim + 1)
     calls = []
     real = np.linalg.eigh
@@ -343,13 +344,11 @@ def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch)
         return real(x, *args, **kwargs)
 
     def alone(p, flag):
-        if flag is kernels.h_positive:
-            return kernels.h_positive(kernels.decompose(p))
         return kernels.positive(p) if flag else kernels.decompose(p)
 
     for first, second in ((x, y) for x in small for y in large):
         parts = (np.stack([small[0], first]), second[None], first[None])
-        for flags in ((kernels.h_positive, True, False), (False, kernels.h_positive, True)):
+        for flags in ((True, True, False), (False, True, True)):
             want = _decomposed(lambda: [alone(p, flag) for p, flag in zip(parts, flags)])
             calls.clear()
             monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -358,6 +357,33 @@ def test_fused_decompositions_of_two_sizes_raise_in_part_order(dim, monkeypatch)
             assert got == want
             if not isinstance(got, tuple):
                 assert calls == [dim, dim + 1]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_h_decomposition_is_the_positive_decomposition_of_h_of_r(dim):
+    """`h_decomposition` has the bits of `positive` of h's calculus on R,
+    for one h or one per R. It refuses an h that is not flagged strictly
+    positive, and an h(R) that is not strictly positive with `positive`'s
+    message, each as NonPositiveH."""
+    rng = np.random.default_rng(600 + dim)
+    right = kernels.decompose(np.stack([make_pd(rng, dim).entries for _ in range(3)]))
+    pool = [builtin("identity"), builtin("power", [0.5]), builtin("affine", [0.7, 0.3])]
+    for h in pool + [pool]:
+        want = kernels.positive(kernels.calculus(h, right))
+        assert [_bits(x) for x in kernels.h_decomposition(h, right)] == [_bits(x) for x in want]
+    with pytest.raises(NonPositiveH, match="h = 'neg_log' is not flagged strictly positive"):
+        kernels.h_decomposition([pool[0], _NEG_LOG, pool[1]], right)
+    minus_five = ScalarOperatorFunction(
+        id="minus_five",
+        domain=Interval.real_line(),
+        eval=lambda t: np.asarray(t, dtype=float) - 5.0,
+        flags=FunctionFlags(strictly_positive=True),
+    )
+    with pytest.raises(NotPositiveDefinite) as want:
+        kernels.positive(kernels.calculus(minus_five, right))
+    with pytest.raises(NonPositiveH) as got:
+        kernels.h_decomposition(minus_five, right)
+    assert str(got.value) == f"h(R) is not strictly positive: {want.value}"
 
 
 @pytest.mark.parametrize(
@@ -682,19 +708,19 @@ def test_eig_calls_do_not_grow_with_trials(monkeypatch, check_id):
 # dispatch per matrix size (`kernels.decompositions`). The inner matrices
 # of a stage's perspectives take one dispatch of their own
 # (`kernels.perspective`), but KL_SUITE's share one with its other
-# stacks, and the mapped Phi(B) of a Choi-Davis-Jensen chain joins h(B)'s
-# dispatch. Each congruence family's Gram sum takes one of its own per
-# output size (`batched._normalized`). The matrices are those of one call
-# per stack. 129 dispatches in all, 0.0645 per trial.
+# stacks. Each h(R) of a generalized perspective takes one of its own
+# (`kernels.h_decomposition`), and so does each congruence family's Gram
+# sum per output size (`batched._normalized`). The matrices are those of
+# one call per stack. 132 dispatches in all, 0.066 per trial.
 _EIG_PINS = {
     "THM2_1": (3, 1416, 1, 300),
     "COR2_2_SUBADD": (3, 1380, 1, 300),
     "COR2_2_II": (4, 1425, 1, 300),
     "COR2_3_SPLIT": (3, 1784, 1, 600),
     "THM2_4_MIXTURE": (3, 3254, 1, 300),
-    "THM2_6_CDJ_DELTA": (11, 1630, 2, 300),
-    "COR2_7_SINGLE": (16, 1033, 4, 600),
-    "EX2_8_POWER": (19, 933, 5, 300),
+    "THM2_6_CDJ_DELTA": (12, 1630, 2, 300),
+    "COR2_7_SINGLE": (17, 1033, 4, 600),
+    "EX2_8_POWER": (20, 933, 5, 300),
     "COR2_9_VECTOR": (4, 600, 0, 0),
     "THM2_10_DOM": (6, 1625, 1, 600),
     "THM_DELTA_NABLA": (4, 1806, 1, 300),

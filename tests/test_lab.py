@@ -651,12 +651,11 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
     "check_id, draw",
     [("THM2_6_CDJ_DELTA", batched._draw_thm2_6), ("COR2_7_SINGLE", batched._draw_cor2_7)],
 )
-def test_a_fused_stage_raises_its_unmapped_part_first(check_id, draw, monkeypatch):
-    """These checks decompose h(B) with the mapped B, and take h of the
-    mapped B after the perspectives of (A, B). With an h, flagged strictly
-    positive, that is negative on every B and every mapped B, both h
-    stages fail; the run raises trial 0's NonPositiveH for its unmapped
-    h(B), as when the mapped side ran after the unmapped one."""
+def test_the_unmapped_side_raises_before_the_mapped_side(check_id, draw, monkeypatch):
+    """These checks take h(B) and the perspectives of (A, B) before h of
+    each mapped B. With an h, flagged strictly positive, that is negative
+    on every B and every mapped B, both sides fail; the run raises trial
+    0's NonPositiveH for its unmapped h(B)."""
     minus_five = ScalarOperatorFunction(
         id="minus_five",
         domain=Interval.real_line(),
