@@ -52,7 +52,6 @@ from .errors import BadRange, NumericalFailure
 from .funcatalog import (
     FunctionFlags,
     Interval,
-    PowerFamily,
     ScalarOperatorFunction,
     builtin,
     sampling_window,
@@ -254,11 +253,6 @@ def _each(values, mask) -> list:
 def _per_trial(flat, mask) -> list:
     """A flat stack of the present entries cut into each trial's own."""
     return np.split(flat, np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))[:-1])
-
-
-def _take(f, rows):
-    """The functions of the trials `rows`: one per trial, or a family."""
-    return f[rows] if isinstance(f, PowerFamily) else [f[i] for i in rows]
 
 
 def _split_by(records, key) -> list:
@@ -838,7 +832,7 @@ def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) 
     images = _map_images(applies, _cdj_side(each_f, each_h, a, b_pos, perspective), mask)
     links = np.empty((2, sum(len(rows) for rows, _ in applies), 1 + perspective))
     for (rows, phi), phi_b, (_, rhs) in zip(stacks, phi_bs, images):
-        lhs = _cdj_side(_take(fs, rows), _take(hs, rows), phi[:, 0], phi_b, perspective)
+        lhs = _cdj_side([fs[i] for i in rows], [hs[i] for i in rows], phi[:, 0], phi_b, perspective)
         links[:, rows] = _links(tol, *zip(lhs, rhs.swapaxes(0, 1)))
     return links
 
@@ -871,15 +865,15 @@ def _eval_single_map(group, tol, perspective=True):
     (Phi(A), Phi(B)) vs Phi of the generalized perspective of (A, B), and
     with `perspective` the same bound for the perspective of f (COR2_7;
     `_cdj_links`). Without it (EX2_8) A is drawn positive definite, f and
-    h are the power families of the drawn exponents and the payload names
-    them by their exponents. The drawn matrices are decomposed first; the
-    maps apply at once per variant and compression size, and the images
-    under Phi stack per output size."""
+    h are each trial's `builtin("power")` of its drawn exponents and the
+    payload names them by their exponents. The drawn matrices are
+    decomposed first; the maps apply at once per variant and compression
+    size, and the images under Phi stack per output size."""
     if perspective:
         fs, hs = _fh(group)
     else:
         alpha, beta = _stack(group, "w").T
-        fs, hs = PowerFamily(beta), PowerFamily(alpha)
+        fs, hs = ([builtin("power", [x]) for x in e.tolist()] for e in (beta, alpha))
     a, b = _build(group, "a", "b")
     # Each drawn B is positive definite, and without `perspective` each A.
     b_pos = K.decompositions(b, *(() if perspective else (a,)), positive=True)[0]

@@ -220,6 +220,58 @@ def test_quartic_is_refuted_by_every_check_that_tests_operator_convexity(check_i
     assert result.violations >= 1, _QUARTIC_REFUTES[check_id]
 
 
+# The links that quartic never violates, with the reason: (check, link
+# indices or None for every link, reason). Every other link must be
+# violated at least once. At seed 5, 200 trials, the fewest violations of
+# an undeclared link are THM2_4_MIXTURE's 8 and THM2_6_CDJ_DELTA's 10,
+# both at dim 3.
+_NEVER_VIOLATED = (
+    ("EX2_8_POWER", None, "--function ignored"),
+    ("THM2_10_DOM", None, "--function ignored"),
+    ("LEMMA_JADJIT", None, "--function ignored"),
+    ("KL_SUITE", None, "--function ignored"),
+    ("EX3_3_EXACT", None, "--function ignored"),
+    # m3 <= m4 sits at rounding level on 197-200 of 200 quartic trials.
+    ("THM3_1_CHAIN", [2], "identity for every f under square congruences"),
+    ("COR3_4_ISOM", [2], "identity for every f under square congruences"),
+    ("COR2_9_VECTOR", None, "quartic never refutes"),
+    ("THM_DELTA_NABLA", None, "quartic never refutes"),
+    ("THM2_12_GRAD", None, "quartic never refutes"),
+    ("THM3_8_NORM", None, "quartic never refutes"),
+    ("SCALAR_CSISZAR", [0], "quartic never refutes"),
+    ("KL_SUITE", [3], "deviation flag"),
+    ("SCALAR_CSISZAR", [1], "deviation flag"),
+    ("EX3_3_EXACT", [3], "deviation flag"),
+)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_quartic_violates_every_link_not_declared_never_violated(dim):
+    """Falsification power per link: a link that the sampler makes an
+    identity is never tested, and its green means nothing. Each link of
+    each check, drawn and evaluated under quartic, is violated at least
+    once unless `_NEVER_VIOLATED` declares it, and then never, so a
+    sampler change that makes a link vacuous fails here, and so does one
+    that makes a declared link fail."""
+    gen = GenConfig(dim=dim, seed=5, trials=200)
+    never = set()
+    for check_id in check_ids():
+        check = lab._REGISTRY[check_id]
+        records = [
+            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, quartic())
+            for t in range(gen.trials)
+        ]
+        margins, used, _ = check.evaluate(records, ToleranceConfig())
+        violated = ~(margins >= -used)
+        never |= {(check_id, j) for j in np.flatnonzero(~violated.any(axis=0)).tolist()}
+    declared = {
+        (check_id, j)
+        for check_id, links, _ in _NEVER_VIOLATED
+        for j in (range(_link_count(check_id, dim)) if links is None else links)
+    }
+    assert never == declared
+
+
 def test_exact_fixture_margins():
     result = run_check("EX3_3_EXACT", GenConfig(dim=3, seed=0, trials=2))
     assert result.violations == 0
@@ -515,6 +567,10 @@ _LINKS = {
 }
 
 
+def _link_count(check_id, dim):
+    return dim if _LINKS[check_id] == "n" else _LINKS[check_id]
+
+
 @pytest.mark.parametrize("check_id", check_ids())
 @pytest.mark.parametrize("dim", [2, 8])
 def test_evaluate_returns_every_link_margin(check_id, dim):
@@ -527,8 +583,7 @@ def test_evaluate_returns_every_link_margin(check_id, dim):
         check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, None) for t in range(gen.trials)
     ]
     margins, used, payloads = check.evaluate(records, ToleranceConfig())
-    links = dim if _LINKS[check_id] == "n" else _LINKS[check_id]
-    assert margins.shape == used.shape == (gen.trials, links)
+    assert margins.shape == used.shape == (gen.trials, _link_count(check_id, dim))
     assert np.isfinite(used).all() and (used >= 0).all()
     assert len(payloads) == gen.trials
 
@@ -564,6 +619,20 @@ _EQUALITY_FUNCTIONS = {
 }
 
 
+def _within_equality_bound(check_id, f, dim, trials=40):
+    """The records of `check_id` under f at `dim`, seed 5, and whether
+    each (trial, link) margin is within 1e3 eps * (1 + scale), the scale
+    the link's tolerance was taken at."""
+    tol, check = ToleranceConfig(), lab._REGISTRY[check_id]
+    gen = GenConfig(dim=dim, seed=5, trials=trials)
+    records = [
+        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(gen.trials)
+    ]
+    margins, used, _ = check.evaluate(records, tol)
+    scale = (used - tol.abs) / tol.rel
+    return records, np.abs(margins) <= 1e3 * np.finfo(float).eps * (1.0 + scale)
+
+
 @pytest.mark.parametrize(
     "check_id, links, f_id",
     [
@@ -578,17 +647,76 @@ def test_equality_cases_pin_both_sides(check_id, links, f_id):
     missing weight, a map on one side only), which every golden would
     keep, fails here. The scale is the one the tolerance was taken at.
     The largest margin measured here is 0.1 of this bound (THM3_1_II)."""
-    tol, check, f = ToleranceConfig(), lab._REGISTRY[check_id], _EQUALITY_FUNCTIONS[f_id]
     for dim in (2, 5, 8):
-        gen = GenConfig(dim=dim, seed=5, trials=40)
-        records = [
-            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(gen.trials)
-        ]
-        margins, used, _ = check.evaluate(records, tol)
-        scale = (used - tol.abs) / tol.rel
-        bound = 1e3 * np.finfo(float).eps * (1.0 + scale)
-        within = np.abs(margins) <= bound
+        _, within = _within_equality_bound(check_id, _EQUALITY_FUNCTIONS[f_id], dim)
         assert within[:, slice(None) if links is None else links].all(), dim
+
+
+# The h of `_H_POOL` under which every link of a `_pick_fh` check is an
+# equality for f = affine(1,-0.5), whose f(0) != 0. For f = at + b the
+# generalized perspective is aA + b h(B), so a link through a map Phi is
+# an equality when h(Phi(B)) = Phi(h(B)): for the identity always, and
+# for an affine h when Phi is unital, as COR2_9_VECTOR's <x, . x> is at
+# a unit x. THM2_6_CDJ_DELTA's and COR2_7_SINGLE's maps are subunital.
+# No h makes THM_DELTA_NABLA an equality.
+_EQUALITY_HS = {
+    "COR2_9_VECTOR": ("identity", "affine(0.7,0.3)"),
+    "THM2_6_CDJ_DELTA": ("identity",),
+    "COR2_7_SINGLE": ("identity",),
+    "THM_DELTA_NABLA": (),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(_EQUALITY_HS))
+def test_equality_cases_keyed_by_f_and_h(check_id):
+    """For f = affine(1,-0.5), every link of each trial whose h is in
+    `_EQUALITY_HS` stays within the bound of
+    `test_equality_cases_pin_both_sides`, and under every other h some
+    trial misses it. The worst measured at seed 5, 200 trials, dims 2, 3,
+    5 and 8 are 22.2 (COR2_9_VECTOR), 27.6 (THM2_6_CDJ_DELTA) and 32.5
+    (COR2_7_SINGLE) eps * (1 + scale); every other pair misses the bound
+    by about 1e14."""
+    f = builtin("affine", [1.0, -0.5])
+    for dim in (2, 3, 5, 8):
+        records, within = _within_equality_bound(check_id, f, dim, trials=200)
+        hs = np.array([r.h.id for r in records])
+        for h in sorted(set(hs.tolist())):
+            assert within[hs == h].all() == (h in _EQUALITY_HS[check_id]), (dim, h)
+
+
+def test_the_equality_bound_sees_a_scaled_side_and_an_unweighted_theta(monkeypatch):
+    """Self-test: THM2_1 is an equality for affine f, and each planted
+    fault breaks it. A rolled weight, each weight paired with another
+    entry, is out of reach here, since both sides read the same weights;
+    tests/test_metamorphic.py catches that one."""
+    f = _EQUALITY_FUNCTIONS["affine(1,-2)"]
+    assert _within_equality_bound("THM2_1", f, 3)[1].all()
+    links = batched._links
+
+    def scaled(tol, *pairs):
+        (lhs, rhs), *rest = pairs
+        return links(tol, (lhs, rhs * (1.0 + 1e-9)), *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(batched, "_links", scaled)
+        assert not _within_equality_bound("THM2_1", f, 3)[1].all()
+
+    # Theta, the weighted sum of the entries' perspectives, summed without
+    # its weights; the weighted sums of A and B keep theirs.
+    perspectives, total, theta = batched._perspectives, batched._total, []
+
+    def keep_theta(*parts):
+        out = perspectives(*parts)
+        theta.append(out[-1])
+        return out
+
+    def unweighted_theta(flat, mask, w=None):
+        return total(flat, mask, None if any(flat is t for t in theta) else w)
+
+    monkeypatch.setattr(batched, "_perspectives", keep_theta)
+    monkeypatch.setattr(batched, "_total", unweighted_theta)
+    assert not _within_equality_bound("THM2_1", f, 3)[1].all()
+    assert theta
 
 
 def _leaves(value):
