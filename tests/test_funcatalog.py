@@ -204,6 +204,36 @@ def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, w
     assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
 
 
+@pytest.mark.parametrize("func_id, params, dim, violations, worst, worst_trial", _PINNED_FALSIFIER_REPORTS)
+def test_the_falsifier_is_thm2_1_with_identity_right_sides(
+    func_id, params, dim, violations, worst, worst_trial
+):
+    """Jensen's operator inequality f(tA + (1 - t)B) <= t f(A) + (1 - t) f(B)
+    is THM2_1 on the field (A, I), (B, I) with weights (t, 1 - t): each
+    pinned case, run through THM2_1's evaluate on those records, gives the
+    falsifier's own margins to the bit."""
+    from opdiv import batched
+    from opdiv.funcatalog import _convexity_draw, _convexity_margins
+    from opdiv.hermitian import ToleranceConfig
+
+    f = quartic() if func_id == "quartic" else builtin(func_id, params)
+    lo, hi = sampling_window(f.domain)
+    one = np.ones(dim), np.zeros((2, dim, dim))
+
+    def record(trial):
+        a, b, t = _convexity_draw(3, trial, dim, lo, hi)
+        return batched._Draw(f, np.array([t, 1.0 - t]), (None, [a, b]), (None, [one, one]))
+
+    def draw(trial):
+        return _convexity_draw(3, trial, dim, lo, hi)
+
+    tol = ToleranceConfig()
+    old = kernels.run_trials(300, dim, draw, _convexity_margins, f, tol)[:3]
+    new = kernels.run_trials(300, dim, record, batched._eval_thm2_1, tol)[:3]
+    assert (new[0], new[1].hex(), new[2]) == (old[0], old[1].hex(), old[2])
+    assert old == (violations, worst, worst_trial)
+
+
 def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkeypatch):
     """The falsifier folds its trials as the lab does: a NaN margin on the
     clean run's worst trial makes that trial a violation, and the worst
