@@ -23,12 +23,10 @@ from .errors import (
     UnknownFunction,
 )
 from .funcatalog import (
-    FalsifierReport,
     FunctionFlags,
     Interval,
     ScalarOperatorFunction,
     builtin,
-    convexity_falsifier,
     from_spec,
     quartic,
 )
@@ -50,10 +48,12 @@ from .hermitian import (
 from .lab import (
     CheckResult,
     ExampleReproduction,
+    FalsifierReport,
     GenConfig,
     SuiteReport,
     check_description,
     check_ids,
+    convexity_falsifier,
     random_hermitian,
     random_pd,
     reproduce_example,

@@ -3,7 +3,10 @@
 Each entry carries its domain, an optional derivative, and convexity
 metadata. Operator convexity of user-supplied functions cannot be
 decided from a black box, so the flags are claims; the sampling-based
-falsifier below can refute them but never certify them.
+falsifier, `lab.convexity_falsifier`, which runs Jensen's operator
+inequality as the lab's THM2_1 check, can refute them but never certify
+them. This module computes no matrix: it evaluates functions on
+eigenvalues (`eval_array`) and clamps spectra onto domains.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation, ParamOutOfRange, UnknownFunction
-from . import kernels
-from .hermitian import ToleranceConfig, raw_spectrum
 
 
 @dataclass(frozen=True)
@@ -263,64 +264,3 @@ def sampling_window(
     if not lo < hi:
         raise ValueError(f"degenerate sampling window for domain {domain!r}")
     return lo, hi
-
-
-@dataclass(frozen=True)
-class FalsifierReport:
-    function_id: str
-    dim: int
-    trials: int
-    violations: int
-    worst_margin: float
-    worst_trial: int
-
-
-def convexity_falsifier(
-    f: ScalarOperatorFunction,
-    dim: int,
-    trials: int,
-    seed: int,
-    tol: ToleranceConfig = ToleranceConfig(),
-) -> FalsifierReport:
-    """Hunt for Loewner violations of midpoint-style operator convexity.
-
-    Samples Hermitian pairs with spectra inside dom(f) and random mixing
-    ratios; a reported violation refutes the convexity claim, while a clean
-    report proves nothing. The trials run through the verification lab's
-    trial loop (`kernels.run_trials`), so a NaN margin is a violation and
-    never the worst, and worst_trial is 0 unless a margin is below inf.
-    """
-    if dim < 2:
-        raise ValueError("falsifier needs dim >= 2")
-    if trials < 1:
-        raise ValueError("falsifier needs trials >= 1")
-    lo, hi = sampling_window(f.domain)
-    violations, worst, worst_trial, _ = kernels.run_trials(
-        trials,
-        dim,
-        lambda trial: _convexity_draw(seed, trial, dim, lo, hi),
-        _convexity_margins,
-        f,
-        tol,
-    )
-    return FalsifierReport(f.id, dim, trials, violations, worst, worst_trial)
-
-
-def _convexity_draw(seed, trial, dim, lo, hi):
-    """Trial `trial`'s spectra of A and B (`raw_spectrum`) and mixing
-    ratio t."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-    a = raw_spectrum(rng, dim, lo, hi)
-    b = raw_spectrum(rng, dim, lo, hi)
-    return a, b, float(rng.uniform(0.0, 1.0))
-
-
-def _convexity_margins(draws, f, tol):
-    """The margins and tolerances of f(t A + (1 - t) B) <= t f(A) + (1 - t)
-    f(B), one link per drawn (A, B, t) triple, (T, 1) each, with the draws
-    as extras: the trial loop folds them (`kernels.run_trials`)."""
-    a, b = kernels.build((None, [draw[0] for draw in draws]), (None, [draw[1] for draw in draws]))
-    t = np.array([t for _, _, t in draws])[:, None, None]
-    f_a, f_b, lhs = kernels.apply_function(f, np.stack([a, b, a * t + b * (1.0 - t)]))
-    low, _, used = kernels.loewner(lhs, f_a * t + f_b * (1.0 - t), tol)
-    return low[:, None], used[:, None], draws

@@ -5,8 +5,9 @@ axes, `(..., n, n)`, and treats the leading axes as a batch: one call
 decomposes, transforms or compares a whole stack of matrices. The
 objects in `hermitian`, `perspective`, `norms` and `posmap` are
 validating facades over these kernels. The lab decodes its draws into
-matrices with `build` and runs every check and the convexity falsifier
-through `run_trials`, one trial loop that evaluates and folds a chunk at once.
+matrices with `build` and runs every check, the convexity falsifier
+among them as THM2_1, through `run_trials`, one trial loop that draws,
+evaluates and folds a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
 arrays is one `stack`. A stage that decomposes several independent
@@ -619,29 +620,30 @@ def chunks(count: int, dim: int):
         yield range(start, min(count, start + step))
 
 
-def run_trials(count: int, dim: int, draw, evaluate, *args) -> tuple:
+def run_trials(count: int, dim: int, draw, evaluate, tol) -> tuple:
     """The trial loop: trials 0 .. count - 1 of dim x dim matrices.
 
-    Each chunk of trials (`chunks`) is drawn serially, `draw(trial)` per
-    trial, and evaluated at once: `evaluate(records, *args)` returns the
-    (T, L) margins and tolerances of each trial's L links and an extra
-    per trial, such as a payload thunk. If that raises, the records are
-    evaluated one at a time, in order, so the error is the one the first
-    failing record raises alone. This is the one place links fold
-    (`fold`): into each trial's worst margin and violation flag, and the
-    trials by the same rule, so the first of equal margins is the worst,
-    trial 0 stands until one is smaller, and a NaN margin is never the
-    worst. Returns the violation count, the worst margin, that trial's
+    Each chunk of trials (`chunks`) is drawn at once, `draw(chunk)`
+    returning the chunk's records in order, and evaluated at once:
+    `evaluate(records, tol)` returns the (T, L) margins and tolerances of
+    each trial's L links and an extra per trial, such as a payload thunk.
+    The lab passes `lab.records` and `lab.evaluate`. If evaluate raises,
+    the records are evaluated one at a time, in order, so the error is the
+    one the first failing record raises alone. This is the one place links
+    fold (`fold`): into each trial's worst margin and violation flag, and
+    the trials by the same rule, so the first of equal margins is the
+    worst, trial 0 stands until one is smaller, and a NaN margin is never
+    the worst. Returns the violation count, the worst margin, that trial's
     index and its extra.
     """
     violations, worst_margin, worst_trial, worst_extra = 0, math.inf, 0, None
     for chunk in chunks(count, dim):
-        records = [draw(t) for t in chunk]
+        records = draw(chunk)
         try:
-            margins, used, extras = evaluate(records, *args)
+            margins, used, extras = evaluate(records, tol)
         except (OpDivError, np.linalg.LinAlgError):
             for record in records:
-                evaluate([record], *args)
+                evaluate([record], tol)
             raise
         worst, violated = fold(margins, used)
         violations += int(np.count_nonzero(violated))

@@ -5,10 +5,16 @@ keyed by (seed, check id, trial index), builds both sides of one operator
 inequality, and records the worst Loewner (or scalar) margin. A violation
 is a margin below the combined abs+rel tolerance; near-zero margins count
 as equality because several of the inequalities degenerate to equalities
-for affine f. A check's `draw` runs serially per trial, and its stacked
-`evaluate` (both in `batched`) takes a chunk of draws at once; the trial
-loop that drives them (`kernels.run_trials`) is the one the convexity
-falsifier runs too.
+for affine f.
+
+`records` and `evaluate` are the one way into a check: `records` draws
+the given trials' records, each from its own stream (a check's `draw`, in
+`batched`, runs serially per trial), and `evaluate` takes any list of
+records at once, so a single trial replays as a batch of one. The trial
+loop (`kernels.run_trials`) drives both a chunk at a time for
+`run_check`. The convexity falsifier is THM2_1 on two-entry fields with
+identity right sides (`convexity_falsifier`): its records come from its
+own streams, and it runs through the same `evaluate` and trial loop.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from . import batched as B
 from . import kernels as K
 from .errors import BadRange, UnknownCheck
-from .funcatalog import ScalarOperatorFunction
+from .funcatalog import ScalarOperatorFunction, sampling_window
 from .hermitian import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -39,12 +45,16 @@ from .hermitian import (
 __all__ = [
     "GenConfig",
     "CheckResult",
+    "FalsifierReport",
     "SuiteReport",
     "ExampleReproduction",
     "check_ids",
     "check_description",
+    "convexity_falsifier",
+    "evaluate",
     "random_hermitian",
     "random_pd",
+    "records",
     "run_check",
     "run_suite",
     "reproduce_example",
@@ -271,6 +281,24 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
+    """The draw records of a check's trials `trials`, an iterable of trial
+    indices, all of range(gen.trials) by default, in order. Trial t is
+    drawn from its own stream (seed, check id, t), so any trial can be
+    drawn alone. `function` is as for `run_check`."""
+    draw = _check(check_id).draw
+    if trials is None:
+        trials = range(gen.trials)
+    return [draw(_trial_rng(gen.seed, check_id, t), t, gen, function) for t in trials]
+
+
+def evaluate(check_id: str, records: list, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
+    """(margins, used, payloads) of a check's records: the (T, L) link
+    margins and tolerances, which the trial loop folds
+    (`kernels.run_trials`), and a payload thunk per record."""
+    return _check(check_id).evaluate(records, tol)
+
+
 def run_check(
     check_id: str,
     gen: GenConfig,
@@ -283,14 +311,10 @@ def run_check(
     quantify over operator convex f, which is how non-operator-convex
     candidates are falsified.
     """
-    check = _check(check_id)
     # Only the worst trial's payload thunk is ever called.
+    draw = partial(records, check_id, gen, function)
     violations, worst_margin, _, worst_payload = K.run_trials(
-        gen.trials,
-        gen.dim,
-        lambda trial: check.draw(_trial_rng(gen.seed, check_id, trial), trial, gen, function),
-        check.evaluate,
-        tol,
+        gen.trials, gen.dim, draw, partial(evaluate, check_id), tol
     )
     return CheckResult(
         check_id=check_id,
@@ -299,6 +323,61 @@ def run_check(
         worst_margin=worst_margin,
         instance_digest_of_worst=_digest(worst_payload()),
     )
+
+
+@dataclass(frozen=True)
+class FalsifierReport:
+    function_id: str
+    dim: int
+    trials: int
+    violations: int
+    worst_margin: float
+    worst_trial: int
+
+
+def convexity_falsifier(
+    f: ScalarOperatorFunction,
+    dim: int,
+    trials: int,
+    seed: int,
+    tol: ToleranceConfig = ToleranceConfig(),
+) -> FalsifierReport:
+    """Hunt for Loewner violations of f(tA + (1 - t)B) <= t f(A) + (1 - t) f(B),
+    Jensen's operator inequality, which holds for every t in [0, 1] and
+    all A, B with spectra in dom(f) exactly when f is operator convex.
+
+    Samples Hermitian pairs with spectra inside dom(f) and mixing ratios t;
+    a reported violation refutes the convexity claim, while a clean report
+    proves nothing. Each trial is THM2_1 on the field (A, I), (B, I) with
+    weights (t, 1 - t) (`_convexity_records`), run through the lab's trial
+    loop, so a NaN margin is a violation and never the worst, and
+    worst_trial is 0 unless a margin is below inf.
+    """
+    if dim < 2:
+        raise ValueError("falsifier needs dim >= 2")
+    if trials < 1:
+        raise ValueError("falsifier needs trials >= 1")
+    violations, worst, worst_trial, _ = K.run_trials(
+        trials, dim, partial(_convexity_records, f, seed, dim), partial(evaluate, "THM2_1"), tol
+    )
+    return FalsifierReport(f.id, dim, trials, violations, worst, worst_trial)
+
+
+def _convexity_records(f, seed: int, dim: int, trials) -> list:
+    """The falsifier's trials `trials` as THM2_1 records: the spectra of A
+    and B (`raw_spectrum` in f's `sampling_window`) and the mixing ratio t
+    of each trial, drawn from its stream (seed, trial), as the field
+    (A, I), (B, I) with weights (t, 1 - t). A spectrum of ones with a zero
+    Gaussian builds I exactly (`kernels.from_spectrum`)."""
+    lo, hi = sampling_window(f.domain)
+    one = np.ones(dim), np.zeros((2, dim, dim))
+    out = []
+    for trial in trials:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        a, b = raw_spectrum(rng, dim, lo, hi), raw_spectrum(rng, dim, lo, hi)
+        t = float(rng.uniform(0.0, 1.0))
+        out.append(B._Draw(f, np.array([t, 1.0 - t]), (None, [a, b]), (None, [one, one])))
+    return out
 
 
 def _config_echo(ids, gen: GenConfig, tol: ToleranceConfig, function) -> dict:

@@ -20,7 +20,6 @@ import pytest
 
 from opdiv import kernels, lab
 from opdiv.funcatalog import quartic
-from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import GenConfig, check_ids, run_check
 
 # (dim, seed, function, trials) -> [(check id, float.hex(worst_margin), violations, digest)]
@@ -298,12 +297,7 @@ def _evaluated(dim, function):
     gen = GenConfig(dim=dim, seed=0, trials=30)
     override = quartic() if function == "quartic" else None
     for check_id in check_ids():
-        check = lab._REGISTRY[check_id]
-        records = [
-            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, override)
-            for t in range(gen.trials)
-        ]
-        margins, used, _ = check.evaluate(records, ToleranceConfig())
+        margins, used, _ = lab.evaluate(check_id, lab.records(check_id, gen, override))
         yield margins, used
 
 

@@ -5,15 +5,8 @@ import pytest
 
 from opdiv import kernels
 from opdiv.errors import DomainViolation, ParamOutOfRange, UnknownFunction
-from opdiv.funcatalog import (
-    FalsifierReport,
-    Interval,
-    builtin,
-    convexity_falsifier,
-    from_spec,
-    quartic,
-    sampling_window,
-)
+from opdiv.funcatalog import Interval, builtin, from_spec, quartic, sampling_window
+from opdiv.lab import FalsifierReport, convexity_falsifier
 
 
 def test_neg_log_fixture():
@@ -182,7 +175,9 @@ def test_falsifier_square_is_clean():
 
 
 # Reports of the serial per-trial falsifier loop: any rewrite of
-# convexity_falsifier must reproduce them exactly, margins included.
+# convexity_falsifier must reproduce them exactly, margins included. The
+# falsifier's own Loewner path gave them; THM2_1's evaluate, which
+# replaced it, gives them to the bit.
 _PINNED_FALSIFIER_REPORTS = [
     ("quartic", (), 2, 39, -1.327511563884448, 138),
     ("quartic", (), 4, 91, -2.3800053815357605, 186),
@@ -204,36 +199,6 @@ def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, w
     assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
 
 
-@pytest.mark.parametrize("func_id, params, dim, violations, worst, worst_trial", _PINNED_FALSIFIER_REPORTS)
-def test_the_falsifier_is_thm2_1_with_identity_right_sides(
-    func_id, params, dim, violations, worst, worst_trial
-):
-    """Jensen's operator inequality f(tA + (1 - t)B) <= t f(A) + (1 - t) f(B)
-    is THM2_1 on the field (A, I), (B, I) with weights (t, 1 - t): each
-    pinned case, run through THM2_1's evaluate on those records, gives the
-    falsifier's own margins to the bit."""
-    from opdiv import batched
-    from opdiv.funcatalog import _convexity_draw, _convexity_margins
-    from opdiv.hermitian import ToleranceConfig
-
-    f = quartic() if func_id == "quartic" else builtin(func_id, params)
-    lo, hi = sampling_window(f.domain)
-    one = np.ones(dim), np.zeros((2, dim, dim))
-
-    def record(trial):
-        a, b, t = _convexity_draw(3, trial, dim, lo, hi)
-        return batched._Draw(f, np.array([t, 1.0 - t]), (None, [a, b]), (None, [one, one]))
-
-    def draw(trial):
-        return _convexity_draw(3, trial, dim, lo, hi)
-
-    tol = ToleranceConfig()
-    old = kernels.run_trials(300, dim, draw, _convexity_margins, f, tol)[:3]
-    new = kernels.run_trials(300, dim, record, batched._eval_thm2_1, tol)[:3]
-    assert (new[0], new[1].hex(), new[2]) == (old[0], old[1].hex(), old[2])
-    assert old == (violations, worst, worst_trial)
-
-
 def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkeypatch):
     """The falsifier folds its trials as the lab does: a NaN margin on the
     clean run's worst trial makes that trial a violation, and the worst
@@ -247,7 +212,7 @@ def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkey
         low, high, used = real(lhs, rhs, tol)
         trials = np.arange(len(seen), len(seen) + len(low))
         seen.extend(trials)
-        return np.where(trials == clean.worst_trial, math.nan, low), high, used
+        return np.where((trials == clean.worst_trial)[:, None], math.nan, low), high, used
 
     monkeypatch.setattr(kernels, "loewner", nan_on_worst_trial)
     report = convexity_falsifier(builtin("square"), dim=2, trials=300, seed=3)
@@ -259,7 +224,8 @@ def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkey
 
 def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):
     """With room for 7 pairs per stacked call, no call builds more than
-    their 14 matrices, and the report is the one of a single stack."""
+    their 28 matrices (A, B and the two identities of each THM2_1 field),
+    and the report is the one of a single stack."""
     whole = convexity_falsifier(quartic(), dim=2, trials=300, seed=3)
     stacks = []
     real = kernels.from_spectrum
@@ -271,4 +237,4 @@ def test_falsifier_evaluates_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(kernels, "STACK_ELEMENTS", 7 * 2**2)
     monkeypatch.setattr(kernels, "from_spectrum", counted)
     assert convexity_falsifier(quartic(), dim=2, trials=300, seed=3) == whole
-    assert max(stacks) == 14 and sum(stacks) == 600
+    assert max(stacks) == 28 and sum(stacks) == 1200

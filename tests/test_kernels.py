@@ -29,7 +29,6 @@ from opdiv.funcatalog import (
     Interval,
     ScalarOperatorFunction,
     builtin,
-    convexity_falsifier,
     from_spec,
     quartic,
     sampling_window,
@@ -44,7 +43,7 @@ from opdiv.hermitian import (
     loewner_compare,
     unitary_from_rng,
 )
-from opdiv.lab import GenConfig, check_ids, run_check
+from opdiv.lab import GenConfig, check_ids, convexity_falsifier, run_check
 from opdiv.perspective import (
     BivariateSpec,
     WeightedOperatorField,

@@ -256,12 +256,7 @@ def test_quartic_violates_every_link_not_declared_never_violated(dim):
     gen = GenConfig(dim=dim, seed=5, trials=200)
     never = set()
     for check_id in check_ids():
-        check = lab._REGISTRY[check_id]
-        records = [
-            check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, quartic())
-            for t in range(gen.trials)
-        ]
-        margins, used, _ = check.evaluate(records, ToleranceConfig())
+        margins, used, _ = lab.evaluate(check_id, lab.records(check_id, gen, quartic()))
         violated = ~(margins >= -used)
         never |= {(check_id, j) for j in np.flatnonzero(~violated.any(axis=0)).tolist()}
     declared = {
@@ -361,9 +356,8 @@ def test_reproduce_example_matches_and_perturbation_fails():
 def _one_trial(check_id, trial, gen, tol, function):
     """One trial, drawn and evaluated as a batch of one: its worst margin,
     violation flag and payload thunk."""
-    check = lab._REGISTRY[check_id]
-    record = check.draw(lab._trial_rng(gen.seed, check_id, trial), trial, gen, function)
-    margins, used, payloads = check.evaluate([record], tol)
+    records = lab.records(check_id, gen, function, trials=[trial])
+    margins, used, payloads = lab.evaluate(check_id, records, tol)
     worst, violated = kernels.fold(margins, used)
     return float(worst[0]), bool(violated[0]), payloads[0]
 
@@ -402,7 +396,11 @@ def _folded(margins, used) -> list:
     out = []
     for t in range(len(margins)):
         violations, worst, _, _ = kernels.run_trials(
-            1, 2, lambda trial: t, lambda records: (margins[records], used[records], [None])
+            1,
+            2,
+            lambda chunk: [t],
+            lambda records, tol: (margins[records], used[records], [None]),
+            None,
         )
         out.append((worst, bool(violations)))
     return out
@@ -450,11 +448,11 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
     monkeypatch.setattr(kernels, "STACK_ELEMENTS", 2 * 2**2)
 
     def run(margins):
-        def evaluate(records):
+        def evaluate(records, tol):
             links = np.array([[margins[t]] for t in records])
             return links, np.full_like(links, 1e-8), [f"extra {t}" for t in records]
 
-        return kernels.run_trials(len(margins), 2, lambda trial: trial, evaluate)
+        return kernels.run_trials(len(margins), 2, list, evaluate, None)
 
     assert run([math.nan, 0.5, -1.0, math.nan, -1.0]) == (4, -1.0, 2, "extra 2")
     assert run([0.0, 0.5, -0.0]) == (0, 0.0, 0, "extra 0")
@@ -519,19 +517,14 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
     worst margin and violation flag, and its payload digest are the same
     whether its check evaluates all trials at once or one at a time."""
     gen = GenConfig(dim=dim, seed=3, trials=14)
-    tol = ToleranceConfig()
-    check = lab._REGISTRY[check_id]
-    records = [
-        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
-        for t in range(gen.trials)
-    ]
+    records = lab.records(check_id, gen, function)
     # The stack mixes field sizes, map variants or output dimensions.
     shapes = len({_draw_shape(r) for r in records})
     assert (shapes > 1) == (check_id not in _ONE_SHAPE)
-    margins, used, payloads = check.evaluate(records, tol)
+    margins, used, payloads = lab.evaluate(check_id, records)
     worst, violated = kernels.fold(margins, used)
     for t, record in enumerate(records):
-        one_margins, one_used, (payload,) = check.evaluate([record], tol)
+        one_margins, one_used, (payload,) = lab.evaluate(check_id, [record])
         assert margins[t].tobytes() == one_margins[0].tobytes()
         assert used[t].tobytes() == one_used[0].tobytes()
         one_worst, one_violated = kernels.fold(one_margins, one_used)
@@ -578,11 +571,7 @@ def test_evaluate_returns_every_link_margin(check_id, dim):
     tolerance on every link of its chain, (T, L) each, and the tolerances
     are finite and never negative."""
     gen = GenConfig(dim=dim, seed=3, trials=14)
-    check = lab._REGISTRY[check_id]
-    records = [
-        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, None) for t in range(gen.trials)
-    ]
-    margins, used, payloads = check.evaluate(records, ToleranceConfig())
+    margins, used, payloads = lab.evaluate(check_id, lab.records(check_id, gen))
     assert margins.shape == used.shape == (gen.trials, _link_count(check_id, dim))
     assert np.isfinite(used).all() and (used >= 0).all()
     assert len(payloads) == gen.trials
@@ -623,12 +612,9 @@ def _within_equality_bound(check_id, f, dim, trials=40):
     """The records of `check_id` under f at `dim`, seed 5, and whether
     each (trial, link) margin is within 1e3 eps * (1 + scale), the scale
     the link's tolerance was taken at."""
-    tol, check = ToleranceConfig(), lab._REGISTRY[check_id]
-    gen = GenConfig(dim=dim, seed=5, trials=trials)
-    records = [
-        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(gen.trials)
-    ]
-    margins, used, _ = check.evaluate(records, tol)
+    tol = ToleranceConfig()
+    records = lab.records(check_id, GenConfig(dim=dim, seed=5, trials=trials), f)
+    margins, used, _ = lab.evaluate(check_id, records, tol)
     scale = (used - tol.abs) / tol.rel
     return records, np.abs(margins) <= 1e3 * np.finfo(float).eps * (1.0 + scale)
 
@@ -735,11 +721,8 @@ def test_draw_records_hold_only_real_rng_output(check_id, function):
     or integer, and no number is complex, so assembling complex Gaussians
     (and every other float transform) stays in the stacked evaluate. The
     one exception is the unit vectors `x`, normalized per trial."""
-    check = lab._REGISTRY[check_id]
     for dim in (2, 8):
-        gen = GenConfig(dim=dim, seed=3, trials=14)
-        for t in range(gen.trials):
-            record = check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, function)
+        for record in lab.records(check_id, GenConfig(dim=dim, seed=3, trials=14), function):
             for leaf in _leaves(record._replace(x=None)):
                 assert not isinstance(leaf, complex)
                 if isinstance(leaf, np.ndarray):
@@ -775,11 +758,8 @@ def test_ragged_fields_evaluate_in_one_stack(monkeypatch):
             assert dispatches(check_id, 100) == dispatches(check_id, 1), check_id
 
 
-@pytest.mark.parametrize(
-    "check_id, draw",
-    [("THM2_6_CDJ_DELTA", batched._draw_thm2_6), ("COR2_7_SINGLE", batched._draw_cor2_7)],
-)
-def test_the_unmapped_side_raises_before_the_mapped_side(check_id, draw, monkeypatch):
+@pytest.mark.parametrize("check_id", ["THM2_6_CDJ_DELTA", "COR2_7_SINGLE"])
+def test_the_unmapped_side_raises_before_the_mapped_side(check_id, monkeypatch):
     """These checks take h(B) and the perspectives of (A, B) before h of
     each mapped B. With an h, flagged strictly positive, that is negative
     on every B and every mapped B, both sides fail; the run raises trial
@@ -792,7 +772,7 @@ def test_the_unmapped_side_raises_before_the_mapped_side(check_id, draw, monkeyp
     )
     monkeypatch.setattr(batched, "_H_POOL", (minus_five,))
     gen = GenConfig(dim=3, seed=4, trials=30)
-    _, b = batched._build([draw(lab._trial_rng(gen.seed, check_id, 0), 0, gen, None)], "a", "b")
+    _, b = batched._build(lab.records(check_id, gen, trials=[0]), "a", "b")
     with pytest.raises(NonPositiveH) as want:
         kernels.f_delta_h(minus_five, minus_five, b, kernels.positive(b))
     with pytest.raises(NonPositiveH) as got:

@@ -90,15 +90,11 @@ def _worst_move(check_id, dim, trials=40, seed=3):
     trial's field entries or family members are permuted (a seeded
     permutation per trial), and the violation count of the unpermuted
     trials."""
-    check = lab._REGISTRY[check_id]
-    gen = GenConfig(dim=dim, seed=seed, trials=trials)
     tol = ToleranceConfig()
-    records = [
-        check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, None) for t in range(trials)
-    ]
+    records = lab.records(check_id, GenConfig(dim=dim, seed=seed, trials=trials))
     perms = [np.random.default_rng(t).permutation(len(r.w)) for t, r in enumerate(records)]
-    margins, used, _ = check.evaluate(records, tol)
-    moved, _, _ = check.evaluate([_permuted(r, p) for r, p in zip(records, perms)], tol)
+    margins, used, _ = lab.evaluate(check_id, records, tol)
+    moved, _, _ = lab.evaluate(check_id, [_permuted(r, p) for r, p in zip(records, perms)], tol)
     scale = (used - tol.abs) / tol.rel
     violations = int(np.count_nonzero(~np.all(margins >= -used, axis=1)))
     return float(np.max(np.abs(moved - margins) / (_EPS * (1.0 + scale)))), violations
@@ -175,12 +171,9 @@ def _swap_evaluations(check_id, dim, f, trials=40, seed=3):
     """The (margins, tolerances) of the drawn trials and of the same
     trials with their blocks swapped, and the drawn trials' violation
     count."""
-    check = lab._REGISTRY[check_id]
-    gen = GenConfig(dim=dim, seed=seed, trials=trials)
-    tol = ToleranceConfig()
-    records = [check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(trials)]
-    margins, used, _ = check.evaluate(records, tol)
-    moved, moved_used, _ = check.evaluate([_swapped(r) for r in records], tol)
+    records = lab.records(check_id, GenConfig(dim=dim, seed=seed, trials=trials), f)
+    margins, used, _ = lab.evaluate(check_id, records)
+    moved, moved_used, _ = lab.evaluate(check_id, [_swapped(r) for r in records])
     violations = int(np.count_nonzero(~np.all(margins >= -used, axis=1)))
     return (margins, used), (moved, moved_used), violations
 
@@ -226,12 +219,9 @@ def _scaled_margins(check_id, dim, f, trials=40, seed=3):
     """The link margins of the drawn trials and of the same trials with
     every A and B slot's eigenvalues times 4, and the violation count of
     the drawn trials."""
-    check = lab._REGISTRY[check_id]
-    gen = GenConfig(dim=dim, seed=seed, trials=trials)
-    tol = ToleranceConfig()
-    records = [check.draw(lab._trial_rng(gen.seed, check_id, t), t, gen, f) for t in range(trials)]
-    margins, used, _ = check.evaluate(records, tol)
-    moved, _, _ = check.evaluate([_times_four(r) for r in records], tol)
+    records = lab.records(check_id, GenConfig(dim=dim, seed=seed, trials=trials), f)
+    margins, used, _ = lab.evaluate(check_id, records)
+    moved, _, _ = lab.evaluate(check_id, [_times_four(r) for r in records])
     violations = int(np.count_nonzero(~np.all(margins >= -used, axis=1)))
     return margins, moved, violations
 
