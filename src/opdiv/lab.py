@@ -77,6 +77,16 @@ def _real(name: str, value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _integer(name: str, value, error=BadRange) -> int:
+    """`value`, an integer that is not a bool, as a Python int, so that a
+    numpy integer echoes as JSON; `error` otherwise. A bool is an int to
+    Python, and a float seed would run its integer part's draws while the
+    report echoed the float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Instance generator settings; fully determines every random draw."""
@@ -89,12 +99,7 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("dim", "seed", "trials"):
-            value = getattr(self, name)
-            # A bool is an int to Python, and a float seed would run its
-            # integer part's draws while the report echoed the float.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadRange(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer echoes as JSON
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 2 <= self.dim <= 8:
             raise BadRange(f"dim must be within 2..8, got {self.dim}")
         try:
@@ -352,11 +357,21 @@ def convexity_falsifier(
     weights (t, 1 - t) (`_convexity_records`), run through the lab's trial
     loop, so a NaN margin is a violation and never the worst, and
     worst_trial is 0 unless a margin is below inf.
+
+    `dim`, `trials` and `seed` are integers, not bools, as for
+    `GenConfig`, with dim >= 2, seed >= 0 and 1 <= trials <= MAX_TRIALS;
+    ValueError otherwise.
     """
+    dim, trials, seed = (
+        _integer(name, value, ValueError)
+        for name, value in (("dim", dim), ("trials", trials), ("seed", seed))
+    )
     if dim < 2:
         raise ValueError("falsifier needs dim >= 2")
-    if trials < 1:
-        raise ValueError("falsifier needs trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"falsifier needs trials within 1..{MAX_TRIALS}, got {trials}")
+    if seed < 0:
+        raise ValueError(f"falsifier needs seed >= 0, got {seed}")
     violations, worst, worst_trial, _ = K.run_trials(
         trials, dim, partial(_convexity_records, f, seed, dim), partial(evaluate, "THM2_1"), tol
     )

@@ -6,7 +6,7 @@ import pytest
 from opdiv import kernels
 from opdiv.errors import DomainViolation, ParamOutOfRange, UnknownFunction
 from opdiv.funcatalog import Interval, builtin, from_spec, quartic, sampling_window
-from opdiv.lab import FalsifierReport, convexity_falsifier
+from opdiv.lab import MAX_TRIALS, FalsifierReport, convexity_falsifier
 
 
 def test_neg_log_fixture():
@@ -197,6 +197,40 @@ def test_falsifier_reports_are_pinned(func_id, params, dim, violations, worst, w
     f = quartic() if func_id == "quartic" else builtin(func_id, params)
     report = convexity_falsifier(f, dim=dim, trials=300, seed=3)
     assert report == FalsifierReport(f.id, dim, 300, violations, worst, worst_trial)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": True}, "trials must be an integer"),
+        ({"dim": True}, "dim must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
+        ({"dim": 3.0}, "dim must be an integer"),
+        ({"trials": 10.0}, "trials must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": np.float64(0.0)}, "seed must be an integer"),
+        ({"seed": -1}, "seed >= 0"),
+        ({"dim": 1}, "dim >= 2"),
+        ({"trials": 0}, "trials within"),
+        ({"trials": -3}, "trials within"),
+        ({"trials": MAX_TRIALS + 1}, "trials within"),
+    ],
+    ids=str,
+)
+def test_falsifier_refuses_a_count_that_is_not_a_valid_integer(kwargs, message):
+    """A bool ran as 0 or 1 trials while the report echoed it, a negative
+    seed reached numpy's "expected non-negative integer" and a float
+    dim, trials or seed a bare TypeError; each is a ValueError now, as
+    dim < 2 was, and the bounds on trials are GenConfig's."""
+    args = {"dim": 3, "trials": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        convexity_falsifier(quartic(), **args)
+
+
+def test_falsifier_takes_numpy_integers_as_python_ints():
+    got = convexity_falsifier(quartic(), dim=np.int64(2), trials=np.uint16(20), seed=np.int8(3))
+    assert got == convexity_falsifier(quartic(), dim=2, trials=20, seed=3)
+    assert [type(x) for x in (got.dim, got.trials)] == [int, int]
 
 
 def test_falsifier_counts_a_nan_margin_as_a_violation_and_never_the_worst(monkeypatch):
