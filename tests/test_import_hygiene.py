@@ -3,10 +3,12 @@ module imports another module's private name, every private module-level
 helper is used somewhere in the package, no source line is wider than
 LINE_WIDTH columns, only the trial loop folds link margins, one helper
 of `batched` writes the chain through subunital maps, no evaluate of
-`batched` splits a perspective at its eigensolver dispatch, and only
+`batched` splits a perspective at its eigensolver dispatch, only
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
-product. The benchmark's tracer (`bench/tracer.py`) finds every function
-and method it wraps under the name it looks up.
+product, only `lab.records` opens a trial's RNG stream, no test draws a
+trial but through it, and `funcatalog` compares no matrices. The
+benchmark's tracer (`bench/tracer.py`) finds every function and method
+it wraps under the name it looks up.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
@@ -20,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opdiv"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "opdiv"
 TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
 LINE_WIDTH = 100
 
@@ -314,6 +317,44 @@ def test_no_evaluate_splits_a_perspective():
     assert {owner for _, owner, _ in uses} == {"_eval_kl"}
 
 
+def test_only_lab_records_seeds_a_trial():
+    """In the package, a check's trial stream (`_trial_rng`) is opened only
+    in `lab.records`, so every trial is drawn as `run_check` draws it, and a
+    replayed trial is the reported one."""
+    uses = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, owner, _ in name_uses(path.read_text(), {"_trial_rng"})
+    ]
+    assert set(uses) == {("lab.py", "records")}
+
+
+def _draw_names() -> set:
+    """`draw`, a registered check's draw, and every module-level draw of
+    `batched` (`_draw_...`)."""
+    tree = ast.parse((PACKAGE / "batched.py").read_text())
+    draws = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return {"draw"} | {name for name in draws if name.startswith("_draw")}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_tests_draw_only_through_lab_records(module):
+    """No test opens a trial stream (`_trial_rng`) or calls a check's draw:
+    the tests draw records through `lab.records` and evaluate them through
+    `lab.evaluate`, as `run_check` does, so they test the one trial loop
+    and cannot drift from it."""
+    source = (TESTS / module).read_text()
+    assert name_uses(source, {"_trial_rng"} | _draw_names()) == []
+
+
+def test_funcatalog_compares_no_matrices():
+    """The catalog evaluates functions on eigenvalues and compares no
+    matrices: the convexity falsifier is the lab's THM2_1
+    (`lab.convexity_falsifier`), not a Loewner path of its own."""
+    source = (PACKAGE / "funcatalog.py").read_text()
+    assert name_uses(source, {"loewner", "loewner_compare"}) == []
+
+
 def test_name_uses_are_found():
     source = (
         "from .kernels import h_at, sandwich\n"
@@ -328,8 +369,17 @@ def test_name_uses_are_found():
         "z = h_at(1)\n"
         "def _split(K, x):\n"
         "    return sandwich(K.inner(x), x.inners)\n"
+        "def records(check_id, gen):\n"
+        "    return [_trial_rng(gen.seed, check_id, t) for t in gen.trials]\n"
+        "def _replay(lab, B, gen, rng):\n"
+        "    check = lab._REGISTRY['THM2_1']\n"
+        "    x = check.draw(lab._trial_rng(0, 'THM2_1', 0), 0, gen, None)\n"
+        "    return B._draw_thm2_1(rng, 0, gen, None), B._draws, x.drawn, lab.records\n"
+        "def convexity_falsifier(K, x):\n"
+        "    return K.loewner(x, x), loewner_compare(x, x), x.loewner_margins\n"
     )
-    assert name_uses(source, {"h_at", "h_positive", "inner", "sandwich"}) == [
+    names = {"h_at", "h_positive", "inner", "sandwich", "_trial_rng", "draw", "_draw_thm2_1"}
+    assert name_uses(source, names | {"loewner", "loewner_compare"}) == [
         (3, "_cdj_links", "h_at"),
         (3, "_cdj_links", "h_positive"),
         (5, "_eval", "h_at"),
@@ -338,6 +388,12 @@ def test_name_uses_are_found():
         (10, None, "h_at"),
         (12, "_split", "inner"),
         (12, "_split", "sandwich"),
+        (14, "records", "_trial_rng"),
+        (17, "_replay", "_trial_rng"),
+        (17, "_replay", "draw"),
+        (18, "_replay", "_draw_thm2_1"),
+        (20, "convexity_falsifier", "loewner"),
+        (20, "convexity_falsifier", "loewner_compare"),
     ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -362,6 +363,23 @@ def _one_trial(check_id, trial, gen, tol, function):
     return float(worst[0]), bool(violated[0]), payloads[0]
 
 
+@pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
+@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("check_id", check_ids())
+def test_the_worst_trial_replays_alone(check_id, dim, function):
+    """The trial loop over `lab.records` names the worst trial K. Drawn
+    alone, `lab.records(..., trials=[K])`, and evaluated as a batch of one,
+    it gives `run_check`'s worst margin, to the bit, and its digest, so a
+    report's worst trial can be replayed from its index."""
+    gen, tol = GenConfig(dim=dim, seed=42, trials=100), ToleranceConfig()
+    records = partial(lab.records, check_id, gen, function)
+    _, _, k, _ = kernels.run_trials(gen.trials, dim, records, partial(lab.evaluate, check_id), tol)
+    worst, _, payload = _one_trial(check_id, k, gen, tol, function)
+    result = run_check(check_id, gen, tol, function)
+    assert worst.hex() == result.worst_margin.hex()
+    assert lab._digest(payload()) == result.instance_digest_of_worst
+
+
 def _reference_check(check_id, gen, function=None):
     """Every trial run, every payload built, the first minimum taken."""
     outcomes = []
@@ -662,12 +680,37 @@ def test_equality_cases_keyed_by_f_and_h(check_id):
     5 and 8 are 22.2 (COR2_9_VECTOR), 27.6 (THM2_6_CDJ_DELTA) and 32.5
     (COR2_7_SINGLE) eps * (1 + scale); every other pair misses the bound
     by about 1e14."""
-    f = builtin("affine", [1.0, -0.5])
-    for dim in (2, 3, 5, 8):
+    assert _keyed_equality_misses(check_id, (2, 3, 5, 8)) == []
+
+
+def _keyed_equality_misses(check_id, dims) -> list:
+    """The (dim, h) pairs of `check_id` under f = affine(1,-0.5), 200 trials,
+    where whether every link of h's trials is within the equality bound
+    (`_within_equality_bound`) is not whether `_EQUALITY_HS` lists h."""
+    f, misses = builtin("affine", [1.0, -0.5]), []
+    for dim in dims:
         records, within = _within_equality_bound(check_id, f, dim, trials=200)
         hs = np.array([r.h.id for r in records])
         for h in sorted(set(hs.tolist())):
-            assert within[hs == h].all() == (h in _EQUALITY_HS[check_id]), (dim, h)
+            if within[hs == h].all() != (h in _EQUALITY_HS[check_id]):
+                misses.append((dim, h))
+    return misses
+
+
+def test_the_keyed_equality_bound_sees_a_perspective_with_its_sides_swapped(monkeypatch):
+    """Self-test: COR2_9_VECTOR's generalized perspective taken at (B, A)
+    in place of (A, B) breaks the equality that h = identity and
+    h = affine(0.7,0.3) make of every link, so the bound check of
+    `test_equality_cases_keyed_by_f_and_h` fails."""
+    real = kernels.f_delta_h
+
+    def swapped(f, h, left, right):
+        return real(f, h, kernels.rebuild(*right), kernels.positive(left))
+
+    assert _keyed_equality_misses("COR2_9_VECTOR", (3,)) == []
+    monkeypatch.setattr(kernels, "f_delta_h", swapped)
+    misses = _keyed_equality_misses("COR2_9_VECTOR", (3,))
+    assert {(3, "identity"), (3, "affine(0.7,0.3)")} <= set(misses)
 
 
 def test_the_equality_bound_sees_a_scaled_side_and_an_unweighted_theta(monkeypatch):
