@@ -208,8 +208,9 @@ class _Check:
     `draw(rng, trial, cfg, f_over)` makes one trial's RNG calls and
     returns its record. `evaluate(records, tol)` returns the (T, L) link
     margins and tolerances and the payload thunks of T records, which
-    `kernels.run_trials` folds. Every check runs all of its trials,
-    including EX3_3_EXACT, whose fixture reads no draw.
+    `kernels.run_trials` folds. Both are reached only through `records`
+    and `evaluate`. Every check runs all of its trials, including
+    EX3_3_EXACT, whose fixture reads no draw.
     """
 
     draw: Callable
