@@ -317,8 +317,8 @@ def run_check(
     quantify over operator convex f, which is how non-operator-convex
     candidates are falsified.
     """
-    # Only the worst trial's payload thunk is ever called.
     draw = partial(records, check_id, gen, function)
+    # Only the worst trial's payload thunk is ever called.
     violations, worst_margin, _, worst_payload = K.run_trials(
         gen.trials, gen.dim, draw, partial(evaluate, check_id), tol
     )
