@@ -58,13 +58,10 @@ CONDITION_CAP = 1e8
 # check at n = 2-8, two chunks each, the largest fused operand measured
 # 39,936 elements: THM2_4_MIXTURE's row and cell matrices at n = 8, 624
 # of them in one decomposition and one perspective. The largest operand
-# of all is that check's `build` at n = 8, 58,368 elements.
-# From n = 46 the facades' chunks hold one matrix. Against one stack of a
-# whole field (n = 48-64, A/B in CPU time) that ran theta_divergence 1.03x
-# faster (in 22 of 30 rounds); whole verdicts did not resolve (0.95-1.00x).
-# theta_divergence's last chunk also takes the field's summed B, so the
-# largest facade operand is STACK_ELEMENTS + n**2 elements (two matrices
-# from n = 46).
+# of all is that check's `build` at n = 8, 58,368 elements. LEMMA_JADJIT
+# stacks its n**2 x n**2 tensors by the same bound. The facades of
+# `perspective` take a whole field in one stack, so their memory grows
+# with the field, as `weighted_sum_b` already does.
 STACK_ELEMENTS = 4096
 
 

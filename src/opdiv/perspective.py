@@ -7,11 +7,12 @@ products, and the differentiable tangent-line lower bound.
 
 Theorem 2.1's verdict, P_f(sum w A, sum w B) <= Theta, needs the
 decompositions of Theta's inner matrices and of the summed B. The field
-keeps its summed B, and `theta_divergence` solves it in the eigensolver
-dispatch of its last stack; the `PositiveDefiniteMatrix` of the sum
-then guards that solution instead of decomposing the sum again. Built
-first, that `PositiveDefiniteMatrix` keeps its own solution on the sum,
-and Theta does not solve it again.
+keeps its summed B, and `theta_divergence` solves it in the one
+eigensolver dispatch of the whole field's inner matrices, at every
+dimension; the `PositiveDefiniteMatrix` of the sum then guards that
+solution instead of decomposing the sum again. Built first, that
+`PositiveDefiniteMatrix` keeps its own solution on the sum, and Theta
+does not solve it again.
 """
 
 from __future__ import annotations
@@ -166,22 +167,16 @@ def theta_divergence(
     """Weighted sum of perspectives over the field.
 
     In dimension one with unit weights this is the classical scalar
-    f-divergence sum q_t f(p_t / q_t). The perspectives are computed in
-    stacks of entries (`kernels.chunks`) and summed in field order, each
-    stack by `kernels.perspective`'s steps. The field's summed B
-    (`weighted_sum_b`) is solved in the last stack's eigensolver dispatch
-    (`_decompose`), unless it already has a solution, so that Theorem
-    2.1's verdict makes one dispatch fewer at every dimension. The sum
-    never makes this raise.
+    f-divergence sum q_t f(p_t / q_t). The perspectives of the whole field
+    are one stack, taken by `kernels.perspective`'s steps and summed in
+    field order. The field's summed B (`weighted_sum_b`) is solved in the
+    same eigensolver dispatch as the inner matrices (`_decompose`),
+    unless it already has a solution, so that Theorem 2.1's verdict makes
+    three dispatches at every dimension. The sum never makes this raise.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
-    terms = []
-    for span in kernels.chunks(field.size, field.dim):
-        sum_b = _unsolved_sum_b(field) if span.stop == field.size else None
-        chunk = field.entries[span.start : span.stop]
-        terms.append(_entry_perspectives(f, chunk, sum_b))
-    return _weighted(field.weights, terms[0] if len(terms) == 1 else np.concatenate(terms))
+    return _weighted(field.weights, _entry_perspectives(f, field.entries, _unsolved_sum_b(field)))
 
 
 def _unsolved_sum_b(field):
@@ -200,11 +195,14 @@ def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
     the inner matrices and `kernels.sandwich`. With `sum_b`, that matrix
     is solved in the inner matrices' dispatch (`_decompose`)."""
     rights = [b.decomposition for _, _, b in entries]
-    lefts = kernels.stack([a.entries for _, a, _ in entries])
-    half, inner, _ = kernels.inner(lefts, (
+    # Keep no stack past its last use: R^{-1/2} and the stacked A go with
+    # `kernels.inner`, and rebinding `inner` frees the inner matrices
+    # before the sandwich.
+    half, inner = kernels.inner(kernels.stack([a.entries for _, a, _ in entries]), (
         kernels.stack([d.eigenvalues for d in rights]), kernels.stack([d.unitary for d in rights])
-    ))
-    return kernels.sandwich(f, half, _decompose(inner, sum_b))
+    ))[:2]
+    inner = _decompose(inner, sum_b)
+    return kernels.sandwich(f, half, inner)
 
 
 def _decompose(inner, sum_b=None) -> tuple:
@@ -282,15 +280,11 @@ def f_nabla_h(
     if np.any((p > 0) & (q == 0)):
         raise NotProbability("q must be positive wherever p is positive")
     kernels.flagged_positive(h)
-    # The terms with p_i > 0, in stacks of entries (`kernels.chunks`).
+    # The terms with p_i > 0, in one stack.
     terms = [(a, b, q_i) for (_, a, b), p_i, q_i in zip(field, p, q) if p_i != 0]
-    values = []
-    for span in kernels.chunks(len(terms), field.dim):
-        chunk = terms[span.start : span.stop]
-        lefts = kernels.stack([a.entries for a, _, _ in chunk])
-        rights = kernels.stack([b.entries * float(q_i) for _, b, q_i in chunk])
-        values.append(kernels.f_delta_h(f, h, lefts, kernels.decompose(rights)))
-    return _weighted(p[p != 0], np.concatenate(values))
+    lefts = kernels.stack([a.entries for a, _, _ in terms])
+    rights = kernels.decompose(kernels.stack([b.entries * float(q_i) for _, b, q_i in terms]))
+    return _weighted(p[p != 0], kernels.f_delta_h(f, h, lefts, rights))
 
 
 def bivariate_calculus(

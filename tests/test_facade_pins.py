@@ -12,8 +12,8 @@ margins and tolerance, for each operator convex function of the
 divergence benchmark on the fields of dims 1-8. Dim 1 is
 pinned on its own: numpy reduces 1 x 1 matrices over the entry axis
 pairwise, not in entry order, so it is where an order-changing sum
-shows first. From dim 46 each perspective is a stack of its own
-(`kernels.chunks`), so the sum runs across stacks. Each case is the
+shows first. At every dim the whole field is one stack, and dims 48-64
+pin that its bits are those of one matrix at a time. Each case is the
 sha256 (first 32 hex digits) of the bytes of its outputs.
 """
 

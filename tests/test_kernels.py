@@ -48,6 +48,7 @@ from opdiv.perspective import (
     BivariateSpec,
     WeightedOperatorField,
     bivariate_calculus,
+    f_nabla_h,
     perspective,
     theta_divergence,
 )
@@ -754,24 +755,23 @@ def _field(dim: int, size: int) -> WeightedOperatorField:
 
 
 @pytest.mark.parametrize("size", [2, 16])
-@pytest.mark.parametrize("dim", [2, 5, 8])
+@pytest.mark.parametrize("dim", [2, 5, 8, 48, 64])
 def test_verdict_makes_two_eigh_and_one_eigvalsh(monkeypatch, dim, size):
-    """Theta solves the summed B with its inner matrices, so a verdict
-    makes one eigh for those, one for the inner matrix of the sums and one
-    eigvalsh for the comparison."""
+    """Theta solves the summed B with the whole field's inner matrices, so
+    at every dim a verdict makes one eigh for those, one for the inner
+    matrix of the sums and one eigvalsh for the comparison."""
     counts = _eig_counts(monkeypatch, _verdict, builtin("neg_log"), _field(dim, size))
     assert counts == (2, size + 2, 1, 3)
 
 
-@pytest.mark.parametrize("size", [2, 3, 4])
-@pytest.mark.parametrize("dim", [48, 64])
-def test_verdict_solves_the_summed_b_with_the_last_stack_from_dim_46(monkeypatch, dim, size):
-    """From dim 46 each of Theta's stacks holds one matrix, and the last
-    one takes the summed B too: a verdict makes k + 1 eigh over k + 2
-    matrices and one eigvalsh, and Theta alone k eigh over k + 1."""
-    f = builtin("neg_log")
-    assert _eig_counts(monkeypatch, _verdict, f, _field(dim, size)) == (size + 1, size + 2, 1, 3)
-    assert _eig_counts(monkeypatch, theta_divergence, f, _field(dim, size)) == (size, size + 1, 0, 0)
+@pytest.mark.parametrize("size", [1, 3, 6])
+@pytest.mark.parametrize("dim", [3, 48])
+def test_f_nabla_h_makes_three_eigh_for_the_whole_field(monkeypatch, dim, size):
+    """f_nabla_h stacks every term with p_i > 0 once: one eigh for the
+    q_i R_i, one for the h(q_i R_i) and one for the inner matrices."""
+    field, p = _field(dim, size), np.full(size, 1.0 / size)
+    counts = _eig_counts(monkeypatch, f_nabla_h, builtin("square"), builtin("power", [0.5]), field, p, p)
+    assert counts == (3, 3 * size, 0, 0)
 
 
 def _verdict_sum_first(f, field):
@@ -782,7 +782,7 @@ def _verdict_sum_first(f, field):
     return loewner_compare(perspective(f, field.weighted_sum_a(), right), theta)
 
 
-@pytest.mark.parametrize("dim, size, calls", [(3, 4, 1), (64, 4, 4)])
+@pytest.mark.parametrize("dim, size, calls", [(3, 4, 1), (64, 4, 1)])
 def test_summed_b_is_decomposed_once_whichever_facade_runs_first(monkeypatch, dim, size, calls):
     """Theta does not solve a summed B that its PositiveDefiniteMatrix
     solved (at dim 3 its eigh took 5 matrices, not 4), so a verdict

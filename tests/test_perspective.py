@@ -377,6 +377,21 @@ def test_nan_condition_cap_refuses_every_right_side():
         perspective(SQUARE, HermitianMatrix.identity(2), right, condition_cap=math.nan)
 
 
+@pytest.mark.parametrize("dim", [3, 48])
+def test_theta_checks_every_condition_number_before_any_root(dim):
+    """Entry 0's f overflows and entry 1's B is past the condition cap:
+    Theta refuses the field for entry 1 before it takes any root, at
+    every dim, rather than fail on entry 0's f first."""
+    ill = np.ones(dim)
+    ill[-1] = 3e8
+    field = WeightedOperatorField([
+        (1.0, 2.0 * HermitianMatrix.identity(dim), pd(np.eye(dim))),
+        (1.0, HermitianMatrix.identity(dim), pd(np.diag(ill))),
+    ])
+    with pytest.raises(IllConditioned, match="condition number 3.000e[+]08"):
+        theta_divergence(builtin("affine", [1e308, 0.0]), field)
+
+
 def test_bivariate_fixtures():
     a = HermitianMatrix.diagonal([1.0, 2.0])
     eye = HermitianMatrix.identity(2)
