@@ -291,10 +291,13 @@ def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
     """The draw records of a check's trials `trials`, an iterable of trial
     indices, all of range(gen.trials) by default, in order. Trial t is
     drawn from its own stream (seed, check id, t), so any trial can be
-    drawn alone. `function` is as for `run_check`."""
+    drawn alone; an index outside range(gen.trials) raises BadRange.
+    `function` is as for `run_check`."""
     draw = _check(check_id).draw
-    if trials is None:
-        trials = range(gen.trials)
+    trials = range(gen.trials) if trials is None else list(trials)
+    for t in trials:
+        if t not in range(gen.trials):
+            raise BadRange(f"trial {t!r} is outside the run's {gen.trials} trials")
     return [draw(_trial_rng(gen.seed, check_id, t), t, gen, function) for t in trials]
 
 

@@ -380,6 +380,14 @@ def test_the_worst_trial_replays_alone(check_id, dim, function):
     assert lab._digest(payload()) == result.instance_digest_of_worst
 
 
+@pytest.mark.parametrize("trial", [-1, 5])
+def test_records_refuse_a_trial_outside_the_run(trial):
+    """A trial index outside range(gen.trials) is refused by name, not
+    drawn as a trial the run never had or failed on in numpy."""
+    with pytest.raises(BadRange, match=f"trial {trial} is outside the run's 5 trials"):
+        lab.records("THM2_1", GenConfig(trials=5), trials=[0, trial])
+
+
 def _reference_check(check_id, gen, function=None):
     """Every trial run, every payload built, the first minimum taken."""
     outcomes = []
