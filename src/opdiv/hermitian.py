@@ -5,11 +5,11 @@ products and Loewner-order comparison. All operations are pure
 functions, and every value is immutable after construction but one: a
 `HermitianMatrix` keeps its decomposition (`_solution`) once one is
 made. The invariant that keeps that slot harmless: every writer writes
-the same value, the `kernels.solve` of the matrix (a stacked solve gives
-each matrix the bits of its own), so whether and when the slot is filled
-never changes a result. The constructions
-are validating facades over the stacked kernels in `kernels`, called
-with a single matrix.
+the same value, the `kernels.decompose` of the matrix (a fused
+decomposition gives each matrix the bits of its own), so whether and
+when the slot is filled never changes a result. The constructions are
+validating facades over the stacked kernels in `kernels`, called with a
+single matrix.
 """
 
 from __future__ import annotations
@@ -82,11 +82,10 @@ class HermitianMatrix:
     0 x 0 one with ShapeMismatch.
     """
 
-    # `_solution` is this matrix's `kernels.solve` once one is made, else
-    # None: `PositiveDefiniteMatrix` keeps the one it makes, and
-    # `perspective.theta_divergence` solves a field's summed B with its
-    # last stack unless the sum has one. `PositiveDefiniteMatrix` runs
-    # every guard on a kept solution.
+    # `_solution` is this matrix's `kernels.decompose` once one is made,
+    # else None: `PositiveDefiniteMatrix` keeps the one it makes, and
+    # `perspective.theta_divergence` decomposes a field's summed B with its
+    # inner matrices unless the sum has one.
     __slots__ = ("_entries", "_solution")
 
     def __init__(self, entries):
@@ -236,10 +235,11 @@ class SpectralDecomposition:
 class PositiveDefiniteMatrix:
     """Hermitian matrix whose smallest eigenvalue clears the strict floor.
 
-    The decomposition is `base`'s solution (`HermitianMatrix._solution`):
-    the one kept on it, made here or in another dispatch, or else one
-    made here and kept. The unitarity, reconstruction and
-    strict-positivity guards run on it here all the same.
+    The decomposition is `base`'s (`HermitianMatrix._solution`): the one
+    kept on it, made here or in another dispatch, or else one made here
+    (`kernels.decompose`) and kept. A kept decomposition has passed the
+    unitarity and reconstruction guards where it was made, so only the
+    strict-positivity guard runs on it here.
     """
 
     __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number")
@@ -248,8 +248,8 @@ class PositiveDefiniteMatrix:
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
         if base._solution is None:
-            base._solution = kernels.solve(base.entries)
-        vals, vecs = kernels.guarded(True, *base._solution)
+            base._solution = kernels.decompose(base.entries)
+        vals, vecs = kernels.strictly_positive(base._solution)
         lam_min = float(vals[-1])
         lam_max = float(vals[0])
         self._base = base

@@ -17,10 +17,11 @@ R and the inner matrix R^{-1/2} L R^{-1/2} (`inner`, the one place that
 product is written), its decomposition, and `sandwich`; a caller may
 decompose an inner matrix with its other stacks. h(R), the right side of
 the generalized perspective `f_delta_h`, is formed and guarded in one
-place, `h_decomposition`, in a dispatch of its own. A matrix solved in
-another stack's dispatch keeps its unguarded solution (`solve`) until
-its own guards run on it (`guarded`), as `perspective.theta_divergence`
-does for a field's summed B.
+place, `h_decomposition`, in a dispatch of its own. A facade fuses
+through `decompositions` too: `perspective.theta_divergence` decomposes
+a field's summed B with its inner matrices, and the sum keeps that
+decomposition for its `PositiveDefiniteMatrix`. An unguarded solution
+(`solve`) never leaves this module.
 
 LAPACK and matmul work matrix by matrix, so a stacked or fused call
 gives the same bits as the same call on each matrix alone, and batching
@@ -174,8 +175,8 @@ def solve(h):
     the unitarity and reconstruction residuals of each decomposition, and
     the stack H itself, which sets the bound the reconstruction residual is
     held to: a decomposition before its guards (`guarded`). A caller that
-    solves a matrix in the dispatch of another stack keeps its slice of
-    these and guards it where the matrix is used. An empty stack raises
+    decomposes a matrix in the dispatch of other stacks does so through
+    `decompositions`, which guards each part. An empty stack raises
     ShapeMismatch: it has no matrix to decompose."""
     if h.size == 0:
         raise ShapeMismatch(f"cannot decompose an empty stack of shape {h.shape}")
@@ -224,9 +225,11 @@ def decompositions(*parts, positive=False) -> list:
 
     A stage that decomposes several independent stacks so costs one LAPACK
     dispatch per matrix size, with the bits of one call per part. The
-    guards are computed once per fused stack and raise in part order: each
-    part's unitarity, reconstruction and positivity guard in turn, as one
-    call per part would.
+    residuals are computed once per fused stack and the guards raise in
+    part order: each part's unitarity, reconstruction and positivity guard
+    in turn, as one call per part would. A single matrix takes its slice
+    of the fused solve by an integer index, so its guards take the scalar
+    route of its own `decompose`.
     """
     flags = positive if isinstance(positive, tuple) else (positive,) * len(parts)
     sizes = {}  # matrix size -> the indices of its parts, in order of first appearance
@@ -236,9 +239,12 @@ def decompositions(*parts, positive=False) -> list:
     try:
         for dim, own in sizes.items():
             fused = solve(np.concatenate([parts[i].reshape((-1, dim, dim)) for i in own]))
-            cuts = np.cumsum([parts[i][..., 0, 0].size for i in own])[:-1]
-            for i, *x in zip(own, *(np.split(x, cuts) for x in fused)):
-                solved[i] = x
+            start = 0
+            for i in own:
+                count = parts[i].size // (dim * dim)
+                cut = start if parts[i].ndim == 2 else slice(start, start + count)
+                solved[i] = [x[cut] for x in fused]
+                start += count
     except NumericalFailure:
         # The solver does not name the matrix it failed on; the parts one
         # by one raise the error of the first that fails. An empty part

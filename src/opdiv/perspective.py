@@ -7,12 +7,13 @@ products, and the differentiable tangent-line lower bound.
 
 Theorem 2.1's verdict, P_f(sum w A, sum w B) <= Theta, needs the
 decompositions of Theta's inner matrices and of the summed B. The field
-keeps its summed B, and `theta_divergence` solves it in the one
-eigensolver dispatch of the whole field's inner matrices, at every
-dimension; the `PositiveDefiniteMatrix` of the sum then guards that
-solution instead of decomposing the sum again. Built first, that
-`PositiveDefiniteMatrix` keeps its own solution on the sum, and Theta
-does not solve it again.
+keeps its summed B, and `theta_divergence` decomposes it with the whole
+field's inner matrices in one `kernels.decompositions` call, at every
+dimension; the sum keeps that decomposition, and its
+`PositiveDefiniteMatrix` then runs only the strict-positivity guard
+instead of decomposing the sum again. Built first, that
+`PositiveDefiniteMatrix` keeps its own decomposition on the sum, and
+Theta does not decompose it again.
 """
 
 from __future__ import annotations
@@ -169,10 +170,11 @@ def theta_divergence(
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives of the whole field
     are one stack, taken by `kernels.perspective`'s steps and summed in
-    field order. The field's summed B (`weighted_sum_b`) is solved in the
-    same eigensolver dispatch as the inner matrices (`_decompose`),
-    unless it already has a solution, so that Theorem 2.1's verdict makes
-    three dispatches at every dimension. The sum never makes this raise.
+    field order. The field's summed B (`weighted_sum_b`) is decomposed in
+    the same eigensolver dispatch as the inner matrices
+    (`_entry_perspectives`), unless it already has a decomposition, so
+    that Theorem 2.1's verdict makes three dispatches at every dimension.
+    The sum never makes this raise.
     """
     if field.size == 0:
         raise EmptyField("divergence functional needs at least one field entry")
@@ -180,8 +182,8 @@ def theta_divergence(
 
 
 def _unsolved_sum_b(field):
-    """The field's summed B if it has no solution yet, or None; None too
-    if the sum overflows."""
+    """The field's summed B if it has no decomposition yet, or None; None
+    too if the sum overflows."""
     try:
         sum_b = field.weighted_sum_b()
     except BadRange:
@@ -189,11 +191,15 @@ def _unsolved_sum_b(field):
     return sum_b if sum_b._solution is None else None
 
 
-def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
+def _entry_perspectives(f, entries, sum_b) -> np.ndarray:
     """The perspective of each (w, A, B) of `entries`, by
     `kernels.perspective`'s steps: `kernels.inner`, the decomposition of
-    the inner matrices and `kernels.sandwich`. With `sum_b`, that matrix
-    is solved in the inner matrices' dispatch (`_decompose`)."""
+    the inner matrices and `kernels.sandwich`. Unless `sum_b` is None, it
+    is decomposed with the inner matrices (`kernels.decompositions`) and a
+    copy of its decomposition kept on it for `PositiveDefiniteMatrix`, so
+    that it does not keep the fused arrays alive. If that fails, the inner
+    matrices are decomposed alone and `sum_b` is left for its
+    `PositiveDefiniteMatrix` to decompose and refuse."""
     rights = [b.decomposition for _, _, b in entries]
     # Keep no stack past its last use: R^{-1/2} and the stacked A go with
     # `kernels.inner`, and rebinding `inner` frees the inner matrices
@@ -201,33 +207,14 @@ def _entry_perspectives(f, entries, sum_b=None) -> np.ndarray:
     half, inner = kernels.inner(kernels.stack([a.entries for _, a, _ in entries]), (
         kernels.stack([d.eigenvalues for d in rights]), kernels.stack([d.unitary for d in rights])
     ))[:2]
-    inner = _decompose(inner, sum_b)
-    return kernels.sandwich(f, half, inner)
-
-
-def _decompose(inner, sum_b=None) -> tuple:
-    """`kernels.decompose` of the stack `inner`. With `sum_b`, that matrix
-    is solved in the same `np.linalg.eigh` call, and its unguarded
-    solution (`kernels.solve`) kept on it for `PositiveDefiniteMatrix`;
-    its slice is copied, so it does not keep the fused arrays alive. If
-    the fused call fails, `inner` is decomposed alone and `sum_b` left
-    unsolved."""
-    # Written out rather than through `kernels.decompositions`, which would
-    # guard `sum_b` here instead of in `PositiveDefiniteMatrix` and adds its
-    # general bookkeeping to every verdict. Routed through it, 630
-    # small-field verdicts (dims 2-8, 2-16 entries) took 1.13-1.14x the CPU
-    # time they take here, in one process (slower in 19 of 20 interleaved
-    # rounds, both load orders; 2-vCPU host, numpy 2.4.6, OpenBLAS 0.3.31
-    # on one thread).
     if sum_b is None:
-        return kernels.decompose(inner)
+        return kernels.sandwich(f, half, kernels.decompose(inner))
     try:
-        solved = kernels.solve(np.concatenate([inner, sum_b.entries[None]]))
+        inner, (vals, vecs) = kernels.decompositions(inner, sum_b.entries)
     except NumericalFailure:
-        return kernels.decompose(inner)
-    vals, vecs, eye_err, rec_err, _ = solved
-    sum_b._solution = (vals[-1].copy(), vecs[-1].copy(), eye_err[-1], rec_err[-1], sum_b.entries)
-    return kernels.guarded(False, vals[:-1], vecs[:-1], eye_err[:-1], rec_err[:-1], inner)
+        return kernels.sandwich(f, half, kernels.decompose(inner))
+    sum_b._solution = vals.copy(), vecs.copy()
+    return kernels.sandwich(f, half, inner)
 
 
 def f_delta_h(

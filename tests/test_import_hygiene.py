@@ -6,7 +6,8 @@ of `batched` writes the chain through subunital maps, no evaluate of
 `batched` splits a perspective at its eigensolver dispatch, only
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
 product, only `lab.records` opens a trial's RNG stream, no test draws a
-trial but through it, and `funcatalog` compares no matrices. The
+trial but through it, `funcatalog` compares no matrices, and only
+`kernels` handles a decomposition before its guards. The
 benchmark's tracer (`bench/tracer.py`) finds every function and method
 it wraps under the name it looks up.
 
@@ -355,6 +356,21 @@ def test_funcatalog_compares_no_matrices():
     assert name_uses(source, {"loewner", "loewner_compare"}) == []
 
 
+def test_only_kernels_handles_an_unguarded_solve():
+    """A decomposition before its guards (`kernels.solve`) and the guards
+    run on it apart (`kernels.guarded`) stay inside `kernels`. Every other
+    module decomposes through `decompose`, `positive` or `decompositions`,
+    which guard each matrix in the call that solves it, so no facade keeps
+    a raw solution or guards one in another place."""
+    uses = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "kernels.py"
+        for _, owner, _ in name_uses(path.read_text(), {"solve", "guarded"})
+    ]
+    assert uses == []
+
+
 def test_name_uses_are_found():
     source = (
         "from .kernels import h_at, sandwich\n"
@@ -377,9 +393,12 @@ def test_name_uses_are_found():
         "    return B._draw_thm2_1(rng, 0, gen, None), B._draws, x.drawn, lab.records\n"
         "def convexity_falsifier(K, x):\n"
         "    return K.loewner(x, x), loewner_compare(x, x), x.loewner_margins\n"
+        "def _fork(K, x):\n"
+        "    return K.guarded(False, *K.solve(x)), K.solver, x.guarded_by\n"
     )
     names = {"h_at", "h_positive", "inner", "sandwich", "_trial_rng", "draw", "_draw_thm2_1"}
-    assert name_uses(source, names | {"loewner", "loewner_compare"}) == [
+    names |= {"loewner", "loewner_compare", "solve", "guarded"}
+    assert name_uses(source, names) == [
         (3, "_cdj_links", "h_at"),
         (3, "_cdj_links", "h_positive"),
         (5, "_eval", "h_at"),
@@ -394,6 +413,8 @@ def test_name_uses_are_found():
         (18, "_replay", "_draw_thm2_1"),
         (20, "convexity_falsifier", "loewner"),
         (20, "convexity_falsifier", "loewner_compare"),
+        (22, "_fork", "guarded"),
+        (22, "_fork", "solve"),
     ]
 
 

@@ -6,6 +6,7 @@ formulas they replaced: the three-eigvalsh Loewner comparison, the
 per-value domain clamp loop and per-matrix function evaluation.
 """
 
+import itertools
 import math
 import struct
 
@@ -298,14 +299,14 @@ def test_scalar_route_matches_a_stack_of_one(name, dim):
 
 
 def _decomposed(call):
-    """The bits of every decomposition call() returns, or the class and
-    message of the error it raises."""
+    """The shape and bits of every decomposition call() returns, or the
+    class and message of the error it raises."""
     try:
         with np.errstate(all="ignore"):
             out = call()
     except OpDivError as exc:
         return type(exc), str(exc)
-    return [_bits(x) for decomposition in out for x in decomposition]
+    return [(x.shape, _bits(x)) for decomposition in out for x in decomposition]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -314,13 +315,17 @@ def test_fused_decompositions_raise_what_separate_calls_raise(dim):
     bits of its own `decompose` or `positive` call, and a failing stage
     raises what those calls, made in part order, raise: the first failing
     part's unitarity, reconstruction or positivity error, even when a later
-    part fails a guard that is checked earlier within a part."""
+    part fails a guard that is checked earlier within a part. A single
+    matrix beside a stack, before or after it, is held to its own call's
+    scalar route."""
     cases = _route_cases(dim)
     ok = cases[0]
     for first, second in ((x, y) for x in cases for y in cases):
-        # Parts of different leading shapes: (2, n, n) and (1, 2, n, n).
-        parts = (np.stack([ok, first]), np.stack([second, ok])[None])
-        for flags in ((False, True), (True, False), (True, True)):
+        # Parts of different leading shapes: (2, n, n) and (1, 2, n, n),
+        # and (n, n) on either side of (2, n, n).
+        pair = np.stack([ok, first])
+        layouts = ((pair, np.stack([second, ok])[None]), (pair, second), (second, pair))
+        for parts, flags in itertools.product(layouts, ((False, True), (True, False), (True, True))):
             want = _decomposed(
                 lambda: [
                     kernels.positive(p) if flag else kernels.decompose(p)

@@ -41,6 +41,12 @@ U* P_f(A, B) U for unitary U, and so is every weighted sum: with every A
 and B of a field replaced by U* X U, Theta becomes U* Theta U, and
 Theorem 2.1's verdict (`loewner_compare`) keeps its margins, which are
 eigenvalues, unchanged by a unitary similarity, up to rounding.
+
+It is covariant under every invertible congruence too,
+P_f(C* A C, C* B C) = C* P_f(A, B) C, and so is Theta. Drawn with its
+condition number capped, C moves both only by rounding; a perspective
+whose roots of B are wrong but unitarily covariant fails this relation
+alone.
 """
 
 import numpy as np
@@ -374,3 +380,62 @@ def test_the_unitary_relation_sees_a_dropped_imaginary_part(monkeypatch):
         theta_move, margin_move, same = _unitary_moves(builtin("square"), dim, 0)
         assert same
         assert theta_move > _CHAIN_BOUND and margin_move > _CHAIN_BOUND
+
+
+def _capped_congruence(rng, dim, cap=10.0):
+    """An invertible C = U diag(s) V* with Haar-random unitaries U and V
+    and singular values s drawn from [1, cap], so that cond(C) <= cap."""
+    u, v = unitary_from_rng(rng, dim), unitary_from_rng(rng, dim)
+    return (u * rng.uniform(1.0, cap, dim)) @ v.conj().T
+
+
+def _congruence_moves(f, dim, seed):
+    """The moves, in eps * (1 + scale), when every A and B of a drawn field
+    of 2 to 4 entries becomes C* X C for a C of condition number at most
+    10 (`_capped_congruence`): of P_f(L, R) against C* P_f(L, R) C, for
+    the field's first (A, B) as (L, R), and of Theta against C* Theta C,
+    each at the spectral norm of the latter."""
+    rng = np.random.default_rng(seed)
+    field = make_field(rng, dim, int(rng.integers(2, 5)))
+    c = _capped_congruence(rng, dim)
+    moved = WeightedOperatorField([(w, congruence(c, a), congruence(c, b)) for w, a, b in field])
+    (_, left, right), (_, left_c, right_c) = field.entries[0], moved.entries[0]
+    pairs = (
+        (perspective(f, left, right), perspective(f, left_c, right_c)),
+        (theta_divergence(f, field), theta_divergence(f, moved)),
+    )
+    moves = []
+    for drawn, got in pairs:
+        want = congruence(c, drawn).entries
+        moves.append(np.linalg.norm(got.entries - want, 2) / (1.0 + np.linalg.norm(want, 2)) / _EPS)
+    return moves
+
+
+# Over the convex pool at dims 2-8, seeds 0-59, the worst congruence moves
+# measured 202 eps * (1 + scale) for P_f (neg_log) and 185 for Theta
+# (power(-1)), with cond(C) <= 10.
+_CONGRUENCE_BOUND = 5e2
+
+
+@pytest.mark.parametrize("f", batched._CONVEX_POOL, ids=lambda f: f.id)
+def test_the_perspective_and_theta_are_congruence_covariant(f):
+    """P_f(C* L C, C* R C) = C* P_f(L, R) C and
+    Theta(C* A C, C* B C) = C* Theta(A, B) C for every invertible C, within
+    _CONGRUENCE_BOUND eps * (1 + scale) at dims 2-8 over seeds 0-4."""
+    for dim in range(2, 9):
+        for seed in range(5):
+            assert max(_congruence_moves(f, dim, seed)) <= _CONGRUENCE_BOUND, (dim, seed)
+
+
+def test_the_congruence_relation_sees_the_roots_replaced_by_r(monkeypatch):
+    """Self-test: R and R^{-1} in place of R^{1/2} and R^{-1/2} make the
+    perspective R f(R^{-1} L R^{-1}) R, which is still unitarily covariant,
+    so the unitary relation passes it, but not congruence covariant."""
+    rebuild = kernels.rebuild
+    monkeypatch.setattr(
+        kernels, "sqrt_pair", lambda vals, vecs: (rebuild(vals, vecs), rebuild(1.0 / vals, vecs))
+    )
+    for dim in (2, 5, 8):
+        theta_move, margin_move, _ = _unitary_moves(builtin("square"), dim, 0)
+        assert theta_move <= _CHAIN_BOUND and margin_move <= _CHAIN_BOUND
+        assert min(_congruence_moves(builtin("square"), dim, 0)) > _CONGRUENCE_BOUND

@@ -193,8 +193,9 @@ def _no_eigh(*args, **kwargs):
 
 def test_summed_b_below_the_floor_raises_on_the_kept_solution(monkeypatch):
     """theta_divergence solves the summed B with its own stack but skips
-    its guards: it returns its value, and the PositiveDefiniteMatrix of
-    the sum raises what it raises without Theta, from the kept solution."""
+    its positivity guard: it returns its value, and the
+    PositiveDefiniteMatrix of the sum raises what it raises without Theta,
+    from the kept solution."""
     b = pd(np.eye(2) * 1e-9)
     field = WeightedOperatorField([(0.01, HermitianMatrix.identity(2), b)] * 2)
     theta = theta_divergence(NEG_LOG, field)
@@ -205,11 +206,50 @@ def test_summed_b_below_the_floor_raises_on_the_kept_solution(monkeypatch):
         PositiveDefiniteMatrix(field.weighted_sum_b())
 
 
+def _skewing_eigh(target, hits):
+    """`np.linalg.eigh` with the eigenvectors of every matrix equal to
+    `target` scaled by 1.001, so that they fail the unitarity guard,
+    whether `target` is solved alone or inside a stack; the shape of each
+    call that held it goes to `hits`."""
+    real = np.linalg.eigh
+
+    def eigh(x, *args, **kwargs):
+        vals, vecs = real(x, *args, **kwargs)
+        hit = np.all(x == target, axis=(-2, -1))
+        if np.any(hit):
+            hits.append(x.shape)
+            vecs = np.where(hit[..., None, None], vecs * 1.001, vecs)
+        return vals, vecs
+
+    return eigh
+
+
+@pytest.mark.parametrize("dim, size", [(2, 4), (8, 3), (48, 2)])
+def test_a_summed_b_that_fails_its_guard_leaves_theta_and_raises_its_own_error(
+    dim, size, monkeypatch
+):
+    """A summed B whose eigenvectors fail the unitarity guard inside
+    Theta's fused dispatch does not change Theta's bits, and its
+    PositiveDefiniteMatrix raises what a fresh one of a copy of the sum
+    raises under the same solver."""
+    drawn, want = [make_field(np.random.default_rng([29, dim, size]), dim, size) for _ in range(2)]
+    want = theta_divergence(NEG_LOG, want).entries
+    sum_b, hits = drawn.weighted_sum_b(), []
+    monkeypatch.setattr(np.linalg, "eigh", _skewing_eigh(sum_b.entries, hits))
+    assert theta_divergence(NEG_LOG, drawn).entries.tobytes() == want.tobytes()
+    assert hits == [(size + 1, dim, dim)]
+    with pytest.raises(NumericalFailure, match="not unitary") as fresh:
+        PositiveDefiniteMatrix(HermitianMatrix(sum_b.entries))
+    with pytest.raises(NumericalFailure) as kept:
+        PositiveDefiniteMatrix(drawn.weighted_sum_b())
+    assert str(kept.value) == str(fresh.value)
+
+
 @pytest.mark.parametrize("dim, size", [(1, 4), (2, 2), (5, 16), (8, 3), (48, 2), (64, 4)])
 def test_summed_b_has_the_same_bits_whether_or_not_theta_ran(dim, size):
     """The field keeps its summed B, and its positive-definite form has
     the bits of a fresh decomposition whether Theta solved it ahead, with
-    its last stack, or not."""
+    its inner matrices, or not."""
     alone, after = [make_field(np.random.default_rng([17, dim, size]), dim, size) for _ in range(2)]
     theta_divergence(NEG_LOG, after)
     got = []
