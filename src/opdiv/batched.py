@@ -4,8 +4,9 @@ Each check is a `draw`, run serially per trial, and an `evaluate` that
 builds and compares every trial of a chunk on stacked arrays through
 `kernels`. A draw makes only the RNG calls of its trial, in a fixed
 order, so the trial's stream (keyed in `lab` by seed, check id and trial
-index) fully determines its instance. It reads the spectrum windows,
-vectors, single maps and function pools defined here, and keeps the RNG
+index) fully determines its instance. It takes the trial's function
+from `lab.records`, which picks it from a pool defined here, reads the
+spectrum windows, vectors and single maps defined here, and keeps the RNG
 output as it comes: eigenvalues, uncapped, and each Gaussian as the real
 pair of `raw_gaussian`; only unit and probability vectors are normalized
 per trial. Complex assembly, the condition cap, the normalization of
@@ -64,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .lab import GenConfig
 
 
-# Function pools: a draw picks its entry by the trial index.
+# Function pools: `lab.records` picks a trial's entry by its index.
 
 _SQUARE = builtin("square")
 _NEG_LOG = builtin("neg_log")
@@ -120,14 +121,10 @@ _X_SQ_OVER_Y = BivariateSpec(
 )
 
 
-def _pick(pool, trial: int, f_over):
-    return f_over if f_over is not None else pool[trial % len(pool)]
-
-
-def _pick_fh(trial: int, f_over):
-    """f from the f(0) <= 0 pool and h from the h pool, cycling jointly."""
-    f = _pick(_F0_POOL, trial, f_over)
-    return f, _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
+def _h(trial: int):
+    """The h of a trial of an `_F0_POOL` check: h cycles jointly with f,
+    by the f pool's length, under an override too."""
+    return _H_POOL[(trial // len(_F0_POOL)) % len(_H_POOL)]
 
 
 class _Map(NamedTuple):
@@ -420,14 +417,12 @@ def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
     return _Draw(f, weights, (None, a), (cfg.condition_cap, b))
 
 
-def _draw_thm2_1(rng, trial, cfg, f_over, unit_weights=False):
-    f = _pick(_CONVEX_POOL, trial, f_over)
+def _draw_thm2_1(rng, trial, cfg, f, unit_weights=False):
     n = int(rng.integers(2, 5))
     return _draw_field(rng, cfg, f, n, np.ones(n) if unit_weights else None)
 
 
-def _draw_cor2_3_split(rng, trial, cfg, f_over):
-    f = _pick(_CONVEX_POOL, trial, f_over)
+def _draw_cor2_3_split(rng, trial, cfg, f):
     n = int(rng.integers(2, 5))
     draw = _draw_field(rng, cfg, f, n)
     k = int(rng.integers(1, n))
@@ -435,20 +430,17 @@ def _draw_cor2_3_split(rng, trial, cfg, f_over):
     return draw._replace(t1=sorted(perm[:k].tolist()))
 
 
-def _draw_thm2_12_grad(rng, trial, cfg, f_over):
-    f = _pick(_DIFF_POOL, trial, f_over)
+def _draw_thm2_12_grad(rng, trial, cfg, f):
     return _draw_field(rng, cfg, f, int(rng.integers(2, 4)))
 
 
-def _draw_cor2_2_ii(rng, trial, cfg, f_over):
-    f = _pick(_CONVEX_POOL, trial, f_over)
+def _draw_cor2_2_ii(rng, trial, cfg, f):
     n = int(rng.integers(2, 4))
     return _Draw(f, None, _a_slots(rng, cfg, f, n), _b_slots(rng, cfg, n))
 
 
-def _draw_thm2_4_mixture(rng, trial, cfg, f_over):
+def _draw_thm2_4_mixture(rng, trial, cfg, f):
     """An n x n grid of (L, R) pairs in row-major order, with mixture p."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 4))
     p = rng.uniform(0.2, 2.0, n)
     return _Draw(f, p, _a_slots(rng, cfg, f, n * n), _b_slots(rng, cfg, n * n))
@@ -565,11 +557,10 @@ def _draw_unital_family(rng, dim: int, k: int, unit_weights=False) -> tuple:
     return w, [raw_gaussian(rng, dim, dim) for _ in range(k)]
 
 
-def _draw_jensen(rng, trial, cfg, f_over, unit_weights=False):
+def _draw_jensen(rng, trial, cfg, f, unit_weights=False):
     """f, a unital congruence family, one operator per map and a
     bipartition of the maps. With unit weights the congruences sum to the
     identity (Corollary 3.4)."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
     k = int(rng.integers(2, 4))
     w, c = _draw_unital_family(rng, cfg.dim, k, unit_weights)
     a = _a_slots(rng, cfg, f, k)
@@ -649,17 +640,16 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
 # Choi-Davis-Jensen refinements: Theorems 2.6 and 2.10, Corollary 2.7, Example 2.8.
 
 
-def _draw_thm2_6(rng, trial, cfg, f_over):
+def _draw_thm2_6(rng, trial, cfg, f):
     """f and h, a subunital congruence family (weights, output dimension,
     shrinks, Gaussians), then the k operators A_i and the k B_i."""
-    f, h = _pick_fh(trial, f_over)
     k = int(rng.integers(2, 4))
     out_dim = cfg.dim if rng.integers(0, 2) else max(2, cfg.dim - 1)
     w = rng.uniform(0.3, 1.5, k)
     shrinks = rng.uniform(0.5, 1.0, k)
     c = [raw_gaussian(rng, cfg.dim, out_dim) for _ in range(k)]
     a, b = _a_slots(rng, cfg, f, k), _b_slots(rng, cfg, k)
-    return _Draw(f, w, a, b, c, h=h, q=shrinks)
+    return _Draw(f, w, a, b, c, h=_h(trial), q=shrinks)
 
 
 def _eval_thm2_6(group, tol):
@@ -687,7 +677,7 @@ def _eval_thm2_6(group, tol):
     return *links, payloads
 
 
-def _draw_thm2_10(rng, trial, cfg, f_over):
+def _draw_thm2_10(rng, trial, cfg, f):
     """A structural pair f1 <= f2 (the override is ignored), a unital
     congruence family, then the k positive A_i and the k B_i."""
     f1, f2 = _DOM_PAIRS[trial % len(_DOM_PAIRS)]
@@ -837,13 +827,13 @@ def _cdj_links(fs, hs, a, b, b_pos, applies, tol, mask=None, perspective=False) 
     return links
 
 
-def _draw_cor2_7(rng, trial, cfg, f_over):
-    f, h = _pick_fh(trial, f_over)
+def _draw_cor2_7(rng, trial, cfg, f):
     m = _draw_single_map(rng, cfg.dim, trial)
-    return _Draw(f, None, _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1), h=h, m=m)
+    a, b = _a_slots(rng, cfg, f, 1), _b_slots(rng, cfg, 1)
+    return _Draw(f, None, a, b, h=_h(trial), m=m)
 
 
-def _draw_ex2_8(rng, trial, cfg, f_over):
+def _draw_ex2_8(rng, trial, cfg, f):
     """Power-function pairs where the subunital Jensen argument applies:
     growth exponents beta in [1, 2] with any root exponent alpha in
     [0, 1], or inverse exponents in [-1, 0] with the identity in the h
@@ -889,11 +879,10 @@ def _eval_single_map(group, tol, perspective=True):
 # Quadratic forms, mixtures, Ky Fan norms and tensor calculus.
 
 
-def _draw_cor2_9(rng, trial, cfg, f_over):
-    f, h = _pick_fh(trial, f_over)
+def _draw_cor2_9(rng, trial, cfg, f):
     cap, (a, b) = _b_slots(rng, cfg, 2)
     x = [_unit_vector(rng, cfg.dim) for _ in range(3)]
-    return _Draw(f, None, (cap, [a]), (cap, [b]), h=h, x=x)
+    return _Draw(f, None, (cap, [a]), (cap, [b]), h=_h(trial), x=x)
 
 
 def _eval_cor2_9(group, tol):
@@ -914,16 +903,15 @@ def _eval_cor2_9(group, tol):
     return *links, payloads
 
 
-def _draw_delta_nabla(rng, trial, cfg, f_over):
+def _draw_delta_nabla(rng, trial, cfg, f):
     """f and h, the mixtures p and q, then the L_i (in the a window and
     above the b window's floor) and the R_i."""
-    f, h = _pick_fh(trial, f_over)
     n = int(rng.integers(2, 4))
     p, q = _prob_vector(rng, n), _prob_vector(rng, n)
     alo, ahi = _a_window(f, cfg)
     lo = max(alo, _b_window(cfg)[0])
     a = None, [raw_spectrum(rng, cfg.dim, lo, ahi) for _ in range(n)]
-    return _Draw(f, p, a, _b_slots(rng, cfg, n), h=h, q=q)
+    return _Draw(f, p, a, _b_slots(rng, cfg, n), h=_h(trial), q=q)
 
 
 def _eval_delta_nabla(group, tol):
@@ -951,8 +939,7 @@ def _eval_delta_nabla(group, tol):
     return *links, payloads
 
 
-def _draw_thm3_8(rng, trial, cfg, f_over):
-    f = _pick(_NORM_POOL, trial, f_over)
+def _draw_thm3_8(rng, trial, cfg, f):
     cap, (a, b) = _b_slots(rng, cfg, 2)
     return _Draw(f, None, (cap, [a]), (cap, [b]))
 
@@ -969,7 +956,7 @@ def _eval_thm3_8(group, tol):
     return *links, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
 
 
-def _draw_lemma_jadjit(rng, trial, cfg, f_over):
+def _draw_lemma_jadjit(rng, trial, cfg, f):
     """A and B, then three pairs (u, v) of unit vectors, u before v."""
     cap, (a, b) = _b_slots(rng, cfg, 2)
     uv = [(_unit_vector(rng, cfg.dim), _unit_vector(rng, cfg.dim)) for _ in range(3)]
@@ -1001,7 +988,7 @@ def _eval_lemma_jadjit(group, tol):
 # Relative entropy, the scalar reduction and the Example 3.3 fixture.
 
 
-def _draw_kl(rng, trial, cfg, f_over):
+def _draw_kl(rng, trial, cfg, f):
     cap, slots = _b_slots(rng, cfg, 4)
     return _Draw(None, None, (cap, slots[:2]), (cap, slots[2:]))
 
@@ -1046,11 +1033,10 @@ def _eval_kl(group, tol):
     return *_flagged(links, far), [partial(_payload, L=ls[i], R=rs[i]) for i in range(len(group))]
 
 
-def _draw_scalar_csiszar(rng, trial, cfg, f_over):
+def _draw_scalar_csiszar(rng, trial, cfg, f):
     """f and the positive scalars p and q of a field of 2 to 6 entries.
     Nothing of `cfg` is read, --dim included, so the trials are the same
     at every dimension."""
-    f = _pick(_CONVEX_POOL, trial, f_over)
     n = int(rng.integers(2, 7))
     p = rng.uniform(0.1, 4.0, n)
     return _Draw(f, p, q=rng.uniform(0.1, 4.0, n))
@@ -1108,7 +1094,7 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
     return computed, expected, devs, low, used
 
 
-def _draw_example(rng, trial, cfg, f_over):
+def _draw_example(rng, trial, cfg, f):
     """The fixture reads no draw."""
     return _Draw(None, None)
 

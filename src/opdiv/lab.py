@@ -205,62 +205,66 @@ def random_pd(cfg: GenConfig, trial: int) -> PositiveDefiniteMatrix:
 class _Check:
     """A registered check.
 
-    `draw(rng, trial, cfg, f_over)` makes one trial's RNG calls and
-    returns its record. `evaluate(records, tol)` returns the (T, L) link
-    margins and tolerances and the payload thunks of T records, which
-    `kernels.run_trials` folds. Both are reached only through `records`
-    and `evaluate`. Every check runs all of its trials, including
-    EX3_3_EXACT, whose fixture reads no draw.
+    `draw(rng, trial, cfg, f)` makes one trial's RNG calls and returns
+    its record, for the trial's function f. `evaluate(records, tol)`
+    returns the (T, L) link margins and tolerances and the payload thunks
+    of T records, which `kernels.run_trials` folds. Both are reached only
+    through `records` and `evaluate`. `pool` is the function pool the
+    check cycles by trial index, and None for a check whose functions are
+    fixed by the check itself: it ignores an override, and its draw gets
+    f = None. Every check runs all of its trials, including EX3_3_EXACT,
+    whose fixture reads no draw.
     """
 
     draw: Callable
     evaluate: Callable
     description: str
+    pool: Optional[tuple]
 
 
 _REGISTRY: dict[str, _Check] = {
-    check_id: _Check(draw, evaluate, description)
-    for check_id, draw, evaluate, description in (
-        ("THM2_1", B._draw_thm2_1, B._eval_thm2_1,
+    check_id: _Check(draw, evaluate, description, pool)
+    for check_id, pool, draw, evaluate, description in (
+        ("THM2_1", B._CONVEX_POOL, B._draw_thm2_1, B._eval_thm2_1,
          "perspective of the field's weighted sums <= weighted sum of perspectives"),
-        ("COR2_2_SUBADD", partial(B._draw_thm2_1, unit_weights=True), B._eval_thm2_1,
-         "perspective is subadditive over entrywise sums"),
-        ("COR2_2_II", B._draw_cor2_2_ii, B._eval_cor2_2_ii,
+        ("COR2_2_SUBADD", B._CONVEX_POOL, partial(B._draw_thm2_1, unit_weights=True),
+         B._eval_thm2_1, "perspective is subadditive over entrywise sums"),
+        ("COR2_2_II", B._CONVEX_POOL, B._draw_cor2_2_ii, B._eval_cor2_2_ii,
          "f(sum of left slots) <= perspective sum when right slots add to I"),
-        ("COR2_3_SPLIT", B._draw_cor2_3_split, B._eval_cor2_3_split,
+        ("COR2_3_SPLIT", B._CONVEX_POOL, B._draw_cor2_3_split, B._eval_cor2_3_split,
          "two-block split refines perspective <= divergence"),
-        ("THM2_4_MIXTURE", B._draw_thm2_4_mixture, B._eval_thm2_4_mixture,
+        ("THM2_4_MIXTURE", B._CONVEX_POOL, B._draw_thm2_4_mixture, B._eval_thm2_4_mixture,
          "row perspectives of a mixed grid <= mixed grid perspectives"),
-        ("THM2_6_CDJ_DELTA", B._draw_thm2_6, B._eval_thm2_6,
+        ("THM2_6_CDJ_DELTA", B._F0_POOL, B._draw_thm2_6, B._eval_thm2_6,
          "generalized perspective Jensen bound under a subunital map family"),
-        ("COR2_7_SINGLE", B._draw_cor2_7, B._eval_single_map,
+        ("COR2_7_SINGLE", B._F0_POOL, B._draw_cor2_7, B._eval_single_map,
          "single subunital map bound for both perspective forms"),
-        ("EX2_8_POWER", B._draw_ex2_8, partial(B._eval_single_map, perspective=False),
+        ("EX2_8_POWER", None, B._draw_ex2_8, partial(B._eval_single_map, perspective=False),
          "power-function single-map bounds in valid exponent regimes"),
-        ("COR2_9_VECTOR", B._draw_cor2_9, B._eval_cor2_9,
+        ("COR2_9_VECTOR", B._F0_POOL, B._draw_cor2_9, B._eval_cor2_9,
          "scalar generalized perspective of quadratic forms"),
-        ("THM2_10_DOM", B._draw_thm2_10, B._eval_thm2_10,
+        ("THM2_10_DOM", None, B._draw_thm2_10, B._eval_thm2_10,
          "pointwise dominance f1 <= f2 transfers to mapped bounds"),
-        ("THM_DELTA_NABLA", B._draw_delta_nabla, B._eval_delta_nabla,
+        ("THM_DELTA_NABLA", B._F0_POOL, B._draw_delta_nabla, B._eval_delta_nabla,
          "generalized perspective of mixtures <= mixture functional"),
-        ("THM2_12_GRAD", B._draw_thm2_12_grad, B._eval_thm2_12_grad,
+        ("THM2_12_GRAD", B._DIFF_POOL, B._draw_thm2_12_grad, B._eval_thm2_12_grad,
          "tangent-line lower bound for the divergence functional"),
-        ("THM3_1_CHAIN", B._draw_jensen, B._eval_jensen,
+        ("THM3_1_CHAIN", B._CONVEX_POOL, B._draw_jensen, B._eval_jensen,
          "four-term refinement chain of the mapped Jensen inequality"),
-        ("THM3_1_II", B._draw_jensen, partial(B._eval_jensen, full=False),
+        ("THM3_1_II", B._CONVEX_POOL, B._draw_jensen, partial(B._eval_jensen, full=False),
          "block deficit lower bound for the mapped Jensen gap"),
-        ("COR3_4_ISOM", partial(B._draw_jensen, unit_weights=True),
+        ("COR3_4_ISOM", B._CONVEX_POOL, partial(B._draw_jensen, unit_weights=True),
          partial(B._eval_jensen, unit_weights=True),
          "refinement chain for congruences summing to the identity"),
-        ("THM3_8_NORM", B._draw_thm3_8, B._eval_thm3_8,
+        ("THM3_8_NORM", B._NORM_POOL, B._draw_thm3_8, B._eval_thm3_8,
          "scalar perspective of Ky Fan norms <= Ky Fan norms of perspective"),
-        ("LEMMA_JADJIT", B._draw_lemma_jadjit, B._eval_lemma_jadjit,
+        ("LEMMA_JADJIT", None, B._draw_lemma_jadjit, B._eval_lemma_jadjit,
          "separately convex bivariate calculus vs tensor quadratic forms"),
-        ("KL_SUITE", B._draw_kl, B._eval_kl,
+        ("KL_SUITE", None, B._draw_kl, B._eval_kl,
          "operator relative-entropy sum bound and tangent bounds"),
-        ("SCALAR_CSISZAR", B._draw_scalar_csiszar, B._eval_scalar_csiszar,
+        ("SCALAR_CSISZAR", B._CONVEX_POOL, B._draw_scalar_csiszar, B._eval_scalar_csiszar,
          "dimension-one reduction to the scalar divergence sum"),
-        ("EX3_3_EXACT", B._draw_example, B._eval_example,
+        ("EX3_3_EXACT", None, B._draw_example, B._eval_example,
          "exact compression-example fixture with strict chain gaps"),
     )
 }
@@ -292,13 +296,18 @@ def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
     indices, all of range(gen.trials) by default, in order. Trial t is
     drawn from its own stream (seed, check id, t), so any trial can be
     drawn alone; an index outside range(gen.trials) raises BadRange.
-    `function` is as for `run_check`."""
-    draw = _check(check_id).draw
+    Trial t samples `function` if one is given and entry t of the check's
+    pool if not, which consumes no RNG output; a check with no pool gets
+    None (`_Check`)."""
+    check = _check(check_id)
     trials = range(gen.trials) if trials is None else list(trials)
     for t in trials:
         if t not in range(gen.trials):
             raise BadRange(f"trial {t!r} is outside the run's {gen.trials} trials")
-    return [draw(_trial_rng(gen.seed, check_id, t), t, gen, function) for t in trials]
+    fs = (None,) if check.pool is None else check.pool if function is None else (function,)
+    return [
+        check.draw(_trial_rng(gen.seed, check_id, t), t, gen, fs[t % len(fs)]) for t in trials
+    ]
 
 
 def evaluate(check_id: str, records: list, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
@@ -317,8 +326,8 @@ def run_check(
     """Run one registered check over gen.trials independent instances.
 
     `function` substitutes the sampled catalog function in checks that
-    quantify over operator convex f, which is how non-operator-convex
-    candidates are falsified.
+    quantify over operator convex f, the checks that declare a pool
+    (`_Check`), which is how non-operator-convex candidates are falsified.
     """
     draw = partial(records, check_id, gen, function)
     # Only the worst trial's payload thunk is ever called.

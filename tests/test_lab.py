@@ -664,7 +664,7 @@ def test_equality_cases_pin_both_sides(check_id, links, f_id):
         assert within[:, slice(None) if links is None else links].all(), dim
 
 
-# The h of `_H_POOL` under which every link of a `_pick_fh` check is an
+# The h of `_H_POOL` under which every link of an `_F0_POOL` check is an
 # equality for f = affine(1,-0.5), whose f(0) != 0. For f = at + b the
 # generalized perspective is aA + b h(B), so a link through a map Phi is
 # an equality when h(Phi(B)) = Phi(h(B)): for the identity always, and
