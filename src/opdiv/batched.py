@@ -168,9 +168,13 @@ class _Draw(NamedTuple):
 
 
 def _a_window(f: ScalarOperatorFunction, cfg: GenConfig) -> tuple:
-    """Spectrum window for the self-adjoint slot, kept inside dom(f)."""
+    """Spectrum window for the self-adjoint slot, kept inside dom(f);
+    BadRange if no spectrum can be drawn in it."""
     lo, hi = cfg.spectrum_range
-    dlo, dhi = sampling_window(f.domain, lo_default=lo, hi_default=hi)
+    try:
+        dlo, dhi = sampling_window(f.domain, lo_default=lo, hi_default=hi)
+    except ValueError:  # the inset at an open end of dom(f) leaves no window
+        dlo, dhi = hi, lo
     wlo, whi = max(lo, dlo), min(hi, dhi)
     if not wlo < whi:
         raise BadRange(f"spectrum_range {cfg.spectrum_range} incompatible with dom {f.domain!r}")

@@ -295,12 +295,13 @@ def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
     """The draw records of a check's trials `trials`, an iterable of trial
     indices, all of range(gen.trials) by default, in order. Trial t is
     drawn from its own stream (seed, check id, t), so any trial can be
-    drawn alone; an index outside range(gen.trials) raises BadRange.
+    drawn alone; an index that is not an integer (a bool or a float
+    included) or lies outside range(gen.trials) raises BadRange.
     Trial t samples `function` if one is given and entry t of the check's
     pool if not, which consumes no RNG output; a check with no pool gets
     None (`_Check`)."""
     check = _check(check_id)
-    trials = range(gen.trials) if trials is None else list(trials)
+    trials = range(gen.trials) if trials is None else [_integer("trial", t) for t in trials]
     for t in trials:
         if t not in range(gen.trials):
             raise BadRange(f"trial {t!r} is outside the run's {gen.trials} trials")
@@ -313,8 +314,12 @@ def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
 def evaluate(check_id: str, records: list, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
     """(margins, used, payloads) of a check's records: the (T, L) link
     margins and tolerances, which the trial loop folds
-    (`kernels.run_trials`), and a payload thunk per record."""
-    return _check(check_id).evaluate(records, tol)
+    (`kernels.run_trials`), and a payload thunk per record. An empty list
+    raises BadRange: it has no margin to fold."""
+    check = _check(check_id)
+    if not records:
+        raise BadRange("evaluate needs at least one record")
+    return check.evaluate(records, tol)
 
 
 def run_check(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -386,6 +387,81 @@ def test_records_refuse_a_trial_outside_the_run(trial):
     drawn as a trial the run never had or failed on in numpy."""
     with pytest.raises(BadRange, match=f"trial {trial} is outside the run's 5 trials"):
         lab.records("THM2_1", GenConfig(trials=5), trials=[0, trial])
+
+
+@pytest.mark.parametrize("trial", [1.0, np.float64(2.0), True, "1", None])
+def test_records_refuse_a_trial_index_that_is_not_an_integer(trial):
+    """A float index ended in a bare TypeError inside the draw, and True
+    drew trial 1; each is refused by name before any draw."""
+    with pytest.raises(BadRange, match=f"^trial must be an integer, got {re.escape(repr(trial))}$"):
+        lab.records("THM2_1", GenConfig(trials=5), trials=[0, trial])
+
+
+def test_records_take_numpy_integer_indices_as_python_ints():
+    """A numpy integer index draws the trial of its Python int: the same
+    function, h and map variant, which the index picks, and margins."""
+    gen = GenConfig(seed=3, trials=5)
+    got, want = (lab.records("COR2_7_SINGLE", gen, trials=[t])[0] for t in (np.int64(4), 4))
+    assert (got.f, got.h, got.m.variant) == (want.f, want.h, want.m.variant)
+    margins = [lab.evaluate("COR2_7_SINGLE", [r])[0] for r in (got, want)]
+    assert np.array_equal(*margins)
+
+
+def test_evaluate_refuses_an_empty_list_of_records():
+    """No record has no margin to fold; numpy's reduction error is not
+    what the caller should see."""
+    with pytest.raises(BadRange, match="^evaluate needs at least one record$"):
+        lab.evaluate("THM2_1", [])
+
+
+# The checks that read nothing of the spectrum window: SCALAR_CSISZAR
+# reads nothing of the generation config, and EX3_3_EXACT no draw.
+_READ_NO_WINDOW = {"SCALAR_CSISZAR", "EX3_3_EXACT"}
+
+
+@pytest.mark.parametrize("spectrum_range", [(1.0, 1.0), (0.0, 0.05)])
+def test_a_window_no_check_can_draw_from_raises_bad_range(spectrum_range):
+    """GenConfig allows lo == hi, yet at (1.0, 1.0) THM2_1 raised
+    `sampling_window`'s bare ValueError. Every check that reads the window
+    raises a BadRange naming spectrum_range, and the two that read none
+    run."""
+    gen = GenConfig(spectrum_range=spectrum_range, trials=3)
+    ran = set()
+    for check_id in check_ids():
+        try:
+            run_check(check_id, gen)
+        except BadRange as exc:
+            assert str(exc).startswith(f"spectrum_range {spectrum_range} "), check_id
+        else:
+            ran.add(check_id)
+    assert ran == _READ_NO_WINDOW
+
+
+@pytest.mark.parametrize(
+    "spectrum_range, f_id", [((1.0, 1.0), "t_log_t"), ((-3.0, -1.0), "neg_log")]
+)
+def test_a_window_outside_dom_f_raises_bad_range(spectrum_range, f_id):
+    """An override whose domain leaves no window raises one BadRange,
+    whether the inset at an open end of dom(f) or the window itself
+    empties it."""
+    f = builtin(f_id)
+    gen = GenConfig(spectrum_range=spectrum_range, trials=3)
+    with pytest.raises(BadRange, match=rf"^spectrum_range {re.escape(str(spectrum_range))} incompatible with dom "):
+        run_check("THM2_1", gen, function=f)
+
+
+def test_an_override_changes_exactly_the_checks_that_declare_a_pool():
+    """A check that declares a pool samples the override in its place; a
+    check that declares none ignores it. So under quartic the run differs
+    from the pool run for the 15 checks with a pool, and equals it for
+    the other five (dim 3, seed 0, 20 trials). A wrong declaration fails
+    here: a pool on a check that ignores f changes nothing, and no pool on
+    a check that reads f leaves its draw without one."""
+    gen = GenConfig(dim=3, seed=0, trials=20)
+    declared = {c for c in check_ids() if lab._REGISTRY[c].pool is not None}
+    moved = {c for c in check_ids() if run_check(c, gen, function=quartic()) != run_check(c, gen)}
+    assert moved == declared
+    assert len(declared) == 15
 
 
 def _reference_check(check_id, gen, function=None):
