@@ -5,8 +5,8 @@ LINE_WIDTH columns, only the trial loop folds link margins, one helper
 of `batched` writes the chain through subunital maps, no evaluate of
 `batched` splits a perspective at its eigensolver dispatch, only
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
-product, only `lab.records` opens a trial's RNG stream, no test draws a
-trial but through it, `funcatalog` compares no matrices, and only
+product, only `lab.records` opens a trial's RNG stream, no draw of
+`batched` picks its own function, no test draws a trial but through it, `funcatalog` compares no matrices, and only
 `kernels` handles a decomposition before its guards. The
 benchmark's tracer (`bench/tracer.py`) finds every function and method
 it wraps under the name it looks up.
@@ -328,6 +328,58 @@ def test_only_lab_records_seeds_a_trial():
         for _, owner, _ in name_uses(path.read_text(), {"_trial_rng"})
     ]
     assert set(uses) == {("lab.py", "records")}
+
+
+# The function pools a check declares (`lab._Check.pool`).
+_F_POOLS = {"_CONVEX_POOL", "_F0_POOL", "_DIFF_POOL", "_NORM_POOL"}
+
+
+def draw_pool_uses(source: str) -> list:
+    """(line, owner, name) of each module-level draw (`_draw_...`) of
+    `source` that takes an argument `f_over` or names an f pool
+    (`_F_POOLS`), in line order."""
+    draws = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_draw")
+    }
+    found = [use for use in name_uses(source, _F_POOLS) if use[1] in draws]
+    for owner, node in draws.items():
+        args = (a for a in ast.walk(node.args) if isinstance(a, ast.arg))
+        found += [(a.lineno, owner, a.arg) for a in args if a.arg == "f_over"]
+    return sorted(found)
+
+
+def test_no_draw_picks_its_function():
+    """Only `lab.records` picks a trial's function: the caller's override,
+    or the entry of the pool its check declares (`lab._Check.pool`). No
+    draw of `batched` takes the override (`f_over`) or names an f pool, so
+    no draw can pick an f of its own or ignore the one it is given."""
+    assert draw_pool_uses((PACKAGE / "batched.py").read_text()) == []
+
+
+def test_draw_pool_uses_are_found():
+    source = (
+        "_CONVEX_POOL = (1, 2)\n"
+        "def _draw_thm2_1(rng, trial, cfg, f_over):\n"
+        "    return f_over or _CONVEX_POOL[trial % 2]\n"
+        "def _draw_cor2_9(rng, trial, cfg, f):\n"
+        "    return f, B._F0_POOL, _H_POOL\n"
+        "def _h(trial):\n"
+        "    return _H_POOL[trial // len(_F0_POOL)]\n"
+        "def _pick(pool, trial, f_over):\n"
+        "    return f_over or pool[trial]\n"
+        "def _draw_jensen(rng, trial, cfg, f, *, f_over=None):\n"
+        "    return [_NORM_POOL, _DIFF_POOL][trial]\n"
+    )
+    assert draw_pool_uses(source) == [
+        (2, "_draw_thm2_1", "f_over"),
+        (3, "_draw_thm2_1", "_CONVEX_POOL"),
+        (5, "_draw_cor2_9", "_F0_POOL"),
+        (10, "_draw_jensen", "f_over"),
+        (11, "_draw_jensen", "_DIFF_POOL"),
+        (11, "_draw_jensen", "_NORM_POOL"),
+    ]
 
 
 def _draw_names() -> set:
