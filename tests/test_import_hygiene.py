@@ -6,10 +6,11 @@ of `batched` writes the chain through subunital maps, no evaluate of
 `batched` splits a perspective at its eigensolver dispatch, only
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
 product, only `lab.records` opens a trial's RNG stream, no draw of
-`batched` picks its own function, no test draws a trial but through it, `funcatalog` compares no matrices, and only
-`kernels` handles a decomposition before its guards. The
-benchmark's tracer (`bench/tracer.py`) finds every function and method
-it wraps under the name it looks up.
+`batched` picks its own function, no test draws a trial but through
+`lab.records`, `funcatalog` compares no matrices, and only `kernels`
+handles a decomposition before its guards. The benchmark's tracer
+(`bench/tracer.py`) finds every function and method it wraps under the
+name it looks up.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead. `__init__.py` only re-exports, and a line marked
