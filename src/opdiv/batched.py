@@ -1073,11 +1073,10 @@ _CHAIN_LABELS = (
 )
 
 
-def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
-    """The Example 3.3 fixture: its chain as computed (the first matrix
-    shifted by `perturbation` * I, so the failure path can be exercised),
-    the stored chain, each matrix's largest entrywise deviation from its
-    stored value, and each link's Loewner margin and tolerance."""
+def _example(tol: ToleranceConfig) -> tuple:
+    """The Example 3.3 fixture: its chain as computed, the stored chain,
+    each matrix's largest entrywise deviation from its stored value, and
+    each link's Loewner margin and tolerance."""
     ex = example_33()
     ops = np.array([a.entries for a in ex.operators])
     present = np.ones((1, len(ops)), dtype=bool)
@@ -1090,8 +1089,6 @@ def _example(tol: ToleranceConfig, perturbation: float = 0.0) -> tuple:
 
     chain, _, _ = _jensen_chain([_SQUARE], mapped, ops, present, t1)
     computed = np.stack([m[0] for m in chain])
-    if perturbation:
-        computed[0] = computed[0] + np.eye(computed.shape[-1], dtype=complex) * float(perturbation)
     expected = np.stack([m.entries for m in ex.expected_chain])
     devs = np.max(np.abs(computed - expected), axis=(-2, -1))
     low, _, used = K.loewner(computed[:-1], computed[1:], tol)

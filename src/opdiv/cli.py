@@ -90,8 +90,8 @@ def cmd_verify(args) -> int:
     return 0 if report.total_violations == 0 else 1
 
 
-def cmd_reproduce_example(args, perturbation: float = 0.0) -> int:
-    result = reproduce_example(perturbation)
+def cmd_reproduce_example(args) -> int:
+    result = reproduce_example()
     if args.json:
         print(json.dumps(result.to_json_dict(), indent=2))
         return 0 if result.ok else 1

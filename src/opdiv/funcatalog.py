@@ -248,19 +248,20 @@ def from_spec(spec: dict) -> ScalarOperatorFunction:
     return builtin(func_id, params)
 
 
+# How far a sampling window keeps inside an open end of a domain.
+_OPEN_END_INSET = 0.1
+
+
 def sampling_window(
-    domain: Interval,
-    lo_default: float = -2.0,
-    hi_default: float = 4.0,
-    inset: float = 0.1,
+    domain: Interval, lo_default: float = -2.0, hi_default: float = 4.0
 ) -> tuple[float, float]:
     """A finite spectrum window inside `domain` suitable for sampling."""
     lo = domain.lo if math.isfinite(domain.lo) else lo_default
     if not domain.lo_closed:
-        lo += inset
+        lo += _OPEN_END_INSET
     hi = domain.hi if math.isfinite(domain.hi) else hi_default
     if not domain.hi_closed:
-        hi -= inset
+        hi -= _OPEN_END_INSET
     if not lo < hi:
         raise ValueError(f"degenerate sampling window for domain {domain!r}")
     return lo, hi

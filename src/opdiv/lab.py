@@ -473,14 +473,13 @@ class ExampleReproduction:
         }
 
 
-def reproduce_example(perturbation: float = 0.0) -> ExampleReproduction:
+def reproduce_example() -> ExampleReproduction:
     """Recompute the exact fixture chain and compare with the stored values.
 
-    `perturbation` shifts the first computed matrix and exists so the
-    failure path can be exercised in tests. The gaps are the chain's
-    Loewner margins, as the EX3_3_EXACT check computes them.
+    The gaps are the chain's Loewner margins, as the EX3_3_EXACT check
+    computes them.
     """
-    computed, expected, devs, gaps, _ = B._example(ToleranceConfig(), perturbation)
+    computed, expected, devs, gaps, _ = B._example(ToleranceConfig())
     return ExampleReproduction(
         B._CHAIN_LABELS,
         tuple(HermitianMatrix._wrap(m) for m in computed),

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import perturb_example_chain
 from opdiv import cli, lab
 from opdiv.cli import main
 
@@ -242,13 +243,14 @@ def test_reproduce_example_json(capsys):
     assert min(blob["gaps"]) > 0
 
 
-def test_reproduce_example_perturbed_exits_1(capsys):
+def test_reproduce_example_perturbed_exits_1(capsys, monkeypatch):
     from opdiv.cli import cmd_reproduce_example
 
     class Args:
         json = False
 
-    assert cmd_reproduce_example(Args(), perturbation=1e-3) == 1
+    perturb_example_chain(monkeypatch, 1e-3)
+    assert cmd_reproduce_example(Args()) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out
 

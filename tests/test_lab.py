@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import perturb_example_chain
 from opdiv import batched, kernels, lab
 from opdiv.errors import BadRange, NonPositiveH, NumericalFailure, UnknownCheck
 from opdiv.funcatalog import FunctionFlags, Interval, ScalarOperatorFunction, builtin, quartic
@@ -279,8 +280,7 @@ def test_exact_fixture_margins():
 def test_exact_fixture_violates_on_every_trial_when_perturbed(trials, monkeypatch):
     """EX3_3_EXACT runs every trial like the other checks: a perturbed
     fixture violates on each of them, and trial 0 is the worst."""
-    real = batched._example
-    monkeypatch.setattr(batched, "_example", lambda tol: real(tol, perturbation=1.0))
+    perturb_example_chain(monkeypatch, 1.0)
     gen = GenConfig(dim=3, seed=0, trials=trials)
     worst, violated, payload = _one_trial("EX3_3_EXACT", 0, gen, ToleranceConfig(), None)
     assert violated and worst < 0
@@ -338,12 +338,14 @@ def test_custom_tolerance_is_threaded_through():
     assert loose.violations == 0
 
 
-def test_reproduce_example_matches_and_perturbation_fails():
+def test_reproduce_example_matches_and_perturbation_fails(monkeypatch):
     result = reproduce_example()
     assert result.ok
     assert max(result.max_devs) <= 1e-9
     assert min(result.gaps) > 0.1
-    broken = reproduce_example(perturbation=1e-3)
+    with monkeypatch.context() as m:
+        perturb_example_chain(m, 1e-3)
+        broken = reproduce_example()
     assert not broken.ok
     blob = result.to_json_dict()
     assert blob["ok"] is True
