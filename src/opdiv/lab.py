@@ -111,8 +111,8 @@ class GenConfig:
         object.__setattr__(self, "condition_cap", _real("condition_cap", self.condition_cap))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise BadRange(f"spectrum_range must be finite, got {self.spectrum_range}")
-        # lo == hi is allowed: it pins the spectrum and yields an exact
-        # multiple of the identity.
+        # lo == hi is allowed, but only `random_hermitian` and `random_pd`
+        # honour it; every check that reads a window refuses it with BadRange.
         if not lo <= hi:
             raise BadRange(f"spectrum_range needs lo <= hi, got {self.spectrum_range}")
         if not self.condition_cap >= 1:
