@@ -650,9 +650,7 @@ def run_trials(count: int, dim: int, draw, evaluate, tol) -> tuple:
             raise
         worst, violated = fold(margins, used)
         violations += int(np.count_nonzero(violated))
-        if chunk.start == 0:
-            worst_extra = extras[0]
-        for trial, margin, extra in zip(chunk, worst.tolist(), extras):
-            if margin < worst_margin:
-                worst_margin, worst_trial, worst_extra = margin, trial, extra
+        i = int(np.argmin(worst))
+        if chunk.start == 0 or worst[i] < worst_margin:
+            worst_margin, worst_trial, worst_extra = float(worst[i]), chunk[i], extras[i]
     return violations, worst_margin, worst_trial, worst_extra
