@@ -460,8 +460,11 @@ def perspective(f, left, right, condition_cap=CONDITION_CAP):
     result raises NumericalFailure naming f. A caller that decomposes the
     inner matrices with other stacks takes these three steps itself.
     """
-    half, x, _ = inner(left, right, condition_cap)
-    return sandwich(f, half, decompose(x))
+    # Keep no stack past its last use: R^{-1/2} goes with `inner`, and
+    # rebinding `x` frees the inner matrices before the sandwich.
+    half, x = inner(left, right, condition_cap)[:2]
+    x = decompose(x)
+    return sandwich(f, half, x)
 
 
 def sandwich(f, half, inner):
