@@ -98,6 +98,22 @@ def test_spectral_decompose_two_by_two_closed_form():
     assert np.allclose(np.abs(d.unitary), np.full((2, 2), 1 / math.sqrt(2)))
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_spectral_decomposition_dim_and_rebuild(dim):
+    """A decomposition reports its matrices' dimension, and `rebuild`
+    gives `kernels.rebuild` of its unitary bit for bit, as a
+    HermitianMatrix: the matrix back from its own eigenvalues, and U f U*
+    from any others."""
+    rng = np.random.default_rng(dim)
+    d = spectral_decompose(make_herm(rng, dim))
+    assert d.dim == dim
+    for values in (d.eigenvalues, rng.uniform(-3.0, 3.0, dim)):
+        got = d.rebuild(values)
+        assert isinstance(got, HermitianMatrix)
+        want = kernels.rebuild(values, d.unitary)
+        assert got.entries.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10_000))
 def test_spectral_reconstruction_invariant(dim, seed):
@@ -386,6 +402,23 @@ def test_sum_and_difference_refuse_an_overflowing_result():
     with pytest.raises(BadRange, match="difference is not finite"):
         big - (-big)
     assert (big - big).trace() == 0.0 and (big + -big).trace() == 0.0
+
+
+@pytest.mark.parametrize(
+    "other",
+    [1.0, np.eye(2), PositiveDefiniteMatrix(HermitianMatrix.identity(2))],
+    ids=["float", "array", "positive_definite"],
+)
+def test_sum_and_difference_with_a_non_matrix_raise_type_error(other):
+    """`+` and `-` take only a HermitianMatrix: for any other operand, an
+    array or a PositiveDefiniteMatrix included, they return NotImplemented
+    and Python raises TypeError."""
+    h = HermitianMatrix.identity(2)
+    assert h.__add__(other) is NotImplemented and h.__sub__(other) is NotImplemented
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+        h + other
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+        h - other
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])

@@ -421,6 +421,46 @@ def test_an_empty_part_beside_a_nonempty_one_is_decomposed_empty(monkeypatch):
         kernels.decompositions(empty, eye, 7 * eye)
 
 
+def test_a_fused_failure_no_part_repeats_alone_is_raised(monkeypatch):
+    """If only the fused dispatch fails, the parts one by one all succeed,
+    and `decompositions` raises the fused stack's own error."""
+    rng = np.random.default_rng(3)
+    parts = [make_pd(rng, 3).entries[None], np.stack([make_pd(rng, 3).entries for _ in range(2)])]
+    real = np.linalg.eigh
+    fault = np.linalg.LinAlgError("the fused stack did not converge")
+    seen = []
+
+    def failing(x, *args, **kwargs):
+        seen.append(len(x))
+        if len(x) == 3:
+            raise fault
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalFailure, match="the fused stack did not converge") as got:
+        kernels.decompositions(*parts)
+    assert got.value.__cause__ is fault
+    assert seen == [3, 1, 2]
+
+
+def test_a_chunk_failure_no_record_repeats_alone_is_raised():
+    """If evaluate fails on a chunk but on none of its records alone, the
+    trial loop raises the chunk's own error after trying every record."""
+    fault = NumericalFailure("the chunk failed")
+    seen = []
+
+    def evaluate(records, tol):
+        seen.append(list(records))
+        if len(records) > 1:
+            raise fault
+        return np.zeros((1, 1)), np.zeros((1, 1)), [None]
+
+    with pytest.raises(NumericalFailure) as got:
+        kernels.run_trials(3, 2, list, evaluate, None)
+    assert got.value is fault
+    assert seen == [[0, 1, 2], [0], [1], [2]]
+
+
 @pytest.mark.parametrize("dim, k", [(1, 16), (1, 3), (2, 9), (5, 4)])
 def test_field_sum_matches_the_loop_from_zero(dim, k):
     """Each trial's sum has the bits of a loop that adds its own present

@@ -12,6 +12,7 @@ from opdiv.errors import (
     EmptyField,
     IllConditioned,
     NonPositiveH,
+    NotHermitian,
     NotPositiveDefinite,
     NotProbability,
     NumericalFailure,
@@ -174,6 +175,29 @@ def test_field_validation():
     WeightedOperatorField(
         [(1.0, HermitianMatrix.identity(2), pd(np.eye(2)))], probability_normalized=True
     )
+
+
+def test_field_converts_a_raw_array_a():
+    """An A given as an array becomes a HermitianMatrix of the same bits,
+    and the field's Θ is the one of the field built from matrices; an
+    array that is not Hermitian is refused as the constructor refuses it."""
+    rng = np.random.default_rng(11)
+    field = make_field(rng, 3, 4)
+    raw = WeightedOperatorField([(w, a.entries, b) for w, a, b in field])
+    for (_, got, _), (_, want, _) in zip(raw, field):
+        assert isinstance(got, HermitianMatrix)
+        assert got.entries.tobytes() == want.entries.tobytes()
+    assert theta_divergence(SQUARE, raw).entries.tobytes() == (
+        theta_divergence(SQUARE, field).entries.tobytes()
+    )
+    with pytest.raises(NotHermitian):
+        WeightedOperatorField([(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), pd(np.eye(2)))])
+
+
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_field_length_is_its_size(size):
+    field = make_field(np.random.default_rng(size), 2, size)
+    assert len(field) == field.size == size
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

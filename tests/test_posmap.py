@@ -123,6 +123,12 @@ def test_scaled_map_refuses_a_non_finite_factor(bad):
         ScaledMap(Compression(2, (0,), 1.0), bad)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_map_field_length_is_its_size(size):
+    field = MapField([(1.0 / size, Congruence(np.eye(2)))] * size)
+    assert len(field) == field.size == size
+
+
 @pytest.mark.parametrize("unital", [False, True])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_map_field_refuses_non_finite_weights(bad, unital):
