@@ -343,9 +343,8 @@ def test_reproduce_example_matches_and_perturbation_fails(monkeypatch):
     assert result.ok
     assert max(result.max_devs) <= 1e-9
     assert min(result.gaps) > 0.1
-    with monkeypatch.context() as m:
-        perturb_example_chain(m, 1e-3)
-        broken = reproduce_example()
+    perturb_example_chain(monkeypatch, 1e-3)
+    broken = reproduce_example()
     assert not broken.ok
     blob = result.to_json_dict()
     assert blob["ok"] is True
