@@ -529,11 +529,8 @@ def _eval_cor2_2_ii(group, tol):
 
 def _eval_thm2_4_mixture(group, tol):
     """Row perspectives of a mixed grid vs the mixture of grid perspectives."""
-    fs = [r.f for r in group]
-    mask = _present([len(r.w) for r in group])
+    fs, mask, p, ls, rs = _field(group)
     grid = mask[:, :, None] & mask[:, None, :]
-    p = _padded(group, "w", mask)
-    ls, rs = _build(group, "a", "b")
     # Row i of a grid: the p-mixture of its (L, R) pairs across columns j.
     rows = [K.field_sum(_pad(x, grid).swapaxes(1, 2), mask, p)[mask] for x in (ls, rs)]
     row_pos, cell_pos = K.decompositions(rows[1], rs, positive=True)
@@ -661,10 +658,8 @@ def _eval_thm2_6(group, tol):
     generalized perspectives, for a subunital family (`_cdj_links`). The
     mapped matrices take the family's output dimension, so the families
     are normalized and apply per dimension."""
-    fs, hs = _fh(group)
-    present = _present([len(r.w) for r in group])
-    w, shrinks = _padded(group, "w", present), _padded(group, "q", present)
-    a, b = _build(group, "a", "b")
+    fs, present, w, a, b = _field(group)
+    hs, shrinks = [r.h for r in group], _padded(group, "q", present)
     b_pos = K.positive(b)  # each drawn B is positive definite
     applies, maps = [], {}
     for rows in _split_by(group, lambda r: r.c[0].shape[-1]):
@@ -921,10 +916,8 @@ def _draw_delta_nabla(rng, trial, cfg, f):
 def _eval_delta_nabla(group, tol):
     """Generalized perspective of the mixtures (sum p_i L_i, sum q_i R_i)
     vs the mixture functional sum_i p_i f_delta_h(L_i, q_i R_i)."""
-    fs, hs = _fh(group)
-    mask = _present([len(r.w) for r in group])
-    p, q = _padded(group, "w", mask), _padded(group, "q", mask)
-    ls, rs = _build(group, "a", "b")
+    fs, mask, p, ls, rs = _field(group)
+    hs, q = [r.h for r in group], _padded(group, "q", mask)
     sum_l, sum_r = _total(ls, mask, p), _total(rs, mask, q)
     K.flagged_positive(hs)
     # Each drawn R is positive definite; the mixture and each q_i R_i give

@@ -21,11 +21,19 @@ from .hermitian import ToleranceConfig
 from .lab import GenConfig, check_description, check_ids, reproduce_example, run_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subcommands' too, print
+    one line, `error: <message>`, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not
     change it, and each `main` call gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opdiv",
         description="Verify operator perspective and matrix divergence inequalities "
         "on exact fixtures and randomized instances.",
@@ -74,7 +82,7 @@ def cmd_verify(args) -> int:
         gen = GenConfig(dim=args.dim, seed=args.seed, trials=args.trials)
         tol = ToleranceConfig(abs=args.tol_abs, rel=args.tol_rel)
         report = run_suite(ids, gen, tol, function)
-    except (OpDivError, ValueError, json.JSONDecodeError) as exc:
+    except (OpDivError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)

@@ -54,7 +54,7 @@ class NotProbability(OpDivError):
 
 
 class EmptyField(OpDivError):
-    """Operation needs at least one field entry."""
+    """A weighted field was built with no entries."""
 
 
 class IllConditioned(OpDivError):

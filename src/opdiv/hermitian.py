@@ -77,9 +77,13 @@ class HermitianMatrix:
 
     Stored entries are the symmetrized form (H + H*) / 2. Real input is
     embedded with zero imaginary parts. Every entry is finite: the
-    constructors refuse others with NotHermitian and the arithmetic with
-    BadRange. A matrix has at least one row: the constructors refuse a
-    0 x 0 one with ShapeMismatch.
+    constructors refuse others with NotHermitian; a sum, difference or
+    multiple, a congruence image, a Kronecker product and a rebuilt
+    spectrum that overflow are refused with BadRange, as are a map image
+    and a field's weighted sum; the functional calculus, the perspectives
+    and a bivariate image raise NumericalFailure or DomainViolation. A
+    matrix has at least one row: the constructors refuse a 0 x 0 one with
+    ShapeMismatch.
     """
 
     # `_solution` is this matrix's `kernels.decompose` once one is made,
@@ -228,8 +232,11 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def rebuild(self, values: np.ndarray) -> HermitianMatrix:
-        """U diag(values) U*, symmetrized."""
-        return HermitianMatrix._wrap(kernels.rebuild(values, self.unitary))
+        """U diag(values) U*, symmetrized; BadRange if an entry is not
+        finite."""
+        return HermitianMatrix._wrap_finite(
+            lambda: kernels.rebuild(values, self.unitary), "rebuilt matrix has non-finite entries"
+        )
 
 
 class PositiveDefiniteMatrix:
@@ -344,13 +351,16 @@ def apply_function(f: "ScalarOperatorFunction", h: HermitianMatrix) -> Hermitian
 
 
 def congruence(c: np.ndarray, x: HermitianMatrix) -> HermitianMatrix:
-    """C* X C, symmetrized. C may be rectangular (dim(X) by out_dim)."""
+    """C* X C, symmetrized. C may be rectangular (dim(X) by out_dim).
+    BadRange if an entry of the image is not finite."""
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != x.dim or c.shape[1] == 0:
         raise ShapeMismatch(
             f"congruence matrix of shape {c.shape} cannot act on dimension {x.dim}"
         )
-    return HermitianMatrix._wrap(kernels.congruence(c, x.entries))
+    return HermitianMatrix._wrap_finite(
+        lambda: kernels.congruence(c, x.entries), "congruence image has non-finite entries"
+    )
 
 
 def loewner_compare(
@@ -377,11 +387,14 @@ def loewner_compare(
 def kronecker(
     a: HermitianMatrix, b: HermitianMatrix, size_cap: int = KRON_CAP
 ) -> HermitianMatrix:
-    """Kronecker product A (x) B with the row-major (i, j) index order."""
+    """Kronecker product A (x) B with the row-major (i, j) index order;
+    BadRange if an entry overflows."""
     total = a.dim * b.dim
     if not total <= size_cap:
         raise SizeLimit(f"tensor dimension {total} exceeds cap {size_cap}")
-    return HermitianMatrix._wrap(np.kron(a.entries, b.entries))
+    return HermitianMatrix._wrap_finite(
+        lambda: np.kron(a.entries, b.entries), "Kronecker product has non-finite entries"
+    )
 
 
 def raw_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

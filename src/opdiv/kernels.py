@@ -442,14 +442,17 @@ def inner(left, right, condition_cap=CONDITION_CAP) -> tuple:
     stack. `right` is the (eigenvalues, eigenvectors) pair that `positive`
     returns, and both roots come from it (`sqrt_pair`). Raises
     IllConditioned, before any root is taken, if a condition number
-    exceeds `condition_cap`."""
+    exceeds `condition_cap`. An inner matrix that overflows is left
+    non-finite, not a RuntimeWarning, for its decomposition's guards to
+    refuse."""
     vals, vecs = right
     cond = vals[..., 0] / vals[..., -1]
     worst = _first(cond, _exceeds(cond, condition_cap))
     if worst is not None:
         raise IllConditioned(f"condition number {worst:.3e} exceeds cap {condition_cap:.1e}")
     half, inv_half = sqrt_pair(vals, vecs)
-    return half, hermitian_part(inv_half @ left @ inv_half), inv_half
+    with np.errstate(over="ignore", invalid="ignore"):
+        return half, hermitian_part(inv_half @ left @ inv_half), inv_half
 
 
 def perspective(f, left, right, condition_cap=CONDITION_CAP):
@@ -520,17 +523,22 @@ def bivariate(phi, left, right):
     `decompose` returns for A = U diag(lam) U* and B = V diag(mu) V*. The
     (i, j) pair sits at tensor index i * dim(B) + j. The eigenvalues are
     clamped onto phi's domains as for `apply_function`; a non-finite grid
-    value raises DomainViolation.
+    value, an overflow of phi among them, raises DomainViolation, and a
+    finite grid whose image overflows NumericalFailure.
     """
     lam, mu = _clamped(phi.domain_x, left[0]), _clamped(phi.domain_y, right[0])
-    grid = np.asarray(phi.fn(lam[..., :, None], mu[..., None, :]), dtype=float)
-    grid = grid.reshape(grid.shape[:-2] + (-1,))
-    bad = ~np.isfinite(grid)
-    if bad.any():
-        raise DomainViolation(float(_first(grid, bad)), (phi.domain_x, phi.domain_y))
     u, v = left[1], right[1]
-    w = (u[..., :, None, :, None] * v[..., None, :, None, :]).reshape(grid.shape + grid.shape[-1:])
-    return hermitian_part((w * grid[..., None, :]) @ adjoint(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.asarray(phi.fn(lam[..., :, None], mu[..., None, :]), dtype=float)
+        grid = grid.reshape(grid.shape[:-2] + (-1,))
+        bad = ~np.isfinite(grid)
+        if bad.any():
+            raise DomainViolation(float(_first(grid, bad)), (phi.domain_x, phi.domain_y))
+        w = (u[..., :, None, :, None] * v[..., None, :, None, :]).reshape(grid.shape + (-1,))
+        out = hermitian_part((w * grid[..., None, :]) @ adjoint(w))
+    if not all_finite(out):
+        raise NumericalFailure("bivariate image has non-finite entries")
+    return out
 
 
 def congruence(c, x):

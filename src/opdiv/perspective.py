@@ -51,9 +51,10 @@ PROBABILITY_TOL = 1e-12
 class WeightedOperatorField:
     """Finite list of (weight, A, B) triples of matching dimension.
 
-    A entries are Hermitian, B entries strictly positive; weights are the
-    discrete measure. When `probability_normalized` the weights must sum
-    to one.
+    The field is nonempty: a field with no entries is refused when built,
+    with EmptyField. A entries are Hermitian, B entries strictly positive;
+    weights are the discrete measure. When `probability_normalized` the
+    weights must sum to one.
     """
 
     __slots__ = ("_entries", "probability_normalized", "_sum_b")
@@ -74,6 +75,8 @@ class WeightedOperatorField:
             if a.dim != dim or b.dim != dim:
                 raise ShapeMismatch("all field entries must share one dimension")
             triples.append((w, a, b))
+        if not triples:
+            raise EmptyField("field has no entries")
         if probability_normalized:
             total = sum(w for w, _, _ in triples)
             if not abs(total - 1.0) <= PROBABILITY_TOL:
@@ -92,8 +95,6 @@ class WeightedOperatorField:
 
     @property
     def dim(self) -> int:
-        if not self._entries:
-            raise EmptyField("field has no entries")
         return self._entries[0][1].dim
 
     @property
@@ -114,8 +115,6 @@ class WeightedOperatorField:
 
     def _weighted_sum(self, matrices) -> HermitianMatrix:
         """sum_t w_t X_t of one matrix X_t per entry."""
-        if not self._entries:
-            raise EmptyField("field has no entries")
         return _weighted(self.weights, kernels.stack(matrices))
 
     def __len__(self) -> int:
@@ -176,8 +175,6 @@ def theta_divergence(
     that Theorem 2.1's verdict makes three dispatches at every dimension.
     The sum never makes this raise.
     """
-    if field.size == 0:
-        raise EmptyField("divergence functional needs at least one field entry")
     return _weighted(field.weights, _entry_perspectives(f, field.entries, _unsolved_sum_b(field)))
 
 
@@ -258,8 +255,6 @@ def f_nabla_h(
     p_i = 0 contribute nothing and q_i may vanish only there. The field's
     own weights play no role here.
     """
-    if field.size == 0:
-        raise EmptyField("needs at least one field entry")
     p = _check_probability(p, "p")
     q = _check_probability(q, "q")
     if len(p) != field.size or len(q) != field.size:
@@ -319,8 +314,6 @@ def gradient_lower_bound(
     functional of the field; the caller performs that comparison.
     """
     point = tangent_point(f)
-    if field.size == 0:
-        raise EmptyField("needs at least one field entry")
     sum_a, sum_b = field.weighted_sum_a().entries, field.weighted_sum_b().entries
     return HermitianMatrix._wrap(kernels.tangent_line(f, point, sum_a, sum_b))
 

@@ -266,3 +266,20 @@ def test_parser_is_built_once_and_calls_do_not_share_options(capsys):
     second = json.loads(capsys.readouterr().out)
     assert first["config"]["function"] == "square"
     assert second["config"]["function"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--dim", "abc"], "error: argument --dim: invalid int value: 'abc'"),
+        (["verify", "--bogus"], "error: unrecognized arguments: --bogus"),
+        ([], "error: the following arguments are required: command"),
+    ],
+    ids=["bad_int", "unknown_flag", "no_subcommand"],
+)
+def test_a_usage_error_exits_2_with_one_line(argv, message, capsys):
+    """A malformed command line prints one line, no usage, and exits 2."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == message + "\n"

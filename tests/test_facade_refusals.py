@@ -15,27 +15,47 @@ from opdiv.errors import (
     EmptyField,
     NotProbability,
     NumericalFailure,
+    OpDivError,
     ParamOutOfRange,
     ShapeMismatch,
 )
 from opdiv.funcatalog import Interval, ScalarOperatorFunction, builtin
-from opdiv.hermitian import ToleranceConfig, loewner_compare, rows_to_array
+from opdiv.hermitian import (
+    HermitianMatrix,
+    PositiveDefiniteMatrix,
+    ToleranceConfig,
+    apply_function,
+    congruence,
+    kronecker,
+    loewner_compare,
+    rows_to_array,
+    spectral_decompose,
+)
 from opdiv.lab import GenConfig
 from opdiv.perspective import (
     BivariateSpec,
     WeightedOperatorField,
+    bivariate_calculus,
     f_delta_h,
     f_nabla_h,
+    field_from_json,
     gradient_lower_bound,
+    perspective,
     tangent_point,
+    theta_divergence,
 )
-from opdiv.posmap import Compression, Congruence, MapField, MapSum, map_from_json
+from opdiv.posmap import Compression, Congruence, MapField, MapSum, ScaledMap, map_from_json
 
 _RNG = np.random.default_rng(17)
 _A2, _A3 = make_herm(_RNG, 2), make_herm(_RNG, 3)
 _B3 = make_pd(_RNG, 3)
-_EMPTY = WeightedOperatorField([])
 _SQUARE, _IDENTITY = builtin("square"), builtin("identity")
+# Finite matrices whose results overflow.
+_EYE = HermitianMatrix.identity(2)
+_BIG, _TOP = _EYE * 1e200, _EYE * 1e308
+_PD, _HALF = PositiveDefiniteMatrix(_EYE), PositiveDefiniteMatrix(_EYE * 0.5)
+_X_SQ_OVER_Y = BivariateSpec(lambda x, y: x * x / y, Interval.nonnegative(), Interval.positive())
+_X = BivariateSpec(lambda x, y: x + 0.0 * y, Interval.real_line(), Interval.real_line())
 # Defined on [2, 5], so the tangent point 1 is outside its domain.
 _SHIFTED = ScalarOperatorFunction(
     id="shifted",
@@ -57,17 +77,16 @@ def _bivariate_with_a_pole():
 
 
 _REFUSALS = {
-    "field_dim_empty": (lambda: _EMPTY.dim, EmptyField, "field has no entries"),
-    "weighted_sum_a_empty": (_EMPTY.weighted_sum_a, EmptyField, "field has no entries"),
-    "f_nabla_h_empty": (
-        lambda: f_nabla_h(_SQUARE, _IDENTITY, _EMPTY, [1.0], [1.0]),
+    "field_empty": (lambda: WeightedOperatorField([]), EmptyField, "field has no entries"),
+    "field_empty_before_probability": (
+        lambda: WeightedOperatorField([], probability_normalized=True),
         EmptyField,
-        "needs at least one field entry",
+        "field has no entries",
     ),
-    "gradient_lower_bound_empty": (
-        lambda: gradient_lower_bound(_SQUARE, _EMPTY),
+    "field_from_json_empty": (
+        lambda: field_from_json({"entries": []}),
         EmptyField,
-        "needs at least one field entry",
+        "field has no entries",
     ),
     "f_delta_h_across_dims": (
         lambda: f_delta_h(_SQUARE, _IDENTITY, _A2, _B3),
@@ -142,6 +161,41 @@ _REFUSALS = {
         DomainViolation,
         f"eigenvalue inf outside domain {(_POLE.domain_x, _POLE.domain_y)!r}",
     ),
+    "bivariate_overflowing_grid": (
+        lambda: bivariate_calculus(_X_SQ_OVER_Y, _EYE * 1.3e154, _EYE * 0.5),
+        DomainViolation,
+        f"eigenvalue inf outside domain {(_X_SQ_OVER_Y.domain_x, _X_SQ_OVER_Y.domain_y)!r}",
+    ),
+    "bivariate_overflowing_image": (
+        lambda: bivariate_calculus(_X, _TOP, _EYE),
+        NumericalFailure,
+        "bivariate image has non-finite entries",
+    ),
+    "congruence_overflow": (
+        lambda: congruence(np.eye(2) * 1e200, _EYE),
+        BadRange,
+        "congruence image has non-finite entries",
+    ),
+    "congruence_nan_matrix": (
+        lambda: congruence(np.array([[np.nan, 0.0], [0.0, 1.0]]), _EYE),
+        BadRange,
+        "congruence image has non-finite entries",
+    ),
+    "kronecker_overflow": (
+        lambda: kronecker(_BIG, _BIG),
+        BadRange,
+        "Kronecker product has non-finite entries",
+    ),
+    "rebuild_nan": (
+        lambda: spectral_decompose(_EYE).rebuild([np.nan, 1.0]),
+        BadRange,
+        "rebuilt matrix has non-finite entries",
+    ),
+    "rebuild_overflow": (
+        lambda: spectral_decompose(_EYE).rebuild([1e308, 1e308]),
+        BadRange,
+        "rebuilt matrix has non-finite entries",
+    ),
 }
 
 
@@ -152,8 +206,51 @@ def test_facade_refuses_with_its_own_error(case):
         call()
 
 
+def _field(a, b=_PD, w=1.0):
+    return WeightedOperatorField([(w, a, b), (w, a, b)])
+
+
+# One finite input per facade that returns a `HermitianMatrix`, whose
+# result overflows.
+_OVERFLOWS = {
+    "perspective": lambda: perspective(_IDENTITY, _TOP, _HALF),
+    "theta_divergence": lambda: theta_divergence(_IDENTITY, _field(_TOP, _HALF)),
+    "f_delta_h": lambda: f_delta_h(_IDENTITY, _IDENTITY, _TOP, _HALF.base),
+    "f_nabla_h": lambda: f_nabla_h(
+        _IDENTITY, _IDENTITY, _field(_TOP, _HALF), [0.5, 0.5], [0.5, 0.5]
+    ),
+    "gradient_lower_bound": lambda: gradient_lower_bound(_SQUARE, _field(_TOP, w=0.5)),
+    "bivariate_calculus": lambda: bivariate_calculus(_X_SQ_OVER_Y, _EYE * 1.3e154, _EYE * 0.5),
+    "apply_function": lambda: apply_function(_SQUARE, _BIG),
+    "congruence": lambda: congruence(np.eye(2) * 1e200, _EYE),
+    "kronecker": lambda: kronecker(_BIG, _BIG),
+    "rebuild": lambda: spectral_decompose(_EYE).rebuild([1e308, 1e308]),
+    "sum": lambda: _TOP + _TOP,
+    "difference": lambda: _TOP - -_TOP,
+    "product": lambda: _TOP * 10.0,
+    "congruence_apply": lambda: Congruence(np.eye(2) * 1e200).apply(_EYE),
+    "compression_apply": lambda: Compression(2, [0, 1], 10.0).apply(_TOP),
+    "map_sum_apply": lambda: MapSum([Congruence(np.eye(2))] * 2).apply(_TOP),
+    "scaled_map_apply": lambda: ScaledMap(Congruence(np.eye(2)), 10.0).apply(_TOP),
+    "identity_image": lambda: MapField([(1.0, Congruence(np.eye(2) * 1e200))]).identity_image(),
+    "weighted_sum_a": lambda: _field(_TOP).weighted_sum_a(),
+    "weighted_sum_b": lambda: _field(
+        _EYE, PositiveDefiniteMatrix(_EYE * 1e300), 1e10
+    ).weighted_sum_b(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_no_facade_returns_a_non_finite_matrix(case):
+    """Every entry of a `HermitianMatrix` is finite: a facade whose result
+    overflows raises an OpDivError, returns no matrix and leaks no
+    RuntimeWarning, which the test configuration makes an error."""
+    with pytest.raises(OpDivError):
+        _OVERFLOWS[case]()
+
+
 def test_field_dim_is_the_entries_dim():
-    """The refusal's other side: a field's dim is its entries' dim."""
+    """A field's dim is its entries' dim."""
     assert make_field(_RNG, 3, 2).dim == 3
 
 

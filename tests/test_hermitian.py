@@ -297,11 +297,11 @@ def test_non_finite_entries_are_refused(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_side_gets_no_loewner_verdict(bad):
     """A non-finite matrix that bypasses the constructor, as a symmetrized
-    product or a congruence image does, gets no verdict: its eigenvalues
+    product or a trusted wrap does, gets no verdict: its eigenvalues
     would be arbitrary (a NaN entry read EQUAL with margin 0)."""
     eye, entries = HermitianMatrix.identity(2), np.array([[bad, 0.0], [0.0, 1.0]])
     with np.errstate(all="ignore"):
-        for side in (hermitian_part(entries), congruence(entries, eye)):
+        for side in (hermitian_part(entries), HermitianMatrix._wrap(entries)):
             for lhs, rhs in ((side, eye), (eye, side)):
                 with pytest.raises(NumericalFailure, match="Loewner comparison failed"):
                     loewner_compare(lhs, rhs)

@@ -9,7 +9,6 @@ from opdiv.errors import (
     BadRange,
     DerivativeRequired,
     DomainViolation,
-    EmptyField,
     IllConditioned,
     NonPositiveH,
     NotHermitian,
@@ -122,12 +121,6 @@ def test_theta_identity_is_weighted_sum():
     field = WeightedOperatorField(entries)
     got = theta_divergence(IDENT, field)
     assert np.allclose(got.entries, field.weighted_sum_a().entries, atol=1e-10)
-
-
-def test_theta_empty_field():
-    field = WeightedOperatorField([])
-    with pytest.raises(EmptyField):
-        theta_divergence(SQUARE, field)
 
 
 def test_theta_joint_convexity_sampled():
