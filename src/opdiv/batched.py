@@ -421,17 +421,15 @@ def _draw_field(rng, cfg: GenConfig, f, n: int, weights=None) -> _Draw:
     return _Draw(f, weights, (None, a), (cfg.condition_cap, b))
 
 
-def _draw_thm2_1(rng, trial, cfg, f, unit_weights=False):
+def _draw_thm2_1(rng, trial, cfg, f, unit_weights=False, split=False):
+    """A field of 2-4 entries; with `split`, then a bipartition of it: the
+    size of the first block, then a permutation whose head is that block."""
     n = int(rng.integers(2, 5))
-    return _draw_field(rng, cfg, f, n, np.ones(n) if unit_weights else None)
-
-
-def _draw_cor2_3_split(rng, trial, cfg, f):
-    n = int(rng.integers(2, 5))
-    draw = _draw_field(rng, cfg, f, n)
+    draw = _draw_field(rng, cfg, f, n, np.ones(n) if unit_weights else None)
+    if not split:
+        return draw
     k = int(rng.integers(1, n))
-    perm = rng.permutation(n)
-    return draw._replace(t1=sorted(perm[:k].tolist()))
+    return draw._replace(t1=sorted(rng.permutation(n)[:k].tolist()))
 
 
 def _draw_thm2_12_grad(rng, trial, cfg, f):
@@ -465,33 +463,30 @@ def _field_payloads(group, mask, a, b) -> list:
     ]
 
 
-def _eval_thm2_1(group, tol):
+def _eval_thm2_1(group, tol, split=False):
     """Perspective of the weighted sums vs the weighted sum of perspectives.
 
     With unit weights this is the subadditivity of the perspective over
-    entrywise sums (Corollary 2.2).
+    entrywise sums (Corollary 2.2). With `split`, the sum of the
+    perspectives of each trial's two blocks sits between the two sides
+    (Corollary 2.3): the links are whole <= split <= Theta.
     """
     fs, mask, w, a, b = _field(group)
-    sum_a, sum_b = (_total(x, mask, w) for x in (a, b))
-    b_pos, sum_pos = K.decompositions(b, sum_b, positive=True)
-    lhs, terms = _perspectives((fs, sum_a, sum_pos), (_each(fs, mask), a, b_pos))
-    return *_links(tol, (lhs, _total(terms, mask, w))), _field_payloads(group, mask, a, b)
-
-
-def _eval_cor2_3_split(group, tol):
-    """Two-block split sits between the combined perspective and the divergence."""
-    fs, mask, w, a, b = _field(group)
     a_k, b_k = _pad(a, mask), _pad(b, mask)
-    t1 = _first_block(group, mask)
-    # The weighted sums of the two blocks and of the whole field.
-    sums = [(K.field_sum(a_k, m, w), K.field_sum(b_k, m, w)) for m in (t1, mask & ~t1, mask)]
+    blocks = [mask]
+    if split:
+        t1 = _first_block(group, mask)
+        blocks = [t1, mask & ~t1, mask]
+    # The weighted sums of the blocks, the whole field last.
+    sums = [(K.field_sum(a_k, m, w), K.field_sum(b_k, m, w)) for m in blocks]
     b_pos, *rights = K.decompositions(b, *(sum_b for _, sum_b in sums), positive=True)
-    one, two, whole, terms = _perspectives(
+    *sides, terms = _perspectives(
         *((fs, sum_a, right) for (sum_a, _), right in zip(sums, rights)),
         (_each(fs, mask), a, b_pos),
     )
-    split, theta = one + two, _total(terms, mask, w)
-    return *_links(tol, (whole, split), (split, theta)), _field_payloads(group, mask, a, b)
+    chain = [sides[-1], sides[0] + sides[1]] if split else sides
+    chain.append(_total(terms, mask, w))
+    return *_links(tol, *zip(chain, chain[1:])), _field_payloads(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):

@@ -2,14 +2,13 @@
 
 Spectral decomposition, functional calculus, congruence, Kronecker
 products and Loewner-order comparison. All operations are pure
-functions, and every value is immutable after construction but one: a
-`HermitianMatrix` keeps its decomposition (`_solution`) once one is
-made. The invariant that keeps that slot harmless: every writer writes
-the same value, the `kernels.decompose` of the matrix (a fused
-decomposition gives each matrix the bits of its own), so whether and
-when the slot is filled never changes a result. The constructions are
-validating facades over the stacked kernels in `kernels`, called with a
-single matrix.
+functions, and every value is immutable after construction. A
+`HermitianMatrix` may be built together with its decomposition
+(`_solution`, the `kernels.decompose` of the matrix, as a fused dispatch
+makes it), which its `PositiveDefiniteMatrix` then uses instead of
+decomposing the matrix again; whether a matrix has one never changes a
+result. The constructions are validating facades over the stacked
+kernels in `kernels`, called with a single matrix.
 """
 
 from __future__ import annotations
@@ -86,10 +85,10 @@ class HermitianMatrix:
     ShapeMismatch.
     """
 
-    # `_solution` is this matrix's `kernels.decompose` once one is made,
-    # else None: `PositiveDefiniteMatrix` keeps the one it makes, and
-    # `perspective.theta_divergence` decomposes a field's summed B with its
-    # inner matrices unless the sum has one.
+    # `_solution` is this matrix's `kernels.decompose` if it was built with
+    # one (`_wrap`), else None: a field's summed B that
+    # `perspective.theta_divergence` formed has the one made with Theta's
+    # inner matrices.
     __slots__ = ("_entries", "_solution")
 
     def __init__(self, entries):
@@ -123,11 +122,12 @@ class HermitianMatrix:
         self._solution = None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
-        """Trusted constructor: `arr` must already be exactly Hermitian."""
+    def _wrap(cls, arr: np.ndarray, solution=None) -> "HermitianMatrix":
+        """Trusted constructor: `arr` must already be exactly Hermitian, and
+        `solution`, if given, its `kernels.decompose`."""
         out = object.__new__(cls)
         out._entries = _frozen(np.asarray(arr, dtype=complex))
-        out._solution = None
+        out._solution = solution
         return out
 
     @classmethod
@@ -242,11 +242,12 @@ class SpectralDecomposition:
 class PositiveDefiniteMatrix:
     """Hermitian matrix whose smallest eigenvalue clears the strict floor.
 
-    The decomposition is `base`'s (`HermitianMatrix._solution`): the one
-    kept on it, made here or in another dispatch, or else one made here
-    (`kernels.decompose`) and kept. A kept decomposition has passed the
-    unitarity and reconstruction guards where it was made, so only the
-    strict-positivity guard runs on it here.
+    The decomposition is the one `base` was built with
+    (`HermitianMatrix._solution`), if any, or else one made here
+    (`kernels.decompose`); `base` is never written. A decomposition built
+    with the matrix has passed the unitarity and reconstruction guards
+    where it was made, so only the strict-positivity guard runs on it
+    here.
     """
 
     __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number")
@@ -254,9 +255,7 @@ class PositiveDefiniteMatrix:
     def __init__(self, base):
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        if base._solution is None:
-            base._solution = kernels.decompose(base.entries)
-        vals, vecs = kernels.strictly_positive(base._solution)
+        vals, vecs = kernels.strictly_positive(base._solution or kernels.decompose(base.entries))
         lam_min = float(vals[-1])
         lam_max = float(vals[0])
         self._base = base

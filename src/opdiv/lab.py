@@ -231,8 +231,8 @@ _REGISTRY: dict[str, _Check] = {
          B._eval_thm2_1, "perspective is subadditive over entrywise sums"),
         ("COR2_2_II", B._CONVEX_POOL, B._draw_cor2_2_ii, B._eval_cor2_2_ii,
          "f(sum of left slots) <= perspective sum when right slots add to I"),
-        ("COR2_3_SPLIT", B._CONVEX_POOL, B._draw_cor2_3_split, B._eval_cor2_3_split,
-         "two-block split refines perspective <= divergence"),
+        ("COR2_3_SPLIT", B._CONVEX_POOL, partial(B._draw_thm2_1, split=True),
+         partial(B._eval_thm2_1, split=True), "two-block split refines perspective <= divergence"),
         ("THM2_4_MIXTURE", B._CONVEX_POOL, B._draw_thm2_4_mixture, B._eval_thm2_4_mixture,
          "row perspectives of a mixed grid <= mixed grid perspectives"),
         ("THM2_6_CDJ_DELTA", B._F0_POOL, B._draw_thm2_6, B._eval_thm2_6,

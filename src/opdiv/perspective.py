@@ -7,13 +7,14 @@ products, and the differentiable tangent-line lower bound.
 
 Theorem 2.1's verdict, P_f(sum w A, sum w B) <= Theta, needs the
 decompositions of Theta's inner matrices and of the summed B. The field
-keeps its summed B, and `theta_divergence` decomposes it with the whole
-field's inner matrices in one `kernels.decompositions` call, at every
-dimension; the sum keeps that decomposition, and its
+forms its summed B once and keeps it. If `theta_divergence` is the first
+to form it, Theta decomposes it with the whole field's inner matrices in
+one `kernels.decompositions` call, at every dimension, and the field
+keeps the sum built with that decomposition; its
 `PositiveDefiniteMatrix` then runs only the strict-positivity guard
-instead of decomposing the sum again. Built first, that
-`PositiveDefiniteMatrix` keeps its own decomposition on the sum, and
-Theta does not decompose it again.
+instead of decomposing the sum again. A sum formed before Theta runs
+has no decomposition: Theta decomposes its inner matrices alone, and the
+sum's `PositiveDefiniteMatrix` decomposes the sum.
 """
 
 from __future__ import annotations
@@ -106,12 +107,31 @@ class WeightedOperatorField:
 
     def weighted_sum_b(self) -> HermitianMatrix:
         """sum_t w_t B_t, kept from the first call: the field is immutable,
-        so every call returns the same matrix, and the first of
-        `theta_divergence` and `PositiveDefiniteMatrix` to solve the sum
-        leaves its solution on it for the other."""
+        so every call returns the same matrix. A sum that
+        `theta_divergence` formed comes with the decomposition made in
+        Theta's dispatch, which its `PositiveDefiniteMatrix` uses; a sum
+        formed here has none."""
         if self._sum_b is None:
             self._sum_b = self._weighted_sum([b.entries for _, _, b in self._entries])
         return self._sum_b
+
+    def _decompose_with_sum_b(self, inner):
+        """`kernels.decompose` of the stack `inner`. A summed B not formed
+        yet is formed here and decomposed in the same dispatch, and the
+        field keeps the sum built with a copy of its decomposition, so that
+        it does not keep the fused arrays alive. `inner` is decomposed
+        alone if the sum was formed already, overflows or fails its guards;
+        a sum that fails them is kept without a decomposition, so that its
+        `PositiveDefiniteMatrix` decomposes it and raises its own error."""
+        if self._sum_b is None:
+            try:
+                sum_b = self.weighted_sum_b()
+                inner, (vals, vecs) = kernels.decompositions(inner, sum_b.entries)
+            except (BadRange, NumericalFailure):
+                return kernels.decompose(inner)
+            self._sum_b = HermitianMatrix._wrap(sum_b.entries, (vals.copy(), vecs.copy()))
+            return inner
+        return kernels.decompose(inner)
 
     def _weighted_sum(self, matrices) -> HermitianMatrix:
         """sum_t w_t X_t of one matrix X_t per entry."""
@@ -168,50 +188,24 @@ def theta_divergence(
 
     In dimension one with unit weights this is the classical scalar
     f-divergence sum q_t f(p_t / q_t). The perspectives of the whole field
-    are one stack, taken by `kernels.perspective`'s steps and summed in
-    field order. The field's summed B (`weighted_sum_b`) is decomposed in
-    the same eigensolver dispatch as the inner matrices
-    (`_entry_perspectives`), unless it already has a decomposition, so
-    that Theorem 2.1's verdict makes three dispatches at every dimension.
-    The sum never makes this raise.
+    are one stack, taken by `kernels.perspective`'s steps
+    (`kernels.inner`, the decomposition of the inner matrices and
+    `kernels.sandwich`) and summed in field order. If Theta is the first to
+    form the field's summed B, it decomposes the sum in the same
+    eigensolver dispatch as the inner matrices
+    (`WeightedOperatorField._decompose_with_sum_b`), so that Theorem 2.1's
+    verdict makes three dispatches at every dimension. The sum never makes
+    this raise.
     """
-    return _weighted(field.weights, _entry_perspectives(f, field.entries, _unsolved_sum_b(field)))
-
-
-def _unsolved_sum_b(field):
-    """The field's summed B if it has no decomposition yet, or None; None
-    too if the sum overflows."""
-    try:
-        sum_b = field.weighted_sum_b()
-    except BadRange:
-        return None
-    return sum_b if sum_b._solution is None else None
-
-
-def _entry_perspectives(f, entries, sum_b) -> np.ndarray:
-    """The perspective of each (w, A, B) of `entries`, by
-    `kernels.perspective`'s steps: `kernels.inner`, the decomposition of
-    the inner matrices and `kernels.sandwich`. Unless `sum_b` is None, it
-    is decomposed with the inner matrices (`kernels.decompositions`) and a
-    copy of its decomposition kept on it for `PositiveDefiniteMatrix`, so
-    that it does not keep the fused arrays alive. If that fails, the inner
-    matrices are decomposed alone and `sum_b` is left for its
-    `PositiveDefiniteMatrix` to decompose and refuse."""
-    rights = [b.decomposition for _, _, b in entries]
+    rights = [b.decomposition for _, _, b in field]
     # Keep no stack past its last use: R^{-1/2} and the stacked A go with
     # `kernels.inner`, and rebinding `inner` frees the inner matrices
     # before the sandwich.
-    half, inner = kernels.inner(kernels.stack([a.entries for _, a, _ in entries]), (
+    half, inner = kernels.inner(kernels.stack([a.entries for _, a, _ in field]), (
         kernels.stack([d.eigenvalues for d in rights]), kernels.stack([d.unitary for d in rights])
     ))[:2]
-    if sum_b is None:
-        return kernels.sandwich(f, half, kernels.decompose(inner))
-    try:
-        inner, (vals, vecs) = kernels.decompositions(inner, sum_b.entries)
-    except NumericalFailure:
-        return kernels.sandwich(f, half, kernels.decompose(inner))
-    sum_b._solution = vals.copy(), vecs.copy()
-    return kernels.sandwich(f, half, inner)
+    inner = field._decompose_with_sum_b(inner)
+    return _weighted(field.weights, kernels.sandwich(f, half, inner))
 
 
 def f_delta_h(

@@ -839,6 +839,17 @@ def test_summed_b_is_decomposed_once_whichever_facade_runs_first(monkeypatch, di
         assert _eig_counts(monkeypatch, verdict, f, _field(dim, size))[1:] == (size + 2, 1, 3)
 
 
+@pytest.mark.parametrize("dim, size", [(3, 4), (64, 4)])
+def test_a_summed_b_formed_before_theta_is_decomposed_by_its_own_facade(monkeypatch, dim, size):
+    """Only Theta builds the summed B with a decomposition, and only when
+    it forms the sum: formed first by `weighted_sum_b`, the sum has none,
+    so Theta decomposes its inner matrices alone and the sum's
+    PositiveDefiniteMatrix decomposes the sum, one dispatch more."""
+    f, field = builtin("neg_log"), _field(dim, size)
+    field.weighted_sum_b()
+    assert _eig_counts(monkeypatch, _verdict, f, field) == (3, size + 2, 1, 3)
+
+
 @pytest.mark.parametrize("da, db, calls", [(3, 3, 1), (2, 3, 2)])
 def test_bivariate_calculus_decomposes_one_size_in_one_dispatch(monkeypatch, da, db, calls):
     rng = np.random.default_rng([19, da, db])

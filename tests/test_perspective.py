@@ -249,9 +249,9 @@ def test_a_summed_b_that_fails_its_guard_leaves_theta_and_raises_its_own_error(
     Theta's fused dispatch does not change Theta's bits, and its
     PositiveDefiniteMatrix raises what a fresh one of a copy of the sum
     raises under the same solver."""
-    drawn, want = [make_field(np.random.default_rng([29, dim, size]), dim, size) for _ in range(2)]
-    want = theta_divergence(NEG_LOG, want).entries
-    sum_b, hits = drawn.weighted_sum_b(), []
+    drawn, twin = [make_field(np.random.default_rng([29, dim, size]), dim, size) for _ in range(2)]
+    want = theta_divergence(NEG_LOG, twin).entries
+    sum_b, hits = twin.weighted_sum_b(), []
     monkeypatch.setattr(np.linalg, "eigh", _skewing_eigh(sum_b.entries, hits))
     assert theta_divergence(NEG_LOG, drawn).entries.tobytes() == want.tobytes()
     assert hits == [(size + 1, dim, dim)]
