@@ -19,15 +19,17 @@ decompose an inner matrix with its other stacks. h(R), the right side of
 the generalized perspective `f_delta_h`, is formed and guarded in one
 place, `h_decomposition`, in a dispatch of its own. A facade fuses
 through `decompositions` too: `perspective.theta_divergence` decomposes
-a field's summed B with its inner matrices, and the sum keeps that
-decomposition for its `PositiveDefiniteMatrix`. An unguarded solution
-(`solve`) never leaves this module.
+a field's summed B with its inner matrices when it is the first to form
+the sum, and the field keeps the sum built with that decomposition for
+its `PositiveDefiniteMatrix`. An unguarded solution (`solve`) never
+leaves this module.
 
 LAPACK and matmul work matrix by matrix, so a stacked or fused call
 gives the same bits as the same call on each matrix alone, and batching
 never moves a reported number. Every guard of the single-matrix API is
 kept and vectorized; a failing guard raises for the first offending
-matrix in index order.
+matrix in index order, and names non-finite entries if that matrix has
+one.
 """
 
 from __future__ import annotations
@@ -207,15 +209,29 @@ def guarded(positive: bool, vals, vecs, eye_err, rec_err, h) -> tuple:
     The reconstruction residual is held to DECOMP_TOL * max(1, ||H||_F).
     That bound is never below DECOMP_TOL, so ||H||_F is taken only when a
     residual exceeds DECOMP_TOL (or is NaN), and the guard decides as it
-    would with every norm taken."""
-    worst = _first(eye_err, _exceeds(eye_err, DECOMP_TOL * vals.shape[-1]))
+    would with every norm taken. A guard that fails names non-finite
+    entries instead of its residual if the first matrix it fails on has
+    one, as an inner matrix that overflowed does."""
+    bad = _exceeds(eye_err, DECOMP_TOL * vals.shape[-1])
+    worst = _first(eye_err, bad)
     if worst is not None:
-        raise NumericalFailure(f"eigenvector matrix not unitary (residual {worst:.3e})")
+        raise _failure(h, bad, f"eigenvector matrix not unitary (residual {worst:.3e})")
     if _first(rec_err, _exceeds(rec_err, DECOMP_TOL)) is not None:
-        worst = _first(rec_err, _exceeds(rec_err, DECOMP_TOL * _pymax(1.0, frobenius(h))))
+        bad = _exceeds(rec_err, DECOMP_TOL * _pymax(1.0, frobenius(h)))
+        worst = _first(rec_err, bad)
         if worst is not None:
-            raise NumericalFailure(f"spectral reconstruction residual {worst:.3e} too large")
+            raise _failure(h, bad, f"spectral reconstruction residual {worst:.3e} too large")
     return strictly_positive((vals, vecs)) if positive else (vals, vecs)
+
+
+def _failure(h, bad, message: str) -> NumericalFailure:
+    """NumericalFailure with `message`, or naming non-finite entries if the
+    first matrix of the stack `h` that `bad` flags has one."""
+    if isinstance(bad, np.ndarray):
+        h = h.reshape((-1,) + h.shape[-2:])[np.flatnonzero(bad)[0]]
+    if not all_finite(h):
+        message = "cannot decompose a matrix with non-finite entries"
+    return NumericalFailure(message)
 
 
 def decompositions(*parts, positive=False) -> list:

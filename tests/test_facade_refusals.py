@@ -186,6 +186,28 @@ _REFUSALS = {
         BadRange,
         "Kronecker product has non-finite entries",
     ),
+    "perspective_overflowing_inner": (
+        lambda: perspective(_IDENTITY, _TOP, _HALF),
+        NumericalFailure,
+        "cannot decompose a matrix with non-finite entries",
+    ),
+    "theta_divergence_overflowing_inner": (
+        lambda: theta_divergence(_IDENTITY, WeightedOperatorField([(1.0, _TOP, _HALF)])),
+        NumericalFailure,
+        "cannot decompose a matrix with non-finite entries",
+    ),
+    "f_delta_h_overflowing_inner": (
+        lambda: f_delta_h(_IDENTITY, _IDENTITY, _TOP, _HALF.base),
+        NumericalFailure,
+        "cannot decompose a matrix with non-finite entries",
+    ),
+    "f_nabla_h_overflowing_inner": (
+        lambda: f_nabla_h(
+            _IDENTITY, _IDENTITY, WeightedOperatorField([(1.0, _TOP, _HALF)]), [1.0], [1.0]
+        ),
+        NumericalFailure,
+        "cannot decompose a matrix with non-finite entries",
+    ),
     "rebuild_nan": (
         lambda: spectral_decompose(_EYE).rebuild([np.nan, 1.0]),
         BadRange,

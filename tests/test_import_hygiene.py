@@ -7,8 +7,9 @@ of `batched` writes the chain through subunital maps, no evaluate of
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
 product, only `lab.records` opens a trial's RNG stream, no draw of
 `batched` picks its own function, no test draws a trial but through
-`lab.records`, `funcatalog` compares no matrices, and only `kernels`
-handles a decomposition before its guards. The benchmark's tracer
+`lab.records`, `funcatalog` compares no matrices, only `kernels`
+handles a decomposition before its guards, and no `HermitianMatrix` is
+written after it is built. The benchmark's tracer
 (`bench/tracer.py`) finds every function and method it wraps under the
 name it looks up.
 
@@ -422,6 +423,83 @@ def test_only_kernels_handles_an_unguarded_solve():
         for _, owner, _ in name_uses(path.read_text(), {"solve", "guarded"})
     ]
     assert uses == []
+
+
+def attribute_writes(source: str, attr: str) -> list:
+    """(line, owner) of each write to an attribute named `attr` in
+    `source`: assigned, as one target of several, augmented, annotated,
+    deleted or set through `setattr`, in line order. `owner` is the dotted
+    path of the classes and functions the write sits in, None at module
+    level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                if isinstance(child.ctx, (ast.Store, ast.Del)):
+                    found.append((child.lineno, owner))
+            elif isinstance(child, ast.Call) and len(child.args) > 1:
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                key = child.args[1]
+                if name in ("setattr", "__setattr__") and getattr(key, "value", None) == attr:
+                    found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_no_matrix_is_written_after_it_is_built():
+    """A `HermitianMatrix` is built with its decomposition or without one,
+    and never written afterwards: only `HermitianMatrix.__init__` and
+    `HermitianMatrix._wrap` assign `_solution`. No facade keeps a
+    decomposition on a matrix that another facade built."""
+    writers = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, owner in attribute_writes(path.read_text(), "_solution")
+    ]
+    assert writers == [
+        ("hermitian.py", "HermitianMatrix.__init__"),
+        ("hermitian.py", "HermitianMatrix._wrap"),
+    ]
+
+
+def test_attribute_writes_are_found():
+    source = (
+        "class HermitianMatrix:\n"
+        "    def __init__(self):\n"
+        "        self._solution = None\n"
+        "    def solve(self, f):\n"
+        "        self._solution, n = f(self), 1\n"
+        "def _entry_perspectives(sum_b, x):\n"
+        "    sum_b._solution = x._solution\n"
+        "    setattr(sum_b, '_solution', x)\n"
+        "    object.__setattr__(sum_b, '_solution', x)\n"
+        "    sum_b._solution += x\n"
+        "    del sum_b._solution\n"
+        "    return sum_b._solutions, x._solution, getattr(x, '_solution')\n"
+        "field._solution: tuple = ()\n"
+        "class PositiveDefiniteMatrix:\n"
+        "    def __init__(self, base):\n"
+        "        def keep(x):\n"
+        "            base._solution = x\n"
+    )
+    assert attribute_writes(source, "_solution") == [
+        (3, "HermitianMatrix.__init__"),
+        (5, "HermitianMatrix.solve"),
+        (7, "_entry_perspectives"),
+        (8, "_entry_perspectives"),
+        (9, "_entry_perspectives"),
+        (10, "_entry_perspectives"),
+        (11, "_entry_perspectives"),
+        (13, None),
+        (17, "PositiveDefiniteMatrix.__init__.keep"),
+    ]
 
 
 def test_name_uses_are_found():

@@ -934,3 +934,28 @@ def test_only_the_worst_trials_map_is_built(check_id, monkeypatch):
     run_check(check_id, GenConfig(dim=3, seed=1, trials=100))
     one_map = (["Congruence"], ["Compression"], ["Congruence", "Congruence", "MapSum", "ScaledMap"])
     assert built in one_map, len(built)
+
+
+# A THM2_1 margin may fall short of the sum of COR2_3_SPLIT's two link
+# margins on the same records by at most this many eps times (1 + the
+# largest scale of the three links). The worst measured over the cases
+# below was 0.54.
+_BOUND = 1e3
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("f", [None, quartic()], ids=str)
+def test_theorem_2_1_margin_is_at_least_the_split_chain_margins(f, dim, seed):
+    """COR2_3_SPLIT refines THM2_1's link whole <= Theta through the split:
+    Theta - whole = (Theta - split) + (split - whole), and by Weyl's
+    inequality lambda_min(X + Y) >= lambda_min(X) + lambda_min(Y), so on
+    the same records THM2_1's margin is at least the sum of the two link
+    margins of COR2_3_SPLIT, up to rounding, whether or not they hold."""
+    tol = ToleranceConfig()
+    records = lab.records("COR2_3_SPLIT", GenConfig(dim=dim, seed=seed, trials=40), f)
+    links, used, _ = lab.evaluate("COR2_3_SPLIT", records, tol)
+    whole, whole_used, _ = lab.evaluate("THM2_1", records, tol)
+    scale = (np.max(np.hstack([used, whole_used]), axis=1) - tol.abs) / tol.rel
+    shortfall = links.sum(axis=1) - whole[:, 0]
+    assert np.all(shortfall <= _BOUND * np.finfo(float).eps * (1.0 + scale))
