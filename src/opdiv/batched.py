@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .errors import BadRange, NumericalFailure
+from .errors import BadRange
 from .funcatalog import (
     FunctionFlags,
     Interval,
@@ -294,19 +294,6 @@ def _first_block(group, present) -> np.ndarray:
 def _total(flat, mask, w=None):
     """`K.field_sum` over each trial's own entries of a flat stack of them."""
     return K.field_sum(_pad(flat, mask), mask, w)
-
-
-def _eval(fs, x) -> np.ndarray:
-    """fs[t] on the values x[t] of every trial t, one call per function;
-    NumericalFailure naming the first function with a non-finite value,
-    as when it overflows."""
-    out = np.empty_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, rows in K._by_function(fs):
-            out[rows] = g.eval_array(x[rows])
-            if not K.all_finite(out[rows]):
-                raise NumericalFailure(f"function {g.id!r} produced non-finite values")
-    return out
 
 
 def _quad(m, x) -> np.ndarray:
@@ -565,13 +552,6 @@ def _draw_jensen(rng, trial, cfg, f, unit_weights=False):
     return _Draw(f, w, a, c=c, t1=sorted(perm[:cut].tolist()))
 
 
-def _unital_family(group, mask) -> tuple:
-    """The weights (T, k) and congruences (T, k, n, n) of unital
-    congruence families (`_normalized`), zero where `mask` has no map."""
-    w = _padded(group, "w", mask)
-    return w, _normalized(w, _gaussians(group, "c", mask), mask)
-
-
 def _jensen_chain(fs, mapped, ops, present, t1, full: bool = True):
     """The four-stage refinement chain of a unital map family, stacked.
 
@@ -611,7 +591,8 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     weights the payload lists the congruence matrices under "C"."""
     fs = [r.f for r in group]
     present = _present([len(r.w) for r in group])
-    w, maps = _unital_family(group, present)
+    w = _padded(group, "w", present)
+    maps = _normalized(w, _gaussians(group, "c", present), present)
     (ops,) = _build(group, "a")
 
     def mapped(x):
@@ -692,17 +673,15 @@ def _eval_thm2_10(group, tol):
     perspectives of f2 and f2's calculus, and only then the mapped sums'
     decomposition, so a trial that fails two guards reports the
     perspectives' error before that of the mapped sums."""
-    f1s, f2s = _fh(group)
-    present = _present([len(r.w) for r in group])
-    w, maps = _unital_family(group, present)
-    a, b = _build(group, "a", "b")
+    f1s, present, w, a, b = _field(group)
+    maps = _normalized(w, _gaussians(group, "c", present), present)
     # Each drawn A and B is positive definite.
     a_pos, b_pos = K.decompositions(a, b, positive=True)
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
     sides = _pad(np.stack([eye, a, b], axis=1), present)
     unit, sum_a, sum_b = _mapped(maps, w, present, sides).swapaxes(0, 1)
     check_unital(unit)
-    f2 = _each(f2s, present)
+    f2 = _each([r.h for r in group], present)
     images = np.stack([K.perspective(f2, a, b_pos), K.calculus(f2, a_pos)], axis=1)
     sum_b_pos, sum_a_dec = K.decompositions(sum_b, sum_a, positive=(True, False))
     rhs_g, rhs_f = _mapped(maps, w, present, _pad(images, present)).swapaxes(0, 1)
@@ -888,8 +867,10 @@ def _eval_cor2_9(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     x = _stack(group, "x")
     ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b_pos)))
-    hbx = _eval(hs, bx)
-    links = _scalar_links(tol, hbx * _eval(fs, ax / hbx), rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hbx = K.values(hs, bx)
+        f_ratio = K.values(fs, ax / hbx)
+    links = _scalar_links(tol, hbx * f_ratio, rhs)
     payloads = [
         partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=x[i][:, None])
         for i, r in enumerate(group)
@@ -944,7 +925,9 @@ def _eval_thm3_8(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     g = K.perspective(fs, a, b_pos)
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
-    links = _scalar_links(tol, sb * _eval(fs, sa / sb), sg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ratio = K.values(fs, sa / sb)
+    links = _scalar_links(tol, sb * f_ratio, sg)
     return *links, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
 
 
@@ -1042,12 +1025,16 @@ def _eval_scalar_csiszar(group, tol):
     mask = _present([len(r.w) for r in group])
     p, q = (np.concatenate([getattr(r, s) for r in group]) for s in ("w", "q"))
     # Sums from zeros, term by term, as np.sum adds the few terms of a row.
-    total = _total(q * _eval(_each(fs, mask), p / q), mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ratios = K.values(_each(fs, mask), p / q)
+    total = _total(q * f_ratios, mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
     theta = _total(K.perspective(_each(fs, mask), cell_p, K.positive(cell_q)), mask)[:, 0, 0].real
     big_q = _total(q, mask)
-    lhs = big_q * _eval(fs, _total(p, mask) / big_q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_mean = K.values(fs, _total(p, mask) / big_q)
+    lhs = big_q * f_mean
     links = _scalar_links(tol, lhs[:, None], total[:, None])
     far = np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
     return *_flagged(links, far), [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]

@@ -388,11 +388,25 @@ def _clamped(domain, vals):
     return domain.clamp_spectrum(vals, DOMAIN_CLAMP_TOL * np.maximum(scale, 1.0)[..., None])
 
 
-def _evaluate(f, vals):
-    fvals = f.eval_array(_clamped(f.domain, vals))
-    if not all_finite(fvals):
-        raise NumericalFailure(f"function {f.id!r} produced non-finite values")
-    return fvals
+def values(f, x, clamp=False):
+    """f of each entry of the array `x`: the one place a function meets
+    numbers. `f` is one function for the whole array, or one function per
+    entry of the first axis, and each function evaluates all of its rows
+    in one call (`_by_function`). With `clamp`, `x` holds descending
+    eigenvalues, clamped onto each function's domain first (`_clamped`).
+    NumericalFailure names the first function with a non-finite value, as
+    when it overflows; the caller holds the `np.errstate` that keeps an
+    overflow from warning."""
+    groups = _by_function(f)
+    out = None if len(groups) == 1 else np.empty_like(x)
+    for g, rows in groups:
+        fx = g.eval_array(_clamped(g.domain, x[rows]) if clamp else x[rows])
+        if not all_finite(fx):
+            raise NumericalFailure(f"function {g.id!r} produced non-finite values")
+        if out is None:
+            return fx
+        out[rows] = fx
+    return out
 
 
 def _finite(f, x):
@@ -406,17 +420,10 @@ def _finite(f, x):
     raise NumericalFailure(f"function {f.id!r} produced a non-finite matrix")
 
 
-def _calculus(f, decomposition):
-    """`calculus` without its `np.errstate` and the finiteness check of the
-    rebuilt matrices."""
-    vals, vecs = decomposition
-    groups = _by_function(f)
-    if len(groups) == 1:
-        return rebuild(_evaluate(groups[0][0], vals), vecs)
-    out = np.empty_like(vals)
-    for g, rows in groups:
-        out[rows] = _evaluate(g, vals[rows])
-    return rebuild(out, vecs)
+def _calculus(f, vals, vecs):
+    """`calculus` of the decomposition (vals, vecs) without its
+    `np.errstate` and the finiteness check of the rebuilt matrices."""
+    return rebuild(values(f, vals, clamp=True), vecs)
 
 
 def calculus(f, decomposition):
@@ -432,7 +439,7 @@ def calculus(f, decomposition):
     rebuilt is that NumericalFailure, not a RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _calculus(f, decomposition)
+        out = _calculus(f, *decomposition)
     return _finite(f, out)
 
 
@@ -493,7 +500,7 @@ def sandwich(f, half, inner):
     result, an overflow among them, raises NumericalFailure naming f."""
     # A non-finite f(X) leaves the product non-finite, so one check names f.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = hermitian_part(half @ _calculus(f, inner) @ half)
+        out = hermitian_part(half @ _calculus(f, *inner) @ half)
     return _finite(f, out)
 
 

@@ -250,10 +250,9 @@ class MapField:
         """sum_i w_i Phi_i(I); BadRange if it overflows to a non-finite
         matrix. A unital field is refused at construction instead, with
         NotUnital."""
-        image = self._identity_image()
-        if not np.isfinite(image).all():
-            raise BadRange("identity image has non-finite entries")
-        return HermitianMatrix._wrap(image)
+        return HermitianMatrix._wrap_finite(
+            self._identity_image, "identity image has non-finite entries"
+        )
 
     def __iter__(self):
         return iter(self._entries)
