@@ -1046,6 +1046,10 @@ _CHAIN_LABELS = (
     "per_map_perspective_sum",
     "sum_of_mapped_f",
 )
+# The largest entrywise deviation from a stored matrix at which the
+# Example 3.3 fixture still matches it, in EX3_3_EXACT and in
+# `lab.reproduce_example` alike.
+_EXAMPLE_TOL = 1e-9
 
 
 def _example(tol: ToleranceConfig) -> tuple:
@@ -1079,6 +1083,6 @@ def _eval_example(group, tol):
     """Entrywise match with the stored chain plus strictly positive chain
     gaps. The fixture reads no draw, so every trial has one outcome."""
     _, _, devs, low, used = _example(tol)
-    links = _flagged((low[None], used[None]), np.any(devs[None] > 1e-9, axis=1))
+    links = _flagged((low[None], used[None]), np.any(devs[None] > _EXAMPLE_TOL, axis=1))
     payload = partial(_payload, fixture="compression_example", labels=list(_CHAIN_LABELS))
     return *(np.repeat(x, len(group), axis=0) for x in links), [payload] * len(group)

@@ -198,8 +198,17 @@ def builtin(func_id: str, params: Sequence[float] = ()) -> ScalarOperatorFunctio
     """Construct a catalog function by id.
 
     Supported: power(beta) for beta in [-1, 2], neg_log, t_log_t, square,
-    identity, affine(a, b).
+    identity, affine(a, b). `params` is a list or tuple of finite real
+    numbers, numpy's among them; a bool is not one, since it would run as
+    0 or 1 while the id echoed it. ParamOutOfRange otherwise.
     """
+    if not isinstance(params, (list, tuple)) or not all(
+        isinstance(p, (int, float, np.integer, np.floating))
+        and not isinstance(p, bool)
+        and math.isfinite(p)
+        for p in params
+    ):
+        raise ParamOutOfRange(f"function params must be a list of finite numbers, got {params!r}")
     params = [float(p) for p in params]
     if func_id == "power":
         if len(params) != 1:
@@ -229,20 +238,17 @@ def quartic() -> ScalarOperatorFunction:
 
 
 def from_spec(spec: dict) -> ScalarOperatorFunction:
-    """Build a function from {"id": ..., "params": [...]} JSON."""
+    """Build a function from {"id": ..., "params": [...]} JSON. `builtin`
+    refuses params that are not a list of finite numbers; quartic takes
+    none, so anything but an empty list is refused for it."""
     if not isinstance(spec, dict):
         raise UnknownFunction(f"function spec must be a JSON object, got {spec!r}")
     func_id = spec.get("id")
     if not isinstance(func_id, str):
         raise UnknownFunction(f"function spec needs a string id, got {spec!r}")
     params = spec.get("params", [])
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
-        for p in params
-    ):
-        raise ParamOutOfRange(f"function params must be a list of finite numbers, got {params!r}")
     if func_id == "quartic":
-        if params:
+        if not isinstance(params, list) or params:
             raise ParamOutOfRange("quartic takes no parameters")
         return quartic()
     return builtin(func_id, params)

@@ -10,12 +10,15 @@ among them as THM2_1, through `run_trials`, one trial loop that draws,
 evaluates and folds a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
-arrays is one `stack`. A stage that decomposes several independent
-stacks does so in one eigensolver dispatch per matrix size
-(`decompositions`). So the perspective exposes its steps: the roots of
-R and the inner matrix R^{-1/2} L R^{-1/2} (`inner`, the one place that
-product is written), its decomposition, and `sandwich`; a caller may
-decompose an inner matrix with its other stacks. h(R), the right side of
+arrays is one `stack`. A function meets numbers in one place, `values`:
+the functional calculus evaluates it on eigenvalues clamped onto its
+domain, and the scalar sides of the checks on their numbers. A stage
+that decomposes several independent stacks does so in one eigensolver
+dispatch per matrix size (`decompositions`). So the perspective
+exposes its steps: the roots of R and the inner matrix
+R^{-1/2} L R^{-1/2} (`inner`, the one place that product is written),
+its decomposition, and `sandwich`; a caller may decompose an inner
+matrix with its other stacks. h(R), the right side of
 the generalized perspective `f_delta_h`, is formed and guarded in one
 place, `h_decomposition`, in a dispatch of its own. A facade fuses
 through `decompositions` too: `perspective.theta_divergence` decomposes

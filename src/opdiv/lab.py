@@ -453,7 +453,7 @@ class ExampleReproduction:
 
     @property
     def ok(self) -> bool:
-        return max(self.max_devs) <= 1e-9 and min(self.gaps) > 0
+        return max(self.max_devs) <= B._EXAMPLE_TOL and min(self.gaps) > 0
 
     def to_json_dict(self) -> dict:
         return {

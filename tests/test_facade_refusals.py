@@ -151,6 +151,31 @@ _REFUSALS = {
         ParamOutOfRange,
         "affine expects parameters (a, b)",
     ),
+    "builtin_scalar_params": (
+        lambda: builtin("power", 2),
+        ParamOutOfRange,
+        "function params must be a list of finite numbers, got 2",
+    ),
+    "builtin_string_param": (
+        lambda: builtin("power", ["x"]),
+        ParamOutOfRange,
+        "function params must be a list of finite numbers, got ['x']",
+    ),
+    "builtin_string_params": (
+        lambda: builtin("square", "ab"),
+        ParamOutOfRange,
+        "function params must be a list of finite numbers, got 'ab'",
+    ),
+    "builtin_bool_param": (
+        lambda: builtin("power", [True]),
+        ParamOutOfRange,
+        "function params must be a list of finite numbers, got [True]",
+    ),
+    "builtin_nan_param": (
+        lambda: builtin("affine", [1, np.nan]),
+        ParamOutOfRange,
+        "function params must be a list of finite numbers, got [1, nan]",
+    ),
     "gen_config_negative_seed": (
         lambda: GenConfig(seed=-1),
         BadRange,

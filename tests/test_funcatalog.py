@@ -67,6 +67,17 @@ def test_unknown_function():
         builtin("square", [1.0])
 
 
+def test_builtin_takes_numpy_numbers_and_tuples():
+    """`builtin` holds params to one rule, for the library and for JSON
+    (`from_spec`) alike: a list or tuple of finite real numbers, numpy's
+    counted as numbers, as `lab._real` counts them."""
+    assert builtin("power", [np.int64(2)]).id == "power(2)"
+    assert builtin("affine", (np.float32(0.5), 1)).id == "affine(0.5,1)"
+    assert builtin("power", (1.5,)).eval_scalar(4.0) == 8.0
+    with pytest.raises(ParamOutOfRange, match="finite numbers"):
+        builtin("power", [np.bool_(True)])
+
+
 def test_from_spec():
     assert from_spec({"id": "power", "params": [2]}).eval_scalar(3.0) == 9.0
     assert from_spec({"id": "quartic"}).eval_scalar(2.0) == 16.0

@@ -7,7 +7,8 @@ of `batched` writes the chain through subunital maps, no evaluate of
 `kernels.inner` and `kernels.sandwich` write the perspective's two-sided
 product, only `lab.records` opens a trial's RNG stream, no draw of
 `batched` picks its own function, no test draws a trial but through
-`lab.records`, `funcatalog` compares no matrices, only `kernels`
+`lab.records`, only `kernels.values` evaluates a function outside
+`funcatalog`, `funcatalog` compares no matrices, only `kernels`
 handles a decomposition before its guards, and no `HermitianMatrix` is
 written after it is built. The benchmark's tracer
 (`bench/tracer.py`) finds every function and method it wraps under the
@@ -400,6 +401,55 @@ def test_tests_draw_only_through_lab_records(module):
     and cannot drift from it."""
     source = (TESTS / module).read_text()
     assert name_uses(source, {"_trial_rng"} | _draw_names()) == []
+
+
+def eval_array_callers(sources: dict) -> list:
+    """(module, owner) of each reference to `eval_array` in the modules
+    `sources` (module -> source) but `funcatalog.py`, which defines it, in
+    module and line order, each once."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module != "funcatalog.py":
+            for _, owner, _ in name_uses(source, {"eval_array"}):
+                if (module, owner) not in found:
+                    found.append((module, owner))
+    return found
+
+
+def test_functions_meet_numbers_in_one_evaluator():
+    """Outside `funcatalog`, only `kernels.values` evaluates a function
+    (`eval_array`): the functional calculus and the scalar sides of the
+    checks go through it, so rows are grouped by function, clamped onto a
+    domain and refused when non-finite in one place."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert eval_array_callers(sources) == [("kernels.py", "values")]
+
+
+def test_eval_array_callers_are_found():
+    sources = {
+        "funcatalog.py": (
+            "class F:\n"
+            "    def eval_scalar(self, x):\n"
+            "        return self.eval_array(x)\n"
+        ),
+        "kernels.py": (
+            "def values(f, x):\n"
+            "    return f.eval_array(x)\n"
+            "def _evaluate(f, vals):\n"
+            "    return f.eval_array(vals), f.eval_array(-vals)\n"
+        ),
+        "batched.py": (
+            "def _eval(fs, x):\n"
+            "    return [g.eval_array for g in fs]\n"
+            "EVAL = F.eval_array\n"
+        ),
+    }
+    assert eval_array_callers(sources) == [
+        ("batched.py", "_eval"),
+        ("batched.py", None),
+        ("kernels.py", "values"),
+        ("kernels.py", "_evaluate"),
+    ]
 
 
 def test_funcatalog_compares_no_matrices():

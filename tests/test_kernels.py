@@ -525,6 +525,29 @@ def test_non_finite_result_names_the_function_of_its_row():
     assert np.isfinite(kernels.apply_function(fs[:1], h[:1])).all()
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "rows"])
+def test_values_names_the_function_of_the_row_that_overflows(shape):
+    """The scalar route of COR2_9_VECTOR, THM3_8_NORM and SCALAR_CSISZAR
+    (`kernels.values` without clamping), with one function per entry of
+    the first axis, names the function of the first row whose value
+    overflows, and no overflow warning escapes the `np.errstate` its
+    callers hold. A finite stack keeps each row's own bits."""
+    big = ScalarOperatorFunction(
+        id="big",
+        domain=Interval.real_line(),
+        eval=lambda t: 1e308 * np.asarray(t, float),
+    )
+    fs = [builtin("square"), big]
+    x = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="^function 'big' produced non-finite values$"):
+            kernels.values(fs, x)
+    small = x / 8.0
+    got = kernels.values(fs, small)
+    assert np.array_equal(got[0], small[0] ** 2)
+    assert np.array_equal(got[1], 1e308 * small[1])
+
+
 def test_tangent_line_names_the_function_of_the_row_that_overflows():
     """The tangent-line bound of a stack with one (f(1), f'(1)) per entry
     names the function of the first entry whose bound overflows, with no
