@@ -199,8 +199,8 @@ def builtin(func_id: str, params: Sequence[float] = ()) -> ScalarOperatorFunctio
 
     Supported: power(beta) for beta in [-1, 2], neg_log, t_log_t, square,
     identity, affine(a, b). `params` is a list or tuple of finite real
-    numbers, numpy's among them; a bool is not one, since it would run as
-    0 or 1 while the id echoed it. ParamOutOfRange otherwise.
+    numbers, numpy's counted and bools not, as `lab._real` counts them;
+    ParamOutOfRange otherwise.
     """
     if not isinstance(params, (list, tuple)) or not all(
         isinstance(p, (int, float, np.integer, np.floating))

@@ -10,19 +10,19 @@ among them as THM2_1, through `run_trials`, one trial loop that draws,
 evaluates and folds a chunk at once.
 Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
-arrays is one `stack`. A function meets numbers in one place, `values`:
-the functional calculus evaluates it on eigenvalues clamped onto its
-domain, and the scalar sides of the checks on their numbers. A stage
-that decomposes several independent stacks does so in one eigensolver
-dispatch per matrix size (`decompositions`). So the perspective
-exposes its steps: the roots of R and the inner matrix
+arrays is one `stack`. A function meets an array of numbers in one
+place, `values`: the functional calculus evaluates it on eigenvalues
+clamped onto its domain, and the scalar sides of the checks on their
+numbers. A stage that decomposes several independent stacks does so in
+one eigensolver dispatch per matrix size (`decompositions`). So the
+perspective exposes its steps: the roots of R and the inner matrix
 R^{-1/2} L R^{-1/2} (`inner`, the one place that product is written),
 its decomposition, and `sandwich`; a caller may decompose an inner
-matrix with its other stacks. h(R), the right side of
-the generalized perspective `f_delta_h`, is formed and guarded in one
-place, `h_decomposition`, in a dispatch of its own. A facade fuses
-through `decompositions` too: `perspective.theta_divergence` decomposes
-a field's summed B with its inner matrices when it is the first to form
+matrix with its other stacks. h(R), the right side of the generalized
+perspective `f_delta_h`, is formed and guarded in one place,
+`h_decomposition`, in a dispatch of its own. A facade fuses through
+`decompositions` too: `perspective.theta_divergence` decomposes a
+field's summed B with its inner matrices when it is the first to form
 the sum, and the field keeps the sum built with that decomposition for
 its `PositiveDefiniteMatrix`. An unguarded solution (`solve`) never
 leaves this module.
@@ -392,8 +392,8 @@ def _clamped(domain, vals):
 
 
 def values(f, x, clamp=False):
-    """f of each entry of the array `x`: the one place a function meets
-    numbers. `f` is one function for the whole array, or one function per
+    """f of each entry of the array `x`: the one place a function meets an
+    array of numbers. `f` is one function for the whole array, or one function per
     entry of the first axis, and each function evaluates all of its rows
     in one call (`_by_function`). With `clamp`, `x` holds descending
     eigenvalues, clamped onto each function's domain first (`_clamped`).
