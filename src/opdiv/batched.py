@@ -867,10 +867,7 @@ def _eval_cor2_9(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     x = _stack(group, "x")
     ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b_pos)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        hbx = K.values(hs, bx)
-        f_ratio = K.values(fs, ax / hbx)
-    links = _scalar_links(tol, hbx * f_ratio, rhs)
+    links = _scalar_links(tol, K.scalar_perspective(fs, ax, bx, hs), rhs)
     payloads = [
         partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=x[i][:, None])
         for i, r in enumerate(group)
@@ -925,9 +922,7 @@ def _eval_thm3_8(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     g = K.perspective(fs, a, b_pos)
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ratio = K.values(fs, sa / sb)
-    links = _scalar_links(tol, sb * f_ratio, sg)
+    links = _scalar_links(tol, K.scalar_perspective(fs, sa, sb), sg)
     return *links, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
 
 
@@ -1024,19 +1019,15 @@ def _eval_scalar_csiszar(group, tol):
     fs = [r.f for r in group]
     mask = _present([len(r.w) for r in group])
     p, q = (np.concatenate([getattr(r, s) for r in group]) for s in ("w", "q"))
+    each = _each(fs, mask)
     # Sums from zeros, term by term, as np.sum adds the few terms of a row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ratios = K.values(_each(fs, mask), p / q)
-    total = _total(q * f_ratios, mask)
+    total = _total(K.scalar_perspective(each, p, q), mask)
     # The same sum as the divergence functional of 1 x 1 matrices.
     cell_p, cell_q = (K.hermitian_part(x[:, None, None]) for x in (p, q))
-    theta = _total(K.perspective(_each(fs, mask), cell_p, K.positive(cell_q)), mask)[:, 0, 0].real
-    big_q = _total(q, mask)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_mean = K.values(fs, _total(p, mask) / big_q)
-    lhs = big_q * f_mean
+    theta = _total(K.perspective(each, cell_p, K.positive(cell_q)), mask)
+    lhs = K.scalar_perspective(fs, _total(p, mask), _total(q, mask))
     links = _scalar_links(tol, lhs[:, None], total[:, None])
-    far = np.abs(theta - total) > 1e-12 * K._pymax(1.0, np.abs(total))
+    far = _far(theta, total[:, None, None], 1e-12)
     return *_flagged(links, far), [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
 
 

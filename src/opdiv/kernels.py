@@ -12,7 +12,8 @@ Every weighted sum of matrices, a field's or a map family's, a trial's
 or a facade's, is one `field_sum`, and every stack of equal-shaped
 arrays is one `stack`. A function meets an array of numbers in one
 place, `values`: the functional calculus evaluates it on eigenvalues
-clamped onto its domain, and the scalar sides of the checks on their
+clamped onto its domain, and the scalar perspective s f(t / s)
+(`scalar_perspective`), the scalar side of the checks, on their
 numbers. A stage that decomposes several independent stacks does so in
 one eigensolver dispatch per matrix size (`decompositions`). So the
 perspective exposes its steps: the roots of R and the inner matrix
@@ -32,7 +33,10 @@ gives the same bits as the same call on each matrix alone, and batching
 never moves a reported number. Every guard of the single-matrix API is
 kept and vectorized; a failing guard raises for the first offending
 matrix in index order, and names non-finite entries if that matrix has
-one.
+one. A kernel that can overflow holds its own guard: it computes under
+`np.errstate`, so that no RuntimeWarning escapes, and refuses a
+non-finite result or returns it for the next kernel's guard to refuse.
+The checks of `batched` and `lab` hold no overflow guard of their own.
 """
 
 from __future__ import annotations
@@ -398,8 +402,9 @@ def values(f, x, clamp=False):
     in one call (`_by_function`). With `clamp`, `x` holds descending
     eigenvalues, clamped onto each function's domain first (`_clamped`).
     NumericalFailure names the first function with a non-finite value, as
-    when it overflows; the caller holds the `np.errstate` that keeps an
-    overflow from warning."""
+    when it overflows. Its callers are kernels, the functional calculus
+    (`_calculus`) and `scalar_perspective`, and each holds the
+    `np.errstate` that keeps an overflow from warning."""
     groups = _by_function(f)
     out = None if len(groups) == 1 else np.empty_like(x)
     for g, rows in groups:
@@ -412,15 +417,29 @@ def values(f, x, clamp=False):
     return out
 
 
-def _finite(f, x):
+def _finite(f, x, result="a non-finite matrix"):
     """`x`, the stack of f's results, if every entry is finite; otherwise
-    NumericalFailure naming the function of the first offending matrix."""
+    NumericalFailure that the function of the first offending entry of the
+    first axis produced `result`."""
     if all_finite(x):
         return x
     if isinstance(f, (list, tuple)):
         rows = ~np.isfinite(x).reshape(len(f), -1).all(axis=1)
         f = f[int(np.flatnonzero(rows)[0])]
-    raise NumericalFailure(f"function {f.id!r} produced a non-finite matrix")
+    raise NumericalFailure(f"function {f.id!r} produced {result}")
+
+
+def scalar_perspective(f, t, s, h=None):
+    """The scalar perspective s f(t / s) of each entry of the arrays `t`
+    and `s`, or with `h` the generalized one, h(s) f(t / h(s)): Csiszar's
+    term q f(p / q), and the scalar side of COR2_9_VECTOR, THM3_8_NORM and
+    SCALAR_CSISZAR. `f` and `h` are as for `values`. A non-finite value or
+    product, an overflow among them, raises NumericalFailure naming the
+    function of its row, not a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = s if h is None else values(h, s)
+        out = hs * values(f, t / hs)
+    return _finite(f, out, "non-finite values")
 
 
 def _calculus(f, vals, vecs):
@@ -591,16 +610,20 @@ def field_sum(x, mask=None, w=None):
     loop's first step. One reduction over the axis would not keep that
     order: numpy reduces 1 x 1 matrices pairwise. Nor would one
     accumulation pay: numpy accumulates element by element, which measured
-    2-8x slower than this loop on every stack but a single small field."""
+    2-8x slower than this loop on every stack but a single small field.
+    A weighted term or sum that overflows is left non-finite, with no
+    RuntimeWarning, for a later guard to refuse: a decomposition's,
+    `loewner`'s or a facade's."""
     axes = (1,) * (x.ndim - 2)
-    if w is not None:
-        x = x * w.reshape(w.shape + axes)
-    if mask is not None:
-        x = np.where(mask.reshape(mask.shape + axes), x, 0)
-    terms = x.swapaxes(0, 1)
-    out = terms[0] + 0.0
-    for term in terms[1:]:
-        out += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w is not None:
+            x = x * w.reshape(w.shape + axes)
+        if mask is not None:
+            x = np.where(mask.reshape(mask.shape + axes), x, 0)
+        terms = x.swapaxes(0, 1)
+        out = terms[0] + 0.0
+        for term in terms[1:]:
+            out += term
     return out
 
 

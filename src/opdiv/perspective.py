@@ -147,9 +147,10 @@ class WeightedOperatorField:
 def _weighted(w, terms) -> HermitianMatrix:
     """sum_t w_t X_t of the stack `terms` of the X_t, in order from zero
     (`kernels.field_sum`); BadRange if it overflows."""
-    return HermitianMatrix._wrap_finite(
-        lambda: kernels.field_sum(terms[None], w=w[None])[0], "the weighted sum overflows"
-    )
+    out = kernels.field_sum(terms[None], w=w[None])[0]
+    if not kernels.all_finite(out):
+        raise BadRange("the weighted sum overflows")
+    return HermitianMatrix._wrap(out)
 
 
 @dataclass(frozen=True)

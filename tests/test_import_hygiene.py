@@ -8,7 +8,8 @@ of `batched` writes the chain through subunital maps, no evaluate of
 product, only `lab.records` opens a trial's RNG stream, no draw of
 `batched` picks its own function, no test draws a trial but through
 `lab.records`, only `kernels.values` evaluates a function outside
-`funcatalog`, `funcatalog` compares no matrices, only `kernels`
+`funcatalog` and only kernels call it, `batched` and `lab` hold no
+`np.errstate`, `funcatalog` compares no matrices, only `kernels`
 handles a decomposition before its guards, and no `HermitianMatrix` is
 written after it is built. The benchmark's tracer
 (`bench/tracer.py`) finds every function and method it wraps under the
@@ -451,6 +452,121 @@ def test_eval_array_callers_are_found():
         ("kernels.py", "_evaluate"),
     ]
 
+
+
+def kernel_uses(sources: dict, name: str) -> list:
+    """(module, owner) of each reference to the kernel `name` in the
+    modules `sources` (module -> source) but `kernels.py`: through the
+    module (`K.values`, `kernels.values`) or imported from it (`from
+    .kernels import values`), in module and line order, each once. An
+    attribute of anything else of that name (`groups.values()`) is not
+    one."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module == "kernels.py":
+            continue
+        tree = ast.parse(source)
+        through, direct = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None and alias.name == "kernels":
+                        through.add(alias.asname or alias.name)
+                    elif node.module == "kernels" and alias.name == name:
+                        direct.add(alias.asname or alias.name)
+        uses = []
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            for ref in ast.walk(node):
+                if isinstance(ref, ast.Attribute) and ref.attr == name:
+                    if isinstance(ref.value, ast.Name) and ref.value.id in through:
+                        uses.append((ref.lineno, owner))
+                elif isinstance(ref, ast.Name) and ref.id in direct:
+                    uses.append((ref.lineno, owner))
+        for _, owner in sorted(uses):
+            if (module, owner) not in found:
+                found.append((module, owner))
+    return found
+
+
+def test_only_kernels_call_values():
+    """No module outside `kernels` calls `kernels.values`: the functional
+    calculus and the scalar perspective (`kernels.scalar_perspective`) are
+    its callers, and each holds the overflow guard around it, so no check
+    evaluates a function on numbers under a guard of its own."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert kernel_uses(sources, "values") == []
+
+
+def test_kernel_uses_are_found():
+    sources = {
+        "kernels.py": "def values(f, x):\n    return f(x)\ny = values(1, 2)\n",
+        "batched.py": (
+            "from . import kernels as K\n"
+            "def _eval_thm3_8(fs, x, groups):\n"
+            "    return K.values(fs, x), groups.values(), x.values\n"
+            "def _eval_cor2_9(fs, x):\n"
+            "    return K.values(fs, K.values(fs, x))\n"
+            "EVAL = K.values\n"
+        ),
+        "lab.py": (
+            "from . import kernels\n"
+            "from .kernels import values as v, stack\n"
+            "class _Check:\n"
+            "    def evaluate(self, fs, x):\n"
+            "        return kernels.values(fs, x), v(fs, x), stack(x).values\n"
+        ),
+        "posmap.py": "from . import hermitian as K\nz = K.values(1, 2)\n",
+    }
+    assert kernel_uses(sources, "values") == [
+        ("batched.py", "_eval_thm3_8"),
+        ("batched.py", "_eval_cor2_9"),
+        ("batched.py", None),
+        ("lab.py", "_Check"),
+    ]
+
+
+def overflow_guards(sources: dict) -> list:
+    """(module, line, owner) of each reference to `errstate` in the
+    modules `sources` (module -> source), in module and line order."""
+    return [
+        (module, line, owner)
+        for module, source in sorted(sources.items())
+        for line, owner, _ in name_uses(source, {"errstate"})
+    ]
+
+
+def test_checks_hold_no_overflow_guard():
+    """The checks (`batched`) and the lab hold no `np.errstate`: a kernel
+    that can overflow holds its own guard, as `scalar_perspective` and
+    `field_sum` do, and refuses or leaves the non-finite value for a
+    guard further on, so no check silences an overflow of its own."""
+    sources = {name: (PACKAGE / name).read_text() for name in ("batched.py", "lab.py")}
+    assert overflow_guards(sources) == []
+
+
+def test_overflow_guards_are_found():
+    sources = {
+        "batched.py": (
+            "import numpy as np\n"
+            "def _eval_cor2_9(fs, x):\n"
+            "    with np.errstate(over='ignore'):\n"
+            "        return fs(x)\n"
+            "GUARD = np.errstate\n"
+        ),
+        "lab.py": (
+            "from numpy import errstate\n"
+            "class _Check:\n"
+            "    def evaluate(self, x):\n"
+            "        with errstate(all='ignore'):\n"
+            "            return x, x.errstates\n"
+        ),
+    }
+    assert overflow_guards(sources) == [
+        ("batched.py", 3, "_eval_cor2_9"),
+        ("batched.py", 5, None),
+        ("lab.py", 4, "_Check"),
+    ]
 
 def test_funcatalog_compares_no_matrices():
     """The catalog evaluates functions on eigenvalues and compares no

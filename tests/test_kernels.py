@@ -509,6 +509,18 @@ def test_overflowing_function_is_named():
         run_check("THM2_1", GenConfig(dim=3, trials=20), function=big)
 
 
+def test_an_overflowing_csiszar_sum_is_refused_without_a_warning():
+    """SCALAR_CSISZAR under a function whose values q f(p / q) are finite
+    but whose sum over a field overflows: the sum is left infinite with
+    no overflow warning (an error under this suite's warning filter), and
+    the divergence functional of the 1 x 1 cells names the function."""
+    big_inv = ScalarOperatorFunction(
+        "big_inv", Interval.positive(), lambda t: 1.5e306 / np.asarray(t, float)
+    )
+    with pytest.raises(NumericalFailure, match="^function 'big_inv' produced a non-finite matrix$"):
+        run_check("SCALAR_CSISZAR", GenConfig(trials=200), function=big_inv)
+
+
 def test_non_finite_result_names_the_function_of_its_row():
     """With one function per stacked entry, the failure names the function
     of the first entry whose result is not finite."""
@@ -546,6 +558,64 @@ def test_values_names_the_function_of_the_row_that_overflows(shape):
     got = kernels.values(fs, small)
     assert np.array_equal(got[0], small[0] ** 2)
     assert np.array_equal(got[1], 1e308 * small[1])
+
+
+# Per row of (T,) or (T, L) inputs, a positive f and h from the checks' pools.
+_SCALAR_FS = [builtin("t_log_t"), builtin("power", [1.5]), builtin("neg_log")]
+_SCALAR_HS = [builtin("identity"), builtin("power", [0.5]), builtin("affine", [0.7, 0.3])]
+
+
+def _written_out(f, t, s, h=None):
+    """The scalar perspective as the checks wrote it out by hand: s * f(t / s)
+    under the overflow guard, with h(s) for s when `h` is given."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h is not None:
+            s = kernels.values(h, s)
+        return s * kernels.values(f, t / s)
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["plain", "generalized"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["one", "per_row"])
+@pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "rows"])
+def test_scalar_perspective_keeps_the_bits_of_the_checks_expressions(shape, per_row, with_h):
+    """`scalar_perspective` gives the bits of the expressions COR2_9_VECTOR,
+    THM3_8_NORM and SCALAR_CSISZAR wrote by hand, with one function for
+    the stack or one per entry of the first axis, with h and without."""
+    rng = np.random.default_rng(41)
+    t, s = rng.uniform(0.1, 4.0, (2,) + shape)
+    pick = (lambda pool: [pool[i % 3] for i in range(shape[0])]) if per_row else (lambda p: p[1])
+    f, h = pick(_SCALAR_FS), pick(_SCALAR_HS) if with_h else None
+    got = kernels.scalar_perspective(f, t, s, h)
+    assert got.shape == shape
+    assert _bits(got) == _bits(_written_out(f, t, s, h))
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["plain", "generalized"])
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "rows"])
+def test_scalar_perspective_names_the_function_of_the_row_that_overflows(shape, with_h):
+    """A stack whose second function's values f(t / s) are finite but
+    whose perspective s f(t / s) overflows names that function, with no
+    overflow warning (an error under this suite's warning filter)."""
+    big = ScalarOperatorFunction("big", Interval.positive(), lambda t: 2e307 / np.asarray(t, float))
+    fs = [builtin("square"), big]
+    t, s = np.ones(shape), np.full(shape, 4.0)
+    h = [builtin("identity")] * 2 if with_h else None
+    assert np.isfinite(kernels.values(fs, t / s)).all()
+    with pytest.raises(NumericalFailure, match="^function 'big' produced non-finite values$"):
+        kernels.scalar_perspective(fs, t, s, h)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_field_sum_of_finite_terms_that_overflow_is_infinite(weighted):
+    """`field_sum` holds its own overflow guard: finite terms whose sum, or
+    whose weighted terms, pass the float limit give +inf, with no overflow
+    warning (an error under this suite's warning filter), for a later
+    guard to refuse."""
+    x = np.full((2, 3, 1, 1), 1e308)
+    x[0] = 1.0
+    got = kernels.field_sum(x, w=np.full((2, 3), 10.0)) if weighted else kernels.field_sum(x)
+    assert np.isfinite(got[0]).all()
+    assert np.array_equal(got[1], np.full((1, 1), math.inf))
 
 
 def test_tangent_line_names_the_function_of_the_row_that_overflows():
