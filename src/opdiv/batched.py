@@ -38,7 +38,9 @@ index masks, so every margin has the bits of the
 one-trial-at-a-time computation.
 An evaluate returns the (T, L) margins and tolerances of its trials' L
 Loewner or scalar links, a deviation test as one more (`_flagged`), and
-payload thunks; only the trial loop folds links (`kernels.run_trials`).
+`payload(i)`, which builds trial i's payload from its own entries
+(`_own`) when called, for the worst trial only; only the trial loop folds
+links (`kernels.run_trials`).
 """
 
 from __future__ import annotations
@@ -251,9 +253,11 @@ def _each(values, mask) -> list:
     return [values[t] for t in np.nonzero(mask)[0].tolist()]
 
 
-def _per_trial(flat, mask) -> list:
-    """A flat stack of the present entries cut into each trial's own."""
-    return np.split(flat, np.cumsum(mask.reshape(len(mask), -1).sum(axis=1))[:-1])
+def _own(flat, mask, i: int) -> np.ndarray:
+    """Trial i's own entries of a flat stack of the present entries of
+    `mask`, trial by trial."""
+    start = np.count_nonzero(mask[:i])
+    return flat[start : start + np.count_nonzero(mask[i])]
 
 
 def _split_by(records, key) -> list:
@@ -369,8 +373,9 @@ def _json(value):
 
 
 def _payload(**parts) -> dict:
-    """A trial's instance payload, built only for the worst trial; parts
-    that are None are left out."""
+    """A trial's instance payload, built only for the worst trial: only
+    called, in an evaluate's `payload(i)`; parts that are None are left
+    out."""
     return {key: _json(value) for key, value in parts.items() if value is not None}
 
 
@@ -443,11 +448,12 @@ def _field(group) -> tuple:
     return [r.f for r in group], mask, _padded(group, "w", mask), a, b
 
 
-def _field_payloads(group, mask, a, b) -> list:
-    return [
-        partial(_payload, f=r.f, w=r.w, A=ai, B=bi, t1=r.t1)
-        for r, ai, bi in zip(group, _per_trial(a, mask), _per_trial(b, mask))
-    ]
+def _field_payload(group, mask, a, b):
+    def payload(i):
+        r = group[i]
+        return _payload(f=r.f, w=r.w, A=_own(a, mask, i), B=_own(b, mask, i), t1=r.t1)
+
+    return payload
 
 
 def _eval_thm2_1(group, tol, split=False):
@@ -473,7 +479,7 @@ def _eval_thm2_1(group, tol, split=False):
     )
     chain = [sides[-1], sides[0] + sides[1]] if split else sides
     chain.append(_total(terms, mask, w))
-    return *_links(tol, *zip(chain, chain[1:])), _field_payloads(group, mask, a, b)
+    return *_links(tol, *zip(chain, chain[1:])), _field_payload(group, mask, a, b)
 
 
 def _eval_thm2_12_grad(group, tol):
@@ -482,10 +488,12 @@ def _eval_thm2_12_grad(group, tol):
     naming the function of its trial."""
     fs, mask, w, a, b = _field(group)
     b_pos = K.positive(b)  # each drawn B is positive definite
-    points = [tangent_point(f) for f in fs]
+    points = np.empty((len(fs), 2))
+    for f, rows in K._by_function(fs):
+        points[rows] = tangent_point(f)
     lower = K.tangent_line(fs, points, _total(a, mask, w), _total(b, mask, w))
     theta = _total(K.perspective(_each(fs, mask), a, b_pos), mask, w)
-    return *_links(tol, (lower, theta)), _field_payloads(group, mask, a, b)
+    return *_links(tol, (lower, theta)), _field_payload(group, mask, a, b)
 
 
 def _eval_cor2_2_ii(group, tol):
@@ -501,12 +509,11 @@ def _eval_cor2_2_ii(group, tol):
     rights = K.congruence(inv_half[np.nonzero(mask)[0]], raw)
     lhs = K.calculus(fs, left_sum)
     rhs = _total(K.perspective(_each(fs, mask), lefts, K.positive(rights)), mask)
-    links = _links(tol, (lhs, rhs))
-    payloads = [
-        partial(_payload, f=r.f, L=left, R=right)
-        for r, left, right in zip(group, _per_trial(lefts, mask), _per_trial(rights, mask))
-    ]
-    return *links, payloads
+
+    def payload(i):
+        return _payload(f=group[i].f, L=_own(lefts, mask, i), R=_own(rights, mask, i))
+
+    return *_links(tol, (lhs, rhs)), payload
 
 
 def _eval_thm2_4_mixture(group, tol):
@@ -521,13 +528,14 @@ def _eval_thm2_4_mixture(group, tol):
     )
     lhs = _total(row_terms, mask)
     columns = K.field_sum(_pad(cells, grid), mask)
-    links = _links(tol, (lhs, K.field_sum(columns, mask, p)))
-    payloads = []
-    for r, left, right in zip(group, _per_trial(ls, grid), _per_trial(rs, grid)):
-        shape = (len(r.w),) * 2 + left.shape[1:]
-        grids = dict(L=left.reshape(shape), R=right.reshape(shape))
-        payloads.append(partial(_payload, f=r.f, p=r.w, **grids))
-    return *links, payloads
+
+    def payload(i):
+        r = group[i]
+        shape = (len(r.w),) * 2 + ls.shape[1:]
+        grids = dict(L=_own(ls, grid, i).reshape(shape), R=_own(rs, grid, i).reshape(shape))
+        return _payload(f=r.f, p=r.w, **grids)
+
+    return *_links(tol, (lhs, K.field_sum(columns, mask, p))), payload
 
 
 # Unital families and the refinement chain: Theorem 3.1, Corollary 3.4.
@@ -605,13 +613,14 @@ def _eval_jensen(group, tol, unit_weights=False, full=True):
     else:
         deficit = f_one - block_one
         pairs = ((np.zeros_like(deficit), deficit), (deficit, m4 - m1))
-    links = _links(tol, *pairs)
-    payloads = []
-    for i, (r, a) in enumerate(zip(group, _per_trial(ops, present))):
+
+    def payload(i):
+        r = group[i]
         own = maps[i, : len(r.w)]
         family = {"C": own} if unit_weights else {"maps": _family(r.w, own, True)}
-        payloads.append(partial(_payload, f=r.f, **family, A=a, t1=r.t1))
-    return *links, payloads
+        return _payload(f=r.f, **family, A=_own(ops, present, i), t1=r.t1)
+
+    return *_links(tol, *pairs), payload
 
 
 # Choi-Davis-Jensen refinements: Theorems 2.6 and 2.10, Corollary 2.7, Example 2.8.
@@ -643,13 +652,14 @@ def _eval_thm2_6(group, tol):
         c = _gaussians([group[i] for i in rows], "c", m)
         family = _normalized(w[rows], c, m, shrinks[rows])
         applies.append((rows, partial(_mapped, family, w[rows], m)))
-        maps.update((i, own[: len(group[i].w)]) for i, own in zip(rows.tolist(), family))
-    links = _cdj_links(fs, hs, a, b, b_pos, applies, tol, present)
-    payloads = [
-        partial(_payload, f=r.f, h=r.h, maps=_family(r.w, maps[i], False), A=ai, B=bi)
-        for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
-    ]
-    return *links, payloads
+        maps.update(zip(rows.tolist(), family))
+
+    def payload(i):
+        r = group[i]
+        family = _family(r.w, maps[i][: len(r.w)], False)
+        return _payload(f=r.f, h=r.h, maps=family, A=_own(a, present, i), B=_own(b, present, i))
+
+    return *_cdj_links(fs, hs, a, b, b_pos, applies, tol, present), payload
 
 
 def _draw_thm2_10(rng, trial, cfg, f):
@@ -690,11 +700,13 @@ def _eval_thm2_10(group, tol):
         (K.perspective(f1s, sum_a, sum_b_pos), rhs_g),
         (K.calculus(f1s, sum_a_dec), rhs_f),
     )
-    payloads = [
-        partial(_payload, f1=r.f, f2=r.h, maps=_family(r.w, maps[i, : len(r.w)], True), A=ai, B=bi)
-        for i, (r, ai, bi) in enumerate(zip(group, _per_trial(a, present), _per_trial(b, present)))
-    ]
-    return *links, payloads
+
+    def payload(i):
+        r = group[i]
+        family = _family(r.w, maps[i, : len(r.w)], True)
+        return _payload(f1=r.f, f2=r.h, maps=family, A=_own(a, present, i), B=_own(b, present, i))
+
+    return *links, payload
 
 
 def _draw_single_map(rng, dim: int, variant: int) -> _Map:
@@ -713,14 +725,14 @@ def _draw_single_map(rng, dim: int, variant: int) -> _Map:
 def _single_maps(ms, dim: int) -> tuple:
     """The subunital single maps `ms` (`_draw_single_map`) on dim x dim
     matrices, grouped by variant and, for compressions, size: the
-    (trial indices, apply) of each group (`_group_map`) and a thunk per
-    map that builds its object."""
+    (trial indices, apply) of each group (`_group_map`) and, by trial
+    index, a thunk that builds its map's object."""
     applies, maps = [], {}
     for rows in _split_by(ms, lambda m: (m.variant, 0 if m.ix is None else len(m.ix))):
         apply, build = _group_map([ms[i] for i in rows], dim)
         applies.append((rows, apply))
         maps.update((i, partial(build, j)) for j, i in enumerate(rows.tolist()))
-    return applies, [maps[i] for i in range(len(maps))]
+    return applies, maps
 
 
 def _group_map(ms, dim: int) -> tuple:
@@ -841,12 +853,13 @@ def _eval_single_map(group, tol, perspective=True):
     # Each drawn B is positive definite, and without `perspective` each A.
     b_pos = K.decompositions(b, *(() if perspective else (a,)), positive=True)[0]
     applies, maps = _single_maps([r.m for r in group], a.shape[-1])
-    links = _cdj_links(fs, hs, a, b, b_pos, applies, tol, perspective=perspective)
-    payloads = []
-    for i, r in enumerate(group):
+
+    def payload(i):
+        r = group[i]
         ids = dict(f=r.f, h=r.h) if perspective else dict(alpha=r.w[0].item(), beta=r.w[1].item())
-        payloads.append(partial(_payload, **ids, map=maps[i], A=a[i], B=b[i]))
-    return *links, payloads
+        return _payload(**ids, map=maps[i], A=a[i], B=b[i])
+
+    return *_cdj_links(fs, hs, a, b, b_pos, applies, tol, perspective=perspective), payload
 
 
 # Quadratic forms, mixtures, Ky Fan norms and tensor calculus.
@@ -867,12 +880,11 @@ def _eval_cor2_9(group, tol):
     _, b_pos = K.decompositions(a, b, positive=True)  # each drawn A and B is positive definite
     x = _stack(group, "x")
     ax, bx, rhs = (_quad(m, x) for m in (a, b, K.f_delta_h(fs, hs, a, b_pos)))
-    links = _scalar_links(tol, K.scalar_perspective(fs, ax, bx, hs), rhs)
-    payloads = [
-        partial(_payload, f=r.f, h=r.h, A=a[i], B=b[i], x=x[i][:, None])
-        for i, r in enumerate(group)
-    ]
-    return *links, payloads
+
+    def payload(i):
+        return _payload(f=group[i].f, h=group[i].h, A=a[i], B=b[i], x=x[i][:, None])
+
+    return *_scalar_links(tol, K.scalar_perspective(fs, ax, bx, hs), rhs), payload
 
 
 def _draw_delta_nabla(rng, trial, cfg, f):
@@ -901,12 +913,12 @@ def _eval_delta_nabla(group, tol):
     lefts = np.concatenate([sum_l, ls])
     both = K.f_delta_h(fs + _each(fs, mask), hs + _each(hs, mask), lefts, _joined(*rights))
     lhs, rhs = both[: len(group)], _total(both[len(group) :], mask, p)
-    links = _links(tol, (lhs, rhs))
-    payloads = [
-        partial(_payload, f=r.f, h=r.h, p=r.w, q=r.q, L=left, R=right)
-        for r, left, right in zip(group, _per_trial(ls, mask), _per_trial(rs, mask))
-    ]
-    return *links, payloads
+
+    def payload(i):
+        r = group[i]
+        return _payload(f=r.f, h=r.h, p=r.w, q=r.q, L=_own(ls, mask, i), R=_own(rs, mask, i))
+
+    return *_links(tol, (lhs, rhs)), payload
 
 
 def _draw_thm3_8(rng, trial, cfg, f):
@@ -923,7 +935,7 @@ def _eval_thm3_8(group, tol):
     g = K.perspective(fs, a, b_pos)
     sa, sb, sg = np.cumsum(K.singular_values(np.stack([a, b, g])), axis=-1)
     links = _scalar_links(tol, K.scalar_perspective(fs, sa, sb), sg)
-    return *links, [partial(_payload, f=r.f, A=a[i], B=b[i]) for i, r in enumerate(group)]
+    return *links, lambda i: _payload(f=fs[i], A=a[i], B=b[i])
 
 
 def _draw_lemma_jadjit(rng, trial, cfg, f):
@@ -949,10 +961,7 @@ def _eval_lemma_jadjit(group, tol):
         mat = K.bivariate(_X_SQ_OVER_Y, (a_dec[0][t], a_dec[1][t]), (b_dec[0][t], b_dec[1][t]))
         rhs[t] = _quad(mat, uv[t])
     links = _scalar_links(tol, au * au / bv, rhs)
-    payloads = [
-        partial(_payload, A=a[i], B=b[i], uv=uv_pairs[i][:, :, None]) for i in range(len(group))
-    ]
-    return *links, payloads
+    return *links, lambda i: _payload(A=a[i], B=b[i], uv=uv_pairs[i][:, :, None])
 
 
 # Relative entropy, the scalar reduction and the Example 3.3 fixture.
@@ -1000,7 +1009,7 @@ def _eval_kl(group, tol):
         (sum_l - sum_r, theta_tlt),
     )
     far = _far(theta_log, direct_log, 1e-9) | _far(theta_tlt, direct_tlt, 1e-9)
-    return *_flagged(links, far), [partial(_payload, L=ls[i], R=rs[i]) for i in range(len(group))]
+    return *_flagged(links, far), lambda i: _payload(L=ls[i], R=rs[i])
 
 
 def _draw_scalar_csiszar(rng, trial, cfg, f):
@@ -1028,7 +1037,7 @@ def _eval_scalar_csiszar(group, tol):
     lhs = K.scalar_perspective(fs, _total(p, mask), _total(q, mask))
     links = _scalar_links(tol, lhs[:, None], total[:, None])
     far = _far(theta, total[:, None, None], 1e-12)
-    return *_flagged(links, far), [partial(_payload, f=r.f, p=r.w, q=r.q) for r in group]
+    return *_flagged(links, far), lambda i: _payload(f=fs[i], p=group[i].w, q=group[i].q)
 
 
 _CHAIN_LABELS = (
@@ -1075,5 +1084,8 @@ def _eval_example(group, tol):
     gaps. The fixture reads no draw, so every trial has one outcome."""
     _, _, devs, low, used = _example(tol)
     links = _flagged((low[None], used[None]), np.any(devs[None] > _EXAMPLE_TOL, axis=1))
-    payload = partial(_payload, fixture="compression_example", labels=list(_CHAIN_LABELS))
-    return *(np.repeat(x, len(group), axis=0) for x in links), [payload] * len(group)
+
+    def payload(i):
+        return _payload(fixture="compression_example", labels=list(_CHAIN_LABELS))
+
+    return *(np.repeat(x, len(group), axis=0) for x in links), payload

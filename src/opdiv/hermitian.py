@@ -247,7 +247,8 @@ class PositiveDefiniteMatrix:
     (`kernels.decompose`); `base` is never written. A decomposition built
     with the matrix has passed the unitarity and reconstruction guards
     where it was made, so only the strict-positivity guard runs on it
-    here.
+    here. Two built from one `HermitianMatrix` that carries no
+    decomposition so decompose it twice: keep the first one.
     """
 
     __slots__ = ("_base", "_decomp", "_min_eigenvalue", "_condition_number")

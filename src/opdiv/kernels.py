@@ -689,7 +689,8 @@ def run_trials(count: int, dim: int, draw, evaluate, tol) -> tuple:
     Each chunk of trials (`chunks`) is drawn at once, `draw(chunk)`
     returning the chunk's records in order, and evaluated at once:
     `evaluate(records, tol)` returns the (T, L) margins and tolerances of
-    each trial's L links and an extra per trial, such as a payload thunk.
+    each trial's L links and a function of the index of a record in the
+    chunk, such as one that builds its payload.
     The lab passes `lab.records` and `lab.evaluate`. If evaluate raises,
     the records are evaluated one at a time, in order, so the error is the
     one the first failing record raises alone. This is the one place links
@@ -697,13 +698,14 @@ def run_trials(count: int, dim: int, draw, evaluate, tol) -> tuple:
     the trials by the same rule, so the first of equal margins is the
     worst, trial 0 stands until one is smaller, and a NaN margin is never
     the worst. Returns the violation count, the worst margin, that trial's
-    index and its extra.
+    index and that function bound to it (`functools.partial`), not yet
+    called.
     """
-    violations, worst_margin, worst_trial, worst_extra = 0, math.inf, 0, None
+    violations, worst_margin, worst_trial, worst_payload = 0, math.inf, 0, None
     for chunk in chunks(count, dim):
         records = draw(chunk)
         try:
-            margins, used, extras = evaluate(records, tol)
+            margins, used, payload = evaluate(records, tol)
         except (OpDivError, np.linalg.LinAlgError):
             for record in records:
                 evaluate([record], tol)
@@ -712,5 +714,6 @@ def run_trials(count: int, dim: int, draw, evaluate, tol) -> tuple:
         violations += int(np.count_nonzero(violated))
         i = int(np.argmin(worst))
         if chunk.start == 0 or worst[i] < worst_margin:
-            worst_margin, worst_trial, worst_extra = float(worst[i]), chunk[i], extras[i]
-    return violations, worst_margin, worst_trial, worst_extra
+            worst_margin, worst_trial = float(worst[i]), chunk[i]
+            worst_payload = functools.partial(payload, i)
+    return violations, worst_margin, worst_trial, worst_payload

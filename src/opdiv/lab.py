@@ -207,13 +207,14 @@ class _Check:
 
     `draw(rng, trial, cfg, f)` makes one trial's RNG calls and returns
     its record, for the trial's function f. `evaluate(records, tol)`
-    returns the (T, L) link margins and tolerances and the payload thunks
-    of T records, which `kernels.run_trials` folds. Both are reached only
-    through `records` and `evaluate`. `pool` is the function pool the
-    check cycles by trial index, and None for a check whose functions are
-    fixed by the check itself: it ignores an override, and its draw gets
-    f = None. Every check runs all of its trials, including EX3_3_EXACT,
-    whose fixture reads no draw.
+    returns the (T, L) link margins and tolerances of T records, which
+    `kernels.run_trials` folds, and `payload(i)`, which builds record i's
+    payload when called. Both are reached only through `records` and
+    `evaluate`. `pool` is the function pool the check cycles by trial
+    index, and None for a check whose functions are fixed by the check
+    itself: it ignores an override, and its draw gets f = None. Every
+    check runs all of its trials, including EX3_3_EXACT, whose fixture
+    reads no draw.
     """
 
     draw: Callable
@@ -312,10 +313,11 @@ def records(check_id: str, gen: GenConfig, function=None, trials=None) -> list:
 
 
 def evaluate(check_id: str, records: list, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
-    """(margins, used, payloads) of a check's records: the (T, L) link
+    """(margins, used, payload) of a check's records: the (T, L) link
     margins and tolerances, which the trial loop folds
-    (`kernels.run_trials`), and a payload thunk per record. An empty list
-    raises BadRange: it has no margin to fold."""
+    (`kernels.run_trials`), and `payload(i)`, which builds the payload of
+    record i when called. An empty list raises BadRange: it has no margin
+    to fold."""
     check = _check(check_id)
     if not records:
         raise BadRange("evaluate needs at least one record")
@@ -335,7 +337,8 @@ def run_check(
     (`_Check`), which is how non-operator-convex candidates are falsified.
     """
     draw = partial(records, check_id, gen, function)
-    # Only the worst trial's payload thunk is ever called.
+    # The trial loop binds the worst trial's index to its chunk's payload
+    # function; only that payload is ever built.
     violations, worst_margin, _, worst_payload = K.run_trials(
         gen.trials, gen.dim, draw, partial(evaluate, check_id), tol
     )

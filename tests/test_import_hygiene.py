@@ -3,10 +3,11 @@ module imports another module's private name, every private module-level
 helper is used somewhere in the package, no source line is wider than
 LINE_WIDTH columns, only the trial loop folds link margins, one helper
 of `batched` writes the chain through subunital maps, no evaluate of
-`batched` splits a perspective at its eigensolver dispatch, only
-`kernels.inner` and `kernels.sandwich` write the perspective's two-sided
-product, only `lab.records` opens a trial's RNG stream, no draw of
-`batched` picks its own function, no test draws a trial but through
+`batched` splits a perspective at its eigensolver dispatch, `batched`
+passes no `_payload` as a value, only `kernels.inner` and
+`kernels.sandwich` write the perspective's two-sided product, only
+`lab.records` opens a trial's RNG stream, no draw of `batched` picks its
+own function, no test draws a trial but through
 `lab.records`, only `kernels.values` evaluates a function outside
 `funcatalog` and only kernels call it, `batched` and `lab` hold no
 `np.errstate`, `funcatalog` compares no matrices, only `kernels`
@@ -320,6 +321,50 @@ def test_no_evaluate_splits_a_perspective():
     eigensolver dispatch to decompose other stacks in it."""
     uses = name_uses((PACKAGE / "batched.py").read_text(), {"inner", "sandwich"})
     assert {owner for _, owner, _ in uses} == {"_eval_kl"}
+
+
+def passed_values(source: str, name: str) -> list:
+    """(line, owner) of each reference in `source` to `name`, by bare name
+    or as an attribute, that is not the callee of a call: passed as an
+    argument, assigned, returned or stored, in line order. `owner` is the
+    module-level function or class it sits in, None at module level."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        callees = {id(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)}
+        for ref in ast.walk(node):
+            ref_name = ref.id if isinstance(ref, ast.Name) else getattr(ref, "attr", None)
+            if isinstance(ref, (ast.Name, ast.Attribute)) and ref_name == name:
+                if id(ref) not in callees:
+                    found.append((ref.lineno, owner))
+    return sorted(found)
+
+
+def test_payloads_are_built_only_when_called():
+    """In `batched`, `_payload` is only called, in an evaluate's
+    `payload(i)`, and never passed as a value, so no evaluate binds a
+    payload per trial (`partial(_payload, ...)`): the trial loop keeps one
+    function of the trial index and builds the worst trial's payload
+    alone."""
+    assert passed_values((PACKAGE / "batched.py").read_text(), "_payload") == []
+
+
+def test_passed_values_are_found():
+    source = (
+        "def _payload(**parts):\n"
+        "    return parts\n"
+        "def _eval_thm3_8(group, a):\n"
+        "    return [partial(_payload, A=x) for x in a], lambda i: _payload(A=a[i])\n"
+        "def _eval_kl(B, group):\n"
+        "    build = _payload\n"
+        "    return build(), B._payload, B._payload(L=1), B._payloads\n"
+        "class _Check:\n"
+        "    payload = _payload\n"
+        "PAYLOADS = {'x': _payload}\n"
+    )
+    assert passed_values(source, "_payload") == [
+        (4, "_eval_thm3_8"), (6, "_eval_kl"), (7, "_eval_kl"), (9, "_Check"), (10, None)
+    ]
 
 
 def test_only_lab_records_seeds_a_trial():

@@ -453,7 +453,7 @@ def test_a_chunk_failure_no_record_repeats_alone_is_raised():
         seen.append(list(records))
         if len(records) > 1:
             raise fault
-        return np.zeros((1, 1)), np.zeros((1, 1)), [None]
+        return np.zeros((1, 1)), np.zeros((1, 1)), lambda i: {}
 
     with pytest.raises(NumericalFailure) as got:
         kernels.run_trials(3, 2, list, evaluate, None)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import perturb_example_chain
 from opdiv import batched, kernels, lab
-from opdiv.errors import BadRange, NonPositiveH, NumericalFailure, UnknownCheck
+from opdiv.errors import BadRange, DerivativeRequired, NonPositiveH, NumericalFailure, UnknownCheck
 from opdiv.funcatalog import FunctionFlags, Interval, ScalarOperatorFunction, builtin, quartic
 from opdiv.hermitian import ToleranceConfig
 from opdiv.lab import (
@@ -360,9 +360,9 @@ def _one_trial(check_id, trial, gen, tol, function):
     """One trial, drawn and evaluated as a batch of one: its worst margin,
     violation flag and payload thunk."""
     records = lab.records(check_id, gen, function, trials=[trial])
-    margins, used, payloads = lab.evaluate(check_id, records, tol)
+    margins, used, payload = lab.evaluate(check_id, records, tol)
     worst, violated = kernels.fold(margins, used)
-    return float(worst[0]), bool(violated[0]), payloads[0]
+    return float(worst[0]), bool(violated[0]), partial(payload, 0)
 
 
 @pytest.mark.parametrize("function", [None, quartic()], ids=["pool", "quartic"])
@@ -502,7 +502,7 @@ def _folded(margins, used) -> list:
             1,
             2,
             lambda chunk: [t],
-            lambda records, tol: (margins[records], used[records], [None]),
+            lambda records, tol: (margins[records], used[records], lambda i: {}),
             None,
         )
         out.append((worst, bool(violations)))
@@ -553,9 +553,10 @@ def test_stacked_nan_margin_counts_as_violation_and_is_never_the_worst(monkeypat
     def run(margins):
         def evaluate(records, tol):
             links = np.array([[margins[t]] for t in records])
-            return links, np.full_like(links, 1e-8), [f"extra {t}" for t in records]
+            return links, np.full_like(links, 1e-8), lambda i: f"extra {records[i]}"
 
-        return kernels.run_trials(len(margins), 2, list, evaluate, None)
+        *folded, payload = kernels.run_trials(len(margins), 2, list, evaluate, None)
+        return *folded, payload()
 
     assert run([math.nan, 0.5, -1.0, math.nan, -1.0]) == (4, -1.0, 2, "extra 2")
     assert run([0.0, 0.5, -0.0]) == (0, 0.0, 0, "extra 0")
@@ -624,16 +625,16 @@ def test_stacked_evaluate_matches_one_trial_at_a_time(check_id, dim, function):
     # The stack mixes field sizes, map variants or output dimensions.
     shapes = len({_draw_shape(r) for r in records})
     assert (shapes > 1) == (check_id not in _ONE_SHAPE)
-    margins, used, payloads = lab.evaluate(check_id, records)
+    margins, used, payload = lab.evaluate(check_id, records)
     worst, violated = kernels.fold(margins, used)
     for t, record in enumerate(records):
-        one_margins, one_used, (payload,) = lab.evaluate(check_id, [record])
+        one_margins, one_used, one_payload = lab.evaluate(check_id, [record])
         assert margins[t].tobytes() == one_margins[0].tobytes()
         assert used[t].tobytes() == one_used[0].tobytes()
         one_worst, one_violated = kernels.fold(one_margins, one_used)
         assert math.copysign(1, worst[t]) == math.copysign(1, one_worst[0])
         assert (worst[t], violated[t]) == (one_worst[0], one_violated[0])
-        assert lab._digest(payloads[t]()) == lab._digest(payload())
+        assert lab._digest(payload(t)) == lab._digest(one_payload(0))
 
 
 # The links of each check's chain, L of its (T, L) margins: THM3_8_NORM
@@ -672,12 +673,54 @@ def _link_count(check_id, dim):
 def test_evaluate_returns_every_link_margin(check_id, dim):
     """An evaluate folds nothing: it returns each trial's margin and
     tolerance on every link of its chain, (T, L) each, and the tolerances
-    are finite and never negative."""
+    are finite and never negative; it builds the payload of every trial."""
     gen = GenConfig(dim=dim, seed=3, trials=14)
-    margins, used, payloads = lab.evaluate(check_id, lab.records(check_id, gen))
+    margins, used, payload = lab.evaluate(check_id, lab.records(check_id, gen))
     assert margins.shape == used.shape == (gen.trials, _link_count(check_id, dim))
     assert np.isfinite(used).all() and (used >= 0).all()
-    assert len(payloads) == gen.trials
+    assert all(isinstance(payload(t), dict) for t in range(gen.trials))
+
+
+@pytest.mark.parametrize("check_id", check_ids())
+def test_a_run_builds_one_payload(check_id, monkeypatch):
+    """A run builds only its worst trial's payload: over 200 trials at
+    dim 8, four chunks, `run_check` calls `batched._payload` once. A
+    payload built eagerly, per trial or per chunk, calls it more often."""
+    real, calls = batched._payload, []
+
+    def counted(**parts):
+        calls.append(parts)
+        return real(**parts)
+
+    monkeypatch.setattr(batched, "_payload", counted)
+    gen = GenConfig(dim=8, seed=0, trials=200)
+    assert len(list(kernels.chunks(gen.trials, gen.dim))) == 4
+    run_check(check_id, gen)
+    assert len(calls) == 1
+
+
+def test_thm2_12_grad_takes_each_tangent_point_once_per_function(monkeypatch):
+    """THM2_12_GRAD takes (f(1), f'(1)) once per function of a chunk, not
+    once per trial: 100 trials at dim 3, one chunk, take at most one per
+    function of its pool. A function with no derivative raises the
+    tangent point's own error."""
+    real, calls = batched.tangent_point, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(batched, "tangent_point", counted)
+    gen = GenConfig(dim=3, seed=0, trials=100)
+    run_check("THM2_12_GRAD", gen)
+    assert 0 < len(calls) <= len(batched._DIFF_POOL)
+    no_deriv = ScalarOperatorFunction(
+        id="no_deriv", domain=Interval.real_line(), eval=lambda t: np.asarray(t, dtype=float) ** 2
+    )
+    with pytest.raises(DerivativeRequired) as got:
+        run_check("THM2_12_GRAD", gen, function=no_deriv)
+    assert type(got.value) is DerivativeRequired
+    assert str(got.value) == "function 'no_deriv' carries no derivative"
 
 
 # The links that are equalities for affine f = at + b, whose perspective
